@@ -46,21 +46,30 @@ func Analyze(root *ctree.Node, in *ctree.Instance, m rctree.Model, source geom.P
 	for i := range r.SinkDelay {
 		r.SinkDelay[i] = math.NaN()
 	}
-	caps := make(map[*ctree.Node]float64)
+	// caps[i] is the downstream capacitance of the i-th node in pre-order.
+	caps := make([]float64, 0, 2*len(in.Sinks))
 	var capOf func(n *ctree.Node) float64
 	capOf = func(n *ctree.Node) float64 {
+		i := len(caps)
+		caps = append(caps, 0)
 		if n.IsLeaf() {
-			caps[n] = n.Sink.CapFF
-			return caps[n]
+			caps[i] = n.Sink.CapFF
+			return caps[i]
 		}
 		c := capOf(n.Left) + capOf(n.Right) + m.WireCap(n.EdgeL) + m.WireCap(n.EdgeR)
-		caps[n] = c
+		caps[i] = c
 		return c
 	}
 	capOf(root)
 
+	// The delay walk visits the nodes in the same pre-order: next is the
+	// pre-order index of the node the walk enters next, so on entering an
+	// internal node it names the left child, and once the left subtree is
+	// done it names the right child.
+	next := 0
 	var walk func(n *ctree.Node, t float64)
 	walk = func(n *ctree.Node, t float64) {
+		next++
 		if n.IsLeaf() {
 			r.SinkDelay[n.Sink.ID] = t
 			r.MinDelay = math.Min(r.MinDelay, t)
@@ -68,8 +77,8 @@ func Analyze(root *ctree.Node, in *ctree.Instance, m rctree.Model, source geom.P
 			r.Sinks++
 			return
 		}
-		walk(n.Left, t+m.WireDelay(n.EdgeL, caps[n.Left]))
-		walk(n.Right, t+m.WireDelay(n.EdgeR, caps[n.Right]))
+		walk(n.Left, t+m.WireDelay(n.EdgeL, caps[next]))
+		walk(n.Right, t+m.WireDelay(n.EdgeR, caps[next]))
 	}
 	walk(root, 0)
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/ctree"
 	"repro/internal/geom"
 	"repro/internal/rctree"
@@ -88,6 +90,50 @@ func TestAnalyzeMatchesNodeBookkeeping(t *testing.T) {
 		}
 		if math.Abs(lo-iv.Lo) > 1e-9 || math.Abs(hi-iv.Hi) > 1e-9 {
 			t.Errorf("group %d: eval [%v,%v] vs node %v", g, lo, hi, iv)
+		}
+	}
+}
+
+// TestAnalyzeDelaysBitwise pins the pre-order-indexed capacitance memo
+// against a pointer-keyed reference computing the same float operations in
+// the same order: every sink delay must agree bit for bit on a routed
+// grouped tree.
+func TestAnalyzeDelaysBitwise(t *testing.T) {
+	in := bench.Intermingled(bench.PowerLaw(3000, bench.PowerLawClusters, bench.PowerLawAlpha, 4), 4, 4)
+	res, err := core.Build(in, core.Options{IntraSkewBound: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.DefaultModel()
+	caps := map[*ctree.Node]float64{}
+	var capOf func(n *ctree.Node) float64
+	capOf = func(n *ctree.Node) float64 {
+		var c float64
+		if n.IsLeaf() {
+			c = n.Sink.CapFF
+		} else {
+			c = capOf(n.Left) + capOf(n.Right) + m.WireCap(n.EdgeL) + m.WireCap(n.EdgeR)
+		}
+		caps[n] = c
+		return c
+	}
+	capOf(res.Root)
+	want := make([]float64, len(in.Sinks))
+	var walk func(n *ctree.Node, d float64)
+	walk = func(n *ctree.Node, d float64) {
+		if n.IsLeaf() {
+			want[n.Sink.ID] = d
+			return
+		}
+		walk(n.Left, d+m.WireDelay(n.EdgeL, caps[n.Left]))
+		walk(n.Right, d+m.WireDelay(n.EdgeR, caps[n.Right]))
+	}
+	walk(res.Root, 0)
+
+	rep := Analyze(res.Root, in, m, in.Source)
+	for id, d := range rep.SinkDelay {
+		if math.Float64bits(d) != math.Float64bits(want[id]) {
+			t.Fatalf("sink %d delay %v, reference %v", id, d, want[id])
 		}
 	}
 }

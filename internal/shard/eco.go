@@ -2,8 +2,8 @@ package shard
 
 // Incremental (ECO) rerouting. A retained sharded build (BuildEco) leaves
 // behind an EcoCache: the partition, the frozen base registry with the pilot
-// offset contract baked in, and every shard's pre-stitch subtree in the
-// remote-dispatch result encoding. Rebuild applies an instio edit script
+// offset contract baked in, and every shard's pre-stitch subtree frozen in
+// memory (ctree.Frozen). Rebuild applies an instio edit script
 // (move/reload/add/remove sinks) to the cached instance, derives the dirty
 // shard set from the cached partition — an edited sink dirties the shard
 // that owns it; an added sink dirties the shard of its nearest surviving
@@ -11,16 +11,18 @@ package shard
 // sink placements — and re-routes ONLY the dirty shards through the same
 // dispatch.Run path the from-scratch pipeline uses (retry, hedging, panic
 // containment and remote workers apply unchanged). Clean shards are adopted
-// from the cache by decoding their blobs and remapping leaf identity to the
-// edited instance; all roots are then re-stitched with MergeRoots against a
-// fresh reconstruction of the frozen base, i.e. under the cached pilot
-// contract, so the rebuilt tree keeps the from-scratch build's inter-group
-// alignment (seam skew at float noise) without re-running the pilot.
+// from the cache by thawing a fresh copy of their frozen subtrees, one slab
+// copy each, with leaf identity remapped onto the edited instance; no hop
+// touches the wire codec. All roots are then re-stitched with MergeRoots
+// against a fresh reconstruction of the frozen base, i.e. under the cached
+// pilot contract, so the rebuilt tree keeps the from-scratch build's
+// inter-group alignment (seam skew at float noise) without re-running the
+// pilot.
 //
 // The contract is sound because a sub-build is a pure function of
 // (instance, sink subset, options, frozen registry): a clean shard's sinks
 // are untouched by the edit script, its options and registry are cached, so
-// the decoded subtree is bitwise the subtree a from-scratch build of the
+// the thawed subtree is bitwise the subtree a from-scratch build of the
 // edited instance would produce for that shard. What the contract cannot
 // absorb — edits that empty a shard or leave no sink to anchor an addition —
 // surfaces as ErrFullBuild; edits that empty a group are rejected by
@@ -72,18 +74,8 @@ type EcoCache struct {
 	Base         core.RegistrySnapshot
 	PilotOffsets []float64
 	PilotSinks   int
-	// Blobs[i] is shard i's pre-stitch subtree (wire.BuildResult encoding).
-	// A blob decodes against Instance directly unless remaps[i] is set, in
-	// which case its leaf sink ids live in the id space of the ancestor
-	// instance it was encoded for and remaps[i] carries them forward.
-	Blobs [][]byte
-	// remaps[i], when non-nil, is the pending leaf renumbering of Blobs[i]:
-	// rebuilds chain a clean shard's cached bytes verbatim and merely compose
-	// the edit script's renumbering onto this map, instead of paying a
-	// decode-rewrite-reencode round trip per hop for subtrees that did not
-	// change. The map is applied (and disappears) whenever the blob is next
-	// decoded — on rebuild adoption or Marshal materialization.
-	remaps [][]int
+	// shards[i] is shard i's retained pre-stitch build (see ecoShard).
+	shards []ecoShard
 
 	// Scratch state, derived lazily per rebuild: the sink→shard map of
 	// Parts, and a spatial index over the sink placements used to assign
@@ -95,11 +87,70 @@ type EcoCache struct {
 	idx       *spatial.Index
 }
 
+// ecoShard is one shard's retained pre-stitch build: the subtree frozen in
+// memory, the registry state and stats the build committed, and the pending
+// leaf renumbering. A rebuild adopts a clean shard by thawing a fresh copy
+// of frozen and hands the same snapshot to the chained cache, composing the
+// edit script's renumbering onto remap instead of rewriting the subtree.
+type ecoShard struct {
+	// frozen's leaf sink ids live in the id space of the instance the shard
+	// was built for; remap, when non-nil, carries them onto the cache's
+	// Instance (remap[old] = current id).
+	frozen *ctree.Frozen
+	remap  []int
+	reg    core.RegistrySnapshot
+	stats  core.Stats
+	// sealed is the shard's wire.BuildResult encoding while frozen is still
+	// nil: a cache read by UnmarshalEcoCache keeps its blobs sealed and
+	// decodes each one, through the wire codec's full validation, the first
+	// time a rebuild adopts it.
+	sealed []byte
+}
+
+// retainShard freezes a freshly built shard for the chained cache. It must
+// run before the stitch mutates the subtree.
+func retainShard(sub *core.Subtree, reg *core.Registry) ecoShard {
+	return ecoShard{frozen: ctree.Freeze(sub.Root), reg: reg.Snapshot(), stats: sub.Stats}
+}
+
+// unseal decodes and freezes shard i's sealed blob on first use. The blob
+// crossed a process boundary, so beyond the codec's own validation its
+// leaves must be exactly the cached partition's shard i, each sink once:
+// a mismatch would otherwise surface as a corrupt tree three layers down.
+func (c *EcoCache) unseal(i int) (*ecoShard, error) {
+	sh := &c.shards[i]
+	if sh.frozen != nil {
+		return sh, nil
+	}
+	br, err := wire.DecodeResult(sh.sealed, c.Instance)
+	if err != nil {
+		return nil, fmt.Errorf("shard: cached shard %d: %w", i, err)
+	}
+	want := make([]bool, len(c.Instance.Sinks))
+	for _, s := range c.Parts[i] {
+		want[s] = true
+	}
+	leaves, stray := 0, false
+	br.Root.Visit(func(n *ctree.Node) {
+		if n.IsLeaf() {
+			stray = stray || !want[n.Sink.ID]
+			want[n.Sink.ID] = false
+			leaves++
+		}
+	})
+	if stray || leaves != len(c.Parts[i]) {
+		return nil, fmt.Errorf("shard: cached shard %d: subtree leaves do not match the partition", i)
+	}
+	*sh = ecoShard{frozen: ctree.Freeze(br.Root), reg: br.Registry, stats: br.Stats}
+	return sh, nil
+}
+
 // RebuildOptions carries the local-only knobs of a rebuild — observation and
 // cancellation, the two option fields that never live in the cache.
 type RebuildOptions struct {
 	// Trace, when non-nil, records the rebuild's phase spans (dirty,
-	// rebuild, restitch, finalize) with per-dirty-shard child traces.
+	// rebuild, adopt, retain, restitch, finalize) with per-dirty-shard child
+	// traces.
 	Trace *obs.Trace
 	// Ctx cancels the rebuild (merge loops and dispatch alike).
 	Ctx context.Context
@@ -119,8 +170,8 @@ func (c *EcoCache) Rebuild(script *instio.EditScript) (*Result, error) {
 // recording what was actually re-routed, and a chained EcoCache.
 func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOptions, dopt dispatch.Options) (*Result, error) {
 	k := len(c.Parts)
-	if k == 0 || len(c.Blobs) != k || c.Instance == nil {
-		return nil, fmt.Errorf("shard: malformed eco cache (%d parts, %d blobs)", k, len(c.Blobs))
+	if k == 0 || len(c.shards) != k || c.Instance == nil {
+		return nil, fmt.Errorf("shard: malformed eco cache (%d parts, %d shards)", k, len(c.shards))
 	}
 	tr := ropt.Trace
 
@@ -213,87 +264,59 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 		return nil, err
 	}
 
-	// Assemble the full shard set: dirty subtrees from the dispatch, clean
-	// subtrees decoded from the cache with leaf identity remapped onto the
-	// edited instance. Decoding yields fresh nodes every time, so the cache
-	// itself stays reusable.
+	// ---- adopt: thaw the clean shards from the cache ----
+	// Each clean shard thaws a fresh copy of its frozen subtree, with leaf
+	// identity carried onto the edited instance by its pending renumbering
+	// composed with this script's. The snapshot itself is never touched, so
+	// the cache stays reusable, and the chained cache shares it.
 	subs := make([]*core.Subtree, k)
 	regs := make([]*core.Registry, k)
 	for j, i := range dirtyIdx {
 		so := outs[j].(shardOut)
 		subs[i], regs[i] = so.sub, so.reg
 	}
-	cleanRemap := make([][]int, k) // blob-origin → edited ids, clean shards only
-	if err := dispatch.Protect("rebuild", func() error {
+	chain := make([]ecoShard, k)
+	adoptRgn := tr.Begin("adopt").Attr("shards", float64(k-m))
+	if err := dispatch.Protect("adopt", func() error {
 		for i := 0; i < k; i++ {
 			if subs[i] != nil {
 				continue // dirty, freshly built
 			}
-			// One decode pass lands the subtree directly in the edited id
-			// space: the blob's own pending remap (if it was chained past
-			// earlier edits) composed with this script's renumbering.
-			var pending []int
-			if c.remaps != nil {
-				pending = c.remaps[i]
+			sh, err := c.unseal(i)
+			if err != nil {
+				return err
 			}
-			cleanRemap[i] = composeRemap(pending, rm.OldToNew)
-			br, err := wire.DecodeResultRemapped(c.Blobs[i], edited, cleanRemap[i])
+			reg, err := core.NewRegistryFromSnapshot(sh.reg)
 			if err != nil {
 				return fmt.Errorf("shard: cached shard %d: %w", i, err)
 			}
-			if got := countLeaves(br.Root); got != len(newParts[i]) {
-				return fmt.Errorf("shard: cached shard %d: clean subtree has %d leaves, partition expects %d",
-					i, got, len(newParts[i]))
-			}
-			reg, err := core.NewRegistryFromSnapshot(br.Registry)
-			if err != nil {
-				return fmt.Errorf("shard: cached shard %d: %w", i, err)
-			}
-			subs[i] = &core.Subtree{Root: br.Root, Stats: br.Stats}
+			chain[i] = *sh
+			chain[i].remap = composeRemap(sh.remap, rm.OldToNew)
+			subs[i] = &core.Subtree{Root: sh.frozen.Thaw(edited, chain[i].remap), Stats: sh.stats}
 			regs[i] = reg
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
+	adoptRgn.End()
 	roots := make([]*ctree.Node, k)
 	for i, s := range subs {
 		roots[i] = s.Root
 	}
 
 	// Chain the contract BEFORE the stitch mutates the roots, exactly like
-	// the retaining build. Only the dirty shards pay an encode: a clean
-	// shard's subtree is untouched geometry, so its cached bytes are chained
-	// verbatim with the composed renumbering left pending for the next decode.
-	newBlobs := make([][]byte, k)
-	newRemaps := make([][]int, k)
-	chained := false
+	// the retaining build: only the dirty shards are frozen anew.
+	retainRgn := tr.Begin("retain")
 	if err := dispatch.Protect("retain", func() error {
-		for i, s := range subs {
-			if cleanRemap[i] != nil {
-				newBlobs[i], newRemaps[i] = c.Blobs[i], cleanRemap[i]
-				chained = true
-				continue
-			}
-			br := wire.BuildResult{
-				Root:       s.Root,
-				Stats:      s.Stats,
-				Wirelength: roots[i].Wirelength(),
-				Registry:   regs[i].Snapshot(),
-			}
-			b, err := br.Encode()
-			if err != nil {
-				return err
-			}
-			newBlobs[i] = b
+		for _, i := range dirtyIdx {
+			chain[i] = retainShard(subs[i], regs[i])
 		}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	if !chained {
-		newRemaps = nil
-	}
+	retainRgn.End()
 
 	// ---- restitch: all roots under the cached pilot contract ----
 	topReg := base
@@ -348,8 +371,7 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 		Base:         c.Base,
 		PilotOffsets: c.PilotOffsets,
 		PilotSinks:   c.PilotSinks,
-		Blobs:        newBlobs,
-		remaps:       newRemaps,
+		shards:       chain,
 	}
 	if !removals {
 		// Sink identity survived the edits (adds extended it densely), so
@@ -457,8 +479,8 @@ func (c *EcoCache) dirtySet(script *instio.EditScript, rm *instio.Remap) (newPar
 	return newParts, dirtyIdx, removals, nil
 }
 
-// composeRemap carries a pending blob renumbering forward through an edit
-// script's old→new map: the result maps the blob's native id space directly
+// composeRemap carries a pending leaf renumbering forward through an edit
+// script's old→new map: the result maps the frozen subtree's id space directly
 // onto the edited instance (-1 = removed along the way). A nil pending map is
 // the identity, so the script's own map passes through unchanged.
 func composeRemap(pending, oldToNew []int) []int {
@@ -476,41 +498,23 @@ func composeRemap(pending, oldToNew []int) []int {
 	return out
 }
 
-// countLeaves verifies a decoded clean-shard subtree against the partition: a
-// leaf-count mismatch means the cache and the edit script disagree about the
-// instance, which must surface at adoption rather than as a corrupt tree
-// three layers down.
-func countLeaves(root *ctree.Node) int {
-	leaves := 0
-	root.Visit(func(n *ctree.Node) {
-		if n.IsLeaf() {
-			leaves++
-		}
-	})
-	return leaves
-}
-
 // Marshal serializes the cache for a later process (astdme -cache / -eco).
-// Chained blobs with pending renumberings are materialized into the
-// instance's own id space first — the disk format stays exactly the retained
-// build's, and the decode-reencode cost is paid once at the process boundary
-// instead of on every in-process hop.
+// Every frozen shard is thawed into the instance's own id space and encoded,
+// so the disk format stays exactly the retained build's; the encode cost is
+// paid once at the process boundary instead of on every in-process hop.
 func (c *EcoCache) Marshal() ([]byte, error) {
-	blobs := c.Blobs
-	if c.remaps != nil {
-		blobs = make([][]byte, len(c.Blobs))
-		for i, b := range c.Blobs {
-			if c.remaps[i] == nil {
-				blobs[i] = b
-				continue
-			}
-			br, err := wire.DecodeResultRemapped(b, c.Instance, c.remaps[i])
-			if err != nil {
-				return nil, fmt.Errorf("shard: chained shard %d: %w", i, err)
-			}
-			if blobs[i], err = br.Encode(); err != nil {
-				return nil, fmt.Errorf("shard: chained shard %d: %w", i, err)
-			}
+	blobs := make([][]byte, len(c.shards))
+	for i := range c.shards {
+		sh := &c.shards[i]
+		if sh.frozen == nil {
+			blobs[i] = sh.sealed
+			continue
+		}
+		root := sh.frozen.Thaw(c.Instance, sh.remap)
+		br := wire.BuildResult{Root: root, Stats: sh.stats, Wirelength: root.Wirelength(), Registry: sh.reg}
+		var err error
+		if blobs[i], err = br.Encode(); err != nil {
+			return nil, fmt.Errorf("shard: cached shard %d: %w", i, err)
 		}
 	}
 	opt := c.Opt
@@ -532,8 +536,8 @@ func (c *EcoCache) Marshal() ([]byte, error) {
 
 // UnmarshalEcoCache reconstructs a cache serialized by Marshal, through the
 // wire layer's defensive validation (partition cover, registry forest,
-// option ranges; the shard blobs stay individually sealed and are verified
-// when a rebuild decodes them).
+// option ranges). The shard blobs stay individually sealed; a rebuild decodes
+// each through the full result validation the first time it adopts it.
 func UnmarshalEcoCache(data []byte) (*EcoCache, error) {
 	wc, err := wire.DecodeCache(data)
 	if err != nil {
@@ -542,6 +546,10 @@ func UnmarshalEcoCache(data []byte) (*EcoCache, error) {
 	opt := wc.Opt
 	opt.Shards = wc.Shards
 	opt.Pilot = wc.Pilot
+	shards := make([]ecoShard, len(wc.Blobs))
+	for i, b := range wc.Blobs {
+		shards[i].sealed = b
+	}
 	return &EcoCache{
 		Instance:     wc.Instance,
 		Opt:          opt,
@@ -549,6 +557,6 @@ func UnmarshalEcoCache(data []byte) (*EcoCache, error) {
 		Base:         wc.Base,
 		PilotOffsets: wc.Offsets,
 		PilotSinks:   wc.PilotSinks,
-		Blobs:        wc.Blobs,
+		shards:       shards,
 	}, nil
 }

@@ -43,8 +43,8 @@ func ecoScript(in *ctree.Instance, parts [][]int) *instio.EditScript {
 
 // TestEcoNoopRebuild pins the rebuild's degenerate case: an empty edit
 // script dirties nothing, so the rebuild adopts every cached subtree and
-// re-runs only the stitch — and because a sub-build round-trips the wire
-// codec bitwise and the stitch is deterministic, the result is bitwise the
+// re-runs only the stitch — and because a thawed subtree is bitwise the
+// frozen build and the stitch is deterministic, the result is bitwise the
 // retained build's. This is the foundation the differential tests stand on:
 // any drift between the cached contract and the from-scratch pipeline shows
 // up here first.
@@ -54,7 +54,7 @@ func TestEcoNoopRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Eco == nil || len(full.Eco.Blobs) != 4 {
+	if full.Eco == nil || len(full.Eco.shards) != 4 {
 		t.Fatalf("retained build carries no eco contract: %+v", full.Eco)
 	}
 	res, err := full.Eco.Rebuild(&instio.EditScript{})
@@ -292,8 +292,8 @@ func TestEcoCacheRoundTrip(t *testing.T) {
 		t.Errorf("decoded-cache rebuild digest 0x%016x, want 0x%016x", gh, rh)
 	}
 	// The chained cache carries pending leaf renumberings for the clean
-	// shards (the script removed a sink); Marshal must materialize them into
-	// the disk format, and a rebuild from the round-tripped bytes must match
+	// shards (the script removed a sink); Marshal must apply them when it
+	// encodes the disk format, and a rebuild from the round-tripped bytes must match
 	// the in-process chained rebuild bit for bit.
 	chainBlob, err := want.Eco.Marshal()
 	if err != nil {
@@ -330,6 +330,97 @@ func TestEcoCacheRoundTrip(t *testing.T) {
 	flip[len(flip)/3] ^= 0x40
 	if _, err := UnmarshalEcoCache(flip); err == nil {
 		t.Error("bit flip accepted")
+	}
+
+	// A container whose partition trades one sink between shards 0 and 1 is
+	// still an exact cover, so it decodes; the shard blobs no longer match it,
+	// which the first rebuild to adopt them must reject.
+	p0, p1 := append([]int(nil), full.Parts[0]...), append([]int(nil), full.Parts[1]...)
+	p0[0], p1[0] = p1[0], p0[0]
+	traded := *full.Eco
+	traded.Parts = append([][]int{p0, p1}, full.Parts[2:]...)
+	tradedBlob, err := traded.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tradedCache, err := UnmarshalEcoCache(tradedBlob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tradedCache.Rebuild(&instio.EditScript{}); err == nil {
+		t.Error("cache whose shard subtrees disagree with its partition accepted")
+	}
+}
+
+// TestEcoFrozenChainMatchesRoundTrip pins the in-memory frozen path against
+// the process boundary over a 20-hop seeded chain of 0.1% edit scripts: at
+// every hop, rebuilding from the chained cache (clean shards thawed from
+// their snapshots through composed pending renumberings) is bitwise the
+// rebuild from that cache's Marshal → UnmarshalEcoCache round trip (every
+// shard encoded, then decoded through the full wire validation).
+func TestEcoFrozenChainMatchesRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("20-hop chain needs 40 rebuilds")
+	}
+	in := ecoInstance(4000, 4)
+	full, err := BuildEco(in, core.Options{Shards: 4, Pilot: true}, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := full.Eco
+	for hop := 0; hop < 20; hop++ {
+		script, err := instio.Perturb(cur.Instance, 0.001, int64(100+hop))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := cur.Marshal()
+		if err != nil {
+			t.Fatalf("hop %d: %v", hop, err)
+		}
+		sealed, err := UnmarshalEcoCache(blob)
+		if err != nil {
+			t.Fatalf("hop %d: %v", hop, err)
+		}
+		got, err := cur.Rebuild(script)
+		if err != nil {
+			t.Fatalf("hop %d: %v", hop, err)
+		}
+		want, err := sealed.Rebuild(script)
+		if err != nil {
+			t.Fatalf("hop %d: %v", hop, err)
+		}
+		if got.EcoReused == 0 {
+			t.Fatalf("hop %d adopted no clean shard", hop)
+		}
+		if gb, wb := math.Float64bits(got.Wirelength), math.Float64bits(want.Wirelength); gb != wb {
+			t.Fatalf("hop %d: frozen-path wire %v, round trip %v", hop, got.Wirelength, want.Wirelength)
+		}
+		if gh, wh := delayDigest(t, got.Root, got.Instance), delayDigest(t, want.Root, want.Instance); gh != wh {
+			t.Fatalf("hop %d: frozen-path delay digest 0x%016x, round trip 0x%016x", hop, gh, wh)
+		}
+		cur = got.Eco
+	}
+}
+
+// BenchmarkEcoHop measures one incremental rebuild: a 0.1% edit script
+// against the retained cache of a grouped piloted 10k build at 8 shards.
+// Every iteration rebuilds from the same cache, which stays reusable.
+func BenchmarkEcoHop(b *testing.B) {
+	in := ecoInstance(10_000, 4)
+	full, err := BuildEco(in, core.Options{Shards: 8, Pilot: true}, dispatch.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	script, err := instio.Perturb(in, 0.001, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := full.Eco.Rebuild(script); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -410,8 +501,8 @@ func TestEcoDispatchPath(t *testing.T) {
 }
 
 // TestEcoTraceSpans pins the observability contract: a traced rebuild
-// records the dirty/rebuild/restitch/finalize phases and per-dirty-shard
-// child traces.
+// records the dirty/rebuild/adopt/retain/restitch/finalize phases and
+// per-dirty-shard child traces.
 func TestEcoTraceSpans(t *testing.T) {
 	in := ecoInstance(2000, 3)
 	full, err := BuildEco(in, core.Options{Shards: 4, Pilot: true}, dispatch.Options{})
@@ -428,7 +519,7 @@ func TestEcoTraceSpans(t *testing.T) {
 	for _, p := range tr.Summary().Phases {
 		have[p.Name] = true
 	}
-	for _, span := range []string{"dirty", "rebuild", "restitch", "finalize"} {
+	for _, span := range []string{"dirty", "rebuild", "adopt", "retain", "restitch", "finalize"} {
 		if !have[span] {
 			t.Errorf("rebuild trace missing span %q (have %v)", span, tr.Summary().Phases)
 		}

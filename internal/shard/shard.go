@@ -11,7 +11,6 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/wire"
 )
 
 // ShardInfo describes one routed shard of a sharded run.
@@ -142,10 +141,10 @@ func BuildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options) 
 
 // BuildEco is BuildDispatch with contract retention: the result additionally
 // carries an EcoCache (partition, frozen base registry, pilot offsets,
-// per-shard pre-stitch subtree encodings) from which an edited instance can
-// be re-routed incrementally (EcoCache.Rebuild). Retention costs one
-// serialization pass over the shard subtrees, so it is opt-in rather than
-// the Build default. Requires opt.Shards ≥ 1 — the contract is the sharded
+// per-shard pre-stitch subtrees frozen in memory) from which an edited
+// instance can be re-routed incrementally (EcoCache.Rebuild). Retention costs
+// one copy of the shard subtrees, so it is opt-in rather than the Build
+// default. Requires opt.Shards ≥ 1 — the contract is the sharded
 // pipeline's, an unsharded build has no partition to reuse.
 func BuildEco(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (*Result, error) {
 	if opt.Shards <= 0 {
@@ -305,29 +304,18 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 		roots[i] = s.Root
 	}
 
-	// Contract retention snapshots every shard subtree BEFORE the stitch:
+	// Contract retention freezes every shard subtree BEFORE the stitch:
 	// MergeRoots adopts the roots and mutates them in place (deferred-root
 	// resolution, sneak elongation), so the reusable form only exists here.
-	// The blobs are the remote-dispatch result encoding — decoding one is
-	// bitwise the build that produced it, which is what lets a later rebuild
-	// adopt clean shards without re-routing them.
-	var ecoBlobs [][]byte
+	// A thawed copy is bitwise the build that produced it, which is what lets
+	// a later rebuild adopt clean shards without re-routing them.
+	var ecoShards []ecoShard
 	if retain {
 		retainRgn := tr.Begin("retain")
 		if err := dispatch.Protect("retain", func() error {
-			ecoBlobs = make([][]byte, k)
+			ecoShards = make([]ecoShard, k)
 			for i, s := range subs {
-				br := wire.BuildResult{
-					Root:       s.Root,
-					Stats:      s.Stats,
-					Wirelength: roots[i].Wirelength(),
-					Registry:   regs[i].Snapshot(),
-				}
-				b, err := br.Encode()
-				if err != nil {
-					return err
-				}
-				ecoBlobs[i] = b
+				ecoShards[i] = retainShard(s, regs[i])
 			}
 			return nil
 		}); err != nil {
@@ -396,7 +384,7 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 			Base:         base.Snapshot(),
 			PilotOffsets: pilotOffs,
 			PilotSinks:   pilotSinks,
-			Blobs:        ecoBlobs,
+			shards:       ecoShards,
 		}
 	}
 	return res, nil

@@ -192,16 +192,6 @@ func (b *BuildResult) Encode() ([]byte, error) {
 // DecodeResult parses a build result against the instance the work was cut
 // from (leaf nodes resolve their sink pointers into it).
 func DecodeResult(data []byte, in *ctree.Instance) (*BuildResult, error) {
-	return DecodeResultRemapped(data, in, nil)
-}
-
-// DecodeResultRemapped parses a build result whose leaf sink ids live in an
-// OLDER id space than the instance's: remap[old] names the sink of in that
-// old id became (-1 = removed, which a retained subtree must not reference).
-// The incremental-rerouting cache uses this to adopt a clean shard's blob
-// across instance edits in a single decode pass — no decode-rewrite-reencode
-// round trip. A nil remap is the identity (plain DecodeResult).
-func DecodeResultRemapped(data []byte, in *ctree.Instance, remap []int) (*BuildResult, error) {
 	if in == nil {
 		return nil, fmt.Errorf("wire: decode result without instance")
 	}
@@ -210,7 +200,7 @@ func DecodeResultRemapped(data []byte, in *ctree.Instance, remap []int) (*BuildR
 		return nil, err
 	}
 	b := &BuildResult{}
-	b.Root, err = decodeTree(r, in, remap)
+	b.Root, err = decodeTree(r, in)
 	if err != nil {
 		return nil, err
 	}
@@ -592,7 +582,7 @@ func encodeNode(w *writer, n *ctree.Node, index map[*ctree.Node]int) error {
 // decodeTree reconstructs the pre-order iteratively (a stack of open
 // internal nodes, never the goroutine stack — adversarially deep chains
 // cannot overflow it).
-func decodeTree(r *reader, in *ctree.Instance, remap []int) (*ctree.Node, error) {
+func decodeTree(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 	count := int(r.uv())
 	if r.err != nil {
 		return nil, r.err
@@ -608,7 +598,7 @@ func decodeTree(r *reader, in *ctree.Instance, remap []int) (*ctree.Node, error)
 		if root != nil && len(open) == 0 {
 			return nil, fmt.Errorf("wire: node record %d after the tree completed", i)
 		}
-		n, err := decodeNode(r, in, remap, &fixes)
+		n, err := decodeNode(r, in, &fixes)
 		if err != nil {
 			return nil, err
 		}
@@ -650,7 +640,7 @@ func decodeTree(r *reader, in *ctree.Instance, remap []int) (*ctree.Node, error)
 	return root, nil
 }
 
-func decodeNode(r *reader, in *ctree.Instance, remap []int, fixes *[]handleFix) (*ctree.Node, error) {
+func decodeNode(r *reader, in *ctree.Instance, fixes *[]handleFix) (*ctree.Node, error) {
 	flags := r.u8()
 	if r.err != nil {
 		return nil, r.err
@@ -660,14 +650,6 @@ func decodeNode(r *reader, in *ctree.Instance, remap []int, fixes *[]handleFix) 
 		sid := int(r.uv())
 		if r.err != nil {
 			return nil, r.err
-		}
-		if remap != nil {
-			if sid < 0 || sid >= len(remap) || remap[sid] < 0 {
-				return nil, fmt.Errorf("wire: leaf sink id %d has no image under the remap", sid)
-			}
-			// Leaf identity follows the sink into the new id space.
-			sid = remap[sid]
-			n.ID = sid
 		}
 		if sid < 0 || sid >= len(in.Sinks) {
 			return nil, fmt.Errorf("wire: leaf sink id %d out of range", sid)
