@@ -45,10 +45,12 @@
 // offset of every group pair, and merges of subtrees with *related* groups
 // are leashed to the registered offsets within
 // IntraSkewBound+InterSkewBound — without the leash, independently built
-// subtrees commit contradictory offsets whose reconciliation cost grows
-// without bound (measured during development; see DESIGN.md §2). Merges of
-// subtrees with disjoint raw group sets remain completely free: the
-// bottom-level freedom on intermingled instances.
+// subtrees commit contradictory offsets that later merges must reconcile by
+// sneaking: on r1–r5 intermingled in 4 and 8 groups at B = 0 and 10 ps,
+// removing it (InterSkewBound < 0) multiplies sneak wire 5–300× and lifts
+// the worst intra-group skew from 2–61 ps to 55–190 ps. Merges of subtrees
+// with disjoint raw group sets remain completely free: the bottom-level
+// freedom on intermingled instances.
 //
 // *Wire sneaking.* When the hard windows of a merge still conflict (two
 // subtrees committed contradictory offsets), the generalized form of thesis
@@ -79,8 +81,8 @@ import (
 type PairerMode int
 
 const (
-	// PairerAuto (the default) uses the spatial grid pairer above
-	// GridPairerThreshold sinks whenever it is exact for the run's merge
+	// PairerAuto (the default) uses the spatial grid pairer from
+	// GridPairerThreshold items up whenever it is exact for the run's merge
 	// key, and the all-pairs oracle otherwise.
 	PairerAuto PairerMode = iota
 	// PairerScan forces the all-pairs O(n²) oracle.
@@ -90,10 +92,15 @@ const (
 	PairerGrid
 )
 
-// GridPairerThreshold is the sink count at which PairerAuto switches from
-// the all-pairs oracle to the spatial grid pairer. Below it the oracle's
-// cache-friendly scan wins; above it the grid's sub-quadratic pairing does.
-const GridPairerThreshold = 2048
+// GridPairerThreshold is the item count (sinks, or roots for a stitch) at
+// which PairerAuto switches from the all-pairs oracle to the spatial grid
+// pairer. It is the crossover measured on a 2-vCPU Xeon VM with one merge
+// worker: whole builds on the grid beat the scan from 64 items at zero skew
+// and from about 32 under AST-DME at 10 ps (at 256 items 2.5× and 1.8×, at
+// 1.9k items 11× and 5.4×), while below that the scan is faster by tens of
+// µs per build. The floor keeps the 4–8-root shard stitch on the scan. Both
+// engines route bitwise-identical trees, so the cutoff moves time only.
+const GridPairerThreshold = 64
 
 // Options configures a routing run. The zero value routes associative-skew
 // with zero intra-group bound under the default Elmore parameters.
@@ -111,8 +118,9 @@ type Options struct {
 	// (Ch. V.D). The default 0 freezes offsets once committed, which keeps
 	// intra-group skew at the bound; positive values trade bounded
 	// intra-group degradation for extra placement freedom (ablation knob).
-	// Values < 0 remove the leash entirely (documented to destabilize the
-	// offset system; see DESIGN.md). Ignored in SingleGroup mode.
+	// Values < 0 remove the leash entirely, which destabilizes the offset
+	// system (see the package comment's offset registry). Ignored in
+	// SingleGroup mode.
 	InterSkewBound float64
 	// SingleGroup ignores sink groups: all sinks form one group bounded by
 	// GlobalBound. SingleGroup+GlobalBound=0 is greedy-DME (ZST);
@@ -123,22 +131,15 @@ type Options struct {
 	// Order configures the merging order.
 	Order order.Config
 	// Pairer selects the nearest-neighbor engine of the merging order:
-	// PairerAuto (grid above GridPairerThreshold when exact), PairerScan
-	// (the all-pairs oracle), or PairerGrid (force the spatial grid).
-	// Ignored when Order.Pairer is set explicitly. Auto never selects the
-	// grid under DelayTargetBias or a custom Order.Key: both can push the
-	// pair priority below the pair distance, which defeats the grid's
-	// geometric pruning bound (see internal/spatial).
+	// PairerAuto (the grid from GridPairerThreshold items up, when exact),
+	// PairerScan (the all-pairs oracle), or PairerGrid (force the spatial
+	// grid). Ignored when Order.Pairer is set explicitly. Auto never selects
+	// the grid under DelayTargetBias or a custom Order.Key: both can push
+	// the pair priority below the pair distance, which defeats the grid's
+	// geometric pruning bound (see internal/spatial). The engines are
+	// differentially pinned to route identical trees, so the choice moves
+	// pairing time and Stats.PairScans/GridRebuilds only.
 	Pairer PairerMode
-	// PairerThreshold, when positive, overrides GridPairerThreshold as the
-	// sink count at which PairerAuto switches to the spatial grid pairer
-	// (0 selects the package default; forced modes ignore it). The sharded
-	// pipeline divides the threshold by the shard count for its per-shard
-	// sub-builds: the grid-vs-oracle trade-off is about total instance
-	// scale, and comparing each shard's slice against the global constant
-	// silently dropped mid-size sharded runs (e.g. 10k sinks at 8 shards)
-	// onto the O(n²) scan oracle inside every shard.
-	PairerThreshold int
 	// DelayTargetBias, when positive, enables the delay-target merging-order
 	// enhancement (thesis enhancement 2, after Chaturvedi–Hu): the pair
 	// priority becomes cost − bias·(meanDelay_i + meanDelay_j). Units are
@@ -242,10 +243,11 @@ type PairConstraint struct {
 }
 
 // DefaultModel returns the Elmore model used throughout the experiments:
-// 0.1 Ω and 0.02 fF per unit length. The values are calibrated (DESIGN.md §3)
-// so the synthetic r1–r5 instances see source-to-sink delays of tens of ns
-// and leaf-level merge imbalances of tens of ps, matching the regime of the
-// thesis's experiments where the 10 ps EXT-BST bound is tight.
+// 0.1 Ω and 0.02 fF per unit length. The values are calibrated so the
+// synthetic r1–r5 instances see zero-skew source-to-sink delays of 29 ns
+// (r1) to 620 ns (r5) and leaf-level merge imbalances of tens of ps,
+// matching the regime of the thesis's experiments where the 10 ps EXT-BST
+// bound is tight.
 func DefaultModel() rctree.Model { return rctree.NewElmore(0.1, 0.02) }
 
 // Stats counts notable events of a routing run.
@@ -344,9 +346,6 @@ func normalizeOptions(in *ctree.Instance, opt *Options) error {
 	}
 	if opt.Shards < 0 {
 		return fmt.Errorf("core: Shards = %d is negative", opt.Shards)
-	}
-	if opt.PairerThreshold < 0 {
-		return fmt.Errorf("core: PairerThreshold = %d is negative", opt.PairerThreshold)
 	}
 	if opt.Pilot {
 		if opt.SingleGroup {
@@ -757,12 +756,12 @@ type builder struct {
 
 	// Reusable scratch for the allocation-heavy merge-body helpers. Worker
 	// builders carry their own copies, so merge bodies never share scratch.
-	normA, normB   rctree.DelaySet // normalize outputs (keyed by union root)
-	delayA, delayB rctree.DelaySet // DelayAtBuf outputs (windowGap)
-	sneakA, sneakB sneakScratch    // sneak plan buffers
-	sharedBuf      []int           // SharedGroups output (one merge)
-	unionBuf       []int           // UnionGroups staging (one merge)
-	delays         delaySlab       // committed delay-set storage
+	normA, normB     rctree.DelaySet         // normalize outputs (keyed by union root)
+	splitsA, splitsB [jointSamples]splitEval // jointResolve's per-side evaluations
+	sneakA, sneakB   sneakScratch            // sneak plan buffers
+	sharedBuf        []int                   // AppendSharedGroups output (one merge)
+	unionBuf         []int                   // UnionGroups staging (one merge)
+	delays           delaySlab               // committed delay-set storage
 
 	// Parallel batch execution state (main builder only).
 	workers []mergeWorker
@@ -825,8 +824,6 @@ func (b *builder) initScratch() {
 	g := b.in.NumGroups
 	b.normA = rctree.MakeDelaySet(g)
 	b.normB = rctree.MakeDelaySet(g)
-	b.delayA = rctree.MakeDelaySet(g)
-	b.delayB = rctree.MakeDelaySet(g)
 }
 
 // normalizeInto aggregates a raw per-group delay set into per-union-root
@@ -864,11 +861,12 @@ type constraint struct {
 //     which keeps independently built subtrees consistent without freezing
 //     the offsets outright.
 //
-// normalized reports whether the union-root pass ran, i.e. b.normA/b.normB
-// now hold the normalized forms of da/db — windowGap reuses them for its
-// misalignment term instead of normalizing the same inputs again.
-func (b *builder) forConstraints(da, db rctree.DelaySet, shared []int,
-	f func(c constraint, ia, ib rctree.Interval, bound float64)) (normalized bool) {
+// va and vb, when non-nil, hold da and db already on the normalized scale
+// (the split search normalizes each candidate split once and pairs it with
+// many partners); nil normalizes into the builder's scratch when the
+// union-root pass runs.
+func (b *builder) forConstraints(da, db rctree.DelaySet, va, vb *rctree.DelaySet, shared []int,
+	f func(c constraint, ia, ib rctree.Interval, bound float64)) {
 	bd := b.boundOf()
 	for _, g := range shared {
 		ia, _ := da.Get(g)
@@ -901,14 +899,16 @@ func (b *builder) forConstraints(da, db rctree.DelaySet, shared []int,
 
 	w := b.interBound()
 	if math.IsInf(w, 1) {
-		return false
+		return
 	}
-	na := b.normalizeInto(&b.normA, da)
-	nb := b.normalizeInto(&b.normB, db)
-	rctree.ForEachShared(na, nb, func(r int32, ia, ib rctree.Interval) {
+	if va == nil {
+		va, vb = &b.normA, &b.normB
+		b.normalizeInto(va, da)
+		b.normalizeInto(vb, db)
+	}
+	rctree.ForEachShared(*va, *vb, func(r int32, ia, ib rctree.Interval) {
 		f(constraint{raw: false, id: int(r)}, ia, ib, bd+w)
 	})
-	return true
 }
 
 // slot returns the preassigned arena slot of node index id.
@@ -1379,7 +1379,7 @@ func (b *builder) mergeKey(i, j int, d float64) float64 {
 	na, nb := b.nodes[i], b.nodes[j]
 	var bound float64
 	switch {
-	case len(ctree.SharedGroups(na.Groups, nb.Groups)) > 0:
+	case ctree.SharesGroup(na.Groups, nb.Groups):
 		bound = b.boundOf()
 	case b.relatedRoots(na, nb):
 		bound = b.boundOf() + b.interBound()
@@ -1411,7 +1411,6 @@ func (b *builder) mergeKey(i, j int, d float64) float64 {
 // slot; c.ID is set by the caller at commit).
 func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 	m := b.opt.Model
-	bound := b.boundOf()
 	b.sharedBuf = ctree.AppendSharedGroups(b.sharedBuf[:0], na.Groups, nb.Groups)
 	shared := b.sharedBuf
 	b.stats.Merges++
@@ -1429,7 +1428,7 @@ func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 	// cost; otherwise the closest approach decides.
 	if na.Deferred || nb.Deferred {
 		if len(shared) > 0 || (!math.IsInf(b.interBound(), 1) && b.relatedRoots(na, nb)) {
-			b.jointResolve(na, nb, shared, bound)
+			b.jointResolve(na, nb, shared)
 		} else {
 			qa, qb := geom.ClosestPoints(na.ActiveRegion(), nb.ActiveRegion())
 			if na.Deferred {
@@ -1504,17 +1503,37 @@ func (b *builder) unionGroups(na, nb *ctree.Node) []int {
 	}
 }
 
-// windowGap evaluates candidate splits (ea, eb) of the two nodes against the
+// splitEval is one merge operand evaluated at a candidate split e: the
+// per-group delays it would commit, those delays on the registry-normalized
+// scale, and its placement rectangle. Each depends on that operand's split
+// alone, so the split search evaluates every candidate once and pairs it
+// with many partners. The delay sets are scratch owned by the evaluation,
+// grown on first use and reused across merges.
+type splitEval struct {
+	e           float64
+	delay, norm rctree.DelaySet
+	buf         rctree.DelaySet // DelayAtBuf output backing delay
+	rect        geom.Rect
+}
+
+// evalSplit evaluates node n at split e into s.
+func (b *builder) evalSplit(n *ctree.Node, e float64, s *splitEval) {
+	s.e = e
+	s.delay = n.DelayAtBuf(b.opt.Model, e, &s.buf)
+	b.normalizeInto(&s.norm, s.delay)
+	s.rect = n.RectAt(e)
+}
+
+// splitCost scores the candidate splits sa of na and sb of nb against the
 // upcoming merge. It returns the infeasibility gap (ps) of the intersected
-// hard-window system (0 when the windows intersect) and the cost the merge
-// would commit: the candidate distance, plus any snaking excess needed to
-// reach the window, minus a small preference for wide residual windows.
-func (b *builder) windowGap(na, nb *ctree.Node, shared []int, bound, ea, eb float64) (gap, cost, misalign float64) {
+// hard-window system (0 when the windows intersect), the cost the merge
+// would commit — the candidate distance, plus any snaking excess needed to
+// reach the window, minus a small preference for wide residual windows —
+// and the misalignment of the shared union roots' required shifts.
+func (b *builder) splitCost(na, nb *ctree.Node, sa, sb *splitEval, shared []int) (gap, cost, misalign float64) {
 	m := b.opt.Model
-	da := na.DelayAtBuf(m, ea, &b.delayA)
-	db := nb.DelayAtBuf(m, eb, &b.delayB)
 	xLo, xHi := math.Inf(-1), math.Inf(1)
-	normalized := b.forConstraints(da, db, shared, func(_ constraint, ia, ib rctree.Interval, bd float64) {
+	b.forConstraints(sa.delay, sb.delay, &sa.norm, &sb.norm, shared, func(_ constraint, ia, ib rctree.Interval, bd float64) {
 		if lo := ib.Hi - ia.Lo - bd; lo > xLo {
 			xLo = lo
 		}
@@ -1523,7 +1542,7 @@ func (b *builder) windowGap(na, nb *ctree.Node, shared []int, bound, ea, eb floa
 		}
 	})
 	gap = math.Max(xLo-xHi, 0)
-	d := geom.DistRR(na.RectAt(ea), nb.RectAt(eb))
+	d := geom.DistRR(sa.rect, sb.rect)
 	cost = d
 
 	// Tertiary criterion: the merge applies a single shift X to all shared
@@ -1531,23 +1550,14 @@ func (b *builder) windowGap(na, nb *ctree.Node, shared []int, bound, ea, eb floa
 	// is chosen commits offsets away from their registered values. The
 	// spread of the required shifts measures that inevitable drift; small
 	// spread keeps the global offset system consistent and cheap.
-	{
-		// forConstraints already normalized da/db into the scratch sets
-		// when the leash is active; recompute only when it did not.
-		va, vb := b.normA, b.normB
-		if !normalized {
-			va = b.normalizeInto(&b.normA, da)
-			vb = b.normalizeInto(&b.normB, db)
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		rctree.ForEachShared(va, vb, func(_ int32, ia, ib rctree.Interval) {
-			s := (ib.Lo+ib.Hi)/2 - (ia.Lo+ia.Hi)/2
-			lo = math.Min(lo, s)
-			hi = math.Max(hi, s)
-		})
-		if hi > lo {
-			misalign = hi - lo
-		}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	rctree.ForEachShared(sa.norm, sb.norm, func(_ int32, ia, ib rctree.Interval) {
+		s := (ib.Lo+ib.Hi)/2 - (ia.Lo+ia.Hi)/2
+		lo = math.Min(lo, s)
+		hi = math.Max(hi, s)
+	})
+	if hi > lo {
+		misalign = hi - lo
 	}
 
 	// Snaking excess: wire beyond d needed to shift X into the hard window.
@@ -1589,18 +1599,27 @@ func (b *builder) relatedRoots(na, nb *ctree.Node) bool {
 	return false
 }
 
+// jointSamples is the per-axis sample count of jointResolve's coarse grid.
+const jointSamples = 13
+
 // jointResolve pins the deferred splits of na and nb so the hard windows of
 // the upcoming merge intersect if at all possible, minimizing
 // (infeasibility gap, committed cost) lexicographically: a coarse grid
-// search followed by alternating golden-section polish per axis.
-func (b *builder) jointResolve(na, nb *ctree.Node, shared []int, bound float64) {
+// search followed by alternating golden-section polish per axis. Each side
+// is evaluated once per split (b.splitsA/b.splitsB): the coarse grid pairs
+// jointSamples evaluations per axis, and a golden pass evaluates its fixed
+// side once.
+func (b *builder) jointResolve(na, nb *ctree.Node, shared []int) {
 	aLo, aHi := na.SplitRange()
 	bLo, bHi := nb.SplitRange()
-	bestA, bestB := mid(aLo, aHi), mid(bLo, bHi)
-	bestGap, bestCost, bestMis := b.windowGap(na, nb, shared, bound, bestA, bestB)
+	evA, evB := &b.splitsA, &b.splitsB
+	b.evalSplit(na, mid(aLo, aHi), &evA[0])
+	b.evalSplit(nb, mid(bLo, bHi), &evB[0])
+	bestA, bestB := evA[0].e, evB[0].e
+	bestGap, bestCost, bestMis := b.splitCost(na, nb, &evA[0], &evB[0], shared)
 
-	consider := func(ea, eb float64) {
-		gap, cost, mis := b.windowGap(na, nb, shared, bound, ea, eb)
+	consider := func(ea, eb *splitEval) {
+		gap, cost, mis := b.splitCost(na, nb, ea, eb, shared)
 		epsG := 1e-9 * (1 + bestGap)
 		epsC := 1e-6 * (1 + math.Abs(bestCost))
 		switch {
@@ -1608,24 +1627,27 @@ func (b *builder) jointResolve(na, nb *ctree.Node, shared []int, bound float64) 
 			gap <= bestGap+epsG && cost < bestCost-epsC,
 			gap <= bestGap+epsG && cost <= bestCost+epsC && mis < bestMis:
 			bestGap, bestCost, bestMis = gap, cost, mis
-			bestA, bestB = ea, eb
+			bestA, bestB = ea.e, eb.e
 		}
 	}
 
-	const coarse = 13
-	samples := func(lo, hi float64) []float64 {
+	// samples evaluates n at the coarse samples of [lo, hi] into dst and
+	// returns the filled prefix.
+	samples := func(n *ctree.Node, lo, hi float64, dst *[jointSamples]splitEval) []splitEval {
 		if hi-lo <= 0 {
-			return []float64{lo}
+			b.evalSplit(n, lo, &dst[0])
+			return dst[:1]
 		}
-		out := make([]float64, coarse)
-		for i := range out {
-			out[i] = lo + (hi-lo)*float64(i)/float64(coarse-1)
+		for i := range dst {
+			b.evalSplit(n, lo+(hi-lo)*float64(i)/float64(jointSamples-1), &dst[i])
 		}
-		return out
+		return dst[:]
 	}
-	for _, ea := range samples(aLo, aHi) {
-		for _, eb := range samples(bLo, bHi) {
-			consider(ea, eb)
+	gridA := samples(na, aLo, aHi, evA)
+	gridB := samples(nb, bLo, bHi, evB)
+	for i := range gridA {
+		for j := range gridB {
+			consider(&gridA[i], &gridB[j])
 		}
 	}
 
@@ -1664,16 +1686,24 @@ func (b *builder) jointResolve(na, nb *ctree.Node, shared []int, bound float64) 
 	}
 	for round := 0; round < 2; round++ {
 		if na.Deferred {
+			fixed, vary := &evB[0], &evA[0]
+			b.evalSplit(nb, bestB, fixed)
 			ea := golden(aLo, aHi, func(e float64) (float64, float64, float64) {
-				return b.windowGap(na, nb, shared, bound, e, bestB)
+				b.evalSplit(na, e, vary)
+				return b.splitCost(na, nb, vary, fixed, shared)
 			})
-			consider(ea, bestB)
+			b.evalSplit(na, ea, vary)
+			consider(vary, fixed)
 		}
 		if nb.Deferred {
+			fixed, vary := &evA[0], &evB[0]
+			b.evalSplit(na, bestA, fixed)
 			eb := golden(bLo, bHi, func(e float64) (float64, float64, float64) {
-				return b.windowGap(na, nb, shared, bound, bestA, e)
+				b.evalSplit(nb, e, vary)
+				return b.splitCost(na, nb, fixed, vary, shared)
 			})
-			consider(bestA, eb)
+			b.evalSplit(nb, eb, vary)
+			consider(fixed, vary)
 		}
 	}
 
@@ -1738,7 +1768,7 @@ func (b *builder) intersectWindows(na, nb *ctree.Node, shared []int) (xLo, xHi f
 	for iter := 0; ; iter++ {
 		xLo, xHi := math.Inf(-1), math.Inf(1)
 		var gLo, gHi constraint
-		b.forConstraints(na.Delay, nb.Delay, shared, func(c constraint, ia, ib rctree.Interval, bd float64) {
+		b.forConstraints(na.Delay, nb.Delay, nil, nil, shared, func(c constraint, ia, ib rctree.Interval, bd float64) {
 			if lo := ib.Hi - ia.Lo - bd; lo > xLo {
 				xLo, gLo = lo, c
 			}
@@ -1828,7 +1858,7 @@ func (b *builder) probeOffsets() []float64 {
 // currentGap recomputes the window infeasibility of the pair in place.
 func (b *builder) currentGap(na, nb *ctree.Node, shared []int) float64 {
 	xLo, xHi := math.Inf(-1), math.Inf(1)
-	b.forConstraints(na.Delay, nb.Delay, shared, func(_ constraint, ia, ib rctree.Interval, bd float64) {
+	b.forConstraints(na.Delay, nb.Delay, nil, nil, shared, func(_ constraint, ia, ib rctree.Interval, bd float64) {
 		if lo := ib.Hi - ia.Lo - bd; lo > xLo {
 			xLo = lo
 		}
@@ -1961,11 +1991,7 @@ func (b *builder) useGridPairer(n int, userKey bool) bool {
 	case PairerScan:
 		return false
 	default:
-		thr := b.opt.PairerThreshold
-		if thr <= 0 {
-			thr = GridPairerThreshold
-		}
-		return n >= thr && b.opt.DelayTargetBias == 0 && !userKey
+		return n >= GridPairerThreshold && b.opt.DelayTargetBias == 0 && !userKey
 	}
 }
 

@@ -45,7 +45,9 @@ func replayMerges(in *ctree.Instance, opt Options, seq [][2]int) *builder {
 // pairing cost that BenchmarkOrderScaling includes: the merge sequence is
 // recorded once from a routed instance and then replayed without any
 // nearest-neighbor machinery. ReportAllocs makes the allocation weight of
-// the bodies themselves visible.
+// the bodies themselves visible. The paper case routes a Table II input at
+// the paper's 10 ps bound, where most merges resolve deferred splits
+// jointly, so its time is dominated by jointResolve's split search.
 func BenchmarkMergeBodies(b *testing.B) {
 	cases := []struct {
 		name string
@@ -62,12 +64,18 @@ func BenchmarkMergeBodies(b *testing.B) {
 			in:   bench.Intermingled(bench.Small(400, 33), 4, 99),
 			opt:  Options{Model: DefaultModel(), MaxSneakIter: 8, SneakCostCap: 8},
 		},
+		{
+			name: "ast-paper-r2k8/B=10",
+			in:   paperR2K8(),
+			opt:  Options{IntraSkewBound: 10, Model: DefaultModel(), MaxSneakIter: 8, SneakCostCap: 8},
+		},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			ref, err := Build(tc.in, Options{
-				SingleGroup: tc.opt.SingleGroup,
-				Order:       order.Config{},
+				SingleGroup:    tc.opt.SingleGroup,
+				IntraSkewBound: tc.opt.IntraSkewBound,
+				Order:          order.Config{},
 			})
 			if err != nil {
 				b.Fatal(err)

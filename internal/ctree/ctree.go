@@ -343,9 +343,22 @@ func AppendUnionGroups(dst, a, b []int) []int {
 	return dst
 }
 
-// SharedGroups returns the sorted intersection of two sorted group slices.
-func SharedGroups(a, b []int) []int {
-	return AppendSharedGroups(nil, a, b)
+// SharesGroup reports whether two sorted group slices intersect, without
+// building the intersection: merge keys test it from concurrent pairing
+// goroutines on every candidate pair.
+func SharesGroup(a, b []int) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // AppendSharedGroups appends the sorted intersection of a and b to dst,

@@ -59,8 +59,11 @@ func TestUnionSharedGroups(t *testing.T) {
 		if got := UnionGroups(c.a, c.b); !reflect.DeepEqual(got, c.union) {
 			t.Errorf("UnionGroups(%v,%v) = %v, want %v", c.a, c.b, got, c.union)
 		}
-		if got := SharedGroups(c.a, c.b); !reflect.DeepEqual(got, c.shared) {
-			t.Errorf("SharedGroups(%v,%v) = %v, want %v", c.a, c.b, got, c.shared)
+		if got := AppendSharedGroups(nil, c.a, c.b); !reflect.DeepEqual(got, c.shared) {
+			t.Errorf("AppendSharedGroups(nil,%v,%v) = %v, want %v", c.a, c.b, got, c.shared)
+		}
+		if got := SharesGroup(c.a, c.b); got != (len(c.shared) > 0) {
+			t.Errorf("SharesGroup(%v,%v) = %v, want %v", c.a, c.b, got, len(c.shared) > 0)
 		}
 	}
 }

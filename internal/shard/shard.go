@@ -391,24 +391,15 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 }
 
 // deriveShardOpt derives the per-shard build options from the sub-build
-// options: the grid-pairer threshold is scaled by the shard count —
-// PairerAuto's grid-vs-oracle decision is about total instance scale (a
-// shard holds ~1/k of the instance), and comparing each shard's slice
-// against the global constant silently dropped mid-size sharded runs back
-// onto the O(n²) scan oracle inside every shard. k = 1 leaves the threshold
-// untouched, preserving bitwise identity with the unsharded build. For
-// k > 1 the sneak probe is dropped too: a Probe is single-goroutine, and
-// concurrent shard builds would race on it (the serial components — pilot,
-// stitch — still record; runs wanting complete sneak capture use Shards ≤ 1).
-// Shared by the from-scratch pipeline and the incremental rebuild so the
-// dirty shards of a rebuild see exactly the options the original shards saw.
+// options: for k > 1 it drops the sneak probe, because a Probe is
+// single-goroutine and concurrent shard builds would race on it (the serial
+// components — pilot, stitch — still record; runs wanting complete sneak
+// capture use Shards ≤ 1). k = 1 leaves the options untouched, preserving
+// bitwise identity with the unsharded build. Shared by the from-scratch
+// pipeline and the incremental rebuild so the dirty shards of a rebuild see
+// exactly the options the original shards saw.
 func deriveShardOpt(subOpt core.Options, k int) core.Options {
 	shardOpt := subOpt
-	thr := shardOpt.PairerThreshold
-	if thr <= 0 {
-		thr = core.GridPairerThreshold
-	}
-	shardOpt.PairerThreshold = (thr + k - 1) / k
 	if k > 1 {
 		shardOpt.SneakProbe = nil
 	}

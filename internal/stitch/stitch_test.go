@@ -97,16 +97,16 @@ func TestStitchFig2Shape(t *testing.T) {
 	t.Logf("Fig.2: stitch=%v ast=%v saving=%.1f%%", st.Wirelength, ast.Wirelength, saving*100)
 }
 
-// TestStitchGridPairedLargeInstance exercises the stitch baseline at a
-// scale where each per-group build crosses core.GridPairerThreshold, so the
-// per-group trees route through the spatial grid pairer rather than the
-// all-pairs scan the small tests use: tree structure, per-group zero skew
-// and the wire accounting must all survive the engine switch.
+// TestStitchGridPairedLargeInstance exercises the stitch baseline at scale:
+// its 2500-sink per-group builds route through the spatial grid pairer,
+// while the small tests' per-group builds stay below
+// core.GridPairerThreshold on the all-pairs scan. Tree structure, per-group
+// zero skew and the wire accounting must all hold on the grid too.
 func TestStitchGridPairedLargeInstance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	in := bench.Intermingled(bench.Small(5000, 31), 2, 77) // 2500 sinks/group ≥ threshold
+	in := bench.Intermingled(bench.Small(5000, 31), 2, 77) // 2500 sinks/group
 	res, err := Build(in, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestStitchGridPairedLargeInstance(t *testing.T) {
 // routes the same tree through core's stitch machinery — wirelength and the
 // per-sink delays must agree bitwise with each other and with core.ZST.
 func TestStitchAgreesWithShardTopLevel(t *testing.T) {
-	in := bench.Small(3000, 13) // one group, above the grid-pairer threshold
+	in := bench.Small(3000, 13) // one group, routed on the grid pairer
 	st, err := Build(in, Options{})
 	if err != nil {
 		t.Fatal(err)

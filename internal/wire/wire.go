@@ -32,7 +32,7 @@ import (
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 1
+const Version uint16 = 2
 
 // Message magic tags (work unit vs result), so one can never decode as the
 // other.
@@ -247,7 +247,6 @@ func encodeOptions(w *writer, o core.Options) error {
 	w.iv(int64(o.Order.Strategy))
 	w.f64(o.Order.BatchFraction)
 	w.iv(int64(o.Pairer))
-	w.iv(int64(o.PairerThreshold))
 	w.f64(o.DelayTargetBias)
 	w.bool(o.EndpointSplit)
 	w.uv(uint64(len(o.PairConstraints)))
@@ -293,7 +292,6 @@ func decodeOptions(r *reader) (core.Options, error) {
 	o.Order.Strategy = order.Strategy(r.iv())
 	o.Order.BatchFraction = r.f64()
 	o.Pairer = core.PairerMode(r.iv())
-	o.PairerThreshold = int(r.iv())
 	o.DelayTargetBias = r.f64()
 	o.EndpointSplit = r.bool()
 	npc := int(r.uv())
@@ -335,9 +333,8 @@ func decodeOptions(r *reader) (core.Options, error) {
 	if o.Pairer < core.PairerAuto || o.Pairer > core.PairerGrid {
 		return o, fmt.Errorf("wire: unknown pairer mode %d", o.Pairer)
 	}
-	if o.PairerThreshold < 0 || o.MaxSneakIter < 0 {
-		return o, fmt.Errorf("wire: negative option (pairer threshold %d, sneak iter %d)",
-			o.PairerThreshold, o.MaxSneakIter)
+	if o.MaxSneakIter < 0 {
+		return o, fmt.Errorf("wire: negative sneak iteration cap %d", o.MaxSneakIter)
 	}
 	if o.MergeWorkers < 0 || o.MergeWorkers > 1<<16 {
 		return o, fmt.Errorf("wire: merge workers %d out of range", o.MergeWorkers)
