@@ -1,5 +1,5 @@
 // Benchmark harness regenerating every table and figure of the thesis's
-// evaluation (see DESIGN.md §4 for the experiment index):
+// evaluation:
 //
 //	BenchmarkTableI    — Table I rows (clustered sink groups)
 //	BenchmarkTableII   — Table II rows (intermingled sink groups)
@@ -11,9 +11,10 @@
 //	BenchmarkSubstrate — micro-benchmarks of the geometry/delay kernels
 //
 // Wirelength, reduction versus EXT-BST, and measured skews are attached as
-// benchmark metrics, so `go test -bench=. -benchmem` reproduces the numbers
-// reported in EXPERIMENTS.md (absolute CPU differs from the thesis's 2006
-// hardware; shapes are the comparison target).
+// benchmark metrics, so `go test -bench=. -benchmem` reproduces the
+// evaluation's numbers; cmd/compare prints them beside the thesis's own.
+// Absolute CPU differs from the thesis's 2006 hardware; shapes are the
+// comparison target.
 package repro
 
 import (
@@ -146,8 +147,9 @@ func BenchmarkFig2(b *testing.B) {
 	b.ReportMetric(res.SavingPct, "saving%")
 }
 
-// BenchmarkAblation measures the design-choice ablations of DESIGN.md §4 on
-// one intermingled circuit.
+// BenchmarkAblation measures the design-choice ablations of
+// experiments.Ablations (merging order, delay-target bias, region deferral,
+// offset float) on one intermingled circuit.
 func BenchmarkAblation(b *testing.B) {
 	in := bench.Intermingled(bench.Small(300, 3), 6, 77)
 	for _, ab := range experiments.Ablations() {

@@ -1,6 +1,6 @@
 // Command compare runs one table of the evaluation and prints our measured
 // numbers side by side with the thesis's reported ones (internal/paperdata),
-// with per-row deltas — the raw material of EXPERIMENTS.md.
+// with per-row deltas.
 //
 // Usage:
 //

@@ -1,5 +1,4 @@
-// Command sweep produces data for the parameter studies behind the figures
-// of EXPERIMENTS.md:
+// Command sweep produces data for the evaluation's parameter studies:
 //
 //	sweep -mode bound      # bounded-skew wirelength vs skew bound (Fig. 1 curve)
 //	sweep -mode groups     # AST-DME vs EXT-BST vs #groups, both groupings

@@ -12,8 +12,12 @@
 // instances are synthesized with the published sink counts, uniform-random
 // sink placements over a die scaled with sqrt(n) (keeping wirelengths at the
 // paper's order of magnitude), and random sink load capacitances, all under
-// fixed seeds for reproducibility. See DESIGN.md §3 for why this preserves
-// the paper's shape-level conclusions.
+// fixed seeds for reproducibility. The thesis's conclusions are relative —
+// AST-DME's wirelength against EXT-BST's on the same instance, per grouping
+// and group count — so they rest on the sink counts, the grouping and a
+// delay regime in which the 10 ps bound is tight (core.DefaultModel is
+// calibrated for that), not on the exact coordinates. Absolute wirelengths
+// match the thesis's in order of magnitude only.
 package bench
 
 import (

@@ -756,10 +756,10 @@ type builder struct {
 
 	// Reusable scratch for the allocation-heavy merge-body helpers. Worker
 	// builders carry their own copies, so merge bodies never share scratch.
-	normA, normB     rctree.DelaySet         // normalize outputs (keyed by union root)
+	plan             splitPlan               // the current merge's constraint layout
+	normA, normB     []rctree.Interval       // forConstraints' normalized sets (one per union-root slot)
 	splitsA, splitsB [jointSamples]splitEval // jointResolve's per-side evaluations
 	sneakA, sneakB   sneakScratch            // sneak plan buffers
-	sharedBuf        []int                   // AppendSharedGroups output (one merge)
 	unionBuf         []int                   // UnionGroups staging (one merge)
 	delays           delaySlab               // committed delay-set storage
 
@@ -821,23 +821,7 @@ func (b *builder) interBound() float64 {
 
 // initScratch sizes the builder's reusable merge-body buffers.
 func (b *builder) initScratch() {
-	g := b.in.NumGroups
-	b.normA = rctree.MakeDelaySet(g)
-	b.normB = rctree.MakeDelaySet(g)
-}
-
-// normalizeInto aggregates a raw per-group delay set into per-union-root
-// intervals on the registry's normalized (offset-corrected) scale, written
-// into dst (reset first). dst is one of the builder's scratch sets; the
-// result is valid until that set's next reuse.
-func (b *builder) normalizeInto(dst *rctree.DelaySet, delay rctree.DelaySet) rctree.DelaySet {
-	dst.Reset()
-	for i := 0; i < delay.Len(); i++ {
-		g, iv := delay.At(i)
-		r, off := b.uf.find(g)
-		dst.Insert(int32(r), iv.Shift(-off))
-	}
-	return *dst
+	b.plan.initScratch(b.in.NumGroups, len(b.opt.PairConstraints))
 }
 
 // constraint identifies one hard window of a merge.
@@ -849,8 +833,8 @@ type constraint struct {
 	id int
 }
 
-// forConstraints invokes f for every hard constraint of a merge between
-// subtrees with the given raw delay maps:
+// forConstraints invokes f for every hard constraint of the merge b.plan
+// lays out, between operands with the raw delay sets da and db:
 //
 //   - one window per shared raw group, at the intra-group bound B — the
 //     thesis's skew constraints proper; and
@@ -865,13 +849,12 @@ type constraint struct {
 // (the split search normalizes each candidate split once and pairs it with
 // many partners); nil normalizes into the builder's scratch when the
 // union-root pass runs.
-func (b *builder) forConstraints(da, db rctree.DelaySet, va, vb *rctree.DelaySet, shared []int,
+func (b *builder) forConstraints(da, db rctree.DelaySet, va, vb []rctree.Interval,
 	f func(c constraint, ia, ib rctree.Interval, bound float64)) {
+	p := &b.plan
 	bd := b.boundOf()
-	for _, g := range shared {
-		ia, _ := da.Get(g)
-		ib, _ := db.Get(g)
-		f(constraint{raw: true, id: g}, ia, ib, bd)
+	for _, s := range p.raw {
+		f(constraint{raw: true, id: s.id}, da.Ivs[s.a], db.Ivs[s.b], bd)
 	}
 	// Explicit inter-group pair constraints: delay(J) − delay(I) ∈ [lo, hi],
 	// enforceable here when the two groups sit on opposite sides. With I on
@@ -882,19 +865,14 @@ func (b *builder) forConstraints(da, db rctree.DelaySet, va, vb *rctree.DelaySet
 	// formula f applies to (ia, ib, bound) is
 	// [ib.Hi − ia.Lo − bound, ib.Lo − ia.Hi + bound], so passing
 	// ib' = db[J] − (lo+hi)/2 and bound (hi−lo)/2 reproduces it exactly.
-	for _, pc := range b.opt.PairConstraints {
-		mid := (pc.MinPs + pc.MaxPs) / 2
-		half := (pc.MaxPs - pc.MinPs) / 2
-		if ia, ok := da.Get(pc.I); ok {
-			if ib, ok := db.Get(pc.J); ok {
-				f(constraint{raw: false, id: -1}, ia, ib.Shift(-mid), half)
-			}
+	for _, pc := range p.pcs {
+		ia, ib := da.Ivs[pc.a], db.Ivs[pc.b]
+		if pc.jOnB {
+			ib = ib.Shift(-pc.mid)
+		} else {
+			ia = ia.Shift(-pc.mid)
 		}
-		if ja, ok := da.Get(pc.J); ok {
-			if ib, ok := db.Get(pc.I); ok {
-				f(constraint{raw: false, id: -1}, ja.Shift(-mid), ib, half)
-			}
-		}
+		f(constraint{raw: false, id: -1}, ia, ib, pc.half)
 	}
 
 	w := b.interBound()
@@ -902,13 +880,12 @@ func (b *builder) forConstraints(da, db rctree.DelaySet, va, vb *rctree.DelaySet
 		return
 	}
 	if va == nil {
-		va, vb = &b.normA, &b.normB
-		b.normalizeInto(va, da)
-		b.normalizeInto(vb, db)
+		b.normA, b.normB = p.a.normalize(b.normA, da), p.b.normalize(b.normB, db)
+		va, vb = b.normA, b.normB
 	}
-	rctree.ForEachShared(*va, *vb, func(r int32, ia, ib rctree.Interval) {
-		f(constraint{raw: false, id: int(r)}, ia, ib, bd+w)
-	})
+	for _, r := range p.roots {
+		f(constraint{raw: false, id: r.id}, va[r.a], vb[r.b], bd+w)
+	}
 }
 
 // slot returns the preassigned arena slot of node index id.
@@ -1398,9 +1375,9 @@ func (b *builder) mergeKey(i, j int, d float64) float64 {
 	xd := m.WireDelay(d, na.Cap)
 	switch {
 	case xHi < x0:
-		return d + math.Max(math.Max(m.ExtendForDelay(nb.Cap, -xHi), d)-d, 0)
+		return d + max(max(m.ExtendForDelay(nb.Cap, -xHi), d)-d, 0)
 	case xLo > xd:
-		return d + math.Max(math.Max(m.ExtendForDelay(na.Cap, xLo), d)-d, 0)
+		return d + max(max(m.ExtendForDelay(na.Cap, xLo), d)-d, 0)
 	default:
 		return d
 	}
@@ -1411,11 +1388,10 @@ func (b *builder) mergeKey(i, j int, d float64) float64 {
 // slot; c.ID is set by the caller at commit).
 func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 	m := b.opt.Model
-	b.sharedBuf = ctree.AppendSharedGroups(b.sharedBuf[:0], na.Groups, nb.Groups)
-	shared := b.sharedBuf
+	shared := ctree.SharesGroup(na.Groups, nb.Groups)
 	b.stats.Merges++
 	switch {
-	case len(shared) == 0:
+	case !shared:
 		b.stats.CrossGroup++
 	case len(na.Groups) == 1 && len(nb.Groups) == 1:
 		b.stats.SameGroup++
@@ -1427,8 +1403,8 @@ func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 	// are chosen jointly so the windows intersect at the least committed
 	// cost; otherwise the closest approach decides.
 	if na.Deferred || nb.Deferred {
-		if len(shared) > 0 || (!math.IsInf(b.interBound(), 1) && b.relatedRoots(na, nb)) {
-			b.jointResolve(na, nb, shared)
+		if shared || (!math.IsInf(b.interBound(), 1) && b.relatedRoots(na, nb)) {
+			b.jointResolve(na, nb)
 		} else {
 			qa, qb := geom.ClosestPoints(na.ActiveRegion(), nb.ActiveRegion())
 			if na.Deferred {
@@ -1442,7 +1418,7 @@ func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 
 	// Intersect the hard windows (shared raw groups + inter-group window),
 	// wire-sneaking when they conflict (thesis Fig. 5 / Eqs. 5.1–5.3).
-	xLo, xHi, compromised := b.intersectWindows(na, nb, shared)
+	xLo, xHi, compromised := b.intersectWindows(na, nb)
 
 	d := geom.DistRR(na.Region, nb.Region)
 	*c = ctree.Node{
@@ -1505,22 +1481,24 @@ func (b *builder) unionGroups(na, nb *ctree.Node) []int {
 
 // splitEval is one merge operand evaluated at a candidate split e: the
 // per-group delays it would commit, those delays on the registry-normalized
-// scale, and its placement rectangle. Each depends on that operand's split
-// alone, so the split search evaluates every candidate once and pairs it
-// with many partners. The delay sets are scratch owned by the evaluation,
-// grown on first use and reused across merges.
+// scale (one interval per union-root slot of the operand's plan side), and
+// its placement rectangle. Each depends on that operand's split alone, so
+// the split search evaluates every candidate once and pairs it with many
+// partners. The buffers are scratch owned by the evaluation, grown on first
+// use and reused across merges.
 type splitEval struct {
-	e           float64
-	delay, norm rctree.DelaySet
-	buf         rctree.DelaySet // DelayAtBuf output backing delay
-	rect        geom.Rect
+	e     float64
+	delay rctree.DelaySet
+	norm  []rctree.Interval
+	buf   rctree.DelaySet // DelayAtBuf output backing delay
+	rect  geom.Rect
 }
 
-// evalSplit evaluates node n at split e into s.
-func (b *builder) evalSplit(n *ctree.Node, e float64, s *splitEval) {
+// evalSplit evaluates node n, laid out as plan side ps, at split e into s.
+func (b *builder) evalSplit(n *ctree.Node, e float64, s *splitEval, ps *planSide) {
 	s.e = e
 	s.delay = n.DelayAtBuf(b.opt.Model, e, &s.buf)
-	b.normalizeInto(&s.norm, s.delay)
+	s.norm = ps.normalize(s.norm, s.delay)
 	s.rect = n.RectAt(e)
 }
 
@@ -1530,10 +1508,10 @@ func (b *builder) evalSplit(n *ctree.Node, e float64, s *splitEval) {
 // would commit — the candidate distance, plus any snaking excess needed to
 // reach the window, minus a small preference for wide residual windows —
 // and the misalignment of the shared union roots' required shifts.
-func (b *builder) splitCost(na, nb *ctree.Node, sa, sb *splitEval, shared []int) (gap, cost, misalign float64) {
+func (b *builder) splitCost(na, nb *ctree.Node, sa, sb *splitEval) (gap, cost, misalign float64) {
 	m := b.opt.Model
 	xLo, xHi := math.Inf(-1), math.Inf(1)
-	b.forConstraints(sa.delay, sb.delay, &sa.norm, &sb.norm, shared, func(_ constraint, ia, ib rctree.Interval, bd float64) {
+	b.forConstraints(sa.delay, sb.delay, sa.norm, sb.norm, func(_ constraint, ia, ib rctree.Interval, bd float64) {
 		if lo := ib.Hi - ia.Lo - bd; lo > xLo {
 			xLo = lo
 		}
@@ -1541,7 +1519,7 @@ func (b *builder) splitCost(na, nb *ctree.Node, sa, sb *splitEval, shared []int)
 			xHi = hi
 		}
 	})
-	gap = math.Max(xLo-xHi, 0)
+	gap = max(xLo-xHi, 0)
 	d := geom.DistRR(sa.rect, sb.rect)
 	cost = d
 
@@ -1551,11 +1529,12 @@ func (b *builder) splitCost(na, nb *ctree.Node, sa, sb *splitEval, shared []int)
 	// spread of the required shifts measures that inevitable drift; small
 	// spread keeps the global offset system consistent and cheap.
 	lo, hi := math.Inf(1), math.Inf(-1)
-	rctree.ForEachShared(sa.norm, sb.norm, func(_ int32, ia, ib rctree.Interval) {
+	for _, r := range b.plan.roots {
+		ia, ib := sa.norm[r.a], sb.norm[r.b]
 		s := (ib.Lo+ib.Hi)/2 - (ia.Lo+ia.Hi)/2
-		lo = math.Min(lo, s)
-		hi = math.Max(hi, s)
-	})
+		lo = min(lo, s)
+		hi = max(hi, s)
+	}
 	if hi > lo {
 		misalign = hi - lo
 	}
@@ -1566,17 +1545,17 @@ func (b *builder) splitCost(na, nb *ctree.Node, sa, sb *splitEval, shared []int)
 	xd := m.WireDelay(d, capA)
 	switch {
 	case xHi < x0:
-		cost += math.Max(m.ExtendForDelay(capB, -xHi), d) - d
+		cost += max(m.ExtendForDelay(capB, -xHi), d) - d
 	case xLo > xd:
-		cost += math.Max(m.ExtendForDelay(capA, xLo), d) - d
+		cost += max(m.ExtendForDelay(capA, xLo), d) - d
 	default:
 		// Prefer keeping a wide residual window: subtract the overlap width
 		// mapped to split units, weighted well below one wire unit so it
 		// only breaks ties among near-equal costs.
-		overlap := math.Min(xHi, xd) - math.Max(xLo, x0)
+		overlap := min(xHi, xd) - max(xLo, x0)
 		slope := m.WireDelay(d, capA) + m.WireDelay(d, capB)
 		if d > 0 && slope > 0 && !math.IsInf(overlap, 1) {
-			cost -= 0.01 * d * math.Min(overlap/slope, 1)
+			cost -= 0.01 * d * min(overlap/slope, 1)
 		}
 	}
 	return gap, cost, misalign
@@ -1605,21 +1584,24 @@ const jointSamples = 13
 // jointResolve pins the deferred splits of na and nb so the hard windows of
 // the upcoming merge intersect if at all possible, minimizing
 // (infeasibility gap, committed cost) lexicographically: a coarse grid
-// search followed by alternating golden-section polish per axis. Each side
-// is evaluated once per split (b.splitsA/b.splitsB): the coarse grid pairs
+// search followed by alternating golden-section polish per axis. The
+// constraint layout is built once per search (b.plan), and each side is
+// evaluated once per split (b.splitsA/b.splitsB): the coarse grid pairs
 // jointSamples evaluations per axis, and a golden pass evaluates its fixed
 // side once.
-func (b *builder) jointResolve(na, nb *ctree.Node, shared []int) {
+func (b *builder) jointResolve(na, nb *ctree.Node) {
+	b.layout(na, nb, true)
+	la, lb := &b.plan.a, &b.plan.b
 	aLo, aHi := na.SplitRange()
 	bLo, bHi := nb.SplitRange()
 	evA, evB := &b.splitsA, &b.splitsB
-	b.evalSplit(na, mid(aLo, aHi), &evA[0])
-	b.evalSplit(nb, mid(bLo, bHi), &evB[0])
+	b.evalSplit(na, mid(aLo, aHi), &evA[0], la)
+	b.evalSplit(nb, mid(bLo, bHi), &evB[0], lb)
 	bestA, bestB := evA[0].e, evB[0].e
-	bestGap, bestCost, bestMis := b.splitCost(na, nb, &evA[0], &evB[0], shared)
+	bestGap, bestCost, bestMis := b.splitCost(na, nb, &evA[0], &evB[0])
 
 	consider := func(ea, eb *splitEval) {
-		gap, cost, mis := b.splitCost(na, nb, ea, eb, shared)
+		gap, cost, mis := b.splitCost(na, nb, ea, eb)
 		epsG := 1e-9 * (1 + bestGap)
 		epsC := 1e-6 * (1 + math.Abs(bestCost))
 		switch {
@@ -1633,18 +1615,18 @@ func (b *builder) jointResolve(na, nb *ctree.Node, shared []int) {
 
 	// samples evaluates n at the coarse samples of [lo, hi] into dst and
 	// returns the filled prefix.
-	samples := func(n *ctree.Node, lo, hi float64, dst *[jointSamples]splitEval) []splitEval {
+	samples := func(n *ctree.Node, lo, hi float64, dst *[jointSamples]splitEval, ps *planSide) []splitEval {
 		if hi-lo <= 0 {
-			b.evalSplit(n, lo, &dst[0])
+			b.evalSplit(n, lo, &dst[0], ps)
 			return dst[:1]
 		}
 		for i := range dst {
-			b.evalSplit(n, lo+(hi-lo)*float64(i)/float64(jointSamples-1), &dst[i])
+			b.evalSplit(n, lo+(hi-lo)*float64(i)/float64(jointSamples-1), &dst[i], ps)
 		}
 		return dst[:]
 	}
-	gridA := samples(na, aLo, aHi, evA)
-	gridB := samples(nb, bLo, bHi, evB)
+	gridA := samples(na, aLo, aHi, evA, la)
+	gridB := samples(nb, bLo, bHi, evB, lb)
 	for i := range gridA {
 		for j := range gridB {
 			consider(&gridA[i], &gridB[j])
@@ -1684,25 +1666,40 @@ func (b *builder) jointResolve(na, nb *ctree.Node, shared []int) {
 		}
 		return mid(lo, hi)
 	}
+	// A golden pass is a pure function of its fixed side's split: the search
+	// mutates no node and no registry. So when an axis' fixed split has not
+	// moved since that axis' previous pass (bitwise), the pass's result is
+	// reused. It is still evaluated and considered, so the sequence of
+	// accept/reject decisions is the same as running the pass again.
+	type pass struct {
+		run   bool
+		fixed uint64 // math.Float64bits of the fixed split
+		e     float64
+	}
+	var passA, passB pass
 	for round := 0; round < 2; round++ {
 		if na.Deferred {
 			fixed, vary := &evB[0], &evA[0]
-			b.evalSplit(nb, bestB, fixed)
-			ea := golden(aLo, aHi, func(e float64) (float64, float64, float64) {
-				b.evalSplit(na, e, vary)
-				return b.splitCost(na, nb, vary, fixed, shared)
-			})
-			b.evalSplit(na, ea, vary)
+			b.evalSplit(nb, bestB, fixed, lb)
+			if bits := math.Float64bits(bestB); !passA.run || passA.fixed != bits {
+				passA = pass{run: true, fixed: bits, e: golden(aLo, aHi, func(e float64) (float64, float64, float64) {
+					b.evalSplit(na, e, vary, la)
+					return b.splitCost(na, nb, vary, fixed)
+				})}
+			}
+			b.evalSplit(na, passA.e, vary, la)
 			consider(vary, fixed)
 		}
 		if nb.Deferred {
 			fixed, vary := &evA[0], &evB[0]
-			b.evalSplit(na, bestA, fixed)
-			eb := golden(bLo, bHi, func(e float64) (float64, float64, float64) {
-				b.evalSplit(nb, e, vary)
-				return b.splitCost(na, nb, fixed, vary, shared)
-			})
-			b.evalSplit(nb, eb, vary)
+			b.evalSplit(na, bestA, fixed, la)
+			if bits := math.Float64bits(bestA); !passB.run || passB.fixed != bits {
+				passB = pass{run: true, fixed: bits, e: golden(bLo, bHi, func(e float64) (float64, float64, float64) {
+					b.evalSplit(nb, e, vary, lb)
+					return b.splitCost(na, nb, fixed, vary)
+				})}
+			}
+			b.evalSplit(nb, passB.e, vary, lb)
 			consider(fixed, vary)
 		}
 	}
@@ -1755,8 +1752,10 @@ func appendCoverHandles(dst []handle, m rctree.Model, n *ctree.Node, g int) []ha
 // recomputing that subtree exactly and iterating until the intersection is
 // feasible, the wire cost cap is hit, or iterations run out. compromised
 // reports that the returned (degenerate) window is a least-violation
-// compromise rather than a satisfiable constraint.
-func (b *builder) intersectWindows(na, nb *ctree.Node, shared []int) (xLo, xHi float64, compromised bool) {
+// compromise rather than a satisfiable constraint. It lays b.plan out for
+// the pair first: sneaks change delays, never the layout.
+func (b *builder) intersectWindows(na, nb *ctree.Node) (xLo, xHi float64, compromised bool) {
+	b.layout(na, nb, !math.IsInf(b.interBound(), 1))
 	m := b.opt.Model
 	budget := b.opt.SneakCostCap * (geom.DistRR(na.Region, nb.Region) + 1)
 	probe := b.opt.SneakProbe
@@ -1768,7 +1767,7 @@ func (b *builder) intersectWindows(na, nb *ctree.Node, shared []int) (xLo, xHi f
 	for iter := 0; ; iter++ {
 		xLo, xHi := math.Inf(-1), math.Inf(1)
 		var gLo, gHi constraint
-		b.forConstraints(na.Delay, nb.Delay, nil, nil, shared, func(c constraint, ia, ib rctree.Interval, bd float64) {
+		b.forConstraints(na.Delay, nb.Delay, nil, nil, func(c constraint, ia, ib rctree.Interval, bd float64) {
 			if lo := ib.Hi - ia.Lo - bd; lo > xLo {
 				xLo, gLo = lo, c
 			}
@@ -1821,7 +1820,7 @@ func (b *builder) intersectWindows(na, nb *ctree.Node, shared []int) (xLo, xHi f
 			h.ref.AddLen(plan.gammas[i])
 		}
 		sub.Recompute(m)
-		if newGap := b.currentGap(na, nb, shared); newGap > 0.7*gap {
+		if newGap := b.currentGap(na, nb); newGap > 0.7*gap {
 			for i, h := range plan.handles {
 				h.ref.AddLen(-plan.gammas[i])
 			}
@@ -1856,9 +1855,9 @@ func (b *builder) probeOffsets() []float64 {
 }
 
 // currentGap recomputes the window infeasibility of the pair in place.
-func (b *builder) currentGap(na, nb *ctree.Node, shared []int) float64 {
+func (b *builder) currentGap(na, nb *ctree.Node) float64 {
 	xLo, xHi := math.Inf(-1), math.Inf(1)
-	b.forConstraints(na.Delay, nb.Delay, nil, nil, shared, func(_ constraint, ia, ib rctree.Interval, bd float64) {
+	b.forConstraints(na.Delay, nb.Delay, nil, nil, func(_ constraint, ia, ib rctree.Interval, bd float64) {
 		if lo := ib.Hi - ia.Lo - bd; lo > xLo {
 			xLo = lo
 		}
@@ -1869,7 +1868,7 @@ func (b *builder) currentGap(na, nb *ctree.Node, shared []int) float64 {
 	if math.IsInf(xLo, -1) {
 		return 0
 	}
-	return math.Max(xLo-xHi, 0)
+	return max(xLo-xHi, 0)
 }
 
 // sneak is a set of edge elongations that coherently delays one constraint's
@@ -1932,9 +1931,9 @@ func (b *builder) splitWindow(na, nb *ctree.Node, d, xLo, xHi float64, compromis
 		xd := m.WireDelay(d, na.Cap)
 		budget := b.opt.SneakCostCap * (d + 1)
 		switch {
-		case xLo > xd && m.ExtendForDelay(na.Cap, math.Min(xLo, xHi))-d > budget,
-			xHi < x0 && m.ExtendForDelay(nb.Cap, -math.Max(xHi, xLo))-d > budget:
-			x := math.Min(math.Max(math.Min(xLo, xHi), x0), xd)
+		case xLo > xd && m.ExtendForDelay(na.Cap, min(xLo, xHi))-d > budget,
+			xHi < x0 && m.ExtendForDelay(nb.Cap, -max(xHi, xLo))-d > budget:
+			x := min(max(min(xLo, xHi), x0), xd)
 			xLo, xHi = x, x
 		default:
 			// Normalize the possibly inverted compromise range.
@@ -1952,9 +1951,9 @@ func (b *builder) splitWindow(na, nb *ctree.Node, d, xLo, xHi float64, compromis
 	if d <= 0 {
 		switch {
 		case xLo > 0:
-			return math.Max(m.ExtendForDelay(na.Cap, xLo), d), 0, true
+			return max(m.ExtendForDelay(na.Cap, xLo), d), 0, true
 		case xHi < 0:
-			return 0, math.Max(m.ExtendForDelay(nb.Cap, -xHi), d), true
+			return 0, max(m.ExtendForDelay(nb.Cap, -xHi), d), true
 		default:
 			return 0, 0, false
 		}
@@ -1965,9 +1964,9 @@ func (b *builder) splitWindow(na, nb *ctree.Node, d, xLo, xHi float64, compromis
 	switch {
 	case xHi < x0:
 		// Must shift below what the span allows: all wire on B plus snake.
-		return 0, math.Max(m.ExtendForDelay(nb.Cap, -xHi), d), true
+		return 0, max(m.ExtendForDelay(nb.Cap, -xHi), d), true
 	case xLo > xd:
-		return math.Max(m.ExtendForDelay(na.Cap, xLo), d), 0, true
+		return max(m.ExtendForDelay(na.Cap, xLo), d), 0, true
 	default:
 		eLo, eHi := 0.0, d
 		if xLo > x0 {
@@ -1976,8 +1975,8 @@ func (b *builder) splitWindow(na, nb *ctree.Node, d, xLo, xHi float64, compromis
 		if xHi < xd {
 			eHi = m.SplitForDiff(d, na.Cap, nb.Cap, xHi)
 		}
-		eLo = math.Min(math.Max(eLo, 0), d)
-		eHi = math.Min(math.Max(eHi, eLo), d)
+		eLo = min(max(eLo, 0), d)
+		eHi = min(max(eHi, eLo), d)
 		return eLo, eHi, false
 	}
 }

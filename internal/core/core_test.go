@@ -129,8 +129,8 @@ func TestASTZeroIntraGroupSkew(t *testing.T) {
 func TestASTCompetitiveWithEXTBSTOnIntermingled(t *testing.T) {
 	// AST-DME relaxes EXT-BST's inter-group constraints, so across seeds its
 	// wirelength should track EXT-BST closely (the heuristics do not
-	// guarantee per-instance dominance; see EXPERIMENTS.md). Assert the
-	// aggregate stays within a few percent and never degenerates.
+	// guarantee per-instance dominance). Assert the aggregate stays within a
+	// few percent and never degenerates.
 	var astSum, extSum float64
 	for _, seed := range []int64{3, 4, 5, 6} {
 		in0 := bench.Small(150, seed)

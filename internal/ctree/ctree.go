@@ -345,7 +345,8 @@ func AppendUnionGroups(dst, a, b []int) []int {
 
 // SharesGroup reports whether two sorted group slices intersect, without
 // building the intersection: merge keys test it from concurrent pairing
-// goroutines on every candidate pair.
+// goroutines on every candidate pair, and every merge classifies itself
+// with it.
 func SharesGroup(a, b []int) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -359,25 +360,6 @@ func SharesGroup(a, b []int) bool {
 		}
 	}
 	return false
-}
-
-// AppendSharedGroups appends the sorted intersection of a and b to dst,
-// letting hot callers reuse a scratch buffer.
-func AppendSharedGroups(dst, a, b []int) []int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	return dst
 }
 
 // Wirelength returns the total committed wirelength of the subtree

@@ -49,7 +49,7 @@ func Dist(a, b Point) float64 {
 // DistUV returns the Chebyshev (L∞) distance between two uv-space points,
 // which equals the Manhattan distance of the corresponding physical points.
 func DistUV(a, b UV) float64 {
-	return math.Max(math.Abs(a.U-b.U), math.Abs(a.V-b.V))
+	return max(math.Abs(a.U-b.U), math.Abs(a.V-b.V))
 }
 
 // Rect is an axis-aligned, possibly degenerate rectangle in uv-space.
@@ -104,8 +104,8 @@ func (r Rect) Inflate(d float64) Rect {
 // intersection is empty.
 func Intersect(a, b Rect) (Rect, bool) {
 	out := Rect{
-		ULo: math.Max(a.ULo, b.ULo), UHi: math.Min(a.UHi, b.UHi),
-		VLo: math.Max(a.VLo, b.VLo), VHi: math.Min(a.VHi, b.VHi),
+		ULo: max(a.ULo, b.ULo), UHi: min(a.UHi, b.UHi),
+		VLo: max(a.VLo, b.VLo), VHi: min(a.VHi, b.VHi),
 	}
 	return out, !out.IsEmpty()
 }
@@ -127,7 +127,7 @@ func gap1(alo, ahi, blo, bhi float64) float64 {
 func DistRR(a, b Rect) float64 {
 	du := gap1(a.ULo, a.UHi, b.ULo, b.UHi)
 	dv := gap1(a.VLo, a.VHi, b.VLo, b.VHi)
-	return math.Max(du, dv)
+	return max(du, dv)
 }
 
 // DistRP returns the minimum Manhattan distance from rectangle r to uv point q.
@@ -165,8 +165,8 @@ func (r Rect) ContainsRect(b Rect) bool {
 // Union returns the bounding box of a and b.
 func Union(a, b Rect) Rect {
 	return Rect{
-		ULo: math.Min(a.ULo, b.ULo), UHi: math.Max(a.UHi, b.UHi),
-		VLo: math.Min(a.VLo, b.VLo), VHi: math.Max(a.VHi, b.VHi),
+		ULo: min(a.ULo, b.ULo), UHi: max(a.UHi, b.UHi),
+		VLo: min(a.VLo, b.VLo), VHi: max(a.VHi, b.VHi),
 	}
 }
 
@@ -184,7 +184,7 @@ func MergeLocus(a, b Rect, ea, eb float64) Rect {
 		// ea+eb ≥ dist should guarantee non-emptiness; re-inflate by the
 		// tiny deficit caused by rounding so downstream code always has a
 		// valid locus.
-		eps := math.Max(DistRR(a, b)-(ea+eb), 0) + 1e-9*(1+math.Abs(ea)+math.Abs(eb))
+		eps := max(DistRR(a, b)-(ea+eb), 0) + 1e-9*(1+math.Abs(ea)+math.Abs(eb))
 		out, _ = Intersect(a.Inflate(ea+eps), b.Inflate(eb+eps))
 	}
 	return out
@@ -217,10 +217,10 @@ func (r Rect) BoundingBox() (xmin, ymin, xmax, ymax float64) {
 	xmin, ymin = math.Inf(1), math.Inf(1)
 	xmax, ymax = math.Inf(-1), math.Inf(-1)
 	for _, p := range c {
-		xmin = math.Min(xmin, p.X)
-		xmax = math.Max(xmax, p.X)
-		ymin = math.Min(ymin, p.Y)
-		ymax = math.Max(ymax, p.Y)
+		xmin = min(xmin, p.X)
+		xmax = max(xmax, p.X)
+		ymin = min(ymin, p.Y)
+		ymax = max(ymax, p.Y)
 	}
 	return xmin, ymin, xmax, ymax
 }

@@ -47,20 +47,20 @@ func (o Octagon) IsEmpty() bool {
 func (o Octagon) Close() Octagon {
 	for pass := 0; pass < 3; pass++ {
 		// s = u+v and t = u−v derived bounds.
-		o.SLo = math.Max(o.SLo, o.ULo+o.VLo)
-		o.SHi = math.Min(o.SHi, o.UHi+o.VHi)
-		o.TLo = math.Max(o.TLo, o.ULo-o.VHi)
-		o.THi = math.Min(o.THi, o.UHi-o.VLo)
+		o.SLo = max(o.SLo, o.ULo+o.VLo)
+		o.SHi = min(o.SHi, o.UHi+o.VHi)
+		o.TLo = max(o.TLo, o.ULo-o.VHi)
+		o.THi = min(o.THi, o.UHi-o.VLo)
 		// u = (s+t)/2 and via single sums.
-		o.ULo = math.Max(o.ULo, (o.SLo+o.TLo)/2)
-		o.UHi = math.Min(o.UHi, (o.SHi+o.THi)/2)
-		o.ULo = math.Max(o.ULo, math.Max(o.SLo-o.VHi, o.TLo+o.VLo))
-		o.UHi = math.Min(o.UHi, math.Min(o.SHi-o.VLo, o.THi+o.VHi))
+		o.ULo = max(o.ULo, (o.SLo+o.TLo)/2)
+		o.UHi = min(o.UHi, (o.SHi+o.THi)/2)
+		o.ULo = max(o.ULo, max(o.SLo-o.VHi, o.TLo+o.VLo))
+		o.UHi = min(o.UHi, min(o.SHi-o.VLo, o.THi+o.VHi))
 		// v = (s−t)/2 and via single sums.
-		o.VLo = math.Max(o.VLo, (o.SLo-o.THi)/2)
-		o.VHi = math.Min(o.VHi, (o.SHi-o.TLo)/2)
-		o.VLo = math.Max(o.VLo, math.Max(o.SLo-o.UHi, o.ULo-o.THi))
-		o.VHi = math.Min(o.VHi, math.Min(o.SHi-o.ULo, o.UHi-o.TLo))
+		o.VLo = max(o.VLo, (o.SLo-o.THi)/2)
+		o.VHi = min(o.VHi, (o.SHi-o.TLo)/2)
+		o.VLo = max(o.VLo, max(o.SLo-o.UHi, o.ULo-o.THi))
+		o.VHi = min(o.VHi, min(o.SHi-o.ULo, o.UHi-o.TLo))
 	}
 	// Snap intervals inverted only by rounding (the derived bounds above can
 	// differ from the direct ones in the last bits for degenerate shapes).
@@ -101,10 +101,10 @@ func (o Octagon) Inflate(r float64) Octagon {
 // IntersectOct intersects two octagons; ok is false when empty.
 func IntersectOct(a, b Octagon) (Octagon, bool) {
 	out := Octagon{
-		ULo: math.Max(a.ULo, b.ULo), UHi: math.Min(a.UHi, b.UHi),
-		VLo: math.Max(a.VLo, b.VLo), VHi: math.Min(a.VHi, b.VHi),
-		SLo: math.Max(a.SLo, b.SLo), SHi: math.Min(a.SHi, b.SHi),
-		TLo: math.Max(a.TLo, b.TLo), THi: math.Min(a.THi, b.THi),
+		ULo: max(a.ULo, b.ULo), UHi: min(a.UHi, b.UHi),
+		VLo: max(a.VLo, b.VLo), VHi: min(a.VHi, b.VHi),
+		SLo: max(a.SLo, b.SLo), SHi: min(a.SHi, b.SHi),
+		TLo: max(a.TLo, b.TLo), THi: min(a.THi, b.THi),
 	}.Close()
 	return out, !out.IsEmpty()
 }
@@ -128,7 +128,7 @@ func DistOO(a, b Octagon) float64 {
 	dv := gap1(a.VLo, a.VHi, b.VLo, b.VHi)
 	ds := gap1(a.SLo, a.SHi, b.SLo, b.SHi) / 2
 	dt := gap1(a.TLo, a.THi, b.TLo, b.THi) / 2
-	return math.Max(math.Max(du, dv), math.Max(ds, dt))
+	return max(max(du, dv), max(ds, dt))
 }
 
 // DistOP returns the minimum L∞ distance from octagon o to point q.
@@ -140,19 +140,19 @@ func DistOP(o Octagon, q UV) float64 { return DistOO(o, OctFromUV(q)) }
 func (o Octagon) AnyPoint(pref UV) UV {
 	u := clamp1(pref.U, o.ULo, o.UHi)
 	// v must satisfy its own box plus the diagonal bounds at this u.
-	vlo := math.Max(o.VLo, math.Max(o.SLo-u, u-o.THi))
-	vhi := math.Min(o.VHi, math.Min(o.SHi-u, u-o.TLo))
+	vlo := max(o.VLo, max(o.SLo-u, u-o.THi))
+	vhi := min(o.VHi, min(o.SHi-u, u-o.TLo))
 	if vlo > vhi {
 		// u is outside the feasible u-projection (possible only through
 		// rounding, since Close makes projections exact): nudge u into the
 		// interval where the v-window is non-empty.
 		// vlo(u) decreasing pieces vs vhi(u): solve by clamping u against
 		// the crossing points of each constraint pair.
-		uMin := math.Max(o.ULo, math.Max(o.SLo-o.VHi, o.TLo+o.VLo))
-		uMax := math.Min(o.UHi, math.Min(o.SHi-o.VLo, o.THi+o.VHi))
+		uMin := max(o.ULo, max(o.SLo-o.VHi, o.TLo+o.VLo))
+		uMax := min(o.UHi, min(o.SHi-o.VLo, o.THi+o.VHi))
 		u = clamp1(u, uMin, uMax)
-		vlo = math.Max(o.VLo, math.Max(o.SLo-u, u-o.THi))
-		vhi = math.Min(o.VHi, math.Min(o.SHi-u, u-o.TLo))
+		vlo = max(o.VLo, max(o.SLo-u, u-o.THi))
+		vhi = min(o.VHi, min(o.SHi-u, u-o.TLo))
 		if vlo > vhi { // fully degenerate: fall back to the midpoint
 			vm := (vlo + vhi) / 2
 			return UV{U: u, V: vm}
@@ -208,14 +208,14 @@ func SDR(a, b Rect, d, eLo, eHi float64) Octagon {
 	}
 	for _, e := range cands {
 		r := MergeLocus(a, b, e, d-e)
-		o.ULo = math.Min(o.ULo, r.ULo)
-		o.UHi = math.Max(o.UHi, r.UHi)
-		o.VLo = math.Min(o.VLo, r.VLo)
-		o.VHi = math.Max(o.VHi, r.VHi)
-		o.SLo = math.Min(o.SLo, r.ULo+r.VLo)
-		o.SHi = math.Max(o.SHi, r.UHi+r.VHi)
-		o.TLo = math.Min(o.TLo, r.ULo-r.VHi)
-		o.THi = math.Max(o.THi, r.UHi-r.VLo)
+		o.ULo = min(o.ULo, r.ULo)
+		o.UHi = max(o.UHi, r.UHi)
+		o.VLo = min(o.VLo, r.VLo)
+		o.VHi = max(o.VHi, r.VHi)
+		o.SLo = min(o.SLo, r.ULo+r.VLo)
+		o.SHi = max(o.SHi, r.UHi+r.VHi)
+		o.TLo = min(o.TLo, r.ULo-r.VHi)
+		o.THi = max(o.THi, r.UHi-r.VLo)
 	}
 	return o.Close()
 }

@@ -110,12 +110,11 @@ func WriteEdits(w io.Writer, sc *EditScript) error {
 // targeted sink (a duplicate is almost certainly a script-generation bug,
 // and order-dependent semantics would make dirty-set reasoning fragile).
 // Whether a targeted sink exists is checked by Apply, against an instance.
+// r must hold exactly one JSON object.
 func ReadEdits(r io.Reader) (*EditScript, error) {
 	var js jsonEditScript
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&js); err != nil {
-		return nil, fmt.Errorf("instio: %w", err)
+	if err := decodeOne(r, &js); err != nil {
+		return nil, err
 	}
 	if len(js.Edits) == 0 {
 		return nil, fmt.Errorf("instio: edit script %q has no edits", js.Name)

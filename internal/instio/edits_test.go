@@ -13,7 +13,7 @@ import (
 // parser: unknown ops, missing or contradictory payload fields, non-finite
 // numbers, negative ids, duplicate targets and empty scripts all die as
 // parse errors naming the edit — never as a wrong dirty set three layers
-// down.
+// down. So does anything after the script's JSON object.
 func TestReadEditsRejects(t *testing.T) {
 	cases := map[string]string{
 		"unknown op":        `{"edits":[{"op":"swap","sink":0}]}`,
@@ -34,6 +34,8 @@ func TestReadEditsRejects(t *testing.T) {
 		"negative group":    `{"edits":[{"op":"add","x":1,"y":1,"cap_ff":1,"group":-1}]}`,
 		"duplicate target":  `{"edits":[{"op":"move","sink":3,"x":1,"y":1},{"op":"remove","sink":3}]}`,
 		"unknown field":     `{"edits":[{"op":"remove","sink":0,"why":"because"}]}`,
+		"trailing junk":     `{"edits":[{"op":"remove","sink":0}]} xyz`,
+		"two scripts":       `{"edits":[{"op":"remove","sink":0}]}{"edits":[{"op":"remove","sink":1}]}`,
 	}
 	for name, c := range cases {
 		if _, err := ReadEdits(strings.NewReader(c)); err == nil {

@@ -80,16 +80,35 @@ func WriteInstance(w io.Writer, in *ctree.Instance) error {
 	return enc.Encode(ji)
 }
 
+// decodeOne decodes the single JSON object r holds into v. Unknown fields
+// are errors, and so is anything but whitespace after the object, so two
+// concatenated documents or a valid one followed by junk never load as
+// their first part.
+func decodeOne(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("instio: %w", err)
+	}
+	switch _, err := dec.Token(); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return fmt.Errorf("instio: trailing data after the JSON object")
+	default:
+		return fmt.Errorf("instio: trailing data after the JSON object: %w", err)
+	}
+}
+
 // ReadInstance parses and validates an instance: structural validation
 // (ctree.Instance.Validate — non-empty, coherent groups), finite
 // coordinates, and — when the file carries explicit sink ids — id
-// uniqueness and completeness, with sinks reordered into id order.
+// uniqueness and completeness, with sinks reordered into id order. r must
+// hold exactly one JSON object.
 func ReadInstance(r io.Reader) (*ctree.Instance, error) {
 	var ji jsonInstance
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&ji); err != nil {
-		return nil, fmt.Errorf("instio: %w", err)
+	if err := decodeOne(r, &ji); err != nil {
+		return nil, err
 	}
 	if len(ji.Sinks) == 0 {
 		return nil, fmt.Errorf("instio: instance %q has no sinks", ji.Name)

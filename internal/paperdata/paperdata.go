@@ -1,7 +1,7 @@
 // Package paperdata embeds the numbers the thesis reports in its evaluation
-// (Tables I and II), as machine-readable records. They drive the
-// paper-versus-measured comparisons of cmd/compare and EXPERIMENTS.md and
-// keep the reproduction's target values under test.
+// (Tables I and II), as machine-readable records. They drive cmd/compare's
+// paper-versus-measured comparisons and keep the reproduction's target
+// values under test.
 package paperdata
 
 // Row is one line of a thesis table.

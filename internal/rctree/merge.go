@@ -1,7 +1,5 @@
 package rctree
 
-import "math"
-
 // Interval is a closed range of sink delays [Lo, Hi] within a subtree,
 // measured from the subtree root. Width is the subtree's internal skew.
 type Interval struct {
@@ -19,7 +17,7 @@ func (iv Interval) Shift(x float64) Interval { return Interval{Lo: iv.Lo + x, Hi
 
 // Cover returns the smallest interval containing both a and b.
 func Cover(a, b Interval) Interval {
-	return Interval{Lo: math.Min(a.Lo, b.Lo), Hi: math.Max(a.Hi, b.Hi)}
+	return Interval{Lo: min(a.Lo, b.Lo), Hi: max(a.Hi, b.Hi)}
 }
 
 // Merge holds the outcome of a merge-point solve: the committed edge lengths
@@ -75,11 +73,11 @@ func BalanceTarget(m Model, d, ta, ca, tb, cb, target float64) Merge {
 	if e < 0 {
 		// Even with all wire on B's side, A is still too slow: extend B.
 		eb := m.ExtendForDelay(cb, ta-tb-target)
-		return Merge{Ea: 0, Eb: math.Max(eb, d), Snaked: true}
+		return Merge{Ea: 0, Eb: max(eb, d), Snaked: true}
 	}
 	// Symmetric: extend A.
 	ea := m.ExtendForDelay(ca, tb-ta+target)
-	return Merge{Ea: math.Max(ea, d), Eb: 0, Snaked: true}
+	return Merge{Ea: max(ea, d), Eb: 0, Snaked: true}
 }
 
 // BalanceClamped returns the no-snake merge closest to delay balance: the
@@ -138,13 +136,13 @@ func BoundedBalance(m Model, d float64, ia Interval, ca float64, ib Interval, cb
 	case xHi < x0:
 		// Must slow B beyond the full span: ea=0, eb>d with −WireDelay(eb,cb)=xHi.
 		eb := m.ExtendForDelay(cb, -xHi)
-		return Merge{Ea: 0, Eb: math.Max(eb, d), Snaked: true}
+		return Merge{Ea: 0, Eb: max(eb, d), Snaked: true}
 	case xLo > xd:
 		ea := m.ExtendForDelay(ca, xLo)
-		return Merge{Ea: math.Max(ea, d), Eb: 0, Snaked: true}
+		return Merge{Ea: max(ea, d), Eb: 0, Snaked: true}
 	default:
 		// No snaking needed: clamp the preferred X into both windows.
-		x := clampSplit(want-x0, math.Min(xHi, xd)-x0) + x0
+		x := clampSplit(want-x0, min(xHi, xd)-x0) + x0
 		if x < xLo { // want below window: take window floor (≥ x0 here)
 			x = xLo
 		}

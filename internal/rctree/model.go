@@ -156,10 +156,10 @@ func (Linear) WireCap(float64) float64 { return 0 }
 func (Linear) SplitForDiff(d, _, _, diff float64) float64 { return (d + diff) / 2 }
 
 // ExtendForDelay implements Model.
-func (Linear) ExtendForDelay(_, delay float64) float64 { return math.Max(delay, 0) }
+func (Linear) ExtendForDelay(_, delay float64) float64 { return max(delay, 0) }
 
 // WireRes implements Model.
 func (Linear) WireRes(float64) float64 { return 0 }
 
 // ElongationFor implements Model.
-func (Linear) ElongationFor(delay, _, _, _ float64) float64 { return math.Max(delay, 0) }
+func (Linear) ElongationFor(delay, _, _, _ float64) float64 { return max(delay, 0) }

@@ -290,7 +290,7 @@ func AutoCell(boxes []geom.Rect) float64 {
 		return 1
 	}
 	bb := boundsOf(boxes)
-	edge := math.Max(bb.Width(), bb.Height())
+	edge := max(bb.Width(), bb.Height())
 	cell := edge / math.Ceil(math.Sqrt(float64(len(boxes))))
 	if !(cell > 0) {
 		return 1
@@ -344,7 +344,7 @@ func DensityCell(boxes []geom.Rect) float64 {
 		if !math.IsInf(best, 1) {
 			nn = append(nn, best)
 		}
-		edges = append(edges, math.Max(boxes[i].Width(), boxes[i].Height()))
+		edges = append(edges, max(boxes[i].Width(), boxes[i].Height()))
 	}
 	sort.Float64s(nn)
 	sort.Float64s(edges)
