@@ -442,9 +442,9 @@ func Build(in *ctree.Instance, opt Options) (*Result, error) {
 // (the weighted union-find of the thesis's by-product skews) detached from
 // any one builder, so several sub-instance builds can route against a common
 // base. The sharded pipeline freezes one base Registry during its concurrent
-// phase and hands each shard a private Clone — sharing by frozen snapshot
-// rather than by lock, which keeps the concurrent builds mutex-free and
-// deterministic — then stitches on the base itself.
+// phase and hands each shard a private copy rebuilt from its Snapshot —
+// sharing by frozen snapshot rather than by lock, which keeps the concurrent
+// builds mutex-free and deterministic — then stitches on the base itself.
 type Registry struct {
 	uf groupUF
 	// preUnions counts the prescribed-offset unions applied at construction

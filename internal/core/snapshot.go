@@ -4,13 +4,13 @@ import "fmt"
 
 // RegistrySnapshot is a Registry's committed state in an exportable,
 // serializable form: the weighted union-find's parent links and cumulative
-// offsets, plus the construction-time prescribed-union count. It exists for
-// the remote-dispatch wire format (internal/wire): the sharded pipeline
-// freezes a base registry, ships its snapshot inside every work unit, and a
-// worker reconstructs an equivalent private registry with
-// NewRegistryFromSnapshot — the remote analogue of Registry.Clone, with the
-// same bitwise-determinism guarantee (offsets are copied verbatim, never
-// recomputed).
+// offsets, plus the construction-time prescribed-union count. It is the
+// registry's form in the wire format's work units (internal/wire): the
+// sharded pipeline freezes a base registry and puts its snapshot inside
+// every work unit, and each execution, in process or on a worker,
+// reconstructs an equivalent private registry with NewRegistryFromSnapshot
+// — the same bitwise-determinism guarantee as Registry.Clone (offsets are
+// copied verbatim, never recomputed).
 type RegistrySnapshot struct {
 	Parent    []int
 	Off       []float64

@@ -1,7 +1,7 @@
 // Package dispatch executes the sharded pipeline's sub-builds as retryable
 // tasks behind a Runner interface — the fault-tolerance layer between
 // shard.Build and the engines that execute its work. Two transports
-// implement it: the in-process runner (a closure over core.BuildSubtree)
+// implement it: the in-process runner (wire.Execute on the task's work unit)
 // and the RemoteRunner, which ships work units to a WorkerPool of HTTP
 // routeworker processes and degrades gracefully back to the in-process
 // runner when the fleet cannot take a task (see remote.go). The coordinator

@@ -384,10 +384,12 @@ func (r *RemoteRunner) Run(ctx context.Context, t Task) (any, error) {
 		data, status, err := r.pool.post(ctx, w, body)
 		r.pool.release(w)
 		if err != nil {
-			r.pool.fail(w)
 			if ctx.Err() != nil {
-				return nil, ctx.Err() // caller cancelled; do not mask it
+				// The caller cancelled (a hedge's loser, a failed round):
+				// the worker is not at fault, and the error is not masked.
+				return nil, ctx.Err()
 			}
+			r.pool.fail(w)
 			if tried == nil {
 				tried = map[*poolWorker]bool{}
 			}

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -221,6 +222,39 @@ func TestRemoteRunnerDropFaultIsTransient(t *testing.T) {
 	}
 	if w.builds.Load() != 0 {
 		t.Fatal("injected drop reached the worker")
+	}
+}
+
+// TestRemoteRunnerCancelDoesNotBlameWorker pins that a request cut short by
+// its own caller — a hedge's losing duplicate, or a round that failed
+// elsewhere — counts no failure against the worker serving it: with
+// BlacklistAfter 1, one blamed cancellation would drop a healthy worker
+// from rotation and push later tasks onto the in-process fallback.
+func TestRemoteRunnerCancelDoesNotBlameWorker(t *testing.T) {
+	started := make(chan struct{}, 1)
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		started <- struct{}{}
+		<-release // stall until the test is done
+	}))
+	defer srv.Close()
+	defer close(release)
+	p := testPool(t, PoolOptions{BlacklistAfter: 1}, srv.URL)
+	r, err := p.Runner(echoConfig(localConst("local")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-started
+		cancel()
+	}()
+	if _, err := r.Run(ctx, Task{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled execution returned %v, want context.Canceled", err)
+	}
+	if p.Healthy() != 1 || p.WorkersLost() != 0 {
+		t.Fatalf("after a cancelled request: healthy = %d, lost = %d; want 1, 0", p.Healthy(), p.WorkersLost())
 	}
 }
 

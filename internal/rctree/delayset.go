@@ -67,39 +67,6 @@ func (s *DelaySet) Push(g int32, iv Interval) {
 	s.Ivs = append(s.Ivs, iv)
 }
 
-// CoverLast widens the set's entry for group g — which must be the last
-// pushed group — to also cover iv.
-func (s *DelaySet) CoverLast(iv Interval) {
-	last := len(s.Ivs) - 1
-	s.Ivs[last] = Cover(s.Ivs[last], iv)
-}
-
-// Insert sets group g to iv, covering the existing interval when g is
-// already present and splicing it into sorted position otherwise. Unlike
-// Push it accepts groups in any order; use it for accumulation keyed by
-// something unsorted (e.g. union roots).
-func (s *DelaySet) Insert(g int32, iv Interval) {
-	lo, hi := 0, len(s.Groups)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.Groups[mid] < g {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.Groups) && s.Groups[lo] == g {
-		s.Ivs[lo] = Cover(s.Ivs[lo], iv)
-		return
-	}
-	s.Groups = append(s.Groups, 0)
-	copy(s.Groups[lo+1:], s.Groups[lo:])
-	s.Groups[lo] = g
-	s.Ivs = append(s.Ivs, Interval{})
-	copy(s.Ivs[lo+1:], s.Ivs[lo:])
-	s.Ivs[lo] = iv
-}
-
 // Overall returns the smallest interval covering every group's interval
 // (the zero interval for an empty set).
 func (s DelaySet) Overall() Interval {
@@ -154,23 +121,5 @@ func MergeDelaysInto(dst *DelaySet, a DelaySet, wa float64, b DelaySet, wb float
 	}
 	for ; j < len(b.Groups); j++ {
 		dst.Push(b.Groups[j], b.Ivs[j].Shift(wb))
-	}
-}
-
-// ForEachShared invokes f for every group present in both sets, in
-// ascending group order, with both intervals.
-func ForEachShared(a, b DelaySet, f func(g int32, ia, ib Interval)) {
-	i, j := 0, 0
-	for i < len(a.Groups) && j < len(b.Groups) {
-		switch {
-		case a.Groups[i] < b.Groups[j]:
-			i++
-		case a.Groups[i] > b.Groups[j]:
-			j++
-		default:
-			f(a.Groups[i], a.Ivs[i], b.Ivs[j])
-			i++
-			j++
-		}
 	}
 }

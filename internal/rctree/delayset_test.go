@@ -38,33 +38,9 @@ func TestDelaySetBasics(t *testing.T) {
 	if ov := s.Overall(); ov != (Interval{Lo: 1, Hi: 6}) {
 		t.Fatalf("Overall = %v", ov)
 	}
-	s.CoverLast(Interval{Lo: 0, Hi: 10})
-	if iv, _ := s.Get(9); iv != (Interval{Lo: 0, Hi: 10}) {
-		t.Fatalf("CoverLast: %v", iv)
-	}
 	s.Reset()
 	if s.Len() != 0 || s.IsZero() {
 		t.Fatal("Reset broken")
-	}
-}
-
-func TestDelaySetInsertSplicesAndCovers(t *testing.T) {
-	var s DelaySet
-	for _, g := range []int32{7, 3, 11, 3, 5, 11} {
-		s.Insert(g, Interval{Lo: float64(g), Hi: float64(g + 1)})
-	}
-	wantGroups := []int32{3, 5, 7, 11}
-	if s.Len() != len(wantGroups) {
-		t.Fatalf("Len = %d, want %d", s.Len(), len(wantGroups))
-	}
-	for i, g := range wantGroups {
-		if s.Groups[i] != g {
-			t.Fatalf("Groups[%d] = %d, want %d", i, s.Groups[i], g)
-		}
-	}
-	// Duplicate inserts covered, not replaced.
-	if iv, _ := s.Get(3); iv != (Interval{Lo: 3, Hi: 4}) {
-		t.Fatalf("Get(3) = %v", iv)
 	}
 }
 
@@ -145,31 +121,6 @@ func TestMergeDelaysMatchesMapMerge(t *testing.T) {
 			prev = g
 			if w, ok := want[g]; !ok || w != iv {
 				t.Fatalf("trial %d group %d: %v, want %v", trial, g, iv, want[g])
-			}
-		}
-	}
-}
-
-// TestForEachSharedMatchesMapIntersection pins the shared-group walk to the
-// map intersection.
-func TestForEachSharedMatchesMapIntersection(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 500; trial++ {
-		ma := randomDelayMap(r, 6)
-		mb := randomDelayMap(r, 6)
-		seen := make(map[int]bool)
-		ForEachShared(toDelaySet(ma), toDelaySet(mb), func(g int32, ia, ib Interval) {
-			if seen[int(g)] {
-				t.Fatalf("trial %d: group %d visited twice", trial, g)
-			}
-			seen[int(g)] = true
-			if ia != ma[int(g)] || ib != mb[int(g)] {
-				t.Fatalf("trial %d group %d: wrong intervals", trial, g)
-			}
-		})
-		for g := range ma {
-			if _, ok := mb[g]; ok != seen[g] {
-				t.Fatalf("trial %d: group %d shared=%v seen=%v", trial, g, ok, seen[g])
 			}
 		}
 	}

@@ -4,9 +4,10 @@
 // concurrently with the core merge engine, then stitch the shard roots with
 // the same constraint machinery the intra-shard merges use. It is the
 // structural scaling step beyond sub-quadratic pairing and the parallel
-// merge wave — the shape that lets one route fan out across cores today and
-// across machines later (each shard build is self-contained: a sink subset
-// plus a frozen registry snapshot in, a subtree out).
+// merge wave — the shape that lets one route fan out across cores and
+// across machines. Each sub-build, pilot patch or shard, is a self-contained
+// wire.WorkUnit (a sink subset, options and a frozen registry snapshot in, a
+// subtree out) that wire.Execute runs in process or on a routeworker alike.
 //
 // # Partition
 //
@@ -28,7 +29,8 @@
 // Sink groups are instance-global and may span shards. Each shard build
 // enforces the intra-group bound over its own sinks; the relative offsets a
 // shard commits between groups are recorded in a private core.Registry
-// cloned from one frozen base (prescribed Options.GroupOffsets included).
+// reconstructed from a snapshot of one frozen base (prescribed
+// Options.GroupOffsets included).
 // Sharing by frozen snapshot rather than by lock keeps the concurrent phase
 // mutex-free and the result independent of goroutine scheduling. Offsets
 // committed inside different shards may disagree; reconciliation is the
@@ -77,6 +79,16 @@
 // below the top level, and seams between shards sharing groups may need
 // balancing or snaking wire. The differential tests in this package pin the
 // envelope.
+//
+// # One pipeline for builds and rebuilds
+//
+// A build and an incremental rebuild (EcoCache.Rebuild, eco.go) differ only
+// in their front halves: a build partitions the instance and runs the
+// pilot; a rebuild applies an edit script and derives the dirty shards from
+// its cache. Both then run one back half: the listed shards route through
+// the dispatch coordinator, every other shard is thawed from the cache, the
+// routed ones are frozen when the result retains a cache, and all roots are
+// stitched and the result finalized.
 //
 // # Determinism
 //

@@ -8,9 +8,10 @@ package shard
 // shard set from the cached partition — an edited sink dirties the shard
 // that owns it; an added sink dirties the shard of its nearest surviving
 // neighbor, found through an incrementally patched spatial index over the
-// sink placements — and re-routes ONLY the dirty shards through the same
-// dispatch.Run path the from-scratch pipeline uses (retry, hedging, panic
-// containment and remote workers apply unchanged). Clean shards are adopted
+// sink placements — and hands ONLY the dirty shards to the from-scratch
+// pipeline's own back half (routeShards, shard.go), whose dispatch.Run
+// fan-out applies retry, hedging, panic containment and remote workers
+// unchanged. Clean shards are adopted
 // from the cache by thawing a fresh copy of their frozen subtrees, one slab
 // copy each, with leaf identity remapped onto the edited instance; no hop
 // touches the wire codec. All roots are then re-stitched with MergeRoots
@@ -34,9 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/pprof"
 	"sort"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/ctree"
@@ -107,12 +106,6 @@ type ecoShard struct {
 	sealed []byte
 }
 
-// retainShard freezes a freshly built shard for the chained cache. It must
-// run before the stitch mutates the subtree.
-func retainShard(sub *core.Subtree, reg *core.Registry) ecoShard {
-	return ecoShard{frozen: ctree.Freeze(sub.Root), reg: reg.Snapshot(), stats: sub.Stats}
-}
-
 // unseal decodes and freezes shard i's sealed blob on first use. The blob
 // crossed a process boundary, so beyond the codec's own validation its
 // leaves must be exactly the cached partition's shard i, each sink once:
@@ -173,6 +166,11 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 	if k == 0 || len(c.shards) != k || c.Instance == nil {
 		return nil, fmt.Errorf("shard: malformed eco cache (%d parts, %d shards)", k, len(c.shards))
 	}
+	// dirtySet patches c.idx in place, so past this point the index no longer
+	// describes c.Instance whatever the outcome: drop it on every exit (the
+	// next use re-derives a nil index lazily). A successful rebuild hands it
+	// to the chained cache first when sink identity survived.
+	defer func() { c.idx = nil }()
 	tr := ropt.Trace
 
 	// ---- dirty: apply the edits, derive the dirty shard set ----
@@ -198,8 +196,8 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 	tr.Metric("eco_dirty_shards", float64(len(dirtyIdx)))
 	tr.Metric("eco_reused_shards", float64(k-len(dirtyIdx)))
 
-	// Re-derive the sub-build and per-shard options exactly as the
-	// from-scratch pipeline would for the edited instance.
+	// Re-derive the sub-build options exactly as the from-scratch pipeline
+	// does for the edited instance, under the cached pilot contract.
 	subOpt := c.Opt
 	subOpt.Shards = 0
 	subOpt.Pilot = false
@@ -212,177 +210,25 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 	if err != nil {
 		return nil, err
 	}
-	shardOpt := deriveShardOpt(subOpt, k)
-
-	// ---- rebuild: dirty shards only, through the dispatch coordinator ----
-	m := len(dirtyIdx)
-	rebuildRgn := tr.Begin("rebuild").Attr("shards", float64(m))
-	dirtyParts := make([][]int, m)
-	for j, i := range dirtyIdx {
-		dirtyParts[j] = newParts[i]
-	}
-	shardTraces := make([]*obs.Trace, m)
-	if tr != nil {
-		for j, i := range dirtyIdx {
-			shardTraces[j] = tr.Child("shard" + strconv.Itoa(i))
-		}
-	}
-	local := dispatch.RunnerFunc(func(ctx context.Context, t dispatch.Task) (any, error) {
-		so := shardOpt
-		so.Ctx = ctx
-		if t.Attempt == 0 {
-			so.Trace = shardTraces[t.Index]
-		}
-		reg := base.Clone() // private view of the frozen base
-		var sub *core.Subtree
-		var err error
-		pprof.Do(ctx, pprof.Labels("shard", strconv.Itoa(dirtyIdx[t.Index])), func(context.Context) {
-			sub, err = core.BuildSubtree(edited, dirtyParts[t.Index], so, reg)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return shardOut{sub: sub, reg: reg}, nil
-	})
-	var runner dispatch.Runner = local
-	if dopt.Remote != nil {
-		rr, err := newRemoteShardRunner(dopt.Remote, edited, shardOpt, base, dirtyParts, local, dopt.Faults)
-		if err != nil {
-			return nil, err
-		}
-		runner = rr
-	}
-	shardDopt := dopt
-	shardDopt.Phase = "shard"
-	shardDopt.Trace = tr
-	outs, disp, err := dispatch.Run(ropt.Ctx, m, runner, shardDopt)
-	for _, st := range shardTraces {
-		st.Close()
-	}
-	rebuildRgn.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// ---- adopt: thaw the clean shards from the cache ----
-	// Each clean shard thaws a fresh copy of its frozen subtree, with leaf
-	// identity carried onto the edited instance by its pending renumbering
-	// composed with this script's. The snapshot itself is never touched, so
-	// the cache stays reusable, and the chained cache shares it.
-	subs := make([]*core.Subtree, k)
-	regs := make([]*core.Registry, k)
-	for j, i := range dirtyIdx {
-		so := outs[j].(shardOut)
-		subs[i], regs[i] = so.sub, so.reg
-	}
-	chain := make([]ecoShard, k)
-	adoptRgn := tr.Begin("adopt").Attr("shards", float64(k-m))
-	if err := dispatch.Protect("adopt", func() error {
-		for i := 0; i < k; i++ {
-			if subs[i] != nil {
-				continue // dirty, freshly built
-			}
-			sh, err := c.unseal(i)
-			if err != nil {
-				return err
-			}
-			reg, err := core.NewRegistryFromSnapshot(sh.reg)
-			if err != nil {
-				return fmt.Errorf("shard: cached shard %d: %w", i, err)
-			}
-			chain[i] = *sh
-			chain[i].remap = composeRemap(sh.remap, rm.OldToNew)
-			subs[i] = &core.Subtree{Root: sh.frozen.Thaw(edited, chain[i].remap), Stats: sh.stats}
-			regs[i] = reg
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	adoptRgn.End()
-	roots := make([]*ctree.Node, k)
-	for i, s := range subs {
-		roots[i] = s.Root
-	}
-
-	// Chain the contract BEFORE the stitch mutates the roots, exactly like
-	// the retaining build: only the dirty shards are frozen anew.
-	retainRgn := tr.Begin("retain")
-	if err := dispatch.Protect("retain", func() error {
-		for _, i := range dirtyIdx {
-			chain[i] = retainShard(subs[i], regs[i])
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	retainRgn.End()
-
-	// ---- restitch: all roots under the cached pilot contract ----
-	topReg := base
-	if k == 1 {
-		topReg = regs[0]
-	}
-	stitchRgn := tr.Begin("restitch")
-	stitchOpt := subOpt
-	if tr != nil {
-		stitchOpt.Trace = tr.Child("stitch")
-	}
-	var top *core.Subtree
-	err = dispatch.Protect("stitch", func() error {
-		var err error
-		top, err = core.MergeRoots(edited, roots, stitchOpt, topReg)
-		return err
-	})
-	stitchOpt.Trace.Close()
-	stitchRgn.End()
-	if err != nil {
-		return nil, err
-	}
-
-	finRgn := tr.Begin("finalize")
 	res := &Result{
-		Result: core.Result{
-			Instance: edited,
-			Root:     top.Root,
-			Options:  c.Opt,
-		},
-		Shards:       make([]ShardInfo, k),
-		StitchStats:  top.Stats,
+		Result:       core.Result{Instance: edited, Options: c.Opt},
 		Parts:        newParts,
 		PilotOffsets: c.PilotOffsets,
 		PilotSinks:   c.PilotSinks,
 		Trace:        tr,
-		Dispatch:     disp,
 		EcoRebuilt:   dirtyIdx,
-		EcoReused:    k - m,
+		EcoReused:    k - len(dirtyIdx),
 	}
-	if err := dispatch.Protect("finalize", func() error {
-		return finalizeResult(res, edited, subs, roots, newParts, top, base, core.Stats{})
-	}); err != nil {
+	if err := routeShards(res, subOpt, base, dirtyIdx, c, rm.OldToNew, true, dopt); err != nil {
 		return nil, err
-	}
-	finRgn.End()
-
-	res.Eco = &EcoCache{
-		Instance:     edited,
-		Opt:          c.Opt,
-		Parts:        newParts,
-		Base:         c.Base,
-		PilotOffsets: c.PilotOffsets,
-		PilotSinks:   c.PilotSinks,
-		shards:       chain,
 	}
 	if !removals {
 		// Sink identity survived the edits (adds extended it densely), so
 		// the patched index is exactly the edited instance's — hand it to
 		// the chained cache instead of rebuilding it there. After removals
-		// ids shifted and the index is wrong for either cache; drop it.
+		// ids shifted and the index is wrong for either cache.
 		res.Eco.idx = c.idx
 	}
-	// The walked index was mutated by this rebuild; the next use of THIS
-	// cache must re-derive it (dirtySet rebuilds a nil index lazily).
-	c.idx = nil
 	return res, nil
 }
 
@@ -496,6 +342,15 @@ func composeRemap(pending, oldToNew []int) []int {
 		}
 	}
 	return out
+}
+
+// stripLocalOnly clears the option fields a cache must not carry:
+// observation and cancellation stay with the caller.
+func stripLocalOnly(opt core.Options) core.Options {
+	opt.Trace = nil
+	opt.Ctx = nil
+	opt.SneakProbe = nil
+	return opt
 }
 
 // Marshal serializes the cache for a later process (astdme -cache / -eco).

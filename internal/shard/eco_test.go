@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -464,6 +465,50 @@ func TestEcoInvalidation(t *testing.T) {
 
 	if _, err := BuildEco(in, core.Options{}, dispatch.Options{}); err == nil {
 		t.Error("BuildEco without Shards accepted (nothing to retain against)")
+	}
+}
+
+// TestEcoFailedRebuildKeepsCacheUsable pins that a failed rebuild leaves
+// its cache as it found it. The edit walk patches the cache's spatial index
+// in place, so a rebuild that fails after it (here: cancelled before the
+// fan-out) must not leave that index behind: a retry of the same script on
+// the same cache must be bitwise the rebuild of an identical, untouched
+// cache. The script adds a second sink next to the first addition, whose
+// nearest live sink is therefore an added one.
+func TestEcoFailedRebuildKeepsCacheUsable(t *testing.T) {
+	in := ecoInstance(2000, 3)
+	opt := core.Options{Shards: 4, Pilot: true}
+	full, err := BuildEco(in, opt, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	script := ecoScript(in, full.Parts)
+	add := script.Edits[len(script.Edits)-1]
+	add.Loc.X += 2
+	script.Edits = append(script.Edits, add)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := full.Eco.RebuildDispatch(script, RebuildOptions{Ctx: ctx}, dispatch.Options{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("rebuild under a cancelled context: %v, want context.Canceled", err)
+	}
+	got, err := full.Eco.Rebuild(script)
+	if err != nil {
+		t.Fatalf("retry after a cancelled rebuild: %v", err)
+	}
+	twin, err := BuildEco(in, opt, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twin.Eco.Rebuild(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gb, wb := math.Float64bits(got.Wirelength), math.Float64bits(want.Wirelength); gb != wb {
+		t.Errorf("retried rebuild wirelength bits 0x%016x, want 0x%016x", gb, wb)
+	}
+	if gh, wh := delayDigest(t, got.Root, got.Instance), delayDigest(t, want.Root, want.Instance); gh != wh {
+		t.Errorf("retried rebuild delay digest 0x%016x, want 0x%016x", gh, wh)
 	}
 }
 

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Pilot sample geometry. The estimator is a median over pilotPatches
@@ -142,19 +142,10 @@ func nearestPatch(in *ctree.Instance, candidates []int, anchor geom.UV, q int) [
 	return ids
 }
 
-// pilotOut is one patch route's product: the route's cost and the offset
-// contract its registry committed (offsErr when it left a group unrelated —
-// a valid outcome, not an execution failure: the pass votes without it or
-// escalates the patch size).
-type pilotOut struct {
-	stats   core.Stats
-	est     []float64
-	offsErr error
-}
-
 // runPilot is the pilot offset pass: route pilotPatches deterministic patch
-// samples with the unsharded engine (BuildSubtree + MergeRoots on a fresh
-// registry each — the exact decomposition of core.Build), read each route's
+// samples with the unsharded engine (wire.KindPatch units: a sample build
+// and the single-root stitch that commits its root, on a fresh registry
+// each — the exact decomposition of core.Build), read each route's
 // committed inter-group offsets back out of its registry, and return the
 // per-group median across the estimates in the Options.GroupOffsets form
 // for the shard builds and the stitch to enforce. The routed pilot trees
@@ -178,8 +169,11 @@ func runPilot(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (offs
 		p = len(in.Sinks)
 	}
 	parts := Partition(in, p)
-	dopt.Phase = "pilot"
-	dopt.Trace = opt.Trace
+	fresh, err := core.NewRegistry(in, opt)
+	if err != nil {
+		return nil, stats, sinks, rep, err
+	}
+	unit := wire.WorkUnit{Kind: wire.KindPatch, Instance: in, Opt: opt, Registry: fresh.Snapshot()}
 	for q := pilotPatchSinks; ; q *= 4 {
 		// Samples are computed serially up front: they are cheap relative to
 		// their routes, and the first sample that degenerates to the full
@@ -196,73 +190,35 @@ func runPilot(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (offs
 
 		// One child trace per patch route (spans and metrics of the patch's
 		// own build nest under it; the pilot trace aggregates over children
-		// via MetricValue). Only a patch's first attempt records — the trace
-		// contract is single-goroutine per node, and retries/hedges may race
-		// the attempt they replace.
-		patchTraces := make([]*obs.Trace, len(samples))
+		// via MetricValue).
+		sb := &subBuilds{phase: "pilot", unit: unit, sinks: samples, traces: make([]*obs.Trace, len(samples))}
 		if opt.Trace != nil {
-			for pi := range patchTraces {
-				patchTraces[pi] = opt.Trace.Child("patch" + strconv.Itoa(pi))
+			for pi := range sb.traces {
+				sb.traces[pi] = opt.Trace.Child("patch" + strconv.Itoa(pi))
 			}
 		}
-		local := dispatch.RunnerFunc(func(ctx context.Context, t dispatch.Task) (any, error) {
-			po := opt
-			po.Ctx = ctx
-			po.Trace = nil
-			if t.Attempt == 0 {
-				po.Trace = patchTraces[t.Index]
-			}
-			reg, err := core.NewRegistry(in, po)
-			if err != nil {
-				return nil, err
-			}
-			var out pilotOut
-			sub, err := core.BuildSubtree(in, samples[t.Index], po, reg)
-			if err != nil {
-				return nil, err
-			}
-			out.stats.AddRun(sub.Stats)
-			// Commit the patch root (BuildSubtree leaves it deferred):
-			// resolving it registers the offsets of every group pair the
-			// patch relates, exactly as core.Build's final step would.
-			top, err := core.MergeRoots(in, []*ctree.Node{sub.Root}, po, reg)
-			if err != nil {
-				return nil, err
-			}
-			out.stats.AddRun(top.Stats)
-			out.est, out.offsErr = reg.Offsets()
-			return out, nil
-		})
-		// With a worker pool attached, patch routes ship to routeworkers
-		// (KindPatch work units over a fresh-registry snapshot) and degrade
-		// back to the local runner when the fleet cannot take them.
-		var runner dispatch.Runner = local
-		if dopt.Remote != nil {
-			rr, rerr := newRemotePilotRunner(dopt.Remote, in, opt, samples, local, dopt.Faults)
-			if rerr != nil {
-				return nil, stats, sinks, rep, rerr
-			}
-			runner = rr
-		}
-		outs, prep, err := dispatch.Run(opt.Ctx, len(samples), runner, dopt)
+		outs, prep, err := sb.run(opt.Ctx, dopt, opt.Trace)
 		rep.Add(prep)
-		for _, pt := range patchTraces {
-			pt.Close()
-		}
 		if err != nil {
 			return nil, stats, sinks, rep, err
 		}
 
 		var ests [][]float64
-		for pi, o := range outs {
-			out := o.(pilotOut)
+		for pi, br := range outs {
 			sinks += len(samples[pi])
-			stats.AddRun(out.stats)
-			if out.offsErr != nil {
+			stats.AddRun(br.Stats)
+			reg, err := core.NewRegistryFromSnapshot(br.Registry)
+			if err != nil {
+				return nil, stats, sinks, rep, err
+			}
+			// A patch that left a group unrelated is a valid outcome, not an
+			// execution failure: the pass votes without it or escalates.
+			est, offsErr := reg.Offsets()
+			if offsErr != nil {
 				if len(samples[pi]) == len(in.Sinks) {
 					// The full instance could not relate every group; no
 					// larger sample exists, so no contract can be committed.
-					return nil, stats, sinks, rep, fmt.Errorf("shard: pilot could not commit a complete offset contract: %w", out.offsErr)
+					return nil, stats, sinks, rep, fmt.Errorf("shard: pilot could not commit a complete offset contract: %w", offsErr)
 				}
 				continue
 			}
@@ -270,10 +226,10 @@ func runPilot(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (offs
 				// A sample that degenerated to the full sink set routed the
 				// exact contract — it outvotes every patch estimate (and the
 				// remaining parts were never dispatched).
-				ests = [][]float64{out.est}
+				ests = [][]float64{est}
 				break
 			}
-			ests = append(ests, out.est)
+			ests = append(ests, est)
 		}
 		if len(ests) > 0 {
 			offs = make([]float64, in.NumGroups)

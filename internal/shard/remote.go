@@ -1,112 +1,105 @@
 package shard
 
 import (
-	"repro/internal/core"
-	"repro/internal/ctree"
+	"context"
+	"runtime/pprof"
+	"strconv"
+
 	"repro/internal/dispatch"
+	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
-// Remote shard dispatch. When dispatch.Options.Remote carries a worker
-// pool, BuildDispatch and runPilot wrap their in-process runners in a
-// dispatch.RemoteRunner: each task is encoded as an internal/wire work unit
-// (sink subset + frozen registry snapshot + the remote-relevant option
-// subset), shipped to a routeworker over HTTP, and its result decoded back
-// into exactly the value the local runner would have produced. Determinism
-// makes the transport invisible — a sub-build is a pure function of its
-// inputs, so a remote result is bitwise the local one — and the in-process
-// runner stays attached as the degradation path: with no healthy worker the
-// build completes locally and Result.Dispatch reports the fallbacks.
+// Sub-build dispatch. Every sub-build of the pipeline — a pilot patch route
+// or a shard build — is an internal/wire work unit (sink subset + frozen
+// registry snapshot + options), and wire.Execute is its one definition. In
+// process, a phase's runner executes the unit directly. When
+// dispatch.Options.Remote carries a worker pool, the runner is a
+// dispatch.RemoteRunner instead: the same unit is encoded, shipped to a
+// routeworker over HTTP, and its wire.BuildResult decoded back, with the
+// in-process runner attached as the degradation path — with no healthy
+// worker the build completes locally and Result.Dispatch reports the
+// fallbacks. Determinism makes the transport invisible: a sub-build is a
+// pure function of its unit, so a remote result is bitwise the local one.
 //
-// Observation never travels: work units are encoded with Trace, Ctx and
-// SneakProbe stripped, so worker builds run untraced and the per-shard child
-// traces record only locally executed (fallback) attempts.
+// Observation never travels: the codec skips Trace, Ctx and SneakProbe, so
+// worker builds run untraced and the per-task child traces record only
+// locally executed (fallback) attempts.
 
-// newRemoteShardRunner builds the "shard" phase transport: KindBuild work
-// units over the frozen base registry, decoded into the same shardOut the
-// local runner returns.
-func newRemoteShardRunner(pool *dispatch.WorkerPool, in *ctree.Instance, shardOpt core.Options,
-	base *core.Registry, parts [][]int, local dispatch.Runner, faults *dispatch.FaultPlan) (*dispatch.RemoteRunner, error) {
-	encOpt := stripLocalOnly(shardOpt)
-	snap := base.Snapshot()
-	return pool.Runner(dispatch.RemoteConfig{
-		Phase: "shard",
-		Encode: func(t dispatch.Task) ([]byte, error) {
-			u := &wire.WorkUnit{
-				Kind:     wire.KindBuild,
-				Instance: in,
-				SinkIDs:  parts[t.Index],
-				Opt:      encOpt,
-				Registry: snap,
-			}
-			return u.Encode()
-		},
-		Decode: func(data []byte) (any, error) {
-			br, err := wire.DecodeResult(data, in)
-			if err != nil {
-				return nil, err
-			}
-			reg, err := core.NewRegistryFromSnapshot(br.Registry)
-			if err != nil {
-				return nil, err
-			}
-			return shardOut{sub: &core.Subtree{Root: br.Root, Stats: br.Stats}, reg: reg}, nil
-		},
-		Local:  local,
-		Faults: faults,
-	})
+// subBuilds is one dispatched phase: task t executes unit over sinks[t].
+type subBuilds struct {
+	phase string        // the dispatch phase, "pilot" or "shard"
+	unit  wire.WorkUnit // every task's unit but its SinkIDs
+	sinks [][]int
+	// traces[t] is task t's child trace (nil when untraced). Only the first
+	// attempt records into it: a trace node is single-goroutine and a retry
+	// or hedge may race the attempt it replaces, so under faults a child
+	// trace shows the failed attempt while the result comes from the winner.
+	traces []*obs.Trace
+	// shards[t] is task t's shard index, the pprof label its in-process
+	// execution runs under so -cpuprofile samples attribute to shards; nil
+	// in the pilot.
+	shards []int
 }
 
-// newRemotePilotRunner builds the "pilot" phase transport for one
-// escalation round: KindPatch work units over a fresh registry snapshot
-// (the pilot's contract — every patch route commits offsets from scratch),
-// decoded into the same pilotOut the local runner returns, with the offset
-// contract read out of the returned registry state exactly as the local
-// path reads its own.
-func newRemotePilotRunner(pool *dispatch.WorkerPool, in *ctree.Instance, opt core.Options,
-	samples [][]int, local dispatch.Runner, faults *dispatch.FaultPlan) (*dispatch.RemoteRunner, error) {
-	encOpt := stripLocalOnly(opt)
-	fresh, err := core.NewRegistry(in, encOpt)
+// run executes every task through the dispatch coordinator (tr records its
+// events) and returns the results in task order.
+func (s *subBuilds) run(ctx context.Context, dopt dispatch.Options, tr *obs.Trace) ([]*wire.BuildResult, dispatch.Report, error) {
+	var runner dispatch.Runner = dispatch.RunnerFunc(s.execute)
+	if dopt.Remote != nil {
+		rr, err := dopt.Remote.Runner(dispatch.RemoteConfig{
+			Phase: s.phase,
+			Encode: func(t dispatch.Task) ([]byte, error) {
+				u := s.unit
+				u.SinkIDs = s.sinks[t.Index]
+				return u.Encode()
+			},
+			Decode: func(data []byte) (any, error) { return wire.DecodeResult(data, s.unit.Instance) },
+			Local:  runner,
+			Faults: dopt.Faults,
+		})
+		if err != nil {
+			return nil, dispatch.Report{}, err
+		}
+		runner = rr
+	}
+	dopt.Phase = s.phase
+	dopt.Trace = tr
+	outs, rep, err := dispatch.Run(ctx, len(s.sinks), runner, dopt)
+	for _, t := range s.traces {
+		t.Close()
+	}
+	if err != nil {
+		return nil, rep, err
+	}
+	brs := make([]*wire.BuildResult, len(outs))
+	for i, o := range outs {
+		brs[i] = o.(*wire.BuildResult)
+	}
+	return brs, rep, nil
+}
+
+// execute is the in-process runner: wire.Execute on the task's unit under
+// the attempt's context.
+func (s *subBuilds) execute(ctx context.Context, t dispatch.Task) (any, error) {
+	u := s.unit
+	u.SinkIDs = s.sinks[t.Index]
+	u.Opt.Ctx = ctx
+	u.Opt.Trace = nil
+	if t.Attempt == 0 {
+		u.Opt.Trace = s.traces[t.Index]
+	}
+	var br *wire.BuildResult
+	var err error
+	if s.shards == nil {
+		br, err = wire.Execute(&u)
+	} else {
+		pprof.Do(ctx, pprof.Labels("shard", strconv.Itoa(s.shards[t.Index])), func(context.Context) {
+			br, err = wire.Execute(&u)
+		})
+	}
 	if err != nil {
 		return nil, err
 	}
-	snap := fresh.Snapshot()
-	return pool.Runner(dispatch.RemoteConfig{
-		Phase: "pilot",
-		Encode: func(t dispatch.Task) ([]byte, error) {
-			u := &wire.WorkUnit{
-				Kind:     wire.KindPatch,
-				Instance: in,
-				SinkIDs:  samples[t.Index],
-				Opt:      encOpt,
-				Registry: snap,
-			}
-			return u.Encode()
-		},
-		Decode: func(data []byte) (any, error) {
-			br, err := wire.DecodeResult(data, in)
-			if err != nil {
-				return nil, err
-			}
-			reg, err := core.NewRegistryFromSnapshot(br.Registry)
-			if err != nil {
-				return nil, err
-			}
-			var out pilotOut
-			out.stats = br.Stats
-			out.est, out.offsErr = reg.Offsets()
-			return out, nil
-		},
-		Local:  local,
-		Faults: faults,
-	})
-}
-
-// stripLocalOnly clears the option fields that must not travel in a work
-// unit: observation and cancellation stay with the coordinator.
-func stripLocalOnly(opt core.Options) core.Options {
-	opt.Trace = nil
-	opt.Ctx = nil
-	opt.SneakProbe = nil
-	return opt
+	return br, nil
 }

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"context"
 	"fmt"
-	"runtime/pprof"
 	"strconv"
 
 	"repro/internal/core"
@@ -11,6 +9,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // ShardInfo describes one routed shard of a sharded run.
@@ -18,8 +17,8 @@ type ShardInfo struct {
 	// Sinks is the shard's sink count.
 	Sinks int
 	// Wirelength is the committed wire of the shard's subtree, measured
-	// after the stitch: a shard root the stitch resolved jointly (a
-	// BuildSubtree root is left deferred for exactly that) commits its edges
+	// after the stitch: a shard root the stitch resolved jointly (a shard
+	// build leaves its root deferred for exactly that) commits its edges
 	// during the stitch but they are the shard's wire, and sneak elongations
 	// the stitch applies to edges inside the shard's subtree are included
 	// too. Result.StitchWire is then the wire of the stitch-created nodes
@@ -89,15 +88,6 @@ type Result struct {
 	// shards were rebuilt" on these.
 	EcoRebuilt []int
 	EcoReused  int
-}
-
-// shardOut is one shard execution's product: the built subtree and the
-// private registry whose offsets it committed. Both the local runner and
-// the remote transport's decoder (remote.go) produce it, so the stitch
-// never knows where a shard was routed.
-type shardOut struct {
-	sub *core.Subtree
-	reg *core.Registry
 }
 
 // Build routes the instance according to opt.Shards: 0 delegates to the
@@ -186,20 +176,16 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 		return nil, err // surface Pilot/GroupOffsets/… option conflicts early
 	}
 
+	res := &Result{Result: core.Result{Instance: in, Options: opt}, Trace: tr}
 	partRgn := tr.Begin("partition")
-	var parts [][]int
 	if err := dispatch.Protect("partition", func() error {
-		parts = Partition(in, k)
+		res.Parts = Partition(in, k)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 	partRgn.End()
 
-	var disp dispatch.Report
-	var pilotOffs []float64
-	var pilotStats core.Stats
-	pilotSinks := 0
 	if opt.Pilot && in.NumGroups > 1 {
 		pilotRgn := tr.Begin("pilot")
 		pilotOpt := subOpt
@@ -210,116 +196,142 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 		// too: the dispatcher only contains panics inside patch executions.
 		err := dispatch.Protect("pilot", func() error {
 			var err error
-			var rep dispatch.Report
-			pilotOffs, pilotStats, pilotSinks, rep, err = runPilot(in, pilotOpt, dopt)
-			disp.Add(rep)
+			res.PilotOffsets, res.PilotStats, res.PilotSinks, res.Dispatch, err = runPilot(in, pilotOpt, dopt)
 			return err
 		})
 		pilotOpt.Trace.Close()
 		if err != nil {
 			return nil, err
 		}
-		pilotRgn.Attr("sinks", float64(pilotSinks)).End()
+		pilotRgn.Attr("sinks", float64(res.PilotSinks)).End()
 		// From here on the offsets are a prescribed contract: the base
 		// registry pre-registers them, so every shard's leash and the
 		// stitch's enforce the same inter-group alignment.
-		subOpt.GroupOffsets = pilotOffs
+		subOpt.GroupOffsets = res.PilotOffsets
 	}
 
 	base, err := core.NewRegistry(in, subOpt)
 	if err != nil {
 		return nil, err
 	}
-
-	shardOpt := deriveShardOpt(subOpt, k)
-
-	// The shard builds go through the dispatch coordinator: each execution
-	// (first attempt, retry or hedge alike) clones the frozen base registry
-	// privately and routes its shard from scratch — a pure function of
-	// (instance, part, options, base), so whichever execution wins, the
-	// adopted subtree is bitwise the one the undisturbed build produces.
-	// Only the first attempt records into the per-shard child trace (the
-	// trace contract is single-goroutine per node; a retry racing a traced
-	// hedge would otherwise interleave writes), so under faults a shard's
-	// child trace shows the failed attempt while the metrics-bearing result
-	// comes from the winner.
-	shardsRgn := tr.Begin("shards").Attr("count", float64(k))
-	shardTraces := make([]*obs.Trace, k)
-	if tr != nil {
-		for i := range shardTraces {
-			shardTraces[i] = tr.Child("shard" + strconv.Itoa(i))
-		}
+	all := make([]int, k)
+	for i := range all {
+		all[i] = i
 	}
-	local := dispatch.RunnerFunc(func(ctx context.Context, t dispatch.Task) (any, error) {
-		so := shardOpt
-		so.Ctx = ctx
-		if t.Attempt == 0 {
-			so.Trace = shardTraces[t.Index]
-		}
-		reg := base.Clone() // private view of the frozen base
-		var sub *core.Subtree
-		var err error
-		// Label the goroutine so -cpuprofile samples attribute to shards.
-		pprof.Do(ctx, pprof.Labels("shard", strconv.Itoa(t.Index)), func(context.Context) {
-			sub, err = core.BuildSubtree(in, parts[t.Index], so, reg)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return shardOut{sub: sub, reg: reg}, nil
-	})
-	// With a worker pool attached, shard builds ship to routeworkers and
-	// degrade back to the local runner when the fleet cannot take them (see
-	// remote.go); the dispatch report picks up the degradation counters
-	// after the run drains.
-	var runner dispatch.Runner = local
-	if dopt.Remote != nil {
-		rr, err := newRemoteShardRunner(dopt.Remote, in, shardOpt, base, parts, local, dopt.Faults)
-		if err != nil {
-			return nil, err
-		}
-		runner = rr
-	}
-	shardDopt := dopt
-	shardDopt.Phase = "shard"
-	shardDopt.Trace = tr
-	outs, rep, err := dispatch.Run(opt.Ctx, k, runner, shardDopt)
-	disp.Add(rep)
-	for _, st := range shardTraces {
-		st.Close()
-	}
-	shardsRgn.End()
-	if err != nil {
+	if err := routeShards(res, subOpt, base, all, nil, nil, retain, dopt); err != nil {
 		return nil, err
 	}
-	subs := make([]*core.Subtree, k)
-	regs := make([]*core.Registry, k)
-	for i, out := range outs {
-		so := out.(shardOut)
-		subs[i], regs[i] = so.sub, so.reg
+	return res, nil
+}
+
+// routeShards is the back half of the pipeline, shared by a build and an
+// incremental rebuild once their front half has fixed the partition
+// (res.Parts), the sub-build options and the frozen base registry. It routes
+// the shards listed in todo through the dispatch coordinator, adopts every
+// other shard from the cache being rebuilt (from, whose leaves the edit
+// script renumbers by oldToNew; nil on a build, which routes every shard),
+// freezes the routed shards for the chained cache when it retains, then
+// stitches all roots and finalizes res. res arrives carrying the front
+// half's fields: instance, options, partition, pilot record and dispatch
+// report.
+//
+// Each shard execution (first attempt, retry or hedge alike) reconstructs a
+// private registry from the frozen base and routes its shard from scratch —
+// a pure function of (instance, part, options, base), so whichever execution
+// wins, the adopted subtree is bitwise the one the undisturbed build
+// produces.
+func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []int,
+	from *EcoCache, oldToNew []int, retain bool, dopt dispatch.Options) error {
+	in, parts, tr := res.Instance, res.Parts, res.Trace
+	k := len(parts)
+	// A rebuild names its fan-out and stitch spans apart from a build's.
+	fanout, count, stitch := "shards", "count", "stitch"
+	if from != nil {
+		fanout, count, stitch = "rebuild", "shards", "restitch"
 	}
 
+	shardOpt := subOpt
+	if k > 1 {
+		// A Probe is single-goroutine and concurrent shard builds would race
+		// on it; the serial pilot and stitch still record, and runs wanting
+		// complete sneak capture use Shards ≤ 1. k = 1 leaves the options
+		// untouched, preserving bitwise identity with the unsharded build.
+		shardOpt.SneakProbe = nil
+	}
+	fanRgn := tr.Begin(fanout).Attr(count, float64(len(todo)))
+	sb := &subBuilds{
+		phase:  "shard",
+		unit:   wire.WorkUnit{Kind: wire.KindBuild, Instance: in, Opt: shardOpt, Registry: base.Snapshot()},
+		sinks:  make([][]int, len(todo)),
+		traces: make([]*obs.Trace, len(todo)),
+		shards: todo,
+	}
+	for j, i := range todo {
+		sb.sinks[j] = parts[i]
+		if tr != nil {
+			sb.traces[j] = tr.Child("shard" + strconv.Itoa(i))
+		}
+	}
+	outs, rep, err := sb.run(subOpt.Ctx, dopt, tr)
+	res.Dispatch.Add(rep)
+	fanRgn.End()
+	if err != nil {
+		return err
+	}
+	subs := make([]*wire.BuildResult, k)
+	for j, i := range todo {
+		subs[i] = outs[j]
+	}
+
+	var chain []ecoShard
+	if retain {
+		chain = make([]ecoShard, k)
+	}
+	if from != nil {
+		// Each clean shard thaws a fresh copy of its frozen subtree, with
+		// leaf identity carried onto the edited instance by its pending
+		// renumbering composed with this script's. The snapshot itself is
+		// never touched, so the cache stays reusable, and the chained cache
+		// shares it.
+		adoptRgn := tr.Begin("adopt").Attr("shards", float64(k-len(todo)))
+		if err := dispatch.Protect("adopt", func() error {
+			for i, s := range subs {
+				if s != nil {
+					continue // routed above
+				}
+				sh, err := from.unseal(i)
+				if err != nil {
+					return err
+				}
+				chain[i] = *sh
+				chain[i].remap = composeRemap(sh.remap, oldToNew)
+				subs[i] = &wire.BuildResult{Root: sh.frozen.Thaw(in, chain[i].remap), Stats: sh.stats, Registry: sh.reg}
+			}
+			return nil
+		}); err != nil {
+			return err
+		}
+		adoptRgn.End()
+	}
 	roots := make([]*ctree.Node, k)
 	for i, s := range subs {
 		roots[i] = s.Root
 	}
 
-	// Contract retention freezes every shard subtree BEFORE the stitch:
-	// MergeRoots adopts the roots and mutates them in place (deferred-root
-	// resolution, sneak elongation), so the reusable form only exists here.
-	// A thawed copy is bitwise the build that produced it, which is what lets
-	// a later rebuild adopt clean shards without re-routing them.
-	var ecoShards []ecoShard
+	// Retention freezes the routed shards BEFORE the stitch: MergeRoots
+	// adopts the roots and mutates them in place (deferred-root resolution,
+	// sneak elongation), so the reusable form only exists here. A thawed
+	// copy is bitwise the build that produced it, which is what lets a
+	// later rebuild adopt clean shards without re-routing them.
 	if retain {
 		retainRgn := tr.Begin("retain")
 		if err := dispatch.Protect("retain", func() error {
-			ecoShards = make([]ecoShard, k)
-			for i, s := range subs {
-				ecoShards[i] = retainShard(s, regs[i])
+			for _, i := range todo {
+				chain[i] = ecoShard{frozen: ctree.Freeze(subs[i].Root), reg: subs[i].Registry, stats: subs[i].Stats}
 			}
 			return nil
 		}); err != nil {
-			return nil, err
+			return err
 		}
 		retainRgn.End()
 	}
@@ -332,9 +344,11 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 	// (stats included) exactly the unsharded sequence.
 	topReg := base
 	if k == 1 {
-		topReg = regs[0]
+		if topReg, err = core.NewRegistryFromSnapshot(subs[0].Registry); err != nil {
+			return err
+		}
 	}
-	stitchRgn := tr.Begin("stitch")
+	stitchRgn := tr.Begin(stitch)
 	stitchOpt := subOpt
 	if tr != nil {
 		stitchOpt.Trace = tr.Child("stitch")
@@ -351,99 +365,72 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 	stitchOpt.Trace.Close()
 	stitchRgn.End()
 	if err != nil {
-		return nil, err
+		return err
 	}
 
+	// Finalize: per-shard wire attribution, stats aggregation, dense
+	// internal-ID renumbering and the source embedding.
 	finRgn := tr.Begin("finalize")
-	res := &Result{
-		Result: core.Result{
-			Instance: in,
-			Root:     top.Root,
-			Options:  opt,
-		},
-		Shards:       make([]ShardInfo, k),
-		StitchStats:  top.Stats,
-		Parts:        parts,
-		PilotOffsets: pilotOffs,
-		PilotSinks:   pilotSinks,
-		PilotStats:   pilotStats,
-		Trace:        tr,
-		Dispatch:     disp,
-	}
 	if err := dispatch.Protect("finalize", func() error {
-		return finalizeResult(res, in, subs, roots, parts, top, base, pilotStats)
+		res.Root = top.Root
+		res.StitchStats = top.Stats
+		res.Shards = make([]ShardInfo, k)
+		var agg core.Stats
+		agg.AddRun(res.PilotStats) // zero when the pilot was off
+		var shardWire float64
+		for i, s := range subs {
+			w := roots[i].Wirelength()
+			res.Shards[i] = ShardInfo{Sinks: len(parts[i]), Wirelength: w, Stats: s.Stats}
+			shardWire += w
+			agg.AddRun(s.Stats)
+		}
+		agg.AddRun(top.Stats)
+		agg.GroupUnions += base.PreUnions()
+		res.Stats = agg
+
+		if k > 1 {
+			// Internal node IDs were assigned per shard (and restart in the
+			// stitch); renumber them densely above the sink IDs so IDs are
+			// unique within the run, as core.Build guarantees. Shards = 1
+			// takes the unsharded numbering as-is, preserving bitwise
+			// identity.
+			next := len(in.Sinks)
+			top.Root.Visit(func(n *ctree.Node) {
+				if !n.IsLeaf() {
+					n.ID = next
+					next++
+				}
+			})
+		}
+
+		treeWire := top.Root.Wirelength()
+		res.SourceWire = geom.DistRP(top.Root.Region, geom.ToUV(in.Source))
+		res.Wirelength = treeWire + res.SourceWire
+		res.StitchWire = treeWire - shardWire
+		res.Root.Embed(geom.ToUV(in.Source))
+		return nil
 	}); err != nil {
-		return nil, err
+		return err
 	}
 	finRgn.End()
+
 	if retain {
 		res.Eco = &EcoCache{
 			Instance:     in,
-			Opt:          stripLocalOnly(opt),
+			Opt:          stripLocalOnly(res.Options),
 			Parts:        parts,
-			Base:         base.Snapshot(),
-			PilotOffsets: pilotOffs,
-			PilotSinks:   pilotSinks,
-			shards:       ecoShards,
+			PilotOffsets: res.PilotOffsets,
+			PilotSinks:   res.PilotSinks,
+			shards:       chain,
+		}
+		// A chained cache keeps its cache's base. A build's is snapshotted
+		// here, after the stitch; on an unpiloted build the stitch has
+		// committed offsets into base by now.
+		if from != nil {
+			res.Eco.Base = from.Base
+		} else {
+			res.Eco.Base = base.Snapshot()
 		}
 	}
-	return res, nil
-}
-
-// deriveShardOpt derives the per-shard build options from the sub-build
-// options: for k > 1 it drops the sneak probe, because a Probe is
-// single-goroutine and concurrent shard builds would race on it (the serial
-// components — pilot, stitch — still record; runs wanting complete sneak
-// capture use Shards ≤ 1). k = 1 leaves the options untouched, preserving
-// bitwise identity with the unsharded build. Shared by the from-scratch
-// pipeline and the incremental rebuild so the dirty shards of a rebuild see
-// exactly the options the original shards saw.
-func deriveShardOpt(subOpt core.Options, k int) core.Options {
-	shardOpt := subOpt
-	if k > 1 {
-		shardOpt.SneakProbe = nil
-	}
-	return shardOpt
-}
-
-// finalizeResult assembles the post-stitch bookkeeping shared by the
-// from-scratch pipeline and the incremental rebuild: per-shard wire
-// attribution, stats aggregation, dense internal-ID renumbering (k > 1) and
-// the source embedding. res must arrive with Shards pre-sized to len(subs).
-func finalizeResult(res *Result, in *ctree.Instance, subs []*core.Subtree, roots []*ctree.Node,
-	parts [][]int, top *core.Subtree, base *core.Registry, pilotStats core.Stats) error {
-	k := len(subs)
-	var agg core.Stats
-	agg.AddRun(pilotStats) // zero when the pilot was off
-	var shardWire float64
-	for i, s := range subs {
-		w := roots[i].Wirelength()
-		res.Shards[i] = ShardInfo{Sinks: len(parts[i]), Wirelength: w, Stats: s.Stats}
-		shardWire += w
-		agg.AddRun(s.Stats)
-	}
-	agg.AddRun(top.Stats)
-	agg.GroupUnions += base.PreUnions()
-	res.Stats = agg
-
-	if k > 1 {
-		// Internal node IDs were assigned per shard (and restart in the
-		// stitch); renumber them densely above the sink IDs so IDs are
-		// unique within the run, as core.Build guarantees. Shards = 1 takes
-		// the unsharded numbering as-is, preserving bitwise identity.
-		next := len(in.Sinks)
-		top.Root.Visit(func(n *ctree.Node) {
-			if !n.IsLeaf() {
-				n.ID = next
-				next++
-			}
-		})
-	}
-
-	treeWire := top.Root.Wirelength()
-	res.SourceWire = geom.DistRP(top.Root.Region, geom.ToUV(in.Source))
-	res.Wirelength = treeWire + res.SourceWire
-	res.StitchWire = treeWire - shardWire
-	res.Root.Embed(geom.ToUV(in.Source))
 	return nil
 }

@@ -203,9 +203,9 @@ func (sp itemSpan) cellCount() int {
 }
 
 // Index is the uniform bucket grid. Insert and Delete must be called from a
-// single goroutine; Nearest, NearestScored and KNearest are safe to call
-// concurrently with each other (but not with Insert/Delete), which the batch
-// pairing of GridPairer relies on.
+// single goroutine; Nearest and NearestScored are safe to call concurrently
+// with each other (but not with Insert/Delete), which the batch pairing of
+// GridPairer relies on.
 type Index struct {
 	cell float64
 	// Window: cells[cu + cv*w] holds the bucket of window-relative cell
@@ -258,7 +258,7 @@ type Index struct {
 	entrySlab []int32
 
 	scans       atomic.Int64
-	queries     atomic.Int64 // Nearest/NearestScored/KNearest calls (rate triggers)
+	queries     atomic.Int64 // Nearest/NearestScored calls (rate triggers)
 	cellsWalked atomic.Int64 // grid cells visited across all queries (cell-walk trigger)
 }
 
@@ -908,12 +908,12 @@ func (x *Index) NearestScored(self int, k Keyer) (best int, bestKey float64, ok 
 // interior) into strips, returning how many are non-empty. Ring 0 is the
 // whole query box. Each strip is {cu0, cu1, cv0, cv1}.
 //
-// The surrounding expanding-ring loop is deliberately written out in each
-// of NearestScored, Nearest and KNearest rather than abstracted behind a
-// per-candidate callback: the candidate visit is the hot instruction of
-// the whole router, and an escaping closure or interface dispatch here is
-// exactly the per-query allocation the Keyer path exists to avoid. The
-// three copies must stay in sync — in particular the strict ring bound
+// The surrounding expanding-ring loop is deliberately written out in both
+// NearestScored and Nearest rather than abstracted behind a per-candidate
+// callback: the candidate visit is the hot instruction of the whole
+// router, and an escaping closure or interface dispatch here is exactly the
+// per-query allocation the Keyer path exists to avoid. The two copies must
+// stay in sync — in particular the strict ring bound
 // ((r−1)·cell > best, which keeps smallest-id tie-breaking global) and the
 // whole-window coverage break.
 func (x *Index) ringStrips(strips *[4][4]int32, u0, u1, v0, v1, r int32) int {
@@ -1017,128 +1017,6 @@ func (x *Index) Nearest(q geom.Rect, skip func(int) bool, key func(id int) float
 		return -1, 0, false
 	}
 	return best, bestKey, true
-}
-
-// KNearest returns up to k live item ids ordered by ascending bounding-box
-// distance to q (exact ties by ascending id), excluding skipped ids. Unlike
-// Nearest it ranks by DistRR of the stored boxes directly, which is exact
-// for rectangle items (merging segments) and a lower-bound ranking for
-// octagon regions indexed by their bounds.
-func (x *Index) KNearest(q geom.Rect, k int, skip func(int) bool) []int {
-	if k <= 0 {
-		return nil
-	}
-	// Counted like Nearest/NearestScored so the scan-rate trigger's
-	// scans-per-query accounting stays consistent for mixed workloads
-	// (a k-query legitimately evaluates more candidates, but omitting it
-	// from the denominator would inflate the measured rate instead).
-	x.queries.Add(1)
-	type cand struct {
-		d  float64
-		id int
-	}
-	var heapC []cand // max-heap of the k best so far, worst at [0]
-	less := func(a, b cand) bool {
-		if a.d != b.d {
-			return a.d < b.d
-		}
-		return a.id < b.id
-	}
-	down := func() {
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			w := i
-			if l < len(heapC) && less(heapC[w], heapC[l]) {
-				w = l
-			}
-			if r < len(heapC) && less(heapC[w], heapC[r]) {
-				w = r
-			}
-			if w == i {
-				return
-			}
-			heapC[i], heapC[w] = heapC[w], heapC[i]
-			i = w
-		}
-	}
-	up := func() {
-		i := len(heapC) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(heapC[p], heapC[i]) {
-				return
-			}
-			heapC[i], heapC[p] = heapC[p], heapC[i]
-			i = p
-		}
-	}
-	seen := make(map[int]bool)
-	var scans, cells int64
-	consider := func(id32 int32) {
-		id := int(id32)
-		if x.spans[id].state != spanLive {
-			return
-		}
-		if seen[id] || (skip != nil && skip(id)) {
-			return
-		}
-		seen[id] = true
-		scans++
-		c := cand{d: geom.DistRR(q, x.boxes[id]), id: id}
-		if len(heapC) < k {
-			heapC = append(heapC, c)
-			up()
-		} else if less(c, heapC[0]) {
-			heapC[0] = c
-			down()
-		}
-	}
-	for _, id := range x.over {
-		consider(id)
-	}
-	if x.w > 0 {
-		qu0 := clamp32(x.cellIdx(q.ULo)-x.ou, 0, x.w-1)
-		qu1 := clamp32(x.cellIdx(q.UHi)-x.ou, qu0, x.w-1)
-		qv0 := clamp32(x.cellIdx(q.VLo)-x.ov, 0, x.h-1)
-		qv1 := clamp32(x.cellIdx(q.VHi)-x.ov, qv0, x.h-1)
-		for r := int32(0); ; r++ {
-			if len(heapC) == k && float64(r-1)*x.cell > heapC[0].d {
-				break
-			}
-			u0, u1 := qu0-r, qu1+r
-			v0, v1 := qv0-r, qv1+r
-			var strips [4][4]int32
-			nstrips := x.ringStrips(&strips, u0, u1, v0, v1, r)
-			for s := 0; s < nstrips; s++ {
-				st := strips[s]
-				for cv := st[2]; cv <= st[3]; cv++ {
-					row := cv * x.w
-					for cu := st[0]; cu <= st[1]; cu++ {
-						cells++
-						for _, id := range x.cells[row+cu] {
-							consider(id)
-						}
-					}
-				}
-			}
-			if u0 <= 0 && v0 <= 0 && u1 >= x.w-1 && v1 >= x.h-1 {
-				break
-			}
-		}
-	}
-	x.scans.Add(scans)
-	x.cellsWalked.Add(cells)
-	// Heap-sort ascending.
-	out := make([]int, len(heapC))
-	for i := len(heapC) - 1; i >= 0; i-- {
-		out[i] = heapC[0].id
-		last := len(heapC) - 1
-		heapC[0] = heapC[last]
-		heapC = heapC[:last]
-		down()
-	}
-	return out
 }
 
 func clamp32(x, lo, hi int32) int32 {

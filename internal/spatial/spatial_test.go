@@ -116,49 +116,6 @@ func TestNearestOverflowItems(t *testing.T) {
 	}
 }
 
-func TestKNearestMatchesBruteForce(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	const n = 200
-	boxes := make([]geom.Rect, n)
-	x := New(50)
-	for i := range boxes {
-		boxes[i] = randRect(r, 1000, 20)
-		x.Insert(i, boxes[i])
-	}
-	for _, k := range []int{1, 3, 8, n + 5} {
-		for trial := 0; trial < 20; trial++ {
-			q := randRect(r, 1000, 20)
-			got := x.KNearest(q, k, nil)
-			// Oracle: sort all by (dist, id), take k.
-			type cand struct {
-				d  float64
-				id int
-			}
-			all := make([]cand, n)
-			for i := range boxes {
-				all[i] = cand{d: geom.DistRR(q, boxes[i]), id: i}
-			}
-			for a := 1; a < len(all); a++ { // insertion sort (stable, simple)
-				for b := a; b > 0 && (all[b].d < all[b-1].d || (all[b].d == all[b-1].d && all[b].id < all[b-1].id)); b-- {
-					all[b], all[b-1] = all[b-1], all[b]
-				}
-			}
-			want := k
-			if want > n {
-				want = n
-			}
-			if len(got) != want {
-				t.Fatalf("k=%d: got %d results, want %d", k, len(got), want)
-			}
-			for i := range got {
-				if got[i] != all[i].id {
-					t.Fatalf("k=%d trial %d: result[%d] = %d, want %d", k, trial, i, got[i], all[i].id)
-				}
-			}
-		}
-	}
-}
-
 func TestAutoCell(t *testing.T) {
 	if c := AutoCell(nil); c != 1 {
 		t.Errorf("AutoCell(nil) = %v, want 1", c)

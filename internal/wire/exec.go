@@ -7,11 +7,12 @@ import (
 	"repro/internal/ctree"
 )
 
-// Execute runs a decoded work unit exactly the way the in-process pipeline
-// would: a private registry reconstructed from the shipped snapshot, then
-// the same core entry points over the same inputs. Determinism makes this
-// location-transparent — the result is bitwise what the coordinator's own
-// runner would have produced.
+// Execute runs a work unit: a private registry reconstructed from the
+// unit's snapshot, then the core entry points its kind names. It is the one
+// definition of a sub-build — the sharded pipeline's in-process runner and
+// a routeworker both call it — so where a unit runs cannot change its
+// result. In process, u.Opt may carry a context and a trace; the codec
+// never ships either.
 func Execute(u *WorkUnit) (*BuildResult, error) {
 	reg, err := core.NewRegistryFromSnapshot(u.Registry)
 	if err != nil {
@@ -31,7 +32,7 @@ func Execute(u *WorkUnit) (*BuildResult, error) {
 		}, nil
 	case KindPatch:
 		// The pilot patch pair: sample build, then the single-root stitch
-		// that resolves a deferred root — mirroring shard's pilot runner.
+		// that resolves a deferred root and so commits its offsets.
 		sub, err := core.BuildSubtree(u.Instance, u.SinkIDs, u.Opt, reg)
 		if err != nil {
 			return nil, err

@@ -46,7 +46,7 @@ const (
 	// KindBuild is a shard sub-build: BuildSubtree over the sink subset.
 	KindBuild = 1
 	// KindPatch is a pilot patch: BuildSubtree over the sample followed by
-	// a single-root MergeRoots, the pair the pilot's local runner performs.
+	// a single-root MergeRoots, which commits the patch root's offsets.
 	KindPatch = 2
 )
 
