@@ -65,6 +65,12 @@ func (in *Instance) Validate() error {
 	if in.NumGroups <= 0 {
 		return fmt.Errorf("instance %q: NumGroups = %d", in.Name, in.NumGroups)
 	}
+	// Every group needs a sink. Checking that before sizing the per-group
+	// table keeps a huge count from a file or the wire an error, not a
+	// makeslice panic or a multi-gigabyte allocation.
+	if in.NumGroups > len(in.Sinks) {
+		return fmt.Errorf("instance %q: NumGroups = %d exceeds the %d sinks", in.Name, in.NumGroups, len(in.Sinks))
+	}
 	seen := make([]bool, in.NumGroups)
 	for i, s := range in.Sinks {
 		if s.ID != i {

@@ -28,6 +28,9 @@ func TestInstanceValidate(t *testing.T) {
 		{Name: "badgroup", Sinks: []Sink{sink(0, 0, 0, 1, 3)}, NumGroups: 2},
 		{Name: "negcap", Sinks: []Sink{sink(0, 0, 0, -1, 0)}, NumGroups: 1},
 		{Name: "emptygroup", Sinks: []Sink{sink(0, 0, 0, 1, 0)}, NumGroups: 2},
+		// A count too large to allocate a table for must be an error, not
+		// a makeslice panic.
+		{Name: "hugegroups", Sinks: []Sink{sink(0, 0, 0, 1, 0)}, NumGroups: math.MaxInt},
 	}
 	for _, in := range bad {
 		if err := in.Validate(); err == nil {

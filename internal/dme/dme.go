@@ -192,7 +192,7 @@ func mergeAll(items []*Node, m rctree.Model, useGrid bool) *Node {
 	pushNN := func(i int) {
 		best, bestD := -1, math.Inf(1)
 		if idx != nil {
-			best, bestD, _ = idx.NearestScored(i, scorer)
+			best, bestD, _ = idx.NearestScored(i, scorer, nil)
 		} else {
 			for j := range nodes {
 				if j != i && alive[j] {

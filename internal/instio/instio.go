@@ -1,6 +1,36 @@
 // Package instio serializes clock routing instances and routing results as
 // JSON, the interchange format of the cmd/ tools (instancegen → astdme →
 // drawtree).
+//
+// # Reading instances
+//
+// ReadInstance and LoadInstance parse the fixed instance schema with a
+// byte-cursor decoder of their own (decode.go): no reflection, one input
+// buffer, and sinks written straight into the instance. It accepts what
+// encoding/json with DisallowUnknownFields accepts for the schema:
+//
+//   - numbers are checked against the JSON grammar and parsed by the same
+//     strconv calls, so floats are bit-identical, and a fraction or an
+//     exponent in an int field (0.0, 1e2) or an out-of-range literal
+//     (1e999) is an error;
+//   - a string holding an escape, a control byte or a non-ASCII byte is
+//     decoded by encoding/json itself, so escapes and invalid UTF-8 (which
+//     becomes U+FFFD) come out exactly as there;
+//   - null as a member means absent, and as a sink element a zero sink;
+//   - nothing but whitespace may follow the object.
+//
+// There are two deliberate tightenings. A repeated key is an error, where
+// encoding/json keeps the last one and merges a repeated "sinks" array into
+// the first element by element. Keys must match exactly, where
+// encoding/json also takes case-folded ones ("X", "Name", or "sinKs" spelled
+// with a Kelvin sign). Neither form is written by WriteInstance.
+//
+// Sink ids are optional on input. When any sink carries one, all must, and
+// together they must form a permutation of 0..n-1: the file then pins each
+// sink's identity explicitly and ReadInstance orders sinks by it. Files
+// without ids take positional identity (sink i gets ID i), which is also
+// what WriteInstance emits. Edit scripts (ReadEdits) hold a few dozen
+// records and keep encoding/json.
 package instio
 
 import (
@@ -11,23 +41,18 @@ import (
 	"os"
 
 	"repro/internal/ctree"
-	"repro/internal/geom"
 )
 
-// jsonSink mirrors ctree.Sink with stable field names. ID is optional on
-// input: when any sink carries one, all must, and together they must form a
-// permutation of 0..n-1 — the file then pins each sink's identity explicitly
-// and ReadInstance orders sinks by it. Files without ids take positional
-// identity (sink i gets ID i), which is also what WriteInstance emits.
+// jsonSink mirrors ctree.Sink with stable field names. WriteInstance emits
+// no ids: sinks take positional identity.
 type jsonSink struct {
-	ID    *int    `json:"id,omitempty"`
 	X     float64 `json:"x"`
 	Y     float64 `json:"y"`
 	CapFF float64 `json:"cap_ff"`
 	Group int     `json:"group"`
 }
 
-// jsonInstance is the on-disk instance format.
+// jsonInstance is the on-disk instance format WriteInstance emits.
 type jsonInstance struct {
 	Name      string     `json:"name"`
 	SourceX   float64    `json:"source_x"`
@@ -104,67 +129,23 @@ func decodeOne(r io.Reader, v any) error {
 // (ctree.Instance.Validate — non-empty, coherent groups), finite
 // coordinates, and — when the file carries explicit sink ids — id
 // uniqueness and completeness, with sinks reordered into id order. r must
-// hold exactly one JSON object.
+// hold exactly one JSON object; the package documentation lists what the
+// decoder accepts.
 func ReadInstance(r io.Reader) (*ctree.Instance, error) {
-	var ji jsonInstance
-	if err := decodeOne(r, &ji); err != nil {
-		return nil, err
-	}
-	if len(ji.Sinks) == 0 {
-		return nil, fmt.Errorf("instio: instance %q has no sinks", ji.Name)
-	}
-	in := &ctree.Instance{
-		Name:      ji.Name,
-		Source:    geom.Point{X: ji.SourceX, Y: ji.SourceY},
-		NumGroups: ji.NumGroups,
-		Sinks:     make([]ctree.Sink, len(ji.Sinks)),
-	}
-	withID := 0
-	for _, s := range ji.Sinks {
-		if s.ID != nil {
-			withID++
-		}
-	}
-	if withID > 0 && withID < len(ji.Sinks) {
-		return nil, fmt.Errorf("instio: %d of %d sinks carry an explicit id; ids are all-or-nothing", withID, len(ji.Sinks))
-	}
-	seen := make([]bool, len(ji.Sinks))
-	for i, s := range ji.Sinks {
-		id := i
-		if withID > 0 {
-			id = *s.ID
-			if id < 0 || id >= len(ji.Sinks) {
-				return nil, fmt.Errorf("instio: sink id %d out of range [0, %d)", id, len(ji.Sinks))
-			}
-		}
-		if seen[id] {
-			return nil, fmt.Errorf("instio: duplicate sink id %d", id)
-		}
-		seen[id] = true
-		in.Sinks[id] = ctree.Sink{
-			ID:    id,
-			Loc:   geom.Point{X: s.X, Y: s.Y},
-			CapFF: s.CapFF,
-			Group: s.Group,
-		}
-	}
-	if err := in.Validate(); err != nil {
+	data, err := readAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("instio: %w", err)
 	}
-	if err := checkFinite(in); err != nil {
-		return nil, err
-	}
-	return in, nil
+	return decodeInstance(data)
 }
 
 // LoadInstance reads an instance file.
 func LoadInstance(path string) (*ctree.Instance, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadInstance(f)
+	return decodeInstance(data)
 }
 
 // SaveInstance writes an instance file.

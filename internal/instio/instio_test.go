@@ -47,23 +47,28 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
+// validInstance is the smallest valid instance document.
+const validInstance = `{"name":"x","num_groups":1,"sinks":[{"x":0,"y":0,"cap_ff":1,"group":0}]}`
+
+// garbageInputs must all be rejected (TestReadRejectsGarbage); they also
+// seed FuzzReadInstance.
+var garbageInputs = []string{
+	`not json`,
+	`{"name":"x","num_groups":0,"sinks":[]}`,
+	`{"name":"x","num_groups":1,"sinks":[{"x":0,"y":0,"cap_ff":1,"group":5}]}`,
+	`{"unknown_field":1}`,
+	validInstance + ` xyz`,
+	validInstance + validInstance,
+	validInstance + "\n" + validInstance,
+}
+
 func TestReadRejectsGarbage(t *testing.T) {
-	const valid = `{"name":"x","num_groups":1,"sinks":[{"x":0,"y":0,"cap_ff":1,"group":0}]}`
-	cases := []string{
-		`not json`,
-		`{"name":"x","num_groups":0,"sinks":[]}`,
-		`{"name":"x","num_groups":1,"sinks":[{"x":0,"y":0,"cap_ff":1,"group":5}]}`,
-		`{"unknown_field":1}`,
-		valid + ` xyz`,
-		valid + valid,
-		valid + "\n" + valid,
-	}
-	for _, c := range cases {
+	for _, c := range garbageInputs {
 		if _, err := ReadInstance(strings.NewReader(c)); err == nil {
 			t.Errorf("accepted %q", c)
 		}
 	}
-	if _, err := ReadInstance(strings.NewReader(valid + " \n\t")); err != nil {
+	if _, err := ReadInstance(strings.NewReader(validInstance + " \n\t")); err != nil {
 		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }

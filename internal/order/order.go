@@ -15,8 +15,10 @@
 //
 // # Pairers
 //
-// All nearest-partner queries go through the pluggable Pairer interface.
-// The built-in implementation (Config.Pairer == nil) is the all-pairs scan:
+// All nearest-partner queries go through the pluggable Pairer interface:
+// the per-item partners of every round (Nearest, NearestAll) and the
+// anti-starvation rule's partner by raw distance (NearestFree). The
+// built-in implementation (Config.Pairer == nil) is the all-pairs scan:
 // exact for any key function and O(n) per query, which makes every round of
 // the Multi strategy O(n²) — the oracle that caps practical instances at a
 // few thousand sinks. Sub-quadratic engines (see internal/spatial for the
@@ -90,13 +92,21 @@ type Pair struct {
 //     what Nearest(ids[t]) would (J = -1 when no partner exists). The
 //     returned slice may alias an internal buffer: it is valid only until
 //     the next NearestAll call.
-//   - Scans reports the cumulative number of candidate key evaluations — the
-//     pairing-work metric recorded by the scaling benchmarks.
+//   - NearestFree returns the live partner j ≠ id not marked in used that
+//     minimizes the raw pair distance — not the key — with Key set to that
+//     distance. Exact ties break toward the smallest j; ok is false when no
+//     such partner exists. used is indexed by item id and covers every live
+//     id. It serves the anti-starvation rule once per starved item, and
+//     must not allocate.
+//   - Scans reports the cumulative number of candidate evaluations (keys,
+//     and NearestFree's distances) — the pairing-work metric recorded by
+//     the scaling benchmarks.
 type Pairer interface {
 	Insert(id int)
 	Delete(id int)
 	Nearest(id int) (Pair, bool)
 	NearestAll(ids []int) []Pair
+	NearestFree(id int, used []bool) (Pair, bool)
 	Scans() int64
 }
 
@@ -126,7 +136,6 @@ type Config struct {
 // items; Merged registers replacement items with increasing indices.
 type Queue struct {
 	cfg    Config
-	dist   func(i, j int) float64
 	pairer Pairer
 	alive  []bool
 	live   int
@@ -222,7 +231,7 @@ func New(cfg Config, n int, dist func(i, j int) float64) *Queue {
 	if cfg.BatchFraction <= 0 || cfg.BatchFraction > 0.5 {
 		cfg.BatchFraction = 0.5
 	}
-	q := &Queue{cfg: cfg, dist: dist, alive: make([]bool, 0, 2*n), live: n}
+	q := &Queue{cfg: cfg, alive: make([]bool, 0, 2*n), live: n}
 	q.pairer = cfg.Pairer
 	if q.pairer == nil {
 		q.pairer = &scanPairer{dist: dist, key: q.key}
@@ -486,24 +495,16 @@ func (q *Queue) buildBatch() {
 	// round's disjoint pairing covers every other item, which on odd-sized
 	// rounds is exactly the starved item's fate. The partner is chosen by
 	// raw distance, not key: the key penalty is what starved the item in the
-	// first place, and the rule merges it "regardless of cost". Starved
-	// items are rare, so the O(live) scan here does not affect scaling.
+	// first place, and the rule merges it "regardless of cost". The pairer
+	// answers the query (NearestFree), so a grid pairer's ring search keeps
+	// it from scanning every live item.
 	for _, i := range ids {
 		if used[i] || q.age[i] < starveRounds {
 			continue
 		}
-		best, bestD := -1, math.Inf(1)
-		for _, j := range ids {
-			if j == i || used[j] {
-				continue
-			}
-			if d := q.dist(i, j); d < bestD || (d == bestD && j < best) {
-				best, bestD = j, d
-			}
-		}
-		if best >= 0 {
-			used[i], used[best] = true, true
-			q.batch = append(q.batch, Pair{Key: bestD, I: i, J: best})
+		if p, ok := q.pairer.NearestFree(i, used); ok {
+			used[i], used[p.J] = true, true
+			q.batch = append(q.batch, p)
 		}
 	}
 	for _, p := range cand {
@@ -545,8 +546,8 @@ func (q *Queue) Merged(newID int) {
 // Live returns the number of live (unmerged) items.
 func (q *Queue) Live() int { return q.live }
 
-// Scans reports the cumulative number of candidate key evaluations performed
-// by the pairer — the pairing-work metric of the scaling benchmarks.
+// Scans reports the cumulative number of candidate evaluations performed by
+// the pairer — the pairing-work metric of the scaling benchmarks.
 func (q *Queue) Scans() int64 { return q.pairer.Scans() }
 
 // scanPairer is the built-in oracle engine: a linear scan over all live
@@ -590,6 +591,25 @@ func (p *scanPairer) Nearest(i int) (Pair, bool) {
 		return Pair{I: i, J: -1}, false
 	}
 	return Pair{Key: bestKey, I: i, J: best}, true
+}
+
+func (p *scanPairer) NearestFree(i int, used []bool) (Pair, bool) {
+	best, bestD := -1, math.Inf(1)
+	var n int64
+	for j := range p.alive {
+		if j == i || !p.alive[j] || used[j] {
+			continue
+		}
+		n++
+		if d := p.dist(i, j); d < bestD || (d == bestD && j < best) {
+			best, bestD = j, d
+		}
+	}
+	p.scans.Add(n)
+	if best < 0 {
+		return Pair{I: i, J: -1}, false
+	}
+	return Pair{Key: bestD, I: i, J: best}, true
 }
 
 func (p *scanPairer) NearestAll(ids []int) []Pair {

@@ -5,51 +5,6 @@ import (
 	"testing"
 )
 
-// TestAntiStarvation constructs the pathology the rule exists for: one item
-// whose pairings are all heavily penalized by the key. Without force-pairing
-// it would survive to the very last merge; with the rule it must be merged
-// within a few rounds of becoming starved.
-func TestAntiStarvation(t *testing.T) {
-	const n = 32
-	const pariah = 0
-	coords := make([]float64, 0, 2*n)
-	for i := 0; i < n; i++ {
-		coords = append(coords, float64(i))
-	}
-	dist := func(i, j int) float64 { return math.Abs(coords[i] - coords[j]) }
-	key := func(i, j int, d float64) float64 {
-		if i == pariah || j == pariah {
-			return d + 1e9 // everything involving the pariah looks terrible
-		}
-		return d
-	}
-	q := New(Config{Strategy: Multi, Key: key}, n, dist)
-	mergeIdx := 0
-	pariahMergedAt := -1
-	for {
-		i, j, ok := q.Next()
-		if !ok {
-			break
-		}
-		if i == pariah || j == pariah {
-			pariahMergedAt = mergeIdx
-		}
-		coords = append(coords, (coords[i]+coords[j])/2)
-		q.Merged(len(coords) - 1)
-		mergeIdx++
-	}
-	if pariahMergedAt < 0 {
-		t.Fatal("pariah never merged")
-	}
-	// Without anti-starvation the pariah merges last (index n−2 = 30).
-	// Rounds shrink the live set by ~half; after starveRounds rounds the
-	// pariah must be force-paired, well before the end.
-	if pariahMergedAt >= n-2 {
-		t.Errorf("pariah merged at index %d (the final merge) — starved", pariahMergedAt)
-	}
-	t.Logf("pariah merged at %d of %d", pariahMergedAt, n-1)
-}
-
 // TestAgesResetOnMerge: merged replacements start with age zero.
 func TestAgesResetOnMerge(t *testing.T) {
 	coords := []float64{0, 1, 100, 101}

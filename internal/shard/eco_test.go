@@ -50,33 +50,42 @@ func ecoScript(in *ctree.Instance, parts [][]int) *instio.EditScript {
 // any drift between the cached contract and the from-scratch pipeline shows
 // up here first.
 func TestEcoNoopRebuild(t *testing.T) {
-	in := ecoInstance(2000, 3)
-	full, err := BuildEco(in, core.Options{Shards: 4, Pilot: true}, dispatch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Eco == nil || len(full.Eco.shards) != 4 {
-		t.Fatalf("retained build carries no eco contract: %+v", full.Eco)
-	}
-	res, err := full.Eco.Rebuild(&instio.EditScript{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.EcoRebuilt) != 0 || res.EcoReused != 4 {
-		t.Errorf("noop rebuild re-routed %v, reused %d; want none, 4", res.EcoRebuilt, res.EcoReused)
-	}
-	if wb, rb := math.Float64bits(res.Wirelength), math.Float64bits(full.Wirelength); wb != rb {
-		t.Errorf("noop rebuild wirelength bits 0x%016x, want 0x%016x", wb, rb)
-	}
-	if gh, rh := delayDigest(t, res.Root, in), delayDigest(t, full.Root, in); gh != rh {
-		t.Errorf("noop rebuild delay digest 0x%016x, want 0x%016x", gh, rh)
-	}
-	if res.Eco == nil {
-		t.Error("rebuild result does not chain an eco contract")
-	}
-	for i := range res.Shards {
-		if res.Shards[i].Stats != full.Shards[i].Stats {
-			t.Errorf("shard %d stats changed on a noop rebuild", i)
+	// The unpiloted rows pin the cache's base registry: it must be the
+	// snapshot the shards cloned, not the one the stitch committed
+	// offsets into.
+	for _, row := range []struct {
+		n     int
+		pilot bool
+	}{{2000, true}, {2000, false}, {4000, false}} {
+		in := ecoInstance(row.n, 3)
+		full, err := BuildEco(in, core.Options{Shards: 4, Pilot: row.pilot}, dispatch.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Eco == nil || len(full.Eco.shards) != 4 {
+			t.Fatalf("%+v: retained build carries no eco contract: %+v", row, full.Eco)
+		}
+		res, err := full.Eco.Rebuild(&instio.EditScript{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.EcoRebuilt) != 0 || res.EcoReused != 4 {
+			t.Errorf("%+v: noop rebuild re-routed %v, reused %d; want none, 4", row, res.EcoRebuilt, res.EcoReused)
+		}
+		if wb, rb := math.Float64bits(res.Wirelength), math.Float64bits(full.Wirelength); wb != rb {
+			t.Errorf("%+v: noop rebuild wirelength %v (bits 0x%016x), want %v (0x%016x)",
+				row, res.Wirelength, wb, full.Wirelength, rb)
+		}
+		if gh, rh := delayDigest(t, res.Root, in), delayDigest(t, full.Root, in); gh != rh {
+			t.Errorf("%+v: noop rebuild delay digest 0x%016x, want 0x%016x", row, gh, rh)
+		}
+		if res.Eco == nil {
+			t.Errorf("%+v: rebuild result does not chain an eco contract", row)
+		}
+		for i := range res.Shards {
+			if res.Shards[i].Stats != full.Shards[i].Stats {
+				t.Errorf("%+v: shard %d stats changed on a noop rebuild", row, i)
+			}
 		}
 	}
 }

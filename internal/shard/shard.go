@@ -421,15 +421,11 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 			Parts:        parts,
 			PilotOffsets: res.PilotOffsets,
 			PilotSinks:   res.PilotSinks,
-			shards:       chain,
-		}
-		// A chained cache keeps its cache's base. A build's is snapshotted
-		// here, after the stitch; on an unpiloted build the stitch has
-		// committed offsets into base by now.
-		if from != nil {
-			res.Eco.Base = from.Base
-		} else {
-			res.Eco.Base = base.Snapshot()
+			// The snapshot the shards cloned before the fan-out, not base
+			// as it is now: without the pilot, the stitch has committed
+			// offsets into base since. A rebuild's equals its cache's.
+			Base:   sb.unit.Registry,
+			shards: chain,
 		}
 	}
 	return nil

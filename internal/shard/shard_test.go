@@ -285,8 +285,9 @@ func TestShardErrors(t *testing.T) {
 // guard; it is never queried.
 type stubPairer struct{}
 
-func (stubPairer) Insert(int)                     {}
-func (stubPairer) Delete(int)                     {}
-func (stubPairer) Nearest(int) (order.Pair, bool) { return order.Pair{}, false }
-func (stubPairer) NearestAll([]int) []order.Pair  { return nil }
-func (stubPairer) Scans() int64                   { return 0 }
+func (stubPairer) Insert(int)                                 {}
+func (stubPairer) Delete(int)                                 {}
+func (stubPairer) Nearest(int) (order.Pair, bool)             { return order.Pair{}, false }
+func (stubPairer) NearestAll([]int) []order.Pair              { return nil }
+func (stubPairer) NearestFree(int, []bool) (order.Pair, bool) { return order.Pair{}, false }
+func (stubPairer) Scans() int64                               { return 0 }

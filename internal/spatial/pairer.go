@@ -13,8 +13,9 @@ import (
 // box supplies the current bounding box of an item at Insert time (for the
 // router: the u/v bounds of the node's active region). dist is the exact
 // pair distance and key the pair priority; key == nil means priority =
-// distance. For exact results key(i,j,d) must be ≥ d for every pair — see
-// the package documentation on pruning soundness.
+// distance. For exact results dist(i,j) must be ≥ DistRR of the two stored
+// boxes and key(i,j,d) ≥ d, both as computed in floating point — see the
+// package documentation on pruning soundness and the box pre-filter.
 type GridPairer struct {
 	idx  *Index
 	box  func(id int) geom.Rect
@@ -79,11 +80,29 @@ func (p *GridPairer) PairKey(self, cand int) float64 {
 
 // Nearest returns id's best live partner by key, smallest index on ties.
 func (p *GridPairer) Nearest(id int) (order.Pair, bool) {
-	j, k, ok := p.idx.NearestScored(id, p)
+	j, k, ok := p.idx.NearestScored(id, p, nil)
 	if !ok {
 		return order.Pair{I: id, J: -1}, false
 	}
 	return order.Pair{Key: k, I: id, J: j}, true
+}
+
+// distKeyer is GridPairer's Keyer view that scores by the exact pair
+// distance alone. The distance dominates the stored boxes' DistRR (dist
+// must, for the pair key to), so the ring search stays exact under it.
+type distKeyer GridPairer
+
+func (p *distKeyer) PairKey(self, cand int) float64 { return p.dist(self, cand) }
+
+// NearestFree returns id's nearest live partner by raw distance among the
+// ids not marked in used, smallest index on ties: the anti-starvation
+// partner of order's batch selection, answered by the ring search.
+func (p *GridPairer) NearestFree(id int, used []bool) (order.Pair, bool) {
+	j, d, ok := p.idx.NearestScored(id, (*distKeyer)(p), used)
+	if !ok {
+		return order.Pair{I: id, J: -1}, false
+	}
+	return order.Pair{Key: d, I: id, J: j}, true
 }
 
 // NearestAll shards the batch of queries across CPUs. Queries only read the

@@ -59,11 +59,34 @@
 // Exact key ties break toward the smallest item id. Ties are always visited
 // before pruning cuts in (the ring bound is strict), so the tie-break is
 // global, matching the all-pairs scan and keeping runs reproducible.
+//
+// # Exact shortcuts
+//
+// Before it scores a candidate, a query takes DistRR between its query box
+// and the candidate's stored box, and skips the key call when that
+// distance exceeds the best key so far, or equals it at a larger id
+// (outranked). The skipped candidate still counts in Scans, so the
+// scan-rate trigger and the pairing-work metric see the same numbers. This
+// pre-filter needs the key bound to hold in floating point, not only in
+// exact arithmetic: key ≥ DistRR of the stored boxes as computed. Every
+// caller meets it. The router's key is DistRR of the same rectangles;
+// DistOO, which makes the same two gap1 calls and takes a max with two
+// more terms; or its merge key, that distance plus a non-negative excess,
+// which rounds to no less than the distance. internal/dme's segment scorer
+// and the ECO dirty-set key are DistRR of the stored boxes themselves.
+// GridPairer.NearestFree, the anti-starvation query, scores by the router's
+// exact distance, which meets the same bound.
+//
+// DensityCell's nearest-neighbor pass sorts its sample by ULo and sweeps
+// each sample outward until a u-gap bound passes its best so far
+// (sampleSpacings), instead of comparing every pair. Each minimum, and so
+// the cell, is bitwise the all-pairs one.
 package spatial
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -309,6 +332,9 @@ func AutoCell(boxes []geom.Rect) float64 {
 // edge so fattened regions keep spanning O(1) cells. On uniform placements
 // this lands near AutoCell; on power-law placements it is several times
 // finer, which keeps the hot clusters' buckets small.
+//
+// The nearest-neighbor distances come from sampleSpacings' sort-and-sweep,
+// which computes the same values as comparing every pair of samples.
 func DensityCell(boxes []geom.Rect) float64 {
 	n := len(boxes)
 	if n == 0 {
@@ -316,7 +342,7 @@ func DensityCell(boxes []geom.Rect) float64 {
 	}
 	bb := boundsOf(boxes)
 	// Sample size: capped at 256, scaled down as 4√n for small populations
-	// so the O(s²) pass stays a vanishing fraction of the build it serves.
+	// so the sampling stays a vanishing fraction of the build it serves.
 	s := int(4 * math.Sqrt(float64(n)))
 	if s > 256 {
 		s = 256
@@ -328,26 +354,17 @@ func DensityCell(boxes []geom.Rect) float64 {
 		s = n
 	}
 	stride := n / s
-	nn := make([]float64, 0, s)
-	edges := make([]float64, 0, s)
-	for a := 0; a < s; a++ {
-		i := a * stride
-		best := math.Inf(1)
-		for b := 0; b < s; b++ {
-			if b == a {
-				continue
-			}
-			if d := geom.DistRR(boxes[i], boxes[b*stride]); d < best {
-				best = d
-			}
-		}
-		if !math.IsInf(best, 1) {
-			nn = append(nn, best)
-		}
-		edges = append(edges, max(boxes[i].Width(), boxes[i].Height()))
+	sample := make([]sampleBox, s)
+	vals := make([]float64, 2*s)
+	edges, nn := vals[:s], vals[s:s]
+	for a := range sample {
+		r := boxes[a*stride]
+		sample[a].Rect = r
+		edges[a] = max(r.Width(), r.Height())
 	}
-	sort.Float64s(nn)
-	sort.Float64s(edges)
+	nn = sampleSpacings(sample, nn)
+	slices.Sort(nn)
+	slices.Sort(edges)
 	var cell float64
 	if len(nn) > 0 {
 		// 25th-percentile sample spacing, rescaled to the full population
@@ -367,6 +384,60 @@ func DensityCell(boxes []geom.Rect) float64 {
 		return AutoCell(boxes)
 	}
 	return cell
+}
+
+// sampleBox is a DensityCell sample box. hiMax is the largest UHi of the
+// samples sorted up to and including it.
+type sampleBox struct {
+	geom.Rect
+	hiMax float64
+}
+
+// sampleSpacings appends to nn each sample's smallest DistRR to another
+// sample, in no particular order, leaving out infinite ones. It reorders
+// sample.
+//
+// The samples are sorted by ULo and each one sweeps right, then left, until
+// a gap bound shows no further sample can come closer than its best so far.
+// Rightward, the bound is the u-gap to the next sample's ULo; leftward, it
+// is the u-gap to the largest UHi of all samples left of the cursor. Both
+// gaps are the very subtraction DistRR's gap1 makes, or a rounding-monotone
+// lower bound of it, and DistRR is at least its u-gap, so every skipped
+// pair's DistRR is at least the best: each minimum is bitwise the all-pairs
+// one. That takes non-empty boxes (ULo ≤ UHi), as DistRR itself does; a NaN
+// anywhere disables the cut-offs it touches.
+func sampleSpacings(sample []sampleBox, nn []float64) []float64 {
+	slices.SortFunc(sample, func(a, b sampleBox) int { return cmp.Compare(a.ULo, b.ULo) })
+	for k := range sample {
+		sample[k].hiMax = sample[k].UHi
+		if k > 0 {
+			sample[k].hiMax = max(sample[k-1].hiMax, sample[k].UHi)
+		}
+	}
+	for a := range sample {
+		r := sample[a].Rect
+		best := math.Inf(1)
+		for b := a + 1; b < len(sample); b++ {
+			if sample[b].ULo-r.UHi >= best {
+				break
+			}
+			if d := geom.DistRR(r, sample[b].Rect); d < best {
+				best = d
+			}
+		}
+		for b := a - 1; b >= 0; b-- {
+			if r.ULo-sample[b].hiMax >= best {
+				break
+			}
+			if d := geom.DistRR(r, sample[b].Rect); d < best {
+				best = d
+			}
+		}
+		if !math.IsInf(best, 1) {
+			nn = append(nn, best)
+		}
+	}
+	return nn
 }
 
 func boundsOf(boxes []geom.Rect) geom.Rect {
@@ -827,29 +898,34 @@ func (x *Index) bulkFile(ids []int32, boxes []geom.Rect) {
 // implementation (typically a pairer) is bound once and reused for every
 // query.
 type Keyer interface {
-	// PairKey returns the pair priority of (self, cand). For exact ring
-	// pruning it must be ≥ DistRR of the two items' boxes.
+	// PairKey returns the pair priority of (self, cand). It must be ≥
+	// DistRR of the two items' stored boxes as computed in floating point,
+	// not only in exact arithmetic: the ring pruning and the box
+	// pre-filter both rest on that bound (see the package documentation).
 	PairKey(self, cand int) float64
 }
 
 // NearestScored returns the live item minimizing k.PairKey(self, ·),
-// excluding self and dead items. Exact key ties break toward the smallest
-// id; ok is false when no candidate exists. The query box is self's own
-// stored box. Items spanning several cells may be evaluated more than once
-// (the ring walk does not deduplicate), so PairKey must be pure — which
-// also makes NearestScored safe to call from concurrent goroutines between
-// index mutations.
-func (x *Index) NearestScored(self int, k Keyer) (best int, bestKey float64, ok bool) {
+// excluding self, dead items and, when used is non-nil, every id marked in
+// used. Exact key ties break toward the smallest id; ok is false when no
+// candidate exists. The query box is self's own stored box. Items spanning
+// several cells may be evaluated more than once (the ring walk does not
+// deduplicate), so PairKey must be pure — which also makes NearestScored
+// safe to call from concurrent goroutines between index mutations.
+func (x *Index) NearestScored(self int, k Keyer, used []bool) (best int, bestKey float64, ok bool) {
 	q := x.boxes[self]
 	best, bestKey = -1, math.Inf(1)
 	x.queries.Add(1)
 	var scans, cells int64
 	for _, id32 := range x.over {
 		id := int(id32)
-		if id == self {
+		if id == self || used != nil && used[id] {
 			continue
 		}
 		scans++
+		if x.outranked(q, id, best, bestKey) {
+			continue
+		}
 		if key := k.PairKey(self, id); key < bestKey || (key == bestKey && id < best) {
 			best, bestKey = id, key
 		}
@@ -879,10 +955,13 @@ func (x *Index) NearestScored(self int, k Keyer) (best int, bestKey float64, ok 
 						cells++
 						for _, id32 := range x.cells[row+cu] {
 							id := int(id32)
-							if id == self || x.spans[id].state != spanLive {
+							if id == self || x.spans[id].state != spanLive || used != nil && used[id] {
 								continue
 							}
 							scans++
+							if x.outranked(q, id, best, bestKey) {
+								continue
+							}
 							if key := k.PairKey(self, id); key < bestKey || (key == bestKey && id < best) {
 								best, bestKey = id, key
 							}
@@ -903,6 +982,18 @@ func (x *Index) NearestScored(self int, k Keyer) (best int, bestKey float64, ok 
 	return best, bestKey, true
 }
 
+// outranked is the box pre-filter of the ring walks: it reports that
+// candidate id cannot beat the best so far (best, bestKey) because the
+// distance between the query box q and its stored box already exceeds
+// bestKey, or equals it while id is larger. Every key is ≥ that distance in
+// floating point (the Keyer contract), so skipping the key call never
+// changes a result; it only saves the call. The candidate still counts in
+// scans.
+func (x *Index) outranked(q geom.Rect, id, best int, bestKey float64) bool {
+	d := geom.DistRR(q, x.boxes[id])
+	return d > bestKey || (d == bestKey && id > best)
+}
+
 // ringStrips writes the window-clamped cell strips of Chebyshev ring r
 // around [u0+r, u1−r] × [v0+r, v1−r] (i.e. the expanded box minus its
 // interior) into strips, returning how many are non-empty. Ring 0 is the
@@ -914,8 +1005,8 @@ func (x *Index) NearestScored(self int, k Keyer) (best int, bestKey float64, ok 
 // router, and an escaping closure or interface dispatch here is exactly the
 // per-query allocation the Keyer path exists to avoid. The two copies must
 // stay in sync — in particular the strict ring bound
-// ((r−1)·cell > best, which keeps smallest-id tie-breaking global) and the
-// whole-window coverage break.
+// ((r−1)·cell > best, which keeps smallest-id tie-breaking global), the box
+// pre-filter (outranked) and the whole-window coverage break.
 func (x *Index) ringStrips(strips *[4][4]int32, u0, u1, v0, v1, r int32) int {
 	n := 0
 	add := func(a0, a1, b0, b1 int32) {
@@ -950,10 +1041,11 @@ func (x *Index) ringStrips(strips *[4][4]int32, u0, u1, v0, v1, r int32) int {
 }
 
 // Nearest returns the live item minimizing key(id), excluding ids for which
-// skip returns true. For the ring pruning to be exact, key(id) must be ≥ the
-// bounding-box distance DistRR(q, Box(id)) — pass the true pair distance, or
-// any distance-dominating merge key. Exact key ties break toward the
-// smallest id. ok is false when no candidate exists.
+// skip returns true. For the ring pruning and the box pre-filter to be
+// exact, key(id) must be ≥ the bounding-box distance DistRR(q, Box(id)) as
+// computed in floating point — pass that distance itself, or any
+// distance-dominating merge key. Exact key ties break toward the smallest
+// id. ok is false when no candidate exists.
 //
 // Items spanning several cells may be evaluated more than once (the ring
 // walk does not deduplicate); key must therefore be pure, which also makes
@@ -973,6 +1065,9 @@ func (x *Index) Nearest(q geom.Rect, skip func(int) bool, key func(id int) float
 			return
 		}
 		scans++
+		if x.outranked(q, id, best, bestKey) {
+			return
+		}
 		k := key(id)
 		if k < bestKey || (k == bestKey && id < best) {
 			best, bestKey = id, k
