@@ -31,7 +31,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/rctree"
-	"repro/internal/shard"
 	"repro/internal/spicelite"
 )
 
@@ -189,74 +188,6 @@ func BenchmarkSpiceLite(b *testing.B) {
 	rep := eval.Analyze(res.Root, in, core.DefaultModel(), in.Source)
 	b.ReportMetric(sim.Skew(), "transient_skew_ps")
 	b.ReportMetric(rep.GlobalSkew, "elmore_skew_ps")
-}
-
-// BenchmarkOrderScaling measures end-to-end zero-skew routing with the
-// all-pairs oracle pairer versus the spatial grid pairer (internal/spatial)
-// at increasing sink counts, on both uniform and power-law-clustered
-// placements, plus the sharded pipeline (internal/shard) over the grid at
-// 4 shards — single-group, and grouped (intermingled 4 groups) with the
-// pilot offset pass, the sharded-quality configuration whose seam skew the
-// scale sweeps track. wirelen must agree between scan and grid at equal n
-// (the differential tests pin exact equality); the sharded variants trade a
-// small wirelength increase for partition concurrency (the differential
-// tests pin skew, seam and envelope). pair_scans records the pairing work
-// the grid makes sub-quadratic. Under -short only the smallest size runs
-// (the CI smoke); the full run includes the 10k-sink instance backing the
-// ≥10× speedup target.
-func BenchmarkOrderScaling(b *testing.B) {
-	sizes := []int{1000, 10000}
-	if testing.Short() {
-		sizes = []int{1000}
-	}
-	for _, dist := range []string{"uniform", "powerlaw"} {
-		for _, n := range sizes {
-			var in *ctree.Instance
-			if dist == "uniform" {
-				in = bench.Small(n, 9)
-			} else {
-				in = bench.PowerLaw(n, bench.PowerLawClusters, bench.PowerLawAlpha, 9)
-			}
-			grouped := bench.Intermingled(in, 4, 9000+int64(n))
-			for _, pc := range []struct {
-				name   string
-				mode   core.PairerMode
-				shards int
-				groups bool
-			}{
-				{"scan", core.PairerScan, 0, false},
-				{"grid", core.PairerGrid, 0, false},
-				{"grid-sh4", core.PairerGrid, 4, false},
-				{"grid-sh4-g4p", core.PairerGrid, 4, true},
-			} {
-				b.Run(fmt.Sprintf("%s/n=%d/pairer=%s", dist, n, pc.name), func(b *testing.B) {
-					b.ReportAllocs()
-					bin, opt := in, core.Options{SingleGroup: true, Pairer: pc.mode, Shards: pc.shards}
-					if pc.groups {
-						bin = grouped
-						opt = core.Options{Pairer: pc.mode, Shards: pc.shards, Pilot: true}
-					}
-					var res *shard.Result
-					var err error
-					for i := 0; i < b.N; i++ {
-						res, err = shard.Build(bin, opt)
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StopTimer()
-					b.ReportMetric(res.Wirelength, "wirelen")
-					b.ReportMetric(float64(res.Stats.PairScans), "pair_scans")
-					if pc.groups {
-						rep := eval.Analyze(res.Root, bin, core.DefaultModel(), bin.Source)
-						_, seam := eval.SeamSkew(rep, bin, res.Parts)
-						b.ReportMetric(seam, "seam_skew_ps")
-						b.ReportMetric(float64(res.PilotSinks), "pilot_sinks")
-					}
-				})
-			}
-		}
-	}
 }
 
 // TestRouteAllocBudget bounds the allocations of a full 10k-sink zero-skew

@@ -45,7 +45,7 @@ type Spec struct {
 }
 
 // Standard power-law placement parameters used by the "powerlaw" specs and
-// the scale sweeps: 32 clusters with weight c^−1.5.
+// cmd/dmebench's placement: 32 clusters with weight c^−1.5.
 const (
 	PowerLawClusters = 32
 	PowerLawAlpha    = 1.5
@@ -80,8 +80,8 @@ func Suite() []Spec {
 // the spatial pairing subsystem, an order of magnitude and more beyond the
 // thesis's r5: 10k, 50k and 100k sinks uniform over a √n-scaled die
 // (l10k/l50k/l100k), plus the power-law-clustered counterparts
-// (p10k/p50k/p100k) that stress the spatial grid's cell adaptation — the
-// clustered-placement gap the scale sweeps track longitudinally. These are
+// (p10k/p50k/p100k) that stress the spatial grid's cell adaptation on
+// clustered placements. These are
 // the instances the sub-quadratic pairer exists for; the all-pairs oracle
 // is impractical on them.
 func LargeSuite() []Spec {

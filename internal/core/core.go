@@ -166,13 +166,6 @@ type Options struct {
 	// the router commit offsets implicitly as merging proceeds (the
 	// thesis's default).
 	GroupOffsets []float64
-	// MaxSneakIter caps the coupled wire-sneaking iterations per merge
-	// (default 8).
-	MaxSneakIter int
-	// SneakCostCap aborts a sneak whose wire exceeds this multiple of the
-	// merge distance, falling back to the least-violation compromise
-	// (default 8).
-	SneakCostCap float64
 	// MergeWorkers is the number of goroutines executing the merge bodies of
 	// each round's disjoint batch (window intersection, joint resolution,
 	// delay evaluation, node construction). 0 (the default) selects
@@ -235,6 +228,14 @@ type Options struct {
 	SneakProbe *obs.Probe
 }
 
+const (
+	// maxSneakIter caps the coupled wire-sneaking iterations per merge.
+	maxSneakIter = 8
+	// sneakCostCap aborts a sneak whose wire exceeds this multiple of the
+	// merge distance, falling back to the least-violation compromise.
+	sneakCostCap = 8
+)
+
 // PairConstraint bounds the signed inter-group skew delay(J) − delay(I)
 // to [MinPs, MaxPs].
 type PairConstraint struct {
@@ -269,7 +270,7 @@ type Stats struct {
 	SneakWire   float64
 	// SneakIters counts leash/sneak loop iterations that attempted to close
 	// an infeasible window gap (SneakEvents of them succeeded; the rest
-	// aborted to a compromise). The iteration budget is MaxSneakIter per
+	// aborted to a compromise). The iteration budget is maxSneakIter per
 	// merge.
 	SneakIters int
 	// PairScans is the number of candidate pair evaluations the merging
@@ -338,11 +339,22 @@ func normalizeOptions(in *ctree.Instance, opt *Options) error {
 	if opt.Model == nil {
 		opt.Model = DefaultModel()
 	}
-	if opt.MaxSneakIter <= 0 {
-		opt.MaxSneakIter = 8
-	}
-	if opt.SneakCostCap <= 0 {
-		opt.SneakCostCap = 8
+	for _, f := range []struct {
+		name   string
+		v      float64
+		nonNeg bool
+	}{
+		{"IntraSkewBound", opt.IntraSkewBound, true},
+		{"InterSkewBound", opt.InterSkewBound, false}, // < 0 removes the leash
+		{"GlobalBound", opt.GlobalBound, true},
+		{"DelayTargetBias", opt.DelayTargetBias, false},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("core: %s = %v is not finite", f.name, f.v)
+		}
+		if f.nonNeg && f.v < 0 {
+			return fmt.Errorf("core: %s = %v is negative", f.name, f.v)
+		}
 	}
 	if opt.Shards < 0 {
 		return fmt.Errorf("core: Shards = %d is negative", opt.Shards)
@@ -367,6 +379,11 @@ func normalizeOptions(in *ctree.Instance, opt *Options) error {
 		if opt.GroupOffsets[0] != 0 {
 			return fmt.Errorf("core: GroupOffsets[0] must be 0 (the reference group)")
 		}
+		for g, v := range opt.GroupOffsets {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: GroupOffsets[%d] = %v is not finite", g, v)
+			}
+		}
 	}
 
 	if opt.Pairer == PairerGrid && opt.DelayTargetBias > 0 && opt.Order.Key == nil {
@@ -380,6 +397,10 @@ func normalizeOptions(in *ctree.Instance, opt *Options) error {
 	for _, pc := range opt.PairConstraints {
 		if pc.I < 0 || pc.I >= in.NumGroups || pc.J < 0 || pc.J >= in.NumGroups || pc.I == pc.J {
 			return fmt.Errorf("core: pair constraint (%d,%d) out of range", pc.I, pc.J)
+		}
+		// An infinite bound is a one-sided range; NaN is no range at all.
+		if math.IsNaN(pc.MinPs) || math.IsNaN(pc.MaxPs) {
+			return fmt.Errorf("core: pair constraint (%d,%d) has a NaN bound", pc.I, pc.J)
 		}
 		if pc.MinPs > pc.MaxPs {
 			return fmt.Errorf("core: pair constraint (%d,%d) has Min > Max", pc.I, pc.J)
@@ -503,15 +524,6 @@ func (r *Registry) Offsets() ([]float64, error) {
 		out[g] = offg - off0
 	}
 	return out, nil
-}
-
-// Clone returns an independent copy of the registry's committed state.
-// Cloning is how concurrent sub-builds share a base view without locks: the
-// base stays frozen while clones mutate privately.
-func (r *Registry) Clone() *Registry {
-	c := &Registry{preUnions: r.preUnions}
-	r.uf.cloneInto(&c.uf)
-	return c
 }
 
 // Subtree is the product of a sub-instance build (BuildSubtree) or a root
@@ -1757,7 +1769,7 @@ func appendCoverHandles(dst []handle, m rctree.Model, n *ctree.Node, g int) []ha
 func (b *builder) intersectWindows(na, nb *ctree.Node) (xLo, xHi float64, compromised bool) {
 	b.layout(na, nb, !math.IsInf(b.interBound(), 1))
 	m := b.opt.Model
-	budget := b.opt.SneakCostCap * (geom.DistRR(na.Region, nb.Region) + 1)
+	budget := sneakCostCap * (geom.DistRR(na.Region, nb.Region) + 1)
 	probe := b.opt.SneakProbe
 	seq := 0
 	if probe != nil {
@@ -1783,7 +1795,7 @@ func (b *builder) intersectWindows(na, nb *ctree.Node) (xLo, xHi float64, compro
 		if probe != nil {
 			probe.Record("window", seq, iter, gap, xLo, xHi, 0, b.probeOffsets())
 		}
-		if gap <= eps || iter >= b.opt.MaxSneakIter || gLo == gHi {
+		if gap <= eps || iter >= maxSneakIter || gLo == gHi {
 			if gap > 0 {
 				if gap > eps {
 					b.stats.SneakUnresolved++
@@ -1929,7 +1941,7 @@ func (b *builder) splitWindow(na, nb *ctree.Node, d, xLo, xHi float64, compromis
 		// clamp into the achievable span and accept the larger violation.
 		x0 := -m.WireDelay(d, nb.Cap)
 		xd := m.WireDelay(d, na.Cap)
-		budget := b.opt.SneakCostCap * (d + 1)
+		budget := sneakCostCap * (d + 1)
 		switch {
 		case xLo > xd && m.ExtendForDelay(na.Cap, min(xLo, xHi))-d > budget,
 			xHi < x0 && m.ExtendForDelay(nb.Cap, -max(xHi, xLo))-d > budget:

@@ -494,3 +494,93 @@ func TestPilotOptionRejections(t *testing.T) {
 		t.Error("Pilot + explicit GroupOffsets accepted")
 	}
 }
+
+// TestOptionValueValidation pins normalizeOptions' value checks on every
+// entry point that runs it (Build, BuildSubtree, MergeRoots): a non-finite
+// bound, bias or prescribed offset, a negative skew bound and a NaN pair
+// bound are rejected, while an infinite pair bound (a one-sided range) and
+// InterSkewBound < 0 (the leash off) still route.
+func TestOptionValueValidation(t *testing.T) {
+	in := bench.Intermingled(bench.Small(30, 2), 3, 2)
+	nan, inf := math.NaN(), math.Inf(1)
+	freshRegistry := func() *Registry {
+		reg, err := NewRegistry(in, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	entries := []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"Build", func(o Options) error {
+			_, err := Build(in, o)
+			return err
+		}},
+		{"BuildSubtree", func(o Options) error {
+			_, err := BuildSubtree(in, nil, o, freshRegistry())
+			return err
+		}},
+		{"MergeRoots", func(o Options) error {
+			reg := freshRegistry()
+			sub, err := BuildSubtree(in, nil, Options{}, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = MergeRoots(in, []*ctree.Node{sub.Root}, o, reg)
+			return err
+		}},
+	}
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		ok   bool
+	}{
+		{"NaN IntraSkewBound", Options{IntraSkewBound: nan}, false},
+		{"+Inf IntraSkewBound", Options{IntraSkewBound: inf}, false},
+		{"negative IntraSkewBound", Options{IntraSkewBound: -5}, false},
+		{"NaN InterSkewBound", Options{InterSkewBound: nan}, false},
+		{"-Inf InterSkewBound", Options{InterSkewBound: -inf}, false},
+		{"NaN GlobalBound", Options{SingleGroup: true, GlobalBound: nan}, false},
+		{"negative GlobalBound", Options{SingleGroup: true, GlobalBound: -1}, false},
+		{"+Inf DelayTargetBias", Options{DelayTargetBias: inf}, false},
+		{"+Inf group offset", Options{GroupOffsets: []float64{0, inf, 5}}, false},
+		{"NaN group offset", Options{GroupOffsets: []float64{0, 1, nan}}, false},
+		{"NaN pair MinPs", Options{PairConstraints: []PairConstraint{{I: 0, J: 1, MinPs: nan, MaxPs: 5}}}, false},
+		{"NaN pair MaxPs", Options{PairConstraints: []PairConstraint{{I: 0, J: 1, MinPs: 0, MaxPs: nan}}}, false},
+		{"one-sided pair range", Options{PairConstraints: []PairConstraint{{I: 0, J: 1, MinPs: -inf, MaxPs: 5}}}, true},
+		{"leash off", Options{InterSkewBound: -1}, true},
+	} {
+		for _, e := range entries {
+			err := e.run(tc.opt)
+			if tc.ok && err != nil {
+				t.Errorf("%s: %s rejected it: %v", tc.name, e.name, err)
+			}
+			if !tc.ok && err == nil {
+				t.Errorf("%s: %s accepted it", tc.name, e.name)
+			}
+		}
+	}
+}
+
+// TestRegistrySnapshotRejectsNonFinite: a snapshot holding a non-finite
+// offset (one that crossed the wire, say) is refused before any build can
+// route against it.
+func TestRegistrySnapshotRejectsNonFinite(t *testing.T) {
+	in := bench.Intermingled(bench.Small(30, 2), 3, 2)
+	reg, err := NewRegistry(in, Options{GroupOffsets: []float64{0, 4, -2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRegistryFromSnapshot(reg.Snapshot()); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		s := reg.Snapshot()
+		s.Off[1] = v
+		if _, err := NewRegistryFromSnapshot(s); err == nil {
+			t.Errorf("snapshot with offset %v accepted", v)
+		}
+	}
+}

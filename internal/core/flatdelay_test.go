@@ -43,7 +43,7 @@ func paperR2K8() *ctree.Instance { return paperInput(1, 8) }
 // representation bitwise to the behavior of the map-based implementation it
 // replaced: the wirelength bits and the per-sink delay digest below were
 // recorded from the last map-based build (commit 45acbe1) on these exact
-// instances, across all three batching strategies, ZST and grouped AST-DME,
+// instances, across both merging strategies, ZST and grouped AST-DME,
 // at 1 and 4 merge workers. The flat build must reproduce every one of them
 // exactly — the representation change is not allowed to move a single bit
 // of any routed tree. Those grouped rows route at B = 0; the paper rows
@@ -79,14 +79,10 @@ func TestFlatDelayMatchesMapBaseline(t *testing.T) {
 		{"zst", order.Multi, 4, 0, false, 0x414296d0dd5b8f80, 0xdec0bd6930b8fb07},
 		{"zst", order.Greedy, 1, 0, false, 0x41430837095ad6e4, 0x6b80f108b7b8c1b6},
 		{"zst", order.Greedy, 4, 0, false, 0x41430837095ad6e4, 0x6b80f108b7b8c1b6},
-		{"zst", order.GreedyBatch, 1, 0, false, 0x4149688d40a36590, 0x9cd6f2d8aec76065},
-		{"zst", order.GreedyBatch, 4, 0, false, 0x4149688d40a36590, 0x9cd6f2d8aec76065},
 		{"grouped", order.Multi, 1, 0, false, 0x4139ccbe875e55da, 0xe7123630ad067931},
 		{"grouped", order.Multi, 4, 0, false, 0x4139ccbe875e55da, 0xe7123630ad067931},
 		{"grouped", order.Greedy, 1, 0, false, 0x413ce17e677c3108, 0x79c49fbb85a3a9ef},
 		{"grouped", order.Greedy, 4, 0, false, 0x413ce17e677c3108, 0x79c49fbb85a3a9ef},
-		{"grouped", order.GreedyBatch, 1, 0, false, 0x414170495504222e, 0x6a7f78a009858da5},
-		{"grouped", order.GreedyBatch, 4, 0, false, 0x414170495504222e, 0x6a7f78a009858da5},
 		{"paper", order.Multi, 1, 0, false, 0x4140a4dd4f3fe730, 0xbb4632c47cefd467},
 		{"paper", order.Multi, 4, 0, false, 0x4140a4dd4f3fe730, 0xbb4632c47cefd467},
 		{"paper", order.Multi, 1, 20, false, 0x41405e8f7148a6df, 0xb1d8e931afebee0e},

@@ -42,7 +42,7 @@ func replayMerges(in *ctree.Instance, opt Options, seq [][2]int) *builder {
 
 // BenchmarkMergeBodies isolates the merge-body cost — window intersection,
 // joint resolution, Elmore bookkeeping, node construction — from the
-// pairing cost that BenchmarkOrderScaling includes: the merge sequence is
+// pairing cost of a full build: the merge sequence is
 // recorded once from a routed instance and then replayed without any
 // nearest-neighbor machinery. ReportAllocs makes the allocation weight of
 // the bodies themselves visible. The paper case routes a Table II input at
@@ -57,17 +57,17 @@ func BenchmarkMergeBodies(b *testing.B) {
 		{
 			name: "zst/n=1000",
 			in:   bench.Small(1000, 9),
-			opt:  Options{SingleGroup: true, Model: DefaultModel(), MaxSneakIter: 8, SneakCostCap: 8},
+			opt:  Options{SingleGroup: true, Model: DefaultModel()},
 		},
 		{
 			name: "ast-intermingled/n=400",
 			in:   bench.Intermingled(bench.Small(400, 33), 4, 99),
-			opt:  Options{Model: DefaultModel(), MaxSneakIter: 8, SneakCostCap: 8},
+			opt:  Options{Model: DefaultModel()},
 		},
 		{
 			name: "ast-paper-r2k8/B=10",
 			in:   paperR2K8(),
-			opt:  Options{IntraSkewBound: 10, Model: DefaultModel(), MaxSneakIter: 8, SneakCostCap: 8},
+			opt:  Options{IntraSkewBound: 10, Model: DefaultModel()},
 		},
 	}
 	for _, tc := range cases {
@@ -148,7 +148,7 @@ func mkGroups(base, n int) []int32 {
 func TestMergeBodiesReplayAllocBudget(t *testing.T) {
 	const budget = 3000
 	in := bench.Small(1000, 9)
-	opt := Options{SingleGroup: true, Model: DefaultModel(), MaxSneakIter: 8, SneakCostCap: 8}
+	opt := Options{SingleGroup: true, Model: DefaultModel()}
 	ref, err := Build(in, Options{SingleGroup: true})
 	if err != nil {
 		t.Fatal(err)

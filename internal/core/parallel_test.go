@@ -55,7 +55,7 @@ func statsEqualModuloSneakWire(a, b Stats) bool {
 
 // TestParallelMergeDifferential: executing the merge bodies across workers
 // must reproduce the serial build exactly — bitwise wirelength, identical
-// topology and stats — for both pairing engines, all batching strategies,
+// topology and stats — for both pairing engines, both merging strategies,
 // and ZST as well as grouped AST-DME runs.
 func TestParallelMergeDifferential(t *testing.T) {
 	zst := bench.Small(600, 21)
@@ -78,7 +78,7 @@ func TestParallelMergeDifferential(t *testing.T) {
 			return Build(clustered, Options{IntraSkewBound: 0, MergeWorkers: w, Order: order.Config{Strategy: st}})
 		}},
 	}
-	strategies := []order.Strategy{order.Multi, order.Greedy, order.GreedyBatch}
+	strategies := []order.Strategy{order.Multi, order.Greedy}
 	for _, tc := range cases {
 		for _, st := range strategies {
 			serial, err := tc.run(1, st)

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // RegistrySnapshot is a Registry's committed state in an exportable,
 // serializable form: the weighted union-find's parent links and cumulative
@@ -8,9 +11,9 @@ import "fmt"
 // registry's form in the wire format's work units (internal/wire): the
 // sharded pipeline freezes a base registry and puts its snapshot inside
 // every work unit, and each execution, in process or on a worker,
-// reconstructs an equivalent private registry with NewRegistryFromSnapshot
-// — the same bitwise-determinism guarantee as Registry.Clone (offsets are
-// copied verbatim, never recomputed).
+// reconstructs an equivalent private registry with NewRegistryFromSnapshot.
+// Offsets are copied verbatim, never recomputed, so every reconstruction
+// routes bitwise-identical trees.
 type RegistrySnapshot struct {
 	Parent    []int
 	Off       []float64
@@ -29,8 +32,9 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 
 // NewRegistryFromSnapshot reconstructs a registry from a snapshot,
 // validating it defensively (snapshots may arrive over the network): the
-// parent links must stay in range and form a forest — a cycle would hang
-// every registry lookup, so it is rejected here rather than trusted.
+// offsets must be finite, and the parent links must stay in range and form
+// a forest — a cycle would hang every registry lookup, so it is rejected
+// here rather than trusted.
 func NewRegistryFromSnapshot(s RegistrySnapshot) (*Registry, error) {
 	n := len(s.Parent)
 	if n == 0 {
@@ -45,6 +49,9 @@ func NewRegistryFromSnapshot(s RegistrySnapshot) (*Registry, error) {
 	for g, p := range s.Parent {
 		if p < 0 || p >= n {
 			return nil, fmt.Errorf("core: registry snapshot parent[%d] = %d out of range", g, p)
+		}
+		if v := s.Off[g]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("core: registry snapshot offset[%d] = %v is not finite", g, v)
 		}
 	}
 	for g := range s.Parent {

@@ -166,10 +166,6 @@ type Node struct {
 	// delays of that group's sinks (ps), as a flat group-sorted set whose
 	// group ids mirror Groups exactly.
 	Delay rctree.DelaySet
-	// Handles maps a group to the snaking handle edge for that group, when
-	// one exists: the highest edge in the subtree below which lie exactly the
-	// subtree's sinks of that group.
-	Handles map[int]EdgeRef
 	// Loc is the embedded location; valid once Placed is true.
 	Loc    geom.UV
 	Placed bool

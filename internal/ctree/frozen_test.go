@@ -12,9 +12,7 @@ import (
 
 // frozenHalves routes the two interleaved halves of a grouped power-law
 // instance as separate pre-stitch subtrees (deferred roots) and returns them
-// frozen, with each subtree's encoding taken before freezing. The routers
-// leave Node.Handles empty, so each root gets two handles attached by hand
-// to exercise the handle triples.
+// frozen, with each subtree's encoding taken before freezing.
 func frozenHalves(tb testing.TB, n int) (*ctree.Instance, *core.Registry, [2]*ctree.Frozen, [2][]byte) {
 	tb.Helper()
 	in := bench.Intermingled(bench.PowerLaw(n, bench.PowerLawClusters, bench.PowerLawAlpha, 3), 4, 3)
@@ -29,16 +27,25 @@ func frozenHalves(tb testing.TB, n int) (*ctree.Instance, *core.Registry, [2]*ct
 	var frozen [2]*ctree.Frozen
 	var enc [2][]byte
 	for h, ids := range halves {
-		sub, err := core.BuildSubtree(in, ids, core.Options{}, base.Clone())
+		sub, err := core.BuildSubtree(in, ids, core.Options{}, copyRegistry(tb, base))
 		if err != nil {
 			tb.Fatal(err)
 		}
-		r := sub.Root
-		r.Handles = map[int]ctree.EdgeRef{0: {Parent: r.Left, Side: ctree.SideR}, 2: {Parent: r, Side: ctree.SideL}}
-		enc[h] = encodeTree(tb, r)
-		frozen[h] = ctree.Freeze(r)
+		enc[h] = encodeTree(tb, sub.Root)
+		frozen[h] = ctree.Freeze(sub.Root)
 	}
 	return in, base, frozen, enc
+}
+
+// copyRegistry returns a private registry with base's committed state, the
+// way the sharded pipeline hands each sub-build its own.
+func copyRegistry(tb testing.TB, base *core.Registry) *core.Registry {
+	tb.Helper()
+	r, err := core.NewRegistryFromSnapshot(base.Snapshot())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
 }
 
 func encodeTree(tb testing.TB, root *ctree.Node) []byte {
@@ -61,16 +68,14 @@ func TestFrozenThaw(t *testing.T) {
 	if a == b {
 		t.Fatal("two thaws returned the same root")
 	}
-	handles := 0
-	a.Visit(func(n *ctree.Node) { handles += len(n.Handles) })
-	if handles == 0 || !a.Deferred {
-		t.Fatalf("subtree exercises too little: %d handles, deferred root %v", handles, a.Deferred)
+	if !a.Deferred {
+		t.Fatal("subtree exercises too little: its root is not deferred")
 	}
 	if !bytes.Equal(encodeTree(t, a), enc[0]) {
 		t.Fatal("thawed copy encodes differently from the original subtree")
 	}
 
-	if _, err := core.MergeRoots(in, []*ctree.Node{a, frozen[1].Thaw(in, nil)}, core.Options{}, base.Clone()); err != nil {
+	if _, err := core.MergeRoots(in, []*ctree.Node{a, frozen[1].Thaw(in, nil)}, core.Options{}, copyRegistry(t, base)); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(encodeTree(t, a), enc[0]) {

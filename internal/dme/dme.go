@@ -151,18 +151,6 @@ func (p *pq) pop() pqItem {
 	return top
 }
 
-// segScorer adapts the node list to spatial.Keyer, so grid queries run
-// without per-call closure allocations. nodes points at mergeAll's slice
-// (which reallocates as it grows).
-type segScorer struct {
-	nodes *[]*Node
-}
-
-func (s segScorer) PairKey(self, cand int) float64 {
-	ns := *s.nodes
-	return geom.DistRR(ns[self].Seg, ns[cand].Seg)
-}
-
 // mergeAll drains the items into one tree. useGrid answers the
 // nearest-segment queries from the bucket grid instead of a linear scan;
 // both paths produce identical trees (segments are exact rectangles, and a
@@ -179,8 +167,9 @@ func mergeAll(items []*Node, m rctree.Model, useGrid bool) *Node {
 	dist := func(i, j int) float64 { return geom.DistRR(nodes[i].Seg, nodes[j].Seg) }
 	h := make(pq, 0, 2*len(nodes))
 
+	// The index files each node under its segment, so its box distance is
+	// the merge distance.
 	var idx *spatial.Index
-	scorer := segScorer{nodes: &nodes}
 	if useGrid {
 		boxes := make([]geom.Rect, len(nodes))
 		for i := range nodes {
@@ -192,7 +181,7 @@ func mergeAll(items []*Node, m rctree.Model, useGrid bool) *Node {
 	pushNN := func(i int) {
 		best, bestD := -1, math.Inf(1)
 		if idx != nil {
-			best, bestD, _ = idx.NearestScored(i, scorer, nil)
+			best, bestD, _ = idx.NearestBox(i)
 		} else {
 			for j := range nodes {
 				if j != i && alive[j] {

@@ -32,8 +32,8 @@ type WaveSummary struct {
 // Summary is the compact phase breakdown of a trace: wall time, the
 // top-level phases in first-seen order with their share of the wall, and the
 // merge wave's aggregate idle fraction when parallel rounds ran. It is what
-// sweep embeds per point into the BENCH_*.json series and what Report
-// renders for humans.
+// dmebench reads its per-layer shares from and what Report renders for
+// humans.
 type Summary struct {
 	Label  string  `json:"label"`
 	WallMS float64 `json:"wall_ms"`

@@ -10,7 +10,7 @@ import (
 )
 
 // Provenance identifies the build and machine a run executed on, so a
-// BENCH_*.json point (or a trace file) stays interpretable after the fact:
+// dmebench record (or a trace file) stays interpretable after the fact:
 // a wall-clock regression means nothing without knowing the commit, the core
 // count, and the CPU the number came from.
 type Provenance struct {
@@ -58,7 +58,7 @@ func CollectProvenance() *Provenance {
 }
 
 // cpuModel returns the CPU model string ("" when undeterminable). Linux-only
-// by design: the longitudinal bench artifacts are produced on Linux CI.
+// by design: benchmark records and traces are produced on Linux.
 func cpuModel() string {
 	data, err := os.ReadFile("/proc/cpuinfo")
 	if err != nil {

@@ -32,11 +32,10 @@
 //
 // # Batched consumption
 //
-// NextBatch exposes each round's disjoint merge set at once, which lets the
-// router execute the merge bodies concurrently (the pairs of one batch never
-// share a subtree) and commit results in batch order. Next remains the
-// one-pair-at-a-time view of the same sequence; mixing the two mid-run is
-// supported, and both produce identical merge orders.
+// NextBatch is the only way to consume a Queue. It exposes each round's
+// disjoint merge set at once, which lets the router execute the merge bodies
+// concurrently (the pairs of one batch never share a subtree) and commit
+// results in batch order. Under Greedy every batch holds a single pair.
 package order
 
 import (
@@ -64,13 +63,6 @@ const (
 	// Greedy merges exactly one globally minimum-cost pair at a time
 	// (classic greedy-DME order).
 	Greedy
-	// GreedyBatch drains successive disjoint minimum pairs from the greedy
-	// heap into a batch before refreshing, amortizing the nearest-neighbor
-	// recomputations of new nodes into one parallel batch query per round.
-	// Unlike Greedy, nodes created within a batch cannot pair until the next
-	// round (the Multi trade-off at Greedy-like selection quality); unlike
-	// Multi, no full re-pairing of the live set happens per round.
-	GreedyBatch
 )
 
 // Pair is a candidate merge: item I paired with its best partner J at
@@ -99,8 +91,8 @@ type Pair struct {
 //     id. It serves the anti-starvation rule once per starved item, and
 //     must not allocate.
 //   - Scans reports the cumulative number of candidate evaluations (keys,
-//     and NearestFree's distances) — the pairing-work metric recorded by
-//     the scaling benchmarks.
+//     and NearestFree's distances) — the pairing-work metric the router
+//     reports as Stats.PairScans.
 type Pairer interface {
 	Insert(id int)
 	Delete(id int)
@@ -112,11 +104,8 @@ type Pairer interface {
 
 // Config parameterizes a Queue.
 type Config struct {
-	// Strategy selects Multi (the default), Greedy, or GreedyBatch.
+	// Strategy selects Multi (the default) or Greedy.
 	Strategy Strategy
-	// BatchFraction is the fraction of live items merged per Multi or
-	// GreedyBatch round, in (0, 0.5]; 0 selects the default 0.5.
-	BatchFraction float64
 	// Key optionally overrides the pair priority. It receives the two item
 	// indices and their distance and returns the priority (lower merges
 	// first). Nil means priority = distance. Used for the delay-target
@@ -140,19 +129,15 @@ type Queue struct {
 	alive  []bool
 	live   int
 
-	// Greedy / GreedyBatch state.
-	h     pairHeap
-	fresh []int // GreedyBatch: ids inserted since the last heap refresh
+	// Greedy state.
+	h pairHeap
 
-	// Multi / GreedyBatch state.
-	batch  []Pair
-	cursor int   // batch[:cursor] already handed out by Next
-	age    []int // rounds an item has survived unmerged (anti-starvation)
+	batch []Pair // what NextBatch returns
+	age   []int  // Multi rounds an item has survived unmerged (anti-starvation)
 
-	// Reused per-round scratch (buildBatch, NextBatch).
+	// Reused per-round scratch (buildBatch).
 	ids  []int
 	used []bool
-	out  []Pair
 
 	// batchTime accumulates wall time spent inside NextBatch — the pairing
 	// and batch-selection cost of the run, separable from the merge bodies.
@@ -228,9 +213,6 @@ func (h *pairHeap) pop() Pair {
 
 // New builds a queue over n initial items with the given distance function.
 func New(cfg Config, n int, dist func(i, j int) float64) *Queue {
-	if cfg.BatchFraction <= 0 || cfg.BatchFraction > 0.5 {
-		cfg.BatchFraction = 0.5
-	}
 	q := &Queue{cfg: cfg, alive: make([]bool, 0, 2*n), live: n}
 	q.pairer = cfg.Pairer
 	if q.pairer == nil {
@@ -241,7 +223,7 @@ func New(cfg Config, n int, dist func(i, j int) float64) *Queue {
 		q.age = append(q.age, 0)
 		q.pairer.Insert(i)
 	}
-	if cfg.Strategy == Greedy || cfg.Strategy == GreedyBatch {
+	if cfg.Strategy == Greedy {
 		q.h.s = make([]Pair, 0, 2*n)
 		ids := make([]int, n)
 		for i := range ids {
@@ -271,47 +253,13 @@ func (q *Queue) pushNN(i int) {
 	}
 }
 
-// Next returns the next pair of live items to merge. ok is false when fewer
-// than two items remain. The caller must mark the result of the merge with
-// Merged before the subsequent Next (Greedy) or after draining the current
-// batch (Multi, GreedyBatch).
-func (q *Queue) Next() (i, j int, ok bool) {
-	switch q.cfg.Strategy {
-	case Greedy:
-		if q.live < 2 {
-			return 0, 0, false
-		}
-		return q.nextGreedy()
-	case GreedyBatch:
-		// GreedyBatch retires the whole batch at selection, so pending
-		// batch pairs must be served before consulting the live count.
-		if q.cursor >= len(q.batch) {
-			if q.live < 2 {
-				return 0, 0, false
-			}
-			q.selectGreedyBatch()
-			if len(q.batch) == 0 {
-				return 0, 0, false
-			}
-		}
-		p := q.batch[q.cursor]
-		q.cursor++
-		return p.I, p.J, true
-	default:
-		if q.cursor >= len(q.batch) && q.live < 2 {
-			return 0, 0, false
-		}
-		return q.nextMulti()
-	}
-}
-
 // NextBatch returns the next round's batch of disjoint merges, retiring all
 // its items, or nil when fewer than two items remain. Under Greedy the batch
-// always holds a single pair; under Multi and GreedyBatch it holds the whole
-// round. The pairs of one batch never share an item, so the caller may
-// execute the merge bodies concurrently; results must be registered with
-// Merged in batch order. The returned slice is valid until the next
-// NextBatch or Next call.
+// always holds a single pair; under Multi it holds the whole round. The
+// pairs of one batch never share an item, so the caller may execute the
+// merge bodies concurrently; results must be registered with Merged in batch
+// order before the next call. The returned slice is valid until the next
+// NextBatch call.
 func (q *Queue) NextBatch() []Pair {
 	start := obs.Now()
 	out := q.nextBatch()
@@ -321,48 +269,29 @@ func (q *Queue) NextBatch() []Pair {
 
 // BatchTime reports the accumulated wall time of all NextBatch calls: the
 // run's pairing/selection cost. Greedy's incremental heap refreshes inside
-// Merged are not included (Greedy is not the batched strategies' path).
+// Merged are not included (Greedy is not the batched strategy's path).
 func (q *Queue) BatchTime() time.Duration { return q.batchTime }
 
 func (q *Queue) nextBatch() []Pair {
-	switch q.cfg.Strategy {
-	case Greedy:
-		if q.live < 2 {
-			return nil
-		}
-		i, j, ok := q.nextGreedy()
+	if q.live < 2 {
+		return nil
+	}
+	if q.cfg.Strategy == Greedy {
+		p, ok := q.nextGreedy()
 		if !ok {
 			return nil
 		}
-		q.out = append(q.out[:0], Pair{I: i, J: j})
-		return q.out
-	case GreedyBatch:
-		if q.cursor >= len(q.batch) {
-			if q.live < 2 {
-				return nil
-			}
-			q.selectGreedyBatch()
-		}
-		rest := q.batch[q.cursor:] // pairs were retired at selection
-		q.cursor = len(q.batch)
-		return rest
-	default:
-		if q.cursor >= len(q.batch) {
-			if q.live < 2 {
-				return nil
-			}
-			q.buildBatch()
-			if len(q.batch) == 0 {
-				return nil
-			}
-		}
-		rest := q.batch[q.cursor:]
-		q.cursor = len(q.batch)
-		for _, p := range rest {
-			q.retire(p.I, p.J)
-		}
-		return rest
+		q.batch = append(q.batch[:0], p)
+		return q.batch
 	}
+	q.buildBatch()
+	if len(q.batch) == 0 {
+		return nil
+	}
+	for _, p := range q.batch {
+		q.retire(p.I, p.J)
+	}
+	return q.batch
 }
 
 // retire marks both items of a chosen pair dead, here and in the pairer.
@@ -373,79 +302,33 @@ func (q *Queue) retire(i, j int) {
 	q.live -= 2
 }
 
-func (q *Queue) nextGreedy() (int, int, bool) {
+// nextGreedy pops the heap's minimum pair of live items and retires them.
+func (q *Queue) nextGreedy() (Pair, bool) {
 	for q.h.len() > 0 {
 		p := q.h.pop()
 		ai, aj := q.alive[p.I], q.alive[p.J]
 		switch {
 		case ai && aj:
 			q.retire(p.I, p.J)
-			return p.I, p.J, true
+			return p, true
 		case ai:
 			q.pushNN(p.I) // partner died: refresh
 		case aj:
 			q.pushNN(p.J)
 		}
 	}
-	return 0, 0, false
-}
-
-func (q *Queue) nextMulti() (int, int, bool) {
-	if q.cursor >= len(q.batch) {
-		q.buildBatch()
-		if len(q.batch) == 0 {
-			return 0, 0, false
-		}
-	}
-	p := q.batch[q.cursor]
-	q.cursor++
-	q.retire(p.I, p.J)
-	return p.I, p.J, true
-}
-
-// selectGreedyBatch drains up to ceil(live·BatchFraction) disjoint minimum
-// pairs from the greedy heap into q.batch, retiring them. Before selecting,
-// the nearest partners of all nodes registered since the last round are
-// computed in one batch query — the batched form of Greedy's per-merge heap
-// refresh, which shards across CPUs instead of issuing sequential queries.
-func (q *Queue) selectGreedyBatch() {
-	q.batch = q.batch[:0]
-	q.cursor = 0
-	if len(q.fresh) > 0 {
-		for _, p := range q.pairer.NearestAll(q.fresh) {
-			if p.J >= 0 {
-				q.h.push(p)
-			}
-		}
-		q.fresh = q.fresh[:0]
-	}
-	limit := int(math.Ceil(float64(q.live) * q.cfg.BatchFraction))
-	if limit < 1 {
-		limit = 1
-	}
-	for len(q.batch) < limit && q.h.len() > 0 {
-		p := q.h.pop()
-		ai, aj := q.alive[p.I], q.alive[p.J]
-		switch {
-		case ai && aj:
-			q.retire(p.I, p.J)
-			q.batch = append(q.batch, p)
-		case ai:
-			q.pushNN(p.I)
-		case aj:
-			q.pushNN(p.J)
-		}
-	}
+	return Pair{}, false
 }
 
 // buildBatch computes the nearest-neighbor pairing of all live items and
-// keeps the shortest disjoint pairs, at least one and at most
-// ceil(live/2 · 2·BatchFraction). The pairing itself runs through the
-// pairer's batch query (parallelizable); the final disjoint selection is a
-// deterministic sequential sweep in (key, index) order.
+// keeps every pair whose items are both still free, in (key, index) order.
+// Edahiro caps a round at a fraction f of the live items; at f = 0.5, the
+// value this package always used, the cap cannot bind, since disjoint pairs
+// never number more than live/2. The pairing itself runs through the
+// pairer's batch query (parallelizable); the disjoint selection is a
+// deterministic sequential sweep.
 func (q *Queue) buildBatch() {
 	q.batch = q.batch[:0]
-	q.cursor = 0
 	ids := q.ids[:0]
 	for i, a := range q.alive {
 		if a {
@@ -478,10 +361,6 @@ func (q *Queue) buildBatch() {
 			return 0
 		}
 	})
-	limit := int(math.Ceil(float64(len(ids)) * q.cfg.BatchFraction))
-	if limit < 1 {
-		limit = 1
-	}
 	for len(q.used) < len(q.alive) {
 		q.used = append(q.used, false)
 	}
@@ -508,9 +387,6 @@ func (q *Queue) buildBatch() {
 		}
 	}
 	for _, p := range cand {
-		if len(q.batch) >= limit {
-			break
-		}
 		if used[p.I] || used[p.J] {
 			continue
 		}
@@ -535,11 +411,8 @@ func (q *Queue) Merged(newID int) {
 	q.age = append(q.age, 0)
 	q.live++
 	q.pairer.Insert(newID)
-	switch q.cfg.Strategy {
-	case Greedy:
+	if q.cfg.Strategy == Greedy {
 		q.pushNN(newID)
-	case GreedyBatch:
-		q.fresh = append(q.fresh, newID)
 	}
 }
 
@@ -547,7 +420,8 @@ func (q *Queue) Merged(newID int) {
 func (q *Queue) Live() int { return q.live }
 
 // Scans reports the cumulative number of candidate evaluations performed by
-// the pairer — the pairing-work metric of the scaling benchmarks.
+// the pairer — the pairing-work metric the router reports as
+// Stats.PairScans.
 func (q *Queue) Scans() int64 { return q.pairer.Scans() }
 
 // scanPairer is the built-in oracle engine: a linear scan over all live

@@ -6,8 +6,10 @@ import (
 	"testing"
 )
 
-// runAll drains the queue simulating merges; dist of a merged item is the
-// midpoint of its parts (1-D toy metric). Returns the merge sequence.
+// runAll drains the queue through NextBatch simulating merges; dist of a
+// merged item is the midpoint of its parts (1-D toy metric). Every batch
+// must be disjoint (the parallel-execution contract), and a Greedy batch
+// must hold exactly one pair. Returns the merge sequence.
 func runAll(t *testing.T, cfg Config, pos []float64) [][2]int {
 	t.Helper()
 	coords := append([]float64(nil), pos...)
@@ -15,18 +17,45 @@ func runAll(t *testing.T, cfg Config, pos []float64) [][2]int {
 	q := New(cfg, len(pos), dist)
 	var seq [][2]int
 	for {
-		i, j, ok := q.Next()
-		if !ok {
+		batch := q.NextBatch()
+		if len(batch) == 0 {
 			break
 		}
-		if i == j {
-			t.Fatal("self merge")
+		if cfg.Strategy == Greedy && len(batch) != 1 {
+			t.Fatalf("Greedy batch holds %d pairs, want 1", len(batch))
 		}
-		seq = append(seq, [2]int{i, j})
-		coords = append(coords, (coords[i]+coords[j])/2)
-		q.Merged(len(coords) - 1)
+		seen := map[int]bool{}
+		for _, p := range batch {
+			if p.I == p.J {
+				t.Fatal("self merge")
+			}
+			if seen[p.I] || seen[p.J] {
+				t.Fatalf("batch reuses an item: %v", batch)
+			}
+			seen[p.I], seen[p.J] = true, true
+		}
+		for _, p := range batch {
+			seq = append(seq, [2]int{p.I, p.J})
+			coords = append(coords, (coords[p.I]+coords[p.J])/2)
+			q.Merged(len(coords) - 1)
+		}
 	}
 	return seq
+}
+
+// nextGreedy pops a Greedy queue's next merge, failing if the batch does
+// not hold exactly one pair. ok is false once the queue is drained.
+func nextGreedy(t *testing.T, q *Queue) (i, j int, ok bool) {
+	t.Helper()
+	batch := q.NextBatch()
+	switch len(batch) {
+	case 0:
+		return 0, 0, false
+	case 1:
+		return batch[0].I, batch[0].J, true
+	}
+	t.Fatalf("Greedy batch holds %d pairs, want 1", len(batch))
+	return 0, 0, false
 }
 
 func TestGreedyMergesAll(t *testing.T) {
@@ -43,12 +72,10 @@ func TestGreedyMergesAll(t *testing.T) {
 }
 
 func TestMultiMergesAll(t *testing.T) {
-	for _, frac := range []float64{0, 0.25, 0.5} {
-		pos := []float64{3, 1, 4, 1.5, 9, 2.6, 5, 3.5, 8, 9.7}
-		seq := runAll(t, Config{Strategy: Multi, BatchFraction: frac}, pos)
-		if len(seq) != len(pos)-1 {
-			t.Fatalf("frac %v: merges = %d, want %d", frac, len(seq), len(pos)-1)
-		}
+	pos := []float64{3, 1, 4, 1.5, 9, 2.6, 5, 3.5, 8, 9.7}
+	seq := runAll(t, Config{Strategy: Multi}, pos)
+	if len(seq) != len(pos)-1 {
+		t.Fatalf("merges = %d, want %d", len(seq), len(pos)-1)
 	}
 }
 
@@ -94,7 +121,7 @@ func TestTwoItems(t *testing.T) {
 
 func TestSingleItemNoMerge(t *testing.T) {
 	q := New(Config{}, 1, func(i, j int) float64 { return 0 })
-	if _, _, ok := q.Next(); ok {
+	if batch := q.NextBatch(); batch != nil {
 		t.Error("single item should not merge")
 	}
 }
@@ -110,7 +137,7 @@ func TestCustomKeyChangesOrder(t *testing.T) {
 	coords := append([]float64(nil), pos...)
 	dist := func(i, j int) float64 { return math.Abs(coords[i] - coords[j]) }
 	q := New(cfg, len(pos), dist)
-	i, j, ok := q.Next()
+	i, j, ok := nextGreedy(t, q)
 	if !ok {
 		t.Fatal("no merge")
 	}
@@ -135,13 +162,13 @@ func TestGreedyPicksShortestAmongRemaining(t *testing.T) {
 		alive[i] = true
 	}
 	for {
-		i, j, ok := q.Next()
+		i, j, ok := nextGreedy(t, q)
 		if !ok {
 			break
 		}
 		got := dist(i, j)
 		// Verify global minimality over the live set (i, j excluded already
-		// by Next, so temporarily restore).
+		// by NextBatch, so temporarily restore).
 		alive[i], alive[j] = true, true
 		best := math.Inf(1)
 		for a := range alive {
@@ -162,86 +189,6 @@ func TestGreedyPicksShortestAmongRemaining(t *testing.T) {
 		id := len(coords) - 1
 		q.Merged(id)
 		alive[id] = true
-	}
-}
-
-func TestGreedyBatchMergesAll(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	pos := make([]float64, 100)
-	for i := range pos {
-		pos[i] = r.Float64() * 1e4
-	}
-	for _, frac := range []float64{0, 0.1, 0.5} {
-		seq := runAll(t, Config{Strategy: GreedyBatch, BatchFraction: frac}, pos)
-		if len(seq) != len(pos)-1 {
-			t.Fatalf("frac %v: merges = %d, want %d", frac, len(seq), len(pos)-1)
-		}
-		used := map[int]bool{}
-		for _, p := range seq {
-			for _, x := range p {
-				if used[x] {
-					t.Fatalf("item %d merged twice", x)
-				}
-				used[x] = true
-			}
-		}
-	}
-	// The first merge of the first batch is the globally closest pair.
-	seq := runAll(t, Config{Strategy: GreedyBatch}, []float64{0, 10, 11, 50, 52, 100})
-	if first := seq[0]; !(first == [2]int{1, 2} || first == [2]int{2, 1}) {
-		t.Errorf("first merge = %v, want {1,2}", first)
-	}
-}
-
-// drainBatches consumes a queue through NextBatch, simulating merges with
-// the same 1-D midpoint metric as runAll.
-func drainBatches(t *testing.T, cfg Config, pos []float64) [][2]int {
-	t.Helper()
-	coords := append([]float64(nil), pos...)
-	dist := func(i, j int) float64 { return math.Abs(coords[i] - coords[j]) }
-	q := New(cfg, len(pos), dist)
-	var seq [][2]int
-	for {
-		batch := q.NextBatch()
-		if len(batch) == 0 {
-			break
-		}
-		// Batch pairs must be disjoint (the parallel-execution contract).
-		seen := map[int]bool{}
-		for _, p := range batch {
-			if seen[p.I] || seen[p.J] {
-				t.Fatalf("batch reuses an item: %v", batch)
-			}
-			seen[p.I], seen[p.J] = true, true
-		}
-		for _, p := range batch {
-			seq = append(seq, [2]int{p.I, p.J})
-			coords = append(coords, (coords[p.I]+coords[p.J])/2)
-			q.Merged(len(coords) - 1)
-		}
-	}
-	return seq
-}
-
-// TestNextBatchMatchesNext: the batched view must yield exactly the merge
-// sequence of the one-at-a-time view, for every strategy.
-func TestNextBatchMatchesNext(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	pos := make([]float64, 120)
-	for i := range pos {
-		pos[i] = r.Float64() * 1e4
-	}
-	for _, st := range []Strategy{Greedy, Multi, GreedyBatch} {
-		one := runAll(t, Config{Strategy: st}, pos)
-		batched := drainBatches(t, Config{Strategy: st}, pos)
-		if len(one) != len(batched) {
-			t.Fatalf("strategy %v: %d merges (Next) vs %d (NextBatch)", st, len(one), len(batched))
-		}
-		for k := range one {
-			if one[k] != batched[k] {
-				t.Fatalf("strategy %v: merge %d = %v (Next) vs %v (NextBatch)", st, k, one[k], batched[k])
-			}
-		}
 	}
 }
 

@@ -56,17 +56,15 @@ func starvationRun(t *testing.T, grid bool) [][2]int {
 	q := order.New(cfg, n, dist)
 	var seq [][2]int
 	pariahMergedAt := -1
-	for {
-		i, j, ok := q.Next()
-		if !ok {
-			break
+	for batch := q.NextBatch(); len(batch) > 0; batch = q.NextBatch() {
+		for _, p := range batch {
+			if p.I == pariah || p.J == pariah {
+				pariahMergedAt = len(seq)
+			}
+			seq = append(seq, [2]int{p.I, p.J})
+			coords = append(coords, (coords[p.I]+coords[p.J])/2)
+			q.Merged(len(coords) - 1)
 		}
-		if i == pariah || j == pariah {
-			pariahMergedAt = len(seq)
-		}
-		seq = append(seq, [2]int{i, j})
-		coords = append(coords, (coords[i]+coords[j])/2)
-		q.Merged(len(coords) - 1)
 	}
 	if pariahMergedAt < 0 {
 		t.Fatalf("grid=%v: pariah never merged", grid)

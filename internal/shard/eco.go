@@ -234,13 +234,14 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 
 // dirtySet walks the edit script and derives the dirty shards and the edited
 // partition. Moves, reloads and removals dirty the shard owning the targeted
-// sink; an addition is assigned to the shard of its nearest live sink, found
-// through the lazily built, incrementally patched spatial index (removed
-// sinks are deleted from it before later additions query, moved sinks are
-// re-filed at their new placement, and each added sink is filed immediately
-// so a subsequent addition can cluster onto it). Returns the partition in
-// edited-instance sink ids, the ascending dirty shard indices, and whether
-// the script removed any sink.
+// sink; an addition is assigned to the shard of its nearest other live sink
+// by Manhattan distance (smallest id on ties), found through the lazily
+// built, incrementally patched spatial index: removed sinks are deleted from
+// it before later additions query, moved sinks are re-filed at their new
+// placement, and each added sink is filed first and then asks NearestBox
+// for its neighbor, so a subsequent addition can cluster onto it. Returns
+// the partition in edited-instance sink ids, the ascending dirty shard
+// indices, and whether the script removed any sink.
 func (c *EcoCache) dirtySet(script *instio.EditScript, rm *instio.Remap) (newParts [][]int, dirtyIdx []int, removals bool, err error) {
 	k := len(c.Parts)
 	nOld := len(c.Instance.Sinks)
@@ -277,10 +278,8 @@ func (c *EcoCache) dirtySet(script *instio.EditScript, rm *instio.Remap) (newPar
 			c.idx.Delete(e.Sink)
 			removals = true
 		case instio.OpAdd:
-			q := geom.RectFromPoint(e.Loc)
-			nb, _, ok := c.idx.Nearest(q, nil, func(id int) float64 {
-				return geom.DistRR(q, c.idx.Box(id))
-			})
+			c.idx.Insert(nextID, geom.RectFromPoint(e.Loc))
+			nb, _, ok := c.idx.NearestBox(nextID)
 			if !ok {
 				return nil, nil, false, fmt.Errorf("%w (no surviving sink to anchor an added one)", ErrFullBuild)
 			}
@@ -292,7 +291,6 @@ func (c *EcoCache) dirtySet(script *instio.EditScript, rm *instio.Remap) (newPar
 			}
 			dirty[sh] = true
 			addShard = append(addShard, sh)
-			c.idx.Insert(nextID, q)
 			nextID++
 		}
 	}

@@ -37,12 +37,12 @@ func delayDigest(t *testing.T, root *ctree.Node, in *ctree.Instance) uint64 {
 
 // TestShardsOneBitwiseIdentical pins the Shards=1 pipeline — partition,
 // BuildSubtree over the full sink set, trivial stitch — bitwise to the
-// unsharded core.Build across all three batching strategies, ZST and
+// unsharded core.Build under both merging strategies, ZST and
 // grouped AST-DME: same wirelength bits, same per-sink delay digest.
 func TestShardsOneBitwiseIdentical(t *testing.T) {
 	zst := bench.Small(600, 21)
 	grouped := bench.Intermingled(bench.Small(400, 33), 4, 99)
-	for _, strategy := range []order.Strategy{order.Multi, order.Greedy, order.GreedyBatch} {
+	for _, strategy := range []order.Strategy{order.Multi, order.Greedy} {
 		for _, inst := range []struct {
 			name string
 			in   *ctree.Instance

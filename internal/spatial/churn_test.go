@@ -14,9 +14,9 @@ import (
 // placement), removals (tombstones) and additions (fresh ids extending the
 // id space), with the live count crossing re-cell boundaries in both
 // directions so the LiveDrop purge/rebuild machinery fires mid-sequence.
-// After every round the churned index must answer Nearest identically to an
-// index freshly built from the surviving boxes — cell geometry and rebuild
-// history are never allowed to leak into results.
+// After every round the churned index must answer NearestBox identically to
+// an index freshly built from the surviving boxes — cell geometry and
+// rebuild history are never allowed to leak into results.
 func TestEcoChurnMatchesFreshIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	const n = 500
@@ -52,14 +52,19 @@ func TestEcoChurnMatchesFreshIndex(t *testing.T) {
 			t.Fatalf("%s: Len = %d, fresh %d", tag, x.Len(), fresh.Len())
 		}
 		for probe := 0; probe < 40; probe++ {
+			// Each probe box is filed under an id no item uses, queried,
+			// then deleted again.
 			q := randRect(r, 1000, 4)
-			key := func(ix *Index) func(int) float64 {
-				return func(id int) float64 { return geom.DistRR(q, ix.Box(id)) }
+			nearest := func(ix *Index) (int, float64, bool) {
+				pid := len(boxes)
+				ix.Insert(pid, q)
+				defer ix.Delete(pid)
+				return ix.NearestBox(pid)
 			}
-			gj, gd, gok := x.Nearest(q, nil, key(x))
-			wj, wd, wok := fresh.Nearest(q, nil, key(fresh))
+			gj, gd, gok := nearest(x)
+			wj, wd, wok := nearest(fresh)
 			if gok != wok || gj != wj || gd != wd {
-				t.Fatalf("%s: Nearest(%v) = (%d, %v, %v), fresh (%d, %v, %v)",
+				t.Fatalf("%s: NearestBox(%v) = (%d, %v, %v), fresh (%d, %v, %v)",
 					tag, q, gj, gd, gok, wj, wd, wok)
 			}
 		}

@@ -28,15 +28,14 @@ func sim(t *testing.T, cfg order.Config, pts []geom.UV, useGrid bool) ([][2]int,
 	q := order.New(cfg, len(pts), dist)
 	var seq [][2]int
 	var wire float64
-	for {
-		i, j, ok := q.Next()
-		if !ok {
-			break
+	for batch := q.NextBatch(); len(batch) > 0; batch = q.NextBatch() {
+		for _, pr := range batch {
+			i, j := pr.I, pr.J
+			seq = append(seq, [2]int{i, j})
+			wire += geom.DistUV(p[i], p[j])
+			p = append(p, geom.UV{U: (p[i].U + p[j].U) / 2, V: (p[i].V + p[j].V) / 2})
+			q.Merged(len(p) - 1)
 		}
-		seq = append(seq, [2]int{i, j})
-		wire += geom.DistUV(p[i], p[j])
-		p = append(p, geom.UV{U: (p[i].U + p[j].U) / 2, V: (p[i].V + p[j].V) / 2})
-		q.Merged(len(p) - 1)
 	}
 	if len(seq) != len(pts)-1 {
 		t.Fatalf("merged %d pairs, want %d", len(seq), len(pts)-1)
@@ -141,13 +140,12 @@ func TestGridPairerScans(t *testing.T) {
 	dist := func(i, j int) float64 { return geom.DistUV(p[i], p[j]) }
 	run := func(pairer order.Pairer) int64 {
 		q := order.New(order.Config{Strategy: order.Multi, Pairer: pairer}, len(pts), dist)
-		for {
-			i, j, ok := q.Next()
-			if !ok {
-				break
+		for batch := q.NextBatch(); len(batch) > 0; batch = q.NextBatch() {
+			for _, pr := range batch {
+				i, j := pr.I, pr.J
+				p = append(p, geom.UV{U: (p[i].U + p[j].U) / 2, V: (p[i].V + p[j].V) / 2})
+				q.Merged(len(p) - 1)
 			}
-			p = append(p, geom.UV{U: (p[i].U + p[j].U) / 2, V: (p[i].V + p[j].V) / 2})
-			q.Merged(len(p) - 1)
 		}
 		return q.Scans()
 	}

@@ -46,7 +46,8 @@
 // remain exactly reproducible. Rebuilds are counted by trigger in
 // RebuildStats (see Rebuilds), which the router surfaces in its run stats.
 //
-// Queries run an expanding ring search. Cells at Chebyshev ring r around the
+// Queries run an expanding ring search, written once, in NearestScored;
+// NearestBox is its box-distance form. Cells at Chebyshev ring r around the
 // query's own cells lie at L∞ distance ≥ (r−1)·cell from the query box, so
 // the search stops as soon as the best key found under-runs the next ring's
 // lower bound. Exactness therefore requires the candidate key to dominate
@@ -72,10 +73,10 @@
 // caller meets it. The router's key is DistRR of the same rectangles;
 // DistOO, which makes the same two gap1 calls and takes a max with two
 // more terms; or its merge key, that distance plus a non-negative excess,
-// which rounds to no less than the distance. internal/dme's segment scorer
-// and the ECO dirty-set key are DistRR of the stored boxes themselves.
-// GridPairer.NearestFree, the anti-starvation query, scores by the router's
-// exact distance, which meets the same bound.
+// which rounds to no less than the distance. NearestBox, which internal/dme
+// and the ECO dirty set query, scores by DistRR of the stored boxes
+// themselves. GridPairer.NearestFree, the anti-starvation query, scores by
+// the router's exact distance, which meets the same bound.
 //
 // DensityCell's nearest-neighbor pass sorts its sample by ULo and sweeps
 // each sample outward until a u-gap bound passes its best so far
@@ -226,9 +227,9 @@ func (sp itemSpan) cellCount() int {
 }
 
 // Index is the uniform bucket grid. Insert and Delete must be called from a
-// single goroutine; Nearest and NearestScored are safe to call concurrently
-// with each other (but not with Insert/Delete), which the batch pairing of
-// GridPairer relies on.
+// single goroutine; NearestScored and NearestBox are safe to call
+// concurrently with each other (but not with Insert/Delete), which the
+// batch pairing of GridPairer relies on.
 type Index struct {
 	cell float64
 	// Window: cells[cu + cv*w] holds the bucket of window-relative cell
@@ -281,7 +282,7 @@ type Index struct {
 	entrySlab []int32
 
 	scans       atomic.Int64
-	queries     atomic.Int64 // Nearest/NearestScored calls (rate triggers)
+	queries     atomic.Int64 // NearestScored calls (rate triggers)
 	cellsWalked atomic.Int64 // grid cells visited across all queries (cell-walk trigger)
 }
 
@@ -466,9 +467,6 @@ func (x *Index) Len() int { return x.n }
 // Cell returns the current cell edge (diagnostics; it changes on re-cell
 // rebuilds).
 func (x *Index) Cell() float64 { return x.cell }
-
-// Box returns the bounding box item id was inserted with.
-func (x *Index) Box(id int) geom.Rect { return x.boxes[id] }
 
 // Scans reports the cumulative number of candidate evaluations across all
 // queries.
@@ -998,15 +996,6 @@ func (x *Index) outranked(q geom.Rect, id, best int, bestKey float64) bool {
 // around [u0+r, u1−r] × [v0+r, v1−r] (i.e. the expanded box minus its
 // interior) into strips, returning how many are non-empty. Ring 0 is the
 // whole query box. Each strip is {cu0, cu1, cv0, cv1}.
-//
-// The surrounding expanding-ring loop is deliberately written out in both
-// NearestScored and Nearest rather than abstracted behind a per-candidate
-// callback: the candidate visit is the hot instruction of the whole
-// router, and an escaping closure or interface dispatch here is exactly the
-// per-query allocation the Keyer path exists to avoid. The two copies must
-// stay in sync — in particular the strict ring bound
-// ((r−1)·cell > best, which keeps smallest-id tie-breaking global), the box
-// pre-filter (outranked) and the whole-window coverage break.
 func (x *Index) ringStrips(strips *[4][4]int32, u0, u1, v0, v1, r int32) int {
 	n := 0
 	add := func(a0, a1, b0, b1 int32) {
@@ -1040,78 +1029,21 @@ func (x *Index) ringStrips(strips *[4][4]int32, u0, u1, v0, v1, r int32) int {
 	return n
 }
 
-// Nearest returns the live item minimizing key(id), excluding ids for which
-// skip returns true. For the ring pruning and the box pre-filter to be
-// exact, key(id) must be ≥ the bounding-box distance DistRR(q, Box(id)) as
-// computed in floating point — pass that distance itself, or any
-// distance-dominating merge key. Exact key ties break toward the smallest
-// id. ok is false when no candidate exists.
-//
-// Items spanning several cells may be evaluated more than once (the ring
-// walk does not deduplicate); key must therefore be pure, which also makes
-// Nearest safe to call from concurrent goroutines between index mutations.
-// Hot callers that query an indexed item against its peers should prefer
-// NearestScored, which avoids the per-call closures.
-func (x *Index) Nearest(q geom.Rect, skip func(int) bool, key func(id int) float64) (best int, bestKey float64, ok bool) {
-	best, bestKey = -1, math.Inf(1)
-	x.queries.Add(1)
-	var scans, cells int64
-	consider := func(id32 int32) {
-		id := int(id32)
-		if x.spans[id].state != spanLive {
-			return
-		}
-		if skip != nil && skip(id) {
-			return
-		}
-		scans++
-		if x.outranked(q, id, best, bestKey) {
-			return
-		}
-		k := key(id)
-		if k < bestKey || (k == bestKey && id < best) {
-			best, bestKey = id, k
-		}
-	}
-	for _, id := range x.over {
-		consider(id)
-	}
-	if x.w > 0 {
-		qu0 := clamp32(x.cellIdx(q.ULo)-x.ou, 0, x.w-1)
-		qu1 := clamp32(x.cellIdx(q.UHi)-x.ou, qu0, x.w-1)
-		qv0 := clamp32(x.cellIdx(q.VLo)-x.ov, 0, x.h-1)
-		qv1 := clamp32(x.cellIdx(q.VHi)-x.ov, qv0, x.h-1)
-		for r := int32(0); ; r++ {
-			if best >= 0 && float64(r-1)*x.cell > bestKey {
-				break
-			}
-			u0, u1 := qu0-r, qu1+r
-			v0, v1 := qv0-r, qv1+r
-			var strips [4][4]int32
-			nstrips := x.ringStrips(&strips, u0, u1, v0, v1, r)
-			for s := 0; s < nstrips; s++ {
-				st := strips[s]
-				for cv := st[2]; cv <= st[3]; cv++ {
-					row := cv * x.w
-					for cu := st[0]; cu <= st[1]; cu++ {
-						cells++
-						for _, id := range x.cells[row+cu] {
-							consider(id)
-						}
-					}
-				}
-			}
-			if u0 <= 0 && v0 <= 0 && u1 >= x.w-1 && v1 >= x.h-1 {
-				break
-			}
-		}
-	}
-	x.scans.Add(scans)
-	x.cellsWalked.Add(cells)
-	if best < 0 {
-		return -1, 0, false
-	}
-	return best, bestKey, true
+// NearestBox returns the live item whose stored box lies nearest self's by
+// DistRR, excluding self; exact ties break toward the smallest id, and ok
+// is false when no other live item exists. It is NearestScored under
+// boxKeyer.
+func (x *Index) NearestBox(self int) (best int, dist float64, ok bool) {
+	return x.NearestScored(self, boxKeyer{x}, nil)
+}
+
+// boxKeyer scores a candidate by DistRR of the two stored boxes, which
+// meets the Keyer bound with equality. It holds one pointer, so passing it
+// as a Keyer allocates nothing.
+type boxKeyer struct{ x *Index }
+
+func (k boxKeyer) PairKey(self, cand int) float64 {
+	return geom.DistRR(k.x.boxes[self], k.x.boxes[cand])
 }
 
 func clamp32(x, lo, hi int32) int32 {

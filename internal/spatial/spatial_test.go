@@ -48,9 +48,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 			}
 			skip := func(j int) bool { return j == i }
 			wantJ, wantD := bruteNearest(boxes, live, boxes[i], skip)
-			gotJ, gotD, ok := x.Nearest(boxes[i], skip, func(j int) float64 {
-				return geom.DistRR(boxes[i], boxes[j])
-			})
+			gotJ, gotD, ok := x.NearestBox(i)
 			if wantJ < 0 {
 				if ok {
 					t.Fatalf("item %d: got %d, want none", i, gotJ)
@@ -99,18 +97,14 @@ func TestNearestOverflowItems(t *testing.T) {
 		skip := func(j int) bool { return j == i }
 		live := []bool{true, true, true}
 		wantJ, wantD := bruteNearest(boxes, live, boxes[i], skip)
-		gotJ, gotD, ok := x.Nearest(boxes[i], skip, func(j int) float64 {
-			return geom.DistRR(boxes[i], boxes[j])
-		})
+		gotJ, gotD, ok := x.NearestBox(i)
 		if !ok || gotJ != wantJ || gotD != wantD {
 			t.Fatalf("item %d: got (%d, %v, %v), want (%d, %v)", i, gotJ, gotD, ok, wantJ, wantD)
 		}
 	}
 	// Deleting an overflow item removes it from consideration.
 	x.Delete(0)
-	gotJ, _, ok := x.Nearest(boxes[1], func(j int) bool { return j == 1 }, func(j int) float64 {
-		return geom.DistRR(boxes[1], boxes[j])
-	})
+	gotJ, _, ok := x.NearestBox(1)
 	if !ok || gotJ != 2 {
 		t.Fatalf("after delete: got (%d, %v), want item 2", gotJ, ok)
 	}
@@ -154,10 +148,12 @@ func TestInsertDeleteBookkeeping(t *testing.T) {
 	if x.Len() != 1 {
 		t.Fatalf("Len after refile = %d, want 1", x.Len())
 	}
-	j, _, ok := x.Nearest(geom.Rect{ULo: 499, UHi: 499, VLo: 499, VHi: 499}, nil,
-		func(id int) float64 { return geom.DistRR(x.Box(id), geom.Rect{ULo: 499, UHi: 499, VLo: 499, VHi: 499}) })
+	// A probe filed under an unused id queries the refiled item.
+	x.Insert(9, geom.Rect{ULo: 499, UHi: 499, VLo: 499, VHi: 499})
+	j, _, ok := x.NearestBox(9)
+	x.Delete(9)
 	if !ok || j != 5 {
-		t.Fatalf("Nearest after refile = (%d, %v), want 5", j, ok)
+		t.Fatalf("NearestBox after refile = (%d, %v), want 5", j, ok)
 	}
 	if x.Scans() <= 0 {
 		t.Error("Scans not counted")
@@ -166,7 +162,7 @@ func TestInsertDeleteBookkeeping(t *testing.T) {
 
 // TestTombstoneChurn hammers the lazy-deletion machinery: mass deletes
 // (forcing tombstone purges and live-drop re-cell rebuilds) interleaved with
-// inserts and re-inserts of previously tombstoned ids, checking Nearest
+// inserts and re-inserts of previously tombstoned ids, checking NearestBox
 // against brute force throughout.
 func TestTombstoneChurn(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
@@ -196,9 +192,7 @@ func TestTombstoneChurn(t *testing.T) {
 			}
 			skip := func(j int) bool { return j == i }
 			wantJ, wantD := bruteNearest(boxes, live, boxes[i], skip)
-			gotJ, gotD, ok := x.Nearest(boxes[i], skip, func(j int) float64 {
-				return geom.DistRR(boxes[i], boxes[j])
-			})
+			gotJ, gotD, ok := x.NearestBox(i)
 			if wantJ < 0 {
 				if ok {
 					t.Fatalf("%s: item %d: got %d, want none", tag, i, gotJ)
@@ -259,10 +253,8 @@ func TestInsertAllMatchesIncremental(t *testing.T) {
 		t.Fatalf("Len %d != %d", bulk.Len(), inc.Len())
 	}
 	for i := range boxes {
-		skip := func(j int) bool { return j == i }
-		key := func(j int) float64 { return geom.DistRR(boxes[i], boxes[j]) }
-		bj, bd, bok := bulk.Nearest(boxes[i], skip, key)
-		ij, id, iok := inc.Nearest(boxes[i], skip, key)
+		bj, bd, bok := bulk.NearestBox(i)
+		ij, id, iok := inc.NearestBox(i)
 		if bj != ij || bd != id || bok != iok {
 			t.Fatalf("item %d: bulk (%d,%v,%v) != incremental (%d,%v,%v)", i, bj, bd, bok, ij, id, iok)
 		}
@@ -321,9 +313,7 @@ func TestScanRateRebuildFiresOnFatBuckets(t *testing.T) {
 			}
 			skip := func(j int) bool { return j == i }
 			wantJ, wantD := bruteNearest(boxes, live, boxes[i], skip)
-			gotJ, gotD, ok := x.Nearest(boxes[i], skip, func(j int) float64 {
-				return geom.DistRR(boxes[i], boxes[j])
-			})
+			gotJ, gotD, ok := x.NearestBox(i)
 			if !ok || gotJ != wantJ || gotD != wantD {
 				t.Fatalf("item %d: got (%d, %v), want (%d, %v)", i, gotJ, gotD, wantJ, wantD)
 			}
@@ -371,9 +361,7 @@ func TestCellWalkRebuildUndoesOverFineTrim(t *testing.T) {
 			}
 			skip := func(j int) bool { return j == i }
 			wantJ, wantD := bruteNearest(boxes, live, boxes[i], skip)
-			gotJ, gotD, ok := x.Nearest(boxes[i], skip, func(j int) float64 {
-				return geom.DistRR(boxes[i], boxes[j])
-			})
+			gotJ, gotD, ok := x.NearestBox(i)
 			if !ok || gotJ != wantJ || gotD != wantD {
 				t.Fatalf("item %d: got (%d, %v), want (%d, %v)", i, gotJ, gotD, wantJ, wantD)
 			}
@@ -415,10 +403,7 @@ func TestCellWalkRebuildRequiresTrim(t *testing.T) {
 		x.Insert(i, boxes[i])
 	}
 	for i := 0; i < n; i++ {
-		skip := func(j int) bool { return j == i }
-		x.Nearest(boxes[i], skip, func(j int) float64 {
-			return geom.DistRR(boxes[i], boxes[j])
-		})
+		x.NearestBox(i)
 	}
 	x.Delete(0)
 	if rb := x.Rebuilds(); rb.CellWalk != 0 {

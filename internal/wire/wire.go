@@ -13,6 +13,11 @@
 // payload yields an error, never a crash — the dispatch layer classifies
 // such errors as transient and re-dispatches.
 //
+// The format is at Version 3. A tree travels as pre-order node records
+// (geometry, delay sets, deferred state) with no snaking-handle records:
+// routers recompute handles from the subtree when they need them. Version-2
+// work units and ECO cache files fail the version check.
+//
 // Observation does not travel: Options.Trace, Options.Ctx and
 // Options.SneakProbe are deliberately not encoded (a worker build runs
 // untraced; the coordinator owns tracing and cancellation).
@@ -21,7 +26,6 @@ package wire
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ctree"
@@ -32,7 +36,7 @@ import (
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 2
+const Version uint16 = 3
 
 // Message magic tags (work unit vs result), so one can never decode as the
 // other.
@@ -245,7 +249,6 @@ func encodeOptions(w *writer, o core.Options) error {
 	w.bool(o.SingleGroup)
 	w.f64(o.GlobalBound)
 	w.iv(int64(o.Order.Strategy))
-	w.f64(o.Order.BatchFraction)
 	w.iv(int64(o.Pairer))
 	w.f64(o.DelayTargetBias)
 	w.bool(o.EndpointSplit)
@@ -263,8 +266,6 @@ func encodeOptions(w *writer, o core.Options) error {
 			w.f64(v)
 		}
 	}
-	w.iv(int64(o.MaxSneakIter))
-	w.f64(o.SneakCostCap)
 	w.iv(int64(o.MergeWorkers))
 	return nil
 }
@@ -290,7 +291,6 @@ func decodeOptions(r *reader) (core.Options, error) {
 	o.SingleGroup = r.bool()
 	o.GlobalBound = r.f64()
 	o.Order.Strategy = order.Strategy(r.iv())
-	o.Order.BatchFraction = r.f64()
 	o.Pairer = core.PairerMode(r.iv())
 	o.DelayTargetBias = r.f64()
 	o.EndpointSplit = r.bool()
@@ -321,26 +321,20 @@ func decodeOptions(r *reader) (core.Options, error) {
 			o.GroupOffsets[i] = r.f64()
 		}
 	}
-	o.MaxSneakIter = int(r.iv())
-	o.SneakCostCap = r.f64()
 	o.MergeWorkers = int(r.iv())
 	if r.err != nil {
 		return o, r.err
 	}
-	if o.Order.Strategy < order.Multi || o.Order.Strategy > order.GreedyBatch {
+	if o.Order.Strategy != order.Multi && o.Order.Strategy != order.Greedy {
 		return o, fmt.Errorf("wire: unknown order strategy %d", o.Order.Strategy)
 	}
 	if o.Pairer < core.PairerAuto || o.Pairer > core.PairerGrid {
 		return o, fmt.Errorf("wire: unknown pairer mode %d", o.Pairer)
 	}
-	if o.MaxSneakIter < 0 {
-		return o, fmt.Errorf("wire: negative sneak iteration cap %d", o.MaxSneakIter)
-	}
 	if o.MergeWorkers < 0 || o.MergeWorkers > 1<<16 {
 		return o, fmt.Errorf("wire: merge workers %d out of range", o.MergeWorkers)
 	}
-	for _, f := range []float64{o.IntraSkewBound, o.InterSkewBound, o.GlobalBound,
-		o.Order.BatchFraction, o.DelayTargetBias, o.SneakCostCap} {
+	for _, f := range []float64{o.IntraSkewBound, o.InterSkewBound, o.GlobalBound, o.DelayTargetBias} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return o, fmt.Errorf("wire: non-finite option value %v", f)
 		}
@@ -447,24 +441,13 @@ const (
 	nodeLeaf     = 1 << 0
 	nodePlaced   = 1 << 1
 	nodeDeferred = 1 << 2
-	nodeHandles  = 1 << 3
 )
 
-// handleFix is a handle reference read before its target node existed; it
-// resolves after the whole pre-order is reconstructed.
-type handleFix struct {
-	node  *ctree.Node
-	group int
-	idx   int // pre-order index of the handle edge's parent node
-	side  ctree.Side
-}
-
-// encodeTree writes the subtree as a pre-order sequence of flat records;
-// handle references name their parent node by pre-order index, so the
-// format needs no pointers and decoding needs no recursion.
+// encodeTree writes the subtree as a pre-order sequence of flat records, so
+// the format needs no pointers and decoding needs no recursion.
 func encodeTree(w *writer, root *ctree.Node) error {
-	// Pre-order index every node first so handles can refer across the tree.
-	index := map[*ctree.Node]int{}
+	// Collect the pre-order first: the record count leads the records.
+	seen := map[*ctree.Node]bool{}
 	var nodes []*ctree.Node
 	stack := []*ctree.Node{root}
 	for len(stack) > 0 {
@@ -473,10 +456,10 @@ func encodeTree(w *writer, root *ctree.Node) error {
 		if n == nil {
 			return fmt.Errorf("wire: nil node in tree")
 		}
-		if _, dup := index[n]; dup {
+		if seen[n] {
 			return fmt.Errorf("wire: node %d appears twice in tree", n.ID)
 		}
-		index[n] = len(nodes)
+		seen[n] = true
 		nodes = append(nodes, n)
 		if n.IsLeaf() {
 			if n.Left != nil || n.Right != nil {
@@ -493,14 +476,14 @@ func encodeTree(w *writer, root *ctree.Node) error {
 	}
 	w.uv(uint64(len(nodes)))
 	for _, n := range nodes {
-		if err := encodeNode(w, n, index); err != nil {
+		if err := encodeNode(w, n); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func encodeNode(w *writer, n *ctree.Node, index map[*ctree.Node]int) error {
+func encodeNode(w *writer, n *ctree.Node) error {
 	var flags byte
 	if n.IsLeaf() {
 		flags |= nodeLeaf
@@ -510,9 +493,6 @@ func encodeNode(w *writer, n *ctree.Node, index map[*ctree.Node]int) error {
 	}
 	if n.Deferred {
 		flags |= nodeDeferred
-	}
-	if len(n.Handles) > 0 {
-		flags |= nodeHandles
 	}
 	w.u8(flags)
 	w.iv(int64(n.ID))
@@ -542,26 +522,6 @@ func encodeNode(w *writer, n *ctree.Node, index map[*ctree.Node]int) error {
 		w.f64(iv.Lo)
 		w.f64(iv.Hi)
 	}
-	if flags&nodeHandles != 0 {
-		// Sorted by group: map iteration order must not leak into the bytes
-		// (same tree, same bytes — the determinism contract).
-		groups := make([]int, 0, len(n.Handles))
-		for g := range n.Handles {
-			groups = append(groups, g)
-		}
-		slices.Sort(groups)
-		w.uv(uint64(len(groups)))
-		for _, g := range groups {
-			ref := n.Handles[g]
-			pi, ok := index[ref.Parent]
-			if !ok {
-				return fmt.Errorf("wire: node %d handle for group %d points outside the tree", n.ID, g)
-			}
-			w.iv(int64(g))
-			w.uv(uint64(pi))
-			w.u8(byte(ref.Side))
-		}
-	}
 	w.f64(n.Loc.U)
 	w.f64(n.Loc.V)
 	if flags&nodeDeferred != 0 {
@@ -587,15 +547,13 @@ func decodeTree(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 	if count <= 0 || count > r.remaining()/minNodeBytes+1 {
 		return nil, fmt.Errorf("wire: node count %d exceeds payload", count)
 	}
-	nodes := make([]*ctree.Node, 0, count)
 	var open []*ctree.Node // internal nodes still missing a child
 	var root *ctree.Node
-	var fixes []handleFix
 	for i := 0; i < count; i++ {
 		if root != nil && len(open) == 0 {
 			return nil, fmt.Errorf("wire: node record %d after the tree completed", i)
 		}
-		n, err := decodeNode(r, in, &fixes)
+		n, err := decodeNode(r, in)
 		if err != nil {
 			return nil, err
 		}
@@ -610,7 +568,6 @@ func decodeTree(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 				open = open[:len(open)-1]
 			}
 		}
-		nodes = append(nodes, n)
 		if !n.IsLeaf() {
 			open = append(open, n)
 		}
@@ -618,29 +575,16 @@ func decodeTree(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 	if len(open) > 0 {
 		return nil, fmt.Errorf("wire: tree truncated, %d internal nodes missing children", len(open))
 	}
-	for _, fx := range fixes {
-		if fx.idx < 0 || fx.idx >= len(nodes) {
-			return nil, fmt.Errorf("wire: handle parent index %d out of range", fx.idx)
-		}
-		parent := nodes[fx.idx]
-		if fx.side != ctree.SideL && fx.side != ctree.SideR {
-			return nil, fmt.Errorf("wire: handle with bad side %d", fx.side)
-		}
-		if (fx.side == ctree.SideL && parent.Left == nil) || (fx.side == ctree.SideR && parent.Right == nil) {
-			return nil, fmt.Errorf("wire: handle edge (%d, side %d) does not exist", fx.idx, fx.side)
-		}
-		if fx.node.Handles == nil {
-			fx.node.Handles = make(map[int]ctree.EdgeRef)
-		}
-		fx.node.Handles[fx.group] = ctree.EdgeRef{Parent: parent, Side: fx.side}
-	}
 	return root, nil
 }
 
-func decodeNode(r *reader, in *ctree.Instance, fixes *[]handleFix) (*ctree.Node, error) {
+func decodeNode(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 	flags := r.u8()
 	if r.err != nil {
 		return nil, r.err
+	}
+	if flags&^(nodeLeaf|nodePlaced|nodeDeferred) != 0 {
+		return nil, fmt.Errorf("wire: node record with unknown flags %#x", flags)
 	}
 	n := &ctree.Node{ID: int(r.iv())}
 	if flags&nodeLeaf != 0 {
@@ -696,29 +640,6 @@ func decodeNode(r *reader, in *ctree.Instance, fixes *[]handleFix) (*ctree.Node,
 		}
 	} else if nd != 0 {
 		return nil, fmt.Errorf("wire: zero delay set with %d entries", nd)
-	}
-	if flags&nodeHandles != 0 {
-		nh := int(r.uv())
-		if r.err != nil {
-			return nil, r.err
-		}
-		if nh <= 0 || nh > r.remaining()/3+1 {
-			return nil, fmt.Errorf("wire: handle count %d exceeds payload", nh)
-		}
-		last := math.MinInt
-		for i := 0; i < nh; i++ {
-			g := int(r.iv())
-			idx := int(r.uv())
-			side := ctree.Side(r.u8())
-			if r.err != nil {
-				return nil, r.err
-			}
-			if g <= last {
-				return nil, fmt.Errorf("wire: node %d handles not ascending", n.ID)
-			}
-			last = g
-			*fixes = append(*fixes, handleFix{node: n, group: g, idx: idx, side: side})
-		}
 	}
 	n.Loc = geom.UV{U: r.f64(), V: r.f64()}
 	n.Placed = flags&nodePlaced != 0

@@ -11,6 +11,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctree"
 	"repro/internal/eval"
+	"repro/internal/order"
+	"repro/internal/rctree"
 )
 
 // buildWork constructs a realistic grouped work unit: an intermingled
@@ -49,12 +51,33 @@ func digestTree(t *testing.T, root *ctree.Node, in *ctree.Instance) uint64 {
 }
 
 // TestWorkUnitRoundTrip pins decode(encode(u)) == u for the fields that
-// matter, including float bit patterns.
+// matter, including float bit patterns. Every options field the codec
+// carries is set to a non-default value, so a field dropped from the codec
+// fails the comparison; a new options field fails the check below until it
+// is either set here or listed as one that does not travel.
 func TestWorkUnitRoundTrip(t *testing.T) {
 	u := buildWork(t, KindBuild)
-	u.Opt.Model = core.DefaultModel()
-	u.Opt.PairConstraints = []core.PairConstraint{{I: 0, J: 2, MinPs: -3.5, MaxPs: 7.25}}
-	u.Opt.GroupOffsets = nil
+	u.Opt = core.Options{
+		Model:           rctree.NewElmore(0.3, 0.05),
+		IntraSkewBound:  2,
+		InterSkewBound:  7.5,
+		SingleGroup:     true,
+		GlobalBound:     3.25,
+		Order:           order.Config{Strategy: order.Greedy},
+		Pairer:          core.PairerGrid,
+		DelayTargetBias: 0.5,
+		EndpointSplit:   true,
+		PairConstraints: []core.PairConstraint{{I: 0, J: 2, MinPs: -3.5, MaxPs: 7.25}},
+		GroupOffsets:    []float64{0, 1.5, -2, 4},
+		MergeWorkers:    3,
+	}
+	untravelled := map[string]bool{"Shards": true, "Pilot": true, "Trace": true, "Ctx": true, "SneakProbe": true}
+	ov := reflect.ValueOf(u.Opt)
+	for i := 0; i < ov.NumField(); i++ {
+		if name := ov.Type().Field(i).Name; !untravelled[name] && ov.Field(i).IsZero() {
+			t.Errorf("options field %s is left at its zero value", name)
+		}
+	}
 	data, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +113,7 @@ func TestWorkUnitRoundTrip(t *testing.T) {
 }
 
 // TestResultRoundTripThroughFullBuild is the golden contract: a real
-// BuildSubtree product — delay sets, handles, deferred root, stats,
+// BuildSubtree product — delay sets, deferred root, stats,
 // registry — survives encode/decode bitwise. The decoded subtree then
 // finishes the pipeline (MergeRoots + Embed) side by side with the
 // original, and the two trees agree on wirelength bits, per-sink delay
@@ -184,6 +207,30 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeWorkRejectsNonFinite: a work unit whose registry snapshot or
+// scalar options hold a non-finite value fails to decode, so it never
+// reaches a build.
+func TestDecodeWorkRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(u *WorkUnit)
+	}{
+		{"NaN registry offset", func(u *WorkUnit) { u.Registry.Off[1] = math.NaN() }},
+		{"+Inf registry offset", func(u *WorkUnit) { u.Registry.Off[2] = math.Inf(1) }},
+		{"NaN IntraSkewBound", func(u *WorkUnit) { u.Opt.IntraSkewBound = math.NaN() }},
+	} {
+		u := buildWork(t, KindBuild)
+		tc.edit(u)
+		data, err := u.Encode()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := DecodeWork(data); err == nil {
+			t.Errorf("%s: decoded without error", tc.name)
+		}
+	}
+}
+
 func TestWorkCannotDecodeAsResult(t *testing.T) {
 	u := buildWork(t, KindBuild)
 	data, err := u.Encode()
@@ -253,7 +300,7 @@ func FuzzDecodeWork(f *testing.F) {
 }
 
 // FuzzDecodeResult asserts the result decoder's no-crash contract,
-// including the iterative tree reconstruction and handle resolution.
+// including the iterative tree reconstruction.
 func FuzzDecodeResult(f *testing.F) {
 	in := bench.Intermingled(bench.Small(40, 3), 2, 5)
 	reg, err := core.NewRegistry(in, core.Options{})
