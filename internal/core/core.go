@@ -534,10 +534,6 @@ func (r *Registry) Offsets() ([]float64, error) {
 type Subtree struct {
 	Root  *ctree.Node
 	Stats Stats
-	// Trace is the build's trace node (Options.Trace echoed back; nil when
-	// untraced) so pipeline stages can pass each sub-build's recorded
-	// phases along with its product.
-	Trace *obs.Trace
 }
 
 // BuildSubtree routes the sub-instance consisting of the given sink IDs
@@ -569,7 +565,7 @@ func BuildSubtree(in *ctree.Instance, sinkIDs []int, opt Options, reg *Registry)
 		return nil, b.err
 	}
 	RecordStatsMetrics(opt.Trace, b.stats)
-	return &Subtree{Root: b.root, Stats: b.stats, Trace: opt.Trace}, nil
+	return &Subtree{Root: b.root, Stats: b.stats}, nil
 }
 
 // MergeRoots merges pre-built subtree roots into one tree under the full
@@ -601,7 +597,7 @@ func MergeRoots(in *ctree.Instance, roots []*ctree.Node, opt Options, reg *Regis
 	}
 	b.finishRoot()
 	RecordStatsMetrics(opt.Trace, b.stats)
-	return &Subtree{Root: b.root, Stats: b.stats, Trace: opt.Trace}, nil
+	return &Subtree{Root: b.root, Stats: b.stats}, nil
 }
 
 // doneOf returns ctx's cancellation channel; nil contexts (and
@@ -2008,9 +2004,8 @@ func (b *builder) useGridPairer(n int, userKey bool) bool {
 
 // String summarizes the stats.
 func (s Stats) String() string {
-	return fmt.Sprintf("merges=%d (same=%d cross=%d shared=%d deferred=%d unions=%d) snakes=%d sneaks=%d/%d iters (+%.0f wire, %d unresolved) scans=%d rebuilds=%d (drop=%d clamp=%d rate=%d walk=%d)",
+	return fmt.Sprintf("merges=%d (same=%d cross=%d shared=%d deferred=%d unions=%d) snakes=%d sneaks=%d/%d iters (+%.0f wire, %d unresolved) scans=%d rebuilds=%d (drop=%d clamp=%d)",
 		s.Merges, s.SameGroup, s.CrossGroup, s.Shared, s.Deferred, s.GroupUnions,
 		s.MergeSnakes, s.SneakEvents, s.SneakIters, s.SneakWire, s.SneakUnresolved, s.PairScans,
-		s.GridRebuilds.Total(), s.GridRebuilds.LiveDrop, s.GridRebuilds.EdgeClamp,
-		s.GridRebuilds.ScanRate, s.GridRebuilds.CellWalk)
+		s.GridRebuilds.Total(), s.GridRebuilds.LiveDrop, s.GridRebuilds.EdgeClamp)
 }

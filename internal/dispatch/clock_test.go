@@ -132,22 +132,20 @@ func TestBackoffOnFakeClock(t *testing.T) {
 }
 
 // TestHedgeOnFakeClock drives the hedging machinery without real stragglers:
-// the slow task's first attempt blocks until its hedge duplicate has
-// delivered, which can only happen if the fake clock satisfied the hedge
-// deadline.
+// the slow task's first attempt blocks until the coordinator cancels it,
+// which it does only once the hedge duplicate has won, and the hedge can
+// launch only if the fake clock satisfied the hedge deadline.
 func TestHedgeOnFakeClock(t *testing.T) {
 	clk := NewFakeClock()
 	clk.SetAutoAdvance(true)
-	release := make(chan struct{})
 	var hedged atomic.Int32
 	r := RunnerFunc(func(ctx context.Context, tk Task) (any, error) {
 		if tk.Index == 3 && !tk.Hedged {
-			<-release // the straggler: parks until the hedge wins
+			<-ctx.Done() // the straggler: parks until the hedge wins
 			return "slow", nil
 		}
 		if tk.Hedged {
 			hedged.Add(1)
-			defer close(release)
 		}
 		return "fast", nil
 	})

@@ -15,13 +15,14 @@
 //     *PanicError carrying the phase, task index, attempt and stack — never a
 //     process crash. Deterministic code would panic again on retry, but a
 //     worker crash is transient from the coordinator's seat (the future net
-//     transport maps worker loss to exactly this error), so panics classify
-//     as Transient by default.
+//     transport maps worker loss to exactly this error), so panics are
+//     retried.
 //   - Retry with capped exponential backoff: a failed attempt whose error
-//     classifies Transient relaunches after Base·2^(attempt−1), capped at
-//     Max, up to MaxAttempts total executions. Deterministic failures
-//     (option conflicts, validation errors — anything unmarked) classify
-//     Permanent and fail the run fast.
+//     is retryable (a contained panic, or marked by MarkTransient)
+//     relaunches after Base·2^(attempt−1), capped at Max, up to MaxAttempts
+//     total executions. Deterministic failures (option conflicts,
+//     validation errors, cancellation — anything unmarked) fail the run
+//     fast.
 //   - Hedged straggler re-dispatch: once at least half the tasks have
 //     completed, a still-running task older than
 //     quantile(completed durations)·HedgeFactor + HedgeSlack gets one (and
@@ -72,49 +73,25 @@ type RunnerFunc func(ctx context.Context, t Task) (any, error)
 // Run implements Runner.
 func (f RunnerFunc) Run(ctx context.Context, t Task) (any, error) { return f(ctx, t) }
 
-// Class is an error's retry classification.
-type Class int
+// transientError marks an error as retryable (MarkTransient).
+type transientError struct{ err error }
 
-const (
-	// Transient errors are worth retrying (worker crashes, injected faults,
-	// anything marked via MarkTransient).
-	Transient Class = iota
-	// Permanent errors fail the run fast (deterministic failures: option
-	// conflicts, validation errors, cancellation).
-	Permanent
-)
+func (e *transientError) Error() string { return e.err.Error() }
+func (e *transientError) Unwrap() error { return e.err }
 
-// classed wraps an error with an explicit classification.
-type classed struct {
-	err   error
-	class Class
-}
+// MarkTransient marks err as retryable.
+func MarkTransient(err error) error { return &transientError{err: err} }
 
-func (e *classed) Error() string { return e.err.Error() }
-func (e *classed) Unwrap() error { return e.err }
-
-// MarkTransient marks err as retryable for DefaultClassify.
-func MarkTransient(err error) error { return &classed{err: err, class: Transient} }
-
-// MarkPermanent marks err as fail-fast for DefaultClassify.
-func MarkPermanent(err error) error { return &classed{err: err, class: Permanent} }
-
-// DefaultClassify is the default error-classification hook: explicit marks
-// win, recovered panics are Transient (a deterministic panic recurs and
-// exhausts MaxAttempts quickly, but a crashed worker is transient from the
-// coordinator's seat), cancellation is Permanent, and every unmarked error is
-// Permanent — in-process failures are deterministic, so retrying them only
-// replays the failure.
-func DefaultClassify(err error) Class {
-	var c *classed
-	if errors.As(err, &c) {
-		return c.class
-	}
+// retryable reports whether a failed execution is worth retrying: its error
+// was marked by MarkTransient, or it is a contained panic (a deterministic
+// panic recurs and exhausts MaxAttempts quickly, but a crashed worker is
+// transient from the coordinator's seat). Every other error, cancellation
+// included, fails the run fast: in-process failures are deterministic, so
+// retrying them only replays the failure.
+func retryable(err error) bool {
+	var te *transientError
 	var pe *PanicError
-	if errors.As(err, &pe) {
-		return Transient
-	}
-	return Permanent
+	return errors.As(err, &te) || errors.As(err, &pe)
 }
 
 // PanicError is a contained panic: the phase and task coordinates it fired
@@ -178,10 +155,6 @@ type Options struct {
 	// Phase names this dispatch in errors, spans and FaultPlan coordinates
 	// (e.g. "shard", "pilot"). Default "task".
 	Phase string
-	// Workers caps concurrently running executions; 0 runs every task at
-	// once (the in-process default: shard counts are small and the builds
-	// themselves fan out internally).
-	Workers int
 	// MaxAttempts bounds executions per task, the first included (default 3).
 	// Hedges are the one sanctioned overrun: a task may see MaxAttempts
 	// failures plus its single hedge.
@@ -190,8 +163,6 @@ type Options struct {
 	// attempt k (1-based retry) waits min(Base·2^(k−1), Max).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Classify maps an execution error to a Class; nil uses DefaultClassify.
-	Classify func(error) Class
 	// HedgeQuantile/HedgeFactor/HedgeSlack set the straggler deadline:
 	// quantile(completed durations, q)·factor + slack, evaluated once at
 	// least max(1, n/2) siblings have completed. Defaults 0.5 / 4 / 25ms.
@@ -255,7 +226,7 @@ func (r *Report) Add(o Report) {
 // is a no-op. The coordinator injects Panic/Err/Delay itself; Drop and
 // Corrupt are transport coordinates a RemoteRunner applies (a dropped
 // connection before the request, or response bytes corrupted in transit so
-// decoding fails) — both surface as Transient errors, so the retry
+// decoding fails) — both surface as retryable errors, so the retry
 // machinery drives re-dispatch. On an all-local dispatch net faults are
 // inert.
 type Fault struct {
@@ -288,7 +259,7 @@ func (p *FaultPlan) PanicAt(phase string, task, attempt int) *FaultPlan {
 }
 
 // ErrorAt injects err into the given execution. Wrap with MarkTransient to
-// make the default classifier retry it.
+// make the coordinator retry it.
 func (p *FaultPlan) ErrorAt(phase string, task, attempt int, err error) *FaultPlan {
 	return p.add(phase, task, attempt, Fault{Err: err})
 }
@@ -301,7 +272,7 @@ func (p *FaultPlan) DelayAt(phase string, task, attempt int, d time.Duration) *F
 }
 
 // DropAt makes a remote transport drop the connection for the given
-// execution (a Transient error before any request is sent).
+// execution (a retryable error before any request is sent).
 func (p *FaultPlan) DropAt(phase string, task, attempt int) *FaultPlan {
 	f := p.faults[faultKey{phase, task, attempt}]
 	f.Drop = true
@@ -309,7 +280,7 @@ func (p *FaultPlan) DropAt(phase string, task, attempt int) *FaultPlan {
 }
 
 // CorruptAt makes a remote transport corrupt the response bytes of the
-// given execution before decoding (a decode failure classified Transient).
+// given execution before decoding (a retryable decode failure).
 func (p *FaultPlan) CorruptAt(phase string, task, attempt int) *FaultPlan {
 	f := p.faults[faultKey{phase, task, attempt}]
 	f.Corrupt = true
@@ -430,13 +401,6 @@ func SeededNetPlan(seed int64, n int, phases ...string) *FaultPlan {
 	return p
 }
 
-// launch is one scheduled execution: the task coordinates plus the backoff
-// the worker sleeps before running.
-type launch struct {
-	t       Task
-	backoff time.Duration
-}
-
 // event is one finished execution reported back to the coordinator.
 type event struct {
 	t   Task
@@ -474,7 +438,6 @@ type coord struct {
 	events   chan event
 	tasks    []taskState
 	results  []any
-	pending  []launch
 	inflight int
 	done     int
 	durs     []time.Duration // completed winners' durations (hedge baseline)
@@ -483,18 +446,17 @@ type coord struct {
 }
 
 // Run executes n tasks through the runner under the options' fault policy
-// and returns the per-task results in index order. On failure it cancels the
-// outstanding executions, waits for them to drain (no execution outlives
-// Run), and returns the first terminal *TaskError. A nil ctx is Background.
+// and returns the per-task results in index order. Every task launches at
+// once, and every retry and hedge as soon as it is due. On failure it
+// cancels the outstanding executions, waits for them to drain (no execution
+// outlives Run), and returns the first terminal *TaskError. A nil ctx is
+// Background.
 func Run(ctx context.Context, n int, r Runner, o Options) ([]any, Report, error) {
 	if n < 0 {
 		return nil, Report{}, fmt.Errorf("dispatch: %d tasks", n)
 	}
 	if o.Phase == "" {
 		o.Phase = "task"
-	}
-	if o.Workers <= 0 {
-		o.Workers = n
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = DefaultMaxAttempts
@@ -504,9 +466,6 @@ func Run(ctx context.Context, n int, r Runner, o Options) ([]any, Report, error)
 	}
 	if o.BackoffMax <= 0 {
 		o.BackoffMax = DefaultBackoffMax
-	}
-	if o.Classify == nil {
-		o.Classify = DefaultClassify
 	}
 	if o.HedgeQuantile <= 0 || o.HedgeQuantile > 1 {
 		o.HedgeQuantile = DefaultHedgeQuant
@@ -542,9 +501,8 @@ func Run(ctx context.Context, n int, r Runner, o Options) ([]any, Report, error)
 	}
 	for i := range c.tasks {
 		c.tasks[i].cancels = map[int]context.CancelFunc{}
-		c.pending = append(c.pending, launch{t: Task{Index: i}})
+		c.launch(Task{Index: i}, 0)
 	}
-	c.fill()
 
 	// The event loop: receive completions, and — when a hedge deadline is
 	// computable — race them against a timer armed for the earliest
@@ -575,7 +533,6 @@ func Run(ctx context.Context, n int, r Runner, o Options) ([]any, Report, error)
 	// everything after failure) and wait it out, so no execution goroutine —
 	// or its writes into caller-owned state like child traces — outlives Run.
 	cancel()
-	c.pending = nil
 	for c.inflight > 0 {
 		ev := <-c.events
 		c.inflight--
@@ -593,38 +550,30 @@ func Run(ctx context.Context, n int, r Runner, o Options) ([]any, Report, error)
 	return c.results, c.rep, nil
 }
 
-// fill launches pending executions while worker slots are free.
-func (c *coord) fill() {
-	for len(c.pending) > 0 && c.inflight < c.o.Workers && c.failErr == nil {
-		l := c.pending[0]
-		c.pending = c.pending[1:]
-		c.launch(l)
-	}
-}
-
-// launch starts one execution goroutine.
-func (c *coord) launch(l launch) {
-	ts := &c.tasks[l.t.Index]
+// launch starts one execution goroutine, which sleeps backoff before it
+// runs.
+func (c *coord) launch(t Task, backoff time.Duration) {
+	ts := &c.tasks[t.Index]
 	ts.attempts++
 	ts.running++
 	if ts.running == 1 {
 		ts.started = c.clock.Now()
 	}
-	if _, ok := c.o.Faults.at(c.o.Phase, l.t.Index, l.t.Attempt); ok {
+	if _, ok := c.o.Faults.at(c.o.Phase, t.Index, t.Attempt); ok {
 		c.rep.FaultsInjected++
 		c.o.Trace.Metric(obs.MetricDispatchFaults, 1)
 	}
 	ectx, ecancel := context.WithCancel(c.runCtx)
-	ts.cancels[l.t.Attempt] = ecancel
+	ts.cancels[t.Attempt] = ecancel
 	c.inflight++
 	c.rep.Attempts++
-	go c.exec(ectx, l)
+	go c.exec(ectx, t, backoff)
 }
 
 // exec runs one execution on its own goroutine: backoff sleep, fault
 // injection, the runner itself — all under panic containment — then reports
 // the outcome. It always sends exactly one event.
-func (c *coord) exec(ctx context.Context, l launch) {
+func (c *coord) exec(ctx context.Context, t Task, backoff time.Duration) {
 	start := c.clock.Now()
 	var val any
 	var err error
@@ -633,31 +582,31 @@ func (c *coord) exec(ctx context.Context, l launch) {
 			if r := recover(); r != nil {
 				err = &PanicError{
 					Phase:   c.o.Phase,
-					Index:   l.t.Index,
-					Attempt: l.t.Attempt,
+					Index:   t.Index,
+					Attempt: t.Attempt,
 					Value:   r,
 					Stack:   debug.Stack(),
 				}
 			}
 		}()
-		if err = sleepCtx(ctx, l.backoff, c.clock); err != nil {
+		if err = sleepCtx(ctx, backoff, c.clock); err != nil {
 			return
 		}
-		if f, ok := c.o.Faults.at(c.o.Phase, l.t.Index, l.t.Attempt); ok {
+		if f, ok := c.o.Faults.at(c.o.Phase, t.Index, t.Attempt); ok {
 			if err = sleepCtx(ctx, f.Delay, c.clock); err != nil {
 				return
 			}
 			if f.Panic {
-				panic(fmt.Sprintf("injected fault (%s task %d attempt %d)", c.o.Phase, l.t.Index, l.t.Attempt))
+				panic(fmt.Sprintf("injected fault (%s task %d attempt %d)", c.o.Phase, t.Index, t.Attempt))
 			}
 			if f.Err != nil {
 				err = f.Err
 				return
 			}
 		}
-		val, err = c.runner.Run(ctx, l.t)
+		val, err = c.runner.Run(ctx, t)
 	}()
-	c.events <- event{t: l.t, val: val, err: err, dur: c.clock.Now().Sub(start)}
+	c.events <- event{t: t, val: val, err: err, dur: c.clock.Now().Sub(start)}
 }
 
 // handle processes one completion on the coordinator goroutine.
@@ -671,7 +620,6 @@ func (c *coord) handle(ev event) {
 	}
 	if ts.done {
 		// A hedge loser (or a post-win cancellation echo): first result won.
-		c.fill()
 		return
 	}
 	if ev.err == nil {
@@ -682,7 +630,6 @@ func (c *coord) handle(ev event) {
 		for _, cancelExec := range ts.cancels {
 			cancelExec() // the racing sibling lost
 		}
-		c.fill()
 		return
 	}
 
@@ -698,10 +645,9 @@ func (c *coord) handle(ev event) {
 	if ts.running > 0 {
 		// A racing sibling is still in flight; it may yet win. Defer the
 		// retry-vs-fail decision to its completion.
-		c.fill()
 		return
 	}
-	if c.o.Classify(ev.err) == Transient && ts.attempts < c.o.MaxAttempts {
+	if retryable(ev.err) && ts.attempts < c.o.MaxAttempts {
 		backoff := c.backoffFor(ts.attempts)
 		c.rep.Retries++
 		c.o.Trace.Metric(obs.MetricDispatchRetries, 1)
@@ -709,11 +655,7 @@ func (c *coord) handle(ev event) {
 			Attr("task", float64(ev.t.Index)).
 			Attr("attempt", float64(ts.attempts)).
 			Attr("backoff_ms", float64(backoff)/float64(time.Millisecond)).End()
-		c.pending = append(c.pending, launch{
-			t:       Task{Index: ev.t.Index, Attempt: ts.attempts},
-			backoff: backoff,
-		})
-		c.fill()
+		c.launch(Task{Index: ev.t.Index, Attempt: ts.attempts}, backoff)
 		return
 	}
 	c.failErr = &TaskError{Phase: c.o.Phase, Index: ev.t.Index, Attempts: ts.attempts, Err: ev.err}
@@ -798,9 +740,8 @@ func (c *coord) launchDueHedges() {
 			Attr("task", float64(i)).
 			Attr("attempt", float64(ts.attempts)).
 			Attr("age_ms", float64(now.Sub(ts.started))/float64(time.Millisecond)).End()
-		c.pending = append(c.pending, launch{t: Task{Index: i, Attempt: ts.attempts, Hedged: true}})
+		c.launch(Task{Index: i, Attempt: ts.attempts, Hedged: true}, 0)
 	}
-	c.fill()
 }
 
 // quantileDur returns the q-quantile of the given durations (nearest-rank).

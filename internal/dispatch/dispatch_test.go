@@ -92,22 +92,21 @@ func TestPermanentFailsFast(t *testing.T) {
 	}
 }
 
-func TestMarkPermanentOverridesPanicClass(t *testing.T) {
+// TestRetryablePanicsAndMarkedErrors pins the retry predicate: contained
+// panics and MarkTransient errors retry, everything else fails fast.
+func TestRetryablePanicsAndMarkedErrors(t *testing.T) {
 	pe := &PanicError{Phase: "t", Index: 0, Value: "boom"}
-	if DefaultClassify(pe) != Transient {
-		t.Error("bare PanicError should classify Transient")
+	if !retryable(pe) {
+		t.Error("bare PanicError should be retryable")
 	}
-	if DefaultClassify(MarkPermanent(fmt.Errorf("wrap: %w", pe))) != Permanent {
-		t.Error("explicit MarkPermanent should win over the panic rule")
-	}
-	if DefaultClassify(MarkTransient(errors.New("x"))) != Transient {
+	if !retryable(MarkTransient(errors.New("x"))) {
 		t.Error("MarkTransient ignored")
 	}
-	if DefaultClassify(errors.New("plain")) != Permanent {
-		t.Error("unmarked errors must be Permanent")
+	if retryable(errors.New("plain")) {
+		t.Error("unmarked errors must fail fast")
 	}
-	if DefaultClassify(context.Canceled) != Permanent {
-		t.Error("cancellation must be Permanent")
+	if retryable(context.Canceled) {
+		t.Error("cancellation must fail fast")
 	}
 }
 

@@ -49,8 +49,6 @@ type PoolOptions struct {
 	BlacklistAfter int
 	// Clock drives the health cadence (tests use a FakeClock); nil = wall.
 	Clock Clock
-	// Client overrides the HTTP client (tests); nil uses a private default.
-	Client *http.Client
 }
 
 // poolWorker is one worker endpoint's pool-side state, guarded by the
@@ -107,12 +105,9 @@ func NewWorkerPool(addrs []string, o PoolOptions) (*WorkerPool, error) {
 	p := &WorkerPool{
 		o:      o,
 		clock:  o.Clock,
-		client: o.Client,
+		client: &http.Client{},
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
-	}
-	if p.client == nil {
-		p.client = &http.Client{}
 	}
 	seen := map[string]bool{}
 	for _, a := range addrs {
@@ -318,17 +313,18 @@ type RemoteConfig struct {
 }
 
 // RemoteRunner executes tasks on the pool's workers over HTTP. Failure
-// discipline, in order: an injected Drop surfaces Transient immediately (the
-// coordinator's retry machinery drives re-dispatch); a transport-level
+// discipline, in order: an injected Drop returns a retryable error at once
+// (the coordinator's retry machinery drives re-dispatch); a transport-level
 // failure (connection refused/reset, request deadline) counts against the
 // worker and fails over to the next healthy worker within the same
 // execution; a worker 500 (contained handler panic) does the same; a worker
-// 422 (deterministic build failure) returns Permanent untouched; an
-// undecodable response — corruption in transit, injected or real — returns
-// Transient without blaming the worker. When no healthy worker remains for
-// the execution, it transparently degrades to the Local runner and journals
-// the fallback; the journal is folded into Report/trace after the run
-// drains (observeRun, on the coordinator goroutine).
+// 422 (deterministic build failure) returns an unmarked error, which fails
+// the run fast; an undecodable response — corruption in transit, injected
+// or real — returns a retryable error without blaming the worker. When no
+// healthy worker remains for the execution, it transparently degrades to
+// the Local runner and journals the fallback; the journal is folded into
+// Report/trace after the run drains (observeRun, on the coordinator
+// goroutine).
 type RemoteRunner struct {
 	pool     *WorkerPool
 	cfg      RemoteConfig
@@ -365,7 +361,7 @@ func (r *RemoteRunner) Run(ctx context.Context, t Task) (any, error) {
 		}
 		if f.Drop {
 			// The injected connection drop: attributed to the picked worker
-			// like a real drop would be, surfaced Transient so the retry
+			// like a real drop would be, and retryable so the retry
 			// machinery re-dispatches at the next attempt's coordinates.
 			r.pool.release(w)
 			r.pool.fail(w)

@@ -175,8 +175,8 @@ func TestRemoteRunner422IsPermanent(t *testing.T) {
 	if err == nil {
 		t.Fatal("422 returned no error")
 	}
-	if DefaultClassify(err) != Permanent {
-		t.Fatalf("422 classified %v, want Permanent (deterministic build failure)", DefaultClassify(err))
+	if retryable(err) {
+		t.Fatalf("422 error %v is retryable, want fail-fast (deterministic build failure)", err)
 	}
 	// A deterministic failure does not blame the worker.
 	if p.Healthy() != 1 {
@@ -197,8 +197,8 @@ func TestRemoteRunnerCorruptResponseIsTransient(t *testing.T) {
 	if err == nil {
 		t.Fatal("corrupted response decoded cleanly")
 	}
-	if DefaultClassify(err) != Transient {
-		t.Fatalf("undecodable response classified %v, want Transient", DefaultClassify(err))
+	if !retryable(err) {
+		t.Fatalf("undecodable response error %v is not retryable", err)
 	}
 	// The next attempt has no fault coordinate and succeeds remotely.
 	out, err := r.Run(context.Background(), Task{Index: 0, Attempt: 1})
@@ -217,8 +217,8 @@ func TestRemoteRunnerDropFaultIsTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = r.Run(context.Background(), Task{Index: 1, Attempt: 0})
-	if err == nil || DefaultClassify(err) != Transient {
-		t.Fatalf("injected drop = %v (%v), want Transient error", err, DefaultClassify(err))
+	if err == nil || !retryable(err) {
+		t.Fatalf("injected drop = %v, want a retryable error", err)
 	}
 	if w.builds.Load() != 0 {
 		t.Fatal("injected drop reached the worker")

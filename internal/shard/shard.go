@@ -120,11 +120,11 @@ func Build(in *ctree.Instance, opt core.Options) (*Result, error) {
 }
 
 // BuildDispatch is Build with an explicit dispatch policy: dopt tunes the
-// fault-tolerance layer (retry budget and backoff, hedging deadline, worker
-// cap, fault injection via dopt.Faults). dopt.Phase and dopt.Trace are
-// overridden per pipeline phase ("pilot", "shard"); everything else applies
-// to every dispatched phase unchanged. The zero value is the default policy
-// Build uses.
+// fault-tolerance layer (retry budget and backoff, hedging deadline, the
+// remote worker pool, fault injection via dopt.Faults). dopt.Phase and
+// dopt.Trace are overridden per pipeline phase ("pilot", "shard");
+// everything else applies to every dispatched phase unchanged. The zero
+// value is the default policy Build uses.
 func BuildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (*Result, error) {
 	return buildDispatch(in, opt, dopt, false)
 }

@@ -28,23 +28,16 @@
 // Delete is a tombstone: the item is marked dead in O(1) and its bucket
 // entries are purged lazily, either when dead entries outnumber live ones
 // (a full sweep, amortized O(1) per delete) or at the next rebuild. Queries
-// skip dead entries. The grid re-cells itself as the live set evolves, on
-// two complementary triggers: when the live count falls to half its peak
-// since the last build — merge rounds halve the live set and fatten the
-// survivors — and when the measured scan rate degrades, i.e. a rolling
-// window of queries averages more than scanRateFactor times the candidate
-// evaluations per query measured just after the last rebuild (the
-// population schedule alone can leave the grid mis-celled for a long
-// stretch when the live-drop threshold lands at an unlucky phase; the
-// scan-rate trigger watches the actual query work instead). Rebuilds re-fit
-// the window and re-measure the cell with DensityCell, keeping bucket
-// occupancy near the sweet spot on clustered (power-law) placements where a
-// global extent/√n cell is far too coarse for the dense clusters. All
-// rebuild triggers are driven by deterministic counters — maintained by the
-// single mutating goroutine, or (the query counters) read only between
-// mutations — and cell size never affects query results, so merge sequences
-// remain exactly reproducible. Rebuilds are counted by trigger in
-// RebuildStats (see Rebuilds), which the router surfaces in its run stats.
+// skip dead entries. The grid re-cells itself when the live count falls to
+// half its peak since the last build: merge rounds halve the live set and
+// fatten the survivors. Rebuilds re-fit the window and re-measure the cell
+// with DensityCell, keeping bucket occupancy near the sweet spot on
+// clustered (power-law) placements where a global extent/√n cell is far too
+// coarse for the dense clusters. Every rebuild trigger compares counters
+// maintained by the single mutating goroutine, and cell size never affects
+// query results, so merge sequences remain exactly reproducible. Rebuilds
+// are counted by trigger in RebuildStats (see Rebuilds), which the router
+// surfaces in its run stats.
 //
 // Queries run an expanding ring search, written once, in NearestScored;
 // NearestBox is its box-distance form. Cells at Chebyshev ring r around the
@@ -66,8 +59,7 @@
 // Before it scores a candidate, a query takes DistRR between its query box
 // and the candidate's stored box, and skips the key call when that
 // distance exceeds the best key so far, or equals it at a larger id
-// (outranked). The skipped candidate still counts in Scans, so the
-// scan-rate trigger and the pairing-work metric see the same numbers. This
+// (outranked). The skipped candidate still counts in Scans. This
 // pre-filter needs the key bound to hold in floating point, not only in
 // exact arithmetic: key ≥ DistRR of the stored boxes as computed. Every
 // caller meets it. The router's key is DistRR of the same rectangles;
@@ -117,88 +109,22 @@ const (
 	// maxCellsPerItem caps the dense window at this many cells per live
 	// item; DensityCell's estimate is floored so the array stays O(n).
 	maxCellsPerItem = 8
-
-	// Scan-rate rebuild policy (see maybeRebuild and scanRateExceeded).
-	// The live-drop trigger re-cells on a fixed population schedule and
-	// trusts DensityCell's estimate outright; when that estimate runs too
-	// coarse for an instance — measured on the power-law 50k circuit,
-	// whose candidate evaluations per query ran ~5× the 100k circuit's
-	// from the very first round — every bucket of the hot clusters is fat
-	// and stays fat through every scheduled rebuild. The scan-rate trigger
-	// watches the work directly: after each rebuild the mean candidate
-	// evaluations per query over the first scanBaselineQueries queries
-	// become the baseline, and whenever a later window of scanRateWindow
-	// queries averages more than scanRateFactor times that baseline —
-	// clamped into [scanRateFloor, scanRateCap], so noise on a cheap grid
-	// never fires and a baseline that is itself degenerate cannot excuse
-	// the degeneracy — the index re-cells with the cell estimate trimmed
-	// by half (cellTrim, floored at cellTrimMin: the scan counter only
-	// sees candidate evaluations, so a too-fine cell — whose cost is
-	// walking empty cells — must be bounded a priori). The trim persists
-	// across later live-drop rebuilds; the feedback is self-limiting
-	// because a successful trim drops the measured rate below the
-	// re-trigger threshold.
-	scanBaselineQueries = 64
-	scanRateWindow      = 256
-	scanRateFactor      = 3
-	// scanRateFloor/scanRateCap clamp the firing threshold (candidate
-	// evaluations per query). A well-celled grid measures ~2-4 items per
-	// visited bucket over ~9-12 visited cells, i.e. ~32/query; below that
-	// a 3×-baseline excess is noise, and a rolling mean beyond 3× that
-	// norm indicates fat buckets no matter what the baseline says.
-	scanRateFloor = 32
-	scanRateCap   = 96
-	// cellTrimMin bounds the persistent cell-estimate trim.
-	cellTrimMin = 0.25
-
-	// Cell-walk (un-trim) policy: the scan counter only sees candidate
-	// evaluations, so it is blind to the cost of an over-fine grid — rings
-	// of empty cells walked per query. The cell-walk trigger watches that
-	// cost directly (cells visited per query, same baseline/window cadence
-	// as the scan trigger) and, when it fires on a trimmed grid, doubles
-	// cellTrim back toward 1 and re-cells: the trim that once paid for
-	// itself (fat clusters) can turn persistently over-fine as the live set
-	// thins and regions fatten. The trigger is armed only while
-	// cellTrim < 1 — an untrimmed grid walking many cells means DensityCell
-	// itself chose that cell, and doubling past its estimate is not this
-	// trigger's business. cellWalkFloor is the minimum cells/query worth
-	// reacting to (a well-celled query walks ~9-25); cellWalkCap is the
-	// absolute arm applied to the baseline chunk itself, mirroring
-	// scanRateCap (a static over-fine grid never drifts 3× beyond its own
-	// baseline, so only the absolute arm can catch it).
-	cellWalkFloor = 64
-	cellWalkCap   = 256
-)
-
-// rateSignal classifies the query-rate trigger's verdict.
-type rateSignal int
-
-const (
-	rateNone   rateSignal = iota
-	rateCoarse            // candidate scans/query degraded: cell too coarse
-	rateFine              // cells walked/query degraded on a trimmed grid: cell too fine
 )
 
 // RebuildStats counts index rebuilds by trigger: the live count halving
-// (LiveDrop), too many items clamped at the window edge (EdgeClamp), the
-// rolling candidate-scan rate exceeding the post-rebuild baseline
-// (ScanRate: cell too coarse, trim halved), and the rolling cells-walked
-// rate exceeding it on a trimmed grid (CellWalk: cell too fine, trim
-// doubled back toward 1).
+// (LiveDrop) and too many items clamped at the window edge (EdgeClamp).
 type RebuildStats struct {
-	LiveDrop, EdgeClamp, ScanRate, CellWalk int
+	LiveDrop, EdgeClamp int
 }
 
 // Total returns the total rebuild count.
-func (r RebuildStats) Total() int { return r.LiveDrop + r.EdgeClamp + r.ScanRate + r.CellWalk }
+func (r RebuildStats) Total() int { return r.LiveDrop + r.EdgeClamp }
 
 // Add accumulates another index's rebuild counts (aggregation across the
 // per-shard indices of a sharded run).
 func (r *RebuildStats) Add(o RebuildStats) {
 	r.LiveDrop += o.LiveDrop
 	r.EdgeClamp += o.EdgeClamp
-	r.ScanRate += o.ScanRate
-	r.CellWalk += o.CellWalk
 }
 
 // spanState tracks how an item relates to the bucket array.
@@ -248,22 +174,6 @@ type Index struct {
 	clamped   int // live inserts clamped at the window edge since last build
 	peakLive  int // max live count since last rebuild (re-cell trigger)
 
-	// Query-rate trigger state (single-writer; the cumulative counters it
-	// reads are atomics, but they are only inspected between mutations,
-	// after all concurrent queries have completed, so every decision is
-	// deterministic). buildQueries/buildScans/buildCells snapshot the
-	// cumulative counters at the last rebuild; baseRate and baseCellRate
-	// are the post-rebuild baselines (scans/query and cells-walked/query;
-	// 0 while still being established); ckQueries/ckScans/ckCells
-	// checkpoint the rolling window shared by both directions.
-	buildQueries, buildScans, buildCells int64
-	baseRate, baseCellRate               float64
-	ckQueries, ckScans, ckCells          int64
-	// cellTrim scales every DensityCell estimate; scan-rate rebuilds halve
-	// it (down to cellTrimMin) when the measured rate says the estimate
-	// runs too coarse for this instance. 0 means 1 (never trimmed).
-	cellTrim float64
-
 	rebuilds RebuildStats
 	// rebuildTime accumulates wall time spent inside rebuild. Measured
 	// unconditionally (two clock reads per rebuild, no allocations) so
@@ -281,9 +191,7 @@ type Index struct {
 	// with their chunk.
 	entrySlab []int32
 
-	scans       atomic.Int64
-	queries     atomic.Int64 // NearestScored calls (rate triggers)
-	cellsWalked atomic.Int64 // grid cells visited across all queries (cell-walk trigger)
+	scans atomic.Int64
 }
 
 // New returns an empty index with the given cell edge (≤ 0 selects 1). The
@@ -668,10 +576,8 @@ func (x *Index) Delete(id int) {
 }
 
 // maybeRebuild applies the amortized maintenance policy; see the package
-// comment. Called after every mutation; all triggers compare counters
-// maintained by the single mutating goroutine — the scan-rate trigger also
-// reads the cumulative query counters, which are stable between mutations —
-// so behavior is deterministic.
+// comment. Called after every mutation; every trigger compares counters
+// maintained by the single mutating goroutine, so behavior is deterministic.
 func (x *Index) maybeRebuild() {
 	switch {
 	case x.n >= recellMinLive && 2*x.n <= x.peakLive:
@@ -680,108 +586,9 @@ func (x *Index) maybeRebuild() {
 	case x.clamped > clampSlack && 8*x.clamped > x.n:
 		x.rebuilds.EdgeClamp++
 		x.rebuild(false)
-	default:
-		switch x.rateTrigger() {
-		case rateCoarse:
-			x.rebuilds.ScanRate++
-			if x.cellTrim == 0 {
-				x.cellTrim = 1
-			}
-			if x.cellTrim > cellTrimMin {
-				x.cellTrim /= 2
-			}
-			x.rebuild(true)
-		case rateFine:
-			x.rebuilds.CellWalk++
-			if x.cellTrim *= 2; x.cellTrim > 1 {
-				x.cellTrim = 1
-			}
-			x.rebuild(true)
-		default:
-			if x.deadFiled > x.liveFiled+purgeSlack {
-				x.purge()
-			}
-		}
+	case x.deadFiled > x.liveFiled+purgeSlack:
+		x.purge()
 	}
-}
-
-// rateTrigger implements the bidirectional query-rate rebuild trigger. It
-// establishes baselines — candidate scans/query and cells-walked/query —
-// over the first scanBaselineQueries queries after a rebuild, then compares
-// each subsequent scanRateWindow-query window's means against
-// scanRateFactor times the baselines. The scan direction (cell too coarse)
-// has its firing threshold clamped into [scanRateFloor, scanRateCap]; the
-// cell-walk direction (cell too fine) fires only on a trimmed grid, above
-// max(factor × baseline, cellWalkFloor), with the absolute cellWalkCap arm
-// on the baseline chunk (see the policy constants). The coarse direction
-// takes priority when both would fire. Advancing the baseline and window
-// checkpoints mutates single-writer state, so this must only be called from
-// the mutating goroutine (maybeRebuild).
-func (x *Index) rateTrigger() rateSignal {
-	if x.n < recellMinLive {
-		return rateNone
-	}
-	qs, ss, cs := x.queries.Load(), x.scans.Load(), x.cellsWalked.Load()
-	// Once the trim is floored, a rebuild cannot make the cell any finer:
-	// the absolute arm is withdrawn (otherwise an instance whose intrinsic
-	// rate exceeds the cap at every cell size would trip a futile O(n)
-	// rebuild after every baseline window for the rest of the run), and
-	// only genuine drift beyond the measured baseline can still fire.
-	// Symmetrically, the fine direction is armed only while a trim is in
-	// effect — undoing the trim is all it is allowed to do.
-	trimFloored := x.cellTrim > 0 && x.cellTrim <= cellTrimMin
-	trimmed := x.cellTrim > 0 && x.cellTrim < 1
-	if x.baseRate == 0 {
-		if dq := qs - x.buildQueries; dq >= scanBaselineQueries {
-			x.baseRate = float64(ss-x.buildScans) / float64(dq)
-			if x.baseRate < 1 {
-				x.baseRate = 1 // degenerate windows: avoid a zero baseline
-			}
-			x.baseCellRate = float64(cs-x.buildCells) / float64(dq)
-			if x.baseCellRate < 1 {
-				x.baseCellRate = 1
-			}
-			x.ckQueries, x.ckScans, x.ckCells = qs, ss, cs
-			// The absolute arms apply to the baseline chunk itself: the
-			// router's queries arrive in one burst per merge round, and
-			// population-triggered rebuilds can recur before a second
-			// burst — if the first post-rebuild burst already runs beyond
-			// a cap, waiting for a window to confirm it means never
-			// firing at all.
-			if x.baseRate > scanRateCap && !trimFloored {
-				return rateCoarse
-			}
-			if trimmed && x.baseCellRate > cellWalkCap {
-				return rateFine
-			}
-		}
-		return rateNone
-	}
-	dq := qs - x.ckQueries
-	if dq < scanRateWindow {
-		return rateNone
-	}
-	scanRate := float64(ss-x.ckScans) / float64(dq)
-	cellRate := float64(cs-x.ckCells) / float64(dq)
-	x.ckQueries, x.ckScans, x.ckCells = qs, ss, cs
-	threshold := scanRateFactor * x.baseRate
-	if threshold < scanRateFloor {
-		threshold = scanRateFloor
-	}
-	if threshold > scanRateCap && !trimFloored {
-		threshold = scanRateCap
-	}
-	if scanRate > threshold {
-		return rateCoarse
-	}
-	cellThreshold := scanRateFactor * x.baseCellRate
-	if cellThreshold < cellWalkFloor {
-		cellThreshold = cellWalkFloor
-	}
-	if trimmed && cellRate > cellThreshold {
-		return rateFine
-	}
-	return rateNone
 }
 
 // purge sweeps tombstoned entries out of every bucket. Cost is one pass
@@ -825,19 +632,12 @@ func (x *Index) rebuild(recell bool) {
 	x.over = x.over[:0]
 	x.liveFiled, x.deadFiled, x.clamped = 0, 0, 0
 	x.peakLive = x.n
-	// Restart the query-rate triggers: new window, new cell, new baselines.
-	x.buildQueries, x.buildScans, x.buildCells = x.queries.Load(), x.scans.Load(), x.cellsWalked.Load()
-	x.baseRate, x.ckQueries, x.ckScans = 0, 0, 0
-	x.baseCellRate, x.ckCells = 0, 0
 	if len(live) == 0 {
 		x.w, x.h, x.cells = 0, 0, nil
 		return
 	}
 	if recell && len(live) >= recellMinLive {
 		x.cell = DensityCell(liveBoxes)
-		if x.cellTrim > 0 {
-			x.cell *= x.cellTrim
-		}
 	}
 	bb := boundsOf(liveBoxes)
 	x.setWindow(x.cellIdx(bb.ULo)-windowPad, x.cellIdx(bb.UHi)+windowPad,
@@ -913,8 +713,7 @@ type Keyer interface {
 func (x *Index) NearestScored(self int, k Keyer, used []bool) (best int, bestKey float64, ok bool) {
 	q := x.boxes[self]
 	best, bestKey = -1, math.Inf(1)
-	x.queries.Add(1)
-	var scans, cells int64
+	var scans int64
 	for _, id32 := range x.over {
 		id := int(id32)
 		if id == self || used != nil && used[id] {
@@ -950,7 +749,6 @@ func (x *Index) NearestScored(self int, k Keyer, used []bool) (best int, bestKey
 				for cv := st[2]; cv <= st[3]; cv++ {
 					row := cv * x.w
 					for cu := st[0]; cu <= st[1]; cu++ {
-						cells++
 						for _, id32 := range x.cells[row+cu] {
 							id := int(id32)
 							if id == self || x.spans[id].state != spanLive || used != nil && used[id] {
@@ -973,7 +771,6 @@ func (x *Index) NearestScored(self int, k Keyer, used []bool) (best int, bestKey
 		}
 	}
 	x.scans.Add(scans)
-	x.cellsWalked.Add(cells)
 	if best < 0 {
 		return -1, 0, false
 	}

@@ -287,147 +287,61 @@ func TestDensityCell(t *testing.T) {
 	}
 }
 
-// TestScanRateRebuildFiresOnFatBuckets drives the scan-rate trigger: an
-// index built with a deliberately coarse cell over a dense cluster piles
-// every item into a handful of buckets, so each query evaluates ~n
-// candidates — far beyond the firing cap. The first mutation after the
-// baseline burst must re-cell with a trimmed (finer) cell, and results must
-// stay exact throughout.
-func TestScanRateRebuildFiresOnFatBuckets(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	const n = 600
-	boxes := make([]geom.Rect, n)
-	live := make([]bool, n)
-	x := New(1e6) // one giant cell: every query scans every item
-	for i := range boxes {
-		u, v := r.Float64()*1000, r.Float64()*1000
-		boxes[i] = geom.Rect{ULo: u, UHi: u, VLo: v, VHi: v}
-		live[i] = true
-		x.Insert(i, boxes[i])
-	}
-	coarse := x.Cell()
-	query := func() {
-		for i := 0; i < n; i++ {
-			if !live[i] {
-				continue
-			}
-			skip := func(j int) bool { return j == i }
-			wantJ, wantD := bruteNearest(boxes, live, boxes[i], skip)
-			gotJ, gotD, ok := x.NearestBox(i)
-			if !ok || gotJ != wantJ || gotD != wantD {
-				t.Fatalf("item %d: got (%d, %v), want (%d, %v)", i, gotJ, gotD, wantJ, wantD)
-			}
-		}
-	}
-	query() // baseline burst: well over scanBaselineQueries queries, ~n scans each
-	x.Delete(0)
-	live[0] = false // mutation: maybeRebuild sees the degenerate rate
-	rb := x.Rebuilds()
-	if rb.ScanRate != 1 {
-		t.Fatalf("scan-rate rebuilds = %d (stats %+v), want 1", rb.ScanRate, rb)
-	}
-	if x.Cell() >= coarse {
-		t.Fatalf("cell %v not refined below the coarse %v", x.Cell(), coarse)
-	}
-	query() // exactness preserved across the re-cell
-}
-
-// TestCellWalkRebuildUndoesOverFineTrim drives the opposite direction of the
-// query-rate trigger: a trimmed index whose cell is far too fine for the
-// live population walks rings of empty cells on every query. The first
-// mutation after the baseline burst must un-trim (double cellTrim) and
-// re-cell coarser, classified as a CellWalk rebuild, with results exact
-// throughout.
-func TestCellWalkRebuildUndoesOverFineTrim(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	const n = 200
-	boxes := make([]geom.Rect, n)
-	live := make([]bool, n)
-	// Point items spread over 200×200 with a 0.5 cell: mean spacing ~14, so
-	// every nearest-neighbor query walks hundreds of near-empty cells.
-	x := New(0.5)
-	x.cellTrim = 0.25 // as if scan-rate rebuilds had trimmed a past estimate
-	for i := range boxes {
-		u, v := r.Float64()*200, r.Float64()*200
-		boxes[i] = geom.Rect{ULo: u, UHi: u, VLo: v, VHi: v}
-		live[i] = true
-		x.Insert(i, boxes[i])
-	}
-	fine := x.Cell()
-	query := func() {
-		for i := 0; i < n; i++ {
-			if !live[i] {
-				continue
-			}
-			skip := func(j int) bool { return j == i }
-			wantJ, wantD := bruteNearest(boxes, live, boxes[i], skip)
-			gotJ, gotD, ok := x.NearestBox(i)
-			if !ok || gotJ != wantJ || gotD != wantD {
-				t.Fatalf("item %d: got (%d, %v), want (%d, %v)", i, gotJ, gotD, wantJ, wantD)
-			}
-		}
-	}
-	query() // baseline burst: cells-walked/query far beyond cellWalkCap
-	x.Delete(0)
-	live[0] = false // mutation: maybeRebuild sees the over-fine rate
-	rb := x.Rebuilds()
-	if rb.CellWalk != 1 {
-		t.Fatalf("cell-walk rebuilds = %d (stats %+v), want 1", rb.CellWalk, rb)
-	}
-	if x.cellTrim != 0.5 {
-		t.Fatalf("cellTrim = %v after un-trim, want 0.5", x.cellTrim)
-	}
-	if x.Cell() <= fine {
-		t.Fatalf("cell %v not coarsened above the over-fine %v", x.Cell(), fine)
-	}
-	if rb.Total() != rb.LiveDrop+rb.EdgeClamp+rb.ScanRate+rb.CellWalk {
-		t.Fatalf("Total inconsistent: %+v", rb)
-	}
-	query() // exactness preserved across the re-cell
-}
-
-// TestCellWalkRebuildRequiresTrim pins the arming rule: the same over-fine
-// walking pattern on an UNtrimmed index must not fire the cell-walk trigger
-// — an untrimmed cell is DensityCell's own estimate, and undoing the trim is
-// all the trigger is allowed to do.
-func TestCellWalkRebuildRequiresTrim(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	const n = 200
-	x := New(0.5) // cellTrim stays 0 (never trimmed)
-	boxes := make([]geom.Rect, n)
-	live := make([]bool, n)
-	for i := range boxes {
-		u, v := r.Float64()*200, r.Float64()*200
-		boxes[i] = geom.Rect{ULo: u, UHi: u, VLo: v, VHi: v}
-		live[i] = true
-		x.Insert(i, boxes[i])
-	}
-	for i := 0; i < n; i++ {
-		x.NearestBox(i)
-	}
-	x.Delete(0)
-	if rb := x.Rebuilds(); rb.CellWalk != 0 {
-		t.Fatalf("cell-walk rebuild fired on an untrimmed index: %+v", rb)
-	}
-}
-
-// TestRebuildStatsCountLiveDrop pins the trigger classification of the
-// population-schedule rebuild.
+// TestRebuildStatsCountLiveDrop pins the classification of both rebuild
+// triggers, and exact answers after them: the population schedule (half the
+// live set deleted) and the edge clamp (more than clampSlack items filed
+// beyond the window the first insert set).
 func TestRebuildStatsCountLiveDrop(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	x := New(40)
 	const n = 100
-	for i := 0; i < n; i++ {
-		x.Insert(i, randRect(r, 1000, 10))
-	}
-	for i := 0; i < n/2; i++ {
-		x.Delete(i)
-	}
-	rb := x.Rebuilds()
-	if rb.LiveDrop < 1 {
-		t.Fatalf("live-drop rebuilds = %d (stats %+v), want >= 1", rb.LiveDrop, rb)
-	}
-	if rb.Total() != rb.LiveDrop+rb.EdgeClamp+rb.ScanRate {
-		t.Fatalf("Total inconsistent: %+v", rb)
+	for _, tc := range []struct {
+		name    string
+		box     func(r *rand.Rand, i int) geom.Rect
+		deletes int
+		fired   func(RebuildStats) int
+	}{
+		{"live-drop", func(r *rand.Rand, _ int) geom.Rect { return randRect(r, 1000, 10) }, n / 2,
+			func(rb RebuildStats) int { return rb.LiveDrop }},
+		// Item 0 at the origin sets a window a few cells wide; every later
+		// item lands far beyond it, and no delete runs the population
+		// schedule.
+		{"edge-clamp", func(r *rand.Rand, i int) geom.Rect {
+			if i == 0 {
+				return geom.Rect{}
+			}
+			b := randRect(r, 1000, 10)
+			return geom.Rect{ULo: b.ULo + 5000, UHi: b.UHi + 5000, VLo: b.VLo + 5000, VHi: b.VHi + 5000}
+		}, 0, func(rb RebuildStats) int { return rb.EdgeClamp }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(5))
+			x := New(40)
+			boxes := make([]geom.Rect, n)
+			live := make([]bool, n)
+			for i := range boxes {
+				boxes[i] = tc.box(r, i)
+				live[i] = true
+				x.Insert(i, boxes[i])
+			}
+			for i := 0; i < tc.deletes; i++ {
+				x.Delete(i)
+				live[i] = false
+			}
+			rb := x.Rebuilds()
+			if tc.fired(rb) < 1 {
+				t.Fatalf("%s rebuilds = %d (stats %+v), want >= 1", tc.name, tc.fired(rb), rb)
+			}
+			if rb.Total() != rb.LiveDrop+rb.EdgeClamp {
+				t.Fatalf("Total inconsistent: %+v", rb)
+			}
+			for i := range boxes {
+				if !live[i] {
+					continue
+				}
+				wantJ, wantD := bruteNearest(boxes, live, boxes[i], func(j int) bool { return j == i })
+				if gotJ, gotD, ok := x.NearestBox(i); !ok || gotJ != wantJ || gotD != wantD {
+					t.Fatalf("item %d: got (%d, %v), want (%d, %v)", i, gotJ, gotD, wantJ, wantD)
+				}
+			}
+		})
 	}
 }

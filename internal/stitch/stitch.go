@@ -15,19 +15,15 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/eval"
 	"repro/internal/geom"
-	"repro/internal/order"
 	"repro/internal/rctree"
 )
 
-// Options configures the stitch baseline.
+// Options configures the stitch baseline, which routes with the default
+// delay model and merging order.
 type Options struct {
-	// Model is the delay model; nil selects core.DefaultModel().
-	Model rctree.Model
 	// IntraSkewBound is the per-group skew bound (ps) used for the per-group
 	// zero-skew trees (0 = exact).
 	IntraSkewBound float64
-	// Order configures the merging order of the per-group builds.
-	Order order.Config
 }
 
 // Result is a completed stitch routing.
@@ -50,9 +46,6 @@ type Result struct {
 func Build(in *ctree.Instance, opt Options) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
-	}
-	if opt.Model == nil {
-		opt.Model = core.DefaultModel()
 	}
 
 	// Route each group on its own sub-instance, then transplant the subtree
@@ -78,10 +71,8 @@ func Build(in *ctree.Instance, opt Options) (*Result, error) {
 			backRefs = append(backRefs, i)
 		}
 		r, err := core.Build(sub, core.Options{
-			Model:       opt.Model,
 			SingleGroup: true,
 			GlobalBound: opt.IntraSkewBound,
-			Order:       opt.Order,
 		})
 		if err != nil {
 			return nil, err
@@ -103,7 +94,7 @@ func Build(in *ctree.Instance, opt Options) (*Result, error) {
 
 	// Stitch the group roots: repeated unconstrained nearest merges, wire
 	// equal to the root distances (no balancing between groups).
-	m := opt.Model
+	m := core.DefaultModel()
 	active := append([]*ctree.Node(nil), roots...)
 	for len(active) > 1 {
 		bi, bj := 0, 1

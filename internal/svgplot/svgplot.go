@@ -14,11 +14,12 @@ import (
 	"repro/internal/geom"
 )
 
+// widthPx is the output width in pixels; height follows the data aspect
+// ratio.
+const widthPx = 900.0
+
 // Options controls rendering.
 type Options struct {
-	// WidthPx is the output width in pixels (default 900; height follows
-	// the data aspect ratio).
-	WidthPx float64
 	// ShowRegions draws the committed merging loci of internal nodes.
 	ShowRegions bool
 	// Title is drawn at the top-left when non-empty.
@@ -39,14 +40,11 @@ func Render(w io.Writer, root *ctree.Node, in *ctree.Instance, opt Options) erro
 	if !root.Placed {
 		return fmt.Errorf("svgplot: tree not embedded")
 	}
-	if opt.WidthPx <= 0 {
-		opt.WidthPx = 900
-	}
 	xmin, ymin, xmax, ymax := bounds(root, in)
 	span := math.Max(xmax-xmin, 1)
 	vspan := math.Max(ymax-ymin, 1)
 	pad := 0.04 * span
-	scale := opt.WidthPx / (span + 2*pad)
+	scale := widthPx / (span + 2*pad)
 	heightPx := (vspan + 2*pad) * scale
 
 	// SVG y grows downward; flip.
@@ -56,7 +54,7 @@ func Render(w io.Writer, root *ctree.Node, in *ctree.Instance, opt Options) erro
 
 	if _, err := fmt.Fprintf(w,
 		`<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`+"\n",
-		opt.WidthPx, heightPx, opt.WidthPx, heightPx); err != nil {
+		widthPx, heightPx, widthPx, heightPx); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, `<rect width="100%%" height="100%%" fill="white"/>`+"\n")

@@ -13,10 +13,11 @@
 // payload yields an error, never a crash — the dispatch layer classifies
 // such errors as transient and re-dispatches.
 //
-// The format is at Version 3. A tree travels as pre-order node records
+// The format is at Version 4. A tree travels as pre-order node records
 // (geometry, delay sets, deferred state) with no snaking-handle records:
-// routers recompute handles from the subtree when they need them. Version-2
-// work units and ECO cache files fail the version check.
+// routers recompute handles from the subtree when they need them. Run stats
+// travel field by field, so any change to core.Stats' fields changes the
+// layout. Version-3 work units and ECO cache files fail the version check.
 //
 // Observation does not travel: Options.Trace, Options.Ctx and
 // Options.SneakProbe are deliberately not encoded (a worker build runs
@@ -36,7 +37,7 @@ import (
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 3
+const Version uint16 = 4
 
 // Message magic tags (work unit vs result), so one can never decode as the
 // other.

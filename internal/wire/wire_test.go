@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -183,6 +184,51 @@ func TestDecodeRejectsVersionFlip(t *testing.T) {
 	w := &writer{b: bad}
 	if _, err := DecodeWork(w.seal()); err == nil {
 		t.Fatal("flipped version accepted")
+	}
+}
+
+// statsLayout is core.Stats as encodeStats writes it, field by field in
+// declaration order, pinned with the Version that carries it. Stats travel
+// by reflection, so editing a Stats field changes the wire layout without
+// touching the codec.
+var statsLayout = struct {
+	version uint16
+	fields  []string
+}{4, []string{
+	"Merges varint", "SameGroup varint", "CrossGroup varint", "Shared varint",
+	"Deferred varint", "GroupUnions varint", "MergeSnakes varint",
+	"SneakEvents varint", "SneakWire f64", "SneakIters varint",
+	"PairScans varint", "GridRebuilds.LiveDrop varint",
+	"GridRebuilds.EdgeClamp varint", "SneakUnresolved varint",
+}}
+
+// TestStatsLayoutPinnedToVersion fails when core.Stats' wire layout and
+// Version move apart: a Stats change without a Version bump, or a bump
+// without re-pinning the layout.
+func TestStatsLayoutPinnedToVersion(t *testing.T) {
+	var got []string
+	var flatten func(prefix string, typ reflect.Type)
+	flatten = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch f.Type.Kind() {
+			case reflect.Struct:
+				flatten(prefix+f.Name+".", f.Type)
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				got = append(got, prefix+f.Name+" varint")
+			case reflect.Float64:
+				got = append(got, prefix+f.Name+" f64")
+			default:
+				got = append(got, prefix+f.Name+" "+f.Type.Kind().String())
+			}
+		}
+	}
+	flatten("", reflect.TypeOf(core.Stats{}))
+	if Version != statsLayout.version || !slices.Equal(got, statsLayout.fields) {
+		t.Fatalf("core.Stats travels field by field, so its fields are part of the wire layout:\n"+
+			"  pinned: Version %d, %v\n  now:    Version %d, %v\n"+
+			"a Stats field change needs a Version bump, and the pin moves with both",
+			statsLayout.version, statsLayout.fields, Version, got)
 	}
 }
 
