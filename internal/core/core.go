@@ -87,8 +87,9 @@ const (
 	PairerAuto PairerMode = iota
 	// PairerScan forces the all-pairs O(n²) oracle.
 	PairerScan
-	// PairerGrid forces the spatial grid pairer. The caller is responsible
-	// for key soundness (key ≥ distance; see internal/spatial).
+	// PairerGrid forces the spatial grid pairer. Build refuses it under
+	// DelayTargetBias, whose biased keys can drop below the pair distance
+	// and defeat the grid's pruning (see internal/spatial).
 	PairerGrid
 )
 
@@ -128,15 +129,14 @@ type Options struct {
 	SingleGroup bool
 	// GlobalBound is the skew bound (ps) used in SingleGroup mode.
 	GlobalBound float64
-	// Order configures the merging order.
-	Order order.Config
+	// Strategy is the merging order's pairing strategy (see package order).
+	Strategy order.Strategy
 	// Pairer selects the nearest-neighbor engine of the merging order:
 	// PairerAuto (the grid from GridPairerThreshold items up, when exact),
 	// PairerScan (the all-pairs oracle), or PairerGrid (force the spatial
-	// grid). Ignored when Order.Pairer is set explicitly. Auto never selects
-	// the grid under DelayTargetBias or a custom Order.Key: both can push
-	// the pair priority below the pair distance, which defeats the grid's
-	// geometric pruning bound (see internal/spatial). The engines are
+	// grid). Auto never selects the grid under DelayTargetBias: the bias can
+	// push the pair priority below the pair distance, which defeats the
+	// grid's geometric pruning bound (see internal/spatial). The engines are
 	// differentially pinned to route identical trees, so the choice moves
 	// pairing time and Stats.PairScans/GridRebuilds only.
 	Pairer PairerMode
@@ -217,15 +217,6 @@ type Options struct {
 	// pipeline's many stages thread one cancellation scope without widening
 	// every signature; the dispatch layer overrides it per execution.
 	Ctx context.Context
-	// SneakProbe, when non-nil, records the leash/sneak loop's per-iteration
-	// state (window bounds, infeasibility gap, sneak wire, and the
-	// registry's per-group cumulative offsets) — the instrument for the
-	// InterSkewBound W-sweep instability. Events carry a per-merge sequence
-	// number; recording happens only on the coordinating builder, so runs
-	// wanting complete capture set MergeWorkers to 1 (parallel wave workers
-	// skip the probe rather than race on it). Like Trace, the probe is
-	// purely observational and nil costs nothing.
-	SneakProbe *obs.Probe
 }
 
 const (
@@ -386,7 +377,7 @@ func normalizeOptions(in *ctree.Instance, opt *Options) error {
 		}
 	}
 
-	if opt.Pairer == PairerGrid && opt.DelayTargetBias > 0 && opt.Order.Key == nil {
+	if opt.Pairer == PairerGrid && opt.DelayTargetBias > 0 {
 		// The bias subtracts delay terms from the default merge key, so the
 		// key can drop below the pair distance and the grid's geometric
 		// pruning bound no longer holds — no caller action can make it
@@ -777,17 +768,15 @@ type builder struct {
 	rootsIn []bool // scratch: union roots written by scheduled batch writers
 
 	// Observability state (main builder only; all of it is dead weight when
-	// opt.Trace and opt.SneakProbe are nil — no field is touched then).
-	// wave* accumulate the parallel merge wave's per-round idle accounting
-	// for export as MetricWave* at the end of route; busyNS is the per-round
-	// per-worker busy-time scratch; probeVals/probeSeq back the sneak probe.
+	// opt.Trace is nil — no field is touched then). wave* accumulate the
+	// parallel merge wave's per-round idle accounting for export as
+	// MetricWave* at the end of route; busyNS is the per-round per-worker
+	// busy-time scratch.
 	waveRounds   int
 	waveBatchMax int
 	waveSlotNS   int64
 	waveIdleNS   int64
 	busyNS       []int64
-	probeVals    []float64
-	probeSeq     int
 }
 
 // mergeTask is one merge of a round's disjoint batch.
@@ -986,21 +975,17 @@ func (b *builder) route() {
 		}
 		return geom.DistOO(na.ActiveRegion(), nb.ActiveRegion())
 	}
-	ocfg := b.opt.Order
-	userKey := ocfg.Key != nil
-	if ocfg.Key == nil {
-		bias := b.opt.DelayTargetBias
-		ocfg.Key = func(i, j int, d float64) float64 {
-			k := b.mergeKey(i, j, d)
-			if bias > 0 {
-				di := b.overallOf(b.nodes[i])
-				dj := b.overallOf(b.nodes[j])
-				k -= bias * ((di.Lo+di.Hi)/2 + (dj.Lo+dj.Hi)/2)
-			}
-			return k
+	bias := b.opt.DelayTargetBias
+	ocfg := order.Config{Strategy: b.opt.Strategy, Key: func(i, j int, d float64) float64 {
+		k := b.mergeKey(i, j, d)
+		if bias > 0 {
+			di := b.overallOf(b.nodes[i])
+			dj := b.overallOf(b.nodes[j])
+			k -= bias * ((di.Lo+di.Hi)/2 + (dj.Lo+dj.Hi)/2)
 		}
-	}
-	if ocfg.Pairer == nil && b.useGridPairer(n, userKey) {
+		return k
+	}}
+	if b.useGridPairer(n) {
 		// Index nodes by the u/v bounds of their active regions: the bound
 		// distance under-estimates the true octagon distance, keeping the
 		// grid's pruning sound, while dist/key stay exact. mergeKey only
@@ -1164,10 +1149,9 @@ func (b *builder) mergeBatchParallel(batch []order.Pair, base, workers int) {
 	}
 	for len(b.workers) < workers {
 		w := mergeWorker{wb: builder{opt: b.opt, in: b.in}}
-		// Workers run untraced: a Trace/Probe is single-goroutine, and the
+		// Workers run untraced: a Trace is single-goroutine, and the
 		// coordinating builder owns the round's accounting.
 		w.wb.opt.Trace = nil
-		w.wb.opt.SneakProbe = nil
 		w.wb.initScratch()
 		b.workers = append(b.workers, w)
 	}
@@ -1766,12 +1750,6 @@ func (b *builder) intersectWindows(na, nb *ctree.Node) (xLo, xHi float64, compro
 	b.layout(na, nb, !math.IsInf(b.interBound(), 1))
 	m := b.opt.Model
 	budget := sneakCostCap * (geom.DistRR(na.Region, nb.Region) + 1)
-	probe := b.opt.SneakProbe
-	seq := 0
-	if probe != nil {
-		b.probeSeq++
-		seq = b.probeSeq
-	}
 	for iter := 0; ; iter++ {
 		xLo, xHi := math.Inf(-1), math.Inf(1)
 		var gLo, gHi constraint
@@ -1788,9 +1766,6 @@ func (b *builder) intersectWindows(na, nb *ctree.Node) (xLo, xHi float64, compro
 		}
 		gap := xLo - xHi
 		eps := 1e-9 * (1 + math.Abs(xLo) + math.Abs(xHi))
-		if probe != nil {
-			probe.Record("window", seq, iter, gap, xLo, xHi, 0, b.probeOffsets())
-		}
 		if gap <= eps || iter >= maxSneakIter || gLo == gHi {
 			if gap > 0 {
 				if gap > eps {
@@ -1833,33 +1808,14 @@ func (b *builder) intersectWindows(na, nb *ctree.Node) (xLo, xHi float64, compro
 				h.ref.AddLen(-plan.gammas[i])
 			}
 			sub.Recompute(m)
-			if probe != nil {
-				probe.Record("revert", seq, iter, newGap, xLo, xHi, plan.wire, nil)
-			}
 			b.stats.SneakUnresolved++
 			c := (xLo + xHi) / 2
 			return c, c, true
-		}
-		if probe != nil {
-			probe.Record("sneak", seq, iter, gap, xLo, xHi, plan.wire, nil)
 		}
 		budget -= plan.wire
 		b.stats.SneakEvents++
 		b.stats.SneakWire += plan.wire
 	}
-}
-
-// probeOffsets snapshots the registry's per-group cumulative offsets (each
-// group's offset to its union root) into the probe scratch for one
-// ProbeEvent.Vals record.
-func (b *builder) probeOffsets() []float64 {
-	if b.probeVals == nil {
-		b.probeVals = make([]float64, b.in.NumGroups)
-	}
-	for g := range b.probeVals {
-		_, b.probeVals[g] = b.uf.find(g)
-	}
-	return b.probeVals
 }
 
 // currentGap recomputes the window infeasibility of the pair in place.
@@ -1991,14 +1947,14 @@ func (b *builder) splitWindow(na, nb *ctree.Node, d, xLo, xHi float64, compromis
 
 // useGridPairer decides whether PairerAuto (or a forced mode) selects the
 // spatial grid engine for this run.
-func (b *builder) useGridPairer(n int, userKey bool) bool {
+func (b *builder) useGridPairer(n int) bool {
 	switch b.opt.Pairer {
 	case PairerGrid:
 		return true
 	case PairerScan:
 		return false
 	default:
-		return n >= GridPairerThreshold && b.opt.DelayTargetBias == 0 && !userKey
+		return n >= GridPairerThreshold && b.opt.DelayTargetBias == 0
 	}
 }
 

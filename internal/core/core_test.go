@@ -50,7 +50,7 @@ func TestZSTExactZeroSkew(t *testing.T) {
 
 func TestZSTGreedyOrderAlsoZeroSkew(t *testing.T) {
 	in := bench.Small(40, 7)
-	_, rep := route(t, in, Options{SingleGroup: true, Order: order.Config{Strategy: order.Greedy}})
+	_, rep := route(t, in, Options{SingleGroup: true, Strategy: order.Greedy})
 	if rep.GlobalSkew > 1e-6*(1+rep.MaxDelay) {
 		t.Errorf("greedy ZST skew = %v", rep.GlobalSkew)
 	}

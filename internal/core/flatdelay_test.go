@@ -101,12 +101,12 @@ func TestFlatDelayMatchesMapBaseline(t *testing.T) {
 		var err error
 		switch tc.inst {
 		case "zst":
-			res, err = ZST(in, Options{MergeWorkers: tc.workers, Order: order.Config{Strategy: tc.strategy}})
+			res, err = ZST(in, Options{MergeWorkers: tc.workers, Strategy: tc.strategy})
 		case "grouped":
-			res, err = Build(in, Options{IntraSkewBound: 0, MergeWorkers: tc.workers, Order: order.Config{Strategy: tc.strategy}})
+			res, err = Build(in, Options{IntraSkewBound: 0, MergeWorkers: tc.workers, Strategy: tc.strategy})
 		default:
 			opt := Options{IntraSkewBound: 10, InterSkewBound: tc.interW, MergeWorkers: tc.workers,
-				Order: order.Config{Strategy: tc.strategy}}
+				Strategy: tc.strategy}
 			if tc.pair {
 				opt.PairConstraints = pair
 			}

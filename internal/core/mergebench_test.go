@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/ctree"
-	"repro/internal/order"
 	"repro/internal/rctree"
 )
 
@@ -75,7 +74,6 @@ func BenchmarkMergeBodies(b *testing.B) {
 			ref, err := Build(tc.in, Options{
 				SingleGroup:    tc.opt.SingleGroup,
 				IntraSkewBound: tc.opt.IntraSkewBound,
-				Order:          order.Config{},
 			})
 			if err != nil {
 				b.Fatal(err)

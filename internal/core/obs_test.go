@@ -8,8 +8,7 @@ import (
 )
 
 // TestTracedBuildBitwiseIdentical: tracing is purely observational — a
-// traced build (with a sneak probe armed, serial and parallel) reproduces
-// the untraced build exactly.
+// traced build (serial and parallel) reproduces the untraced build exactly.
 func TestTracedBuildBitwiseIdentical(t *testing.T) {
 	in := bench.Intermingled(bench.Small(400, 3), 4, 11)
 	for _, workers := range []int{1, 4} {
@@ -19,7 +18,6 @@ func TestTracedBuildBitwiseIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		opt.Trace = obs.New("test")
-		opt.SneakProbe = obs.NewProbe("sneak", 4096, 4096*in.NumGroups)
 		traced, err := Build(in, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -82,50 +80,5 @@ func TestTracedBuildRecordsPhasesAndMetrics(t *testing.T) {
 	}
 	if f := s.MergeWave.IdleFrac; f < 0 || f > 1 {
 		t.Fatalf("idle fraction %v outside [0,1]", f)
-	}
-}
-
-// TestSneakProbeRecordsIterations: on an instance known to sneak (the
-// probe's reason to exist), the armed probe sees window evaluations and the
-// recorded offsets vector spans every group.
-func TestSneakProbeRecordsIterations(t *testing.T) {
-	in := bench.Intermingled(bench.Small(300, 9), 6, 17)
-	p := obs.NewProbe("sneak", 1<<14, (1<<14)*in.NumGroups)
-	res, err := Build(in, Options{MergeWorkers: 1, SneakProbe: p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := p.Events()
-	if len(ev) == 0 {
-		t.Fatal("probe recorded nothing")
-	}
-	var windows, sneaks int
-	for _, e := range ev {
-		switch e.Label {
-		case "window":
-			windows++
-			if len(e.Vals) != in.NumGroups {
-				t.Fatalf("window event offsets len %d, want %d groups", len(e.Vals), in.NumGroups)
-			}
-		case "sneak", "revert":
-			sneaks++
-			if e.Wire <= 0 {
-				t.Fatalf("%s event with non-positive wire %v", e.Label, e.Wire)
-			}
-		default:
-			t.Fatalf("unknown probe label %q", e.Label)
-		}
-	}
-	if windows == 0 {
-		t.Fatal("no window evaluations recorded")
-	}
-	// SneakIters counts gap-closing iterations; each applied one records a
-	// "sneak" (or "revert") event unless the plan/budget aborted first, so
-	// iterations bound the sneak events from above.
-	if res.Stats.SneakIters < sneaks {
-		t.Fatalf("SneakIters %d < recorded sneak events %d", res.Stats.SneakIters, sneaks)
-	}
-	if res.Stats.SneakEvents > 0 && sneaks == 0 {
-		t.Fatalf("build sneaked %d times but the probe saw none", res.Stats.SneakEvents)
 	}
 }

@@ -28,7 +28,7 @@ func TestGridPairerDifferentialZST(t *testing.T) {
 	in := bench.Small(700, 21)
 	for _, st := range []order.Strategy{order.Multi, order.Greedy} {
 		opts := func(pm PairerMode) Options {
-			return Options{Pairer: pm, Order: order.Config{Strategy: st}}
+			return Options{Pairer: pm, Strategy: st}
 		}
 		scan, err := ZST(in, opts(PairerScan))
 		if err != nil {
@@ -80,7 +80,7 @@ func TestGridPairerDifferentialAST(t *testing.T) {
 			opts := func(pm PairerMode) Options {
 				o := tc.opt
 				o.Pairer = pm
-				o.Order = order.Config{Strategy: st}
+				o.Strategy = st
 				return o
 			}
 			scan, err := Build(tc.in, opts(PairerScan))
@@ -103,28 +103,25 @@ func TestGridPairerDifferentialAST(t *testing.T) {
 }
 
 // TestPairerAutoSelection: auto mode must keep the oracle below the
-// 64-item floor and under key modes the grid cannot prune exactly.
+// 64-item floor and under the biased key the grid cannot prune exactly.
 func TestPairerAutoSelection(t *testing.T) {
 	b := &builder{opt: Options{}}
-	if b.useGridPairer(64, false) != true {
+	if b.useGridPairer(64) != true {
 		t.Error("auto at 64 items: want grid")
 	}
-	if b.useGridPairer(63, false) != false {
+	if b.useGridPairer(63) != false {
 		t.Error("auto below 64 items: want scan")
 	}
-	if b.useGridPairer(1<<20, true) != false {
-		t.Error("auto with user key: want scan")
-	}
 	b = &builder{opt: Options{DelayTargetBias: 0.5}}
-	if b.useGridPairer(1<<20, false) != false {
+	if b.useGridPairer(1<<20) != false {
 		t.Error("auto with delay bias: want scan (key may drop below distance)")
 	}
 	b = &builder{opt: Options{Pairer: PairerGrid}}
-	if b.useGridPairer(10, false) != true {
+	if b.useGridPairer(10) != true {
 		t.Error("forced grid: want grid")
 	}
 	b = &builder{opt: Options{Pairer: PairerScan}}
-	if b.useGridPairer(1<<20, false) != false {
+	if b.useGridPairer(1<<20) != false {
 		t.Error("forced scan: want scan")
 	}
 	// Forcing the grid together with the biased key is unsound and must be

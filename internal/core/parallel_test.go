@@ -66,16 +66,16 @@ func TestParallelMergeDifferential(t *testing.T) {
 		run  func(workers int, st order.Strategy) (*Result, error)
 	}{
 		{"zst/grid", func(w int, st order.Strategy) (*Result, error) {
-			return ZST(zst, Options{Pairer: PairerGrid, MergeWorkers: w, Order: order.Config{Strategy: st}})
+			return ZST(zst, Options{Pairer: PairerGrid, MergeWorkers: w, Strategy: st})
 		}},
 		{"zst/scan", func(w int, st order.Strategy) (*Result, error) {
-			return ZST(zst, Options{Pairer: PairerScan, MergeWorkers: w, Order: order.Config{Strategy: st}})
+			return ZST(zst, Options{Pairer: PairerScan, MergeWorkers: w, Strategy: st})
 		}},
 		{"ast-intermingled", func(w int, st order.Strategy) (*Result, error) {
-			return Build(grouped, Options{IntraSkewBound: 0, MergeWorkers: w, Order: order.Config{Strategy: st}})
+			return Build(grouped, Options{IntraSkewBound: 0, MergeWorkers: w, Strategy: st})
 		}},
 		{"ast-clustered", func(w int, st order.Strategy) (*Result, error) {
-			return Build(clustered, Options{IntraSkewBound: 0, MergeWorkers: w, Order: order.Config{Strategy: st}})
+			return Build(clustered, Options{IntraSkewBound: 0, MergeWorkers: w, Strategy: st})
 		}},
 	}
 	strategies := []order.Strategy{order.Multi, order.Greedy}

@@ -93,41 +93,34 @@ func TestFakeClockAutoAdvance(t *testing.T) {
 	}
 }
 
-// TestBackoffOnFakeClock pins the clock seam end to end: a run with hour-long
-// backoffs completes instantly in wall time, while the fake clock records
-// that the coordinator really slept the full schedule.
+// TestBackoffOnFakeClock pins the clock seam end to end: a run whose task
+// fails twice completes without sleeping in wall time, while the fake clock
+// records that each retry waited out its backoff.
 func TestBackoffOnFakeClock(t *testing.T) {
-	clk := NewFakeClock()
-	clk.SetAutoAdvance(true)
-	start := clk.Now()
+	clk := autoClock()
 	var calls atomic.Int32
+	var at [3]time.Time // fake time of each attempt's runner call
 	r := RunnerFunc(func(ctx context.Context, tk Task) (any, error) {
+		at[tk.Attempt] = clk.Now()
 		if calls.Add(1) < 3 {
 			return nil, MarkTransient(errors.New("flaky"))
 		}
 		return "done", nil
 	})
-	wallStart := time.Now()
-	vals, rep, err := Run(nil, 1, r, Options{
-		Phase:        "t",
-		BackoffBase:  time.Hour,
-		BackoffMax:   3 * time.Hour,
-		DisableHedge: true,
-		Clock:        clk,
-	})
+	vals, rep, err := Run(nil, 1, r, Options{Phase: "t", Clock: clk})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if wall := time.Since(wallStart); wall > 30*time.Second {
-		t.Fatalf("fake-clock run took %v of wall time", wall)
 	}
 	if vals[0].(string) != "done" || rep.Retries != 2 {
 		t.Fatalf("vals=%v retries=%d, want done/2", vals[0], rep.Retries)
 	}
-	// Attempt 1 backs off 1h, attempt 2 backs off 2h: the fake clock must
-	// have advanced at least 3h of simulated time.
-	if elapsed := clk.Now().Sub(start); elapsed < 3*time.Hour {
-		t.Fatalf("fake elapsed = %v, want ≥ 3h of simulated backoff", elapsed)
+	// The first gap may also hold the coordinator's initial timer jump; the
+	// second holds only the second retry's backoff.
+	if gap := at[1].Sub(at[0]); gap < backoffFor(1) {
+		t.Errorf("first retry ran %v after the first attempt, want ≥ %v", gap, backoffFor(1))
+	}
+	if gap := at[2].Sub(at[1]); gap != backoffFor(2) {
+		t.Errorf("second retry ran %v after the first, want %v", gap, backoffFor(2))
 	}
 }
 
@@ -136,8 +129,7 @@ func TestBackoffOnFakeClock(t *testing.T) {
 // which it does only once the hedge duplicate has won, and the hedge can
 // launch only if the fake clock satisfied the hedge deadline.
 func TestHedgeOnFakeClock(t *testing.T) {
-	clk := NewFakeClock()
-	clk.SetAutoAdvance(true)
+	clk := autoClock()
 	var hedged atomic.Int32
 	r := RunnerFunc(func(ctx context.Context, tk Task) (any, error) {
 		if tk.Index == 3 && !tk.Hedged {
@@ -149,13 +141,7 @@ func TestHedgeOnFakeClock(t *testing.T) {
 		}
 		return "fast", nil
 	})
-	vals, rep, err := Run(nil, 4, r, Options{
-		Phase:       "t",
-		BackoffBase: time.Microsecond,
-		BackoffMax:  time.Microsecond,
-		HedgeSlack:  time.Hour, // only the fake clock can afford this
-		Clock:       clk,
-	})
+	vals, rep, err := Run(nil, 4, r, Options{Phase: "t", Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,15 +19,15 @@
 //     retried.
 //   - Retry with capped exponential backoff: a failed attempt whose error
 //     is retryable (a contained panic, or marked by MarkTransient)
-//     relaunches after Base·2^(attempt−1), capped at Max, up to MaxAttempts
-//     total executions. Deterministic failures (option conflicts,
+//     relaunches after 5 ms, doubling per retry up to 250 ms, for at most 3
+//     executions per task. Deterministic failures (option conflicts,
 //     validation errors, cancellation — anything unmarked) fail the run
 //     fast.
 //   - Hedged straggler re-dispatch: once at least half the tasks have
-//     completed, a still-running task older than
-//     quantile(completed durations)·HedgeFactor + HedgeSlack gets one (and
-//     only one) duplicate execution; the first result wins and the loser is
-//     cancelled. Safe precisely because executions are deterministic.
+//     completed, a still-running task older than 4 × the median completed
+//     duration + 25 ms gets one (and only one) duplicate execution; the
+//     first result wins and the loser is cancelled. Safe precisely because
+//     executions are deterministic.
 //   - Cancellation: every execution runs under a context derived from the
 //     caller's; cancelling the caller's context cancels all executions, and
 //     core's merge loop checks it once per round.
@@ -84,7 +84,7 @@ func MarkTransient(err error) error { return &transientError{err: err} }
 
 // retryable reports whether a failed execution is worth retrying: its error
 // was marked by MarkTransient, or it is a contained panic (a deterministic
-// panic recurs and exhausts MaxAttempts quickly, but a crashed worker is
+// panic recurs and exhausts its attempts quickly, but a crashed worker is
 // transient from the coordinator's seat). Every other error, cancellation
 // included, fails the run fast: in-process failures are deterministic, so
 // retrying them only replays the failure.
@@ -140,37 +140,25 @@ func Protect(phase string, f func() error) (err error) {
 	return f()
 }
 
-// Coordinator defaults.
+// The coordinator's fault policy: at most maxAttempts executions per task
+// (the first included), retries backing off from backoffBase, doubling up to
+// backoffMax, and a hedge once a running task is older than hedgeFactor ×
+// the hedgeQuantile of the completed durations + hedgeSlack.
 const (
-	DefaultMaxAttempts = 3
-	DefaultBackoffBase = 5 * time.Millisecond
-	DefaultBackoffMax  = 250 * time.Millisecond
-	DefaultHedgeQuant  = 0.5
-	DefaultHedgeFactor = 4.0
-	DefaultHedgeSlack  = 25 * time.Millisecond
+	maxAttempts   = 3
+	backoffBase   = 5 * time.Millisecond
+	backoffMax    = 250 * time.Millisecond
+	hedgeQuantile = 0.5
+	hedgeFactor   = 4
+	hedgeSlack    = 25 * time.Millisecond
 )
 
-// Options configures one Run.
+// Options configures one Run. The fault policy itself is fixed (see the
+// package comment).
 type Options struct {
 	// Phase names this dispatch in errors, spans and FaultPlan coordinates
 	// (e.g. "shard", "pilot"). Default "task".
 	Phase string
-	// MaxAttempts bounds executions per task, the first included (default 3).
-	// Hedges are the one sanctioned overrun: a task may see MaxAttempts
-	// failures plus its single hedge.
-	MaxAttempts int
-	// BackoffBase/BackoffMax shape the capped exponential retry backoff:
-	// attempt k (1-based retry) waits min(Base·2^(k−1), Max).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// HedgeQuantile/HedgeFactor/HedgeSlack set the straggler deadline:
-	// quantile(completed durations, q)·factor + slack, evaluated once at
-	// least max(1, n/2) siblings have completed. Defaults 0.5 / 4 / 25ms.
-	HedgeQuantile float64
-	HedgeFactor   float64
-	HedgeSlack    time.Duration
-	// DisableHedge turns straggler re-dispatch off.
-	DisableHedge bool
 	// Faults, when non-nil, injects the plan's deterministic faults into
 	// matching (Phase, task, attempt) executions.
 	Faults *FaultPlan
@@ -244,8 +232,10 @@ type faultKey struct {
 }
 
 // FaultPlan is the deterministic fault-injection harness: a set of faults at
-// exact (phase, task, attempt) coordinates. Construction is not synchronized;
-// build the plan fully before handing it to Run (executions only read it).
+// exact (phase, task, attempt) coordinates. Faults planned at one coordinate
+// compose, whatever the order of the calls (see add). Construction is not
+// synchronized; build the plan fully before handing it to Run (executions
+// only read it).
 type FaultPlan struct {
 	faults map[faultKey]Fault
 }
@@ -255,73 +245,60 @@ func NewFaultPlan() *FaultPlan { return &FaultPlan{faults: map[faultKey]Fault{}}
 
 // PanicAt injects a panic into the given execution.
 func (p *FaultPlan) PanicAt(phase string, task, attempt int) *FaultPlan {
-	return p.add(phase, task, attempt, Fault{Panic: true})
+	return p.add(faultKey{phase, task, attempt}, Fault{Panic: true})
 }
 
 // ErrorAt injects err into the given execution. Wrap with MarkTransient to
 // make the coordinator retry it.
 func (p *FaultPlan) ErrorAt(phase string, task, attempt int, err error) *FaultPlan {
-	return p.add(phase, task, attempt, Fault{Err: err})
+	return p.add(faultKey{phase, task, attempt}, Fault{Err: err})
 }
 
 // DelayAt makes the given execution straggle by d before running.
 func (p *FaultPlan) DelayAt(phase string, task, attempt int, d time.Duration) *FaultPlan {
-	f := p.faults[faultKey{phase, task, attempt}]
-	f.Delay = d
-	return p.add(phase, task, attempt, f)
+	return p.add(faultKey{phase, task, attempt}, Fault{Delay: d})
 }
 
 // DropAt makes a remote transport drop the connection for the given
 // execution (a retryable error before any request is sent).
 func (p *FaultPlan) DropAt(phase string, task, attempt int) *FaultPlan {
-	f := p.faults[faultKey{phase, task, attempt}]
-	f.Drop = true
-	return p.add(phase, task, attempt, f)
+	return p.add(faultKey{phase, task, attempt}, Fault{Drop: true})
 }
 
 // CorruptAt makes a remote transport corrupt the response bytes of the
 // given execution before decoding (a retryable decode failure).
 func (p *FaultPlan) CorruptAt(phase string, task, attempt int) *FaultPlan {
-	f := p.faults[faultKey{phase, task, attempt}]
-	f.Corrupt = true
-	return p.add(phase, task, attempt, f)
+	return p.add(faultKey{phase, task, attempt}, Fault{Corrupt: true})
 }
 
-// Merge folds every fault of o into p (union per coordinate: flags OR, the
-// longer delay wins, p's error wins when both plans set one). It lets the
-// chaos harness layer a seeded net-fault plan over a seeded local plan.
+// Merge folds every fault of o into p, coordinate by coordinate, as the
+// builders do. It lets the chaos harness layer a seeded net-fault plan over
+// a seeded local plan.
 func (p *FaultPlan) Merge(o *FaultPlan) *FaultPlan {
 	if o == nil {
 		return p
 	}
-	if p.faults == nil {
-		p.faults = map[faultKey]Fault{}
-	}
 	for k, f := range o.faults {
-		prev := p.faults[k]
-		prev.Panic = prev.Panic || f.Panic
-		if prev.Err == nil {
-			prev.Err = f.Err
-		}
-		if f.Delay > prev.Delay {
-			prev.Delay = f.Delay
-		}
-		prev.Drop = prev.Drop || f.Drop
-		prev.Corrupt = prev.Corrupt || f.Corrupt
-		p.faults[k] = prev
+		p.add(k, f)
 	}
 	return p
 }
 
-func (p *FaultPlan) add(phase string, task, attempt int, f Fault) *FaultPlan {
+// add folds f into the fault planned at k as a union: flags OR, the longer
+// delay wins, and the first error stays.
+func (p *FaultPlan) add(k faultKey, f Fault) *FaultPlan {
 	if p.faults == nil {
 		p.faults = map[faultKey]Fault{}
 	}
-	prev := p.faults[faultKey{phase, task, attempt}]
-	if f.Delay == 0 {
-		f.Delay = prev.Delay
+	prev := p.faults[k]
+	prev.Panic = prev.Panic || f.Panic
+	if prev.Err == nil {
+		prev.Err = f.Err
 	}
-	p.faults[faultKey{phase, task, attempt}] = f
+	prev.Delay = max(prev.Delay, f.Delay)
+	prev.Drop = prev.Drop || f.Drop
+	prev.Corrupt = prev.Corrupt || f.Corrupt
+	p.faults[k] = prev
 	return p
 }
 
@@ -347,10 +324,10 @@ var ErrInjected = errors.New("dispatch: injected transient fault")
 
 // SeededPlan generates a survivable random plan over n tasks per phase:
 // roughly half the tasks fail their first attempt (panic or transient
-// error), a few fail the retry too (still under the default MaxAttempts),
-// and a couple straggle by delay. A default-policy dispatch always completes
-// under the plan; it exists to prove the output is bitwise-unchanged while
-// every recovery path fires.
+// error), a few fail the retry too (still within the 3 attempts per task),
+// and a couple straggle by delay. A dispatch always completes under the
+// plan; it exists to prove the output is bitwise-unchanged while every
+// recovery path fires.
 func SeededPlan(seed int64, n int, delay time.Duration, phases ...string) *FaultPlan {
 	rng := rand.New(rand.NewSource(seed))
 	p := NewFaultPlan()
@@ -378,7 +355,7 @@ func SeededPlan(seed int64, n int, delay time.Duration, phases ...string) *Fault
 // tasks per phase: dropped connections and corrupted responses at attempts
 // 0 and 1 only, so even layered over a SeededPlan (whose faults also stop
 // at attempt 1) the third attempt of every task is clean and a
-// default-policy dispatch always completes. Applied by remote transports
+// dispatch always completes. Applied by remote transports
 // only; merge it into a local plan with Merge for chaos runs that exercise
 // both fault families at once.
 func SeededNetPlan(seed int64, n int, phases ...string) *FaultPlan {
@@ -445,8 +422,8 @@ type coord struct {
 	failErr  error
 }
 
-// Run executes n tasks through the runner under the options' fault policy
-// and returns the per-task results in index order. Every task launches at
+// Run executes n tasks through the runner under the fault policy and
+// returns the per-task results in index order. Every task launches at
 // once, and every retry and hedge as soon as it is due. On failure it
 // cancels the outstanding executions, waits for them to drain (no execution
 // outlives Run), and returns the first terminal *TaskError. A nil ctx is
@@ -457,24 +434,6 @@ func Run(ctx context.Context, n int, r Runner, o Options) ([]any, Report, error)
 	}
 	if o.Phase == "" {
 		o.Phase = "task"
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = DefaultMaxAttempts
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = DefaultBackoffBase
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = DefaultBackoffMax
-	}
-	if o.HedgeQuantile <= 0 || o.HedgeQuantile > 1 {
-		o.HedgeQuantile = DefaultHedgeQuant
-	}
-	if o.HedgeFactor <= 0 {
-		o.HedgeFactor = DefaultHedgeFactor
-	}
-	if o.HedgeSlack <= 0 {
-		o.HedgeSlack = DefaultHedgeSlack
 	}
 	if o.Clock == nil {
 		o.Clock = wallClock{}
@@ -647,8 +606,8 @@ func (c *coord) handle(ev event) {
 		// retry-vs-fail decision to its completion.
 		return
 	}
-	if retryable(ev.err) && ts.attempts < c.o.MaxAttempts {
-		backoff := c.backoffFor(ts.attempts)
+	if retryable(ev.err) && ts.attempts < maxAttempts {
+		backoff := backoffFor(ts.attempts)
 		c.rep.Retries++
 		c.o.Trace.Metric(obs.MetricDispatchRetries, 1)
 		c.o.Trace.Begin("dispatch_retry").
@@ -662,22 +621,19 @@ func (c *coord) handle(ev event) {
 }
 
 // backoffFor returns the capped exponential backoff before retry number k
-// (1-based): min(Base·2^(k−1), Max).
-func (c *coord) backoffFor(k int) time.Duration {
-	d := c.o.BackoffBase
-	for i := 1; i < k && d < c.o.BackoffMax; i++ {
+// (1-based): min(backoffBase·2^(k−1), backoffMax).
+func backoffFor(k int) time.Duration {
+	d := backoffBase
+	for i := 1; i < k && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > c.o.BackoffMax {
-		d = c.o.BackoffMax
-	}
-	return d
+	return min(d, backoffMax)
 }
 
 // hedgeDelay returns the current straggler deadline relative to an
 // execution's start, once enough siblings completed to define one.
 func (c *coord) hedgeDelay() (time.Duration, bool) {
-	if c.o.DisableHedge || len(c.durs) == 0 {
+	if len(c.durs) == 0 {
 		return 0, false
 	}
 	minDone := len(c.tasks) / 2
@@ -687,8 +643,7 @@ func (c *coord) hedgeDelay() (time.Duration, bool) {
 	if c.done < minDone {
 		return 0, false
 	}
-	q := quantileDur(c.durs, c.o.HedgeQuantile)
-	return time.Duration(float64(q)*c.o.HedgeFactor) + c.o.HedgeSlack, true
+	return hedgeFactor*quantileDur(c.durs, hedgeQuantile) + hedgeSlack, true
 }
 
 // nextHedgeWait returns how long until the earliest running, unhedged task

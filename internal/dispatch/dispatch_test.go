@@ -1,7 +1,9 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -11,16 +13,11 @@ import (
 	"repro/internal/obs"
 )
 
-// fastOpts keeps retry backoff out of test wall time.
-func fastOpts(phase string) Options {
-	return Options{Phase: phase, BackoffBase: time.Microsecond, BackoffMax: 10 * time.Microsecond}
-}
-
 func TestRunReturnsResultsInOrder(t *testing.T) {
 	r := RunnerFunc(func(ctx context.Context, tk Task) (any, error) {
 		return tk.Index * 10, nil
 	})
-	vals, rep, err := Run(nil, 8, r, fastOpts("t"))
+	vals, rep, err := Run(nil, 8, r, Options{Phase: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +50,7 @@ func TestRetryTransientSucceeds(t *testing.T) {
 		calls.Add(1)
 		return "ok", nil
 	})
-	vals, rep, err := Run(nil, 4, r, fastOpts("t"))
+	vals, rep, err := Run(nil, 4, r, Options{Phase: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +70,7 @@ func TestPermanentFailsFast(t *testing.T) {
 		}
 		return nil, nil
 	})
-	_, rep, err := Run(nil, 3, r, fastOpts("t"))
+	_, rep, err := Run(nil, 3, r, Options{Phase: "t"})
 	if err == nil {
 		t.Fatal("permanent failure did not surface")
 	}
@@ -117,7 +114,7 @@ func TestPanicContainedAndRetried(t *testing.T) {
 		}
 		return tk.Index, nil
 	})
-	vals, rep, err := Run(nil, 2, r, fastOpts("t"))
+	vals, rep, err := Run(nil, 2, r, Options{Phase: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +130,7 @@ func TestPanicEveryAttemptFailsWithoutCrash(t *testing.T) {
 	r := RunnerFunc(func(ctx context.Context, tk Task) (any, error) {
 		panic(fmt.Sprintf("always (attempt %d)", tk.Attempt))
 	})
-	o := fastOpts("t")
-	o.MaxAttempts = 3
-	_, rep, err := Run(nil, 1, r, o)
+	_, rep, err := Run(nil, 1, r, Options{Phase: "t"})
 	var te *TaskError
 	if !errors.As(err, &te) || te.Attempts != 3 {
 		t.Fatalf("err = %v, want TaskError after 3 attempts", err)
@@ -192,7 +187,7 @@ func TestFaultPlanCoordinates(t *testing.T) {
 		executions.Add(1)
 		return tk.Index, nil
 	})
-	vals, rep, err := Run(nil, 3, r, Options{Phase: "t", Faults: plan, BackoffBase: time.Microsecond, BackoffMax: time.Microsecond, DisableHedge: true})
+	vals, rep, err := Run(nil, 3, r, Options{Phase: "t", Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +198,42 @@ func TestFaultPlanCoordinates(t *testing.T) {
 	}
 	if rep.FaultsInjected != 3 || rep.PanicsRecovered != 1 || rep.Retries != 2 {
 		t.Errorf("report = %+v, want 3 faults / 1 panic / 2 retries", rep)
+	}
+}
+
+// TestFaultPlanBuildersCompose: the five builders fold into one fault at a
+// shared coordinate whatever their order, the union Merge applies to the
+// same single-fault plans.
+func TestFaultPlanBuildersCompose(t *testing.T) {
+	errA := MarkTransient(errors.New("injected"))
+	builders := map[string]func(*FaultPlan) *FaultPlan{
+		"panic":   func(p *FaultPlan) *FaultPlan { return p.PanicAt("t", 0, 0) },
+		"error":   func(p *FaultPlan) *FaultPlan { return p.ErrorAt("t", 0, 0, errA) },
+		"delay":   func(p *FaultPlan) *FaultPlan { return p.DelayAt("t", 0, 0, time.Millisecond) },
+		"drop":    func(p *FaultPlan) *FaultPlan { return p.DropAt("t", 0, 0) },
+		"corrupt": func(p *FaultPlan) *FaultPlan { return p.CorruptAt("t", 0, 0) },
+	}
+	want := Fault{Panic: true, Err: errA, Delay: time.Millisecond, Drop: true, Corrupt: true}
+	for _, order := range [][]string{
+		{"panic", "error", "delay", "drop", "corrupt"},
+		{"corrupt", "drop", "delay", "error", "panic"},
+		{"drop", "corrupt", "panic", "delay", "error"},
+		{"delay", "error", "drop", "panic", "corrupt"},
+		{"error", "corrupt", "panic", "drop", "delay"},
+	} {
+		chained, merged := NewFaultPlan(), NewFaultPlan()
+		for _, name := range order {
+			builders[name](chained)
+			merged.Merge(builders[name](NewFaultPlan()))
+		}
+		for _, tc := range []struct {
+			how  string
+			plan *FaultPlan
+		}{{"chained", chained}, {"merged", merged}} {
+			if f, ok := tc.plan.at("t", 0, 0); !ok || tc.plan.Len() != 1 || f != want {
+				t.Errorf("%v %s: %d fault(s), at the coordinate %+v, want %+v", order, tc.how, tc.plan.Len(), f, want)
+			}
+		}
 	}
 }
 
@@ -221,9 +252,7 @@ func TestSeededPlanDeterministicAndSurvivable(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		plan := SeededPlan(seed, 8, 0, "shard")
 		r := RunnerFunc(func(ctx context.Context, tk Task) (any, error) { return tk.Index, nil })
-		o := fastOpts("shard")
-		o.Faults = plan
-		vals, _, err := Run(nil, 8, r, o)
+		vals, _, err := Run(nil, 8, r, Options{Phase: "shard", Faults: plan})
 		if err != nil {
 			t.Fatalf("seed %d: default policy did not survive the plan: %v", seed, err)
 		}
@@ -235,75 +264,119 @@ func TestSeededPlanDeterministicAndSurvivable(t *testing.T) {
 	}
 }
 
+// autoClock returns a FakeClock that jumps to each timer's deadline as the
+// timer is armed, so the hedge deadline passes at once. Any task still in
+// flight when the hedge timer is armed is hedged too, so the hedge tests
+// count hedges per task.
+func autoClock() *FakeClock {
+	clk := NewFakeClock()
+	clk.SetAutoAdvance(true)
+	return clk
+}
+
+// hedgesPerTask counts a traced run's dispatch_hedge event spans by task:
+// every hedge the coordinator launched, including one cancelled before it
+// reached the runner.
+func hedgesPerTask(t *testing.T, tr *obs.Trace, n int) []int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteJSON(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Spans []struct {
+			Name  string             `json:"name"`
+			Attrs map[string]float64 `json:"attrs"`
+		} `json:"spans"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	per := make([]int, n)
+	for _, sp := range out.Spans {
+		if sp.Name == "dispatch_hedge" {
+			per[int(sp.Attrs["task"])]++
+		}
+	}
+	return per
+}
+
 func TestHedgeStragglerFirstResultWins(t *testing.T) {
 	// Task 3's first attempt straggles until cancelled; its hedge (and every
-	// other task) returns promptly. The dispatcher must hedge exactly once,
-	// take the hedge's result, and cancel the straggler on the way out.
-	straggled := make(chan struct{})
+	// other task) returns promptly. The dispatcher must hedge the straggler
+	// exactly once, take the hedge's result, and cancel the straggler on the
+	// way out.
+	const n = 4
+	var running atomic.Int32
 	r := RunnerFunc(func(ctx context.Context, tk Task) (any, error) {
+		running.Add(1)
+		defer running.Add(-1)
 		if tk.Index == 3 && tk.Attempt == 0 {
-			defer close(straggled)
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
 		return tk.Index, nil
 	})
-	o := Options{
-		Phase:         "t",
-		HedgeQuantile: 0.5,
-		HedgeFactor:   1,
-		HedgeSlack:    time.Millisecond,
-	}
-	vals, rep, err := Run(nil, 4, r, o)
+	tr := obs.New("t")
+	vals, rep, err := Run(nil, n, r, Options{Phase: "t", Trace: tr, Clock: autoClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if vals[3].(int) != 3 {
 		t.Errorf("straggler result = %v, want the hedge's 3", vals[3])
 	}
-	if rep.Hedges != 1 {
-		t.Errorf("Hedges = %d, want exactly 1", rep.Hedges)
+	per := hedgesPerTask(t, tr, n)
+	if per[3] != 1 {
+		t.Errorf("straggler hedged %d times, want exactly 1", per[3])
 	}
-	if rep.Attempts != 5 {
-		t.Errorf("Attempts = %d, want 5 (one extra for the single hedge)", rep.Attempts)
+	for i, h := range per {
+		if h > 1 {
+			t.Errorf("task %d hedged %d times, want at most 1", i, h)
+		}
 	}
-	select {
-	case <-straggled:
-	default:
-		t.Error("straggling execution outlived Run")
+	if extra := rep.Attempts - n - rep.Retries; extra != rep.Hedges {
+		t.Errorf("report %+v: %d extra executions, want one per hedge", rep, extra)
+	}
+	if got := running.Load(); got != 0 {
+		t.Errorf("%d execution(s) outlived Run", got)
 	}
 }
 
 func TestHedgeAtMostOncePerTask(t *testing.T) {
-	// The straggler ignores its hedge too; both executions block until the
-	// run context dies. A second hedge for the same task must never launch.
-	r := RunnerFunc(func(ctx context.Context, tk Task) (any, error) {
+	// The straggler ignores its hedge too: both executions block until the
+	// run context dies, which the hedge's arrival triggers. A second hedge
+	// for the same task must never launch.
+	const n = 3
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := RunnerFunc(func(c context.Context, tk Task) (any, error) {
 		if tk.Index == 0 {
-			<-ctx.Done()
-			return nil, ctx.Err()
+			if tk.Hedged {
+				cancel()
+			}
+			<-c.Done()
+			return nil, c.Err()
 		}
 		return tk.Index, nil
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	o := Options{
-		Phase:         "t",
-		HedgeQuantile: 0.5,
-		HedgeFactor:   1,
-		HedgeSlack:    time.Millisecond,
+	tr := obs.New("t")
+	_, rep, err := Run(ctx, n, r, Options{Phase: "t", Trace: tr, Clock: autoClock()})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the cancellation the straggler's hedge triggered", err)
 	}
-	_, rep, err := Run(ctx, 3, r, o)
-	if err == nil {
-		t.Fatal("a task whose every execution hangs should fail on cancellation")
+	per := hedgesPerTask(t, tr, n)
+	if per[0] != 1 {
+		t.Errorf("straggler hedged %d times, want exactly 1", per[0])
 	}
-	if rep.Hedges > 1 {
-		t.Errorf("Hedges = %d, want at most 1 per task", rep.Hedges)
+	sum := 0
+	for i, h := range per {
+		sum += h
+		if h > 1 {
+			t.Errorf("task %d hedged %d times, want at most 1", i, h)
+		}
 	}
-	if rep.Hedges == 0 {
-		// The hedge deadline is milliseconds against a 1s context; missing it
-		// means the coordinator was starved for the whole second (loaded CI),
-		// not that hedging is broken — the ≤1 bound above is the contract.
-		t.Log("hedge never fired before cancellation (starved scheduler?)")
+	if sum != rep.Hedges {
+		t.Errorf("%d hedge spans, report says %d", sum, rep.Hedges)
 	}
 }
 
@@ -317,7 +390,7 @@ func TestCancellationUnwindsRun(t *testing.T) {
 		return nil, c.Err()
 	})
 	start := time.Now()
-	_, _, err := Run(ctx, 4, r, Options{Phase: "t", DisableHedge: true})
+	_, _, err := Run(ctx, 4, r, Options{Phase: "t"})
 	if err == nil {
 		t.Fatal("cancelled dispatch returned nil error")
 	}
@@ -332,16 +405,10 @@ func TestCancellationUnwindsRun(t *testing.T) {
 }
 
 func TestBackoffCappedExponential(t *testing.T) {
-	c := &coord{o: Options{BackoffBase: 5 * time.Millisecond, BackoffMax: 35 * time.Millisecond}}
-	want := []time.Duration{
-		5 * time.Millisecond,  // retry 1
-		10 * time.Millisecond, // retry 2
-		20 * time.Millisecond, // retry 3
-		35 * time.Millisecond, // retry 4 would be 40ms: capped
-		35 * time.Millisecond,
-	}
+	ms := time.Millisecond
+	want := []time.Duration{5 * ms, 10 * ms, 20 * ms, 40 * ms, 80 * ms, 160 * ms, 250 * ms, 250 * ms}
 	for i, w := range want {
-		if got := c.backoffFor(i + 1); got != w {
+		if got := backoffFor(i + 1); got != w {
 			t.Errorf("backoffFor(%d) = %v, want %v", i+1, got, w)
 		}
 	}
@@ -369,10 +436,7 @@ func TestDispatchMetricsOnTrace(t *testing.T) {
 		ErrorAt("t", 1, 0, MarkTransient(ErrInjected))
 	tr := obs.New("dispatch-test")
 	r := RunnerFunc(func(ctx context.Context, tk Task) (any, error) { return tk.Index, nil })
-	o := fastOpts("t")
-	o.Faults = plan
-	o.Trace = tr
-	_, rep, err := Run(nil, 2, r, o)
+	_, rep, err := Run(nil, 2, r, Options{Phase: "t", Faults: plan, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +460,7 @@ func TestDispatchMetricsOnTrace(t *testing.T) {
 func TestDispatchAllocOverhead(t *testing.T) {
 	const perTaskBudget = 40 // observed ~20 allocs/task; headroom for runtime drift
 	r := RunnerFunc(func(ctx context.Context, tk Task) (any, error) { return nil, nil })
-	o := Options{Phase: "t", DisableHedge: true}
+	o := Options{Phase: "t"}
 	for _, n := range []int{4, 16} {
 		allocs := testing.AllocsPerRun(10, func() {
 			if _, _, err := Run(nil, n, r, o); err != nil {

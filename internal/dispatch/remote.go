@@ -13,12 +13,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Remote transport defaults.
+// The worker pool's health policy: the health loop probes every worker's
+// /healthz each healthPeriod, one probe waiting at most healthTimeout; one
+// build request waits at most requestTimeout (or the task context's earlier
+// deadline); and blacklistAfter consecutive failures, requests and failed
+// probes alike, blacklist a worker until a probe succeeds.
 const (
-	DefaultHealthPeriod   = 2 * time.Second
-	DefaultHealthTimeout  = time.Second
-	DefaultRequestTimeout = 2 * time.Minute
-	DefaultBlacklistAfter = 3
+	healthPeriod   = 2 * time.Second
+	healthTimeout  = time.Second
+	requestTimeout = 2 * time.Minute
+	blacklistAfter = 3
 )
 
 // maxResponseBytes bounds a worker response read (a defensive cap far above
@@ -32,21 +36,9 @@ const (
 	PathHealthz = "/healthz"
 )
 
-// PoolOptions configures a WorkerPool. The zero value selects the defaults
-// above.
+// PoolOptions configures a WorkerPool. The health policy itself is fixed
+// (see the constants above).
 type PoolOptions struct {
-	// HealthPeriod is the cadence of the background health loop, which
-	// probes every worker's /healthz: consecutive probe or request failures
-	// blacklist a worker, and a successful probe of a blacklisted worker
-	// reinstates it. HealthTimeout bounds one probe.
-	HealthPeriod  time.Duration
-	HealthTimeout time.Duration
-	// RequestTimeout caps one build request; the effective per-request
-	// deadline is the earlier of it and the task context's own deadline.
-	RequestTimeout time.Duration
-	// BlacklistAfter is the consecutive-failure count that blacklists a
-	// worker (requests and failed probes both count; any success resets).
-	BlacklistAfter int
 	// Clock drives the health cadence (tests use a FakeClock); nil = wall.
 	Clock Clock
 }
@@ -67,7 +59,6 @@ type poolWorker struct {
 // concurrent use; one pool is typically shared by every dispatched phase of
 // a run.
 type WorkerPool struct {
-	o      PoolOptions
 	clock  Clock
 	client *http.Client
 
@@ -87,23 +78,10 @@ func NewWorkerPool(addrs []string, o PoolOptions) (*WorkerPool, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("dispatch: worker pool needs at least one worker address")
 	}
-	if o.HealthPeriod <= 0 {
-		o.HealthPeriod = DefaultHealthPeriod
-	}
-	if o.HealthTimeout <= 0 {
-		o.HealthTimeout = DefaultHealthTimeout
-	}
-	if o.RequestTimeout <= 0 {
-		o.RequestTimeout = DefaultRequestTimeout
-	}
-	if o.BlacklistAfter <= 0 {
-		o.BlacklistAfter = DefaultBlacklistAfter
-	}
 	if o.Clock == nil {
 		o.Clock = wallClock{}
 	}
 	p := &WorkerPool{
-		o:      o,
 		clock:  o.Clock,
 		client: &http.Client{},
 		stop:   make(chan struct{}),
@@ -203,22 +181,22 @@ func (p *WorkerPool) succeed(w *poolWorker) {
 	w.black = false
 }
 
-// fail counts one failure against the worker, blacklisting it at the
-// configured threshold.
+// fail counts one failure against the worker, blacklisting it after
+// blacklistAfter in a row.
 func (p *WorkerPool) fail(w *poolWorker) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w.fails++
-	if !w.black && w.fails >= p.o.BlacklistAfter {
+	if !w.black && w.fails >= blacklistAfter {
 		w.black = true
 		p.lost++
 	}
 }
 
-// healthLoop probes the fleet at the configured cadence until Close.
+// healthLoop probes the fleet every healthPeriod until Close.
 func (p *WorkerPool) healthLoop() {
 	defer close(p.done)
-	t := p.clock.NewTimer(p.o.HealthPeriod)
+	t := p.clock.NewTimer(healthPeriod)
 	defer t.Stop()
 	for {
 		select {
@@ -229,7 +207,7 @@ func (p *WorkerPool) healthLoop() {
 			// outlives any single build): contain it and let the next tick
 			// retry — worker state is simply one round staler.
 			_ = Protect("healthloop", func() error { p.probeAll(); return nil })
-			t.Reset(p.o.HealthPeriod)
+			t.Reset(healthPeriod)
 		}
 	}
 }
@@ -251,7 +229,7 @@ func (p *WorkerPool) probeAll() {
 }
 
 func (p *WorkerPool) probe(w *poolWorker) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), p.o.HealthTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.url+PathHealthz, nil)
 	if err != nil {
@@ -267,10 +245,10 @@ func (p *WorkerPool) probe(w *poolWorker) bool {
 }
 
 // post sends one build request to w under the per-request deadline (the
-// earlier of the task context's own deadline and RequestTimeout) and
+// earlier of the task context's own deadline and requestTimeout) and
 // returns the response body and status.
 func (p *WorkerPool) post(ctx context.Context, w *poolWorker, body []byte) (data []byte, status int, err error) {
-	rctx, cancel := context.WithTimeout(ctx, p.o.RequestTimeout)
+	rctx, cancel := context.WithTimeout(ctx, requestTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(rctx, http.MethodPost, w.url+PathBuild, bytes.NewReader(body))
 	if err != nil {

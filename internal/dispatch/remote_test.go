@@ -54,10 +54,9 @@ func newTestWorker(t *testing.T) *testWorker {
 
 func testPool(t *testing.T, o PoolOptions, urls ...string) *WorkerPool {
 	t.Helper()
-	if o.HealthPeriod == 0 {
+	if o.Clock == nil {
 		// Keep the background health loop out of the way unless a test
-		// drives it explicitly through a fake clock.
-		o.HealthPeriod = time.Hour
+		// drives it explicitly through its own fake clock.
 		o.Clock = NewFakeClock()
 	}
 	p, err := NewWorkerPool(urls, o)
@@ -227,9 +226,9 @@ func TestRemoteRunnerDropFaultIsTransient(t *testing.T) {
 
 // TestRemoteRunnerCancelDoesNotBlameWorker pins that a request cut short by
 // its own caller — a hedge's losing duplicate, or a round that failed
-// elsewhere — counts no failure against the worker serving it: with
-// BlacklistAfter 1, one blamed cancellation would drop a healthy worker
-// from rotation and push later tasks onto the in-process fallback.
+// elsewhere — counts no failure against the worker serving it: blamed
+// cancellations would add up to a blacklisted healthy worker and push later
+// tasks onto the in-process fallback.
 func TestRemoteRunnerCancelDoesNotBlameWorker(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
@@ -240,7 +239,7 @@ func TestRemoteRunnerCancelDoesNotBlameWorker(t *testing.T) {
 	}))
 	defer srv.Close()
 	defer close(release)
-	p := testPool(t, PoolOptions{BlacklistAfter: 1}, srv.URL)
+	p := testPool(t, PoolOptions{}, srv.URL)
 	r, err := p.Runner(echoConfig(localConst("local")))
 	if err != nil {
 		t.Fatal(err)
@@ -253,28 +252,28 @@ func TestRemoteRunnerCancelDoesNotBlameWorker(t *testing.T) {
 	if _, err := r.Run(ctx, Task{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled execution returned %v, want context.Canceled", err)
 	}
-	if p.Healthy() != 1 || p.WorkersLost() != 0 {
-		t.Fatalf("after a cancelled request: healthy = %d, lost = %d; want 1, 0", p.Healthy(), p.WorkersLost())
+	p.mu.Lock()
+	fails := p.workers[0].fails
+	p.mu.Unlock()
+	if fails != 0 || p.Healthy() != 1 || p.WorkersLost() != 0 {
+		t.Fatalf("after a cancelled request: consecutive failures = %d, healthy = %d, lost = %d; want 0, 1, 0",
+			fails, p.Healthy(), p.WorkersLost())
 	}
 }
 
 // TestPoolBlacklistAndReinstate drives the health loop on a fake clock
-// through a worker's death and recovery.
+// through a worker's death (three failed probes) and recovery.
 func TestPoolBlacklistAndReinstate(t *testing.T) {
 	w := newTestWorker(t)
 	clk := NewFakeClock()
-	p := testPool(t, PoolOptions{
-		HealthPeriod:   time.Minute,
-		BlacklistAfter: 2,
-		Clock:          clk,
-	}, w.srv.URL)
+	p := testPool(t, PoolOptions{Clock: clk}, w.srv.URL)
 	waitHealthy := func(want int) {
 		t.Helper()
 		for i := 0; i < 200; i++ {
 			if p.Healthy() == want {
 				return
 			}
-			clk.Advance(time.Minute)
+			clk.Advance(healthPeriod)
 			time.Sleep(2 * time.Millisecond) // the probe itself is real I/O
 		}
 		t.Fatalf("healthy = %d, want %d", p.Healthy(), want)
@@ -304,7 +303,7 @@ func TestPoolRejectsBadAddresses(t *testing.T) {
 	if _, err := NewWorkerPool([]string{" "}, PoolOptions{}); err == nil {
 		t.Error("blank address accepted")
 	}
-	p, err := NewWorkerPool([]string{"127.0.0.1:9"}, PoolOptions{HealthPeriod: time.Hour, Clock: NewFakeClock()})
+	p, err := NewWorkerPool([]string{"127.0.0.1:9"}, PoolOptions{Clock: NewFakeClock()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,8 +255,7 @@ type Ablation struct {
 // choices: merging order, delay-target bias, region deferral and the
 // inter-group offset float.
 func Ablations() []Ablation {
-	greedy := core.Options{IntraSkewBound: ASTIntraBoundPs,
-		Order: order.Config{Strategy: order.Greedy}}
+	greedy := core.Options{IntraSkewBound: ASTIntraBoundPs, Strategy: order.Greedy}
 	return []Ablation{
 		{Name: "default-multi", Opt: core.Options{IntraSkewBound: ASTIntraBoundPs}},
 		{Name: "greedy-order", Opt: greedy},

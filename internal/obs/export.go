@@ -146,13 +146,6 @@ type jsonSpan struct {
 	Children []jsonSpan         `json:"children,omitempty"`
 }
 
-// jsonProbe is the exported form of an armed probe.
-type jsonProbe struct {
-	Name    string       `json:"name"`
-	Dropped int          `json:"dropped,omitempty"`
-	Events  []ProbeEvent `json:"events"`
-}
-
 // jsonTrace is the exported form of a trace node.
 type jsonTrace struct {
 	Label        string             `json:"label"`
@@ -162,7 +155,6 @@ type jsonTrace struct {
 	Spans        []jsonSpan         `json:"spans,omitempty"`
 	Metrics      map[string]float64 `json:"metrics,omitempty"`
 	DroppedSpans int                `json:"dropped_spans,omitempty"`
-	Probes       []jsonProbe        `json:"probes,omitempty"`
 	Children     []jsonTrace        `json:"children,omitempty"`
 	Provenance   *Provenance        `json:"provenance,omitempty"`
 }
@@ -226,16 +218,13 @@ func (t *Trace) export() jsonTrace {
 		}
 	}
 	jt.Spans = roots
-	for _, p := range t.probes {
-		jt.Probes = append(jt.Probes, jsonProbe{Name: p.name, Dropped: p.dropped, Events: p.events})
-	}
 	for _, c := range t.children {
 		jt.Children = append(jt.Children, c.export())
 	}
 	return jt
 }
 
-// WriteJSON writes the trace (spans, metrics, probes, children, provenance)
+// WriteJSON writes the trace (spans, metrics, children, provenance)
 // as indented JSON. Writing a nil trace is an error: the caller asked for a
 // trace file but recorded nothing.
 func WriteJSON(w io.Writer, t *Trace) error {

@@ -14,7 +14,7 @@
 // record nothing (the drop count is exported), so tracing a run of any size
 // has bounded memory and — crucially — performs zero allocations after the
 // trace is constructed. Spans are for phases and rounds, not per-merge
-// events; per-iteration data goes through a Probe.
+// events.
 //
 // # The disabled-path contract
 //
@@ -111,7 +111,6 @@ type Trace struct {
 	stack    []int32
 	metrics  []Metric
 	children []*Trace
-	probes   []*Probe
 	prov     *Provenance
 	dropped  int
 }
@@ -258,14 +257,6 @@ func (t *Trace) MetricValue(name string) (float64, bool) {
 	return v, found
 }
 
-// AttachProbe adopts an armed probe for export alongside the trace.
-func (t *Trace) AttachProbe(p *Probe) {
-	if t == nil || p == nil {
-		return
-	}
-	t.probes = append(t.probes, p)
-}
-
 // SetProvenance attaches run provenance (exported on the trace root).
 func (t *Trace) SetProvenance(p *Provenance) {
 	if t == nil {
@@ -309,96 +300,4 @@ func (t *Trace) Children() []*Trace {
 		return nil
 	}
 	return t.children
-}
-
-// Probe records per-iteration samples of an instrumented loop — the
-// router's leash/sneak iteration, primarily — into preallocated storage.
-// Like spans, a full probe drops further records (counted) rather than
-// growing, and all methods are nil-safe no-ops on a nil *Probe. A Probe is
-// single-goroutine: the router records only from its coordinating builder
-// (set MergeWorkers=1 for complete capture; see core.Options.SneakProbe).
-type Probe struct {
-	name    string
-	events  []ProbeEvent
-	vals    []float64 // backing slab for ProbeEvent.Vals
-	dropped int
-}
-
-// ProbeEvent is one recorded iteration. The scalar fields are generic slots
-// the instrumented site defines; for the sneak loop: Gap is the window
-// infeasibility, Lo/Hi the intersected X-window bounds, Wire the sneak wire
-// applied this iteration, and Vals the registry's per-group committed
-// offsets at the time of the merge.
-type ProbeEvent struct {
-	Label string    `json:"label"`
-	Seq   int       `json:"seq"`
-	Iter  int       `json:"iter"`
-	Gap   float64   `json:"gap"`
-	Lo    float64   `json:"lo"`
-	Hi    float64   `json:"hi"`
-	Wire  float64   `json:"wire"`
-	Vals  []float64 `json:"vals,omitempty"`
-}
-
-// NewProbe returns an armed probe holding up to capEvents events with room
-// for capVals float64 values across all events' Vals.
-func NewProbe(name string, capEvents, capVals int) *Probe {
-	if capEvents < 1 {
-		capEvents = 1
-	}
-	if capVals < 0 {
-		capVals = 0
-	}
-	return &Probe{
-		name:   name,
-		events: make([]ProbeEvent, 0, capEvents),
-		vals:   make([]float64, 0, capVals),
-	}
-}
-
-// Record appends one event, copying vals into the probe's slab. Once events
-// or slab capacity is exhausted the record is dropped (counted). Nil-safe.
-func (p *Probe) Record(label string, seq, iter int, gap, lo, hi, wire float64, vals []float64) {
-	if p == nil {
-		return
-	}
-	if len(p.events) == cap(p.events) || cap(p.vals)-len(p.vals) < len(vals) {
-		p.dropped++
-		return
-	}
-	var vs []float64
-	if len(vals) > 0 {
-		l := len(p.vals)
-		p.vals = append(p.vals, vals...)
-		vs = p.vals[l:len(p.vals):len(p.vals)]
-	}
-	p.events = append(p.events, ProbeEvent{
-		Label: label, Seq: seq, Iter: iter,
-		Gap: gap, Lo: lo, Hi: hi, Wire: wire, Vals: vs,
-	})
-}
-
-// Name returns the probe's name ("" on nil).
-func (p *Probe) Name() string {
-	if p == nil {
-		return ""
-	}
-	return p.name
-}
-
-// Events returns the recorded events (nil on nil). The slice and the events'
-// Vals alias probe-internal storage; treat as read-only.
-func (p *Probe) Events() []ProbeEvent {
-	if p == nil {
-		return nil
-	}
-	return p.events
-}
-
-// Dropped reports how many Record calls were rejected for capacity.
-func (p *Probe) Dropped() int {
-	if p == nil {
-		return 0
-	}
-	return p.dropped
 }

@@ -8,10 +8,9 @@ import (
 )
 
 // TestNilTraceNoOps: the disabled-path contract — every method on a nil
-// trace/probe and on the zero Region is a safe no-op, with zero allocations.
+// trace and on the zero Region is a safe no-op, with zero allocations.
 func TestNilTraceNoOps(t *testing.T) {
 	var tr *Trace
-	var p *Probe
 	allocs := testing.AllocsPerRun(100, func() {
 		r := tr.Begin("x").Attr("k", 1)
 		r.End()
@@ -19,7 +18,6 @@ func TestNilTraceNoOps(t *testing.T) {
 		if tr.Child("c") != nil {
 			t.Fatal("nil trace Child must be nil")
 		}
-		tr.AttachProbe(nil)
 		tr.SetProvenance(nil)
 		tr.Close()
 		_ = tr.Wall()
@@ -28,10 +26,6 @@ func TestNilTraceNoOps(t *testing.T) {
 		_ = tr.Dropped()
 		_ = tr.Children()
 		_, _ = tr.MetricValue("m")
-		p.Record("l", 0, 0, 0, 0, 0, 0, nil)
-		_ = p.Events()
-		_ = p.Name()
-		_ = p.Dropped()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil-trace path allocated: %v allocs/op", allocs)
@@ -184,34 +178,6 @@ func TestSummaryAndReport(t *testing.T) {
 	}
 }
 
-func TestProbeRecordAndCapacity(t *testing.T) {
-	p := NewProbe("sneak", 2, 4)
-	p.Record("window", 1, 0, 5.0, -1, 1, 0, []float64{0, 2.5})
-	p.Record("sneak", 1, 1, 0.0, -1, 1, 3.5, []float64{0, 2.5})
-	p.Record("window", 2, 0, 1, 0, 0, 0, nil) // events full
-	if got := p.Dropped(); got != 1 {
-		t.Fatalf("dropped = %d, want 1", got)
-	}
-	ev := p.Events()
-	if len(ev) != 2 {
-		t.Fatalf("events = %d, want 2", len(ev))
-	}
-	if ev[0].Label != "window" || ev[0].Gap != 5.0 || len(ev[0].Vals) != 2 || ev[0].Vals[1] != 2.5 {
-		t.Fatalf("event 0 = %+v", ev[0])
-	}
-	if ev[1].Label != "sneak" || ev[1].Wire != 3.5 {
-		t.Fatalf("event 1 = %+v", ev[1])
-	}
-
-	// Vals slab exhaustion drops too.
-	p2 := NewProbe("x", 8, 3)
-	p2.Record("a", 0, 0, 0, 0, 0, 0, []float64{1, 2})
-	p2.Record("b", 0, 0, 0, 0, 0, 0, []float64{3, 4})
-	if p2.Dropped() != 1 || len(p2.Events()) != 1 {
-		t.Fatalf("slab-full: dropped=%d events=%d", p2.Dropped(), len(p2.Events()))
-	}
-}
-
 func TestWriteJSON(t *testing.T) {
 	tr := New("run")
 	outer := tr.Begin("shards").Attr("count", 2)
@@ -223,9 +189,6 @@ func TestWriteJSON(t *testing.T) {
 	c.Begin("route").End()
 	c.Metric("pair_scans", 7)
 	c.Close()
-	p := NewProbe("sneak", 4, 8)
-	p.Record("window", 1, 0, 2, -1, 1, 0, []float64{0, 1})
-	tr.AttachProbe(p)
 	tr.SetProvenance(&Provenance{GoVersion: "gotest", GOMAXPROCS: 1, NumCPU: 1, OS: "linux", Arch: "amd64", Timestamp: "2026-01-01T00:00:00Z"})
 	tr.Close()
 
@@ -245,11 +208,7 @@ func TestWriteJSON(t *testing.T) {
 				Attrs map[string]float64 `json:"attrs"`
 			} `json:"children"`
 		} `json:"spans"`
-		Metrics map[string]float64 `json:"metrics"`
-		Probes  []struct {
-			Name   string       `json:"name"`
-			Events []ProbeEvent `json:"events"`
-		} `json:"probes"`
+		Metrics  map[string]float64 `json:"metrics"`
 		Children []struct {
 			Label   string             `json:"label"`
 			Metrics map[string]float64 `json:"metrics"`
@@ -273,9 +232,6 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if len(out.Children) != 1 || out.Children[0].Label != "shard0" || out.Children[0].Metrics["pair_scans"] != 7 {
 		t.Fatalf("children: %+v", out.Children)
-	}
-	if len(out.Probes) != 1 || out.Probes[0].Name != "sneak" || len(out.Probes[0].Events) != 1 {
-		t.Fatalf("probes: %+v", out.Probes)
 	}
 	if out.Provenance == nil || out.Provenance.GoVersion != "gotest" {
 		t.Fatalf("provenance: %+v", out.Provenance)

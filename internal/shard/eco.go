@@ -149,8 +149,8 @@ type RebuildOptions struct {
 	Ctx context.Context
 }
 
-// Rebuild re-routes the cached instance under the edit script with the
-// default dispatch policy and no tracing. See RebuildDispatch.
+// Rebuild re-routes the cached instance under the edit script with zero
+// dispatch options and no tracing. See RebuildDispatch.
 func (c *EcoCache) Rebuild(script *instio.EditScript) (*Result, error) {
 	return c.RebuildDispatch(script, RebuildOptions{}, dispatch.Options{})
 }
@@ -347,7 +347,6 @@ func composeRemap(pending, oldToNew []int) []int {
 func stripLocalOnly(opt core.Options) core.Options {
 	opt.Trace = nil
 	opt.Ctx = nil
-	opt.SneakProbe = nil
 	return opt
 }
 

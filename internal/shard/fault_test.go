@@ -14,15 +14,6 @@ import (
 	"repro/internal/obs"
 )
 
-// fastFaultOpts keeps injected-fault retries out of test wall time.
-func fastFaultOpts(plan *dispatch.FaultPlan) dispatch.Options {
-	return dispatch.Options{
-		Faults:      plan,
-		BackoffBase: time.Microsecond,
-		BackoffMax:  time.Millisecond,
-	}
-}
-
 // seededPlanTasks is the per-phase task count a chaos plan must cover: the
 // shard count and the pilot pass's patch fan-out.
 func seededPlanTasks(k int) int {
@@ -51,7 +42,7 @@ func TestFaultedShardedBitwiseIdentical(t *testing.T) {
 			t.Fatalf("shards=%d: fault-free: %v", k, err)
 		}
 		plan := dispatch.SeededPlan(int64(100+k), seededPlanTasks(k), 2*time.Millisecond, "pilot", "shard")
-		got, err := BuildDispatch(in, opt, fastFaultOpts(plan))
+		got, err := BuildDispatch(in, opt, dispatch.Options{Faults: plan})
 		if err != nil {
 			t.Fatalf("shards=%d: faulted build failed: %v", k, err)
 		}
@@ -90,7 +81,7 @@ func TestFaultedChaosSeedsSmall(t *testing.T) {
 	refWire, refHash := math.Float64bits(ref.Wirelength), delayDigest(t, ref.Root, in)
 	for seed := int64(1); seed <= 4; seed++ {
 		plan := dispatch.SeededPlan(seed, seededPlanTasks(2), time.Millisecond, "pilot", "shard")
-		got, err := BuildDispatch(in, opt, fastFaultOpts(plan))
+		got, err := BuildDispatch(in, opt, dispatch.Options{Faults: plan})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -114,7 +105,7 @@ func TestFaultedShardPanicSurfacesAsError(t *testing.T) {
 		PanicAt("shard", 0, 0).
 		PanicAt("shard", 0, 1).
 		PanicAt("shard", 0, 2)
-	_, err := BuildDispatch(in, core.Options{SingleGroup: true, Shards: 2}, fastFaultOpts(plan))
+	_, err := BuildDispatch(in, core.Options{SingleGroup: true, Shards: 2}, dispatch.Options{Faults: plan})
 	if err == nil {
 		t.Fatal("a shard panicking on every attempt returned nil error")
 	}
@@ -145,7 +136,7 @@ func TestFaultedPilotPanicSurfacesAsError(t *testing.T) {
 		PanicAt("pilot", 0, 0).
 		PanicAt("pilot", 0, 1).
 		PanicAt("pilot", 0, 2)
-	_, err := BuildDispatch(in, core.Options{Shards: 2, Pilot: true}, fastFaultOpts(plan))
+	_, err := BuildDispatch(in, core.Options{Shards: 2, Pilot: true}, dispatch.Options{Faults: plan})
 	if err == nil {
 		t.Fatal("a pilot patch panicking on every attempt returned nil error")
 	}
@@ -170,7 +161,7 @@ func TestFaultedTransientRecoversInvisibly(t *testing.T) {
 	}
 	plan := dispatch.NewFaultPlan().
 		ErrorAt("shard", 1, 0, dispatch.MarkTransient(dispatch.ErrInjected))
-	got, err := BuildDispatch(in, opt, fastFaultOpts(plan))
+	got, err := BuildDispatch(in, opt, dispatch.Options{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +180,7 @@ func TestFaultedPermanentFailsFast(t *testing.T) {
 	in := bench.Small(600, 21)
 	permanent := errors.New("deterministic option conflict")
 	plan := dispatch.NewFaultPlan().ErrorAt("shard", 0, 0, permanent)
-	res, err := BuildDispatch(in, core.Options{SingleGroup: true, Shards: 2}, fastFaultOpts(plan))
+	res, err := BuildDispatch(in, core.Options{SingleGroup: true, Shards: 2}, dispatch.Options{Faults: plan})
 	if err == nil {
 		t.Fatalf("permanent fault returned nil error (res=%v)", res)
 	}
@@ -239,13 +230,7 @@ func TestHedgedStragglerBitwiseAndObservable(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := dispatch.NewFaultPlan().DelayAt("shard", 0, 0, time.Second)
-	dopt := dispatch.Options{
-		Faults:        plan,
-		HedgeQuantile: 0.5,
-		HedgeFactor:   2,
-		HedgeSlack:    25 * time.Millisecond,
-	}
-	got, err := BuildDispatch(in, opt, dopt)
+	got, err := BuildDispatch(in, opt, dispatch.Options{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +268,7 @@ func TestFaultedTracedRun(t *testing.T) {
 	topt := opt
 	topt.Trace = tr
 	plan := dispatch.SeededPlan(3, seededPlanTasks(2), time.Millisecond, "pilot", "shard")
-	got, err := BuildDispatch(in, topt, fastFaultOpts(plan))
+	got, err := BuildDispatch(in, topt, dispatch.Options{Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,9 +22,9 @@ import (
 // fallbacks. Determinism makes the transport invisible: a sub-build is a
 // pure function of its unit, so a remote result is bitwise the local one.
 //
-// Observation never travels: the codec skips Trace, Ctx and SneakProbe, so
-// worker builds run untraced and the per-task child traces record only
-// locally executed (fallback) attempts.
+// Observation never travels: the codec skips Trace and Ctx, so worker
+// builds run untraced and the per-task child traces record only locally
+// executed (fallback) attempts.
 
 // subBuilds is one dispatched phase: task t executes unit over sinks[t].
 type subBuilds struct {

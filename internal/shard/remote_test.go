@@ -114,11 +114,7 @@ func TestRemoteWorkerKilledMidBuildBitwise(t *testing.T) {
 		victim.CloseClientConnections()
 		victim.Close()
 	}()
-	got, err := BuildDispatch(in, opt, dispatch.Options{
-		Remote:      pool,
-		BackoffBase: time.Microsecond,
-		BackoffMax:  time.Millisecond,
-	})
+	got, err := BuildDispatch(in, opt, dispatch.Options{Remote: pool})
 	<-done
 	if err != nil {
 		t.Fatalf("build did not survive the worker kill: %v", err)
@@ -144,15 +140,11 @@ func TestRemoteFleetDownFallsBackBitwise(t *testing.T) {
 	dead := httptest.NewServer(wire.NewHandler(wire.ServerOptions{}))
 	deadURL := dead.URL
 	dead.Close() // the port now refuses connections
-	pool := remotePool(t, dispatch.PoolOptions{BlacklistAfter: 1}, deadURL)
+	pool := remotePool(t, dispatch.PoolOptions{}, deadURL)
 	tr := obs.New("fleet-down")
 	optTr := opt
 	optTr.Trace = tr
-	got, err := BuildDispatch(in, optTr, dispatch.Options{
-		Remote:      pool,
-		BackoffBase: time.Microsecond,
-		BackoffMax:  time.Millisecond,
-	})
+	got, err := BuildDispatch(in, optTr, dispatch.Options{Remote: pool})
 	tr.Close()
 	if err != nil {
 		t.Fatalf("build did not degrade gracefully: %v", err)
@@ -189,9 +181,7 @@ func TestRemoteNetFaultsBitwise(t *testing.T) {
 		DropAt("shard", 0, 0).
 		CorruptAt("shard", 1, 0)
 	pool := remotePool(t, dispatch.PoolOptions{}, addrs...)
-	dopt := fastFaultOpts(plan)
-	dopt.Remote = pool
-	got, err := BuildDispatch(in, opt, dopt)
+	got, err := BuildDispatch(in, opt, dispatch.Options{Faults: plan, Remote: pool})
 	if err != nil {
 		t.Fatalf("build under net faults: %v", err)
 	}
@@ -228,9 +218,7 @@ func TestRemoteNetChaosSeeds(t *testing.T) {
 		plan := dispatch.SeededPlan(seed, n, time.Millisecond, "pilot", "shard").
 			Merge(dispatch.SeededNetPlan(seed, n, "pilot", "shard"))
 		pool := remotePool(t, dispatch.PoolOptions{}, addrs...)
-		dopt := fastFaultOpts(plan)
-		dopt.Remote = pool
-		got, err := BuildDispatch(in, opt, dopt)
+		got, err := BuildDispatch(in, opt, dispatch.Options{Faults: plan, Remote: pool})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -107,24 +107,22 @@ type Result struct {
 // offset exists to prescribe.
 //
 // Sub-builds execute through the internal/dispatch coordinator under its
-// default fault policy: a panicking shard or pilot patch surfaces as an
-// error naming the phase (never a process crash), contained crashes retry
-// with capped backoff, stragglers are hedged first-result-wins, and
-// opt.Ctx cancellation propagates into every merge loop. Determinism is
-// unaffected: every execution of a sub-build is a pure function of its
-// inputs, so retried and hedged runs are bitwise-identical to undisturbed
-// ones. BuildDispatch exposes the policy knobs (and the fault-injection
-// harness) directly.
+// fault policy: a panicking shard or pilot patch surfaces as an error naming
+// the phase (never a process crash), contained crashes retry with capped
+// backoff, stragglers are hedged first-result-wins, and opt.Ctx
+// cancellation propagates into every merge loop. Determinism is unaffected:
+// every execution of a sub-build is a pure function of its inputs, so
+// retried and hedged runs are bitwise-identical to undisturbed ones.
 func Build(in *ctree.Instance, opt core.Options) (*Result, error) {
 	return BuildDispatch(in, opt, dispatch.Options{})
 }
 
-// BuildDispatch is Build with an explicit dispatch policy: dopt tunes the
-// fault-tolerance layer (retry budget and backoff, hedging deadline, the
-// remote worker pool, fault injection via dopt.Faults). dopt.Phase and
-// dopt.Trace are overridden per pipeline phase ("pilot", "shard");
+// BuildDispatch is Build with explicit dispatch options: dopt can route the
+// sub-builds to a remote worker pool (dopt.Remote), inject faults
+// (dopt.Faults) and swap the coordinator's clock (dopt.Clock). dopt.Phase
+// and dopt.Trace are overridden per pipeline phase ("pilot", "shard");
 // everything else applies to every dispatched phase unchanged. The zero
-// value is the default policy Build uses.
+// value is what Build uses.
 func BuildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (*Result, error) {
 	return buildDispatch(in, opt, dopt, false)
 }
@@ -158,9 +156,6 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 	}
 	if k > len(in.Sinks) {
 		return nil, fmt.Errorf("shard: %d shards for %d sinks", k, len(in.Sinks))
-	}
-	if opt.Order.Pairer != nil {
-		return nil, fmt.Errorf("shard: Order.Pairer cannot be shared across concurrent shard builds; leave it nil (each build constructs its own engine)")
 	}
 
 	// The sub-builds and the stitch route unsharded; the pilot pass (which
@@ -250,18 +245,10 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 		fanout, count, stitch = "rebuild", "shards", "restitch"
 	}
 
-	shardOpt := subOpt
-	if k > 1 {
-		// A Probe is single-goroutine and concurrent shard builds would race
-		// on it; the serial pilot and stitch still record, and runs wanting
-		// complete sneak capture use Shards ≤ 1. k = 1 leaves the options
-		// untouched, preserving bitwise identity with the unsharded build.
-		shardOpt.SneakProbe = nil
-	}
 	fanRgn := tr.Begin(fanout).Attr(count, float64(len(todo)))
 	sb := &subBuilds{
 		phase:  "shard",
-		unit:   wire.WorkUnit{Kind: wire.KindBuild, Instance: in, Opt: shardOpt, Registry: base.Snapshot()},
+		unit:   wire.WorkUnit{Kind: wire.KindBuild, Instance: in, Opt: subOpt, Registry: base.Snapshot()},
 		sinks:  make([][]int, len(todo)),
 		traces: make([]*obs.Trace, len(todo)),
 		shards: todo,

@@ -48,8 +48,8 @@ func TestShardsOneBitwiseIdentical(t *testing.T) {
 			in   *ctree.Instance
 			opt  core.Options
 		}{
-			{"zst", zst, core.Options{SingleGroup: true, Order: order.Config{Strategy: strategy}}},
-			{"grouped", grouped, core.Options{Order: order.Config{Strategy: strategy}}},
+			{"zst", zst, core.Options{SingleGroup: true, Strategy: strategy}},
+			{"grouped", grouped, core.Options{Strategy: strategy}},
 		} {
 			label := fmt.Sprintf("%s/strategy=%v", inst.name, strategy)
 			ref, err := core.Build(inst.in, inst.opt)
@@ -264,10 +264,6 @@ func TestShardErrors(t *testing.T) {
 	if _, err := Build(&ctree.Instance{Name: "bad", NumGroups: 1}, core.Options{Shards: 2}); err == nil {
 		t.Error("invalid instance accepted")
 	}
-	if _, err := Build(in, core.Options{SingleGroup: true, Shards: 2,
-		Order: order.Config{Pairer: stubPairer{}}}); err == nil {
-		t.Error("caller-supplied Order.Pairer accepted for concurrent shard builds")
-	}
 	grouped := bench.Intermingled(in, 2, 5)
 	if _, err := Build(grouped, core.Options{Pilot: true}); err == nil {
 		t.Error("Pilot without Shards accepted (nothing to align)")
@@ -280,14 +276,3 @@ func TestShardErrors(t *testing.T) {
 		t.Error("Pilot + explicit GroupOffsets accepted")
 	}
 }
-
-// stubPairer is a non-nil order.Pairer used only to exercise the sharing
-// guard; it is never queried.
-type stubPairer struct{}
-
-func (stubPairer) Insert(int)                                 {}
-func (stubPairer) Delete(int)                                 {}
-func (stubPairer) Nearest(int) (order.Pair, bool)             { return order.Pair{}, false }
-func (stubPairer) NearestAll([]int) []order.Pair              { return nil }
-func (stubPairer) NearestFree(int, []bool) (order.Pair, bool) { return order.Pair{}, false }
-func (stubPairer) Scans() int64                               { return 0 }

@@ -25,7 +25,7 @@ type Cache struct {
 	Shards int
 	Pilot  bool
 	// Opt is the build's option set with the sharding and local-only fields
-	// stripped (Shards/Pilot live above; Trace/Ctx/SneakProbe never travel).
+	// stripped (Shards/Pilot live above; Trace/Ctx never travel).
 	Opt      core.Options
 	Instance *ctree.Instance
 	Parts    [][]int

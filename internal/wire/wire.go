@@ -19,9 +19,9 @@
 // travel field by field, so any change to core.Stats' fields changes the
 // layout. Version-3 work units and ECO cache files fail the version check.
 //
-// Observation does not travel: Options.Trace, Options.Ctx and
-// Options.SneakProbe are deliberately not encoded (a worker build runs
-// untraced; the coordinator owns tracing and cancellation).
+// Observation does not travel: Options.Trace and Options.Ctx are
+// deliberately not encoded (a worker build runs untraced; the coordinator
+// owns tracing and cancellation).
 package wire
 
 import (
@@ -225,8 +225,8 @@ func DecodeResult(data []byte, in *ctree.Instance) (*BuildResult, error) {
 
 // ---- options ----
 
-// encodeOptions writes the remote-relevant subset of core.Options. Trace,
-// Ctx and SneakProbe are intentionally skipped (observation stays with the
+// encodeOptions writes the remote-relevant subset of core.Options. Trace
+// and Ctx are intentionally skipped (observation stays with the
 // coordinator); anything else the format cannot represent is an error.
 func encodeOptions(w *writer, o core.Options) error {
 	switch m := o.Model.(type) {
@@ -239,9 +239,6 @@ func encodeOptions(w *writer, o core.Options) error {
 	default:
 		return fmt.Errorf("wire: model %q is not serializable", o.Model.Name())
 	}
-	if o.Order.Key != nil || o.Order.Pairer != nil {
-		return fmt.Errorf("wire: order overrides (Key/Pairer closures) are not serializable")
-	}
 	if o.Shards > 0 || o.Pilot {
 		return fmt.Errorf("wire: nested sharding options do not travel (Shards=%d Pilot=%v)", o.Shards, o.Pilot)
 	}
@@ -249,7 +246,7 @@ func encodeOptions(w *writer, o core.Options) error {
 	w.f64(o.InterSkewBound)
 	w.bool(o.SingleGroup)
 	w.f64(o.GlobalBound)
-	w.iv(int64(o.Order.Strategy))
+	w.iv(int64(o.Strategy))
 	w.iv(int64(o.Pairer))
 	w.f64(o.DelayTargetBias)
 	w.bool(o.EndpointSplit)
@@ -291,7 +288,7 @@ func decodeOptions(r *reader) (core.Options, error) {
 	o.InterSkewBound = r.f64()
 	o.SingleGroup = r.bool()
 	o.GlobalBound = r.f64()
-	o.Order.Strategy = order.Strategy(r.iv())
+	o.Strategy = order.Strategy(r.iv())
 	o.Pairer = core.PairerMode(r.iv())
 	o.DelayTargetBias = r.f64()
 	o.EndpointSplit = r.bool()
@@ -326,8 +323,8 @@ func decodeOptions(r *reader) (core.Options, error) {
 	if r.err != nil {
 		return o, r.err
 	}
-	if o.Order.Strategy != order.Multi && o.Order.Strategy != order.Greedy {
-		return o, fmt.Errorf("wire: unknown order strategy %d", o.Order.Strategy)
+	if o.Strategy != order.Multi && o.Strategy != order.Greedy {
+		return o, fmt.Errorf("wire: unknown order strategy %d", o.Strategy)
 	}
 	if o.Pairer < core.PairerAuto || o.Pairer > core.PairerGrid {
 		return o, fmt.Errorf("wire: unknown pairer mode %d", o.Pairer)

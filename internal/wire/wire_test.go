@@ -64,7 +64,7 @@ func TestWorkUnitRoundTrip(t *testing.T) {
 		InterSkewBound:  7.5,
 		SingleGroup:     true,
 		GlobalBound:     3.25,
-		Order:           order.Config{Strategy: order.Greedy},
+		Strategy:        order.Greedy,
 		Pairer:          core.PairerGrid,
 		DelayTargetBias: 0.5,
 		EndpointSplit:   true,
@@ -72,7 +72,7 @@ func TestWorkUnitRoundTrip(t *testing.T) {
 		GroupOffsets:    []float64{0, 1.5, -2, 4},
 		MergeWorkers:    3,
 	}
-	untravelled := map[string]bool{"Shards": true, "Pilot": true, "Trace": true, "Ctx": true, "SneakProbe": true}
+	untravelled := map[string]bool{"Shards": true, "Pilot": true, "Trace": true, "Ctx": true}
 	ov := reflect.ValueOf(u.Opt)
 	for i := 0; i < ov.NumField(); i++ {
 		if name := ov.Type().Field(i).Name; !untravelled[name] && ov.Field(i).IsZero() {
@@ -290,11 +290,6 @@ func TestWorkCannotDecodeAsResult(t *testing.T) {
 
 func TestEncodeRejectsUnserializableOptions(t *testing.T) {
 	u := buildWork(t, KindBuild)
-	u.Opt.Order.Key = func(i, j int, d float64) float64 { return d }
-	if _, err := u.Encode(); err == nil {
-		t.Error("Order.Key closure encoded")
-	}
-	u = buildWork(t, KindBuild)
 	u.Opt.Shards = 4
 	if _, err := u.Encode(); err == nil {
 		t.Error("nested Shards encoded")
