@@ -1,11 +1,15 @@
-// Command compare runs one table of the evaluation and prints our measured
-// numbers side by side with the thesis's reported ones (internal/paperdata),
-// with per-row deltas.
+// Command compare regenerates the thesis's evaluation tables, Table I
+// (clusters of sink groups) and Table II (intermingled sink groups), each
+// comparing AST-DME against the EXT-BST baseline on the r1–r5 circuits. It
+// prints our measured numbers side by side with the thesis's reported ones
+// (internal/paperdata), with per-row deltas, plus the measured worst
+// intra-group skew, which the thesis does not report.
 //
 // Usage:
 //
 //	compare -table 2           # Table II, full suite
-//	compare -table 1 -quick    # Table I, r1–r2
+//	compare -table 0 -quick    # both tables, r1–r2 (seconds), for smoke runs
+//	compare -repeats 3         # mean over 3 grouping seeds per intermingled row
 package main
 
 import (
@@ -20,40 +24,52 @@ import (
 
 func main() {
 	var (
-		table = flag.Int("table", 2, "thesis table: 1 (clustered) or 2 (intermingled)")
-		quick = flag.Bool("quick", false, "run only r1–r2")
+		table   = flag.Int("table", 2, "thesis table: 1 (clustered), 2 (intermingled), or 0 for both")
+		quick   = flag.Bool("quick", false, "run only r1–r2")
+		repeats = flag.Int("repeats", 1, "grouping seeds per intermingled row (means reported)")
 	)
 	flag.Parse()
-
-	grouping := experiments.Clustered
-	paper := paperdata.TableI
-	if *table == 2 {
-		grouping = experiments.Intermingled
-		paper = paperdata.TableII
+	if *table < 0 || *table > 2 {
+		fmt.Fprintf(os.Stderr, "compare: -table %d: want 0, 1 or 2\n", *table)
+		os.Exit(2)
 	}
+
 	circuits := bench.Suite()
 	if *quick {
 		circuits = circuits[:2]
 	}
-
-	rows, err := experiments.Table(grouping, circuits, experiments.GroupCounts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "compare:", err)
-		os.Exit(1)
+	tables := []struct {
+		no       int
+		grouping experiments.Grouping
+		paper    []paperdata.Row
+	}{
+		{1, experiments.Clustered, paperdata.TableI},
+		{2, experiments.Intermingled, paperdata.TableII},
 	}
-
-	fmt.Printf("Table %d (%s): paper vs measured\n", *table, grouping)
-	fmt.Printf("%-4s %3s %-8s | %12s %8s %6s | %12s %8s %6s | %8s\n",
-		"ckt", "k", "algo", "paper wire", "red%", "skew", "ours wire", "red%", "skew", "Δwire%")
-	for _, r := range rows {
-		pr, ok := paperdata.Find(paper, r.Circuit, r.Groups, r.Algorithm)
-		if !ok {
+	for _, tb := range tables {
+		if *table != 0 && *table != tb.no {
 			continue
 		}
-		dWire := 100 * (r.Wirelen - pr.Wirelen) / pr.Wirelen
-		fmt.Printf("%-4s %3d %-8s | %12.0f %7.2f%% %6.0f | %12.0f %7.2f%% %6.0f | %+7.2f%%\n",
-			r.Circuit, r.Groups, r.Algorithm,
-			pr.Wirelen, pr.ReductionPct, pr.MaxSkewPs,
-			r.Wirelen, r.ReductionPct, r.MaxSkewPs, dWire)
+		rows, err := experiments.Table(tb.grouping, circuits, experiments.GroupCounts, *repeats)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "compare:", err)
+			os.Exit(1)
+		}
+
+		fmt.Printf("Table %d (%s): paper vs measured\n", tb.no, tb.grouping)
+		fmt.Printf("%-4s %3s %-8s | %12s %8s %6s | %12s %8s %6s %9s | %8s\n",
+			"ckt", "k", "algo", "paper wire", "red%", "skew", "ours wire", "red%", "skew", "grp skew", "Δwire%")
+		for _, r := range rows {
+			pr, ok := paperdata.Find(tb.paper, r.Circuit, r.Groups, r.Algorithm)
+			if !ok {
+				continue
+			}
+			dWire := 100 * (r.Wirelen - pr.Wirelen) / pr.Wirelen
+			fmt.Printf("%-4s %3d %-8s | %12.0f %7.2f%% %6.0f | %12.0f %7.2f%% %6.0f %9.1f | %+7.2f%%\n",
+				r.Circuit, r.Groups, r.Algorithm,
+				pr.Wirelen, pr.ReductionPct, pr.MaxSkewPs,
+				r.Wirelen, r.ReductionPct, r.MaxSkewPs, r.MaxGroupSkewPs, dWire)
+		}
+		fmt.Println()
 	}
 }

@@ -165,12 +165,12 @@ type Options struct {
 	GroupOffsets []float64
 	// MergeWorkers is the number of goroutines executing the merge bodies of
 	// each round's disjoint batch (window intersection, joint resolution,
-	// delay evaluation, node construction). 0 (the default) selects
-	// GOMAXPROCS; 1 forces fully serial execution. Any setting produces
-	// bitwise-identical trees: batches are scheduled so concurrently
-	// executed merges cannot observe each other's group-offset commitments,
-	// and results are committed serially in batch order (see
-	// builder.runBatch).
+	// delay evaluation, node construction), in [0, 1<<16]. 0 (the
+	// default) selects GOMAXPROCS; 1 forces fully serial execution. Any
+	// setting produces bitwise-identical trees: a batch runs in parallel only
+	// once every group of the build shares one union root, when no merge can
+	// change the group-offset registry, and results are committed serially
+	// in batch order (see builder.runBatch).
 	MergeWorkers int
 	// Shards, when ≥ 1, requests the spatially sharded build: the instance
 	// is cut into Shards sub-instances routed concurrently and stitched
@@ -338,6 +338,9 @@ func normalizeOptions(in *ctree.Instance, opt *Options) error {
 	}
 	if opt.Shards < 0 {
 		return fmt.Errorf("core: Shards = %d is negative", opt.Shards)
+	}
+	if opt.MergeWorkers < 0 || opt.MergeWorkers > 1<<16 { // the wire format's bound
+		return fmt.Errorf("core: MergeWorkers = %d is outside [0, %d]", opt.MergeWorkers, 1<<16)
 	}
 	if opt.Pilot {
 		if opt.SingleGroup {

@@ -497,9 +497,10 @@ func TestPilotOptionRejections(t *testing.T) {
 
 // TestOptionValueValidation pins normalizeOptions' value checks on every
 // entry point that runs it (Build, BuildSubtree, MergeRoots): a non-finite
-// bound, bias or prescribed offset, a negative skew bound and a NaN pair
-// bound are rejected, while an infinite pair bound (a one-sided range) and
-// InterSkewBound < 0 (the leash off) still route.
+// bound, bias or prescribed offset, a negative skew bound, a NaN pair bound
+// and a MergeWorkers outside the wire format's [0, 1<<16] are rejected,
+// while an infinite pair bound (a one-sided range) and InterSkewBound < 0
+// (the leash off) still route.
 func TestOptionValueValidation(t *testing.T) {
 	in := bench.Intermingled(bench.Small(30, 2), 3, 2)
 	nan, inf := math.NaN(), math.Inf(1)
@@ -551,6 +552,9 @@ func TestOptionValueValidation(t *testing.T) {
 		{"NaN pair MaxPs", Options{PairConstraints: []PairConstraint{{I: 0, J: 1, MinPs: 0, MaxPs: nan}}}, false},
 		{"one-sided pair range", Options{PairConstraints: []PairConstraint{{I: 0, J: 1, MinPs: -inf, MaxPs: 5}}}, true},
 		{"leash off", Options{InterSkewBound: -1}, true},
+		{"negative MergeWorkers", Options{MergeWorkers: -1}, false},
+		{"MergeWorkers over 1<<16", Options{MergeWorkers: 1<<16 + 1}, false},
+		{"MergeWorkers 1<<16", Options{MergeWorkers: 1 << 16}, true},
 	} {
 		for _, e := range entries {
 			err := e.run(tc.opt)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/ctree"
+	"repro/internal/obs"
 	"repro/internal/order"
 )
 
@@ -148,4 +149,40 @@ func TestMergeWorkersWithGroupOffsets(t *testing.T) {
 		t.Errorf("wirelength %v != serial %v", par.Wirelength, serial.Wirelength)
 	}
 	sameTree(t, "offsets@", serial.Root, par.Root)
+}
+
+// TestWaveGateReadsBuildGroups pins that the merge wave's gate reads the
+// build's own groups, not the instance's: a sub-build whose sinks lack some
+// groups must still fan out once the groups it has share one union root,
+// and must route bitwise what its serial run routes.
+func TestWaveGateReadsBuildGroups(t *testing.T) {
+	in := bench.Intermingled(bench.Small(600, 5), 4, 13)
+	var ids []int
+	for _, s := range in.Sinks {
+		if s.Group < 2 {
+			ids = append(ids, s.ID)
+		}
+	}
+	run := func(workers int, tr *obs.Trace) *Subtree {
+		reg, err := NewRegistry(in, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := BuildSubtree(in, ids, Options{MergeWorkers: workers, Trace: tr}, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	serial := run(1, nil)
+	tr := obs.New("wave")
+	par := run(4, tr)
+	tr.Close()
+	if w := tr.Summary().MergeWave; w == nil || w.Rounds < 1 {
+		t.Fatalf("no wave round on a sub-build whose own groups unite: %+v", w)
+	}
+	if !statsEqualModuloSneakWire(par.Stats, serial.Stats) {
+		t.Errorf("stats differ:\n par:    %v\n serial: %v", par.Stats, serial.Stats)
+	}
+	sameTree(t, "subset@", serial.Root, par.Root)
 }

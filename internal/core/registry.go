@@ -81,17 +81,6 @@ func (r *Registry) Offsets() ([]float64, error) {
 type groupUF struct {
 	parent []int
 	off    []float64
-	// journal, when non-nil, records every union instead of only applying
-	// it: parallel merge workers operate on private clones and their
-	// recorded unions are replayed onto the shared registry at the serial
-	// commit (see runBatch).
-	journal *[]unionRec
-}
-
-// unionRec is one recorded union for deferred replay.
-type unionRec struct {
-	ra, rb int
-	rel    float64
 }
 
 func newGroupUF(n int) *groupUF {
@@ -102,18 +91,12 @@ func newGroupUF(n int) *groupUF {
 	return u
 }
 
-// cloneInto copies u's state into dst (reusing dst's backing arrays),
-// giving a parallel merge worker a private view it may mutate.
-func (u *groupUF) cloneInto(dst *groupUF) {
-	dst.parent = append(dst.parent[:0], u.parent...)
-	dst.off = append(dst.off[:0], u.off...)
-}
-
 // find returns g's union root and the cumulative offset of g relative to it.
 // It deliberately does NOT compress paths: find is called from the merge-key
 // closure, which the order queue's batch pairing evaluates from concurrent
-// goroutines, so it must not mutate. Chains stay short (one link per union,
-// and group counts are small), so the walk is cheap.
+// goroutines, and from the merge wave's workers, so it must not mutate.
+// Chains stay short (one link per union, and group counts are small), so the
+// walk is cheap.
 func (u *groupUF) find(g int) (root int, off float64) {
 	for u.parent[g] != g {
 		off += u.off[g]
@@ -127,9 +110,6 @@ func (u *groupUF) find(g int) (root int, off float64) {
 func (u *groupUF) union(ra, rb int, rel float64) {
 	u.parent[rb] = ra
 	u.off[rb] = rel
-	if u.journal != nil {
-		*u.journal = append(*u.journal, unionRec{ra: ra, rb: rb, rel: rel})
-	}
 }
 
 // appendDistinctRoots appends the distinct union roots of the given groups
@@ -183,6 +163,21 @@ func (b *builder) registerOffsets(n *ctree.Node) {
 		b.uf.union(firstRoot, r, norm-firstNorm)
 		b.stats.GroupUnions++
 	}
+}
+
+// united reports whether every group of this build's initial nodes shares
+// one union root. From then on no merge of the build can register a union
+// (registerOffsets unites distinct roots only), so the registry is frozen for
+// the rest of the build and the merge wave may read it from many workers.
+// Single-group and prescribed-offset builds are united from the start.
+func (b *builder) united() bool {
+	r0, _ := b.uf.find(b.groups[0])
+	for _, g := range b.groups[1:] {
+		if r, _ := b.uf.find(g); r != r0 {
+			return false
+		}
+	}
+	return true
 }
 
 // relatedRoots reports whether the registry relates any group of na to any

@@ -67,6 +67,9 @@ type builder struct {
 	nodes []*ctree.Node
 	root  *ctree.Node
 	stats Stats
+	// groups lists the distinct groups of the build's initial nodes (see
+	// united).
+	groups []int
 
 	// Cancellation state: done is Options.Ctx's Done channel (nil when the
 	// build is unbounded — Background's Done is already nil, so the per-round
@@ -91,10 +94,11 @@ type builder struct {
 	unionBuf         []int                   // UnionGroups staging (one merge)
 	delays           delaySlab               // committed delay-set storage
 
-	// Parallel batch execution state (main builder only).
-	workers []mergeWorker
-	tasks   []mergeTask
-	rootsIn []bool // scratch: union roots written by scheduled batch writers
+	// Parallel batch execution state (main builder only): the wave's worker
+	// builders, which share uf read-only, and the per-merge stat deltas they
+	// hand to the commit.
+	workers []builder
+	deltas  []Stats
 
 	// Observability state (main builder only; all of it is dead weight when
 	// opt.Trace is nil — no field is touched then). wave* accumulate the
@@ -150,6 +154,7 @@ func (b *builder) initSinkNodes(sinkIDs []int) {
 		s := &b.in.Sinks[id]
 		g := leafGroup(s)
 		if groupsIntern[g] == nil {
+			b.groups = append(b.groups, g)
 			groupsIntern[g] = []int{g}
 			delayIntern[g] = rctree.PointDelaySet(g, rctree.PointInterval(0))
 		}
@@ -177,6 +182,9 @@ func (b *builder) initRootNodes(roots []*ctree.Node) {
 	}
 	b.arenaOff = k
 	b.nodes = append(make([]*ctree.Node, 0, 2*k-1), roots...)
+	for _, r := range roots {
+		b.groups = ctree.AppendUnionGroups(nil, b.groups, r.Groups)
+	}
 }
 
 // route runs the merging loop over the builder's initial nodes (set by

@@ -5,68 +5,38 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ctree"
 	"repro/internal/obs"
 	"repro/internal/order"
 )
 
-// mergeTask is one merge of a round's disjoint batch.
-type mergeTask struct {
-	na, nb *ctree.Node
-	out    *ctree.Node // preassigned arena slot
-	wave   bool        // executable concurrently against the pre-batch registry
-	writer bool        // may register group unions (needs a private registry)
-	stats  Stats       // worker's stat delta (wave tasks)
-	unions []unionRec  // worker's recorded unions (wave writer tasks)
-}
-
-// mergeWorker is the per-goroutine execution state of parallel batches: a
-// builder clone with private scratch plus a reusable registry snapshot.
-type mergeWorker struct {
-	wb builder
-	uf groupUF // private clone target for writer tasks
-}
-
 // minParallelBatch is the batch size below which runBatch stays serial: the
-// scheduling pass and goroutine fan-out cost more than a handful of merge
-// bodies.
+// goroutine fan-out costs more than a handful of merge bodies.
 const minParallelBatch = 8
 
-// mergeWorkerCount resolves Options.MergeWorkers.
-func (b *builder) mergeWorkerCount() int {
-	if b.opt.MergeWorkers > 0 {
-		return b.opt.MergeWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // runBatch executes one round's disjoint merge batch and registers the
-// results with the queue in batch order. Small batches (or MergeWorkers=1)
-// run serially; larger ones fan the merge bodies out across workers and
-// commit serially, which is bitwise-identical to the serial execution:
+// results with the queue in batch order. A batch fans its merge bodies out
+// across workers only when every group of this build already shares one
+// union root (united); small batches, MergeWorkers=1 and every batch before
+// that point run serially. The parallel form is bitwise-identical to the
+// serial one:
 //
 //   - The pairs of a batch share no subtree, so merge bodies only interact
 //     through the group-offset registry (builder.uf).
-//   - A scheduling pass walks the batch in order tracking, conservatively,
-//     the set of union roots each merge may commit (a merge spanning ≥ 2
-//     distinct roots may union them). A merge whose root set intersects a
-//     prior writer's is deferred to the serial commit phase, where it runs
-//     against the live registry exactly as the serial order would.
-//   - Every other merge joins the parallel wave. Non-writers read the
-//     shared registry (frozen during the wave); writers run on a private
-//     clone, journaling their unions. Since no prior batch writer touched
-//     their roots, the clone view equals the serial view over everything
-//     the merge can read.
-//   - The commit phase walks the batch in order: wave results adopt their
-//     stat deltas and replay their journaled unions; deferred merges
-//     execute serially in place. Node ids, queue registration and spatial
-//     re-indexing all happen here, in batch order.
+//   - A merge registers a union only between two distinct roots of its own
+//     groups (registerOffsets). Once the build's groups share one root, no
+//     merge of the build can change the registry, so workers only read it.
+//   - Results commit in batch order: node ids, stat sums, queue
+//     registration and spatial re-indexing all happen serially here.
 //
-// Single-group runs (ZST, EXT-BST) and prescribed-offset runs have one
-// union root for every merge, so the whole batch always waves.
+// Single-group runs (ZST, EXT-BST) and prescribed-offset runs are united
+// from the start, so all their large batches fan out.
 func (b *builder) runBatch(q *order.Queue, batch []order.Pair) {
 	base := len(b.nodes)
-	if workers := b.mergeWorkerCount(); workers > 1 && len(batch) >= minParallelBatch {
+	workers := b.opt.MergeWorkers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > 1 && len(batch) >= minParallelBatch && b.united() {
 		b.mergeBatchParallel(batch, base, workers)
 	} else {
 		for k, p := range batch {
@@ -81,15 +51,19 @@ func (b *builder) runBatch(q *order.Queue, batch []order.Pair) {
 	}
 }
 
-// mergeBatchParallel is runBatch's parallel wave + serial commit (see the
-// runBatch comment for the invariants). When traced it times the round's
-// three sections — serial scheduling pass, parallel wave, serial commit —
-// and accumulates the wave's idle accounting: over a round with W workers,
-// slot time is (sched + wave + commit)·W and idle time is
-// (sched + commit)·(W−1) plus the wave's internal imbalance (wave·W − Σbusy),
-// so idle/slot across rounds is the fraction of worker capacity spent
-// waiting on the serial sections or on uneven chunks.
+// mergeBatchParallel is runBatch's parallel wave + serial commit, run only
+// when the build's groups are united (see the runBatch comment). Worker
+// builders share the frozen registry read-only; each merge's stat delta is
+// added in batch order at the commit. When traced it times the round's
+// three sections — serial setup, parallel wave, serial commit — and
+// accumulates the wave's idle accounting: over a round with W workers, slot
+// time is (setup + wave + commit)·W and idle time is
+// (setup + commit)·(W−1) plus the wave's internal imbalance
+// (wave·W − Σbusy), so idle/slot across rounds is the fraction of worker
+// capacity spent waiting on the serial sections or on uneven chunks.
 func (b *builder) mergeBatchParallel(batch []order.Pair, base, workers int) {
+	// ParallelChunksN never runs more chunks than merges.
+	workers = min(workers, len(batch))
 	tr := b.opt.Trace
 	var rgn obs.Region
 	var tStart time.Time
@@ -103,46 +77,26 @@ func (b *builder) mergeBatchParallel(batch []order.Pair, base, workers int) {
 			b.busyNS[i] = 0
 		}
 	}
-	// Scheduling pass: conservative registry-conflict analysis in batch
-	// order, against the pre-batch registry (b.uf is not mutated here).
-	multiRoot := !b.opt.SingleGroup && b.in.NumGroups > 1 && b.opt.GroupOffsets == nil
-	if b.rootsIn == nil && multiRoot {
-		b.rootsIn = make([]bool, b.in.NumGroups)
+	if cap(b.deltas) < len(batch) {
+		b.deltas = make([]Stats, len(batch))
 	}
-	tasks := b.tasks[:0]
-	for k, p := range batch {
-		t := mergeTask{na: b.nodes[p.I], nb: b.nodes[p.J], out: b.slot(base + k), wave: true}
-		if multiRoot {
-			t.wave, t.writer = b.scheduleTask(t.na, t.nb)
-		}
-		tasks = append(tasks, t)
-	}
-	b.tasks = tasks
-	if multiRoot {
-		// Reset the written-roots scratch for the next batch.
-		for i := range b.rootsIn {
-			b.rootsIn[i] = false
-		}
-	}
-
-	// Parallel wave over contiguous chunks; chunk w handles tasks[lo:hi].
-	if b.workers == nil {
-		b.workers = make([]mergeWorker, 0, workers)
-	}
+	deltas := b.deltas[:len(batch)]
 	for len(b.workers) < workers {
-		w := mergeWorker{wb: builder{opt: b.opt, in: b.in}}
 		// Workers run untraced: a Trace is single-goroutine, and the
 		// coordinating builder owns the round's accounting.
-		w.wb.opt.Trace = nil
-		w.wb.initScratch()
+		w := builder{opt: b.opt, in: b.in, uf: b.uf}
+		w.opt.Trace = nil
+		w.initScratch()
 		b.workers = append(b.workers, w)
 	}
-	var tSched time.Time
+	var tSetup time.Time
 	if tr != nil {
-		tSched = obs.Now()
+		tSetup = obs.Now()
 	}
+
+	// Parallel wave over contiguous chunks; chunk w handles batch[lo:hi].
 	var next atomic.Int32
-	order.ParallelChunksN(len(tasks), workers, 1, func(lo, hi int) {
+	order.ParallelChunksN(len(batch), workers, 1, func(lo, hi int) {
 		// ParallelChunksN launches at most `workers` chunks; the counter
 		// keys each chunk to a private worker without assuming launch order.
 		wi := next.Add(1) - 1
@@ -152,21 +106,10 @@ func (b *builder) mergeBatchParallel(batch []order.Pair, base, workers int) {
 			tBusy = obs.Now()
 		}
 		for k := lo; k < hi; k++ {
-			t := &tasks[k]
-			if !t.wave {
-				continue
-			}
-			w.wb.stats = Stats{}
-			if t.writer {
-				b.uf.cloneInto(&w.uf)
-				t.unions = t.unions[:0]
-				w.uf.journal = &t.unions
-				w.wb.uf = &w.uf
-			} else {
-				w.wb.uf = b.uf // read-only during the wave
-			}
-			w.wb.merge(t.na, t.nb, t.out)
-			t.stats = w.wb.stats
+			p := batch[k]
+			w.stats = Stats{}
+			w.merge(b.nodes[p.I], b.nodes[p.J], b.slot(base+k))
+			deltas[k] = w.stats
 		}
 		if tr != nil {
 			b.busyNS[wi] = obs.Since(tBusy).Nanoseconds()
@@ -178,35 +121,24 @@ func (b *builder) mergeBatchParallel(batch []order.Pair, base, workers int) {
 	}
 
 	// Serial commit in batch order.
-	for k := range tasks {
-		t := &tasks[k]
-		if t.wave {
-			b.stats.add(t.stats)
-			for _, u := range t.unions {
-				// Replay raw: the recorded roots are untouched by every
-				// other merge of this batch (scheduling invariant).
-				b.uf.parent[u.rb] = u.ra
-				b.uf.off[u.rb] = u.rel
-			}
-		} else {
-			b.merge(t.na, t.nb, t.out)
-		}
+	for _, d := range deltas {
+		b.stats.add(d)
 	}
 
 	if tr != nil {
 		w := int64(workers)
-		sched := tSched.Sub(tStart).Nanoseconds()
-		wave := tWave.Sub(tSched).Nanoseconds()
+		setup := tSetup.Sub(tStart).Nanoseconds()
+		wave := tWave.Sub(tSetup).Nanoseconds()
 		commit := obs.Since(tWave).Nanoseconds()
 		var busy int64
 		for _, v := range b.busyNS[:workers] {
 			busy += v
 		}
-		idle := (sched+commit)*(w-1) + (wave*w - busy)
+		idle := (setup+commit)*(w-1) + (wave*w - busy)
 		if idle < 0 {
 			idle = 0 // clock skew between the chunk timers and the wave timer
 		}
-		slot := (sched + wave + commit) * w
+		slot := (setup + wave + commit) * w
 		b.waveRounds++
 		b.waveSlotNS += slot
 		b.waveIdleNS += idle
@@ -222,29 +154,4 @@ func (b *builder) mergeBatchParallel(batch []order.Pair, base, workers int) {
 			Attr("idle_frac", idleFrac)
 		rgn.End()
 	}
-}
-
-// scheduleTask classifies one batch merge against the written-roots scratch:
-// reports whether it can run in the parallel wave and whether it may write
-// the registry. Must be called in batch order.
-func (b *builder) scheduleTask(na, nb *ctree.Node) (wave, writer bool) {
-	// Collect the distinct union roots of both subtrees' groups.
-	var roots [16]int
-	rs := b.appendDistinctRoots(b.appendDistinctRoots(roots[:0], na.Groups), nb.Groups)
-	writer = len(rs) >= 2
-	conflict := false
-	for _, r := range rs {
-		if b.rootsIn[r] {
-			conflict = true
-			break
-		}
-	}
-	if conflict || writer {
-		// Tail tasks are treated as writers too: they run against the live
-		// registry and may commit unions among these roots.
-		for _, r := range rs {
-			b.rootsIn[r] = true
-		}
-	}
-	return !conflict, writer
 }

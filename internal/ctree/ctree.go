@@ -228,18 +228,6 @@ func (n *Node) Resolve(m rctree.Model, e float64) {
 	n.Deferred = false
 }
 
-// ResolveToward pins a deferred node at the split realizing the closest
-// approach of its deferred region to the target region, then returns the
-// node's (now committed) placement rectangle. Non-deferred nodes return
-// their rectangle unchanged.
-func (n *Node) ResolveToward(m rctree.Model, target geom.Octagon) geom.Rect {
-	if n.Deferred {
-		q, _ := geom.ClosestPoints(n.DefRegion, target)
-		n.Resolve(m, geom.DistRP(n.Left.Region, q))
-	}
-	return n.Region
-}
-
 // DelayAt returns the per-group delay set a deferred node would commit at
 // split e, without committing it. For resolved nodes it returns the current
 // set. The result must not be mutated.

@@ -104,21 +104,6 @@ func TestResolveClampsSplit(t *testing.T) {
 	}
 }
 
-func TestResolveTowardPicksNearestBoundary(t *testing.T) {
-	m := rctree.NewElmore(0.1, 0.02)
-	n, l0, l1 := deferredPair(m)
-	// Target sitting on the left leaf: resolution should commit e ≈ 0.
-	target := geom.OctFromRect(l0.Region)
-	rect := n.ResolveToward(m, target)
-	if geom.DistRR(rect, l0.Region) > 1e-6 {
-		t.Errorf("resolved rect %v not at left leaf", rect)
-	}
-	if n.EdgeL > 1e-6 {
-		t.Errorf("split %v, want ≈0", n.EdgeL)
-	}
-	_ = l1
-}
-
 func TestDelayAtResolvedNodeReturnsCurrentSet(t *testing.T) {
 	m := rctree.NewElmore(0.1, 0.02)
 	n, _, _ := deferredPair(m)

@@ -1,13 +1,12 @@
 // Package experiments regenerates the evaluation of the thesis: Table I
 // (clusters of sink groups), Table II (intermingled sink groups), the
 // figure-level comparisons (Figs. 1 and 2), and the ablation studies of the
-// router's design choices (see Ablations). It is shared by cmd/tables and
+// router's design choices (see Ablations). It is shared by cmd/compare and
 // the repository-level benchmarks.
 package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/bench"
@@ -84,17 +83,13 @@ func groupInstance(base *ctree.Instance, g Grouping, k int, seed int64) *ctree.I
 // Table runs one full table (thesis Table I for Clustered, Table II for
 // Intermingled) over the given circuits and group counts. Each circuit
 // contributes one EXT-BST row (1 group) followed by AST-DME rows per k.
-func Table(grouping Grouping, circuits []bench.Spec, groups []int) ([]Row, error) {
-	return TableRepeated(grouping, circuits, groups, 1)
-}
-
-// TableRepeated is Table with `repeats` grouping seeds per (circuit, k) row,
-// reporting the across-seed mean of each metric. The thesis's tables are
-// single runs; replication quantifies the heuristic's seed variance (a few
-// percent of wirelength — comparable to the clustered reductions it
-// reports). For Clustered groupings the assignment is deterministic, so
-// repeats > 1 changes nothing and a single run is performed.
-func TableRepeated(grouping Grouping, circuits []bench.Spec, groups []int, repeats int) ([]Row, error) {
+// Each AST-DME row routes `repeats` grouping seeds and reports the
+// across-seed mean of each metric. The thesis's tables are single runs;
+// replication quantifies the heuristic's seed variance (a few percent of
+// wirelength — comparable to the clustered reductions it reports). For
+// Clustered groupings the assignment is deterministic, so repeats > 1
+// changes nothing and a single run is performed.
+func Table(grouping Grouping, circuits []bench.Spec, groups []int, repeats int) ([]Row, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
@@ -146,29 +141,6 @@ func TableRepeated(grouping Grouping, circuits []bench.Spec, groups []int, repea
 		}
 	}
 	return rows, nil
-}
-
-// WriteTable renders rows in the layout of the thesis's tables.
-func WriteTable(w io.Writer, title string, rows []Row) {
-	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-8s %7s %7s %-9s %12s %10s %9s %10s %8s\n",
-		"Circuit", "#sinks", "#groups", "Algorithm", "Wirelen", "Reduction", "MaxSkew", "GroupSkew", "CPU(s)")
-	last := ""
-	for _, r := range rows {
-		circuit := r.Circuit
-		if circuit == last {
-			circuit = ""
-		} else {
-			last = r.Circuit
-		}
-		red := ""
-		if r.Algorithm != "EXT-BST" {
-			red = fmt.Sprintf("%.2f%%", r.ReductionPct)
-		}
-		fmt.Fprintf(w, "%-8s %7d %7d %-9s %12.0f %10s %8.0f %10.1f %8.2f\n",
-			circuit, r.Sinks, r.Groups, r.Algorithm, r.Wirelen, red,
-			r.MaxSkewPs, r.MaxGroupSkewPs, r.CPUSeconds)
-	}
 }
 
 // Fig1Result compares zero-skew against bounded-skew routing on the 4-sink

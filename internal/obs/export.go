@@ -20,9 +20,8 @@ type Phase struct {
 // WaveSummary aggregates the parallel merge wave's per-round accounting
 // (recorded as MetricWave* metrics by the router) over a trace and its
 // descendants. IdleFrac is idle worker-time over total worker-time of the
-// parallel rounds: the fraction spent waiting on the serial
-// conflict-scheduling pass, the serial commit, and wave-internal load
-// imbalance.
+// parallel rounds: the fraction spent waiting on the serial task setup, the
+// serial commit, and wave-internal load imbalance.
 type WaveSummary struct {
 	Rounds   int     `json:"rounds"`
 	BatchMax int     `json:"batch_max"`

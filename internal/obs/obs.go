@@ -62,10 +62,11 @@ type Metric struct {
 // Names of the metrics the router records, shared here so core (which
 // writes them) and Summary (which aggregates them) agree without an import
 // cycle. The merge-wave pair slot/idle are nanosecond totals: slot is
-// (sched + wave + commit) × workers summed over parallel rounds, idle the
-// worker-nanoseconds spent waiting on the serial conflict-scheduling pass
-// and serial commit plus wave-internal load imbalance, so idle/slot is the
-// wave's aggregate idle fraction.
+// (setup + wave + commit) × workers summed over parallel rounds, idle the
+// worker-nanoseconds spent waiting on the serial task setup and serial
+// commit plus wave-internal load imbalance, so idle/slot is the wave's
+// aggregate idle fraction. Rounds that run serially (before a build's
+// groups are united) are not wave rounds and record nothing here.
 const (
 	MetricWaveRounds    = "merge_wave_rounds"
 	MetricWaveSlotNS    = "merge_wave_slot_ns"
@@ -141,9 +142,6 @@ func (t *Trace) Label() string {
 	}
 	return t.label
 }
-
-// Enabled reports whether the trace records anything (false on nil).
-func (t *Trace) Enabled() bool { return t != nil }
 
 // Region is a handle to an open span. The zero Region (and any Region from a
 // nil trace or a full arena) is inert: Attr and End on it are no-ops.

@@ -22,7 +22,6 @@ func TestNilTraceNoOps(t *testing.T) {
 		tr.Close()
 		_ = tr.Wall()
 		_ = tr.Label()
-		_ = tr.Enabled()
 		_ = tr.Dropped()
 		_ = tr.Children()
 		_, _ = tr.MetricValue("m")

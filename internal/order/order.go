@@ -416,9 +416,6 @@ func (q *Queue) Merged(newID int) {
 	}
 }
 
-// Live returns the number of live (unmerged) items.
-func (q *Queue) Live() int { return q.live }
-
 // Scans reports the cumulative number of candidate evaluations performed by
 // the pairer — the pairing-work metric the router reports as
 // Stats.PairScans.

@@ -99,43 +99,6 @@ type ecoShard struct {
 	remap  []int
 	reg    core.RegistrySnapshot
 	stats  core.Stats
-	// sealed is the shard's wire.BuildResult encoding while frozen is still
-	// nil: a cache read by UnmarshalEcoCache keeps its blobs sealed and
-	// decodes each one, through the wire codec's full validation, the first
-	// time a rebuild adopts it.
-	sealed []byte
-}
-
-// unseal decodes and freezes shard i's sealed blob on first use. The blob
-// crossed a process boundary, so beyond the codec's own validation its
-// leaves must be exactly the cached partition's shard i, each sink once:
-// a mismatch would otherwise surface as a corrupt tree three layers down.
-func (c *EcoCache) unseal(i int) (*ecoShard, error) {
-	sh := &c.shards[i]
-	if sh.frozen != nil {
-		return sh, nil
-	}
-	br, err := wire.DecodeResult(sh.sealed, c.Instance)
-	if err != nil {
-		return nil, fmt.Errorf("shard: cached shard %d: %w", i, err)
-	}
-	want := make([]bool, len(c.Instance.Sinks))
-	for _, s := range c.Parts[i] {
-		want[s] = true
-	}
-	leaves, stray := 0, false
-	br.Root.Visit(func(n *ctree.Node) {
-		if n.IsLeaf() {
-			stray = stray || !want[n.Sink.ID]
-			want[n.Sink.ID] = false
-			leaves++
-		}
-	})
-	if stray || leaves != len(c.Parts[i]) {
-		return nil, fmt.Errorf("shard: cached shard %d: subtree leaves do not match the partition", i)
-	}
-	*sh = ecoShard{frozen: ctree.Freeze(br.Root), reg: br.Registry, stats: br.Stats}
-	return sh, nil
 }
 
 // RebuildOptions carries the local-only knobs of a rebuild — observation and
@@ -358,10 +321,6 @@ func (c *EcoCache) Marshal() ([]byte, error) {
 	blobs := make([][]byte, len(c.shards))
 	for i := range c.shards {
 		sh := &c.shards[i]
-		if sh.frozen == nil {
-			blobs[i] = sh.sealed
-			continue
-		}
 		root := sh.frozen.Thaw(c.Instance, sh.remap)
 		br := wire.BuildResult{Root: root, Stats: sh.stats, Wirelength: root.Wirelength(), Registry: sh.reg}
 		var err error
@@ -388,8 +347,10 @@ func (c *EcoCache) Marshal() ([]byte, error) {
 
 // UnmarshalEcoCache reconstructs a cache serialized by Marshal, through the
 // wire layer's defensive validation (partition cover, registry forest,
-// option ranges). The shard blobs stay individually sealed; a rebuild decodes
-// each through the full result validation the first time it adopts it.
+// option ranges). Every shard blob is decoded through the full result
+// validation and frozen here. The blobs crossed a process boundary, so each
+// shard's leaves must also be exactly its cached part, each sink once: a
+// mismatch would otherwise surface as a corrupt tree three layers down.
 func UnmarshalEcoCache(data []byte) (*EcoCache, error) {
 	wc, err := wire.DecodeCache(data)
 	if err != nil {
@@ -399,8 +360,29 @@ func UnmarshalEcoCache(data []byte) (*EcoCache, error) {
 	opt.Shards = wc.Shards
 	opt.Pilot = wc.Pilot
 	shards := make([]ecoShard, len(wc.Blobs))
+	// want marks the current part's sinks; a shard whose leaves match its
+	// part clears every mark it set, so one slice serves all shards.
+	want := make([]bool, len(wc.Instance.Sinks))
 	for i, b := range wc.Blobs {
-		shards[i].sealed = b
+		br, err := wire.DecodeResult(b, wc.Instance)
+		if err != nil {
+			return nil, fmt.Errorf("shard: cached shard %d: %w", i, err)
+		}
+		for _, s := range wc.Parts[i] {
+			want[s] = true
+		}
+		leaves, stray := 0, false
+		br.Root.Visit(func(n *ctree.Node) {
+			if n.IsLeaf() {
+				stray = stray || !want[n.Sink.ID]
+				want[n.Sink.ID] = false
+				leaves++
+			}
+		})
+		if stray || leaves != len(wc.Parts[i]) {
+			return nil, fmt.Errorf("shard: cached shard %d: subtree leaves do not match the partition", i)
+		}
+		shards[i] = ecoShard{frozen: ctree.Freeze(br.Root), reg: br.Registry, stats: br.Stats}
 	}
 	return &EcoCache{
 		Instance:     wc.Instance,

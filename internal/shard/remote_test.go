@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,6 +165,32 @@ func TestRemoteFleetDownFallsBackBitwise(t *testing.T) {
 		t.Errorf("trace %s = %v (ok=%v), want ≥ 1", obs.MetricDispatchWorkersLost, v, ok)
 	}
 	t.Logf("dispatch: %+v", d)
+}
+
+// TestRemoteRejectedOptionsKeepWorkers checks that options core rejects fail
+// the build before anything is dispatched. A routeworker answers 400 to a
+// MergeWorkers outside the wire format's range, which the pool counts
+// against the worker; the core error must surface instead, with no worker
+// lost, and the next valid build on the pool must still run remotely.
+func TestRemoteRejectedOptionsKeepWorkers(t *testing.T) {
+	in := groupedInstance("uniform", 2_000, 4)
+	pool := remotePool(t, dispatch.PoolOptions{}, startWorkers(t, 2, wire.ServerOptions{})...)
+	opt := core.Options{Shards: 4, Pilot: true, MergeWorkers: -1}
+	_, err := BuildDispatch(in, opt, dispatch.Options{Remote: pool})
+	if err == nil || !strings.Contains(err.Error(), "core: MergeWorkers") {
+		t.Fatalf("MergeWorkers -1: err = %v, want core's rejection", err)
+	}
+	if lost, healthy := pool.WorkersLost(), pool.Healthy(); lost != 0 || healthy != 2 {
+		t.Fatalf("after the rejected build: %d workers lost, %d of 2 healthy", lost, healthy)
+	}
+	opt.MergeWorkers = 0
+	res, err := BuildDispatch(in, opt, dispatch.Options{Remote: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := res.Dispatch; d.RemoteFallbacks != 0 || d.WorkersLost != 0 {
+		t.Errorf("next valid build: %+v, want no fallbacks and no lost workers", d)
+	}
 }
 
 // TestRemoteNetFaultsBitwise injects the network fault family — dropped

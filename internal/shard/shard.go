@@ -286,10 +286,7 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 				if s != nil {
 					continue // routed above
 				}
-				sh, err := from.unseal(i)
-				if err != nil {
-					return err
-				}
+				sh := &from.shards[i]
 				chain[i] = *sh
 				chain[i].remap = composeRemap(sh.remap, oldToNew)
 				subs[i] = &wire.BuildResult{Root: sh.frozen.Thaw(in, chain[i].remap), Stats: sh.stats, Registry: sh.reg}

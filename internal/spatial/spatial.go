@@ -372,10 +372,6 @@ func (x *Index) setWindow(u0, u1, v0, v1 int32) {
 // Len returns the number of live items.
 func (x *Index) Len() int { return x.n }
 
-// Cell returns the current cell edge (diagnostics; it changes on re-cell
-// rebuilds).
-func (x *Index) Cell() float64 { return x.cell }
-
 // Scans reports the cumulative number of candidate evaluations across all
 // queries.
 func (x *Index) Scans() int64 { return x.scans.Load() }

@@ -89,8 +89,9 @@ func (c *Cache) Encode() ([]byte, error) {
 // partition as an exact cover of the instance's sinks (every id in exactly
 // one non-empty part), the pilot offsets against the group count, and the
 // registry snapshot through the executor's forest validation. The shard
-// blobs stay sealed — they are verified individually when a rebuild decodes
-// them, so a cache open stays cheap.
+// blobs are checked for framing only; each is a result message of its own,
+// which the caller decodes with DecodeResult (shard.UnmarshalEcoCache
+// decodes them all at open).
 func DecodeCache(data []byte) (*Cache, error) {
 	r, err := open(data, magicCache)
 	if err != nil {
