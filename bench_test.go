@@ -147,8 +147,8 @@ func BenchmarkFig2(b *testing.B) {
 }
 
 // BenchmarkAblation measures the design-choice ablations of
-// experiments.Ablations (merging order, delay-target bias, region deferral,
-// offset float) on one intermingled circuit.
+// experiments.Ablations (merging order, region deferral, offset float) on
+// one intermingled circuit.
 func BenchmarkAblation(b *testing.B) {
 	in := bench.Intermingled(bench.Small(300, 3), 6, 77)
 	for _, ab := range experiments.Ablations() {

@@ -255,8 +255,8 @@ func main() {
 				i, si.Sinks, si.Wirelength, si.Stats.PairScans, si.Stats.GridRebuilds.Total())
 		}
 		if d := sharded.Dispatch; d.Retries+d.Hedges+d.PanicsRecovered+d.FaultsInjected+d.RemoteFallbacks+d.WorkersLost > 0 {
-			fmt.Printf("dispatch:         %d retries, %d hedges, %d panics recovered, %d faults injected\n",
-				d.Retries, d.Hedges, d.PanicsRecovered, d.FaultsInjected)
+			fmt.Printf("dispatch:         %d retries, %d hedges (%d won), %d panics recovered, %d faults injected\n",
+				d.Retries, d.Hedges, d.HedgeWins, d.PanicsRecovered, d.FaultsInjected)
 		}
 		if pool != nil {
 			d := sharded.Dispatch

@@ -46,16 +46,22 @@ func main() {
 		{1, experiments.Clustered, paperdata.TableI},
 		{2, experiments.Intermingled, paperdata.TableII},
 	}
-	for _, tb := range tables {
-		if *table != 0 && *table != tb.no {
-			continue
-		}
-		rows, err := experiments.Table(tb.grouping, circuits, experiments.GroupCounts, *repeats)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "compare:", err)
-			os.Exit(1)
-		}
-
+	if *table != 0 {
+		tables = tables[*table-1 : *table]
+	}
+	groupings := make([]experiments.Grouping, len(tables))
+	for i, tb := range tables {
+		groupings[i] = tb.grouping
+	}
+	// One call, so each circuit's EXT-BST baseline is routed once for both
+	// tables.
+	results, err := experiments.Tables(groupings, circuits, experiments.GroupCounts, *repeats)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "compare:", err)
+		os.Exit(1)
+	}
+	for ti, tb := range tables {
+		rows := results[ti]
 		fmt.Printf("Table %d (%s): paper vs measured\n", tb.no, tb.grouping)
 		fmt.Printf("%-4s %3s %-8s | %12s %8s %6s | %12s %8s %6s %9s | %8s\n",
 			"ckt", "k", "algo", "paper wire", "red%", "skew", "ours wire", "red%", "skew", "grp skew", "Δwire%")

@@ -79,14 +79,11 @@ type PairerMode int
 
 const (
 	// PairerAuto (the default) uses the spatial grid pairer from
-	// GridPairerThreshold items up whenever it is exact for the run's merge
-	// key, and the all-pairs oracle otherwise.
+	// GridPairerThreshold items up, and the all-pairs oracle below.
 	PairerAuto PairerMode = iota
 	// PairerScan forces the all-pairs O(n²) oracle.
 	PairerScan
-	// PairerGrid forces the spatial grid pairer. Build refuses it under
-	// DelayTargetBias, whose biased keys can drop below the pair distance
-	// and defeat the grid's pruning (see internal/spatial).
+	// PairerGrid forces the spatial grid pairer.
 	PairerGrid
 )
 
@@ -129,39 +126,28 @@ type Options struct {
 	// Strategy is the merging order's pairing strategy (see package order).
 	Strategy order.Strategy
 	// Pairer selects the nearest-neighbor engine of the merging order:
-	// PairerAuto (the grid from GridPairerThreshold items up, when exact),
-	// PairerScan (the all-pairs oracle), or PairerGrid (force the spatial
-	// grid). Auto never selects the grid under DelayTargetBias: the bias can
-	// push the pair priority below the pair distance, which defeats the
-	// grid's geometric pruning bound (see internal/spatial). The engines are
-	// differentially pinned to route identical trees, so the choice moves
-	// pairing time and Stats.PairScans/GridRebuilds only.
+	// PairerAuto (the grid from GridPairerThreshold items up), PairerScan
+	// (the all-pairs oracle), or PairerGrid (force the spatial grid). The
+	// merge key never drops below the pair distance, so the grid's pruning
+	// is exact (see internal/spatial), and the engines are differentially
+	// pinned to route identical trees: the choice moves pairing time and
+	// Stats.PairScans/GridRebuilds only.
 	Pairer PairerMode
-	// DelayTargetBias, when positive, enables the delay-target merging-order
-	// enhancement (thesis enhancement 2, after Chaturvedi–Hu): the pair
-	// priority becomes cost − bias·(meanDelay_i + meanDelay_j). Units are
-	// length per ps.
-	DelayTargetBias float64
 	// EndpointSplit disables split deferral at unconstrained merges and
 	// commits the e=0 endpoint instead (ablation knob: quantifies the value
 	// of keeping whole merging regions).
 	EndpointSplit bool
-	// PairConstraints optionally imposes inter-group skew ranges between
-	// specific group pairs — the "local bound" / prescribed-skew constraint
-	// forms of the thesis's introduction (its refs [5–7]); associative skew
-	// plus such ranges covers the whole taxonomy the thesis surveys. Each
-	// constraint is enforced through the merge windows whenever the two
-	// groups arrive on opposite sides of a merge (best effort otherwise;
-	// eval.PairSkews verifies the outcome).
-	PairConstraints []PairConstraint
 	// GroupOffsets, when non-nil, prescribes the inter-group skew targets
 	// S_{0,g} explicitly (the thesis's Ch. II: "we need to specify the
 	// inter-group skew S_{i,j} for all groups either implicitly or
 	// explicitly"): entry g is the desired delay of group g's sinks minus
 	// group 0's, in ps. Must have length NumGroups with entry 0 == 0. The
-	// offsets are enforced within IntraSkewBound+InterSkewBound. Nil lets
-	// the router commit offsets implicitly as merging proceeds (the
-	// thesis's default).
+	// offsets are enforced within IntraSkewBound+InterSkewBound: every sink
+	// pair of groups i and j differs by GroupOffsets[j] − GroupOffsets[i]
+	// within that window, so a range [lo, hi] asked of delay(j) − delay(i)
+	// is met by prescribing its midpoint when it is at least twice the
+	// window wide. Nil lets the router commit offsets implicitly as merging
+	// proceeds (the thesis's default).
 	GroupOffsets []float64
 	// MergeWorkers is the number of goroutines executing the merge bodies of
 	// each round's disjoint batch (window intersection, joint resolution,
@@ -214,13 +200,6 @@ type Options struct {
 	// pipeline's many stages thread one cancellation scope without widening
 	// every signature; the dispatch layer overrides it per execution.
 	Ctx context.Context
-}
-
-// PairConstraint bounds the signed inter-group skew delay(J) − delay(I)
-// to [MinPs, MaxPs].
-type PairConstraint struct {
-	I, J         int
-	MinPs, MaxPs float64
 }
 
 // DefaultModel returns the Elmore model used throughout the experiments:
@@ -327,7 +306,6 @@ func normalizeOptions(in *ctree.Instance, opt *Options) error {
 		{"IntraSkewBound", opt.IntraSkewBound, true},
 		{"InterSkewBound", opt.InterSkewBound, false}, // < 0 removes the leash
 		{"GlobalBound", opt.GlobalBound, true},
-		{"DelayTargetBias", opt.DelayTargetBias, false},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("core: %s = %v is not finite", f.name, f.v)
@@ -366,27 +344,6 @@ func normalizeOptions(in *ctree.Instance, opt *Options) error {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("core: GroupOffsets[%d] = %v is not finite", g, v)
 			}
-		}
-	}
-
-	if opt.Pairer == PairerGrid && opt.DelayTargetBias > 0 {
-		// The bias subtracts delay terms from the default merge key, so the
-		// key can drop below the pair distance and the grid's geometric
-		// pruning bound no longer holds — no caller action can make it
-		// sound, so refuse rather than silently return a different tree.
-		return fmt.Errorf("core: PairerGrid is incompatible with DelayTargetBias (biased keys defeat grid pruning); use PairerScan or PairerAuto")
-	}
-
-	for _, pc := range opt.PairConstraints {
-		if pc.I < 0 || pc.I >= in.NumGroups || pc.J < 0 || pc.J >= in.NumGroups || pc.I == pc.J {
-			return fmt.Errorf("core: pair constraint (%d,%d) out of range", pc.I, pc.J)
-		}
-		// An infinite bound is a one-sided range; NaN is no range at all.
-		if math.IsNaN(pc.MinPs) || math.IsNaN(pc.MaxPs) {
-			return fmt.Errorf("core: pair constraint (%d,%d) has a NaN bound", pc.I, pc.J)
-		}
-		if pc.MinPs > pc.MaxPs {
-			return fmt.Errorf("core: pair constraint (%d,%d) has Min > Max", pc.I, pc.J)
 		}
 	}
 	return nil

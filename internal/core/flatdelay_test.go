@@ -52,9 +52,8 @@ func paperR2K8() *ctree.Instance { return paperInput(1, 8) }
 // under the scan and grid pairers), so the deferred-split search that only
 // a positive bound exercises is pinned too. The rows recorded at commit
 // e959cfc extend that pin: r1, r3, r4 and r5 at B = 10 (instance names
-// r<circuit>k<groups>), and r2 k = 8 with the leash off (W < 0) and with
-// one explicit pair constraint, the two constraint paths no other golden
-// reaches.
+// r<circuit>k<groups>), and r2 k = 8 with the leash off (W < 0), the
+// constraint path no other golden reaches.
 func TestFlatDelayMatchesMapBaseline(t *testing.T) {
 	insts := map[string]*ctree.Instance{
 		"zst":     bench.Small(600, 21),
@@ -65,37 +64,34 @@ func TestFlatDelayMatchesMapBaseline(t *testing.T) {
 		"r4k10":   paperInput(3, 10),
 		"r5k10":   paperInput(4, 10),
 	}
-	pair := []PairConstraint{{I: 2, J: 5, MinPs: 5, MaxPs: 12}}
 	golden := []struct {
 		inst      string
 		strategy  order.Strategy
 		workers   int
 		interW    float64 // InterSkewBound of the B = 10 rows
-		pair      bool    // the B = 10 row also enforces the pair constraint above
 		wireBits  uint64
 		delayHash uint64
 	}{
-		{"zst", order.Multi, 1, 0, false, 0x414296d0dd5b8f80, 0xdec0bd6930b8fb07},
-		{"zst", order.Multi, 4, 0, false, 0x414296d0dd5b8f80, 0xdec0bd6930b8fb07},
-		{"zst", order.Greedy, 1, 0, false, 0x41430837095ad6e4, 0x6b80f108b7b8c1b6},
-		{"zst", order.Greedy, 4, 0, false, 0x41430837095ad6e4, 0x6b80f108b7b8c1b6},
-		{"grouped", order.Multi, 1, 0, false, 0x4139ccbe875e55da, 0xe7123630ad067931},
-		{"grouped", order.Multi, 4, 0, false, 0x4139ccbe875e55da, 0xe7123630ad067931},
-		{"grouped", order.Greedy, 1, 0, false, 0x413ce17e677c3108, 0x79c49fbb85a3a9ef},
-		{"grouped", order.Greedy, 4, 0, false, 0x413ce17e677c3108, 0x79c49fbb85a3a9ef},
-		{"paper", order.Multi, 1, 0, false, 0x4140a4dd4f3fe730, 0xbb4632c47cefd467},
-		{"paper", order.Multi, 4, 0, false, 0x4140a4dd4f3fe730, 0xbb4632c47cefd467},
-		{"paper", order.Multi, 1, 20, false, 0x41405e8f7148a6df, 0xb1d8e931afebee0e},
-		{"paper", order.Multi, 4, 20, false, 0x41405e8f7148a6df, 0xb1d8e931afebee0e},
-		{"r1k4", order.Multi, 1, 0, false, 0x41306ef3396fcc6e, 0xbf7c04df0d3767c0},
-		{"r3k6", order.Multi, 4, 0, false, 0x41459ac6d407a9e5, 0xdbda592323677176},
-		{"r4k10", order.Multi, 1, 0, false, 0x4154aba562de1ae7, 0x48e780b140cf08cd},
-		{"r5k10", order.Multi, 4, 0, false, 0x415e306baea812c8, 0x55b6430de79ffc86},
-		{"paper", order.Multi, 4, -1, false, 0x41408df3985ca7a2, 0x805e685de166f7a2},
-		{"paper", order.Multi, 4, 0, true, 0x4141075af3e04b2f, 0x2d430db6ac7c97df},
+		{"zst", order.Multi, 1, 0, 0x414296d0dd5b8f80, 0xdec0bd6930b8fb07},
+		{"zst", order.Multi, 4, 0, 0x414296d0dd5b8f80, 0xdec0bd6930b8fb07},
+		{"zst", order.Greedy, 1, 0, 0x41430837095ad6e4, 0x6b80f108b7b8c1b6},
+		{"zst", order.Greedy, 4, 0, 0x41430837095ad6e4, 0x6b80f108b7b8c1b6},
+		{"grouped", order.Multi, 1, 0, 0x4139ccbe875e55da, 0xe7123630ad067931},
+		{"grouped", order.Multi, 4, 0, 0x4139ccbe875e55da, 0xe7123630ad067931},
+		{"grouped", order.Greedy, 1, 0, 0x413ce17e677c3108, 0x79c49fbb85a3a9ef},
+		{"grouped", order.Greedy, 4, 0, 0x413ce17e677c3108, 0x79c49fbb85a3a9ef},
+		{"paper", order.Multi, 1, 0, 0x4140a4dd4f3fe730, 0xbb4632c47cefd467},
+		{"paper", order.Multi, 4, 0, 0x4140a4dd4f3fe730, 0xbb4632c47cefd467},
+		{"paper", order.Multi, 1, 20, 0x41405e8f7148a6df, 0xb1d8e931afebee0e},
+		{"paper", order.Multi, 4, 20, 0x41405e8f7148a6df, 0xb1d8e931afebee0e},
+		{"r1k4", order.Multi, 1, 0, 0x41306ef3396fcc6e, 0xbf7c04df0d3767c0},
+		{"r3k6", order.Multi, 4, 0, 0x41459ac6d407a9e5, 0xdbda592323677176},
+		{"r4k10", order.Multi, 1, 0, 0x4154aba562de1ae7, 0x48e780b140cf08cd},
+		{"r5k10", order.Multi, 4, 0, 0x415e306baea812c8, 0x55b6430de79ffc86},
+		{"paper", order.Multi, 4, -1, 0x41408df3985ca7a2, 0x805e685de166f7a2},
 	}
 	for _, tc := range golden {
-		label := fmt.Sprintf("%s/strategy=%v/workers=%d/W=%v/pair=%v", tc.inst, tc.strategy, tc.workers, tc.interW, tc.pair)
+		label := fmt.Sprintf("%s/strategy=%v/workers=%d/W=%v", tc.inst, tc.strategy, tc.workers, tc.interW)
 		in := insts[tc.inst]
 		var res *Result
 		var err error
@@ -105,12 +101,8 @@ func TestFlatDelayMatchesMapBaseline(t *testing.T) {
 		case "grouped":
 			res, err = Build(in, Options{IntraSkewBound: 0, MergeWorkers: tc.workers, Strategy: tc.strategy})
 		default:
-			opt := Options{IntraSkewBound: 10, InterSkewBound: tc.interW, MergeWorkers: tc.workers,
-				Strategy: tc.strategy}
-			if tc.pair {
-				opt.PairConstraints = pair
-			}
-			res, err = Build(in, opt)
+			res, err = Build(in, Options{IntraSkewBound: 10, InterSkewBound: tc.interW, MergeWorkers: tc.workers,
+				Strategy: tc.strategy})
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)

@@ -60,25 +60,6 @@ func (b *builder) forConstraints(da, db rctree.DelaySet, va, vb []rctree.Interva
 	for _, s := range p.raw {
 		f(constraint{raw: true, id: s.id}, da.Ivs[s.a], db.Ivs[s.b], bd)
 	}
-	// Explicit inter-group pair constraints: delay(J) − delay(I) ∈ [lo, hi],
-	// enforceable here when the two groups sit on opposite sides. With I on
-	// side a and J on side b the post-merge difference is
-	// (db[J]+wb) − (da[I]+wa) = (db[J] − da[I]) − X, giving the X window
-	// [db[J].Hi − da[I].Lo − hi, db[J].Lo − da[I].Hi − lo]; mirrored when J
-	// is on side a. Encoded through f by shifting the J interval: the window
-	// formula f applies to (ia, ib, bound) is
-	// [ib.Hi − ia.Lo − bound, ib.Lo − ia.Hi + bound], so passing
-	// ib' = db[J] − (lo+hi)/2 and bound (hi−lo)/2 reproduces it exactly.
-	for _, pc := range p.pcs {
-		ia, ib := da.Ivs[pc.a], db.Ivs[pc.b]
-		if pc.jOnB {
-			ib = ib.Shift(-pc.mid)
-		} else {
-			ia = ia.Shift(-pc.mid)
-		}
-		f(constraint{raw: false, id: -1}, ia, ib, pc.half)
-	}
-
 	w := b.interBound()
 	if math.IsInf(w, 1) {
 		return

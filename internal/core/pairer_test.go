@@ -103,7 +103,7 @@ func TestGridPairerDifferentialAST(t *testing.T) {
 }
 
 // TestPairerAutoSelection: auto mode must keep the oracle below the
-// 64-item floor and under the biased key the grid cannot prune exactly.
+// 64-item floor, and the forced modes must win at any size.
 func TestPairerAutoSelection(t *testing.T) {
 	b := &builder{opt: Options{}}
 	if b.useGridPairer(64) != true {
@@ -112,10 +112,6 @@ func TestPairerAutoSelection(t *testing.T) {
 	if b.useGridPairer(63) != false {
 		t.Error("auto below 64 items: want scan")
 	}
-	b = &builder{opt: Options{DelayTargetBias: 0.5}}
-	if b.useGridPairer(1<<20) != false {
-		t.Error("auto with delay bias: want scan (key may drop below distance)")
-	}
 	b = &builder{opt: Options{Pairer: PairerGrid}}
 	if b.useGridPairer(10) != true {
 		t.Error("forced grid: want grid")
@@ -123,11 +119,5 @@ func TestPairerAutoSelection(t *testing.T) {
 	b = &builder{opt: Options{Pairer: PairerScan}}
 	if b.useGridPairer(1<<20) != false {
 		t.Error("forced scan: want scan")
-	}
-	// Forcing the grid together with the biased key is unsound and must be
-	// refused outright rather than silently mis-pruned.
-	_, err := Build(bench.Small(20, 4), Options{Pairer: PairerGrid, DelayTargetBias: 0.5})
-	if err == nil {
-		t.Error("PairerGrid + DelayTargetBias: want error, got nil")
 	}
 }

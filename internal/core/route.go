@@ -114,7 +114,7 @@ type builder struct {
 
 // initScratch sizes the builder's reusable merge-body buffers.
 func (b *builder) initScratch() {
-	b.plan.initScratch(b.in.NumGroups, len(b.opt.PairConstraints))
+	b.plan.initScratch(b.in.NumGroups)
 }
 
 // slot returns the preassigned arena slot of node index id.
@@ -211,22 +211,12 @@ func (b *builder) route() {
 		}
 		return geom.DistOO(na.ActiveRegion(), nb.ActiveRegion())
 	}
-	bias := b.opt.DelayTargetBias
-	ocfg := order.Config{Strategy: b.opt.Strategy, Key: func(i, j int, d float64) float64 {
-		k := b.mergeKey(i, j, d)
-		if bias > 0 {
-			di := b.overallOf(b.nodes[i])
-			dj := b.overallOf(b.nodes[j])
-			k -= bias * ((di.Lo+di.Hi)/2 + (dj.Lo+dj.Hi)/2)
-		}
-		return k
-	}}
+	ocfg := order.Config{Strategy: b.opt.Strategy, Key: b.mergeKey}
 	if b.useGridPairer(n) {
 		// Index nodes by the u/v bounds of their active regions: the bound
 		// distance under-estimates the true octagon distance, keeping the
 		// grid's pruning sound, while dist/key stay exact. mergeKey only
-		// ever adds non-negative snaking excess to the distance (the
-		// delay-target bias, which can subtract, is excluded above), so
+		// ever adds non-negative snaking excess to the distance, so
 		// key ≥ dist holds and grid pairing is exact.
 		box := func(id int) geom.Rect { return b.nodes[id].ActiveRegion().Bounds() }
 		boxes := make([]geom.Rect, n)
@@ -290,6 +280,6 @@ func (b *builder) useGridPairer(n int) bool {
 	case PairerScan:
 		return false
 	default:
-		return n >= GridPairerThreshold && b.opt.DelayTargetBias == 0
+		return n >= GridPairerThreshold
 	}
 }

@@ -23,9 +23,6 @@ type splitPlan struct {
 	// raw lists the shared raw groups, ascending, with their positions in
 	// the two delay sets.
 	raw []planPair
-	// pcs lists the explicit pair constraints that span the merge, in
-	// Options.PairConstraints order.
-	pcs []planPC
 	// roots lists the union roots present on both sides, ascending, with
 	// their slots in the two normalized sets.
 	roots []planPair
@@ -36,16 +33,6 @@ type splitPlan struct {
 type planPair struct {
 	id   int
 	a, b int32
-}
-
-// planPC is a pair constraint delay(J) − delay(I) ∈ [MinPs, MaxPs] with I
-// and J on opposite sides: a and b are the positions of the two groups,
-// jOnB says J is the b-side group, and mid/half are the range's midpoint
-// and half-width.
-type planPC struct {
-	a, b      int32
-	jOnB      bool
-	mid, half float64
 }
 
 // planSide is one operand's normalization layout. Position i of the side's
@@ -61,12 +48,11 @@ type planSide struct {
 	seen  []bool // build scratch, one per slot
 }
 
-// initScratch sizes the plan for n groups and npc pair constraints.
-func (p *splitPlan) initScratch(n, npc int) {
+// initScratch sizes the plan for n groups.
+func (p *splitPlan) initScratch(n int) {
 	p.a.initScratch(n)
 	p.b.initScratch(n)
 	p.raw = make([]planPair, 0, n)
-	p.pcs = make([]planPC, 0, 2*npc)
 	p.roots = make([]planPair, 0, n)
 }
 
@@ -86,22 +72,6 @@ func (b *builder) layout(na, nb *ctree.Node, normalized bool) {
 	p := &b.plan
 	ga, gb := na.Groups, nb.Groups
 	p.raw = appendShared(p.raw[:0], ga, gb)
-	p.pcs = p.pcs[:0]
-	for _, pc := range b.opt.PairConstraints {
-		mid := (pc.MinPs + pc.MaxPs) / 2
-		half := (pc.MaxPs - pc.MinPs) / 2
-		if ia, ok := slices.BinarySearch(ga, pc.I); ok {
-			if jb, ok := slices.BinarySearch(gb, pc.J); ok {
-				p.pcs = append(p.pcs, planPC{a: int32(ia), b: int32(jb), jOnB: true, mid: mid, half: half})
-			}
-		}
-		if ja, ok := slices.BinarySearch(ga, pc.J); ok {
-			if ib, ok := slices.BinarySearch(gb, pc.I); ok {
-				p.pcs = append(p.pcs, planPC{a: int32(ja), b: int32(ib), mid: mid, half: half})
-			}
-		}
-	}
-
 	if !normalized {
 		return
 	}

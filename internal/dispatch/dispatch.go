@@ -181,10 +181,13 @@ type Options struct {
 // Report counts what fault handling cost during a Run. The same counts are
 // exported as obs metrics when Options.Trace is set.
 type Report struct {
-	Tasks           int
-	Attempts        int
-	Retries         int
-	Hedges          int
+	Tasks    int
+	Attempts int
+	Retries  int
+	Hedges   int
+	// HedgeWins counts hedged executions whose result is the one kept: a
+	// hedge that never wins only duplicated work.
+	HedgeWins       int
 	PanicsRecovered int
 	FaultsInjected  int
 	// RemoteFallbacks counts executions that degraded to the in-process
@@ -202,6 +205,7 @@ func (r *Report) Add(o Report) {
 	r.Attempts += o.Attempts
 	r.Retries += o.Retries
 	r.Hedges += o.Hedges
+	r.HedgeWins += o.HedgeWins
 	r.PanicsRecovered += o.PanicsRecovered
 	r.FaultsInjected += o.FaultsInjected
 	r.RemoteFallbacks += o.RemoteFallbacks
@@ -586,6 +590,10 @@ func (c *coord) handle(ev event) {
 		c.results[ev.t.Index] = ev.val
 		c.done++
 		c.durs = append(c.durs, ev.dur)
+		if ev.t.Hedged {
+			c.rep.HedgeWins++
+			c.o.Trace.Metric(obs.MetricDispatchHedgeWins, 1)
+		}
 		for _, cancelExec := range ts.cancels {
 			cancelExec() // the racing sibling lost
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -26,8 +27,25 @@ func TestRunReturnsResultsInOrder(t *testing.T) {
 			t.Errorf("result[%d] = %v, want %d", i, v, i*10)
 		}
 	}
-	if rep.Tasks != 8 || rep.Attempts != 8 || rep.Retries != 0 || rep.Hedges != 0 || rep.PanicsRecovered != 0 {
+	if rep.Tasks != 8 || rep.Attempts != 8 || rep.Retries != 0 || rep.Hedges != 0 || rep.HedgeWins != 0 || rep.PanicsRecovered != 0 {
 		t.Errorf("clean run report = %+v", rep)
+	}
+}
+
+// TestReportAddSumsEveryField: Add sums every count, so a Report field that
+// Add forgets fails here.
+func TestReportAddSumsEveryField(t *testing.T) {
+	var a, b Report
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		av.Field(i).SetInt(int64(i + 1))
+		bv.Field(i).SetInt(int64(10 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < av.NumField(); i++ {
+		if got, want := av.Field(i).Int(), int64(11*(i+1)); got != want {
+			t.Errorf("%s = %d after Add, want %d", av.Type().Field(i).Name, got, want)
+		}
 	}
 }
 
@@ -302,16 +320,18 @@ func hedgesPerTask(t *testing.T, tr *obs.Trace, n int) []int {
 }
 
 func TestHedgeStragglerFirstResultWins(t *testing.T) {
-	// Task 3's first attempt straggles until cancelled; its hedge (and every
-	// other task) returns promptly. The dispatcher must hedge the straggler
-	// exactly once, take the hedge's result, and cancel the straggler on the
+	// Task 3's first attempt straggles until cancelled; its hedge and every
+	// other task's first attempt return promptly. A hedge of another task
+	// parks until cancelled, so the straggler's is the only hedge that can
+	// win. The dispatcher must hedge the straggler exactly once, take the
+	// hedge's result, count one hedge win, and cancel the straggler on the
 	// way out.
 	const n = 4
 	var running atomic.Int32
 	r := RunnerFunc(func(ctx context.Context, tk Task) (any, error) {
 		running.Add(1)
 		defer running.Add(-1)
-		if tk.Index == 3 && tk.Attempt == 0 {
+		if (tk.Index == 3) != tk.Hedged {
 			<-ctx.Done()
 			return nil, ctx.Err()
 		}
@@ -336,6 +356,12 @@ func TestHedgeStragglerFirstResultWins(t *testing.T) {
 	}
 	if extra := rep.Attempts - n - rep.Retries; extra != rep.Hedges {
 		t.Errorf("report %+v: %d extra executions, want one per hedge", rep, extra)
+	}
+	if rep.HedgeWins != 1 {
+		t.Errorf("report %+v: %d hedge wins, want 1", rep, rep.HedgeWins)
+	}
+	if got, _ := tr.MetricValue(obs.MetricDispatchHedgeWins); got != 1 {
+		t.Errorf("trace metric %s = %v, want 1", obs.MetricDispatchHedgeWins, got)
 	}
 	if got := running.Load(); got != 0 {
 		t.Errorf("%d execution(s) outlived Run", got)

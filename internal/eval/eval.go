@@ -252,32 +252,3 @@ func CheckTree(root *ctree.Node, in *ctree.Instance) error {
 	}
 	return nil
 }
-
-// PairSkews returns the matrix of inter-group skew ranges implied by the
-// measured sink delays: entry [i][j] is the interval of delay(j)−delay(i)
-// over all sink pairs, i.e. [min_j − max_i, max_j − min_i]. It verifies
-// prescribed inter-group constraints (core.PairConstraint) and reports the
-// by-product offsets S_{i,j} of the thesis's formulation.
-func (r *Report) PairSkews(in *ctree.Instance) [][][2]float64 {
-	gmin := make([]float64, in.NumGroups)
-	gmax := make([]float64, in.NumGroups)
-	for g := range gmin {
-		gmin[g], gmax[g] = math.Inf(1), math.Inf(-1)
-	}
-	for _, s := range in.Sinks {
-		d := r.SinkDelay[s.ID]
-		if math.IsNaN(d) {
-			continue
-		}
-		gmin[s.Group] = math.Min(gmin[s.Group], d)
-		gmax[s.Group] = math.Max(gmax[s.Group], d)
-	}
-	out := make([][][2]float64, in.NumGroups)
-	for i := range out {
-		out[i] = make([][2]float64, in.NumGroups)
-		for j := range out[i] {
-			out[i][j] = [2]float64{gmin[j] - gmax[i], gmax[j] - gmin[i]}
-		}
-	}
-	return out
-}

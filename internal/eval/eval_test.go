@@ -168,35 +168,6 @@ func TestCheckTreeDetectsViolations(t *testing.T) {
 	}
 }
 
-func TestPairSkews(t *testing.T) {
-	m := rctree.NewElmore(0.1, 0.02)
-	root, in := buildKnown(m)
-	rep := Analyze(root, in, m, in.Source)
-	ps := rep.PairSkews(in)
-	if len(ps) != in.NumGroups || len(ps[0]) != in.NumGroups {
-		t.Fatalf("matrix shape %dx%d", len(ps), len(ps[0]))
-	}
-	// Diagonal: [−spread, +spread] = [0,0] for the zero-spread groups here.
-	for g := 0; g < in.NumGroups; g++ {
-		if ps[g][g][0] != -rep.GroupSkew[g] || ps[g][g][1] != rep.GroupSkew[g] {
-			t.Errorf("diagonal %d: %v", g, ps[g][g])
-		}
-	}
-	// Antisymmetry: range(i,j) = −reverse(range(j,i)).
-	for i := 0; i < in.NumGroups; i++ {
-		for j := 0; j < in.NumGroups; j++ {
-			if ps[i][j][0] != -ps[j][i][1] || ps[i][j][1] != -ps[j][i][0] {
-				t.Errorf("not antisymmetric at (%d,%d): %v vs %v", i, j, ps[i][j], ps[j][i])
-			}
-		}
-	}
-	// Known offset: group 1 delay − group 0 delay.
-	want := rep.SinkDelay[2] - rep.SinkDelay[0]
-	if math.Abs(ps[0][1][0]-want) > 1e-9 || math.Abs(ps[0][1][1]-want) > 1e-9 {
-		t.Errorf("pair (0,1) = %v, want point %v", ps[0][1], want)
-	}
-}
-
 // TestSeamSkew pins the seam metric on hand-built reports: only sink pairs
 // of one group split across different parts count, the part holding both a
 // group's extremes compares against the best *other* part, and degenerate

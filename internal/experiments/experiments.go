@@ -80,20 +80,23 @@ func groupInstance(base *ctree.Instance, g Grouping, k int, seed int64) *ctree.I
 	return bench.Intermingled(base, k, seed)
 }
 
-// Table runs one full table (thesis Table I for Clustered, Table II for
-// Intermingled) over the given circuits and group counts. Each circuit
-// contributes one EXT-BST row (1 group) followed by AST-DME rows per k.
-// Each AST-DME row routes `repeats` grouping seeds and reports the
-// across-seed mean of each metric. The thesis's tables are single runs;
-// replication quantifies the heuristic's seed variance (a few percent of
-// wirelength — comparable to the clustered reductions it reports). For
-// Clustered groupings the assignment is deterministic, so repeats > 1
-// changes nothing and a single run is performed.
-func Table(grouping Grouping, circuits []bench.Spec, groups []int, repeats int) ([]Row, error) {
+// Tables runs one full table per grouping (thesis Table I for Clustered,
+// Table II for Intermingled) over the given circuits and group counts, and
+// returns the tables in the order of groupings. Each circuit contributes one
+// EXT-BST row (1 group) followed by AST-DME rows per k. The EXT-BST
+// baseline ignores groups, so each circuit's is routed once and heads that
+// circuit's rows in every table. Each AST-DME row routes `repeats` grouping
+// seeds and reports the across-seed mean of each metric. The thesis's
+// tables are single runs; replication quantifies the heuristic's seed
+// variance (a few percent of wirelength — comparable to the clustered
+// reductions it reports). For Clustered groupings the assignment is
+// deterministic, so repeats > 1 changes nothing and a single run is
+// performed.
+func Tables(groupings []Grouping, circuits []bench.Spec, groups []int, repeats int) ([][]Row, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
-	var rows []Row
+	tables := make([][]Row, len(groupings))
 	for _, sp := range circuits {
 		base := bench.Generate(sp)
 
@@ -104,43 +107,47 @@ func Table(grouping Grouping, circuits []bench.Spec, groups []int, repeats int) 
 		}
 		extSecs := time.Since(start).Seconds()
 		extRep := eval.Analyze(ext.Root, base, core.DefaultModel(), base.Source)
-		rows = append(rows, Row{
+		extRow := Row{
 			Circuit: sp.Name, Sinks: sp.Sinks, Groups: 1, Algorithm: "EXT-BST",
 			Wirelen: ext.Wirelength, MaxSkewPs: extRep.GlobalSkew,
 			MaxGroupSkewPs: extRep.MaxGroupSkew, CPUSeconds: extSecs,
-		})
+		}
 
-		for _, k := range groups {
-			reps := repeats
-			if grouping == Clustered {
-				reps = 1
-			}
-			var acc Row
-			for rep := 0; rep < reps; rep++ {
-				in := groupInstance(base, grouping, k, sp.Seed*1000+int64(k)+int64(rep)*7919)
-				start = time.Now()
-				ast, err := core.Build(in, core.Options{IntraSkewBound: ASTIntraBoundPs})
-				if err != nil {
-					return nil, fmt.Errorf("AST-DME on %s k=%d: %w", sp.Name, k, err)
+		for ti, grouping := range groupings {
+			rows := append(tables[ti], extRow)
+			for _, k := range groups {
+				reps := repeats
+				if grouping == Clustered {
+					reps = 1
 				}
-				secs := time.Since(start).Seconds()
-				r := eval.Analyze(ast.Root, in, core.DefaultModel(), in.Source)
-				acc.Wirelen += ast.Wirelength
-				acc.MaxSkewPs += r.GlobalSkew
-				acc.MaxGroupSkewPs += r.MaxGroupSkew
-				acc.CPUSeconds += secs
+				var acc Row
+				for rep := 0; rep < reps; rep++ {
+					in := groupInstance(base, grouping, k, sp.Seed*1000+int64(k)+int64(rep)*7919)
+					start = time.Now()
+					ast, err := core.Build(in, core.Options{IntraSkewBound: ASTIntraBoundPs})
+					if err != nil {
+						return nil, fmt.Errorf("AST-DME on %s k=%d: %w", sp.Name, k, err)
+					}
+					secs := time.Since(start).Seconds()
+					r := eval.Analyze(ast.Root, in, core.DefaultModel(), in.Source)
+					acc.Wirelen += ast.Wirelength
+					acc.MaxSkewPs += r.GlobalSkew
+					acc.MaxGroupSkewPs += r.MaxGroupSkew
+					acc.CPUSeconds += secs
+				}
+				n := float64(reps)
+				rows = append(rows, Row{
+					Circuit: sp.Name, Sinks: sp.Sinks, Groups: k, Algorithm: "AST-DME",
+					Wirelen:      acc.Wirelen / n,
+					ReductionPct: 100 * (ext.Wirelength - acc.Wirelen/n) / ext.Wirelength,
+					MaxSkewPs:    acc.MaxSkewPs / n, MaxGroupSkewPs: acc.MaxGroupSkewPs / n,
+					CPUSeconds: acc.CPUSeconds / n,
+				})
 			}
-			n := float64(reps)
-			rows = append(rows, Row{
-				Circuit: sp.Name, Sinks: sp.Sinks, Groups: k, Algorithm: "AST-DME",
-				Wirelen:      acc.Wirelen / n,
-				ReductionPct: 100 * (ext.Wirelength - acc.Wirelen/n) / ext.Wirelength,
-				MaxSkewPs:    acc.MaxSkewPs / n, MaxGroupSkewPs: acc.MaxGroupSkewPs / n,
-				CPUSeconds: acc.CPUSeconds / n,
-			})
+			tables[ti] = rows
 		}
 	}
-	return rows, nil
+	return tables, nil
 }
 
 // Fig1Result compares zero-skew against bounded-skew routing on the 4-sink
@@ -224,14 +231,12 @@ type Ablation struct {
 }
 
 // Ablations returns the configurations exercising the router's design
-// choices: merging order, delay-target bias, region deferral and the
-// inter-group offset float.
+// choices: merging order, region deferral and the inter-group offset float.
 func Ablations() []Ablation {
 	greedy := core.Options{IntraSkewBound: ASTIntraBoundPs, Strategy: order.Greedy}
 	return []Ablation{
 		{Name: "default-multi", Opt: core.Options{IntraSkewBound: ASTIntraBoundPs}},
 		{Name: "greedy-order", Opt: greedy},
-		{Name: "delay-target", Opt: core.Options{IntraSkewBound: ASTIntraBoundPs, DelayTargetBias: 1}},
 		{Name: "endpoint-split", Opt: core.Options{IntraSkewBound: ASTIntraBoundPs, EndpointSplit: true}},
 		{Name: "offset-float-60", Opt: core.Options{IntraSkewBound: ASTIntraBoundPs, InterSkewBound: 60}},
 	}

@@ -16,11 +16,13 @@ func TestTableSmall(t *testing.T) {
 		{Name: "t1", Sinks: 60, Side: 3200 * 8, Seed: 11},
 		{Name: "t2", Sinks: 90, Side: 3200 * 10, Seed: 12},
 	}
-	for _, grouping := range []Grouping{Clustered, Intermingled} {
-		rows, err := Table(grouping, circuits, []int{2, 4}, 1)
-		if err != nil {
-			t.Fatalf("%v: %v", grouping, err)
-		}
+	groupings := []Grouping{Clustered, Intermingled}
+	tables, err := Tables(groupings, circuits, []int{2, 4}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti, rows := range tables {
+		grouping := groupings[ti]
 		if len(rows) != 2*(1+2) {
 			t.Fatalf("%v: %d rows", grouping, len(rows))
 		}
@@ -167,14 +169,16 @@ func TestGroupInstanceModes(t *testing.T) {
 
 func TestTableRepeatsAveraging(t *testing.T) {
 	circuits := []bench.Spec{{Name: "t1", Sinks: 50, Side: 3200 * 7, Seed: 4}}
-	single, err := Table(Intermingled, circuits, []int{3}, 1)
+	groupings := []Grouping{Intermingled, Clustered}
+	t1, err := Tables(groupings, circuits, []int{3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := Table(Intermingled, circuits, []int{3}, 3)
+	t3, err := Tables(groupings, circuits, []int{3}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	single, multi := t1[0], t3[0]
 	if len(single) != 2 || len(multi) != 2 {
 		t.Fatalf("rows %d/%d", len(single), len(multi))
 	}
@@ -186,16 +190,12 @@ func TestTableRepeatsAveraging(t *testing.T) {
 	if multi[1].Wirelen <= 0 {
 		t.Error("averaged row empty")
 	}
+	// Both tables head the circuit with its one EXT-BST baseline row.
+	if t1[1][0] != single[0] {
+		t.Errorf("clustered baseline %+v differs from intermingled %+v", t1[1][0], single[0])
+	}
 	// Clustered grouping is deterministic: repeats must not change anything.
-	c1, err := Table(Clustered, circuits, []int{3}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c3, err := Table(Clustered, circuits, []int{3}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1[1].Wirelen != c3[1].Wirelen {
+	if c1, c3 := t1[1], t3[1]; c1[1].Wirelen != c3[1].Wirelen {
 		t.Error("clustered rows should be repeat-invariant")
 	}
 }

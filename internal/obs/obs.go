@@ -75,14 +75,16 @@ const (
 	MetricPairingNS     = "pairing_ns"
 	MetricGridRebuildNS = "grid_rebuild_ns"
 	// Dispatch fault-handling counters (internal/dispatch): retries
-	// scheduled after transient failures, hedged straggler duplicates,
-	// panics contained into per-task errors, and planned faults injected
-	// (FaultPlan runs only). Recorded on the dispatching trace, so sharded
-	// runs sum the pilot and shard phases via MetricValue.
-	MetricDispatchRetries = "dispatch_retries"
-	MetricDispatchHedges  = "dispatch_hedges"
-	MetricDispatchPanics  = "dispatch_panics_recovered"
-	MetricDispatchFaults  = "dispatch_faults_injected"
+	// scheduled after transient failures, hedged straggler duplicates and
+	// those of them whose result was kept, panics contained into per-task
+	// errors, and planned faults injected (FaultPlan runs only). Recorded
+	// on the dispatching trace, so sharded runs sum the pilot and shard
+	// phases via MetricValue.
+	MetricDispatchRetries   = "dispatch_retries"
+	MetricDispatchHedges    = "dispatch_hedges"
+	MetricDispatchHedgeWins = "dispatch_hedge_wins"
+	MetricDispatchPanics    = "dispatch_panics_recovered"
+	MetricDispatchFaults    = "dispatch_faults_injected"
 	// Remote-dispatch degradation counters: executions that fell back to
 	// the in-process runner because no healthy worker could take them, and
 	// workers blacklisted after consecutive failures. Zero on all-local

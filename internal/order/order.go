@@ -1,11 +1,12 @@
 // Package order implements the bottom-up merging order for DME-family clock
 // routers: the minimum merging-cost scheme of greedy-DME (Edahiro 1993),
-// optionally with the two enhancements named in the thesis (Ch. V.F):
-//
-//  1. simultaneous multiple mergings per round, which cuts the number of
-//     nearest-neighbor recomputations and hence runtime; and
-//  2. a delay-target-aware priority that merges subtrees with large delays
-//     first, reducing delay-target imbalance and thus wire snaking.
+// with the first of the two enhancements named in the thesis (Ch. V.F),
+// simultaneous multiple mergings per round, as the Multi strategy: it cuts
+// the number of nearest-neighbor recomputations and hence runtime. The
+// second, a delay-target priority that merges subtrees with large delays
+// first, is not implemented: subtracting delays from the merge cost broke
+// the intra-group skew bound by hundreds of nanoseconds on r5, and a key
+// below the pair distance defeats the grid pairer's pruning.
 //
 // The queue works on abstract item indices: the router supplies a distance
 // function (typically geom.DistRR over node regions) and, after each merge,
@@ -108,10 +109,11 @@ type Config struct {
 	Strategy Strategy
 	// Key optionally overrides the pair priority. It receives the two item
 	// indices and their distance and returns the priority (lower merges
-	// first). Nil means priority = distance. Used for the delay-target
-	// enhancement. Batch pairing evaluates Key from concurrent goroutines,
-	// so it must be safe for concurrent calls (pure functions are; closures
-	// that memoize or otherwise mutate shared state are not).
+	// first). Nil means priority = distance. The router supplies its
+	// snaking-aware merge cost: the distance plus the wire a delay
+	// imbalance would snake. Batch pairing evaluates Key from concurrent
+	// goroutines, so it must be safe for concurrent calls (pure functions
+	// are; closures that memoize or otherwise mutate shared state are not).
 	Key func(i, j int, dist float64) float64
 	// Pairer overrides the nearest-partner engine. Nil selects the built-in
 	// all-pairs scan (the exact O(n²)-per-round oracle). Sub-quadratic

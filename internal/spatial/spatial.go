@@ -46,9 +46,8 @@
 // lower bound. Exactness therefore requires the candidate key to dominate
 // the bounding-box distance: true for plain distance (greedy-DME, classic
 // DME) and for the router's snaking-aware merge keys, which only add
-// non-negative elongation excess to the distance. Keys that can drop below
-// the distance (the delay-target bias enhancement) defeat the pruning bound,
-// and the router falls back to the all-pairs oracle for them.
+// non-negative elongation excess to the distance. No router key drops
+// below the distance.
 //
 // Exact key ties break toward the smallest item id. Ties are always visited
 // before pruning cuts in (the ring bound is strict), so the tie-break is

@@ -13,11 +13,12 @@
 // payload yields an error, never a crash — the dispatch layer classifies
 // such errors as transient and re-dispatches.
 //
-// The format is at Version 4. A tree travels as pre-order node records
+// The format is at Version 5. A tree travels as pre-order node records
 // (geometry, delay sets, deferred state) with no snaking-handle records:
 // routers recompute handles from the subtree when they need them. Run stats
 // travel field by field, so any change to core.Stats' fields changes the
-// layout. Version-3 work units and ECO cache files fail the version check.
+// layout, and so does any change to the core.Options fields encodeOptions
+// writes. Version-4 work units and ECO cache files fail the version check.
 //
 // Observation does not travel: Options.Trace and Options.Ctx are
 // deliberately not encoded (a worker build runs untraced; the coordinator
@@ -37,7 +38,7 @@ import (
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 4
+const Version uint16 = 5
 
 // Message magic tags (work unit vs result), so one can never decode as the
 // other.
@@ -248,15 +249,7 @@ func encodeOptions(w *writer, o core.Options) error {
 	w.f64(o.GlobalBound)
 	w.iv(int64(o.Strategy))
 	w.iv(int64(o.Pairer))
-	w.f64(o.DelayTargetBias)
 	w.bool(o.EndpointSplit)
-	w.uv(uint64(len(o.PairConstraints)))
-	for _, pc := range o.PairConstraints {
-		w.iv(int64(pc.I))
-		w.iv(int64(pc.J))
-		w.f64(pc.MinPs)
-		w.f64(pc.MaxPs)
-	}
 	w.bool(o.GroupOffsets != nil)
 	if o.GroupOffsets != nil {
 		w.uv(uint64(len(o.GroupOffsets)))
@@ -290,22 +283,7 @@ func decodeOptions(r *reader) (core.Options, error) {
 	o.GlobalBound = r.f64()
 	o.Strategy = order.Strategy(r.iv())
 	o.Pairer = core.PairerMode(r.iv())
-	o.DelayTargetBias = r.f64()
 	o.EndpointSplit = r.bool()
-	npc := int(r.uv())
-	if r.err != nil {
-		return o, r.err
-	}
-	if npc < 0 || npc > r.remaining()/minEntryBytes {
-		return o, fmt.Errorf("wire: pair-constraint count %d exceeds payload", npc)
-	}
-	for i := 0; i < npc; i++ {
-		pc := core.PairConstraint{I: int(r.iv()), J: int(r.iv()), MinPs: r.f64(), MaxPs: r.f64()}
-		if r.err != nil {
-			return o, r.err
-		}
-		o.PairConstraints = append(o.PairConstraints, pc)
-	}
 	if r.bool() {
 		ng := int(r.uv())
 		if r.err != nil {
@@ -332,7 +310,7 @@ func decodeOptions(r *reader) (core.Options, error) {
 	if o.MergeWorkers < 0 || o.MergeWorkers > 1<<16 {
 		return o, fmt.Errorf("wire: merge workers %d out of range", o.MergeWorkers)
 	}
-	for _, f := range []float64{o.IntraSkewBound, o.InterSkewBound, o.GlobalBound, o.DelayTargetBias} {
+	for _, f := range []float64{o.IntraSkewBound, o.InterSkewBound, o.GlobalBound} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return o, fmt.Errorf("wire: non-finite option value %v", f)
 		}

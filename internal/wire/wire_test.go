@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -52,30 +53,32 @@ func digestTree(t *testing.T, root *ctree.Node, in *ctree.Instance) uint64 {
 }
 
 // TestWorkUnitRoundTrip pins decode(encode(u)) == u for the fields that
-// matter, including float bit patterns. Every options field the codec
-// carries is set to a non-default value, so a field dropped from the codec
-// fails the comparison; a new options field fails the check below until it
-// is either set here or listed as one that does not travel.
+// matter, including float bit patterns. Every options field wireLayout
+// marks encoded is set to a non-default value, so a field dropped from the
+// codec fails the comparison.
 func TestWorkUnitRoundTrip(t *testing.T) {
 	u := buildWork(t, KindBuild)
 	u.Opt = core.Options{
-		Model:           rctree.NewElmore(0.3, 0.05),
-		IntraSkewBound:  2,
-		InterSkewBound:  7.5,
-		SingleGroup:     true,
-		GlobalBound:     3.25,
-		Strategy:        order.Greedy,
-		Pairer:          core.PairerGrid,
-		DelayTargetBias: 0.5,
-		EndpointSplit:   true,
-		PairConstraints: []core.PairConstraint{{I: 0, J: 2, MinPs: -3.5, MaxPs: 7.25}},
-		GroupOffsets:    []float64{0, 1.5, -2, 4},
-		MergeWorkers:    3,
+		Model:          rctree.NewElmore(0.3, 0.05),
+		IntraSkewBound: 2,
+		InterSkewBound: 7.5,
+		SingleGroup:    true,
+		GlobalBound:    3.25,
+		Strategy:       order.Greedy,
+		Pairer:         core.PairerGrid,
+		EndpointSplit:  true,
+		GroupOffsets:   []float64{0, 1.5, -2, 4},
+		MergeWorkers:   3,
 	}
-	untravelled := map[string]bool{"Shards": true, "Pilot": true, "Trace": true, "Ctx": true}
+	local := map[string]bool{}
+	for _, f := range wireLayout.options {
+		if name, ok := strings.CutSuffix(f, " local"); ok {
+			local[name] = true
+		}
+	}
 	ov := reflect.ValueOf(u.Opt)
 	for i := 0; i < ov.NumField(); i++ {
-		if name := ov.Type().Field(i).Name; !untravelled[name] && ov.Field(i).IsZero() {
+		if name := ov.Type().Field(i).Name; !local[name] && ov.Field(i).IsZero() {
 			t.Errorf("options field %s is left at its zero value", name)
 		}
 	}
@@ -187,26 +190,37 @@ func TestDecodeRejectsVersionFlip(t *testing.T) {
 	}
 }
 
-// statsLayout is core.Stats as encodeStats writes it, field by field in
-// declaration order, pinned with the Version that carries it. Stats travel
+// wireLayout pins what Version carries. stats is core.Stats as
+// encodeStats writes it, field by field in declaration order: Stats travel
 // by reflection, so editing a Stats field changes the wire layout without
-// touching the codec.
-var statsLayout = struct {
+// touching the codec. options is core.Options' field list, each field
+// marked encoded (encodeOptions writes it) or local (it stays with the
+// coordinator: a routeworker sees its zero value), so an option added or
+// removed without a wire decision fails the test below.
+var wireLayout = struct {
 	version uint16
-	fields  []string
-}{4, []string{
+	stats   []string
+	options []string
+}{5, []string{
 	"Merges varint", "SameGroup varint", "CrossGroup varint", "Shared varint",
 	"Deferred varint", "GroupUnions varint", "MergeSnakes varint",
 	"SneakEvents varint", "SneakWire f64", "SneakIters varint",
 	"PairScans varint", "GridRebuilds.LiveDrop varint",
 	"GridRebuilds.EdgeClamp varint", "SneakUnresolved varint",
+}, []string{
+	"Model encoded", "IntraSkewBound encoded", "InterSkewBound encoded",
+	"SingleGroup encoded", "GlobalBound encoded", "Strategy encoded",
+	"Pairer encoded", "EndpointSplit encoded", "GroupOffsets encoded",
+	"MergeWorkers encoded", "Shards local", "Pilot local", "Trace local",
+	"Ctx local",
 }}
 
-// TestStatsLayoutPinnedToVersion fails when core.Stats' wire layout and
-// Version move apart: a Stats change without a Version bump, or a bump
-// without re-pinning the layout.
+// TestStatsLayoutPinnedToVersion fails when the wire layout of core.Stats
+// or core.Options and Version move apart: a Stats field or encoded option
+// change without a Version bump, an option whose wire role is not pinned,
+// or a bump without re-pinning both layouts.
 func TestStatsLayoutPinnedToVersion(t *testing.T) {
-	var got []string
+	var stats []string
 	var flatten func(prefix string, typ reflect.Type)
 	flatten = func(prefix string, typ reflect.Type) {
 		for i := 0; i < typ.NumField(); i++ {
@@ -215,20 +229,36 @@ func TestStatsLayoutPinnedToVersion(t *testing.T) {
 			case reflect.Struct:
 				flatten(prefix+f.Name+".", f.Type)
 			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-				got = append(got, prefix+f.Name+" varint")
+				stats = append(stats, prefix+f.Name+" varint")
 			case reflect.Float64:
-				got = append(got, prefix+f.Name+" f64")
+				stats = append(stats, prefix+f.Name+" f64")
 			default:
-				got = append(got, prefix+f.Name+" "+f.Type.Kind().String())
+				stats = append(stats, prefix+f.Name+" "+f.Type.Kind().String())
 			}
 		}
 	}
 	flatten("", reflect.TypeOf(core.Stats{}))
-	if Version != statsLayout.version || !slices.Equal(got, statsLayout.fields) {
-		t.Fatalf("core.Stats travels field by field, so its fields are part of the wire layout:\n"+
-			"  pinned: Version %d, %v\n  now:    Version %d, %v\n"+
-			"a Stats field change needs a Version bump, and the pin moves with both",
-			statsLayout.version, statsLayout.fields, Version, got)
+	role := map[string]string{}
+	for _, f := range wireLayout.options {
+		name, r, _ := strings.Cut(f, " ")
+		role[name] = r
+	}
+	var options []string
+	typ := reflect.TypeOf(core.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		r := role[name]
+		if r == "" {
+			r = "unpinned"
+		}
+		options = append(options, name+" "+r)
+	}
+	if Version != wireLayout.version || !slices.Equal(stats, wireLayout.stats) || !slices.Equal(options, wireLayout.options) {
+		t.Fatalf("core.Stats travels field by field and core.Options by encodeOptions, so their fields are part of the wire layout:\n"+
+			"  pinned: Version %d\n    stats   %v\n    options %v\n"+
+			"  now:    Version %d\n    stats   %v\n    options %v\n"+
+			"a Stats field or encoded option change needs a Version bump; every option is pinned encoded or local, and the pin moves with both",
+			wireLayout.version, wireLayout.stats, wireLayout.options, Version, stats, options)
 	}
 }
 
