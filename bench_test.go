@@ -227,7 +227,7 @@ func TestRouteAllocBudget(t *testing.T) {
 			in = bench.PowerLaw(10000, bench.PowerLawClusters, bench.PowerLawAlpha, 9)
 		}
 		allocs := testing.AllocsPerRun(1, func() {
-			if _, err := core.ZST(in, core.Options{Pairer: core.PairerGrid}); err != nil {
+			if _, err := core.ZST(in, core.Options{}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -242,7 +242,7 @@ func TestRouteAllocBudget(t *testing.T) {
 		// dominant cost of enabling tracing.
 		tracedAllocs := testing.AllocsPerRun(1, func() {
 			tr := obs.NewWithCap("alloc-budget", 64)
-			if _, err := core.ZST(in, core.Options{Pairer: core.PairerGrid, Trace: tr}); err != nil {
+			if _, err := core.ZST(in, core.Options{Trace: tr}); err != nil {
 				t.Fatal(err)
 			}
 			tr.Close()
@@ -254,7 +254,7 @@ func TestRouteAllocBudget(t *testing.T) {
 
 		ctx, cancelRoute := context.WithCancel(context.Background())
 		ctxAllocs := testing.AllocsPerRun(1, func() {
-			if _, err := core.ZST(in, core.Options{Pairer: core.PairerGrid, Ctx: ctx}); err != nil {
+			if _, err := core.ZST(in, core.Options{Ctx: ctx}); err != nil {
 				t.Fatal(err)
 			}
 		})

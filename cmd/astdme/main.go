@@ -200,7 +200,7 @@ func main() {
 			fmt.Printf("cache:            %s (%d bytes)\n", *cachePath, len(blob))
 		}
 	case *algo == "extbst":
-		res, err := shard.BuildDispatch(in, core.Options{SingleGroup: true, GlobalBound: *bound, Shards: *shards, Trace: tr, Ctx: ctx}, dopt)
+		res, err := shard.BuildDispatch(in, core.Options{SingleGroup: true, IntraSkewBound: *bound, Shards: *shards, Trace: tr, Ctx: ctx}, dopt)
 		if err != nil {
 			fatal(buildFailure(err, *timeout))
 		}
@@ -233,6 +233,10 @@ func main() {
 	fmt.Printf("wirelength:       %.0f\n", wirelen)
 	fmt.Printf("global skew:      %.2f ps\n", rep.GlobalSkew)
 	fmt.Printf("max group skew:   %.2f ps\n", rep.MaxGroupSkew)
+	if sharded != nil && sharded.OverBound() {
+		fmt.Printf("over bound:       router reads %.2f ps of group skew against the %.2f ps bound\n",
+			sharded.MaxGroupSkew, sharded.Options.IntraSkewBound)
+	}
 	fmt.Printf("delay range:      %.1f .. %.1f ps\n", rep.MinDelay, rep.MaxDelay)
 	if sharded != nil && len(sharded.Shards) > 0 {
 		fmt.Printf("shards:           %d (stitch wire %.0f)\n", len(sharded.Shards), sharded.StitchWire)

@@ -3,7 +3,8 @@
 // comparing AST-DME against the EXT-BST baseline on the r1–r5 circuits. It
 // prints our measured numbers side by side with the thesis's reported ones
 // (internal/paperdata), with per-row deltas, plus the measured worst
-// intra-group skew, which the thesis does not report.
+// intra-group skew, which the thesis does not report. A grp skew marked *
+// comes from a row where the router reported a build over its bound.
 //
 // Usage:
 //
@@ -71,11 +72,15 @@ func main() {
 				continue
 			}
 			dWire := 100 * (r.Wirelen - pr.Wirelen) / pr.Wirelen
-			fmt.Printf("%-4s %3d %-8s | %12.0f %7.2f%% %6.0f | %12.0f %7.2f%% %6.0f %9.1f | %+7.2f%%\n",
+			mark := " "
+			if r.OverBound {
+				mark = "*"
+			}
+			fmt.Printf("%-4s %3d %-8s | %12.0f %7.2f%% %6.0f | %12.0f %7.2f%% %6.0f %8.1f%s | %+7.2f%%\n",
 				r.Circuit, r.Groups, r.Algorithm,
 				pr.Wirelen, pr.ReductionPct, pr.MaxSkewPs,
-				r.Wirelen, r.ReductionPct, r.MaxSkewPs, r.MaxGroupSkewPs, dWire)
+				r.Wirelen, r.ReductionPct, r.MaxSkewPs, r.MaxGroupSkewPs, mark, dWire)
 		}
-		fmt.Println()
+		fmt.Print("* the router reported a build over its skew bound\n\n")
 	}
 }

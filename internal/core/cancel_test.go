@@ -43,7 +43,7 @@ func TestBuildCancellationMidBuild(t *testing.T) {
 	done := make(chan error, 1)
 	start := time.Now()
 	go func() {
-		_, err := Build(in, Options{SingleGroup: true, Pairer: PairerGrid, Ctx: ctx})
+		_, err := Build(in, Options{SingleGroup: true, Ctx: ctx})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -69,7 +69,7 @@ func TestBuildDeadlineExceeded(t *testing.T) {
 	in := bench.Small(10_000, 9)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	_, err := Build(in, Options{SingleGroup: true, Pairer: PairerGrid, Ctx: ctx})
+	_, err := Build(in, Options{SingleGroup: true, Ctx: ctx})
 	if err == nil {
 		t.Skip("10k route beat a 5ms deadline; machine too fast for this guard")
 	}

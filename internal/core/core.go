@@ -81,10 +81,9 @@ const (
 	// PairerAuto (the default) uses the spatial grid pairer from
 	// GridPairerThreshold items up, and the all-pairs oracle below.
 	PairerAuto PairerMode = iota
-	// PairerScan forces the all-pairs O(n²) oracle.
+	// PairerScan forces the all-pairs O(n²) oracle, against which the
+	// grid differentials pin PairerAuto.
 	PairerScan
-	// PairerGrid forces the spatial grid pairer.
-	PairerGrid
 )
 
 // GridPairerThreshold is the item count (sinks, or roots for a stitch) at
@@ -98,12 +97,15 @@ const (
 const GridPairerThreshold = 64
 
 // Options configures a routing run. The zero value routes associative-skew
-// with zero intra-group bound under the default Elmore parameters.
+// with zero intra-group bound under the default Elmore parameters. The
+// merge wave runs each round's batch on GOMAXPROCS workers (see
+// builder.runBatch); every GOMAXPROCS routes the same tree.
 type Options struct {
 	// Model is the delay model; nil selects DefaultModel().
 	Model rctree.Model
-	// IntraSkewBound is the skew bound (ps) enforced within each group.
-	// The thesis's formulation uses 0 (exact zero intra-group skew).
+	// IntraSkewBound is the skew bound (ps) enforced within each group, or
+	// over all sinks in SingleGroup mode. The thesis's formulation uses 0
+	// (exact zero intra-group skew).
 	IntraSkewBound float64
 	// InterSkewBound is the extra window (ps) within which committed
 	// inter-group offsets (the thesis's by-product skews S_{i,j}) may float
@@ -118,20 +120,17 @@ type Options struct {
 	// SingleGroup mode.
 	InterSkewBound float64
 	// SingleGroup ignores sink groups: all sinks form one group bounded by
-	// GlobalBound. SingleGroup+GlobalBound=0 is greedy-DME (ZST);
-	// SingleGroup+GlobalBound=10 is the thesis's EXT-BST baseline.
+	// IntraSkewBound. SingleGroup at bound 0 is greedy-DME (ZST); at 10 ps
+	// it is the thesis's EXT-BST baseline.
 	SingleGroup bool
-	// GlobalBound is the skew bound (ps) used in SingleGroup mode.
-	GlobalBound float64
 	// Strategy is the merging order's pairing strategy (see package order).
 	Strategy order.Strategy
 	// Pairer selects the nearest-neighbor engine of the merging order:
-	// PairerAuto (the grid from GridPairerThreshold items up), PairerScan
-	// (the all-pairs oracle), or PairerGrid (force the spatial grid). The
-	// merge key never drops below the pair distance, so the grid's pruning
-	// is exact (see internal/spatial), and the engines are differentially
-	// pinned to route identical trees: the choice moves pairing time and
-	// Stats.PairScans/GridRebuilds only.
+	// PairerAuto (the grid from GridPairerThreshold items up) or PairerScan
+	// (the all-pairs oracle). The merge key never drops below the pair
+	// distance, so the grid's pruning is exact (see internal/spatial), and
+	// the engines are differentially pinned to route identical trees: the
+	// choice moves pairing time and Stats.PairScans/GridRebuilds only.
 	Pairer PairerMode
 	// EndpointSplit disables split deferral at unconstrained merges and
 	// commits the e=0 endpoint instead (ablation knob: quantifies the value
@@ -149,15 +148,6 @@ type Options struct {
 	// window wide. Nil lets the router commit offsets implicitly as merging
 	// proceeds (the thesis's default).
 	GroupOffsets []float64
-	// MergeWorkers is the number of goroutines executing the merge bodies of
-	// each round's disjoint batch (window intersection, joint resolution,
-	// delay evaluation, node construction), in [0, 1<<16]. 0 (the
-	// default) selects GOMAXPROCS; 1 forces fully serial execution. Any
-	// setting produces bitwise-identical trees: a batch runs in parallel only
-	// once every group of the build shares one union root, when no merge can
-	// change the group-offset registry, and results are committed serially
-	// in batch order (see builder.runBatch).
-	MergeWorkers int
 	// Shards, when ≥ 1, requests the spatially sharded build: the instance
 	// is cut into Shards sub-instances routed concurrently and stitched
 	// skew-aware at the top (see internal/shard). The sharded pipeline lives
@@ -284,10 +274,24 @@ type Result struct {
 	SourceWire float64
 	// Wirelength is the total committed wirelength including SourceWire.
 	Wirelength float64
+	// MaxGroupSkew is the largest delay spread (ps) within one routed group,
+	// read from the root's delay set: the quantity Options.IntraSkewBound
+	// bounds. In SingleGroup mode it is the spread over all sinks.
+	MaxGroupSkew float64
 	// Options echoes the configuration used.
 	Options Options
 	// Stats describes the run.
 	Stats Stats
+}
+
+// skewNoisePs is the float noise a skew bound tolerates, in ps: far below
+// any skew a routing decision can leave (hundredths of a ps and up).
+const skewNoisePs = 1e-3
+
+// OverBound reports whether the routed tree breaks its skew bound by more
+// than float noise.
+func (r *Result) OverBound() bool {
+	return r.MaxGroupSkew > r.Options.IntraSkewBound+skewNoisePs
 }
 
 // normalizeOptions applies defaults and validates the options against the
@@ -305,7 +309,6 @@ func normalizeOptions(in *ctree.Instance, opt *Options) error {
 	}{
 		{"IntraSkewBound", opt.IntraSkewBound, true},
 		{"InterSkewBound", opt.InterSkewBound, false}, // < 0 removes the leash
-		{"GlobalBound", opt.GlobalBound, true},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("core: %s = %v is not finite", f.name, f.v)
@@ -316,9 +319,6 @@ func normalizeOptions(in *ctree.Instance, opt *Options) error {
 	}
 	if opt.Shards < 0 {
 		return fmt.Errorf("core: Shards = %d is negative", opt.Shards)
-	}
-	if opt.MergeWorkers < 0 || opt.MergeWorkers > 1<<16 { // the wire format's bound
-		return fmt.Errorf("core: MergeWorkers = %d is outside [0, %d]", opt.MergeWorkers, 1<<16)
 	}
 	if opt.Pilot {
 		if opt.SingleGroup {
@@ -385,11 +385,12 @@ func Build(in *ctree.Instance, opt Options) (*Result, error) {
 	b.stats.GroupUnions += reg.preUnions
 
 	res := &Result{
-		Instance:   in,
-		Root:       b.root,
-		SourceWire: geom.DistRP(b.root.Region, geom.ToUV(in.Source)),
-		Options:    opt,
-		Stats:      b.stats,
+		Instance:     in,
+		Root:         b.root,
+		SourceWire:   geom.DistRP(b.root.Region, geom.ToUV(in.Source)),
+		MaxGroupSkew: b.root.Delay.MaxWidth(),
+		Options:      opt,
+		Stats:        b.stats,
 	}
 	res.Wirelength = b.root.Wirelength() + res.SourceWire
 	emb := opt.Trace.Begin("embed")
@@ -486,7 +487,7 @@ func doneOf(ctx context.Context) <-chan struct{} {
 // ZST routes ignoring groups with exact zero global skew (greedy-DME).
 func ZST(in *ctree.Instance, opt Options) (*Result, error) {
 	opt.SingleGroup = true
-	opt.GlobalBound = 0
+	opt.IntraSkewBound = 0
 	return Build(in, opt)
 }
 
@@ -495,7 +496,7 @@ func ZST(in *ctree.Instance, opt Options) (*Result, error) {
 // run the EXT-BST algorithm").
 func EXTBST(in *ctree.Instance, boundPs float64, opt Options) (*Result, error) {
 	opt.SingleGroup = true
-	opt.GlobalBound = boundPs
+	opt.IntraSkewBound = boundPs
 	return Build(in, opt)
 }
 

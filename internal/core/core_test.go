@@ -463,9 +463,9 @@ func TestPilotOptionRejections(t *testing.T) {
 
 // TestOptionValueValidation pins normalizeOptions' value checks on every
 // entry point that runs it (Build, BuildSubtree, MergeRoots): a non-finite
-// bound or prescribed offset, a negative skew bound and a MergeWorkers
-// outside the wire format's [0, 1<<16] are rejected, while InterSkewBound < 0
-// (the leash off) still routes.
+// bound or prescribed offset and a negative skew bound are rejected, in
+// SingleGroup mode too, while InterSkewBound < 0 (the leash off) still
+// routes.
 func TestOptionValueValidation(t *testing.T) {
 	in := bench.Intermingled(bench.Small(30, 2), 3, 2)
 	nan, inf := math.NaN(), math.Inf(1)
@@ -508,14 +508,11 @@ func TestOptionValueValidation(t *testing.T) {
 		{"negative IntraSkewBound", Options{IntraSkewBound: -5}, false},
 		{"NaN InterSkewBound", Options{InterSkewBound: nan}, false},
 		{"-Inf InterSkewBound", Options{InterSkewBound: -inf}, false},
-		{"NaN GlobalBound", Options{SingleGroup: true, GlobalBound: nan}, false},
-		{"negative GlobalBound", Options{SingleGroup: true, GlobalBound: -1}, false},
+		{"NaN SingleGroup IntraSkewBound", Options{SingleGroup: true, IntraSkewBound: nan}, false},
+		{"negative SingleGroup IntraSkewBound", Options{SingleGroup: true, IntraSkewBound: -1}, false},
 		{"+Inf group offset", Options{GroupOffsets: []float64{0, inf, 5}}, false},
 		{"NaN group offset", Options{GroupOffsets: []float64{0, 1, nan}}, false},
 		{"leash off", Options{InterSkewBound: -1}, true},
-		{"negative MergeWorkers", Options{MergeWorkers: -1}, false},
-		{"MergeWorkers over 1<<16", Options{MergeWorkers: 1<<16 + 1}, false},
-		{"MergeWorkers 1<<16", Options{MergeWorkers: 1 << 16}, true},
 	} {
 		for _, e := range entries {
 			err := e.run(tc.opt)
@@ -548,4 +545,31 @@ func TestRegistrySnapshotRejectsNonFinite(t *testing.T) {
 			t.Errorf("snapshot with offset %v accepted", v)
 		}
 	}
+}
+
+// TestResultMaxGroupSkewMatchesEval pins Result.MaxGroupSkew, read from the
+// root's delay set, to eval's independent measurement within 1e-9
+// relative: the worst group of r1–r5 intermingled at k = 4 and 10 under the
+// paper's 10 ps bound, and the spread over all sinks of a SingleGroup
+// (EXT-BST) build of a grouped instance. OverBound must agree with eval.
+func TestResultMaxGroupSkewMatchesEval(t *testing.T) {
+	check := func(label string, res *Result, want float64) {
+		t.Helper()
+		if d := math.Abs(res.MaxGroupSkew - want); d > 1e-9*want {
+			t.Errorf("%s: MaxGroupSkew %v ps, eval %v ps (|Δ| %.3g)", label, res.MaxGroupSkew, want, d)
+		}
+		if over := want > res.Options.IntraSkewBound+skewNoisePs; res.OverBound() != over {
+			t.Errorf("%s: OverBound %v at %v ps against bound %v ps", label, res.OverBound(), want, res.Options.IntraSkewBound)
+		}
+	}
+	for ci := range bench.Suite() {
+		for _, k := range []int{4, 10} {
+			in := paperInput(ci, k)
+			res, rep := route(t, in, Options{IntraSkewBound: 10})
+			check(in.Name, res, rep.MaxGroupSkew)
+		}
+	}
+	in := paperR2K8()
+	res, rep := route(t, in, Options{SingleGroup: true, IntraSkewBound: 10})
+	check("SingleGroup "+in.Name, res, rep.GlobalSkew)
 }

@@ -44,7 +44,8 @@ func paperR2K8() *ctree.Instance { return paperInput(1, 8) }
 // replaced: the wirelength bits and the per-sink delay digest below were
 // recorded from the last map-based build (commit 45acbe1) on these exact
 // instances, across both merging strategies, ZST and grouped AST-DME,
-// at 1 and 4 merge workers. The flat build must reproduce every one of them
+// at 1 and 4 merge workers (the workers column sets GOMAXPROCS, the merge
+// wave's worker count). The flat build must reproduce every one of them
 // exactly — the representation change is not allowed to move a single bit
 // of any routed tree. Those grouped rows route at B = 0; the paper rows
 // route Table II's r2 at k = 8 under the paper's 10 ps bound, with the
@@ -67,7 +68,7 @@ func TestFlatDelayMatchesMapBaseline(t *testing.T) {
 	golden := []struct {
 		inst      string
 		strategy  order.Strategy
-		workers   int
+		workers   int     // GOMAXPROCS
 		interW    float64 // InterSkewBound of the B = 10 rows
 		wireBits  uint64
 		delayHash uint64
@@ -93,20 +94,14 @@ func TestFlatDelayMatchesMapBaseline(t *testing.T) {
 	for _, tc := range golden {
 		label := fmt.Sprintf("%s/strategy=%v/workers=%d/W=%v", tc.inst, tc.strategy, tc.workers, tc.interW)
 		in := insts[tc.inst]
-		var res *Result
-		var err error
+		opt := Options{IntraSkewBound: 10, InterSkewBound: tc.interW, Strategy: tc.strategy}
 		switch tc.inst {
 		case "zst":
-			res, err = ZST(in, Options{MergeWorkers: tc.workers, Strategy: tc.strategy})
+			opt = Options{SingleGroup: true, Strategy: tc.strategy}
 		case "grouped":
-			res, err = Build(in, Options{IntraSkewBound: 0, MergeWorkers: tc.workers, Strategy: tc.strategy})
-		default:
-			res, err = Build(in, Options{IntraSkewBound: 10, InterSkewBound: tc.interW, MergeWorkers: tc.workers,
-				Strategy: tc.strategy})
+			opt = Options{IntraSkewBound: 0, Strategy: tc.strategy}
 		}
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
+		res := buildAt(t, tc.workers, in, opt)
 		if bits := math.Float64bits(res.Wirelength); bits != tc.wireBits {
 			t.Errorf("%s: wirelength bits 0x%016x (%v), want 0x%016x (%v)",
 				label, bits, res.Wirelength, tc.wireBits, math.Float64frombits(tc.wireBits))

@@ -8,14 +8,6 @@ import (
 	"repro/internal/rctree"
 )
 
-// boundOf returns the intra-group skew bound used for routing.
-func (b *builder) boundOf() float64 {
-	if b.opt.SingleGroup {
-		return b.opt.GlobalBound
-	}
-	return b.opt.IntraSkewBound
-}
-
 // interBound returns the inter-group spread window, +Inf when disabled.
 // In SingleGroup mode the single group's bound already covers everything.
 func (b *builder) interBound() float64 {
@@ -56,7 +48,7 @@ type constraint struct {
 func (b *builder) forConstraints(da, db rctree.DelaySet, va, vb []rctree.Interval,
 	f func(c constraint, ia, ib rctree.Interval, bound float64)) {
 	p := &b.plan
-	bd := b.boundOf()
+	bd := b.opt.IntraSkewBound
 	for _, s := range p.raw {
 		f(constraint{raw: true, id: s.id}, da.Ivs[s.a], db.Ivs[s.b], bd)
 	}
@@ -95,16 +87,16 @@ func (b *builder) overallOf(n *ctree.Node) rctree.Interval {
 func (b *builder) mergeKey(i, j int, d float64) float64 {
 	// In exact zero-skew single-group mode no region is ever fat, chaining
 	// cannot occur, and the classic distance order is empirically better.
-	if b.opt.SingleGroup && b.opt.GlobalBound == 0 {
+	if b.opt.SingleGroup && b.opt.IntraSkewBound == 0 {
 		return d
 	}
 	na, nb := b.nodes[i], b.nodes[j]
 	var bound float64
 	switch {
 	case ctree.SharesGroup(na.Groups, nb.Groups):
-		bound = b.boundOf()
+		bound = b.opt.IntraSkewBound
 	case b.relatedRoots(na, nb):
-		bound = b.boundOf() + b.interBound()
+		bound = b.opt.IntraSkewBound + b.interBound()
 	default:
 		return d
 	}

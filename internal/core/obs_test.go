@@ -11,22 +11,14 @@ import (
 // traced build (serial and parallel) reproduces the untraced build exactly.
 func TestTracedBuildBitwiseIdentical(t *testing.T) {
 	in := bench.Intermingled(bench.Small(400, 3), 4, 11)
-	for _, workers := range []int{1, 4} {
-		opt := Options{IntraSkewBound: 0, MergeWorkers: workers}
-		plain, err := Build(in, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt.Trace = obs.New("test")
-		traced, err := Build(in, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, procs := range []int{1, 4} {
+		plain := buildAt(t, procs, in, Options{IntraSkewBound: 0})
+		traced := buildAt(t, procs, in, Options{IntraSkewBound: 0, Trace: obs.New("test")})
 		if traced.Wirelength != plain.Wirelength {
-			t.Fatalf("workers=%d: traced wirelength %v != untraced %v", workers, traced.Wirelength, plain.Wirelength)
+			t.Fatalf("GOMAXPROCS=%d: traced wirelength %v != untraced %v", procs, traced.Wirelength, plain.Wirelength)
 		}
 		if traced.Stats != plain.Stats {
-			t.Fatalf("workers=%d: traced stats %+v != untraced %+v", workers, traced.Stats, plain.Stats)
+			t.Fatalf("GOMAXPROCS=%d: traced stats %+v != untraced %+v", procs, traced.Stats, plain.Stats)
 		}
 		sameTree(t, "traced@", plain.Root, traced.Root)
 	}
@@ -38,10 +30,7 @@ func TestTracedBuildBitwiseIdentical(t *testing.T) {
 func TestTracedBuildRecordsPhasesAndMetrics(t *testing.T) {
 	in := bench.Intermingled(bench.Small(600, 5), 4, 13)
 	tr := obs.New("test")
-	res, err := Build(in, Options{MergeWorkers: 4, Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := buildAt(t, 4, in, Options{Trace: tr})
 	tr.Close()
 
 	s := tr.Summary()
@@ -70,10 +59,10 @@ func TestTracedBuildRecordsPhasesAndMetrics(t *testing.T) {
 		t.Fatal("pairing_ns not recorded")
 	}
 
-	// Merge-wave accounting (MergeWorkers=4 with 600 sinks guarantees
+	// Merge-wave accounting (GOMAXPROCS 4 with 600 sinks guarantees
 	// batches above minParallelBatch).
 	if s.MergeWave == nil {
-		t.Fatal("merge-wave summary missing on a MergeWorkers=4 build")
+		t.Fatal("merge-wave summary missing on a GOMAXPROCS 4 build")
 	}
 	if s.MergeWave.Rounds < 1 || s.MergeWave.BatchMax < minParallelBatch {
 		t.Fatalf("wave summary implausible: %+v", s.MergeWave)

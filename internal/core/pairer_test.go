@@ -20,10 +20,10 @@ func statsEqualModuloScans(a, b Stats) bool {
 	return a == b
 }
 
-// TestGridPairerDifferentialZST: forcing the spatial grid pairer must
-// reproduce the all-pairs oracle's zero-skew tree exactly — same wirelength
-// bit for bit, same merge statistics — on a seeded (tie-free) instance, for
-// both merging strategies.
+// TestGridPairerDifferentialZST: PairerAuto, which pairs on the spatial grid
+// at this size, must reproduce the all-pairs oracle's zero-skew tree exactly
+// — same wirelength bit for bit, same merge statistics — on a seeded
+// (tie-free) instance, for both merging strategies.
 func TestGridPairerDifferentialZST(t *testing.T) {
 	in := bench.Small(700, 21)
 	for _, st := range []order.Strategy{order.Multi, order.Greedy} {
@@ -34,7 +34,7 @@ func TestGridPairerDifferentialZST(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		grid, err := ZST(in, opts(PairerGrid))
+		grid, err := ZST(in, opts(PairerAuto))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,8 +61,9 @@ func TestGridPairerDifferentialZST(t *testing.T) {
 
 // TestGridPairerDifferentialAST extends the differential to full AST-DME
 // with sink groups: the snaking-aware merge key still dominates the
-// distance, so the grid must remain exact — at B = 0, and on a Table II
-// input at the paper's 10 ps bound with the offset leash at W = 0 and 20.
+// distance, so PairerAuto's grid must remain exact — at B = 0, and on a
+// Table II input at the paper's 10 ps bound with the offset leash at W = 0
+// and 20 — while scanning fewer pairs than the oracle.
 func TestGridPairerDifferentialAST(t *testing.T) {
 	base := bench.Small(400, 33)
 	paper := paperR2K8()
@@ -87,7 +88,7 @@ func TestGridPairerDifferentialAST(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			grid, err := Build(tc.in, opts(PairerGrid))
+			grid, err := Build(tc.in, opts(PairerAuto))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,12 +99,16 @@ func TestGridPairerDifferentialAST(t *testing.T) {
 			if !statsEqualModuloScans(scan.Stats, grid.Stats) {
 				t.Errorf("%s/%v: stats differ:\n scan: %v\n grid: %v", tc.name, st, scan.Stats, grid.Stats)
 			}
+			if grid.Stats.PairScans >= scan.Stats.PairScans {
+				t.Errorf("%s/%v: grid scans %d not below oracle scans %d",
+					tc.name, st, grid.Stats.PairScans, scan.Stats.PairScans)
+			}
 		}
 	}
 }
 
 // TestPairerAutoSelection: auto mode must keep the oracle below the
-// 64-item floor, and the forced modes must win at any size.
+// 64-item floor, and PairerScan must win at any size.
 func TestPairerAutoSelection(t *testing.T) {
 	b := &builder{opt: Options{}}
 	if b.useGridPairer(64) != true {
@@ -111,10 +116,6 @@ func TestPairerAutoSelection(t *testing.T) {
 	}
 	if b.useGridPairer(63) != false {
 		t.Error("auto below 64 items: want scan")
-	}
-	b = &builder{opt: Options{Pairer: PairerGrid}}
-	if b.useGridPairer(10) != true {
-		t.Error("forced grid: want grid")
 	}
 	b = &builder{opt: Options{Pairer: PairerScan}}
 	if b.useGridPairer(1<<20) != false {

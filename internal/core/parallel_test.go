@@ -45,13 +45,24 @@ func sameTree(t *testing.T, label string, a, b *ctree.Node) {
 	sameTree(t, label+"R", a.Right, b.Right)
 }
 
-// statsEqualModuloSneakWire compares stats exactly except SneakWire, whose
-// serial accumulation order differs from the committed per-merge deltas by
-// float rounding only.
-func statsEqualModuloSneakWire(a, b Stats) bool {
-	wa, wb := a.SneakWire, b.SneakWire
-	a.SneakWire, b.SneakWire = 0, 0
-	return a == b && math.Abs(wa-wb) <= 1e-6*(1+math.Abs(wa))
+// withGOMAXPROCS runs f at GOMAXPROCS n, restoring the previous setting
+// after. The merge wave runs on GOMAXPROCS workers, so n = 1 is its serial
+// oracle.
+func withGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// buildAt routes in under opt at GOMAXPROCS procs.
+func buildAt(t *testing.T, procs int, in *ctree.Instance, opt Options) *Result {
+	t.Helper()
+	var res *Result
+	var err error
+	withGOMAXPROCS(procs, func() { res, err = Build(in, opt) })
+	if err != nil {
+		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+	}
+	return res
 }
 
 // TestParallelMergeDifferential: executing the merge bodies across workers
@@ -64,38 +75,27 @@ func TestParallelMergeDifferential(t *testing.T) {
 	clustered := bench.Clustered(bench.Small(400, 33), 6)
 	cases := []struct {
 		name string
-		run  func(workers int, st order.Strategy) (*Result, error)
+		in   *ctree.Instance
+		opt  Options
 	}{
-		{"zst/grid", func(w int, st order.Strategy) (*Result, error) {
-			return ZST(zst, Options{Pairer: PairerGrid, MergeWorkers: w, Strategy: st})
-		}},
-		{"zst/scan", func(w int, st order.Strategy) (*Result, error) {
-			return ZST(zst, Options{Pairer: PairerScan, MergeWorkers: w, Strategy: st})
-		}},
-		{"ast-intermingled", func(w int, st order.Strategy) (*Result, error) {
-			return Build(grouped, Options{IntraSkewBound: 0, MergeWorkers: w, Strategy: st})
-		}},
-		{"ast-clustered", func(w int, st order.Strategy) (*Result, error) {
-			return Build(clustered, Options{IntraSkewBound: 0, MergeWorkers: w, Strategy: st})
-		}},
+		{"zst/grid", zst, Options{SingleGroup: true}},
+		{"zst/scan", zst, Options{SingleGroup: true, Pairer: PairerScan}},
+		{"ast-intermingled", grouped, Options{IntraSkewBound: 0}},
+		{"ast-clustered", clustered, Options{IntraSkewBound: 0}},
 	}
 	strategies := []order.Strategy{order.Multi, order.Greedy}
 	for _, tc := range cases {
 		for _, st := range strategies {
-			serial, err := tc.run(1, st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 4, runtime.NumCPU() + 1} {
-				label := fmt.Sprintf("%s/strategy=%v/workers=%d", tc.name, st, workers)
-				par, err := tc.run(workers, st)
-				if err != nil {
-					t.Fatal(err)
-				}
+			opt := tc.opt
+			opt.Strategy = st
+			serial := buildAt(t, 1, tc.in, opt)
+			for _, procs := range []int{2, 4, runtime.NumCPU() + 1} {
+				label := fmt.Sprintf("%s/strategy=%v/GOMAXPROCS=%d", tc.name, st, procs)
+				par := buildAt(t, procs, tc.in, opt)
 				if par.Wirelength != serial.Wirelength {
 					t.Errorf("%s: wirelength %v != serial %v", label, par.Wirelength, serial.Wirelength)
 				}
-				if !statsEqualModuloSneakWire(par.Stats, serial.Stats) {
+				if par.Stats != serial.Stats {
 					t.Errorf("%s: stats differ:\n par:    %v\n serial: %v", label, par.Stats, serial.Stats)
 				}
 				sameTree(t, label+"@", serial.Root, par.Root)
@@ -104,51 +104,70 @@ func TestParallelMergeDifferential(t *testing.T) {
 	}
 }
 
-// TestParallelMergeAcrossGOMAXPROCS pins the default configuration
-// (MergeWorkers 0 ⇒ GOMAXPROCS) to the serial build at several GOMAXPROCS
-// settings, covering the acceptance matrix {1, 4, NumCPU}.
+// TestParallelMergeAcrossGOMAXPROCS pins the default configuration to the
+// serial build at several GOMAXPROCS settings, covering the acceptance
+// matrix {1, 4, NumCPU}.
 func TestParallelMergeAcrossGOMAXPROCS(t *testing.T) {
 	in := bench.Intermingled(bench.Small(500, 7), 5, 11)
-	serial, err := Build(in, Options{IntraSkewBound: 0, MergeWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(old)
+	serial := buildAt(t, 1, in, Options{IntraSkewBound: 0})
 	for _, procs := range []int{1, 4, runtime.NumCPU()} {
-		runtime.GOMAXPROCS(procs)
-		res, err := Build(in, Options{IntraSkewBound: 0})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := buildAt(t, procs, in, Options{IntraSkewBound: 0})
 		label := fmt.Sprintf("GOMAXPROCS=%d", procs)
 		if res.Wirelength != serial.Wirelength {
 			t.Errorf("%s: wirelength %v != serial %v", label, res.Wirelength, serial.Wirelength)
 		}
-		if !statsEqualModuloSneakWire(res.Stats, serial.Stats) {
+		if res.Stats != serial.Stats {
 			t.Errorf("%s: stats differ:\n got:    %v\n serial: %v", label, res.Stats, serial.Stats)
 		}
 		sameTree(t, label+"@", serial.Root, res.Root)
 	}
 }
 
-// TestMergeWorkersWithGroupOffsets covers the prescribed-offset mode, whose
+// TestParallelMergeWithGroupOffsets covers the prescribed-offset mode, whose
 // pre-unioned registry must let every batch wave in parallel.
-func TestMergeWorkersWithGroupOffsets(t *testing.T) {
+func TestParallelMergeWithGroupOffsets(t *testing.T) {
 	in := bench.Intermingled(bench.Small(300, 3), 3, 17)
-	offsets := []float64{0, 120, -80}
-	serial, err := Build(in, Options{IntraSkewBound: 0, GroupOffsets: offsets, MergeWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Build(in, Options{IntraSkewBound: 0, GroupOffsets: offsets, MergeWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := Options{IntraSkewBound: 0, GroupOffsets: []float64{0, 120, -80}}
+	serial := buildAt(t, 1, in, opt)
+	par := buildAt(t, 4, in, opt)
 	if par.Wirelength != serial.Wirelength {
 		t.Errorf("wirelength %v != serial %v", par.Wirelength, serial.Wirelength)
 	}
+	if par.Stats != serial.Stats {
+		t.Errorf("stats differ:\n par:    %v\n serial: %v", par.Stats, serial.Stats)
+	}
 	sameTree(t, "offsets@", serial.Root, par.Root)
+}
+
+// TestSneakWireBitwiseAcrossGOMAXPROCS pins Stats.SneakWire bitwise between
+// the serial and the parallel merge wave on Table II inputs whose sneaks
+// land in waved batches: r2 and r3 intermingled under the grouping seeds
+// experiments.Tables draws, at the paper's 10 ps bound. Adding each sneak's
+// wire straight into the run's sum instead of one delta per merge rounds
+// differently on every one of these rows, with bitwise-equal trees.
+func TestSneakWireBitwiseAcrossGOMAXPROCS(t *testing.T) {
+	for _, tc := range []struct {
+		circuit, k int
+		seed       int64
+	}{
+		{1, 4, 1008923},
+		{1, 6, 1001006},
+		{2, 4, 1009923},
+	} {
+		in := bench.Intermingled(bench.Generate(bench.Suite()[tc.circuit]), tc.k, tc.seed)
+		opt := Options{IntraSkewBound: 10}
+		serial := buildAt(t, 1, in, opt)
+		par := buildAt(t, 2, in, opt)
+		label := fmt.Sprintf("%s/k=%d/seed=%d", in.Name, tc.k, tc.seed)
+		if serial.Stats.SneakEvents == 0 {
+			t.Fatalf("%s: no sneak to sum", label)
+		}
+		if par.Stats != serial.Stats {
+			t.Errorf("%s: stats differ:\n GOMAXPROCS=2: %v (SneakWire %x)\n GOMAXPROCS=1: %v (SneakWire %x)", label,
+				par.Stats, math.Float64bits(par.Stats.SneakWire), serial.Stats, math.Float64bits(serial.Stats.SneakWire))
+		}
+		sameTree(t, label+"@", serial.Root, par.Root)
+	}
 }
 
 // TestWaveGateReadsBuildGroups pins that the merge wave's gate reads the
@@ -163,12 +182,13 @@ func TestWaveGateReadsBuildGroups(t *testing.T) {
 			ids = append(ids, s.ID)
 		}
 	}
-	run := func(workers int, tr *obs.Trace) *Subtree {
+	run := func(procs int, tr *obs.Trace) *Subtree {
 		reg, err := NewRegistry(in, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := BuildSubtree(in, ids, Options{MergeWorkers: workers, Trace: tr}, reg)
+		var sub *Subtree
+		withGOMAXPROCS(procs, func() { sub, err = BuildSubtree(in, ids, Options{Trace: tr}, reg) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +201,7 @@ func TestWaveGateReadsBuildGroups(t *testing.T) {
 	if w := tr.Summary().MergeWave; w == nil || w.Rounds < 1 {
 		t.Fatalf("no wave round on a sub-build whose own groups unite: %+v", w)
 	}
-	if !statsEqualModuloSneakWire(par.Stats, serial.Stats) {
+	if par.Stats != serial.Stats {
 		t.Errorf("stats differ:\n par:    %v\n serial: %v", par.Stats, serial.Stats)
 	}
 	sameTree(t, "subset@", serial.Root, par.Root)

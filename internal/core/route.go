@@ -271,15 +271,8 @@ func (b *builder) finishRoot() {
 	b.resolve(b.root, geom.DistRP(b.root.Left.Region, q))
 }
 
-// useGridPairer decides whether PairerAuto (or a forced mode) selects the
-// spatial grid engine for this run.
+// useGridPairer decides whether this run pairs on the spatial grid:
+// PairerAuto from GridPairerThreshold items up, PairerScan never.
 func (b *builder) useGridPairer(n int) bool {
-	switch b.opt.Pairer {
-	case PairerGrid:
-		return true
-	case PairerScan:
-		return false
-	default:
-		return n >= GridPairerThreshold
-	}
+	return b.opt.Pairer == PairerAuto && n >= GridPairerThreshold
 }

@@ -15,10 +15,10 @@ const minParallelBatch = 8
 
 // runBatch executes one round's disjoint merge batch and registers the
 // results with the queue in batch order. A batch fans its merge bodies out
-// across workers only when every group of this build already shares one
-// union root (united); small batches, MergeWorkers=1 and every batch before
-// that point run serially. The parallel form is bitwise-identical to the
-// serial one:
+// across GOMAXPROCS workers only when every group of this build already
+// shares one union root (united); small batches, GOMAXPROCS 1 and every
+// batch before that point run serially. The parallel form is
+// bitwise-identical to the serial one, stats included:
 //
 //   - The pairs of a batch share no subtree, so merge bodies only interact
 //     through the group-offset registry (builder.uf).
@@ -27,21 +27,24 @@ const minParallelBatch = 8
 //     merge of the build can change the registry, so workers only read it.
 //   - Results commit in batch order: node ids, stat sums, queue
 //     registration and spatial re-indexing all happen serially here.
+//   - Both forms sum each merge's stats into a zeroed delta and add the
+//     delta to the run's stats, so float sums (SneakWire) round alike.
 //
 // Single-group runs (ZST, EXT-BST) and prescribed-offset runs are united
 // from the start, so all their large batches fan out.
 func (b *builder) runBatch(q *order.Queue, batch []order.Pair) {
 	base := len(b.nodes)
-	workers := b.opt.MergeWorkers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > 1 && len(batch) >= minParallelBatch && b.united() {
 		b.mergeBatchParallel(batch, base, workers)
 	} else {
+		run := b.stats
 		for k, p := range batch {
+			b.stats = Stats{}
 			b.merge(b.nodes[p.I], b.nodes[p.J], b.slot(base+k))
+			run.add(b.stats)
 		}
+		b.stats = run
 	}
 	for k := range batch {
 		c := b.slot(base + k)
@@ -51,10 +54,10 @@ func (b *builder) runBatch(q *order.Queue, batch []order.Pair) {
 	}
 }
 
-// mergeBatchParallel is runBatch's parallel wave + serial commit, run only
-// when the build's groups are united (see the runBatch comment). Worker
-// builders share the frozen registry read-only; each merge's stat delta is
-// added in batch order at the commit. When traced it times the round's
+// mergeBatchParallel is runBatch's parallel wave + serial commit on workers
+// goroutines (GOMAXPROCS), run only when the build's groups are united (see
+// the runBatch comment). Worker builders share the frozen registry
+// read-only; each merge's stat delta is added in batch order at the commit. When traced it times the round's
 // three sections — serial setup, parallel wave, serial commit — and
 // accumulates the wave's idle accounting: over a round with W workers, slot
 // time is (setup + wave + commit)·W and idle time is

@@ -49,6 +49,9 @@ type Row struct {
 	// the associative constraint bounds (not reported by the paper; listed
 	// for verifiability).
 	MaxGroupSkewPs float64
+	// OverBound is set when a build of the row broke its skew bound by more
+	// than float noise, as the router reports it (core.Result.OverBound).
+	OverBound bool
 	// CPUSeconds is the wall-clock routing time.
 	CPUSeconds float64
 }
@@ -110,7 +113,7 @@ func Tables(groupings []Grouping, circuits []bench.Spec, groups []int, repeats i
 		extRow := Row{
 			Circuit: sp.Name, Sinks: sp.Sinks, Groups: 1, Algorithm: "EXT-BST",
 			Wirelen: ext.Wirelength, MaxSkewPs: extRep.GlobalSkew,
-			MaxGroupSkewPs: extRep.MaxGroupSkew, CPUSeconds: extSecs,
+			MaxGroupSkewPs: extRep.MaxGroupSkew, OverBound: ext.OverBound(), CPUSeconds: extSecs,
 		}
 
 		for ti, grouping := range groupings {
@@ -133,6 +136,7 @@ func Tables(groupings []Grouping, circuits []bench.Spec, groups []int, repeats i
 					acc.Wirelen += ast.Wirelength
 					acc.MaxSkewPs += r.GlobalSkew
 					acc.MaxGroupSkewPs += r.MaxGroupSkew
+					acc.OverBound = acc.OverBound || ast.OverBound()
 					acc.CPUSeconds += secs
 				}
 				n := float64(reps)
@@ -141,7 +145,7 @@ func Tables(groupings []Grouping, circuits []bench.Spec, groups []int, repeats i
 					Wirelen:      acc.Wirelen / n,
 					ReductionPct: 100 * (ext.Wirelength - acc.Wirelen/n) / ext.Wirelength,
 					MaxSkewPs:    acc.MaxSkewPs / n, MaxGroupSkewPs: acc.MaxGroupSkewPs / n,
-					CPUSeconds: acc.CPUSeconds / n,
+					OverBound: acc.OverBound, CPUSeconds: acc.CPUSeconds / n,
 				})
 			}
 			tables[ti] = rows

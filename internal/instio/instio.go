@@ -1,6 +1,5 @@
-// Package instio serializes clock routing instances and routing results as
-// JSON, the interchange format of the cmd/ tools (instancegen → astdme →
-// drawtree).
+// Package instio serializes clock routing instances and ECO edit scripts as
+// JSON, the interchange format of the cmd/ tools (instancegen → astdme).
 //
 // # Reading instances
 //

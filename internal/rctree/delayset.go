@@ -80,6 +80,16 @@ func (s DelaySet) Overall() Interval {
 	return iv
 }
 
+// MaxWidth returns the width of the widest group interval (0 for an empty
+// set): over a tree root's set, the largest delay spread within one group.
+func (s DelaySet) MaxWidth() float64 {
+	var w float64
+	for _, iv := range s.Ivs {
+		w = max(w, iv.Width())
+	}
+	return w
+}
+
 // Equal reports whether the two sets hold identical groups and intervals.
 func (s DelaySet) Equal(t DelaySet) bool {
 	if len(s.Groups) != len(t.Groups) {

@@ -322,7 +322,7 @@ func (c *EcoCache) Marshal() ([]byte, error) {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		root := sh.frozen.Thaw(c.Instance, sh.remap)
-		br := wire.BuildResult{Root: root, Stats: sh.stats, Wirelength: root.Wirelength(), Registry: sh.reg}
+		br := wire.BuildResult{Root: root, Stats: sh.stats, Registry: sh.reg}
 		var err error
 		if blobs[i], err = br.Encode(); err != nil {
 			return nil, fmt.Errorf("shard: cached shard %d: %w", i, err)
@@ -350,9 +350,14 @@ func (c *EcoCache) Marshal() ([]byte, error) {
 // option ranges). Every shard blob is decoded through the full result
 // validation and frozen here. The blobs crossed a process boundary, so each
 // shard's leaves must also be exactly its cached part, each sink once: a
-// mismatch would otherwise surface as a corrupt tree three layers down.
+// mismatch would otherwise surface as a corrupt tree three layers down. A
+// cache another build wrote fails with an error wrapping wire.ErrVersion
+// that says how to rewrite it.
 func UnmarshalEcoCache(data []byte) (*EcoCache, error) {
 	wc, err := wire.DecodeCache(data)
+	if errors.Is(err, wire.ErrVersion) {
+		return nil, fmt.Errorf("shard: the eco cache was written by another build (%w); rerun the retained build (astdme -shards N -cache) to rewrite it", err)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,13 @@ package shard
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -16,6 +19,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/instio"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // ecoInstance is the grouped differential workload: an Intermingled grouping
@@ -266,6 +270,32 @@ func TestEcoChainedRebuild(t *testing.T) {
 	}
 	if gh, rh := delayDigest(t, q2.Root, e2), delayDigest(t, r2.Root, e2); gh != rh {
 		t.Errorf("chained rebuild delay digest 0x%016x, want 0x%016x", gh, rh)
+	}
+}
+
+// TestEcoCacheFromAnotherBuild: a cache whose version field another build
+// wrote (patched here, with the FNV-64a trailer recomputed) fails to open
+// with an error that wraps wire.ErrVersion and says how to rewrite it.
+func TestEcoCacheFromAnotherBuild(t *testing.T) {
+	full, err := BuildEco(ecoInstance(600, 3), core.Options{Shards: 2, Pilot: true}, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := full.Eco.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The version is the little-endian uint16 after the 4-byte magic.
+	body := append([]byte(nil), blob[:len(blob)-8]...)
+	binary.LittleEndian.PutUint16(body[4:], wire.Version-1)
+	h := fnv.New64a()
+	h.Write(body)
+	_, err = UnmarshalEcoCache(binary.LittleEndian.AppendUint64(body, h.Sum64()))
+	if !errors.Is(err, wire.ErrVersion) {
+		t.Fatalf("err = %v, want one wrapping wire.ErrVersion", err)
+	}
+	if !strings.Contains(err.Error(), "rerun the retained build") {
+		t.Errorf("err = %q does not say how to rewrite the cache", err)
 	}
 }
 

@@ -36,7 +36,7 @@ func TestFaultedShardedBitwiseIdentical(t *testing.T) {
 	}
 	in := groupedInstance("uniform", 10_000, 4)
 	for _, k := range []int{2, 4, 8} {
-		opt := core.Options{Shards: k, Pilot: true, Pairer: core.PairerGrid}
+		opt := core.Options{Shards: k, Pilot: true}
 		ref, err := Build(in, opt)
 		if err != nil {
 			t.Fatalf("shards=%d: fault-free: %v", k, err)

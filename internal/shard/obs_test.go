@@ -45,22 +45,27 @@ func TestTraceAccountsForWallTime(t *testing.T) {
 		t.Skip("10k sink build")
 	}
 	in := bench.Intermingled(bench.Small(10000, 9), 4, 9009)
-	tr := obs.New("acceptance")
-	res, err := Build(in, core.Options{
-		IntraSkewBound: 0,
-		Shards:         4,
-		Pilot:          true,
-		MergeWorkers:   4, // force the wave on single-CPU CI hosts too
-		Trace:          tr,
+	var tr *obs.Trace
+	var res *Result
+	var rep *eval.Report
+	var err error
+	// GOMAXPROCS 4 forces the wave on single-CPU CI hosts too. The whole
+	// traced window runs inside it: setting GOMAXPROCS stops the world,
+	// and no phase would own that pause.
+	withGOMAXPROCS(4, func() {
+		tr = obs.New("acceptance")
+		res, err = Build(in, core.Options{IntraSkewBound: 0, Shards: 4, Pilot: true, Trace: tr})
+		if err == nil {
+			rep = eval.AnalyzeTraced(tr, res.Root, in, core.DefaultModel(), in.Source)
+		}
+		tr.Close()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := eval.AnalyzeTraced(tr, res.Root, in, core.DefaultModel(), in.Source)
 	if rep.Sinks != len(in.Sinks) {
 		t.Fatalf("eval reached %d of %d sinks", rep.Sinks, len(in.Sinks))
 	}
-	tr.Close()
 
 	s := tr.Summary()
 	if s.WallMS <= 0 {
@@ -82,7 +87,7 @@ func TestTraceAccountsForWallTime(t *testing.T) {
 	// Per-round merge-wave idle fraction: the wave ran inside the shard
 	// builds' child traces; the summary aggregates over descendants.
 	if s.MergeWave == nil {
-		t.Fatal("merge-wave summary missing (MergeWorkers=4)")
+		t.Fatal("merge-wave summary missing (GOMAXPROCS 4)")
 	}
 	if s.MergeWave.Rounds < 1 {
 		t.Fatalf("no parallel rounds recorded: %+v", s.MergeWave)

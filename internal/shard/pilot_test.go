@@ -161,15 +161,17 @@ func TestPilotFullSampleDegenerates(t *testing.T) {
 // TestPilotDeterministicAcrossWorkers extends the Shards > 1 determinism
 // guarantee to the piloted pipeline: the pilot sample, the pilot route, the
 // prescribed offsets, and the aligned shard builds are all pure functions of
-// (instance, options, k), so merge-worker counts cannot leak into the tree.
+// (instance, options, k), so the merge wave's worker count (GOMAXPROCS)
+// cannot leak into the tree.
 func TestPilotDeterministicAcrossWorkers(t *testing.T) {
 	in := bench.Intermingled(bench.Small(3000, 17), 3, 55)
 	opt := core.Options{Shards: 4, Pilot: true}
 	var wantWire, wantHash uint64
 	var wantOffs []float64
 	for _, workers := range []int{1, 4} {
-		opt.MergeWorkers = workers
-		res, err := Build(in, opt)
+		var res *Result
+		var err error
+		withGOMAXPROCS(workers, func() { res, err = Build(in, opt) })
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -73,7 +73,7 @@ func TestRemoteShardedBitwiseIdentical(t *testing.T) {
 	in := groupedInstance("uniform", 10_000, 4)
 	addrs := startWorkers(t, 2, wire.ServerOptions{})
 	for _, k := range []int{2, 4} {
-		opt := core.Options{Shards: k, Pilot: true, Pairer: core.PairerGrid}
+		opt := core.Options{Shards: k, Pilot: true}
 		ref, err := Build(in, opt)
 		if err != nil {
 			t.Fatalf("shards=%d: local: %v", k, err)
@@ -98,7 +98,7 @@ func TestRemoteShardedBitwiseIdentical(t *testing.T) {
 // surviving worker inside the same execution and the result must not move.
 func TestRemoteWorkerKilledMidBuildBitwise(t *testing.T) {
 	in := groupedInstance("uniform", 2_000, 4)
-	opt := core.Options{Shards: 2, Pilot: true, Pairer: core.PairerGrid}
+	opt := core.Options{Shards: 2, Pilot: true}
 	ref, err := Build(in, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestRemoteWorkerKilledMidBuildBitwise(t *testing.T) {
 // counters and trace metrics both.
 func TestRemoteFleetDownFallsBackBitwise(t *testing.T) {
 	in := groupedInstance("uniform", 2_000, 4)
-	opt := core.Options{Shards: 2, Pilot: true, Pairer: core.PairerGrid}
+	opt := core.Options{Shards: 2, Pilot: true}
 	ref, err := Build(in, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -169,21 +169,21 @@ func TestRemoteFleetDownFallsBackBitwise(t *testing.T) {
 
 // TestRemoteRejectedOptionsKeepWorkers checks that options core rejects fail
 // the build before anything is dispatched. A routeworker answers 400 to a
-// MergeWorkers outside the wire format's range, which the pool counts
-// against the worker; the core error must surface instead, with no worker
-// lost, and the next valid build on the pool must still run remotely.
+// non-finite IntraSkewBound, which the pool counts against the worker; the
+// core error must surface instead, with no worker lost, and the next valid
+// build on the pool must still run remotely.
 func TestRemoteRejectedOptionsKeepWorkers(t *testing.T) {
 	in := groupedInstance("uniform", 2_000, 4)
 	pool := remotePool(t, dispatch.PoolOptions{}, startWorkers(t, 2, wire.ServerOptions{})...)
-	opt := core.Options{Shards: 4, Pilot: true, MergeWorkers: -1}
+	opt := core.Options{Shards: 4, Pilot: true, IntraSkewBound: math.NaN()}
 	_, err := BuildDispatch(in, opt, dispatch.Options{Remote: pool})
-	if err == nil || !strings.Contains(err.Error(), "core: MergeWorkers") {
-		t.Fatalf("MergeWorkers -1: err = %v, want core's rejection", err)
+	if err == nil || !strings.Contains(err.Error(), "core: IntraSkewBound") {
+		t.Fatalf("IntraSkewBound NaN: err = %v, want core's rejection", err)
 	}
 	if lost, healthy := pool.WorkersLost(), pool.Healthy(); lost != 0 || healthy != 2 {
 		t.Fatalf("after the rejected build: %d workers lost, %d of 2 healthy", lost, healthy)
 	}
-	opt.MergeWorkers = 0
+	opt.IntraSkewBound = 0
 	res, err := BuildDispatch(in, opt, dispatch.Options{Remote: pool})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +198,7 @@ func TestRemoteRejectedOptionsKeepWorkers(t *testing.T) {
 // coordinator's retry machinery absorbs them without moving the output.
 func TestRemoteNetFaultsBitwise(t *testing.T) {
 	in := groupedInstance("uniform", 2_000, 4)
-	opt := core.Options{Shards: 2, Pairer: core.PairerGrid}
+	opt := core.Options{Shards: 2}
 	ref, err := Build(in, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func TestRemoteNetChaosSeeds(t *testing.T) {
 		t.Skip("short mode")
 	}
 	in := groupedInstance("uniform", 800, 4)
-	opt := core.Options{Shards: 2, Pilot: true, Pairer: core.PairerGrid}
+	opt := core.Options{Shards: 2, Pilot: true}
 	ref, err := Build(in, opt)
 	if err != nil {
 		t.Fatal(err)

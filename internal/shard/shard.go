@@ -353,7 +353,8 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 	}
 
 	// Finalize: per-shard wire attribution, stats aggregation, dense
-	// internal-ID renumbering and the source embedding.
+	// internal-ID renumbering, the stitched root's group skew and the
+	// source embedding.
 	finRgn := tr.Begin("finalize")
 	if err := dispatch.Protect("finalize", func() error {
 		res.Root = top.Root
@@ -390,6 +391,7 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 		treeWire := top.Root.Wirelength()
 		res.SourceWire = geom.DistRP(top.Root.Region, geom.ToUV(in.Source))
 		res.Wirelength = treeWire + res.SourceWire
+		res.MaxGroupSkew = top.Root.Delay.MaxWidth()
 		res.StitchWire = treeWire - shardWire
 		res.Root.Embed(geom.ToUV(in.Source))
 		return nil

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/ctree"
+	"repro/internal/dispatch"
 	"repro/internal/eval"
 	"repro/internal/order"
 )
@@ -33,6 +35,40 @@ func delayDigest(t *testing.T, root *ctree.Node, in *ctree.Instance) uint64 {
 	t.Helper()
 	rep := eval.Analyze(root, in, core.DefaultModel(), in.Source)
 	return hashDelays(rep.SinkDelay)
+}
+
+// withGOMAXPROCS runs f at GOMAXPROCS n, the merge wave's worker count,
+// restoring the previous setting after.
+func withGOMAXPROCS(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
+// TestShardedMaxGroupSkewMatchesEval pins Result.MaxGroupSkew, read from the
+// stitched root's delay set, to eval's measurement within 1e-9 relative on
+// a piloted 4-shard build and on an ECO rebuild of it.
+func TestShardedMaxGroupSkewMatchesEval(t *testing.T) {
+	in := ecoInstance(2000, 4)
+	full, err := BuildEco(in, core.Options{IntraSkewBound: 10, Shards: 4, Pilot: true}, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eco, err := full.Eco.Rebuild(ecoScript(in, full.Parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		name string
+		res  *Result
+	}{{"piloted 4-shard build", full}, {"eco rebuild", eco}} {
+		rep := eval.Analyze(r.res.Root, r.res.Instance, core.DefaultModel(), r.res.Instance.Source)
+		if d := math.Abs(r.res.MaxGroupSkew - rep.MaxGroupSkew); d > 1e-9*rep.MaxGroupSkew {
+			t.Errorf("%s: MaxGroupSkew %v ps, eval %v ps (|Δ| %.3g)", r.name, r.res.MaxGroupSkew, rep.MaxGroupSkew, d)
+		}
+		if over := rep.MaxGroupSkew > 10+1e-3; r.res.OverBound() != over { // 1e-3 ps of float noise
+			t.Errorf("%s: OverBound %v at %v ps against the 10 ps bound", r.name, r.res.OverBound(), rep.MaxGroupSkew)
+		}
+	}
 }
 
 // TestShardsOneBitwiseIdentical pins the Shards=1 pipeline — partition,
@@ -194,8 +230,9 @@ func TestShardedGroupedSkew(t *testing.T) {
 // TestShardedDeterministicAcrossWorkers pins the Shards > 1 guarantee: the
 // result is a pure function of (instance, options, k) — per-shard builds run
 // on private registry clones and the stitch order is fixed, so no goroutine
-// schedule can leak into the tree. Routing at 1 and 4 merge workers (the
-// shard goroutines themselves always run concurrently) must agree bitwise.
+// schedule can leak into the tree. Routing at GOMAXPROCS 1 and 4, which
+// sets the merge wave's worker count (the shard goroutines themselves
+// always run concurrently), must agree bitwise.
 func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	for _, inst := range []struct {
 		name string
@@ -209,8 +246,9 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 		opt.Shards = 4
 		var wantWire, wantHash uint64
 		for _, workers := range []int{1, 4} {
-			opt.MergeWorkers = workers
-			res, err := Build(inst.in, opt)
+			var res *Result
+			var err error
+			withGOMAXPROCS(workers, func() { res, err = Build(inst.in, opt) })
 			if err != nil {
 				t.Fatalf("%s/workers=%d: %v", inst.name, workers, err)
 			}

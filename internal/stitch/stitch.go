@@ -70,10 +70,7 @@ func Build(in *ctree.Instance, opt Options) (*Result, error) {
 			sub.Sinks = append(sub.Sinks, sc)
 			backRefs = append(backRefs, i)
 		}
-		r, err := core.Build(sub, core.Options{
-			SingleGroup: true,
-			GlobalBound: opt.IntraSkewBound,
-		})
+		r, err := core.Build(sub, core.Options{SingleGroup: true, IntraSkewBound: opt.IntraSkewBound})
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,7 @@
 // Package svgplot renders embedded clock trees as standalone SVG documents:
 // sinks colored by group, tree wires as L-shaped (Manhattan) routes, the
 // clock source, and optionally the merging-region rectangles. It is used by
-// the example programs and cmd/drawtree to visualize the structures behind
+// the example programs and astdme -svg to visualize the structures behind
 // the thesis's figures.
 package svgplot
 

@@ -86,7 +86,7 @@ func open(data []byte, magic [4]byte) (*reader, error) {
 		return nil, fmt.Errorf("wire: bad magic %q", m[:])
 	}
 	if v := r.u16(); v != Version {
-		return nil, fmt.Errorf("wire: version %d, this build speaks %d", v, Version)
+		return nil, fmt.Errorf("%w: version %d, this build speaks %d", ErrVersion, v, Version)
 	}
 	return r, nil
 }

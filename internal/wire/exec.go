@@ -24,12 +24,7 @@ func Execute(u *WorkUnit) (*BuildResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &BuildResult{
-			Root:       sub.Root,
-			Stats:      sub.Stats,
-			Wirelength: sub.Root.Wirelength(),
-			Registry:   reg.Snapshot(),
-		}, nil
+		return &BuildResult{Root: sub.Root, Stats: sub.Stats, Registry: reg.Snapshot()}, nil
 	case KindPatch:
 		// The pilot patch pair: sample build, then the single-root stitch
 		// that resolves a deferred root and so commits its offsets.
@@ -44,12 +39,7 @@ func Execute(u *WorkUnit) (*BuildResult, error) {
 			return nil, err
 		}
 		st.AddRun(top.Stats)
-		return &BuildResult{
-			Root:       top.Root,
-			Stats:      st,
-			Wirelength: top.Root.Wirelength(),
-			Registry:   reg.Snapshot(),
-		}, nil
+		return &BuildResult{Root: top.Root, Stats: st, Registry: reg.Snapshot()}, nil
 	}
 	return nil, fmt.Errorf("wire: unknown work kind %d", u.Kind)
 }

@@ -36,8 +36,8 @@ func TestHandlerServesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Root == nil || res.Wirelength <= 0 {
-		t.Fatalf("implausible result: root=%v wl=%v", res.Root, res.Wirelength)
+	if res.Root == nil || res.Root.Wirelength() <= 0 {
+		t.Fatalf("implausible result: root=%v", res.Root)
 	}
 }
 

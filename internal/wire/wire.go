@@ -13,12 +13,16 @@
 // payload yields an error, never a crash — the dispatch layer classifies
 // such errors as transient and re-dispatches.
 //
-// The format is at Version 5. A tree travels as pre-order node records
+// The format is at Version 6. A tree travels as pre-order node records
 // (geometry, delay sets, deferred state) with no snaking-handle records:
 // routers recompute handles from the subtree when they need them. Run stats
 // travel field by field, so any change to core.Stats' fields changes the
 // layout, and so does any change to the core.Options fields encodeOptions
-// writes. Version-4 work units and ECO cache files fail the version check.
+// writes: Model, IntraSkewBound, InterSkewBound, SingleGroup, Strategy,
+// Pairer, EndpointSplit and GroupOffsets. A result carries the subtree, its
+// stats and the worker's registry; the coordinator measures wire from the
+// subtree itself. Work units, results and ECO cache files of any other
+// version fail the check with ErrVersion.
 //
 // Observation does not travel: Options.Trace and Options.Ctx are
 // deliberately not encoded (a worker build runs untraced; the coordinator
@@ -26,6 +30,7 @@
 package wire
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -38,7 +43,11 @@ import (
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 5
+const Version uint16 = 6
+
+// ErrVersion marks a message written by a build that speaks another
+// Version; errors.Is recognizes it through the decoders' wrapping.
+var ErrVersion = errors.New("wire: format version mismatch")
 
 // Message magic tags (work unit vs result), so one can never decode as the
 // other.
@@ -78,14 +87,12 @@ type WorkUnit struct {
 }
 
 // BuildResult is a worker's product: the built (unembedded) subtree, its
-// stats, its wirelength as built, and the worker-side registry's final
-// state (the offsets the sub-build committed, which the coordinator reads
-// back).
+// stats, and the worker-side registry's final state (the offsets the
+// sub-build committed, which the coordinator reads back).
 type BuildResult struct {
-	Root       *ctree.Node
-	Stats      core.Stats
-	Wirelength float64
-	Registry   core.RegistrySnapshot
+	Root     *ctree.Node
+	Stats    core.Stats
+	Registry core.RegistrySnapshot
 }
 
 // EncodeWork serializes a work unit. It errors on options the format cannot
@@ -190,7 +197,6 @@ func (b *BuildResult) Encode() ([]byte, error) {
 	if err := encodeStats(w, b.Stats); err != nil {
 		return nil, err
 	}
-	w.f64(b.Wirelength)
 	encodeSnapshot(w, b.Registry)
 	return w.seal(), nil
 }
@@ -213,7 +219,6 @@ func DecodeResult(data []byte, in *ctree.Instance) (*BuildResult, error) {
 	if err := decodeStats(r, &b.Stats); err != nil {
 		return nil, err
 	}
-	b.Wirelength = r.f64()
 	b.Registry = decodeSnapshot(r)
 	if err := r.done(); err != nil {
 		return nil, err
@@ -246,7 +251,6 @@ func encodeOptions(w *writer, o core.Options) error {
 	w.f64(o.IntraSkewBound)
 	w.f64(o.InterSkewBound)
 	w.bool(o.SingleGroup)
-	w.f64(o.GlobalBound)
 	w.iv(int64(o.Strategy))
 	w.iv(int64(o.Pairer))
 	w.bool(o.EndpointSplit)
@@ -257,7 +261,6 @@ func encodeOptions(w *writer, o core.Options) error {
 			w.f64(v)
 		}
 	}
-	w.iv(int64(o.MergeWorkers))
 	return nil
 }
 
@@ -280,7 +283,6 @@ func decodeOptions(r *reader) (core.Options, error) {
 	o.IntraSkewBound = r.f64()
 	o.InterSkewBound = r.f64()
 	o.SingleGroup = r.bool()
-	o.GlobalBound = r.f64()
 	o.Strategy = order.Strategy(r.iv())
 	o.Pairer = core.PairerMode(r.iv())
 	o.EndpointSplit = r.bool()
@@ -297,20 +299,16 @@ func decodeOptions(r *reader) (core.Options, error) {
 			o.GroupOffsets[i] = r.f64()
 		}
 	}
-	o.MergeWorkers = int(r.iv())
 	if r.err != nil {
 		return o, r.err
 	}
 	if o.Strategy != order.Multi && o.Strategy != order.Greedy {
 		return o, fmt.Errorf("wire: unknown order strategy %d", o.Strategy)
 	}
-	if o.Pairer < core.PairerAuto || o.Pairer > core.PairerGrid {
+	if o.Pairer != core.PairerAuto && o.Pairer != core.PairerScan {
 		return o, fmt.Errorf("wire: unknown pairer mode %d", o.Pairer)
 	}
-	if o.MergeWorkers < 0 || o.MergeWorkers > 1<<16 {
-		return o, fmt.Errorf("wire: merge workers %d out of range", o.MergeWorkers)
-	}
-	for _, f := range []float64{o.IntraSkewBound, o.InterSkewBound, o.GlobalBound} {
+	for _, f := range []float64{o.IntraSkewBound, o.InterSkewBound} {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
 			return o, fmt.Errorf("wire: non-finite option value %v", f)
 		}

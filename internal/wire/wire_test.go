@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"hash/fnv"
 	"math"
 	"reflect"
@@ -63,12 +64,10 @@ func TestWorkUnitRoundTrip(t *testing.T) {
 		IntraSkewBound: 2,
 		InterSkewBound: 7.5,
 		SingleGroup:    true,
-		GlobalBound:    3.25,
 		Strategy:       order.Greedy,
-		Pairer:         core.PairerGrid,
+		Pairer:         core.PairerScan,
 		EndpointSplit:  true,
 		GroupOffsets:   []float64{0, 1.5, -2, 4},
-		MergeWorkers:   3,
 	}
 	local := map[string]bool{}
 	for _, f := range wireLayout.options {
@@ -139,9 +138,8 @@ func TestResultRoundTripThroughFullBuild(t *testing.T) {
 	if got.Stats != ref.Stats {
 		t.Errorf("stats did not round-trip:\n got %+v\nwant %+v", got.Stats, ref.Stats)
 	}
-	if math.Float64bits(got.Wirelength) != math.Float64bits(ref.Wirelength) {
-		t.Errorf("wirelength bits differ: %x vs %x",
-			math.Float64bits(got.Wirelength), math.Float64bits(ref.Wirelength))
+	if gw, rw := math.Float64bits(got.Root.Wirelength()), math.Float64bits(ref.Root.Wirelength()); gw != rw {
+		t.Errorf("wirelength bits differ: %x vs %x", gw, rw)
 	}
 	if !reflect.DeepEqual(got.Registry, ref.Registry) {
 		t.Error("registry state did not round-trip")
@@ -190,6 +188,57 @@ func TestDecodeRejectsVersionFlip(t *testing.T) {
 	}
 }
 
+// resealAt rewrites a sealed message's version field to v and recomputes
+// its FNV-64a trailer: the bytes another build would have written.
+func resealAt(data []byte, v uint16) []byte {
+	w := &writer{b: append([]byte(nil), data[:4]...)}
+	w.u16(v)
+	w.raw(data[6 : len(data)-8])
+	return w.seal()
+}
+
+// TestOtherVersionFailsWithErrVersion: a work unit, a result and a cache
+// written at any other Version fail their decoders with an error that
+// wraps ErrVersion, so callers can tell a stale message from a corrupt one.
+func TestOtherVersionFailsWithErrVersion(t *testing.T) {
+	u := buildWork(t, KindBuild)
+	work, err := u.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := Execute(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	result, err := br.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := buildCache(t).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoders := []struct {
+		name   string
+		data   []byte
+		decode func([]byte) error
+	}{
+		{"work unit", work, func(b []byte) error { _, err := DecodeWork(b); return err }},
+		{"result", result, func(b []byte) error { _, err := DecodeResult(b, u.Instance); return err }},
+		{"cache", cache, func(b []byte) error { _, err := DecodeCache(b); return err }},
+	}
+	for _, d := range decoders {
+		if err := d.decode(resealAt(d.data, Version)); err != nil {
+			t.Fatalf("%s resealed at this Version: %v", d.name, err)
+		}
+		for _, v := range []uint16{Version - 1, Version + 1} {
+			if err := d.decode(resealAt(d.data, v)); !errors.Is(err, ErrVersion) {
+				t.Errorf("%s at version %d: err = %v, want ErrVersion", d.name, v, err)
+			}
+		}
+	}
+}
+
 // wireLayout pins what Version carries. stats is core.Stats as
 // encodeStats writes it, field by field in declaration order: Stats travel
 // by reflection, so editing a Stats field changes the wire layout without
@@ -201,7 +250,7 @@ var wireLayout = struct {
 	version uint16
 	stats   []string
 	options []string
-}{5, []string{
+}{6, []string{
 	"Merges varint", "SameGroup varint", "CrossGroup varint", "Shared varint",
 	"Deferred varint", "GroupUnions varint", "MergeSnakes varint",
 	"SneakEvents varint", "SneakWire f64", "SneakIters varint",
@@ -209,10 +258,9 @@ var wireLayout = struct {
 	"GridRebuilds.EdgeClamp varint", "SneakUnresolved varint",
 }, []string{
 	"Model encoded", "IntraSkewBound encoded", "InterSkewBound encoded",
-	"SingleGroup encoded", "GlobalBound encoded", "Strategy encoded",
-	"Pairer encoded", "EndpointSplit encoded", "GroupOffsets encoded",
-	"MergeWorkers encoded", "Shards local", "Pilot local", "Trace local",
-	"Ctx local",
+	"SingleGroup encoded", "Strategy encoded", "Pairer encoded",
+	"EndpointSplit encoded", "GroupOffsets encoded", "Shards local",
+	"Pilot local", "Trace local", "Ctx local",
 }}
 
 // TestStatsLayoutPinnedToVersion fails when the wire layout of core.Stats
