@@ -227,8 +227,11 @@ type Stats struct {
 	// sub-quadratic (all-pairs pairing scans Θ(n²) of them per round).
 	PairScans int64
 	// GridRebuilds counts the spatial pairer's index rebuilds by trigger
-	// (all zero under the all-pairs oracle). Like PairScans it is recorded
-	// once per run from the pairing engine, not accumulated by merge bodies.
+	// (all zero under the all-pairs oracle): under Multi, LiveDrop is about
+	// one per round, the batch query's re-file; under Greedy it counts the
+	// live-count halvings (see spatial.RebuildStats). Like PairScans it is
+	// recorded once per run from the pairing engine, not accumulated by
+	// merge bodies.
 	GridRebuilds spatial.RebuildStats
 	// SneakUnresolved counts merges where sneaking could not (affordably)
 	// reconcile conflicting windows; the residual intra-group skew is then

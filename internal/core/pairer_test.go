@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
@@ -105,6 +106,29 @@ func TestGridPairerDifferentialAST(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFlatZSTPairScansBudget pins the grid pairer's work on the flat-zst
+// benchmark's input: 10k power-law sinks (the p10k placement, seed 1100)
+// with loads drawn from seed 1 as the benchmark draws them, routed ZST
+// under Multi. The clipped ring walk over a grid re-filed once per round
+// scans about 173k candidates; the unclipped walk, stopping only once
+// (r − 1)·cell passed the best key, over a grid re-celled midway through
+// each round's retirements, scanned 993,835.
+func TestFlatZSTPairScansBudget(t *testing.T) {
+	in := bench.PowerLaw(10000, bench.PowerLawClusters, bench.PowerLawAlpha, 1100)
+	r := rand.New(rand.NewSource(1))
+	for i := range in.Sinks {
+		in.Sinks[i].CapFF = 5 + r.Float64()*45
+	}
+	res, err := ZST(in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Stats.PairScans; got > 300_000 {
+		t.Errorf("PairScans = %d, want ≤ 300000", got)
+	}
+	t.Logf("PairScans %d, grid rebuilds %+v", res.Stats.PairScans, res.Stats.GridRebuilds)
 }
 
 // TestPairerAutoSelection: auto mode must keep the oracle below the

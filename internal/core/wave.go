@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -56,16 +55,18 @@ func (b *builder) runBatch(q *order.Queue, batch []order.Pair) {
 
 // mergeBatchParallel is runBatch's parallel wave + serial commit on workers
 // goroutines (GOMAXPROCS), run only when the build's groups are united (see
-// the runBatch comment). Worker builders share the frozen registry
-// read-only; each merge's stat delta is added in batch order at the commit. When traced it times the round's
-// three sections — serial setup, parallel wave, serial commit — and
-// accumulates the wave's idle accounting: over a round with W workers, slot
-// time is (setup + wave + commit)·W and idle time is
+// the runBatch comment). The workers claim blocks of the batch in turn
+// (order.ParallelChunksN), and each runs its merges on its own worker
+// builder; worker builders share the frozen registry read-only, and each
+// merge's stat delta is added in batch order at the commit. When traced it
+// times the round's three sections — serial setup, parallel wave, serial
+// commit — and accumulates the wave's idle accounting: over a round with W
+// workers, slot time is (setup + wave + commit)·W and idle time is
 // (setup + commit)·(W−1) plus the wave's internal imbalance
 // (wave·W − Σbusy), so idle/slot across rounds is the fraction of worker
-// capacity spent waiting on the serial sections or on uneven chunks.
+// capacity spent waiting on the serial sections or on uneven blocks.
 func (b *builder) mergeBatchParallel(batch []order.Pair, base, workers int) {
-	// ParallelChunksN never runs more chunks than merges.
+	// ParallelChunksN never runs more workers than merges.
 	workers = min(workers, len(batch))
 	tr := b.opt.Trace
 	var rgn obs.Region
@@ -97,22 +98,21 @@ func (b *builder) mergeBatchParallel(batch []order.Pair, base, workers int) {
 		tSetup = obs.Now()
 	}
 
-	// Parallel wave over contiguous chunks; chunk w handles batch[lo:hi].
-	var next atomic.Int32
-	order.ParallelChunksN(len(batch), workers, 1, func(lo, hi int) {
-		// ParallelChunksN launches at most `workers` chunks; the counter
-		// keys each chunk to a private worker without assuming launch order.
-		wi := next.Add(1) - 1
+	// Parallel wave: worker wi merges the blocks of the batch it claims on
+	// its own builder.
+	order.ParallelChunksN(len(batch), workers, 1, func(wi int, next func() (lo, hi int, ok bool)) {
 		w := &b.workers[wi]
 		var tBusy time.Time
 		if tr != nil {
 			tBusy = obs.Now()
 		}
-		for k := lo; k < hi; k++ {
-			p := batch[k]
-			w.stats = Stats{}
-			w.merge(b.nodes[p.I], b.nodes[p.J], b.slot(base+k))
-			deltas[k] = w.stats
+		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
+			for k := lo; k < hi; k++ {
+				p := batch[k]
+				w.stats = Stats{}
+				w.merge(b.nodes[p.I], b.nodes[p.J], b.slot(base+k))
+				deltas[k] = w.stats
+			}
 		}
 		if tr != nil {
 			b.busyNS[wi] = obs.Since(tBusy).Nanoseconds()
@@ -139,7 +139,7 @@ func (b *builder) mergeBatchParallel(batch []order.Pair, base, workers int) {
 		}
 		idle := (setup+commit)*(w-1) + (wave*w - busy)
 		if idle < 0 {
-			idle = 0 // clock skew between the chunk timers and the wave timer
+			idle = 0 // clock skew between the worker timers and the wave timer
 		}
 		slot := (setup + wave + commit) * w
 		b.waveRounds++

@@ -27,9 +27,10 @@
 // Config.Pairer and must reproduce the oracle's results exactly on tie-free
 // inputs; differential tests in internal/spatial enforce this.
 //
-// Batch pairing (NearestAll) may shard its queries across goroutines. All
-// results are written by position and ties break toward the smallest item
-// index, so merge sequences are reproducible across GOMAXPROCS settings.
+// Batch pairing (NearestAll) may spread its queries over goroutines
+// (ParallelChunks). All results are written by position and ties break
+// toward the smallest item index, so merge sequences are reproducible
+// across GOMAXPROCS settings.
 //
 // # Batched consumption
 //
@@ -37,6 +38,20 @@
 // disjoint merge set at once, which lets the router execute the merge bodies
 // concurrently (the pairs of one batch never share a subtree) and commit
 // results in batch order. Under Greedy every batch holds a single pair.
+//
+// # Candidate order
+//
+// A Multi round ranks its candidate pairs by pairLess, (Key, I, J), before
+// the disjoint selection sweep. The candidates hold one pair per live item
+// and arrive in ascending I, so the I tie-break is their arrival order and
+// J never decides: any stable sort by Key alone yields the pairLess order.
+// buildBatch uses an LSD radix sort, stable by construction, over keyBits:
+// the float's bits with the sign bit set on non-negative keys and every bit
+// flipped on negative ones, which orders them as unsigned integers exactly
+// as the floats compare. −0 is folded onto +0 first, since the two compare
+// equal and must fall to the I tie-break; keys are never NaN, since no
+// pairer accepts a NaN key. The selected batch is therefore bitwise the one
+// a comparison sort under pairLess selects.
 package order
 
 import (
@@ -44,7 +59,6 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,7 +90,9 @@ type Pair struct {
 // Pairer is the nearest-partner engine behind a Queue. Contract:
 //
 //   - Insert and Delete maintain the live set; item ids are never reused and
-//     only grow. Both are called from a single goroutine.
+//     only grow. Every method is called from a single goroutine, so an
+//     engine may defer its upkeep from the mutations to the queries (the
+//     grid pairer of internal/spatial does).
 //   - Nearest returns the live partner j ≠ id minimizing the pair key. Exact
 //     key ties break toward the smallest j, so results are deterministic.
 //     ok is false when no candidate remains.
@@ -137,9 +153,11 @@ type Queue struct {
 	batch []Pair // what NextBatch returns
 	age   []int  // Multi rounds an item has survived unmerged (anti-starvation)
 
-	// Reused per-round scratch (buildBatch).
-	ids  []int
-	used []bool
+	// Reused per-round scratch (buildBatch, radixOrder).
+	ids      []int
+	used     []bool
+	rankBits []uint64
+	rankPos  []int32
 
 	// batchTime accumulates wall time spent inside NextBatch — the pairing
 	// and batch-selection cost of the run, separable from the merge bodies.
@@ -348,21 +366,6 @@ func (q *Queue) buildBatch() {
 			cand = append(cand, p)
 		}
 	}
-	// pairLess is a strict total order over the candidates (one entry per
-	// item), so the sorted sequence — and hence the selected batch — is
-	// reproducible regardless of sort stability or pairing parallelism.
-	// (slices.SortFunc, unlike sort.Slice, builds no reflect swapper: this
-	// sort runs every Multi round and stays allocation-free.)
-	slices.SortFunc(cand, func(a, b Pair) int {
-		switch {
-		case pairLess(a, b):
-			return -1
-		case pairLess(b, a):
-			return 1
-		default:
-			return 0
-		}
-	})
 	for len(q.used) < len(q.alive) {
 		q.used = append(q.used, false)
 	}
@@ -388,7 +391,8 @@ func (q *Queue) buildBatch() {
 			q.batch = append(q.batch, p)
 		}
 	}
-	for _, p := range cand {
+	for _, t := range q.radixOrder(cand) {
+		p := cand[t]
 		if used[p.I] || used[p.J] {
 			continue
 		}
@@ -401,6 +405,67 @@ func (q *Queue) buildBatch() {
 			q.age[i]++
 		}
 	}
+}
+
+// radixOrder returns the positions of cand in pairLess order. cand must
+// hold at most one pair per item, in ascending I, as buildBatch's
+// candidates do: then the stable LSD radix sort over keyBits, one byte per
+// pass, is the pairLess order (see the package documentation). A pass
+// whose byte every key shares is the identity and is skipped. The result
+// aliases scratch valid until the next call.
+func (q *Queue) radixOrder(cand []Pair) []int32 {
+	n := len(cand)
+	if n == 0 {
+		return nil
+	}
+	if cap(q.rankBits) < 2*n {
+		q.rankBits = make([]uint64, 2*n)
+		q.rankPos = make([]int32, 2*n)
+	}
+	bits, bitsTmp := q.rankBits[:n], q.rankBits[n:2*n]
+	pos, posTmp := q.rankPos[:n], q.rankPos[n:2*n]
+	// A pass permutes the keys without changing their bytes, so every
+	// pass's histogram can be counted up front.
+	var hist [8][256]int32
+	for i, p := range cand {
+		b := keyBits(p.Key)
+		bits[i], pos[i] = b, int32(i)
+		for d := range hist {
+			hist[d][byte(b>>(8*d))]++
+		}
+	}
+	for d := range hist {
+		h := &hist[d]
+		shift := 8 * d
+		if h[byte(bits[0]>>shift)] == int32(n) {
+			continue
+		}
+		var sum int32
+		for v, c := range h {
+			h[v], sum = sum, sum+c
+		}
+		for i, b := range bits {
+			at := &h[byte(b>>shift)]
+			bitsTmp[*at], posTmp[*at] = b, pos[i]
+			*at++
+		}
+		bits, bitsTmp = bitsTmp, bits
+		pos, posTmp = posTmp, pos
+	}
+	return pos
+}
+
+// keyBits maps a pair key to bits whose unsigned order is the keys' float
+// order, with −0 folded onto +0 (see the package documentation).
+func keyBits(k float64) uint64 {
+	if k == 0 {
+		k = 0 // −0 → +0
+	}
+	b := math.Float64bits(k)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // Merged registers the item that replaced the most recent merge(s). Items
@@ -447,8 +512,14 @@ func (p *scanPairer) Delete(id int) {
 }
 
 func (p *scanPairer) Nearest(i int) (Pair, bool) {
+	pr, ok, n := p.nearest(i)
+	p.scans.Add(n)
+	return pr, ok
+}
+
+// nearest is Nearest without the scan count, which it returns instead.
+func (p *scanPairer) nearest(i int) (pr Pair, ok bool, n int64) {
 	best, bestKey := -1, math.Inf(1)
-	var n int64
 	for j := range p.alive {
 		if j == i || !p.alive[j] {
 			continue
@@ -459,11 +530,10 @@ func (p *scanPairer) Nearest(i int) (Pair, bool) {
 			best, bestKey = j, k
 		}
 	}
-	p.scans.Add(n)
 	if best < 0 {
-		return Pair{I: i, J: -1}, false
+		return Pair{I: i, J: -1}, false, n
 	}
-	return Pair{Key: bestKey, I: i, J: best}, true
+	return Pair{Key: bestKey, I: i, J: best}, true, n
 }
 
 func (p *scanPairer) NearestFree(i int, used []bool) (Pair, bool) {
@@ -490,10 +560,16 @@ func (p *scanPairer) NearestAll(ids []int) []Pair {
 		p.out = make([]Pair, len(ids))
 	}
 	out := p.out[:len(ids)]
-	ParallelChunks(len(ids), func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			out[t], _ = p.Nearest(ids[t])
+	ParallelChunks(len(ids), func(_ int, next func() (lo, hi int, ok bool)) {
+		var scans int64
+		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
+			for t := lo; t < hi; t++ {
+				var n int64
+				out[t], _, n = p.nearest(ids[t])
+				scans += n
+			}
 		}
+		p.scans.Add(scans)
 	})
 	return out
 }
@@ -505,11 +581,15 @@ func (p *scanPairer) Scans() int64 { return p.scans.Load() }
 // scan itself.
 const parallelMin = 192
 
-// ParallelChunks splits [0, n) into contiguous chunks, one per available
-// CPU, and calls f(lo, hi) for each — inline when n is small. Callers write
-// results by position, so output is deterministic regardless of scheduling.
-// Shared by the built-in scan pairer and external engines (internal/spatial).
-func ParallelChunks(n int, f func(lo, hi int)) {
+// blocksPerWorker is about how many blocks ParallelChunksN cuts [0, n) into
+// per worker: enough that a worker finishing early takes over blocks a
+// slower one would have run, few enough that claims stay rare.
+const blocksPerWorker = 8
+
+// ParallelChunks is ParallelChunksN on GOMAXPROCS workers, inline below
+// parallelMin items. Shared by the built-in scan pairer and external
+// engines (internal/spatial).
+func ParallelChunks(n int, f func(w int, next func() (lo, hi int, ok bool))) {
 	ParallelChunksN(n, runtime.GOMAXPROCS(0), parallelMin, f)
 }
 
@@ -528,35 +608,55 @@ func (w *WorkerPanic) Error() string {
 	return fmt.Sprintf("order: parallel worker panicked: %v\n%s", w.Value, w.Stack)
 }
 
-// ParallelChunksN is ParallelChunks with an explicit worker count and inline
-// threshold: n below minInline (or workers ≤ 1) runs f(0, n) on the calling
-// goroutine. Used by the router's parallel merge executor, whose worker
-// count is an option rather than GOMAXPROCS. A panicking chunk does not kill
-// the process: the remaining chunks finish, then the first captured panic is
-// re-raised on the calling goroutine as a *WorkerPanic (the inline path lets
-// the panic propagate directly — it is already on the caller).
-func ParallelChunksN(n, workers, minInline int, f func(lo, hi int)) {
+// ParallelChunksN cuts [0, n) into contiguous blocks of one fixed size,
+// about blocksPerWorker per worker, and runs f once on each of
+// min(workers, n) goroutines. Worker w (0 ≤ w < workers) calls next to
+// claim blocks in turn until it reports false, so a worker that finishes
+// early takes blocks a slower one would otherwise have queued. Which worker
+// runs which block depends on scheduling, so callers write results by
+// position and keep per-worker state (scratch, counters) by w; the output
+// is then deterministic. n below minInline, or workers ≤ 1, runs f(0, next)
+// on the calling goroutine, with next yielding [0, n) once. The router's
+// merge wave calls it on GOMAXPROCS workers, and every batch NearestAll
+// through ParallelChunks.
+//
+// A panicking worker does not kill the process: the other workers claim
+// every block left, then the first captured panic is re-raised on the
+// calling goroutine as a *WorkerPanic (the inline path lets the panic
+// propagate directly — it is already on the caller).
+func ParallelChunksN(n, workers, minInline int, f func(w int, next func() (lo, hi int, ok bool))) {
 	if n <= 0 {
 		return
 	}
 	if n < minInline || workers <= 1 {
-		f(0, n)
+		done := false
+		f(0, func() (int, int, bool) {
+			if done {
+				return 0, 0, false
+			}
+			done = true
+			return 0, n, true
+		})
 		return
 	}
 	if workers > n {
 		workers = n
 	}
-	chunk := (n + workers - 1) / workers
+	block := (n + workers*blocksPerWorker - 1) / (workers * blocksPerWorker)
+	var claimed atomic.Int64
+	next := func() (int, int, bool) {
+		lo := int(claimed.Add(int64(block))) - block
+		if lo >= n {
+			return 0, 0, false
+		}
+		return lo, min(lo+block, n), true
+	}
 	var wg sync.WaitGroup
 	var panicMu sync.Mutex
 	var panicked *WorkerPanic
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -567,8 +667,8 @@ func ParallelChunksN(n, workers, minInline int, f func(lo, hi int)) {
 					panicMu.Unlock()
 				}
 			}()
-			f(lo, hi)
-		}(lo, hi)
+			f(w, next)
+		}(w)
 	}
 	wg.Wait()
 	if panicked != nil {

@@ -105,8 +105,8 @@ type ecoShard struct {
 // cancellation, the two option fields that never live in the cache.
 type RebuildOptions struct {
 	// Trace, when non-nil, records the rebuild's phase spans (dirty,
-	// rebuild, adopt, retain, restitch, finalize) with per-dirty-shard child
-	// traces.
+	// rebuild, adopt, retain, restitch, finalize, embed) with
+	// per-dirty-shard child traces.
 	Trace *obs.Trace
 	// Ctx cancels the rebuild (merge loops and dispatch alike).
 	Ctx context.Context

@@ -599,7 +599,7 @@ func TestEcoTraceSpans(t *testing.T) {
 	for _, p := range tr.Summary().Phases {
 		have[p.Name] = true
 	}
-	for _, span := range []string{"dirty", "rebuild", "adopt", "retain", "restitch", "finalize"} {
+	for _, span := range []string{"dirty", "rebuild", "adopt", "retain", "restitch", "finalize", "embed"} {
 		if !have[span] {
 			t.Errorf("rebuild trace missing span %q (have %v)", span, tr.Summary().Phases)
 		}

@@ -78,7 +78,7 @@ func TestTraceAccountsForWallTime(t *testing.T) {
 	for _, p := range s.Phases {
 		have[p.Name] = true
 	}
-	for _, want := range []string{"partition", "pilot", "shards", "stitch", "finalize", "eval"} {
+	for _, want := range []string{"partition", "pilot", "shards", "stitch", "finalize", "embed", "eval"} {
 		if !have[want] {
 			t.Errorf("phase %q missing from summary: %+v", want, s.Phases)
 		}

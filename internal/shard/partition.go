@@ -1,7 +1,8 @@
 package shard
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/ctree"
 	"repro/internal/geom"
@@ -66,11 +67,13 @@ func bisect(in *ctree.Instance, ids []int, k1, k int) int {
 			entries[i].c = geom.ToUV(in.Sinks[id].Loc).V
 		}
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].c != entries[b].c {
-			return entries[a].c < entries[b].c
+	// A strict (coordinate, id) order over finite coordinates: one
+	// permutation, whichever sort computes it.
+	slices.SortFunc(entries, func(a, b keyed) int {
+		if c := cmp.Compare(a.c, b.c); c != 0 {
+			return c
 		}
-		return entries[a].id < entries[b].id
+		return cmp.Compare(a.id, b.id)
 	})
 	for i, e := range entries {
 		ids[i] = e.id

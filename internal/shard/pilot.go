@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -129,11 +131,13 @@ func nearestPatch(in *ctree.Instance, candidates []int, anchor geom.UV, q int) [
 		p := geom.ToUV(in.Sinks[id].Loc)
 		entries[i] = keyed{d2: (p.U-anchor.U)*(p.U-anchor.U) + (p.V-anchor.V)*(p.V-anchor.V), id: id}
 	}
-	sort.Slice(entries, func(a, b int) bool {
-		if entries[a].d2 != entries[b].d2 {
-			return entries[a].d2 < entries[b].d2
+	// A strict (d², id) order over finite distances: one permutation,
+	// whichever sort computes it.
+	slices.SortFunc(entries, func(a, b keyed) int {
+		if c := cmp.Compare(a.d2, b.d2); c != 0 {
+			return c
 		}
-		return entries[a].id < entries[b].id
+		return cmp.Compare(a.id, b.id)
 	})
 	ids := make([]int, q)
 	for i := range ids {

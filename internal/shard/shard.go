@@ -64,7 +64,7 @@ type Result struct {
 	PilotStats core.Stats
 	// Trace is the run's trace node (Options.Trace echoed back; nil when
 	// untraced): top-level spans for the partition/pilot/shards/stitch/
-	// finalize phases, with the pilot, each shard build, and the stitch
+	// finalize/embed phases, with the pilot, each shard build, and the stitch
 	// recording into child traces ("pilot", "shard0"…, "stitch").
 	Trace *obs.Trace
 	// Dispatch sums what fault handling cost across the run's dispatched
@@ -353,8 +353,8 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 	}
 
 	// Finalize: per-shard wire attribution, stats aggregation, dense
-	// internal-ID renumbering, the stitched root's group skew and the
-	// source embedding.
+	// internal-ID renumbering and the stitched root's group skew. The source
+	// embedding follows in its own phase, as in core.Build.
 	finRgn := tr.Begin("finalize")
 	if err := dispatch.Protect("finalize", func() error {
 		res.Root = top.Root
@@ -393,12 +393,20 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 		res.Wirelength = treeWire + res.SourceWire
 		res.MaxGroupSkew = top.Root.Delay.MaxWidth()
 		res.StitchWire = treeWire - shardWire
-		res.Root.Embed(geom.ToUV(in.Source))
 		return nil
 	}); err != nil {
 		return err
 	}
 	finRgn.End()
+
+	embRgn := tr.Begin("embed")
+	if err := dispatch.Protect("embed", func() error {
+		res.Root.Embed(geom.ToUV(in.Source))
+		return nil
+	}); err != nil {
+		return err
+	}
+	embRgn.End()
 
 	if retain {
 		res.Eco = &EcoCache{

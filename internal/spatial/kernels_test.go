@@ -53,8 +53,7 @@ func densityCellAllPairs(boxes []geom.Rect) float64 {
 	if len(nn) > 0 {
 		cell = 2 * nn[len(nn)/4] * math.Sqrt(float64(s)/float64(n))
 	}
-	area := bb.Width() * bb.Height()
-	if floor := math.Sqrt(area / float64(maxCellsPerItem*n)); cell < floor {
+	if floor := windowFloor(bb, n); cell < floor {
 		cell = floor
 	}
 	if med := edges[len(edges)/2]; cell < med {

@@ -15,25 +15,21 @@ import (
 // pair distance and key the pair priority; key == nil means priority =
 // distance. For exact results dist(i,j) must be ≥ DistRR of the two stored
 // boxes and key(i,j,d) ≥ d, both as computed in floating point — see the
-// package documentation on pruning soundness and the box pre-filter.
+// package documentation on the clip's soundness and the box pre-filter.
 type GridPairer struct {
 	idx  *Index
 	box  func(id int) geom.Rect
 	dist func(i, j int) float64
 	key  func(i, j int, d float64) float64
 	out  []order.Pair
-	// prefilled marks ids bulk-inserted at construction (NewGridPairerFor):
-	// the queue's initial Insert calls for them are no-ops, since their
-	// boxes are already filed and boxes of live items never change.
-	prefilled int
 }
 
 var _ order.Pairer = (*GridPairer)(nil)
-var _ Keyer = (*GridPairer)(nil)
+var _ keyer = (*GridPairer)(nil)
 
 // NewGridPairer builds a GridPairer over an empty index with the given cell
-// edge (see AutoCell and DensityCell). The index window is established from
-// the first insert; NewGridPairerFor presizes it instead.
+// edge (see AutoCell and DensityCell) for its first filing; every batch
+// query after mutations re-measures the cell with DensityCell.
 func NewGridPairer(cell float64, box func(id int) geom.Rect, dist func(i, j int) float64, key func(i, j int, d float64) float64) *GridPairer {
 	if key == nil {
 		key = func(_, _ int, d float64) float64 { return d }
@@ -41,83 +37,95 @@ func NewGridPairer(cell float64, box func(id int) geom.Rect, dist func(i, j int)
 	return &GridPairer{idx: New(cell), box: box, dist: dist, key: key}
 }
 
-// NewGridPairerFor builds a GridPairer preloaded with the initial
-// population under ids 0..len(boxes)-1: density-adapted cell edge
-// (DensityCell), a window presized to the boxes' bounding box, and a bulk
-// fill, so the merge queue's initial per-item inserts are no-ops and the
-// warm-up triggers no rebuilds. box(id) must equal boxes[id] for the
+// NewGridPairerFor builds a GridPairer for the initial population
+// boxes[id], id 0..len(boxes)-1, and room for the merged items a merge
+// tree over them adds: its first filing uses the density-adapted cell edge
+// (DensityCell) of those boxes. box(id) must equal boxes[id] for the
 // initial ids.
 func NewGridPairerFor(boxes []geom.Rect, box func(id int) geom.Rect, dist func(i, j int) float64, key func(i, j int, d float64) float64) *GridPairer {
 	p := NewGridPairer(DensityCell(boxes), box, dist, key)
-	if len(boxes) > 0 {
-		p.idx = NewBounded(p.idx.cell, boundsOf(boxes))
-		p.idx.InsertAll(boxes)
-		p.prefilled = len(boxes)
-	}
+	p.idx.reserve(2 * len(boxes))
 	return p
 }
 
 // Index exposes the underlying grid (diagnostics and tests).
 func (p *GridPairer) Index() *Index { return p.idx }
 
-// Insert files the item under its current bounding box. The initial ids of
-// a preloaded pairer (NewGridPairerFor) are already filed and skip refiling.
-func (p *GridPairer) Insert(id int) {
-	if id < p.prefilled {
-		return
-	}
-	p.idx.Insert(id, p.box(id))
-}
+// Insert queues the item under its current bounding box.
+func (p *GridPairer) Insert(id int) { p.idx.Insert(id, p.box(id)) }
 
 // Delete retires a merged item.
 func (p *GridPairer) Delete(id int) { p.idx.Delete(id) }
 
-// PairKey implements Keyer: the configured pair priority over the exact
+// pairKey implements keyer: the configured pair priority over the exact
 // pair distance.
-func (p *GridPairer) PairKey(self, cand int) float64 {
+func (p *GridPairer) pairKey(self, cand int) float64 {
 	return p.key(self, cand, p.dist(self, cand))
 }
 
-// Nearest returns id's best live partner by key, smallest index on ties.
+// Nearest returns id's best live partner by key, smallest index on ties,
+// settling the index under the single-query cadence first.
 func (p *GridPairer) Nearest(id int) (order.Pair, bool) {
-	j, k, ok := p.idx.NearestScored(id, p, nil)
-	if !ok {
-		return order.Pair{I: id, J: -1}, false
-	}
-	return order.Pair{Key: k, I: id, J: j}, true
+	p.idx.settle()
+	return p.pair(id, p, nil)
 }
 
-// distKeyer is GridPairer's Keyer view that scores by the exact pair
+// distKeyer is GridPairer's keyer view that scores by the exact pair
 // distance alone. The distance dominates the stored boxes' DistRR (dist
-// must, for the pair key to), so the ring search stays exact under it.
+// must, for the pair key to), so the ring walk stays exact under it.
 type distKeyer GridPairer
 
-func (p *distKeyer) PairKey(self, cand int) float64 { return p.dist(self, cand) }
+func (p *distKeyer) pairKey(self, cand int) float64 { return p.dist(self, cand) }
 
 // NearestFree returns id's nearest live partner by raw distance among the
 // ids not marked in used, smallest index on ties: the anti-starvation
-// partner of order's batch selection, answered by the ring search.
+// partner of order's batch selection, answered by the ring walk after the
+// single-query settle. Within a Multi round it follows the round's
+// NearestAll with no mutation between, so the settle finds nothing to do.
 func (p *GridPairer) NearestFree(id int, used []bool) (order.Pair, bool) {
-	j, d, ok := p.idx.NearestScored(id, (*distKeyer)(p), used)
-	if !ok {
-		return order.Pair{I: id, J: -1}, false
-	}
-	return order.Pair{Key: d, I: id, J: j}, true
+	p.idx.settle()
+	return p.pair(id, (*distKeyer)(p), used)
 }
 
-// NearestAll shards the batch of queries across CPUs. Queries only read the
-// index, and every result is written by position with smallest-index
-// tie-breaking, so the output is identical at any GOMAXPROCS. The returned
-// slice aliases an internal buffer valid until the next call.
+// pair runs one query on the settled index and counts its scans.
+func (p *GridPairer) pair(id int, k keyer, used []bool) (order.Pair, bool) {
+	j, key, scans := p.idx.nearest(id, k, used)
+	p.idx.scans.Add(scans)
+	return pairOf(id, j, key)
+}
+
+// pairOf packs a query's answer for id: J = −1 and Key 0 when no partner
+// exists.
+func pairOf(id, j int, key float64) (order.Pair, bool) {
+	if j < 0 {
+		return order.Pair{I: id, J: -1}, false
+	}
+	return order.Pair{Key: key, I: id, J: j}, true
+}
+
+// NearestAll re-files the index for this batch (see the package
+// documentation), then spreads the queries over the CPUs. Queries only read
+// the settled index, and every result is written by position with
+// smallest-index tie-breaking, so the output and the scan count are
+// identical at any GOMAXPROCS. Each worker adds its scans to the count
+// once. The returned slice aliases an internal buffer valid until the next
+// call.
 func (p *GridPairer) NearestAll(ids []int) []order.Pair {
+	p.idx.settleBatch()
 	if cap(p.out) < len(ids) {
 		p.out = make([]order.Pair, len(ids))
 	}
 	out := p.out[:len(ids)]
-	order.ParallelChunks(len(ids), func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			out[t], _ = p.Nearest(ids[t])
+	order.ParallelChunks(len(ids), func(_ int, next func() (lo, hi int, ok bool)) {
+		var scans int64
+		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
+			for t := lo; t < hi; t++ {
+				j, key, n := p.idx.nearest(ids[t], p, nil)
+				scans += n
+				out[t], _ = pairOf(ids[t], j, key)
+			}
 		}
+		p.idx.scans.Add(scans)
 	})
 	return out
 }

@@ -23,35 +23,61 @@
 // that every query scans linearly — oversized regions appear near the top of
 // the merge tree, when few items are live, so the list stays short.
 //
-// # Amortized deletion and re-cell
+// # Settling: upkeep at query time
 //
-// Delete is a tombstone: the item is marked dead in O(1) and its bucket
-// entries are purged lazily, either when dead entries outnumber live ones
-// (a full sweep, amortized O(1) per delete) or at the next rebuild. Queries
-// skip dead entries. The grid re-cells itself when the live count falls to
-// half its peak since the last build: merge rounds halve the live set and
-// fatten the survivors. Rebuilds re-fit the window and re-measure the cell
-// with DensityCell, keeping bucket occupancy near the sweet spot on
-// clustered (power-law) placements where a global extent/√n cell is far too
-// coarse for the dense clusters. Every rebuild trigger compares counters
-// maintained by the single mutating goroutine, and cell size never affects
-// query results, so merge sequences remain exactly reproducible. Rebuilds
-// are counted by trigger in RebuildStats (see Rebuilds), which the router
-// surfaces in its run stats.
+// Mutations only record: Insert queues the item, and Delete marks it dead
+// (a tombstone) in O(1). The grid is brought up to date when a query needs
+// it, on the single goroutine that owns the index, by one of two rules:
 //
-// Queries run an expanding ring search, written once, in NearestScored;
-// NearestBox is its box-distance form. Cells at Chebyshev ring r around the
-// query's own cells lie at L∞ distance ≥ (r−1)·cell from the query box, so
-// the search stops as soon as the best key found under-runs the next ring's
-// lower bound. Exactness therefore requires the candidate key to dominate
-// the bounding-box distance: true for plain distance (greedy-DME, classic
-// DME) and for the router's snaking-aware merge keys, which only add
-// non-negative elongation excess to the distance. No router key drops
-// below the distance.
+//   - The batch query (GridPairer.NearestAll, once per Multi round)
+//     re-files the whole live set into a fresh grid whose window fits the
+//     live bounding box and whose cell DensityCell measures for that round's
+//     population. Merge rounds retire most of the live set and replace it
+//     with fatter merged regions, so a grid fitted to the previous round, or
+//     re-celled midway through the retirement, mis-sizes every bucket.
+//   - Single queries (GridPairer.Nearest and NearestFree, and NearestBox,
+//     which Greedy, internal/dme and the ECO dirty set query) file the
+//     queued items one by one and keep the incremental cadence: a full
+//     re-cell once the live count has halved since the last build, a
+//     re-window once more than clampSlack live items sit clamped at the
+//     window edge, and a sweep of dead bucket entries once they outnumber
+//     live ones. Each is amortized against the mutations that tripped it.
 //
-// Exact key ties break toward the smallest item id. Ties are always visited
-// before pruning cuts in (the ring bound is strict), so the tie-break is
-// global, matching the all-pairs scan and keeping runs reproducible.
+// Both rules read counters kept by the single owning goroutine, and cell
+// size never affects query results, so merge sequences and scan counts are
+// exactly reproducible. RebuildStats counts the rebuilds: LiveDrop the
+// re-cells of a changed live set (each batch query after mutations, and the
+// single-query halving rule), EdgeClamp the re-windows. The first filing of
+// an index, which fits its window to the items queued so far, counts as
+// neither.
+//
+// # Ring walk and clip
+//
+// Every query runs one expanding ring walk (nearest): ring r is the square
+// annulus of cells at Chebyshev distance r around the query box's own
+// cells. Each ring is clipped to the clip box, the cells that can hold a
+// candidate within the best key found so far: the query box inflated on
+// every side by that key plus a float-safe margin, re-derived whenever the
+// best key improves. The walk stops once the rings it has walked cover the
+// clip box. Exactness requires the candidate key to dominate the
+// bounding-box distance: true for plain distance (greedy-DME, classic DME)
+// and for the router's snaking-aware merge keys, which only add
+// non-negative elongation excess to the distance.
+//
+// The clip is sound in floating point, not only in exact arithmetic. A
+// candidate b can win only if its key, and so its computed DistRR from the
+// query box q, is at most the best key K, so each computed axis gap is:
+// fl(b.ULo − q.UHi) ≤ K, which bounds the exact b.ULo by q.UHi + K(1+2u),
+// u = 2⁻⁵³, and likewise for the three other sides. The margin,
+// 2⁻⁴⁰·(K + |q.ULo| + |q.UHi| + |q.VLo| + |q.VHi|), outweighs that error
+// plus the rounding of the inflation's own additions by more than 2⁸, so
+// the computed clip edges lie beyond every exact edge a winning candidate
+// can reach. Clip edges map to cells through the very floor(v/cell) that
+// files the items, which is monotone, so such a candidate always has a
+// filed cell inside the clip. A cell is pruned only when it lies wholly
+// beyond an inflated edge: the comparison is strict, so equal-key
+// candidates are always visited and the smallest-id tie-break is global,
+// matching the all-pairs scan.
 //
 // # Exact shortcuts
 //
@@ -90,8 +116,8 @@ import (
 // is moved to the linearly-scanned overflow list.
 const maxSpanCells = 64
 
-// Rebuild-policy constants. The thresholds are deliberately coarse powers of
-// two: every trigger is amortized against the mutations that tripped it.
+// Upkeep constants. The thresholds are deliberately coarse powers of two:
+// every trigger is amortized against the mutations that tripped it.
 const (
 	// windowPad inflates a rebuilt window by this many cells per side, so
 	// regions drifting slightly past the live bounding box stay unclamped.
@@ -108,10 +134,19 @@ const (
 	// maxCellsPerItem caps the dense window at this many cells per live
 	// item; DensityCell's estimate is floored so the array stays O(n).
 	maxCellsPerItem = 8
+	// clipMargin scales the clip box's float-safe margin (see the package
+	// documentation): 2⁻⁴⁰ of the key plus the query box's coordinate
+	// magnitudes, some 2¹¹ times the rounding error it must absorb.
+	clipMargin = 0x1p-40
 )
 
-// RebuildStats counts index rebuilds by trigger: the live count halving
-// (LiveDrop) and too many items clamped at the window edge (EdgeClamp).
+// RebuildStats counts index rebuilds by trigger. LiveDrop counts re-cells
+// of a changed live set: every batch query that follows mutations re-files
+// the live set under a DensityCell measured for it, and a single query
+// does so once the live count has halved since the last build. EdgeClamp
+// counts re-windows, when a single query finds more than clampSlack live
+// items filed clamped at the window edge. An index's first filing counts as
+// neither.
 type RebuildStats struct {
 	LiveDrop, EdgeClamp int
 }
@@ -130,9 +165,10 @@ func (r *RebuildStats) Add(o RebuildStats) {
 type spanState uint8
 
 const (
-	spanEmpty spanState = iota // not filed anywhere
-	spanLive                   // filed and alive
-	spanTomb                   // dead, bucket entries not yet purged
+	spanEmpty  spanState = iota // not live, not filed anywhere
+	spanQueued                  // live, waiting in pending to be filed
+	spanLive                    // filed and alive
+	spanTomb                    // dead, bucket or overflow entries not yet purged
 )
 
 // itemSpan records where an item was filed so refiles and rebuilds can
@@ -151,27 +187,33 @@ func (sp itemSpan) cellCount() int {
 	return int(sp.cu1-sp.cu0+1) * int(sp.cv1-sp.cv0+1)
 }
 
-// Index is the uniform bucket grid. Insert and Delete must be called from a
-// single goroutine; NearestScored and NearestBox are safe to call
-// concurrently with each other (but not with Insert/Delete), which the
-// batch pairing of GridPairer relies on.
+// cellBox is an inclusive window-relative cell range.
+type cellBox struct{ u0, u1, v0, v1 int32 }
+
+// Index is the uniform bucket grid. All of its methods must be called from
+// a single goroutine: queries settle the grid first (see the package
+// documentation), which mutates it. GridPairer.NearestAll fans its queries
+// out across goroutines only after settling, while nothing mutates the
+// index.
 type Index struct {
 	cell float64
 	// Window: cells[cu + cv*w] holds the bucket of window-relative cell
 	// (cu, cv); (ou, ov) is the absolute cell coordinate of (0, 0).
-	ou, ov int32
-	w, h   int32
-	cells  [][]int32
-	spans  []itemSpan
-	boxes  []geom.Rect
-	over   []int32 // ids of oversized items (eagerly maintained)
-	n      int     // live items
+	ou, ov  int32
+	w, h    int32
+	cells   [][]int32
+	spans   []itemSpan
+	boxes   []geom.Rect
+	over    []int32 // ids of oversized filed items, tombstoned ones included
+	pending []int32 // queued inserts; ids deleted or re-queued since are skipped
+	n       int     // live items, queued ones included
 
-	// Amortization counters (single-writer).
-	liveFiled int // bucket entries of live items
-	deadFiled int // bucket entries of tombstoned items
-	clamped   int // live inserts clamped at the window edge since last build
-	peakLive  int // max live count since last rebuild (re-cell trigger)
+	// Upkeep counters (single-writer).
+	liveFiled int  // bucket entries of live items
+	deadFiled int  // bucket entries of tombstoned items
+	clamped   int  // live items filed clamped at the window edge since last build
+	peakLive  int  // max live count since last build (re-cell trigger)
+	changed   bool // a mutation since the last build (batch re-file trigger)
 
 	rebuilds RebuildStats
 	// rebuildTime accumulates wall time spent inside rebuild. Measured
@@ -179,7 +221,12 @@ type Index struct {
 	// traced callers can attribute pairing time to index maintenance.
 	rebuildTime time.Duration
 
-	countBuf []int32 // bulk-fill scratch: per-cell entry counts
+	// Build scratch, reused by every rebuild: per-cell entry counts, the
+	// live ids and boxes, and the flat backing the buckets are carved from.
+	countBuf  []int32
+	liveIDs   []int32
+	liveBoxes []geom.Rect
+	flat      []int32
 
 	// entrySlab backs bucket growth: when an append outgrows a bucket's
 	// capacity, the doubled backing comes from this chunked slab instead of
@@ -194,23 +241,13 @@ type Index struct {
 }
 
 // New returns an empty index with the given cell edge (≤ 0 selects 1). The
-// window is established from the first insert and re-fitted by amortized
-// rebuilds as items land outside it; callers that know the population up
-// front should prefer NewBounded, which avoids the warm-up rebuilds.
+// first query fits the window to the items queued so far; later rebuilds
+// re-fit it, and batch queries re-measure the cell with DensityCell.
 func New(cell float64) *Index {
 	if !(cell > 0) {
 		cell = 1
 	}
 	return &Index{cell: cell}
-}
-
-// NewBounded returns an empty index presized to the given bounding box, so
-// inserts within it never trigger a re-windowing rebuild.
-func NewBounded(cell float64, bb geom.Rect) *Index {
-	x := New(cell)
-	x.setWindow(x.cellIdx(bb.ULo)-windowPad, x.cellIdx(bb.UHi)+windowPad,
-		x.cellIdx(bb.VLo)-windowPad, x.cellIdx(bb.VHi)+windowPad)
-	return x
 }
 
 // AutoCell returns a cell edge targeting about one item per cell: the larger
@@ -235,8 +272,8 @@ func AutoCell(boxes []geom.Rect) float64 {
 // the 25th percentile (biasing toward the dense regions that dominate query
 // cost), and rescales by √(sample/n) — nearest-neighbor spacing scales with
 // 1/√density, so the thinned sample overestimates it by exactly that
-// factor. The estimate is floored so the dense window stays at most
-// maxCellsPerItem cells per item, and raised to the samples' median box
+// factor. The estimate is floored so the dense window stays O(n) cells
+// (windowFloor), and raised to the samples' median box
 // edge so fattened regions keep spanning O(1) cells. On uniform placements
 // this lands near AutoCell; on power-law placements it is several times
 // finer, which keeps the hot clusters' buckets small.
@@ -279,9 +316,7 @@ func DensityCell(boxes []geom.Rect) float64 {
 		// and doubled: about 2-4 items per cell in the dense regions.
 		cell = 2 * nn[len(nn)/4] * math.Sqrt(float64(s)/float64(n))
 	}
-	// Floor: keep the dense window at O(n) cells.
-	area := bb.Width() * bb.Height()
-	if floor := math.Sqrt(area / float64(maxCellsPerItem*n)); cell < floor {
+	if floor := windowFloor(bb, n); cell < floor {
 		cell = floor
 	}
 	// Fat regions should span O(1) cells, not maxSpanCells.
@@ -292,6 +327,16 @@ func DensityCell(boxes []geom.Rect) float64 {
 		return AutoCell(boxes)
 	}
 	return cell
+}
+
+// windowFloor is the smallest cell edge that keeps a window over bb at
+// O(n) cells: about maxCellsPerItem per item by area, and at most
+// maxCellsPerItem·n along the longer axis, where a (nearly) collinear
+// population with a tiny spacing and no area would otherwise cut billions
+// of cells.
+func windowFloor(bb geom.Rect, n int) float64 {
+	per := float64(maxCellsPerItem * n)
+	return max(math.Sqrt(bb.Width()*bb.Height()/per), max(bb.Width(), bb.Height())/per)
 }
 
 // sampleBox is a DensityCell sample box. hiMax is the largest UHi of the
@@ -360,12 +405,34 @@ func (x *Index) cellIdx(v float64) int32 {
 	return int32(math.Floor(v / x.cell))
 }
 
-// setWindow allocates the dense bucket array for absolute cell range
-// [u0, u1] × [v0, v1].
+// windowCell returns the window-relative cell of coordinate v along an axis
+// whose window starts at absolute cell o and spans n cells, clamped to
+// [0, n−1]. It equals clamp32(cellIdx(v)−o, 0, n−1) wherever cellIdx fits
+// an int32, and clamps in floating point so that an inflated clip edge far
+// outside the window (or infinite) never overflows the conversion.
+func (x *Index) windowCell(v float64, o, n int32) int32 {
+	c := math.Floor(v/x.cell) - float64(o)
+	switch {
+	case c >= float64(n-1):
+		return n - 1
+	case c > 0:
+		return int32(c)
+	}
+	return 0
+}
+
+// setWindow sizes the dense bucket array for absolute cell range
+// [u0, u1] × [v0, v1], reusing the previous array when it is large enough.
 func (x *Index) setWindow(u0, u1, v0, v1 int32) {
 	x.ou, x.ov = u0, v0
 	x.w, x.h = u1-u0+1, v1-v0+1
-	x.cells = make([][]int32, int(x.w)*int(x.h))
+	n := int(x.w) * int(x.h)
+	if cap(x.cells) >= n {
+		x.cells = x.cells[:n]
+		clear(x.cells)
+	} else {
+		x.cells = make([][]int32, n)
+	}
 }
 
 // Len returns the number of live items.
@@ -376,6 +443,8 @@ func (x *Index) Len() int { return x.n }
 func (x *Index) Scans() int64 { return x.scans.Load() }
 
 // Rebuilds reports how many times the index rebuilt itself, by trigger.
+// Rebuilds run when a query settles the index, so mutations alone never
+// move the counts.
 func (x *Index) Rebuilds() RebuildStats { return x.rebuilds }
 
 // RebuildTime reports the cumulative wall time spent rebuilding the index.
@@ -434,14 +503,12 @@ func (x *Index) appendEntry(c int32, id int32) {
 	x.cells[c] = append(b, id)
 }
 
-// unfile removes id's bucket (or overflow) entries eagerly, adjusting the
-// filed counters for the span's previous state. Used on refile and on
-// resurrecting a tombstoned id; bulk removal goes through purge/rebuild.
+// unfile removes a filed id's bucket (or overflow) entries eagerly,
+// adjusting the filed counters for the span's previous state. Used when a
+// filed id, live or tombstoned, is inserted again; bulk removal goes
+// through purge and rebuild.
 func (x *Index) unfile(id int) {
 	sp := x.spans[id]
-	if sp.state == spanEmpty {
-		return
-	}
 	if sp.overflow {
 		for k, v := range x.over {
 			if v == int32(id) {
@@ -475,14 +542,19 @@ func (x *Index) unfile(id int) {
 	x.spans[id].state = spanEmpty
 }
 
-// Insert files item id under bounding box r. Ids may be sparse and only
-// grow; re-inserting a live id refiles it under the new box.
+// Insert queues item id under bounding box r; the next query files it. Ids
+// may be sparse and only grow; re-inserting a live id moves it to the new
+// box.
 func (x *Index) Insert(id int, r geom.Rect) {
 	for len(x.spans) <= id {
 		x.spans = append(x.spans, itemSpan{})
 		x.boxes = append(x.boxes, geom.Rect{})
 	}
+	x.boxes[id] = r
+	x.changed = true
 	switch x.spans[id].state {
+	case spanQueued:
+		return // already queued: filed under the new box
 	case spanLive:
 		x.unfile(id)
 		x.n--
@@ -491,103 +563,147 @@ func (x *Index) Insert(id int, r geom.Rect) {
 		// purge sweep would mistake them for the new live filing.
 		x.unfile(id)
 	}
-	x.boxes[id] = r
-	if x.w == 0 {
-		x.setWindow(x.cellIdx(r.ULo)-windowPad, x.cellIdx(r.UHi)+windowPad,
-			x.cellIdx(r.VLo)-windowPad, x.cellIdx(r.VHi)+windowPad)
+	x.spans[id] = itemSpan{state: spanQueued}
+	if x.w > 0 {
+		// Without a window, the next query files every live item at once
+		// and has no use for the queue.
+		x.pending = append(x.pending, int32(id))
 	}
-	sp, clamped := x.clampSpan(r)
+	x.n++
+	if x.n > x.peakLive {
+		x.peakLive = x.n
+	}
+}
+
+// InsertAll queues boxes under ids 0..len(boxes)-1, as Insert does one by
+// one. On a fresh index the first query files them all in one counting
+// pass, with the window fitted to their bounding box.
+func (x *Index) InsertAll(boxes []geom.Rect) {
+	x.reserve(len(boxes))
+	for i, r := range boxes {
+		x.Insert(i, r)
+	}
+}
+
+// reserve makes room for ids 0..ids-1 without regrowing the per-id tables.
+func (x *Index) reserve(ids int) {
+	if more := ids - len(x.spans); more > 0 {
+		x.spans = slices.Grow(x.spans, more)
+		x.boxes = slices.Grow(x.boxes, more)
+	}
+}
+
+// Delete retires item id. Deleting a dead or unknown id is a no-op. A filed
+// item is only tombstoned: its entries are swept lazily (see the package
+// documentation), so Delete is O(1) however many cells the item spanned.
+func (x *Index) Delete(id int) {
+	if id < 0 || id >= len(x.spans) {
+		return
+	}
+	switch x.spans[id].state {
+	case spanQueued:
+		x.spans[id].state = spanEmpty // its pending entry is skipped
+	case spanLive:
+		x.spans[id].state = spanTomb
+		c := x.spans[id].cellCount()
+		x.liveFiled -= c
+		x.deadFiled += c
+	default:
+		return
+	}
+	x.n--
+	x.changed = true
+}
+
+// settle brings the grid up to date for a single query under the
+// incremental cadence (see the package documentation): the first filing,
+// the live-drop re-cell, or the queued items filed one by one followed by
+// the edge-clamp re-window or the dead-entry sweep when due.
+func (x *Index) settle() {
+	switch {
+	case x.w == 0:
+		if x.n > 0 {
+			x.rebuild(false)
+		}
+	case x.n >= recellMinLive && 2*x.n <= x.peakLive:
+		x.rebuilds.LiveDrop++
+		x.rebuild(true)
+	default:
+		for _, id := range x.pending {
+			if x.spans[id].state == spanQueued {
+				x.fileQueued(id)
+			}
+		}
+		x.pending = x.pending[:0]
+		switch {
+		case x.clamped > clampSlack && 8*x.clamped > x.n:
+			x.rebuilds.EdgeClamp++
+			x.rebuild(false)
+		case x.deadFiled > x.liveFiled+purgeSlack:
+			x.purge()
+		default:
+			x.dropDeadOverflow()
+		}
+	}
+}
+
+// settleBatch brings the grid up to date for a batch query: when the live
+// set changed since the last build, it re-files it into a window fitted to
+// its bounding box, under a cell DensityCell measures for it.
+func (x *Index) settleBatch() {
+	if !x.changed {
+		return
+	}
+	recell := x.w > 0 // a first filing keeps the constructor's cell
+	if recell {
+		x.rebuilds.LiveDrop++
+	}
+	x.rebuild(recell)
+}
+
+// liveSpan records id's span in the current window as live, moving the
+// item to the overflow list when the span covers more than maxSpanCells
+// cells. clamped reports whether the window edge cut the span.
+func (x *Index) liveSpan(id int32) (sp itemSpan, clamped bool) {
+	sp, clamped = x.clampSpan(x.boxes[id])
 	sp.state = spanLive
 	if sp.cellCount() > maxSpanCells {
 		sp.overflow = true
-		x.over = append(x.over, int32(id))
-	} else {
-		x.file(int32(id), sp)
+		x.over = append(x.over, id)
+	}
+	x.spans[id] = sp
+	return sp, clamped
+}
+
+// fileQueued files a queued item into the current window, counting an
+// edge-clamped filing toward the re-window trigger.
+func (x *Index) fileQueued(id int32) {
+	if sp, clamped := x.liveSpan(id); !sp.overflow {
+		x.file(id, sp)
 		x.liveFiled += sp.cellCount()
 		if clamped {
 			x.clamped++
 		}
 	}
-	x.spans[id] = sp
-	x.n++
-	if x.n > x.peakLive {
-		x.peakLive = x.n
-	}
-	x.maybeRebuild()
 }
 
-// InsertAll bulk-files boxes under ids 0..len(boxes)-1 into an empty or
-// fresh index, equivalent to inserting them one by one but building every
-// bucket at exact capacity in one counting pass (two allocations total
-// instead of per-bucket append growth). Panics if any of the ids is
-// already filed.
-func (x *Index) InsertAll(boxes []geom.Rect) {
-	if len(boxes) == 0 {
-		return
-	}
-	for len(x.spans) < len(boxes) {
-		x.spans = append(x.spans, itemSpan{})
-		x.boxes = append(x.boxes, geom.Rect{})
-	}
-	ids := make([]int32, len(boxes))
-	for i, r := range boxes {
-		if x.spans[i].state != spanEmpty {
-			panic("spatial: InsertAll over filed ids")
+// dropDeadOverflow removes tombstoned items from the overflow list, which
+// every query scans.
+func (x *Index) dropDeadOverflow() {
+	kept := x.over[:0]
+	for _, id := range x.over {
+		if x.spans[id].state == spanLive {
+			kept = append(kept, id)
+		} else {
+			x.spans[id].state = spanEmpty
 		}
-		ids[i] = int32(i)
-		x.boxes[i] = r
 	}
-	if x.w == 0 {
-		bb := boundsOf(boxes)
-		x.setWindow(x.cellIdx(bb.ULo)-windowPad, x.cellIdx(bb.UHi)+windowPad,
-			x.cellIdx(bb.VLo)-windowPad, x.cellIdx(bb.VHi)+windowPad)
-	}
-	x.bulkFile(ids, boxes)
-	x.n += len(boxes)
-	if x.n > x.peakLive {
-		x.peakLive = x.n
-	}
+	x.over = kept
 }
 
-// Delete unfiles item id. Deleting a dead or unknown id is a no-op. Bucket
-// entries are tombstoned, not removed: the sweep happens lazily once dead
-// entries outnumber live ones, so Delete is O(1) amortized regardless of
-// how many cells the item spanned.
-func (x *Index) Delete(id int) {
-	if id < 0 || id >= len(x.spans) || x.spans[id].state != spanLive {
-		return
-	}
-	sp := x.spans[id]
-	if sp.overflow {
-		x.unfile(id) // overflow list is scanned by every query: keep it tight
-	} else {
-		x.spans[id].state = spanTomb
-		c := sp.cellCount()
-		x.liveFiled -= c
-		x.deadFiled += c
-	}
-	x.n--
-	x.maybeRebuild()
-}
-
-// maybeRebuild applies the amortized maintenance policy; see the package
-// comment. Called after every mutation; every trigger compares counters
-// maintained by the single mutating goroutine, so behavior is deterministic.
-func (x *Index) maybeRebuild() {
-	switch {
-	case x.n >= recellMinLive && 2*x.n <= x.peakLive:
-		x.rebuilds.LiveDrop++
-		x.rebuild(true)
-	case x.clamped > clampSlack && 8*x.clamped > x.n:
-		x.rebuilds.EdgeClamp++
-		x.rebuild(false)
-	case x.deadFiled > x.liveFiled+purgeSlack:
-		x.purge()
-	}
-}
-
-// purge sweeps tombstoned entries out of every bucket. Cost is one pass
-// over the filed entries, amortized against the deletes that created them.
+// purge sweeps tombstoned entries out of every bucket and the overflow
+// list. Cost is one pass over the filed entries, amortized against the
+// deletes that created them.
 func (x *Index) purge() {
 	for c, bucket := range x.cells {
 		kept := bucket[:0]
@@ -598,6 +714,7 @@ func (x *Index) purge() {
 		}
 		x.cells[c] = kept
 	}
+	x.dropDeadOverflow()
 	for id := range x.spans {
 		if x.spans[id].state == spanTomb {
 			x.spans[id].state = spanEmpty
@@ -606,59 +723,61 @@ func (x *Index) purge() {
 	x.deadFiled = 0
 }
 
-// rebuild re-files every live item under a fresh window fitted to the live
-// bounding box — with a re-measured DensityCell edge when recell is set —
-// dropping all tombstones. Triggered when the live count halves (regions
-// have fattened and thinned: time to re-adapt the cell) or when too many
-// items sit clamped at the window edge.
+// rebuild files every live item, queued ones included, under a fresh
+// window fitted to the live bounding box — with a re-measured DensityCell
+// edge when recell is set — dropping all tombstones.
 func (x *Index) rebuild(recell bool) {
 	start := obs.Now()
 	defer func() { x.rebuildTime += obs.Since(start) }()
-	live := make([]int32, 0, x.n)
-	liveBoxes := make([]geom.Rect, 0, x.n)
+	ids := x.liveIDs[:0]
+	var bb geom.Rect
 	for id := range x.spans {
-		if x.spans[id].state == spanLive {
-			live = append(live, int32(id))
-			liveBoxes = append(liveBoxes, x.boxes[id])
-		} else {
+		switch x.spans[id].state {
+		case spanLive, spanQueued:
+			if len(ids) == 0 {
+				bb = x.boxes[id]
+			} else {
+				bb = geom.Union(bb, x.boxes[id])
+			}
+			ids = append(ids, int32(id))
+		default:
 			x.spans[id].state = spanEmpty
 		}
 	}
-	x.over = x.over[:0]
+	x.liveIDs = ids
+	x.pending, x.over = x.pending[:0], x.over[:0]
 	x.liveFiled, x.deadFiled, x.clamped = 0, 0, 0
 	x.peakLive = x.n
-	if len(live) == 0 {
-		x.w, x.h, x.cells = 0, 0, nil
+	x.changed = false
+	if len(ids) == 0 {
+		x.w, x.h, x.cells = 0, 0, x.cells[:0]
 		return
 	}
-	if recell && len(live) >= recellMinLive {
-		x.cell = DensityCell(liveBoxes)
+	if recell && len(ids) >= recellMinLive {
+		boxes := x.liveBoxes[:0]
+		for _, id := range ids {
+			boxes = append(boxes, x.boxes[id])
+		}
+		x.liveBoxes = boxes
+		x.cell = DensityCell(boxes)
 	}
-	bb := boundsOf(liveBoxes)
 	x.setWindow(x.cellIdx(bb.ULo)-windowPad, x.cellIdx(bb.UHi)+windowPad,
 		x.cellIdx(bb.VLo)-windowPad, x.cellIdx(bb.VHi)+windowPad)
-	x.bulkFile(live, liveBoxes)
+	x.bulkFile(ids)
 }
 
 // bulkFile files the given items into the (fresh) bucket array with a
 // counting pass over one flat backing slice, instead of growing each bucket
-// by appends: two allocations however many cells and items are involved.
-func (x *Index) bulkFile(ids []int32, boxes []geom.Rect) {
+// by appends.
+func (x *Index) bulkFile(ids []int32) {
 	if cap(x.countBuf) < len(x.cells) {
 		x.countBuf = make([]int32, len(x.cells))
 	}
 	counts := x.countBuf[:len(x.cells)]
-	for i := range counts {
-		counts[i] = 0
-	}
+	clear(counts)
 	total := 0
-	for k, id := range ids {
-		sp, _ := x.clampSpan(boxes[k])
-		sp.state = spanLive
-		if sp.cellCount() > maxSpanCells {
-			sp.overflow = true
-			x.over = append(x.over, id)
-		} else {
+	for _, id := range ids {
+		if sp, _ := x.liveSpan(id); !sp.overflow {
 			total += sp.cellCount()
 			for cv := sp.cv0; cv <= sp.cv1; cv++ {
 				row := cv * x.w
@@ -667,9 +786,13 @@ func (x *Index) bulkFile(ids []int32, boxes []geom.Rect) {
 				}
 			}
 		}
-		x.spans[id] = sp
 	}
-	flat := make([]int32, 0, total)
+	// Every bucket is re-carved below, so no bucket of the previous build
+	// still aliases the reused backing.
+	if cap(x.flat) < total {
+		x.flat = make([]int32, 0, total)
+	}
+	flat := x.flat[:0]
 	for c, cnt := range counts {
 		if cnt > 0 {
 			// Length 0, capacity cnt: x.file appends in place.
@@ -686,97 +809,99 @@ func (x *Index) bulkFile(ids []int32, boxes []geom.Rect) {
 	}
 }
 
-// Keyer scores candidate items against a fixed query item. It exists so the
+// keyer scores candidate items against a fixed query item. It exists so the
 // hot pairing path can run without allocating per-query closures: the
 // implementation (typically a pairer) is bound once and reused for every
 // query.
-type Keyer interface {
-	// PairKey returns the pair priority of (self, cand). It must be ≥
+type keyer interface {
+	// pairKey returns the pair priority of (self, cand). It must be ≥
 	// DistRR of the two items' stored boxes as computed in floating point,
-	// not only in exact arithmetic: the ring pruning and the box
-	// pre-filter both rest on that bound (see the package documentation).
-	PairKey(self, cand int) float64
+	// not only in exact arithmetic: the clip and the box pre-filter both
+	// rest on that bound (see the package documentation).
+	pairKey(self, cand int) float64
 }
 
-// NearestScored returns the live item minimizing k.PairKey(self, ·),
-// excluding self, dead items and, when used is non-nil, every id marked in
-// used. Exact key ties break toward the smallest id; ok is false when no
-// candidate exists. The query box is self's own stored box. Items spanning
+// nearest returns the live item minimizing k.pairKey(self, ·), excluding
+// self, dead items and, when used is non-nil, every id marked in used, or
+// −1 when no candidate exists; exact key ties break toward the smallest id.
+// It also returns how many candidates it scanned, for the caller to count.
+// The query box is self's own stored box.
+//
+// The index must be settled, with nothing mutating it during the call; then
+// nearest only reads it, so concurrent calls are safe. Items spanning
 // several cells may be evaluated more than once (the ring walk does not
-// deduplicate), so PairKey must be pure — which also makes NearestScored
-// safe to call from concurrent goroutines between index mutations.
-func (x *Index) NearestScored(self int, k Keyer, used []bool) (best int, bestKey float64, ok bool) {
+// deduplicate), so pairKey must be pure.
+func (x *Index) nearest(self int, k keyer, used []bool) (best int, bestKey float64, scans int64) {
 	q := x.boxes[self]
 	best, bestKey = -1, math.Inf(1)
-	var scans int64
 	for _, id32 := range x.over {
 		id := int(id32)
-		if id == self || used != nil && used[id] {
+		if id == self || x.spans[id].state != spanLive || used != nil && used[id] {
 			continue
 		}
 		scans++
 		if x.outranked(q, id, best, bestKey) {
 			continue
 		}
-		if key := k.PairKey(self, id); key < bestKey || (key == bestKey && id < best) {
+		if key := k.pairKey(self, id); key < bestKey || (key == bestKey && id < best) {
 			best, bestKey = id, key
 		}
 	}
-	if x.w > 0 {
-		qu0 := clamp32(x.cellIdx(q.ULo)-x.ou, 0, x.w-1)
-		qu1 := clamp32(x.cellIdx(q.UHi)-x.ou, qu0, x.w-1)
-		qv0 := clamp32(x.cellIdx(q.VLo)-x.ov, 0, x.h-1)
-		qv1 := clamp32(x.cellIdx(q.VHi)-x.ov, qv0, x.h-1)
-		for r := int32(0); ; r++ {
-			// Ring r cells are ≥ (r−1)·cell away from the query box; stop
-			// once no unvisited cell can beat the best key. The bound is
-			// strict, so equal-key candidates are always visited and the
-			// smallest-id tie-break is global.
-			if best >= 0 && float64(r-1)*x.cell > bestKey {
-				break
-			}
-			u0, u1 := qu0-r, qu1+r
-			v0, v1 := qv0-r, qv1+r
-			var strips [4][4]int32
-			nstrips := x.ringStrips(&strips, u0, u1, v0, v1, r)
-			for s := 0; s < nstrips; s++ {
-				st := strips[s]
-				for cv := st[2]; cv <= st[3]; cv++ {
-					row := cv * x.w
-					for cu := st[0]; cu <= st[1]; cu++ {
-						for _, id32 := range x.cells[row+cu] {
-							id := int(id32)
-							if id == self || x.spans[id].state != spanLive || used != nil && used[id] {
-								continue
-							}
-							scans++
-							if x.outranked(q, id, best, bestKey) {
-								continue
-							}
-							if key := k.PairKey(self, id); key < bestKey || (key == bestKey && id < best) {
-								best, bestKey = id, key
-							}
+	if x.w == 0 {
+		return best, bestKey, scans
+	}
+	sp, _ := x.clampSpan(q)
+	qc := cellBox{sp.cu0, sp.cu1, sp.cv0, sp.cv1}
+	clip := x.clipBox(q, bestKey)
+	for r := int32(0); ; r++ {
+		ring := cellBox{qc.u0 - r, qc.u1 + r, qc.v0 - r, qc.v1 + r}
+		var strips [4]cellBox
+		for _, st := range strips[:ringStrips(&strips, ring, r)] {
+			// Loop bounds re-read clip, which shrinks whenever the best
+			// key improves.
+			for cv := max(st.v0, clip.v0); cv <= min(st.v1, clip.v1); cv++ {
+				row := cv * x.w
+				for cu := max(st.u0, clip.u0); cu <= min(st.u1, clip.u1); cu++ {
+					for _, id32 := range x.cells[row+cu] {
+						id := int(id32)
+						if id == self || x.spans[id].state != spanLive || used != nil && used[id] {
+							continue
+						}
+						scans++
+						if x.outranked(q, id, best, bestKey) {
+							continue
+						}
+						if key := k.pairKey(self, id); key < bestKey || (key == bestKey && id < best) {
+							best, bestKey = id, key
+							clip = x.clipBox(q, bestKey)
 						}
 					}
 				}
 			}
-			if u0 <= 0 && v0 <= 0 && u1 >= x.w-1 && v1 >= x.h-1 {
-				break // every cell visited
-			}
+		}
+		if ring.u0 <= clip.u0 && ring.u1 >= clip.u1 && ring.v0 <= clip.v0 && ring.v1 >= clip.v1 {
+			return best, bestKey, scans
 		}
 	}
-	x.scans.Add(scans)
-	if best < 0 {
-		return -1, 0, false
-	}
-	return best, bestKey, true
 }
 
-// outranked is the box pre-filter of the ring walks: it reports that
+// clipBox returns the window cells that can hold a candidate whose key is
+// at most key against query box q: q inflated on every side by key plus
+// the float-safe margin, mapped to cells like the items' own filing and
+// clamped to the window. An infinite key gives the whole window.
+func (x *Index) clipBox(q geom.Rect, key float64) cellBox {
+	k := key + (key+math.Abs(q.ULo)+math.Abs(q.UHi)+math.Abs(q.VLo)+math.Abs(q.VHi))*clipMargin
+	return cellBox{
+		x.windowCell(q.ULo-k, x.ou, x.w), x.windowCell(q.UHi+k, x.ou, x.w),
+		x.windowCell(q.VLo-k, x.ov, x.h), x.windowCell(q.VHi+k, x.ov, x.h),
+	}
+}
+
+// outranked is the box pre-filter of the ring walk: it reports that
 // candidate id cannot beat the best so far (best, bestKey) because the
 // distance between the query box q and its stored box already exceeds
 // bestKey, or equals it while id is larger. Every key is ≥ that distance in
-// floating point (the Keyer contract), so skipping the key call never
+// floating point (the keyer contract), so skipping the key call never
 // changes a result; it only saves the call. The candidate still counts in
 // scans.
 func (x *Index) outranked(q geom.Rect, id, best int, bestKey float64) bool {
@@ -784,57 +909,43 @@ func (x *Index) outranked(q geom.Rect, id, best int, bestKey float64) bool {
 	return d > bestKey || (d == bestKey && id > best)
 }
 
-// ringStrips writes the window-clamped cell strips of Chebyshev ring r
-// around [u0+r, u1−r] × [v0+r, v1−r] (i.e. the expanded box minus its
-// interior) into strips, returning how many are non-empty. Ring 0 is the
-// whole query box. Each strip is {cu0, cu1, cv0, cv1}.
-func (x *Index) ringStrips(strips *[4][4]int32, u0, u1, v0, v1, r int32) int {
-	n := 0
-	add := func(a0, a1, b0, b1 int32) {
-		// Intersect with the window; strips entirely outside vanish.
-		if a0 < 0 {
-			a0 = 0
-		}
-		if a1 > x.w-1 {
-			a1 = x.w - 1
-		}
-		if b0 < 0 {
-			b0 = 0
-		}
-		if b1 > x.h-1 {
-			b1 = x.h - 1
-		}
-		if a0 > a1 || b0 > b1 {
-			return
-		}
-		strips[n] = [4]int32{a0, a1, b0, b1}
-		n++
-	}
+// ringStrips writes the cell strips of Chebyshev ring r, whose outer
+// square is ring, into strips and returns how many there are: the whole
+// square for ring 0, else its bottom and top rows and its left and right
+// columns between them. Strips may reach past the window; the walk
+// intersects them with the clip box, which lies inside it.
+func ringStrips(strips *[4]cellBox, ring cellBox, r int32) int {
 	if r == 0 {
-		add(u0, u1, v0, v1)
-		return n
+		strips[0] = ring
+		return 1
 	}
-	add(u0, u1, v0, v0)     // bottom strip
-	add(u0, u1, v1, v1)     // top strip
-	add(u0, u0, v0+1, v1-1) // left column
-	add(u1, u1, v0+1, v1-1) // right column
-	return n
+	strips[0] = cellBox{ring.u0, ring.u1, ring.v0, ring.v0}
+	strips[1] = cellBox{ring.u0, ring.u1, ring.v1, ring.v1}
+	strips[2] = cellBox{ring.u0, ring.u0, ring.v0 + 1, ring.v1 - 1}
+	strips[3] = cellBox{ring.u1, ring.u1, ring.v0 + 1, ring.v1 - 1}
+	return 4
 }
 
 // NearestBox returns the live item whose stored box lies nearest self's by
 // DistRR, excluding self; exact ties break toward the smallest id, and ok
-// is false when no other live item exists. It is NearestScored under
-// boxKeyer.
+// is false when no other live item exists. It settles the index under the
+// single-query cadence first.
 func (x *Index) NearestBox(self int) (best int, dist float64, ok bool) {
-	return x.NearestScored(self, boxKeyer{x}, nil)
+	x.settle()
+	best, dist, scans := x.nearest(self, boxKeyer{x}, nil)
+	x.scans.Add(scans)
+	if best < 0 {
+		return -1, 0, false
+	}
+	return best, dist, true
 }
 
 // boxKeyer scores a candidate by DistRR of the two stored boxes, which
-// meets the Keyer bound with equality. It holds one pointer, so passing it
-// as a Keyer allocates nothing.
+// meets the keyer bound with equality. It holds one pointer, so passing it
+// as a keyer allocates nothing.
 type boxKeyer struct{ x *Index }
 
-func (k boxKeyer) PairKey(self, cand int) float64 {
+func (k boxKeyer) pairKey(self, cand int) float64 {
 	return geom.DistRR(k.x.boxes[self], k.x.boxes[cand])
 }
 

@@ -243,9 +243,9 @@ func TestInsertAllMatchesIncremental(t *testing.T) {
 	for i := range boxes {
 		boxes[i] = randRect(r, 2000, 15)
 	}
-	bulk := NewBounded(30, geom.Rect{ULo: 0, UHi: 2015, VLo: 0, VHi: 2015})
+	bulk := New(30)
 	bulk.InsertAll(boxes)
-	inc := NewBounded(30, geom.Rect{ULo: 0, UHi: 2015, VLo: 0, VHi: 2015})
+	inc := New(30)
 	for i, b := range boxes {
 		inc.Insert(i, b)
 	}
@@ -288,9 +288,11 @@ func TestDensityCell(t *testing.T) {
 }
 
 // TestRebuildStatsCountLiveDrop pins the classification of both rebuild
-// triggers, and exact answers after them: the population schedule (half the
-// live set deleted) and the edge clamp (more than clampSlack items filed
-// beyond the window the first insert set).
+// triggers of the single-query cadence, and exact answers after them: the
+// population schedule (half the live set deleted) and the edge clamp (more
+// than clampSlack items filed beyond the window the first query fitted to
+// item 0). Rebuilds run when a query settles the index, so the test queries
+// after the first insert and after the rest, before it reads the counts.
 func TestRebuildStatsCountLiveDrop(t *testing.T) {
 	const n = 100
 	for _, tc := range []struct {
@@ -321,17 +323,13 @@ func TestRebuildStatsCountLiveDrop(t *testing.T) {
 				boxes[i] = tc.box(r, i)
 				live[i] = true
 				x.Insert(i, boxes[i])
+				if i == 0 || i == n-1 {
+					x.NearestBox(i)
+				}
 			}
 			for i := 0; i < tc.deletes; i++ {
 				x.Delete(i)
 				live[i] = false
-			}
-			rb := x.Rebuilds()
-			if tc.fired(rb) < 1 {
-				t.Fatalf("%s rebuilds = %d (stats %+v), want >= 1", tc.name, tc.fired(rb), rb)
-			}
-			if rb.Total() != rb.LiveDrop+rb.EdgeClamp {
-				t.Fatalf("Total inconsistent: %+v", rb)
 			}
 			for i := range boxes {
 				if !live[i] {
@@ -341,6 +339,13 @@ func TestRebuildStatsCountLiveDrop(t *testing.T) {
 				if gotJ, gotD, ok := x.NearestBox(i); !ok || gotJ != wantJ || gotD != wantD {
 					t.Fatalf("item %d: got (%d, %v), want (%d, %v)", i, gotJ, gotD, wantJ, wantD)
 				}
+			}
+			rb := x.Rebuilds()
+			if tc.fired(rb) < 1 {
+				t.Fatalf("%s rebuilds = %d (stats %+v), want >= 1", tc.name, tc.fired(rb), rb)
+			}
+			if rb.Total() != rb.LiveDrop+rb.EdgeClamp {
+				t.Fatalf("Total inconsistent: %+v", rb)
 			}
 		})
 	}
