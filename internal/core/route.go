@@ -217,13 +217,10 @@ func (b *builder) route() {
 		// distance under-estimates the true octagon distance, keeping the
 		// grid's pruning sound, while dist/key stay exact. mergeKey only
 		// ever adds non-negative snaking excess to the distance, so
-		// key ≥ dist holds and grid pairing is exact.
+		// key ≥ dist holds and grid pairing is exact. The first batch
+		// query measures the grid's cell edge over the initial boxes.
 		box := func(id int) geom.Rect { return b.nodes[id].ActiveRegion().Bounds() }
-		boxes := make([]geom.Rect, n)
-		for i := range boxes {
-			boxes[i] = box(i)
-		}
-		ocfg.Pairer = spatial.NewGridPairerFor(boxes, box, dist, ocfg.Key)
+		ocfg.Pairer = spatial.NewGridPairer(0, 2*n-1, box, dist, ocfg.Key)
 	}
 	q := order.New(ocfg, n, dist)
 	for {

@@ -100,22 +100,20 @@ func (b *builder) mergeBatchParallel(batch []order.Pair, base, workers int) {
 
 	// Parallel wave: worker wi merges the blocks of the batch it claims on
 	// its own builder.
-	order.ParallelChunksN(len(batch), workers, 1, func(wi int, next func() (lo, hi int, ok bool)) {
+	order.ParallelChunksN(len(batch), workers, 1, func(wi, lo, hi int) {
 		w := &b.workers[wi]
 		var tBusy time.Time
 		if tr != nil {
 			tBusy = obs.Now()
 		}
-		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-			for k := lo; k < hi; k++ {
-				p := batch[k]
-				w.stats = Stats{}
-				w.merge(b.nodes[p.I], b.nodes[p.J], b.slot(base+k))
-				deltas[k] = w.stats
-			}
+		for k := lo; k < hi; k++ {
+			p := batch[k]
+			w.stats = Stats{}
+			w.merge(b.nodes[p.I], b.nodes[p.J], b.slot(base+k))
+			deltas[k] = w.stats
 		}
 		if tr != nil {
-			b.busyNS[wi] = obs.Since(tBusy).Nanoseconds()
+			b.busyNS[wi] += obs.Since(tBusy).Nanoseconds()
 		}
 	})
 	var tWave time.Time

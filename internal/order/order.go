@@ -38,20 +38,6 @@
 // disjoint merge set at once, which lets the router execute the merge bodies
 // concurrently (the pairs of one batch never share a subtree) and commit
 // results in batch order. Under Greedy every batch holds a single pair.
-//
-// # Candidate order
-//
-// A Multi round ranks its candidate pairs by pairLess, (Key, I, J), before
-// the disjoint selection sweep. The candidates hold one pair per live item
-// and arrive in ascending I, so the I tie-break is their arrival order and
-// J never decides: any stable sort by Key alone yields the pairLess order.
-// buildBatch uses an LSD radix sort, stable by construction, over keyBits:
-// the float's bits with the sign bit set on non-negative keys and every bit
-// flipped on negative ones, which orders them as unsigned integers exactly
-// as the floats compare. −0 is folded onto +0 first, since the two compare
-// equal and must fall to the I tie-break; keys are never NaN, since no
-// pairer accepts a NaN key. The selected batch is therefore bitwise the one
-// a comparison sort under pairLess selects.
 package order
 
 import (
@@ -59,6 +45,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -153,11 +140,9 @@ type Queue struct {
 	batch []Pair // what NextBatch returns
 	age   []int  // Multi rounds an item has survived unmerged (anti-starvation)
 
-	// Reused per-round scratch (buildBatch, radixOrder).
-	ids      []int
-	used     []bool
-	rankBits []uint64
-	rankPos  []int32
+	// Reused per-round scratch (buildBatch).
+	ids  []int
+	used []bool
 
 	// batchTime accumulates wall time spent inside NextBatch — the pairing
 	// and batch-selection cost of the run, separable from the merge bodies.
@@ -366,6 +351,21 @@ func (q *Queue) buildBatch() {
 			cand = append(cand, p)
 		}
 	}
+	// pairLess is a strict total order over the candidates (one entry per
+	// item), so the sorted sequence — and hence the selected batch — is
+	// reproducible regardless of sort stability or pairing parallelism.
+	// (slices.SortFunc, unlike sort.Slice, builds no reflect swapper: this
+	// sort runs every Multi round and stays allocation-free.)
+	slices.SortFunc(cand, func(a, b Pair) int {
+		switch {
+		case pairLess(a, b):
+			return -1
+		case pairLess(b, a):
+			return 1
+		default:
+			return 0
+		}
+	})
 	for len(q.used) < len(q.alive) {
 		q.used = append(q.used, false)
 	}
@@ -391,8 +391,7 @@ func (q *Queue) buildBatch() {
 			q.batch = append(q.batch, p)
 		}
 	}
-	for _, t := range q.radixOrder(cand) {
-		p := cand[t]
+	for _, p := range cand {
 		if used[p.I] || used[p.J] {
 			continue
 		}
@@ -405,67 +404,6 @@ func (q *Queue) buildBatch() {
 			q.age[i]++
 		}
 	}
-}
-
-// radixOrder returns the positions of cand in pairLess order. cand must
-// hold at most one pair per item, in ascending I, as buildBatch's
-// candidates do: then the stable LSD radix sort over keyBits, one byte per
-// pass, is the pairLess order (see the package documentation). A pass
-// whose byte every key shares is the identity and is skipped. The result
-// aliases scratch valid until the next call.
-func (q *Queue) radixOrder(cand []Pair) []int32 {
-	n := len(cand)
-	if n == 0 {
-		return nil
-	}
-	if cap(q.rankBits) < 2*n {
-		q.rankBits = make([]uint64, 2*n)
-		q.rankPos = make([]int32, 2*n)
-	}
-	bits, bitsTmp := q.rankBits[:n], q.rankBits[n:2*n]
-	pos, posTmp := q.rankPos[:n], q.rankPos[n:2*n]
-	// A pass permutes the keys without changing their bytes, so every
-	// pass's histogram can be counted up front.
-	var hist [8][256]int32
-	for i, p := range cand {
-		b := keyBits(p.Key)
-		bits[i], pos[i] = b, int32(i)
-		for d := range hist {
-			hist[d][byte(b>>(8*d))]++
-		}
-	}
-	for d := range hist {
-		h := &hist[d]
-		shift := 8 * d
-		if h[byte(bits[0]>>shift)] == int32(n) {
-			continue
-		}
-		var sum int32
-		for v, c := range h {
-			h[v], sum = sum, sum+c
-		}
-		for i, b := range bits {
-			at := &h[byte(b>>shift)]
-			bitsTmp[*at], posTmp[*at] = b, pos[i]
-			*at++
-		}
-		bits, bitsTmp = bitsTmp, bits
-		pos, posTmp = posTmp, pos
-	}
-	return pos
-}
-
-// keyBits maps a pair key to bits whose unsigned order is the keys' float
-// order, with −0 folded onto +0 (see the package documentation).
-func keyBits(k float64) uint64 {
-	if k == 0 {
-		k = 0 // −0 → +0
-	}
-	b := math.Float64bits(k)
-	if b>>63 != 0 {
-		return ^b
-	}
-	return b | 1<<63
 }
 
 // Merged registers the item that replaced the most recent merge(s). Items
@@ -560,14 +498,12 @@ func (p *scanPairer) NearestAll(ids []int) []Pair {
 		p.out = make([]Pair, len(ids))
 	}
 	out := p.out[:len(ids)]
-	ParallelChunks(len(ids), func(_ int, next func() (lo, hi int, ok bool)) {
+	ParallelChunks(len(ids), func(_, lo, hi int) {
 		var scans int64
-		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-			for t := lo; t < hi; t++ {
-				var n int64
-				out[t], _, n = p.nearest(ids[t])
-				scans += n
-			}
+		for t := lo; t < hi; t++ {
+			var n int64
+			out[t], _, n = p.nearest(ids[t])
+			scans += n
 		}
 		p.scans.Add(scans)
 	})
@@ -589,7 +525,7 @@ const blocksPerWorker = 8
 // ParallelChunks is ParallelChunksN on GOMAXPROCS workers, inline below
 // parallelMin items. Shared by the built-in scan pairer and external
 // engines (internal/spatial).
-func ParallelChunks(n int, f func(w int, next func() (lo, hi int, ok bool))) {
+func ParallelChunks(n int, f func(w, lo, hi int)) {
 	ParallelChunksN(n, runtime.GOMAXPROCS(0), parallelMin, f)
 }
 
@@ -609,34 +545,26 @@ func (w *WorkerPanic) Error() string {
 }
 
 // ParallelChunksN cuts [0, n) into contiguous blocks of one fixed size,
-// about blocksPerWorker per worker, and runs f once on each of
-// min(workers, n) goroutines. Worker w (0 ≤ w < workers) calls next to
-// claim blocks in turn until it reports false, so a worker that finishes
-// early takes blocks a slower one would otherwise have queued. Which worker
-// runs which block depends on scheduling, so callers write results by
-// position and keep per-worker state (scratch, counters) by w; the output
-// is then deterministic. n below minInline, or workers ≤ 1, runs f(0, next)
-// on the calling goroutine, with next yielding [0, n) once. The router's
-// merge wave calls it on GOMAXPROCS workers, and every batch NearestAll
-// through ParallelChunks.
+// about blocksPerWorker per worker, and starts min(workers, n) goroutines
+// that claim the blocks in turn, calling f(w, lo, hi) for each block
+// [lo, hi) that worker w (0 ≤ w < workers) claims. A worker that finishes
+// early so takes blocks a slower one would otherwise have queued. Which
+// worker runs which block depends on scheduling, so callers write results
+// by position and keep per-worker state (scratch, counters) by w; the
+// output is then deterministic. n below minInline, or workers ≤ 1, runs
+// f(0, 0, n) on the calling goroutine. The router's merge wave calls it on
+// GOMAXPROCS workers, and every batch NearestAll through ParallelChunks.
 //
-// A panicking worker does not kill the process: the other workers claim
-// every block left, then the first captured panic is re-raised on the
-// calling goroutine as a *WorkerPanic (the inline path lets the panic
-// propagate directly — it is already on the caller).
-func ParallelChunksN(n, workers, minInline int, f func(w int, next func() (lo, hi int, ok bool))) {
+// A panicking block does not kill the process: its worker stops, the other
+// workers claim every block left, then the first captured panic is
+// re-raised on the calling goroutine as a *WorkerPanic (the inline path
+// lets the panic propagate directly — it is already on the caller).
+func ParallelChunksN(n, workers, minInline int, f func(w, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
 	if n < minInline || workers <= 1 {
-		done := false
-		f(0, func() (int, int, bool) {
-			if done {
-				return 0, 0, false
-			}
-			done = true
-			return 0, n, true
-		})
+		f(0, 0, n)
 		return
 	}
 	if workers > n {
@@ -644,13 +572,6 @@ func ParallelChunksN(n, workers, minInline int, f func(w int, next func() (lo, h
 	}
 	block := (n + workers*blocksPerWorker - 1) / (workers * blocksPerWorker)
 	var claimed atomic.Int64
-	next := func() (int, int, bool) {
-		lo := int(claimed.Add(int64(block))) - block
-		if lo >= n {
-			return 0, 0, false
-		}
-		return lo, min(lo+block, n), true
-	}
 	var wg sync.WaitGroup
 	var panicMu sync.Mutex
 	var panicked *WorkerPanic
@@ -667,7 +588,13 @@ func ParallelChunksN(n, workers, minInline int, f func(w int, next func() (lo, h
 					panicMu.Unlock()
 				}
 			}()
-			f(w, next)
+			for {
+				lo := int(claimed.Add(int64(block))) - block
+				if lo >= n {
+					return
+				}
+				f(w, lo, min(lo+block, n))
+			}
 		}(w)
 	}
 	wg.Wait()

@@ -3,7 +3,6 @@ package order
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -204,14 +203,12 @@ func TestParallelChunksPanicPropagates(t *testing.T) {
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()
-		ParallelChunksN(n, 4, 1, func(_ int, next func() (lo, hi int, ok bool)) {
-			for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-				for i := lo; i < hi; i++ {
-					ran[i] = true
-				}
-				if lo == 0 {
-					panic("chunk zero exploded")
-				}
+		ParallelChunksN(n, 4, 1, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				ran[i] = true
+			}
+			if lo == 0 {
+				panic("chunk zero exploded")
 			}
 		})
 	}()
@@ -236,47 +233,9 @@ func TestParallelChunksPanicPropagates(t *testing.T) {
 	var inline any
 	func() {
 		defer func() { inline = recover() }()
-		ParallelChunksN(8, 1, 1, func(int, func() (int, int, bool)) { panic("inline") })
+		ParallelChunksN(8, 1, 1, func(int, int, int) { panic("inline") })
 	}()
 	if inline != "inline" {
 		t.Errorf("inline path panic = %v, want the raw value", inline)
-	}
-}
-
-// TestRadixOrderMatchesPairLess pins buildBatch's candidate order: the
-// radix order of candidates arriving in ascending I, one per item, is the
-// comparison sort's under pairLess, on keys rich in exact ties, with −0
-// beside +0, negative keys, −Inf and magnitudes across the float range.
-func TestRadixOrderMatchesPairLess(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	pool := []float64{0, math.Copysign(0, -1), 1, 1, 2.5, -3, math.Inf(-1), 1e-300, 5e-324, 1e300, 0.1 + 0.2, 0.3}
-	var q Queue
-	for trial := 0; trial < 500; trial++ {
-		n := r.Intn(300)
-		cand := make([]Pair, n)
-		next := 0
-		for i := range cand {
-			next += 1 + r.Intn(3)
-			k := pool[r.Intn(len(pool))]
-			if r.Intn(3) == 0 {
-				k = r.NormFloat64() * math.Pow(10, float64(r.Intn(40)-20))
-			}
-			cand[i] = Pair{Key: k, I: next, J: r.Intn(1000)}
-		}
-		want := append([]Pair(nil), cand...)
-		slices.SortFunc(want, func(a, b Pair) int {
-			switch {
-			case pairLess(a, b):
-				return -1
-			case pairLess(b, a):
-				return 1
-			}
-			return 0
-		})
-		for k, at := range q.radixOrder(cand) {
-			if got := cand[at]; got.I != want[k].I { // I names the candidate
-				t.Fatalf("trial %d, rank %d: radix %+v, pairLess %+v", trial, k, got, want[k])
-			}
-		}
 	}
 }

@@ -51,7 +51,7 @@ func starvationRun(t *testing.T, grid bool) [][2]int {
 		for i := range boxes {
 			boxes[i] = box(i)
 		}
-		cfg.Pairer = spatial.NewGridPairer(spatial.AutoCell(boxes), box, dist, key)
+		cfg.Pairer = spatial.NewGridPairer(spatial.AutoCell(boxes), 0, box, dist, key)
 	}
 	q := order.New(cfg, n, dist)
 	var seq [][2]int

@@ -57,7 +57,7 @@ func FuzzNearestMatchesScan(f *testing.F) {
 		dist := func(i, j int) float64 { return geom.DistRR(boxes[i], boxes[j]) }
 		// A key at or above the distance, often equal to it.
 		key := func(i, j int, d float64) float64 { return d + float64((7*i+13*j)%3)*cell/4 }
-		p := NewGridPairer(cell, func(id int) geom.Rect { return boxes[id] }, dist, key)
+		p := NewGridPairer(cell, 0, func(id int) geom.Rect { return boxes[id] }, dist, key)
 
 		scan := func(i int, used []bool, score func(j int) float64) (int, float64) {
 			best, bestKey := -1, math.Inf(1)

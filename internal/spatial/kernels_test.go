@@ -124,7 +124,7 @@ func TestNearestFreeMatchesScan(t *testing.T) {
 		dist := func(i, j int) float64 { return geom.DistRR(boxes[i], boxes[j]) }
 		box := func(id int) geom.Rect { return boxes[id] }
 		key := func(i, j int, d float64) float64 { return d + float64((7*i+13*j)%5)*3 }
-		p := NewGridPairer(AutoCell(boxes)*(0.25+r.Float64()), box, dist, key)
+		p := NewGridPairer(AutoCell(boxes)*(0.25+r.Float64()), 0, box, dist, key)
 		live := make([]bool, n)
 		for i := range boxes {
 			p.Insert(i)

@@ -27,24 +27,17 @@ type GridPairer struct {
 var _ order.Pairer = (*GridPairer)(nil)
 var _ keyer = (*GridPairer)(nil)
 
-// NewGridPairer builds a GridPairer over an empty index with the given cell
-// edge (see AutoCell and DensityCell) for its first filing; every batch
-// query after mutations re-measures the cell with DensityCell.
-func NewGridPairer(cell float64, box func(id int) geom.Rect, dist func(i, j int) float64, key func(i, j int, d float64) float64) *GridPairer {
+// NewGridPairer builds a GridPairer over an empty index (New) with the
+// given cell edge, which holds until a batch query re-measures it with
+// DensityCell; a cell ≤ 0 leaves it to the first filing. The index reserves
+// room for ids 0..ids−1 up front: a merge queue over n items registers
+// 2n−1 in all.
+func NewGridPairer(cell float64, ids int, box func(id int) geom.Rect, dist func(i, j int) float64, key func(i, j int, d float64) float64) *GridPairer {
 	if key == nil {
 		key = func(_, _ int, d float64) float64 { return d }
 	}
-	return &GridPairer{idx: New(cell), box: box, dist: dist, key: key}
-}
-
-// NewGridPairerFor builds a GridPairer for the initial population
-// boxes[id], id 0..len(boxes)-1, and room for the merged items a merge
-// tree over them adds: its first filing uses the density-adapted cell edge
-// (DensityCell) of those boxes. box(id) must equal boxes[id] for the
-// initial ids.
-func NewGridPairerFor(boxes []geom.Rect, box func(id int) geom.Rect, dist func(i, j int) float64, key func(i, j int, d float64) float64) *GridPairer {
-	p := NewGridPairer(DensityCell(boxes), box, dist, key)
-	p.idx.reserve(2 * len(boxes))
+	p := &GridPairer{idx: New(cell), box: box, dist: dist, key: key}
+	p.idx.reserve(ids)
 	return p
 }
 
@@ -107,23 +100,21 @@ func pairOf(id, j int, key float64) (order.Pair, bool) {
 // documentation), then spreads the queries over the CPUs. Queries only read
 // the settled index, and every result is written by position with
 // smallest-index tie-breaking, so the output and the scan count are
-// identical at any GOMAXPROCS. Each worker adds its scans to the count
-// once. The returned slice aliases an internal buffer valid until the next
-// call.
+// identical at any GOMAXPROCS. Each block of queries adds its scans to the
+// count once. The returned slice aliases an internal buffer valid until the
+// next call.
 func (p *GridPairer) NearestAll(ids []int) []order.Pair {
 	p.idx.settleBatch()
 	if cap(p.out) < len(ids) {
 		p.out = make([]order.Pair, len(ids))
 	}
 	out := p.out[:len(ids)]
-	order.ParallelChunks(len(ids), func(_ int, next func() (lo, hi int, ok bool)) {
+	order.ParallelChunks(len(ids), func(_, lo, hi int) {
 		var scans int64
-		for lo, hi, ok := next(); ok; lo, hi, ok = next() {
-			for t := lo; t < hi; t++ {
-				j, key, n := p.idx.nearest(ids[t], p, nil)
-				scans += n
-				out[t], _ = pairOf(ids[t], j, key)
-			}
+		for t := lo; t < hi; t++ {
+			j, key, n := p.idx.nearest(ids[t], p, nil)
+			scans += n
+			out[t], _ = pairOf(ids[t], j, key)
 		}
 		p.idx.scans.Add(scans)
 	})

@@ -23,7 +23,7 @@ func sim(t *testing.T, cfg order.Config, pts []geom.UV, useGrid bool) ([][2]int,
 		for i := range boxes {
 			boxes[i] = boxAt(i)
 		}
-		cfg.Pairer = NewGridPairer(AutoCell(boxes), boxAt, dist, cfg.Key)
+		cfg.Pairer = NewGridPairer(AutoCell(boxes), 0, boxAt, dist, cfg.Key)
 	}
 	q := order.New(cfg, len(pts), dist)
 	var seq [][2]int
@@ -153,7 +153,7 @@ func TestGridPairerScans(t *testing.T) {
 	for i := range boxes {
 		boxes[i] = boxAt(i)
 	}
-	gridScans := run(NewGridPairer(AutoCell(boxes), boxAt, dist, nil))
+	gridScans := run(NewGridPairer(AutoCell(boxes), 0, boxAt, dist, nil))
 	p = append([]geom.UV(nil), pts...)
 	scanScans := run(nil)
 	if gridScans <= 0 || scanScans <= 0 {

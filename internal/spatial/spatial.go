@@ -240,12 +240,13 @@ type Index struct {
 	scans atomic.Int64
 }
 
-// New returns an empty index with the given cell edge (≤ 0 selects 1). The
+// New returns an empty index with the given cell edge; a cell ≤ 0 leaves
+// the edge to the first filing, which measures it with DensityCell. The
 // first query fits the window to the items queued so far; later rebuilds
-// re-fit it, and batch queries re-measure the cell with DensityCell.
+// re-fit it, and batch queries re-measure the cell.
 func New(cell float64) *Index {
 	if !(cell > 0) {
-		cell = 1
+		cell = 0
 	}
 	return &Index{cell: cell}
 }
@@ -654,11 +655,10 @@ func (x *Index) settleBatch() {
 	if !x.changed {
 		return
 	}
-	recell := x.w > 0 // a first filing keeps the constructor's cell
-	if recell {
-		x.rebuilds.LiveDrop++
+	if x.w > 0 {
+		x.rebuilds.LiveDrop++ // a first filing is no rebuild
 	}
-	x.rebuild(recell)
+	x.rebuild(true)
 }
 
 // liveSpan records id's span in the current window as live, moving the
@@ -725,7 +725,8 @@ func (x *Index) purge() {
 
 // rebuild files every live item, queued ones included, under a fresh
 // window fitted to the live bounding box — with a re-measured DensityCell
-// edge when recell is set — dropping all tombstones.
+// edge when recell is set, or when the index has no edge yet — dropping
+// all tombstones.
 func (x *Index) rebuild(recell bool) {
 	start := obs.Now()
 	defer func() { x.rebuildTime += obs.Since(start) }()
@@ -753,8 +754,8 @@ func (x *Index) rebuild(recell bool) {
 		x.w, x.h, x.cells = 0, 0, x.cells[:0]
 		return
 	}
-	if recell && len(ids) >= recellMinLive {
-		boxes := x.liveBoxes[:0]
+	if recell && len(ids) >= recellMinLive || x.cell == 0 {
+		boxes := slices.Grow(x.liveBoxes[:0], len(ids))
 		for _, id := range ids {
 			boxes = append(boxes, x.boxes[id])
 		}

@@ -234,8 +234,10 @@ func TestTombstoneChurn(t *testing.T) {
 	check("after drain")
 }
 
-// TestInsertAllMatchesIncremental: the bulk fill must be observationally
-// identical to one-by-one inserts.
+// TestInsertAllMatchesIncremental: items filed one by one into a fitted
+// window (the single-query settle's incremental path) must be
+// observationally identical to the counting pass of a first filing, at a
+// fine cell and at a coarse one whose buckets grow several times.
 func TestInsertAllMatchesIncremental(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	const n = 400
@@ -243,20 +245,29 @@ func TestInsertAllMatchesIncremental(t *testing.T) {
 	for i := range boxes {
 		boxes[i] = randRect(r, 2000, 15)
 	}
-	bulk := New(30)
-	bulk.InsertAll(boxes)
-	inc := New(30)
-	for i, b := range boxes {
-		inc.Insert(i, b)
-	}
-	if bulk.Len() != inc.Len() {
-		t.Fatalf("Len %d != %d", bulk.Len(), inc.Len())
-	}
-	for i := range boxes {
-		bj, bd, bok := bulk.NearestBox(i)
-		ij, id, iok := inc.NearestBox(i)
-		if bj != ij || bd != id || bok != iok {
-			t.Fatalf("item %d: bulk (%d,%v,%v) != incremental (%d,%v,%v)", i, bj, bd, bok, ij, id, iok)
+	for _, cell := range []float64{30, 200} {
+		bulk := New(cell)
+		bulk.InsertAll(boxes)
+		inc := New(cell)
+		inc.InsertAll(boxes[:n/4])
+		inc.NearestBox(0) // the first filing fits inc's window to these boxes
+		// The rest go in one by one: the next query files them into the
+		// fitted window, growing buckets the first filing left full.
+		for i := n / 4; i < n; i++ {
+			inc.Insert(i, boxes[i])
+		}
+		if bulk.Len() != inc.Len() {
+			t.Fatalf("cell %v: Len %d != %d", cell, bulk.Len(), inc.Len())
+		}
+		for i := range boxes {
+			bj, bd, bok := bulk.NearestBox(i)
+			ij, id, iok := inc.NearestBox(i)
+			if bj != ij || bd != id || bok != iok {
+				t.Fatalf("cell %v, item %d: bulk (%d,%v,%v) != incremental (%d,%v,%v)", cell, i, bj, bd, bok, ij, id, iok)
+			}
+		}
+		if rb := inc.Rebuilds(); rb.Total() != 0 {
+			t.Fatalf("cell %v: the later items were filed by a rebuild (%+v), not one by one", cell, rb)
 		}
 	}
 }
@@ -284,6 +295,20 @@ func TestDensityCell(t *testing.T) {
 	dc, ac := DensityCell(clustered), AutoCell(clustered)
 	if !(dc > 0) || dc >= ac {
 		t.Errorf("DensityCell = %v, want in (0, AutoCell=%v)", dc, ac)
+	}
+	// 40 points along a 15-unit line whose other coordinate differs only by
+	// ulps, as the fuzz target places them: their spacing and their area
+	// both allow a cell near 1e-8, some 2e9 cells along the line. The
+	// window must stay at most maxCellsPerItem cells per point along it.
+	var line []geom.Rect
+	for k := 0; k < 40; k++ {
+		u, v := float64(k%16), nudge(1, k%7-3)
+		line = append(line, geom.Rect{ULo: u, UHi: u, VLo: v, VHi: v})
+	}
+	bb := boundsOf(line)
+	want := max(bb.Width(), bb.Height()) / (maxCellsPerItem * float64(len(line)))
+	if c := DensityCell(line); !(c >= want) {
+		t.Errorf("DensityCell(collinear) = %v, want >= %v", c, want)
 	}
 }
 
