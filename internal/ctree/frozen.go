@@ -66,14 +66,28 @@ func Freeze(root *Node) *Frozen {
 	return f
 }
 
+// Leaves returns the frozen leaves' sink ids in slab order, the order of
+// Thaw's leaves argument.
+func (f *Frozen) Leaves() []int32 {
+	out := make([]int32, 0, (len(f.links)+1)/2) // a full binary tree
+	for _, l := range f.links {
+		if l.right < 0 {
+			out = append(out, l.sink)
+		}
+	}
+	return out
+}
+
 // Thaw builds a fresh mutable copy of the snapshot whose leaves point into
-// in. With a nil remap a leaf keeps its sink id; otherwise the leaf frozen
-// with sink id s becomes sink remap[s] of in, ID included, which carries a
-// subtree across instance edits that renumbered its sinks. Every leaf must
-// have an image in in; Thaw panics otherwise.
-func (f *Frozen) Thaw(in *Instance, remap []int) *Node {
+// in. With nil leaves a leaf keeps its frozen sink id; otherwise leaves[j]
+// is the sink id of in, ID included, that the j-th leaf in slab order (see
+// Leaves) becomes, which carries a subtree across instance edits that
+// renumbered its sinks. Every leaf must have an image in in; Thaw panics
+// otherwise.
+func (f *Frozen) Thaw(in *Instance, leaves []int32) *Node {
 	slab := make([]Node, len(f.nodes))
 	copy(slab, f.nodes)
+	j := 0
 	for i, l := range f.links {
 		n := &slab[i]
 		if l.right >= 0 {
@@ -81,11 +95,12 @@ func (f *Frozen) Thaw(in *Instance, remap []int) *Node {
 			continue
 		}
 		s := int(l.sink)
-		if remap != nil {
-			if s = remap[s]; s < 0 {
-				panic(fmt.Sprintf("ctree: thaw: leaf sink %d has no image under the remap", l.sink))
+		if leaves != nil {
+			if s = int(leaves[j]); s < 0 {
+				panic(fmt.Sprintf("ctree: thaw: leaf sink %d has no image", l.sink))
 			}
 			n.ID = s
+			j++
 		}
 		n.Sink = &in.Sinks[s]
 	}

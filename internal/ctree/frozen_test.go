@@ -89,9 +89,9 @@ func TestFrozenThaw(t *testing.T) {
 	}
 }
 
-// TestFrozenThawRemap pins leaf renumbering: thawed through a permutation
-// into a permuted instance, every leaf lands on the image of its sink, ID
-// included, and the rest of the tree is unchanged.
+// TestFrozenThawRemap pins leaf renumbering: thawed with each leaf's image
+// under a permutation into a permuted instance, every leaf lands on the
+// image of its sink, ID included, and the rest of the tree is unchanged.
 func TestFrozenThawRemap(t *testing.T) {
 	in, _, frozen, _ := frozenHalves(t, 500)
 	n := len(in.Sinks)
@@ -103,9 +103,13 @@ func TestFrozenThawRemap(t *testing.T) {
 		s.ID = perm[id]
 		moved.Sinks[perm[id]] = s
 	}
+	leaves := frozen[1].Leaves()
+	for j, s := range leaves {
+		leaves[j] = int32(perm[s])
+	}
 	var plain, remapped []*ctree.Node
 	frozen[1].Thaw(in, nil).Visit(func(x *ctree.Node) { plain = append(plain, x) })
-	frozen[1].Thaw(moved, perm).Visit(func(x *ctree.Node) { remapped = append(remapped, x) })
+	frozen[1].Thaw(moved, leaves).Visit(func(x *ctree.Node) { remapped = append(remapped, x) })
 	if len(plain) != len(remapped) {
 		t.Fatalf("%d nodes vs %d", len(plain), len(remapped))
 	}

@@ -7,7 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"sort"
+	"slices"
 
 	"repro/internal/ctree"
 	"repro/internal/geom"
@@ -236,7 +236,6 @@ func (sc *EditScript) Apply(in *ctree.Instance) (*ctree.Instance, *Remap, error)
 		}
 	}
 	n := len(in.Sinks)
-	sinks := append([]ctree.Sink(nil), in.Sinks...)
 	removed := make([]bool, n)
 	targeted := make([]bool, n)
 	adds := 0
@@ -251,10 +250,6 @@ func (sc *EditScript) Apply(in *ctree.Instance) (*ctree.Instance, *Remap, error)
 			targeted[e.Sink] = true
 		}
 		switch e.Op {
-		case OpMove:
-			sinks[e.Sink].Loc = e.Loc
-		case OpReload:
-			sinks[e.Sink].CapFF = e.CapFF
 		case OpRemove:
 			removed[e.Sink] = true
 		case OpAdd:
@@ -279,18 +274,24 @@ func (sc *EditScript) Apply(in *ctree.Instance) (*ctree.Instance, *Remap, error)
 			rm.OldToNew[old] = -1
 			continue
 		}
-		s := sinks[old]
+		s := in.Sinks[old]
 		s.ID = len(out.Sinks)
 		rm.OldToNew[old] = s.ID
 		out.Sinks = append(out.Sinks, s)
 	}
+	// Moves and reloads patch the compacted copy: a sink an edit targets is
+	// never also removed, since each sink is targeted at most once.
 	for _, e := range sc.Edits {
-		if e.Op != OpAdd {
-			continue
+		switch e.Op {
+		case OpMove:
+			out.Sinks[rm.OldToNew[e.Sink]].Loc = e.Loc
+		case OpReload:
+			out.Sinks[rm.OldToNew[e.Sink]].CapFF = e.CapFF
+		case OpAdd:
+			id := len(out.Sinks)
+			rm.Added = append(rm.Added, id)
+			out.Sinks = append(out.Sinks, ctree.Sink{ID: id, Loc: e.Loc, CapFF: e.CapFF, Group: e.Group})
 		}
-		id := len(out.Sinks)
-		rm.Added = append(rm.Added, id)
-		out.Sinks = append(out.Sinks, ctree.Sink{ID: id, Loc: e.Loc, CapFF: e.CapFF, Group: e.Group})
 	}
 	if err := out.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("instio: edited instance invalid: %w", err)
@@ -357,20 +358,6 @@ func Perturb(in *ctree.Instance, frac float64, seed int64) (*EditScript, error) 
 	rng := rand.New(rand.NewSource(seed))
 	focal := in.Sinks[rng.Intn(n)].Loc
 
-	// Rank sinks by Manhattan distance to the focal point, ties by id, and
-	// take the budget's worth as the edit neighborhood.
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := geom.Dist(in.Sinks[order[a]].Loc, focal), geom.Dist(in.Sinks[order[b]].Loc, focal)
-		if da != db {
-			return da < db
-		}
-		return order[a] < order[b]
-	})
-
 	moves := int(perturbMoveFrac * float64(budget))
 	reloads := int(perturbReloadFrac * float64(budget))
 	adds := int(perturbAddFrac * float64(budget))
@@ -378,10 +365,8 @@ func Perturb(in *ctree.Instance, frac float64, seed int64) (*EditScript, error) 
 	if moves == 0 {
 		moves, removes = 1, 0 // tiny budgets: a single move is the minimal ECO
 	}
-	targets := order
-	if len(targets) > moves+reloads+removes {
-		targets = targets[:moves+reloads+removes]
-	}
+	// The edit neighborhood: the sinks nearest the focal point.
+	targets := nearestSinks(in.Sinks, focal, moves+reloads+removes)
 	// Never remove so much that a group could empty: cap removals at a
 	// quarter of the neighborhood and drop them entirely on tiny instances.
 	if removes > len(targets)/4 {
@@ -431,4 +416,63 @@ func Perturb(in *ctree.Instance, frac float64, seed int64) (*EditScript, error) 
 		sc.Edits = append(sc.Edits, Edit{Op: OpAdd, Loc: jitter(), CapFF: near.CapFF, Group: near.Group})
 	}
 	return sc, nil
+}
+
+// nearestSinks returns the m ≥ 1 sinks nearest p by Manhattan distance, ties
+// toward the smaller id, nearest first: the first m of all sinks sorted by
+// (distance, id), kept in a bounded max-heap instead of sorting every sink.
+func nearestSinks(sinks []ctree.Sink, p geom.Point, m int) []int {
+	type cand struct {
+		d  float64
+		id int
+	}
+	// after is the strict order: a ranks behind b.
+	after := func(a, b cand) bool { return a.d > b.d || a.d == b.d && a.id > b.id }
+	h := make([]cand, 0, m) // h[0] is the farthest sink kept
+	for id := range sinks {
+		c := cand{geom.Dist(sinks[id].Loc, p), id}
+		if len(h) < m {
+			h = append(h, c)
+			for i := len(h) - 1; i > 0; {
+				up := (i - 1) / 2
+				if !after(h[i], h[up]) {
+					break
+				}
+				h[i], h[up] = h[up], h[i]
+				i = up
+			}
+			continue
+		}
+		if !after(h[0], c) {
+			continue
+		}
+		h[0] = c
+		for i := 0; ; {
+			big := i
+			for _, ch := range [2]int{2*i + 1, 2*i + 2} {
+				if ch < m && after(h[ch], h[big]) {
+					big = ch
+				}
+			}
+			if big == i {
+				break
+			}
+			h[i], h[big] = h[big], h[i]
+			i = big
+		}
+	}
+	slices.SortFunc(h, func(a, b cand) int {
+		switch {
+		case after(b, a):
+			return -1
+		case after(a, b):
+			return 1
+		}
+		return 0
+	})
+	out := make([]int, len(h))
+	for i, c := range h {
+		out[i] = c.id
+	}
+	return out
 }

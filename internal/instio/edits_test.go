@@ -2,10 +2,14 @@ package instio
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/ctree"
 	"repro/internal/geom"
 )
 
@@ -222,6 +226,52 @@ func TestPerturbDeterministic(t *testing.T) {
 	}
 	if _, err := Perturb(in, 1.5, 1); err == nil {
 		t.Error("fraction above 1 accepted")
+	}
+}
+
+// TestNearestSinksMatchesFullSort pins Perturb's edit neighborhood against
+// the full sort it replaces: the first m of all sinks sorted by (Manhattan
+// distance to the focal point, id), over seeded random placements with
+// repeated locations and a unit grid where most distances tie, for counts
+// from one sink to all of them.
+func TestNearestSinksMatchesFullSort(t *testing.T) {
+	var grid []ctree.Sink
+	for i := 0; i < 400; i++ {
+		grid = append(grid, ctree.Sink{ID: i, Loc: geom.Point{X: float64(i % 20), Y: float64(i / 20)}})
+	}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		random := make([]ctree.Sink, 700)
+		for i := range random {
+			loc := geom.Point{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+			if i > 0 && rng.Intn(4) == 0 {
+				loc = random[rng.Intn(i)].Loc
+			}
+			random[i] = ctree.Sink{ID: i, Loc: loc}
+		}
+		for _, sinks := range [][]ctree.Sink{random, grid} {
+			focal := sinks[rng.Intn(len(sinks))].Loc
+			if seed%2 == 0 {
+				focal.X += 0.5 // between grid columns: ties on both sides
+			}
+			ref := make([]int, len(sinks))
+			for i := range ref {
+				ref[i] = i
+			}
+			sort.Slice(ref, func(a, b int) bool {
+				da, db := geom.Dist(sinks[ref[a]].Loc, focal), geom.Dist(sinks[ref[b]].Loc, focal)
+				if da != db {
+					return da < db
+				}
+				return ref[a] < ref[b]
+			})
+			for _, frac := range []float64{0.001, 0.01, 0.1, 0.5, 1} {
+				m := max(1, int(frac*float64(len(sinks))))
+				if got := nearestSinks(sinks, focal, m); !slices.Equal(got, ref[:m]) {
+					t.Fatalf("seed %d, %d sinks, m %d: got %v, want %v", seed, len(sinks), m, got, ref[:m])
+				}
+			}
+		}
 	}
 }
 

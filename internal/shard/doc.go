@@ -86,9 +86,10 @@
 // in their front halves: a build partitions the instance and runs the
 // pilot; a rebuild applies an edit script and derives the dirty shards from
 // its cache. Both then run one back half: the listed shards route through
-// the dispatch coordinator, every other shard is thawed from the cache, the
-// routed ones are frozen when the result retains a cache, and all roots are
-// stitched and the result finalized.
+// the dispatch coordinator while one more goroutine thaws every other shard
+// from the cache, the routed ones are frozen when the result retains a
+// cache, and all roots are stitched and the result finalized in one walk
+// over the stitched tree.
 //
 // # Determinism
 //

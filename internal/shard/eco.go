@@ -7,18 +7,19 @@ package shard
 // (move/reload/add/remove sinks) to the cached instance, derives the dirty
 // shard set from the cached partition — an edited sink dirties the shard
 // that owns it; an added sink dirties the shard of its nearest surviving
-// neighbor, found through an incrementally patched spatial index over the
-// sink placements — and hands ONLY the dirty shards to the from-scratch
-// pipeline's own back half (routeShards, shard.go), whose dispatch.Run
-// fan-out applies retry, hedging, panic containment and remote workers
-// unchanged. Clean shards are adopted
-// from the cache by thawing a fresh copy of their frozen subtrees, one slab
-// copy each, with leaf identity remapped onto the edited instance; no hop
-// touches the wire codec. All roots are then re-stitched with MergeRoots
-// against a fresh reconstruction of the frozen base, i.e. under the cached
-// pilot contract, so the rebuilt tree keeps the from-scratch build's
-// inter-group alignment (seam skew at float noise) without re-running the
-// pilot.
+// neighbor, found through a spatial index over the sink placements that
+// files each sink under a stable slot and survives every hop, so a hop
+// patches only the slots its edits touch — and hands ONLY the dirty shards
+// to the from-scratch pipeline's own back half (routeShards, shard.go),
+// whose dispatch.Run fan-out applies retry, hedging, panic containment and
+// remote workers unchanged. While the dirty shards route, the clean ones
+// are adopted from the cache on one goroutine by thawing a fresh copy of
+// their frozen subtrees, one slab copy each, with each leaf carried onto
+// its sink id in the edited instance; no hop touches the wire codec. All
+// roots are then re-stitched with MergeRoots against a fresh reconstruction
+// of the frozen base, i.e. under the cached pilot contract, so the rebuilt
+// tree keeps the from-scratch build's inter-group alignment (seam skew at
+// float noise) without re-running the pilot.
 //
 // The contract is sound because a sub-build is a pure function of
 // (instance, sink subset, options, frozen registry): a clean shard's sinks
@@ -56,8 +57,8 @@ var ErrFullBuild = errors.New("shard: edits invalidate the cached contract; run 
 // EcoCache is a retained incremental-rebuild contract (see the file
 // comment). It is produced by BuildEco and by every Rebuild, and survives
 // process boundaries through Marshal/UnmarshalEcoCache. A cache is safe to
-// Rebuild repeatedly (each call re-derives its scratch state), but not from
-// concurrent goroutines.
+// Rebuild repeatedly (a rebuild consumes the cache's dirty-set scratch, and
+// the next derives it afresh), but not from concurrent goroutines.
 type EcoCache struct {
 	// Instance is the routed instance the contract describes.
 	Instance *ctree.Instance
@@ -76,37 +77,59 @@ type EcoCache struct {
 	// shards[i] is shard i's retained pre-stitch build (see ecoShard).
 	shards []ecoShard
 
-	// Scratch state, derived lazily per rebuild: the sink→shard map of
-	// Parts, and a spatial index over the sink placements used to assign
-	// added sinks to shards. The index is patched incrementally as the edit
-	// script is walked and handed to the chained cache when sink identity
-	// survives the edit (no removals); a consumed or invalidated index is
-	// simply rebuilt on the next use.
-	sinkShard []int
+	// Dirty-set scratch, derived on first use (see dirtySet): a spatial
+	// index over the sink placements that files each sink under a stable
+	// slot, slot[s] the slot of sink s of Instance, and slotShard[t] the
+	// shard owning slot t. Survivors keep their slots across hops and an
+	// addition takes the next fresh one, so slot order is sink-id order. A
+	// successful rebuild hands all three to the chained cache unless the
+	// slots have outgrown the live sinks (see handOff); every exit drops
+	// them here.
 	idx       *spatial.Index
+	slot      []int32
+	slotShard []int32
 }
 
+// slotSlack is how far the slots may outnumber twice the live sinks before
+// a chained cache drops its dirty-set index and re-derives a compact one.
+const slotSlack = 64
+
 // ecoShard is one shard's retained pre-stitch build: the subtree frozen in
-// memory, the registry state and stats the build committed, and the pending
-// leaf renumbering. A rebuild adopts a clean shard by thawing a fresh copy
-// of frozen and hands the same snapshot to the chained cache, composing the
-// edit script's renumbering onto remap instead of rewriting the subtree.
+// memory, its leaves' current sink ids, and the registry state and stats the
+// build committed. A rebuild adopts a clean shard by thawing a fresh copy of
+// frozen and hands the same snapshot to the chained cache, carrying leaves
+// through the edit script's renumbering instead of rewriting the subtree.
 type ecoShard struct {
-	// frozen's leaf sink ids live in the id space of the instance the shard
-	// was built for; remap, when non-nil, carries them onto the cache's
-	// Instance (remap[old] = current id).
 	frozen *ctree.Frozen
-	remap  []int
+	// leaves[j] is the sink id in the cache's Instance of frozen's j-th leaf
+	// in slab order (ctree.Frozen.Leaves); nil when that is the frozen id.
+	leaves []int32
 	reg    core.RegistrySnapshot
 	stats  core.Stats
+}
+
+// carry returns the shard's leaves after an edit script that renumbered the
+// survivors by oldToNew. Only a clean shard is carried, and a clean shard
+// lost no sink, so every leaf has an image.
+func (sh *ecoShard) carry(oldToNew []int) []int32 {
+	src := sh.leaves
+	if src == nil {
+		src = sh.frozen.Leaves()
+	}
+	out := make([]int32, len(src))
+	for j, s := range src {
+		out[j] = int32(oldToNew[s])
+	}
+	return out
 }
 
 // RebuildOptions carries the local-only knobs of a rebuild — observation and
 // cancellation, the two option fields that never live in the cache.
 type RebuildOptions struct {
 	// Trace, when non-nil, records the rebuild's phase spans (dirty,
-	// rebuild, adopt, retain, restitch, finalize, embed) with
-	// per-dirty-shard child traces.
+	// rebuild, retain, restitch, finalize, embed) with per-dirty-shard
+	// child traces and an "adopt" child trace for the clean-shard thaw,
+	// which overlaps the rebuild span.
 	Trace *obs.Trace
 	// Ctx cancels the rebuild (merge loops and dispatch alike).
 	Ctx context.Context
@@ -129,11 +152,11 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 	if k == 0 || len(c.shards) != k || c.Instance == nil {
 		return nil, fmt.Errorf("shard: malformed eco cache (%d parts, %d shards)", k, len(c.shards))
 	}
-	// dirtySet patches c.idx in place, so past this point the index no longer
-	// describes c.Instance whatever the outcome: drop it on every exit (the
-	// next use re-derives a nil index lazily). A successful rebuild hands it
-	// to the chained cache first when sink identity survived.
-	defer func() { c.idx = nil }()
+	// dirtySet patches the dirty-set index and slotShard in place, so past
+	// this point they no longer describe c.Instance whatever the outcome:
+	// drop them on every exit (the next use re-derives them). A successful
+	// rebuild hands them to the chained cache first.
+	defer func() { c.idx, c.slot, c.slotShard = nil, nil, nil }()
 	tr := ropt.Trace
 
 	// ---- dirty: apply the edits, derive the dirty shard set ----
@@ -182,79 +205,97 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 		EcoRebuilt:   dirtyIdx,
 		EcoReused:    k - len(dirtyIdx),
 	}
-	if err := routeShards(res, subOpt, base, dirtyIdx, c, rm.OldToNew, true, dopt); err != nil {
+	var oldToNew []int // nil: no survivor was renumbered
+	if removals {
+		oldToNew = rm.OldToNew
+	}
+	if err := routeShards(res, subOpt, base, dirtyIdx, c, oldToNew, true, dopt); err != nil {
 		return nil, err
 	}
-	if !removals {
-		// Sink identity survived the edits (adds extended it densely), so
-		// the patched index is exactly the edited instance's — hand it to
-		// the chained cache instead of rebuilding it there. After removals
-		// ids shifted and the index is wrong for either cache.
-		res.Eco.idx = c.idx
-	}
+	c.handOff(res.Eco, rm)
 	return res, nil
+}
+
+// handOff gives the dirty-set index this rebuild's edit walk patched to the
+// chained cache next, with slotShard and next's slot map: survivors keep
+// their slots through rm.OldToNew, and additions hold the fresh slots the
+// walk gave them in script order. Once the slots outnumber twice the live
+// sinks by more than slotSlack, next re-derives a compact index on first
+// use instead, so the per-slot tables stay O(n).
+func (c *EcoCache) handOff(next *EcoCache, rm *instio.Remap) {
+	live := len(next.Instance.Sinks)
+	if len(c.slotShard) > 2*live+slotSlack {
+		return
+	}
+	slot := make([]int32, live)
+	for old, s := range rm.OldToNew {
+		if s >= 0 {
+			slot[s] = c.slot[old]
+		}
+	}
+	first := len(c.slotShard) - len(rm.Added)
+	for j, s := range rm.Added {
+		slot[s] = int32(first + j)
+	}
+	next.idx, next.slot, next.slotShard = c.idx, slot, c.slotShard
 }
 
 // dirtySet walks the edit script and derives the dirty shards and the edited
 // partition. Moves, reloads and removals dirty the shard owning the targeted
 // sink; an addition is assigned to the shard of its nearest other live sink
-// by Manhattan distance (smallest id on ties), found through the lazily
-// built, incrementally patched spatial index: removed sinks are deleted from
-// it before later additions query, moved sinks are re-filed at their new
-// placement, and each added sink is filed first and then asks NearestBox
-// for its neighbor, so a subsequent addition can cluster onto it. Returns
-// the partition in edited-instance sink ids, the ascending dirty shard
-// indices, and whether the script removed any sink.
+// by Manhattan distance (smallest id on ties), found through the dirty-set
+// index, which files each sink under its slot: removed sinks are deleted
+// from it before later additions query, moved sinks are re-filed at their
+// new placement, and each added sink is filed under the next fresh slot
+// first and then asks NearestBox for its neighbor, so a subsequent addition
+// can cluster onto it. Slot order is sink-id order (survivors keep their
+// relative order and additions follow them in script order), so the
+// smallest-slot tie-break is the smallest-id one. Returns the partition in
+// edited-instance sink ids, the ascending dirty shard indices, and whether
+// the script removed any sink.
 func (c *EcoCache) dirtySet(script *instio.EditScript, rm *instio.Remap) (newParts [][]int, dirtyIdx []int, removals bool, err error) {
 	k := len(c.Parts)
-	nOld := len(c.Instance.Sinks)
-	if c.sinkShard == nil {
-		c.sinkShard = make([]int, nOld)
+	if c.idx == nil {
+		n := len(c.Instance.Sinks)
+		c.slot, c.slotShard = make([]int32, n), make([]int32, n)
 		for i, p := range c.Parts {
 			for _, s := range p {
-				c.sinkShard[s] = i
+				c.slotShard[s] = int32(i)
 			}
 		}
-	}
-	if c.idx == nil {
-		boxes := make([]geom.Rect, nOld)
-		for i := range c.Instance.Sinks {
-			boxes[i] = geom.RectFromPoint(c.Instance.Sinks[i].Loc)
+		boxes := make([]geom.Rect, n)
+		for s := range c.Instance.Sinks {
+			c.slot[s] = int32(s)
+			boxes[s] = geom.RectFromPoint(c.Instance.Sinks[s].Loc)
 		}
 		c.idx = spatial.New(spatial.DensityCell(boxes))
 		c.idx.InsertAll(boxes)
 	}
 
 	dirty := make([]bool, k)
-	var addShard []int // shard assigned to each addition, in script order
-	nextID := nOld     // index ids for additions: dense continuation of the old ids
+	var addShard []int32 // shard assigned to each addition, in script order
 	for _, e := range script.Edits {
-		switch e.Op {
-		case instio.OpMove:
-			dirty[c.sinkShard[e.Sink]] = true
-			c.idx.Delete(e.Sink)
-			c.idx.Insert(e.Sink, geom.RectFromPoint(e.Loc))
-		case instio.OpReload:
-			dirty[c.sinkShard[e.Sink]] = true
-		case instio.OpRemove:
-			dirty[c.sinkShard[e.Sink]] = true
-			c.idx.Delete(e.Sink)
-			removals = true
-		case instio.OpAdd:
-			c.idx.Insert(nextID, geom.RectFromPoint(e.Loc))
-			nb, _, ok := c.idx.NearestBox(nextID)
+		if e.Op == instio.OpAdd {
+			t := len(c.slotShard)
+			c.idx.Insert(t, geom.RectFromPoint(e.Loc))
+			nb, _, ok := c.idx.NearestBox(t)
 			if !ok {
 				return nil, nil, false, fmt.Errorf("%w (no surviving sink to anchor an added one)", ErrFullBuild)
 			}
-			sh := 0
-			if nb < nOld {
-				sh = c.sinkShard[nb]
-			} else {
-				sh = addShard[nb-nOld]
-			}
+			sh := c.slotShard[nb]
 			dirty[sh] = true
+			c.slotShard = append(c.slotShard, sh)
 			addShard = append(addShard, sh)
-			nextID++
+			continue
+		}
+		t := int(c.slot[e.Sink])
+		dirty[c.slotShard[t]] = true
+		switch e.Op {
+		case instio.OpMove:
+			c.idx.Insert(t, geom.RectFromPoint(e.Loc))
+		case instio.OpRemove:
+			c.idx.Delete(t)
+			removals = true
 		}
 	}
 
@@ -286,25 +327,6 @@ func (c *EcoCache) dirtySet(script *instio.EditScript, rm *instio.Remap) (newPar
 	return newParts, dirtyIdx, removals, nil
 }
 
-// composeRemap carries a pending leaf renumbering forward through an edit
-// script's old→new map: the result maps the frozen subtree's id space directly
-// onto the edited instance (-1 = removed along the way). A nil pending map is
-// the identity, so the script's own map passes through unchanged.
-func composeRemap(pending, oldToNew []int) []int {
-	if pending == nil {
-		return oldToNew
-	}
-	out := make([]int, len(pending))
-	for o, m := range pending {
-		if m >= 0 {
-			out[o] = oldToNew[m]
-		} else {
-			out[o] = -1
-		}
-	}
-	return out
-}
-
 // stripLocalOnly clears the option fields a cache must not carry:
 // observation and cancellation stay with the caller.
 func stripLocalOnly(opt core.Options) core.Options {
@@ -321,7 +343,7 @@ func (c *EcoCache) Marshal() ([]byte, error) {
 	blobs := make([][]byte, len(c.shards))
 	for i := range c.shards {
 		sh := &c.shards[i]
-		root := sh.frozen.Thaw(c.Instance, sh.remap)
+		root := sh.frozen.Thaw(c.Instance, sh.leaves)
 		br := wire.BuildResult{Root: root, Stats: sh.stats, Registry: sh.reg}
 		var err error
 		if blobs[i], err = br.Encode(); err != nil {

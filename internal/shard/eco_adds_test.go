@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,8 +20,9 @@ import (
 // previous step, and some land next to a removed sink. Every added sink must
 // join the shard of its nearest live sink at its point in the script, as a
 // linear scan over the placement edited so far finds it (Manhattan
-// distance, smallest id on ties). Scripts without removals chain a second
-// hop, which checks the index the first rebuild hands to the chained cache.
+// distance, smallest id on ties). Every seed chains two more hops of the
+// same kind, which check the index each rebuild hands to the chained cache,
+// after removals too.
 func TestEcoAddsJoinNearestLiveSink(t *testing.T) {
 	in := ecoInstance(1200, 3)
 	full, err := BuildEco(in, core.Options{Shards: 4}, dispatch.Options{})
@@ -30,14 +32,110 @@ func TestEcoAddsJoinNearestLiveSink(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		removals := seed%2 == 1
-		sc := randomEcoScript(rng, in, full.Parts, removals)
-		res := checkAddShards(t, seed, full.Eco, sc)
-		if removals {
-			continue
+		c := full.Eco
+		for hop := 0; hop < 3; hop++ {
+			sc := randomEcoScript(rng, c.Instance, c.Parts, removals)
+			c = checkAddShards(t, seed, c, sc).Eco
 		}
-		sc2 := randomEcoScript(rng, res.Instance, res.Parts, false)
-		checkAddShards(t, seed, res.Eco, sc2)
 	}
+}
+
+// TestEcoLongChainCarriesIndex walks 240 add- and remove-heavy hops on a
+// small instance, so the slots the carried dirty-set index files sinks under
+// outgrow the live sinks and the chained cache must drop and re-derive it.
+// After every hop the slot table obeys the drop rule: either dropped, or at
+// most 2·live + slotSlack slots, one per live sink, ascending in sink id,
+// each filed under its sink's shard. Every tenth hop is bitwise the rebuild
+// of the same script from the cache's Marshal → UnmarshalEcoCache twin,
+// whose index is derived fresh: same dirty set, wire and delays.
+func TestEcoLongChainCarriesIndex(t *testing.T) {
+	in := ecoInstance(400, 3)
+	full, err := BuildEco(in, core.Options{Shards: 4, Pilot: true}, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	c := full.Eco
+	drops := 0
+	for hop := 0; hop < 240; hop++ {
+		sc := churnScript(rng, c.Instance)
+		var twin *EcoCache
+		if hop%10 == 9 {
+			blob, err := c.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if twin, err = UnmarshalEcoCache(blob); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := c.Rebuild(sc)
+		if err != nil {
+			t.Fatalf("hop %d: %v", hop, err)
+		}
+		if c.idx != nil || c.slot != nil || c.slotShard != nil {
+			t.Fatalf("hop %d: the rebuilt cache kept its dirty-set index", hop)
+		}
+		next, live := res.Eco, len(res.Instance.Sinks)
+		if next.idx == nil {
+			drops++
+		} else {
+			if len(next.slotShard) > 2*live+slotSlack || len(next.slot) != live {
+				t.Fatalf("hop %d: %d slots, %d slot entries for %d live sinks", hop, len(next.slotShard), len(next.slot), live)
+			}
+			for i, p := range next.Parts {
+				for _, s := range p {
+					if int(next.slotShard[next.slot[s]]) != i {
+						t.Fatalf("hop %d: sink %d of shard %d filed under shard %d", hop, s, i, next.slotShard[next.slot[s]])
+					}
+				}
+			}
+			for s := 1; s < live; s++ {
+				if next.slot[s] <= next.slot[s-1] {
+					t.Fatalf("hop %d: slot of sink %d is %d, of sink %d %d", hop, s, next.slot[s], s-1, next.slot[s-1])
+				}
+			}
+		}
+		if twin != nil {
+			want, err := twin.Rebuild(sc)
+			if err != nil {
+				t.Fatalf("hop %d twin: %v", hop, err)
+			}
+			if fmt.Sprint(res.EcoRebuilt, res.Parts) != fmt.Sprint(want.EcoRebuilt, want.Parts) {
+				t.Fatalf("hop %d: dirty shards %v differ from the twin's %v, or the partition does", hop, res.EcoRebuilt, want.EcoRebuilt)
+			}
+			if gb, wb := math.Float64bits(res.Wirelength), math.Float64bits(want.Wirelength); gb != wb {
+				t.Fatalf("hop %d: wire %v, twin %v", hop, res.Wirelength, want.Wirelength)
+			}
+			if gh, wh := delayDigest(t, res.Root, res.Instance), delayDigest(t, want.Root, want.Instance); gh != wh {
+				t.Fatalf("hop %d: delay digest 0x%016x, twin 0x%016x", hop, gh, wh)
+			}
+		}
+		c = next
+	}
+	if drops < 2 {
+		t.Errorf("the chain dropped the index %d times; the test wants the drop rule met at least twice", drops)
+	}
+}
+
+// churnScript draws an add- and remove-heavy script over in: six removals
+// of distinct sinks, seven additions each beside a random sink and in its
+// group, and one move. Each hop grows the live sinks by one and the slots by
+// seven.
+func churnScript(rng *rand.Rand, in *ctree.Instance) *instio.EditScript {
+	perm := rng.Perm(len(in.Sinks))
+	var edits []instio.Edit
+	for _, s := range perm[:6] {
+		edits = append(edits, instio.Edit{Op: instio.OpRemove, Sink: s})
+	}
+	mv := in.Sinks[perm[6]]
+	edits = append(edits, instio.Edit{Op: instio.OpMove, Sink: mv.ID, Loc: geom.Point{X: mv.Loc.X + rng.Float64()*50, Y: mv.Loc.Y - rng.Float64()*50}})
+	for i := 0; i < 7; i++ {
+		like := in.Sinks[perm[7+i]]
+		edits = append(edits, instio.Edit{Op: instio.OpAdd, Loc: geom.Point{X: like.Loc.X + rng.Float64()*20 - 10, Y: like.Loc.Y + rng.Float64()*20 - 10},
+			CapFF: like.CapFF, Group: like.Group})
+	}
+	return &instio.EditScript{Name: "churn", Edits: edits}
 }
 
 // checkAddShards rebuilds c under sc and requires every added sink to sit

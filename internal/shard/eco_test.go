@@ -1,8 +1,10 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -438,25 +440,42 @@ func TestEcoFrozenChainMatchesRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkEcoHop measures one incremental rebuild: a 0.1% edit script
-// against the retained cache of a grouped piloted 10k build at 8 shards.
-// Every iteration rebuilds from the same cache, which stays reusable.
+// BenchmarkEcoHop measures one incremental rebuild hop the way dmebench's
+// eco-chain workload does: a seeded chain of 0.1% edit scripts walked from
+// the retained cache of a grouped piloted 10k build at 8 shards, each hop
+// rebuilding the cache the previous hop chained, and the chain restarting
+// from the retained build every 20 hops. Rebuilding one cache over and over
+// would re-derive its dirty-set index on every iteration, which no chain
+// does.
 func BenchmarkEcoHop(b *testing.B) {
 	in := ecoInstance(10_000, 4)
 	full, err := BuildEco(in, core.Options{Shards: 8, Pilot: true}, dispatch.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	script, err := instio.Perturb(in, 0.001, 1)
-	if err != nil {
-		b.Fatal(err)
+	scripts := make([]*instio.EditScript, 20)
+	cur := in
+	for h := range scripts {
+		if scripts[h], err = instio.Perturb(cur, 0.001, int64(1+h)); err != nil {
+			b.Fatal(err)
+		}
+		if cur, _, err = scripts[h].Apply(cur); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	c := full.Eco
 	for i := 0; i < b.N; i++ {
-		if _, err := full.Eco.Rebuild(script); err != nil {
+		h := i % len(scripts)
+		if h == 0 {
+			c = full.Eco
+		}
+		res, err := c.Rebuild(scripts[h])
+		if err != nil {
 			b.Fatal(err)
 		}
+		c = res.Eco
 	}
 }
 
@@ -581,42 +600,82 @@ func TestEcoDispatchPath(t *testing.T) {
 }
 
 // TestEcoTraceSpans pins the observability contract: a traced rebuild
-// records the dirty/rebuild/adopt/retain/restitch/finalize phases and
-// per-dirty-shard child traces.
+// records the dirty/rebuild/retain/restitch/finalize/embed phases, one after
+// another, covering at least 95% of its wall time; per-dirty-shard child
+// traces; and an "adopt" child trace holding the one adopt span of the
+// clean-shard thaw that overlaps the rebuild span, with its shard count.
+// The rebuild takes a few milliseconds, so a host pause between two spans
+// can cost it 5%; unspanned work would show in every one of three traced
+// rebuilds, a pause in one.
 func TestEcoTraceSpans(t *testing.T) {
 	in := ecoInstance(2000, 3)
 	full, err := BuildEco(in, core.Options{Shards: 4, Pilot: true}, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := obs.New("eco")
-	res, err := full.Eco.RebuildDispatch(ecoScript(in, full.Parts), RebuildOptions{Trace: tr}, dispatch.Options{})
-	if err != nil {
-		t.Fatal(err)
+	var tr *obs.Trace
+	var res *Result
+	var sum *obs.Summary
+	best := 0.0
+	for try := 0; try < 3 && best < 0.95; try++ {
+		tr = obs.New("eco")
+		res, err = full.Eco.RebuildDispatch(ecoScript(in, full.Parts), RebuildOptions{Trace: tr}, dispatch.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Close()
+		sum = tr.Summary()
+		cov := sum.CoveredMS / sum.WallMS
+		if cov > 1 {
+			t.Fatalf("top-level spans cover %.1f%% of wall time: they overlap (%s)", 100*cov, tr.Report())
+		}
+		best = max(best, cov)
 	}
-	tr.Close()
+	if best < 0.95 {
+		t.Errorf("top-level spans cover at best %.1f%% of wall time in three rebuilds, want ≥ 95%% (last: %s)", 100*best, tr.Report())
+	}
 	have := map[string]bool{}
-	for _, p := range tr.Summary().Phases {
+	for _, p := range sum.Phases {
 		have[p.Name] = true
 	}
-	for _, span := range []string{"dirty", "rebuild", "adopt", "retain", "restitch", "finalize", "embed"} {
+	for _, span := range []string{"dirty", "rebuild", "retain", "restitch", "finalize", "embed"} {
 		if !have[span] {
-			t.Errorf("rebuild trace missing span %q (have %v)", span, tr.Summary().Phases)
+			t.Errorf("rebuild trace missing span %q (have %v)", span, sum.Phases)
 		}
 	}
-	children := map[string]bool{}
+	if have["adopt"] {
+		t.Errorf("adopt is a top-level span; it overlaps the rebuild span (have %v)", sum.Phases)
+	}
+	children := map[string]*obs.Trace{}
 	for _, c := range tr.Children() {
-		children[c.Label()] = true
+		children[c.Label()] = c
 	}
 	for _, i := range res.EcoRebuilt {
-		if !children[fmt.Sprintf("shard%d", i)] {
+		if children[fmt.Sprintf("shard%d", i)] == nil {
 			t.Errorf("rebuild trace missing dirty-shard child shard%d (have %v)", i, tr.Children())
 		}
 	}
-	if !children["stitch"] {
+	if children["stitch"] == nil {
 		t.Error("rebuild trace missing stitch child")
 	}
 	if v, ok := tr.MetricValue("eco_dirty_shards"); !ok || int(v) != len(res.EcoRebuilt) {
 		t.Errorf("eco_dirty_shards metric = %v, %v; want %d", v, ok, len(res.EcoRebuilt))
+	}
+
+	var buf bytes.Buffer
+	if err := obs.WriteJSON(&buf, children["adopt"]); err != nil {
+		t.Fatalf("adopt child trace: %v", err)
+	}
+	var adopt struct {
+		Spans []struct {
+			Name  string             `json:"name"`
+			Attrs map[string]float64 `json:"attrs"`
+		} `json:"spans"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &adopt); err != nil {
+		t.Fatal(err)
+	}
+	if len(adopt.Spans) != 1 || adopt.Spans[0].Name != "adopt" || int(adopt.Spans[0].Attrs["shards"]) != res.EcoReused {
+		t.Errorf("adopt child trace spans %+v, want one adopt span of %d shards", adopt.Spans, res.EcoReused)
 	}
 }

@@ -222,9 +222,10 @@ func buildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options, 
 // routeShards is the back half of the pipeline, shared by a build and an
 // incremental rebuild once their front half has fixed the partition
 // (res.Parts), the sub-build options and the frozen base registry. It routes
-// the shards listed in todo through the dispatch coordinator, adopts every
-// other shard from the cache being rebuilt (from, whose leaves the edit
-// script renumbers by oldToNew; nil on a build, which routes every shard),
+// the shards listed in todo through the dispatch coordinator while it adopts
+// every other shard from the cache being rebuilt on one more goroutine
+// (from, whose survivors the edit script renumbers by oldToNew, nil when it
+// renumbered none; from is nil on a build, which routes every shard),
 // freezes the routed shards for the chained cache when it retains, then
 // stitches all roots and finalizes res. res arrives carrying the front
 // half's fields: instance, options, partition, pilot record and dispatch
@@ -259,43 +260,32 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 			sb.traces[j] = tr.Child("shard" + strconv.Itoa(i))
 		}
 	}
-	outs, rep, err := sb.run(subOpt.Ctx, dopt, tr)
-	res.Dispatch.Add(rep)
-	fanRgn.End()
-	if err != nil {
-		return err
-	}
 	subs := make([]*wire.BuildResult, k)
-	for j, i := range todo {
-		subs[i] = outs[j]
-	}
-
 	var chain []ecoShard
 	if retain {
 		chain = make([]ecoShard, k)
 	}
+	// A rebuild thaws its clean shards on one more goroutine while the
+	// dirty ones route; the fan-out span covers the wait for it.
+	var adopted chan error
 	if from != nil {
-		// Each clean shard thaws a fresh copy of its frozen subtree, with
-		// leaf identity carried onto the edited instance by its pending
-		// renumbering composed with this script's. The snapshot itself is
-		// never touched, so the cache stays reusable, and the chained cache
-		// shares it.
-		adoptRgn := tr.Begin("adopt").Attr("shards", float64(k-len(todo)))
-		if err := dispatch.Protect("adopt", func() error {
-			for i, s := range subs {
-				if s != nil {
-					continue // routed above
-				}
-				sh := &from.shards[i]
-				chain[i] = *sh
-				chain[i].remap = composeRemap(sh.remap, oldToNew)
-				subs[i] = &wire.BuildResult{Root: sh.frozen.Thaw(in, chain[i].remap), Stats: sh.stats, Registry: sh.reg}
-			}
-			return nil
-		}); err != nil {
-			return err
+		adopted = make(chan error, 1)
+		atr := tr.Child("adopt")
+		go func() { adopted <- adopt(atr, in, from, todo, oldToNew, subs, chain) }()
+	}
+	outs, rep, err := sb.run(subOpt.Ctx, dopt, tr)
+	res.Dispatch.Add(rep)
+	if adopted != nil {
+		if aerr := <-adopted; err == nil {
+			err = aerr
 		}
-		adoptRgn.End()
+	}
+	fanRgn.End()
+	if err != nil {
+		return err
+	}
+	for j, i := range todo {
+		subs[i] = outs[j]
 	}
 	roots := make([]*ctree.Node, k)
 	for i, s := range subs {
@@ -362,33 +352,27 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 		res.Shards = make([]ShardInfo, k)
 		var agg core.Stats
 		agg.AddRun(res.PilotStats) // zero when the pilot was off
-		var shardWire float64
 		for i, s := range subs {
-			w := roots[i].Wirelength()
-			res.Shards[i] = ShardInfo{Sinks: len(parts[i]), Wirelength: w, Stats: s.Stats}
-			shardWire += w
+			res.Shards[i] = ShardInfo{Sinks: len(parts[i]), Stats: s.Stats}
 			agg.AddRun(s.Stats)
 		}
 		agg.AddRun(top.Stats)
 		agg.GroupUnions += base.PreUnions()
 		res.Stats = agg
 
-		if k > 1 {
-			// Internal node IDs were assigned per shard (and restart in the
-			// stitch); renumber them densely above the sink IDs so IDs are
-			// unique within the run, as core.Build guarantees. Shards = 1
-			// takes the unsharded numbering as-is, preserving bitwise
-			// identity.
-			next := len(in.Sinks)
-			top.Root.Visit(func(n *ctree.Node) {
-				if !n.IsLeaf() {
-					n.ID = next
-					next++
-				}
-			})
+		// Internal node IDs were assigned per shard (and restart in the
+		// stitch); with k > 1 the walk renumbers them densely above the
+		// sink IDs so IDs are unique within the run, as core.Build
+		// guarantees. Shards = 1 takes the unsharded numbering as-is,
+		// preserving bitwise identity.
+		treeWire, err := finalizeWalk(top.Root, roots, res.Shards, len(in.Sinks), k > 1)
+		if err != nil {
+			return err
 		}
-
-		treeWire := top.Root.Wirelength()
+		var shardWire float64
+		for i := range res.Shards {
+			shardWire += res.Shards[i].Wirelength
+		}
 		res.SourceWire = geom.DistRP(top.Root.Region, geom.ToUV(in.Source))
 		res.Wirelength = treeWire + res.SourceWire
 		res.MaxGroupSkew = top.Root.Delay.MaxWidth()
@@ -423,4 +407,77 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 		}
 	}
 	return nil
+}
+
+// adopt thaws every shard of from that todo does not list into subs, and
+// records in chain the snapshot the chained cache keeps for it, with its
+// leaves carried through oldToNew (nil: no survivor was renumbered). It
+// runs while the listed shards route, so it writes only the entries of the
+// shards it adopts and records into tr, a child trace made for it. The
+// snapshots are only read, so from stays reusable and the chained cache
+// shares them.
+func adopt(tr *obs.Trace, in *ctree.Instance, from *EcoCache, todo, oldToNew []int,
+	subs []*wire.BuildResult, chain []ecoShard) error {
+	defer tr.Close()
+	rgn := tr.Begin("adopt").Attr("shards", float64(len(subs)-len(todo)))
+	defer rgn.End()
+	return dispatch.Protect("adopt", func() error {
+		routed := make([]bool, len(subs))
+		for _, i := range todo {
+			routed[i] = true
+		}
+		for i := range subs {
+			if routed[i] {
+				continue
+			}
+			sh := &from.shards[i]
+			chain[i] = *sh
+			if oldToNew != nil {
+				chain[i].leaves = sh.carry(oldToNew)
+			}
+			subs[i] = &wire.BuildResult{Root: sh.frozen.Thaw(in, chain[i].leaves), Stats: sh.stats, Registry: sh.reg}
+		}
+		return nil
+	})
+}
+
+// finalizeWalk is finalize's one walk over the stitched tree. It returns the
+// tree's wire and records each shard root's wire in shards[i].Wirelength,
+// both summed with Node.Wirelength's association, so every value is bitwise
+// what that method returns; when renumber is set it also gives every
+// internal node a dense pre-order ID from next up, as a Visit would. A
+// shard root missing from the tree is an error.
+func finalizeWalk(top *ctree.Node, roots []*ctree.Node, shards []ShardInfo, next int, renumber bool) (float64, error) {
+	shardOf := make(map[*ctree.Node]int, len(roots))
+	for i, r := range roots {
+		shardOf[r] = i
+	}
+	found := 0
+	// stitched: no shard root lies above n, so n may be one.
+	var walk func(n *ctree.Node, stitched bool) float64
+	walk = func(n *ctree.Node, stitched bool) float64 {
+		i, root := 0, false
+		if stitched {
+			i, root = shardOf[n]
+			stitched = !root
+		}
+		w := 0.0
+		if !n.IsLeaf() {
+			if renumber {
+				n.ID = next
+				next++
+			}
+			w = n.EdgeL + n.EdgeR + walk(n.Left, stitched) + walk(n.Right, stitched)
+		}
+		if root {
+			shards[i].Wirelength = w
+			found++
+		}
+		return w
+	}
+	w := walk(top, true)
+	if found != len(roots) {
+		return 0, fmt.Errorf("shard: finalize: %d of %d shard roots in the stitched tree", found, len(roots))
+	}
+	return w, nil
 }

@@ -266,6 +266,38 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestShardedNodeIDsDense pins finalize's renumbering: in a sharded build,
+// and in an ECO rebuild of it, every leaf keeps its sink's ID and the
+// internal nodes are numbered densely above the sinks in pre-order, so IDs
+// are unique within the run, as core.Build guarantees.
+func TestShardedNodeIDsDense(t *testing.T) {
+	in := ecoInstance(1500, 3)
+	full, err := BuildEco(in, core.Options{Shards: 4, Pilot: true}, dispatch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eco, err := full.Eco.Rebuild(ecoScript(in, full.Parts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range []*Result{full, eco} {
+		next := len(res.Instance.Sinks)
+		res.Root.Visit(func(n *ctree.Node) {
+			switch {
+			case n.IsLeaf() && n.ID != n.Sink.ID:
+				t.Fatalf("%s: leaf of sink %d has ID %d", res.Instance.Name, n.Sink.ID, n.ID)
+			case !n.IsLeaf() && n.ID != next:
+				t.Fatalf("%s: internal node has ID %d, want %d in pre-order", res.Instance.Name, n.ID, next)
+			case !n.IsLeaf():
+				next++
+			}
+		})
+		if next != 2*len(res.Instance.Sinks)-1 {
+			t.Fatalf("%s: %d internal nodes for %d sinks", res.Instance.Name, next-len(res.Instance.Sinks), len(res.Instance.Sinks))
+		}
+	}
+}
+
 // TestShardsOffDelegates pins Shards=0 to the plain unsharded build with no
 // shard records.
 func TestShardsOffDelegates(t *testing.T) {
