@@ -467,7 +467,15 @@ func finalizeWalk(top *ctree.Node, roots []*ctree.Node, shards []ShardInfo, next
 				n.ID = next
 				next++
 			}
-			w = n.EdgeL + n.EdgeR + walk(n.Left, stitched) + walk(n.Right, stitched)
+			// A leaf's wire is 0: below the shard roots, skip the call.
+			var l, r float64
+			if stitched || !n.Left.IsLeaf() {
+				l = walk(n.Left, stitched)
+			}
+			if stitched || !n.Right.IsLeaf() {
+				r = walk(n.Right, stitched)
+			}
+			w = n.EdgeL + n.EdgeR + l + r
 		}
 		if root {
 			shards[i].Wirelength = w
