@@ -267,9 +267,10 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestShardedNodeIDsDense pins finalize's renumbering: in a sharded build,
-// and in an ECO rebuild of it, every leaf keeps its sink's ID and the
-// internal nodes are numbered densely above the sinks in pre-order, so IDs
-// are unique within the run, as core.Build guarantees.
+// in an ECO rebuild of it, and in a build with a shard per sink (every shard
+// root a leaf, which finalize must still find), every leaf keeps its sink's
+// ID and the internal nodes are numbered densely above the sinks in
+// pre-order, so IDs are unique within the run, as core.Build guarantees.
 func TestShardedNodeIDsDense(t *testing.T) {
 	in := ecoInstance(1500, 3)
 	full, err := BuildEco(in, core.Options{Shards: 4, Pilot: true}, dispatch.Options{})
@@ -280,7 +281,11 @@ func TestShardedNodeIDsDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, res := range []*Result{full, eco} {
+	tiny, err := Build(bench.Small(6, 3), core.Options{Shards: 6, SingleGroup: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range []*Result{full, eco, tiny} {
 		next := len(res.Instance.Sinks)
 		res.Root.Visit(func(n *ctree.Node) {
 			switch {
