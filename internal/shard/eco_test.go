@@ -333,10 +333,10 @@ func TestEcoCacheRoundTrip(t *testing.T) {
 	if gh, rh := delayDigest(t, got.Root, got.Instance), delayDigest(t, want.Root, want.Instance); gh != rh {
 		t.Errorf("decoded-cache rebuild digest 0x%016x, want 0x%016x", gh, rh)
 	}
-	// The chained cache carries pending leaf renumberings for the clean
-	// shards (the script removed a sink); Marshal must apply them when it
-	// encodes the disk format, and a rebuild from the round-tripped bytes must match
-	// the in-process chained rebuild bit for bit.
+	// The chained cache carries renumbered leaf ids for the clean shards
+	// (the script removed a sink); Marshal must apply them when it encodes
+	// the disk format, and a rebuild from the round-tripped bytes must
+	// match the in-process chained rebuild bit for bit.
 	chainBlob, err := want.Eco.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +393,7 @@ func TestEcoCacheRoundTrip(t *testing.T) {
 // TestEcoFrozenChainMatchesRoundTrip pins the in-memory frozen path against
 // the process boundary over a 20-hop seeded chain of 0.1% edit scripts: at
 // every hop, rebuilding from the chained cache (clean shards thawed from
-// their snapshots through composed pending renumberings) is bitwise the
+// their snapshots onto their carried leaf ids) is bitwise the
 // rebuild from that cache's Marshal → UnmarshalEcoCache round trip (every
 // shard encoded, then decoded through the full wire validation).
 func TestEcoFrozenChainMatchesRoundTrip(t *testing.T) {
