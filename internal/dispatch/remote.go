@@ -29,6 +29,35 @@ const (
 // any real subtree encoding, not a tuning knob).
 const maxResponseBytes = 1 << 30
 
+// maxPresize caps what a body's declared length may reserve before its bytes
+// arrive, so a lying Content-Length cannot make a reader allocate its whole
+// read limit up front; a longer body grows past it as it arrives.
+const maxPresize = 64 << 20
+
+// ReadBody reads r to EOF like io.ReadAll, into one buffer sized from the
+// body's declared length n (an HTTP ContentLength, -1 when unknown) instead
+// of one regrown as the bytes arrive. Callers bound r themselves.
+func ReadBody(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 {
+		n = 512
+	}
+	// One byte past the body leaves room for the read that reports EOF.
+	b := make([]byte, 0, min(n, maxPresize)+1)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
 // Worker HTTP endpoints, shared between the pool and the worker handler
 // (internal/wire serves them; cmd/routeworker hosts that handler).
 const (
@@ -260,7 +289,7 @@ func (p *WorkerPool) post(ctx context.Context, w *poolWorker, body []byte) (data
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	data, err = io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
+	data, err = ReadBody(io.LimitReader(resp.Body, maxResponseBytes+1), resp.ContentLength)
 	if err != nil {
 		return nil, 0, err
 	}

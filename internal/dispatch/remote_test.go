@@ -1,6 +1,7 @@
 package dispatch
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -310,5 +311,34 @@ func TestPoolRejectsBadAddresses(t *testing.T) {
 	defer p.Close()
 	if !strings.HasPrefix(p.workers[0].url, "http://") {
 		t.Errorf("bare host:port not normalized: %s", p.workers[0].url)
+	}
+}
+
+// TestReadBody: a body of declared length is read into one buffer of that
+// size; an undeclared one still reads whole; and a declared length past
+// maxPresize reserves no more than maxPresize before the bytes arrive.
+func TestReadBody(t *testing.T) {
+	body := bytes.Repeat([]byte("wire"), 64<<10)
+	r := bytes.NewReader(body)
+	var got []byte
+	allocs := testing.AllocsPerRun(5, func() {
+		r.Reset(body)
+		var err error
+		if got, err = ReadBody(r, int64(len(body))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(got, body) || allocs != 1 {
+		t.Errorf("declared length: %d bytes in %.0f allocations, want %d in 1", len(got), allocs, len(body))
+	}
+	if got, err := ReadBody(bytes.NewReader(body), -1); err != nil || !bytes.Equal(got, body) {
+		t.Errorf("undeclared length: %d bytes, err %v", len(got), err)
+	}
+	got, err := ReadBody(strings.NewReader("abc"), 1<<40)
+	if err != nil || string(got) != "abc" {
+		t.Fatalf("lying length: %q, err %v", got, err)
+	}
+	if cap(got) > maxPresize+1 {
+		t.Errorf("lying length reserved %d bytes, want at most %d", cap(got), maxPresize+1)
 	}
 }

@@ -275,9 +275,8 @@ func TestEcoChainedRebuild(t *testing.T) {
 	}
 }
 
-// TestEcoCacheFromAnotherBuild: a cache whose version field another build
-// wrote (patched here, with the FNV-64a trailer recomputed) fails to open
-// with an error that wraps wire.ErrVersion and says how to rewrite it.
+// TestEcoCacheFromAnotherBuild: the cache a Version 6 build wrote fails to
+// open with an error that wraps wire.ErrVersion and says how to rewrite it.
 func TestEcoCacheFromAnotherBuild(t *testing.T) {
 	full, err := BuildEco(ecoInstance(600, 3), core.Options{Shards: 2, Pilot: true}, dispatch.Options{})
 	if err != nil {
@@ -287,12 +286,28 @@ func TestEcoCacheFromAnotherBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The version is the little-endian uint16 after the 4-byte magic.
-	body := append([]byte(nil), blob[:len(blob)-8]...)
-	binary.LittleEndian.PutUint16(body[4:], wire.Version-1)
-	h := fnv.New64a()
-	h.Write(body)
-	_, err = UnmarshalEcoCache(binary.LittleEndian.AppendUint64(body, h.Sum64()))
+	// Version 7 changed only the seal, so Version 6 wrote the same bytes
+	// under version 6 (the little-endian uint16 after the 4-byte magic),
+	// with an 8-byte FNV-64a trailer for the 4-byte CRC-32C one, on each
+	// shard blob and on the container.
+	asVersion6 := func(m []byte) []byte {
+		body := append([]byte(nil), m[:len(m)-4]...)
+		binary.LittleEndian.PutUint16(body[4:], 6)
+		h := fnv.New64a()
+		h.Write(body)
+		return binary.LittleEndian.AppendUint64(body, h.Sum64())
+	}
+	wc, err := wire.DecodeCache(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range wc.Blobs {
+		wc.Blobs[i] = asVersion6(b)
+	}
+	if blob, err = wc.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = UnmarshalEcoCache(asVersion6(blob))
 	if !errors.Is(err, wire.ErrVersion) {
 		t.Fatalf("err = %v, want one wrapping wire.ErrVersion", err)
 	}

@@ -3,18 +3,46 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
+	"math/bits"
 	"reflect"
 
 	"repro/internal/core"
 )
 
-// writer accumulates a message body; seal appends the FNV-64a checksum of
+// castagnoli is the CRC-32C table; hash/crc32 computes it with the CPU's
+// CRC instructions on amd64 and arm64.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// sealLen is the length of the seal trailer: the CRC-32C of everything
+// before it, little-endian.
+const sealLen = 4
+
+// headerLen is the magic and version every message opens with.
+const headerLen = 4 + 2
+
+// writer accumulates a message body; seal appends the CRC-32C seal of
 // everything written.
 type writer struct {
 	b []byte
 }
+
+// newWriter starts a message of at most size bytes, seal included, with its
+// magic and version written: the encoders size each message from its
+// content, so the buffer is allocated once and never regrown.
+func newWriter(magic [4]byte, size int) *writer {
+	w := &writer{b: make([]byte, 0, size)}
+	w.raw(magic[:])
+	w.u16(Version)
+	return w
+}
+
+// uvLen and ivLen are the encoded lengths of w.uv(v) and w.iv(v), for the
+// encoders' size counts.
+func uvLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func ivLen(v int64) int { return uvLen(uint64(v<<1) ^ uint64(v>>63)) }
 
 func (w *writer) raw(p []byte) { w.b = append(w.b, p...) }
 func (w *writer) u8(v byte)    { w.b = append(w.b, v) }
@@ -50,11 +78,9 @@ func (w *writer) str(s string) {
 	w.b = append(w.b, s...)
 }
 
-// seal appends the checksum trailer and returns the finished message.
+// seal appends the seal trailer and returns the finished message.
 func (w *writer) seal() []byte {
-	h := fnv.New64a()
-	h.Write(w.b)
-	return binary.LittleEndian.AppendUint64(w.b, h.Sum64())
+	return binary.LittleEndian.AppendUint32(w.b, crc32.Checksum(w.b, castagnoli))
 }
 
 // reader walks a sealed message with a sticky error: after any failure all
@@ -66,29 +92,25 @@ type reader struct {
 	err error
 }
 
-// open verifies length, magic, checksum and version, and positions a reader
-// over the body (checksum trailer excluded).
+// open checks length, magic, version and seal, in that order, and positions
+// a reader over the body (seal trailer excluded). The version goes before the
+// seal so that a message another Version wrote, whatever its trailer, fails
+// with ErrVersion rather than as corrupt.
 func open(data []byte, magic [4]byte) (*reader, error) {
-	if len(data) < len(magic)+2+8 {
+	if len(data) < headerLen+sealLen {
 		return nil, fmt.Errorf("wire: message truncated (%d bytes)", len(data))
 	}
-	body, trailer := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	h.Write(body)
-	if got, want := binary.LittleEndian.Uint64(trailer), h.Sum64(); got != want {
-		return nil, fmt.Errorf("wire: checksum mismatch (message corrupted in transit)")
-	}
-	r := &reader{b: body}
-	var m [4]byte
-	copy(m[:], body[:4])
-	r.off = 4
-	if m != magic {
+	if m := [4]byte(data[:4]); m != magic {
 		return nil, fmt.Errorf("wire: bad magic %q", m[:])
 	}
-	if v := r.u16(); v != Version {
+	if v := binary.LittleEndian.Uint16(data[4:]); v != Version {
 		return nil, fmt.Errorf("%w: version %d, this build speaks %d", ErrVersion, v, Version)
 	}
-	return r, nil
+	body, trailer := data[:len(data)-sealLen], data[len(data)-sealLen:]
+	if binary.LittleEndian.Uint32(trailer) != crc32.Checksum(body, castagnoli) {
+		return nil, fmt.Errorf("wire: checksum mismatch (message corrupted in transit)")
+	}
+	return &reader{b: body, off: headerLen}, nil
 }
 
 func (r *reader) fail(err error) {
@@ -206,6 +228,21 @@ func (r *reader) str(max int) string {
 // kind fails loudly at encode time instead of being silently dropped.
 func encodeStats(w *writer, s core.Stats) error {
 	return encodeStruct(w, reflect.ValueOf(s))
+}
+
+// statsMaxLen bounds encodeStats' output: a full varint per field at most.
+var statsMaxLen = binary.MaxVarintLen64 * fieldCount(reflect.TypeOf(core.Stats{}))
+
+func fieldCount(t reflect.Type) int {
+	n := 0
+	for i := 0; i < t.NumField(); i++ {
+		if f := t.Field(i).Type; f.Kind() == reflect.Struct {
+			n += fieldCount(f)
+		} else {
+			n++
+		}
+	}
+	return n
 }
 
 func encodeStruct(w *writer, v reflect.Value) error {

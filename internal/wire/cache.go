@@ -41,7 +41,7 @@ type Cache struct {
 }
 
 // Encode serializes the cache. Like every wire message it is versioned,
-// magic-tagged and checksummed; the per-shard blobs keep their own seals, so
+// magic-tagged and sealed; the per-shard blobs keep their own seals, so
 // a cache survives exactly one level of nesting without re-hashing payloads.
 func (c *Cache) Encode() ([]byte, error) {
 	if c.Instance == nil {
@@ -51,9 +51,19 @@ func (c *Cache) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("wire: cache with %d shards, %d parts, %d blobs",
 			c.Shards, len(c.Parts), len(c.Blobs))
 	}
-	w := &writer{}
-	w.raw(magicCache[:])
-	w.u16(Version)
+	size := headerLen + uvLen(uint64(c.Shards)) + 1 + optionsLen(c.Opt) + snapshotLen(c.Base) +
+		instanceLen(c.Instance) + 1 + uvLen(uint64(len(c.Offsets))) + 8*len(c.Offsets) +
+		ivLen(int64(c.PilotSinks)) + sealLen
+	for _, p := range c.Parts {
+		size += uvLen(uint64(len(p)))
+		for _, id := range p {
+			size += uvLen(uint64(id))
+		}
+	}
+	for _, b := range c.Blobs {
+		size += uvLen(uint64(len(b))) + len(b)
+	}
+	w := newWriter(magicCache, size)
 	w.uv(uint64(c.Shards))
 	w.bool(c.Pilot)
 	if err := encodeOptions(w, c.Opt); err != nil {

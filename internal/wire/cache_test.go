@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 // buildCache constructs a realistic cache container: a grouped instance
 // split into two parts, a registry with pilot offsets pre-registered, and
 // per-part subtree blobs produced by the worker-side executor.
-func buildCache(t *testing.T) *Cache {
+func buildCache(t testing.TB) *Cache {
 	t.Helper()
 	in := bench.Intermingled(bench.Small(120, 7), 3, 11)
 	opt := core.Options{IntraSkewBound: 2, GroupOffsets: []float64{0, 1.5, -0.25}}
@@ -144,4 +145,35 @@ func TestCacheDecodeRejects(t *testing.T) {
 			t.Error("offsets over wrong group count accepted")
 		}
 	}
+}
+
+// FuzzDecodeCache asserts the cache decoder's no-crash contract on
+// arbitrary bytes, as given and resealed, and that whatever decodes
+// re-encodes to bytes that decode and encode back to themselves.
+func FuzzDecodeCache(f *testing.F) {
+	seed, err := buildCache(f).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte("ASTC"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, data := range [][]byte{data, resealed(data)} {
+			c, err := DecodeCache(data) // must never panic
+			if err != nil {
+				continue
+			}
+			again, err := c.Encode()
+			if err != nil {
+				t.Fatalf("decoded cache fails to re-encode: %v", err)
+			}
+			c2, err := DecodeCache(again)
+			if err != nil {
+				t.Fatalf("re-encoded cache fails to decode: %v", err)
+			}
+			if third, err := c2.Encode(); err != nil || !bytes.Equal(third, again) {
+				t.Fatalf("round-trip through re-encode diverged (err %v)", err)
+			}
+		}
+	})
 }

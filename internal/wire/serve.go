@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/dispatch"
@@ -55,7 +56,7 @@ func newHandler(exec func(*WorkUnit) (*BuildResult, error), o ServerOptions) htt
 			http.Error(w, "build is POST", http.StatusMethodNotAllowed)
 			return
 		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		body, err := dispatch.ReadBody(http.MaxBytesReader(w, r.Body, maxRequestBytes), r.ContentLength)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("read request: %v", err), http.StatusBadRequest)
 			return
@@ -97,7 +98,10 @@ func newHandler(exec func(*WorkUnit) (*BuildResult, error), o ServerOptions) htt
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
+		// A declared length lets the coordinator read the result into one
+		// buffer of its size; without it the response would go out chunked.
 		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Length", strconv.Itoa(len(out)))
 		w.Write(out)
 	})
 	return mux

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -31,6 +32,10 @@ func TestHandlerServesBuild(t *testing.T) {
 	rec := postBuild(t, h, body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body %q", rec.Code, rec.Body.String())
+	}
+	// The declared length is what lets the coordinator size its read.
+	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
+		t.Errorf("Content-Length = %q, want %s", got, want)
 	}
 	res, err := DecodeResult(rec.Body.Bytes(), u.Instance)
 	if err != nil {

@@ -7,13 +7,17 @@
 // an encoding reproduces the value bitwise — floats travel as their IEEE
 // bit patterns and are never recomputed — so a sub-build executed by a
 // remote worker is indistinguishable from the in-process build, byte for
-// byte. Every message carries a magic tag, a format version, and a trailing
-// FNV-64a checksum; decoders are defensive end to end (bounds-checked
-// counts, no panics on arbitrary input), so a corrupted or malicious
-// payload yields an error, never a crash — the dispatch layer classifies
-// such errors as transient and re-dispatches.
+// byte. Every message opens with a magic tag and a format version and ends
+// with a 4-byte CRC-32C seal (the Castagnoli polynomial, which hash/crc32
+// computes in hardware on amd64 and arm64). A decoder checks them in that
+// order: magic, then version, then seal, so a message of another version
+// fails with ErrVersion whatever its trailer. Decoders are defensive end to
+// end (bounds-checked counts, no panics on arbitrary input), so a corrupted
+// or malicious payload yields an error, never a crash — the dispatch layer
+// classifies such errors as transient and re-dispatches.
 //
-// The format is at Version 6. A tree travels as pre-order node records
+// The format is at Version 7, which changed only the seal: Version 6 sealed
+// with an 8-byte FNV-64a trailer. A tree travels as pre-order node records
 // (geometry, delay sets, deferred state) with no snaking-handle records:
 // routers recompute handles from the subtree when they need them. Run stats
 // travel field by field, so any change to core.Stats' fields changes the
@@ -22,7 +26,9 @@
 // Pairer, EndpointSplit and GroupOffsets. A result carries the subtree, its
 // stats and the worker's registry; the coordinator measures wire from the
 // subtree itself. Work units, results and ECO cache files of any other
-// version fail the check with ErrVersion.
+// version fail the check with ErrVersion. A decoded tree lives in one node
+// slab, its nodes' Groups and Delay slices cut, capacity-capped, from shared
+// chunks: appending to one node's slice never writes into another's.
 //
 // Observation does not travel: Options.Trace and Options.Ctx are
 // deliberately not encoded (a worker build runs untraced; the coordinator
@@ -30,6 +36,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -43,7 +50,7 @@ import (
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 6
+const Version uint16 = 7
 
 // ErrVersion marks a message written by a build that speaks another
 // Version; errors.Is recognizes it through the decoders' wrapping.
@@ -72,8 +79,13 @@ const (
 	// minimum encoded bytes per repeated element, used to bound counts
 	// against the remaining payload before allocating.
 	minSinkBytes  = 25 // 3 floats + group varint
-	minNodeBytes  = 32
+	minNodeBytes  = 77 // flags, ID, 7 floats, 2 counts, delay flag, location
 	minEntryBytes = 8
+	minGroupBytes = 9 // registry parent varint + offset float
+	// minTreeGroupBytes is what a group held by a tree node adds to the
+	// node's record: a varint in Groups and a delay entry (varint and two
+	// floats), since a node's delay groups mirror its Groups.
+	minTreeGroupBytes = 18
 )
 
 // WorkUnit is one remote task: route SinkIDs of Instance under Opt against
@@ -105,9 +117,12 @@ func (u *WorkUnit) Encode() ([]byte, error) {
 	if u.Kind != KindBuild && u.Kind != KindPatch {
 		return nil, fmt.Errorf("wire: unknown work kind %d", u.Kind)
 	}
-	w := &writer{}
-	w.raw(magicWork[:])
-	w.u16(Version)
+	size := headerLen + 1 + optionsLen(u.Opt) + snapshotLen(u.Registry) +
+		instanceLen(u.Instance) + uvLen(uint64(len(u.SinkIDs))) + sealLen
+	for _, id := range u.SinkIDs {
+		size += uvLen(uint64(id))
+	}
+	w := newWriter(magicWork, size)
 	w.u8(byte(u.Kind))
 	if err := encodeOptions(w, u.Opt); err != nil {
 		return nil, err
@@ -124,7 +139,7 @@ func (u *WorkUnit) Encode() ([]byte, error) {
 	return w.seal(), nil
 }
 
-// DecodeWork parses and validates a work unit: version and checksum first,
+// DecodeWork parses and validates a work unit: magic, version and seal first,
 // then every count and index against the instance, and the registry
 // snapshot through the same forest validation the executor will apply.
 func DecodeWork(data []byte) (*WorkUnit, error) {
@@ -188,11 +203,20 @@ func (b *BuildResult) Encode() ([]byte, error) {
 	if b.Root == nil {
 		return nil, fmt.Errorf("wire: result without root")
 	}
-	w := &writer{}
-	w.raw(magicResult[:])
-	w.u16(Version)
-	if err := encodeTree(w, b.Root); err != nil {
+	nodes, err := preorder(b.Root)
+	if err != nil {
 		return nil, err
+	}
+	size := headerLen + uvLen(uint64(len(nodes))) + statsMaxLen + snapshotLen(b.Registry) + sealLen
+	for _, n := range nodes {
+		size += nodeLen(n)
+	}
+	w := newWriter(magicResult, size)
+	w.uv(uint64(len(nodes)))
+	for _, n := range nodes {
+		if err := encodeNode(w, n); err != nil {
+			return nil, err
+		}
 	}
 	if err := encodeStats(w, b.Stats); err != nil {
 		return nil, err
@@ -264,6 +288,13 @@ func encodeOptions(w *writer, o core.Options) error {
 	return nil
 }
 
+// optionsLen bounds encodeOptions' output: the model tag and its two floats,
+// two bounds, three booleans (the offsets flag among them), two varints and
+// the offsets with their count.
+func optionsLen(o core.Options) int {
+	return 1 + 16 + 16 + 3 + 2*binary.MaxVarintLen64 + uvLen(uint64(len(o.GroupOffsets))) + 8*len(o.GroupOffsets)
+}
+
 func decodeOptions(r *reader) (core.Options, error) {
 	var o core.Options
 	switch k := r.u8(); {
@@ -329,6 +360,14 @@ func encodeSnapshot(w *writer, s core.RegistrySnapshot) {
 	w.iv(int64(s.PreUnions))
 }
 
+func snapshotLen(s core.RegistrySnapshot) int {
+	n := uvLen(uint64(len(s.Parent))) + 8*len(s.Off) + ivLen(int64(s.PreUnions))
+	for _, p := range s.Parent {
+		n += uvLen(uint64(p))
+	}
+	return n
+}
+
 // decodeSnapshot reads the raw snapshot; structural validation (forest,
 // ranges) is core.NewRegistryFromSnapshot's job and the message decoders
 // invoke it before returning.
@@ -338,7 +377,7 @@ func decodeSnapshot(r *reader) core.RegistrySnapshot {
 	if r.err != nil {
 		return s
 	}
-	if n < 0 || n > r.remaining() {
+	if n < 0 || n > r.remaining()/minGroupBytes {
 		r.fail(fmt.Errorf("wire: registry group count %d exceeds payload", n))
 		return s
 	}
@@ -369,6 +408,15 @@ func encodeInstance(w *writer, in *ctree.Instance) {
 		w.f64(s.CapFF)
 		w.iv(int64(s.Group))
 	}
+}
+
+func instanceLen(in *ctree.Instance) int {
+	n := uvLen(uint64(len(in.Name))) + len(in.Name) + 16 + ivLen(int64(in.NumGroups)) +
+		uvLen(uint64(len(in.Sinks))) + 24*len(in.Sinks)
+	for i := range in.Sinks {
+		n += ivLen(int64(in.Sinks[i].Group))
+	}
+	return n
 }
 
 func decodeInstance(r *reader) (*ctree.Instance, error) {
@@ -417,10 +465,10 @@ const (
 	nodeDeferred = 1 << 2
 )
 
-// encodeTree writes the subtree as a pre-order sequence of flat records, so
-// the format needs no pointers and decoding needs no recursion.
-func encodeTree(w *writer, root *ctree.Node) error {
-	// Collect the pre-order first: the record count leads the records.
+// preorder collects the subtree's nodes in pre-order, checking its shape:
+// the records are written in this order, so the format needs no pointers and
+// decoding needs no recursion, and the record count leads them.
+func preorder(root *ctree.Node) ([]*ctree.Node, error) {
 	seen := map[*ctree.Node]bool{}
 	var nodes []*ctree.Node
 	stack := []*ctree.Node{root}
@@ -428,33 +476,46 @@ func encodeTree(w *writer, root *ctree.Node) error {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if n == nil {
-			return fmt.Errorf("wire: nil node in tree")
+			return nil, fmt.Errorf("wire: nil node in tree")
 		}
 		if seen[n] {
-			return fmt.Errorf("wire: node %d appears twice in tree", n.ID)
+			return nil, fmt.Errorf("wire: node %d appears twice in tree", n.ID)
 		}
 		seen[n] = true
 		nodes = append(nodes, n)
 		if n.IsLeaf() {
 			if n.Left != nil || n.Right != nil {
-				return fmt.Errorf("wire: leaf %d has children", n.ID)
+				return nil, fmt.Errorf("wire: leaf %d has children", n.ID)
 			}
 			continue
 		}
 		if n.Left == nil || n.Right == nil {
-			return fmt.Errorf("wire: internal node %d missing a child", n.ID)
+			return nil, fmt.Errorf("wire: internal node %d missing a child", n.ID)
 		}
 		// Push right first so the left subtree pops (and encodes) first —
 		// records must appear in pre-order.
 		stack = append(stack, n.Right, n.Left)
 	}
-	w.uv(uint64(len(nodes)))
-	for _, n := range nodes {
-		if err := encodeNode(w, n); err != nil {
-			return err
-		}
+	return nodes, nil
+}
+
+// nodeLen is the length of n's record as encodeNode writes it.
+func nodeLen(n *ctree.Node) int {
+	l := 1 + ivLen(int64(n.ID)) + 7*8 + uvLen(uint64(len(n.Groups))) +
+		1 + uvLen(uint64(len(n.Delay.Groups))) + 16*len(n.Delay.Groups) + 16
+	if n.IsLeaf() {
+		l += uvLen(uint64(n.Sink.ID))
 	}
-	return nil
+	for _, g := range n.Groups {
+		l += ivLen(int64(g))
+	}
+	for _, g := range n.Delay.Groups {
+		l += ivLen(int64(g))
+	}
+	if n.Deferred {
+		l += 11 * 8
+	}
+	return l
 }
 
 func encodeNode(w *writer, n *ctree.Node) error {
@@ -510,9 +571,35 @@ func encodeNode(w *writer, n *ctree.Node) error {
 	return nil
 }
 
-// decodeTree reconstructs the pre-order iteratively (a stack of open
-// internal nodes, never the goroutine stack — adversarially deep chains
-// cannot overflow it).
+// chunk cuts capacity-capped slices from a shared backing array, so a
+// decoded tree's per-node slices cost a few allocations instead of one or
+// two per node. A chunk that runs out is replaced by one at least twice its
+// size; the slices already cut keep the old one alive. decodeTree starts
+// each chunk with a non-nil array, so no slice cut from it is nil: a decoded
+// empty delay set stays non-zero.
+type chunk[T any] struct{ buf []T }
+
+func (c *chunk[T]) take(n int) []T {
+	if n > cap(c.buf)-len(c.buf) {
+		c.buf = make([]T, 0, max(n, 2*cap(c.buf)))
+	}
+	i := len(c.buf)
+	c.buf = c.buf[:i+n]
+	return c.buf[i : i+n : i+n]
+}
+
+// treeChunks back one decoded tree's Groups and Delay slices.
+type treeChunks struct {
+	groups chunk[int]
+	delays chunk[int32]
+	ivs    chunk[rctree.Interval]
+}
+
+// decodeTree reconstructs the pre-order into one node slab, iteratively (a
+// stack of open internal nodes, never the goroutine stack — adversarially
+// deep chains cannot overflow it). The payload past the records' minimum
+// bounds the groups the nodes hold, so the chunks start at that many
+// entries and a real tree fits in them.
 func decodeTree(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 	count := int(r.uv())
 	if r.err != nil {
@@ -521,19 +608,23 @@ func decodeTree(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 	if count <= 0 || count > r.remaining()/minNodeBytes+1 {
 		return nil, fmt.Errorf("wire: node count %d exceeds payload", count)
 	}
+	nodes := make([]ctree.Node, count)
+	groups := max(r.remaining()-count*minNodeBytes, 0) / minTreeGroupBytes
+	c := treeChunks{
+		groups: chunk[int]{make([]int, 0, groups)},
+		delays: chunk[int32]{make([]int32, 0, groups)},
+		ivs:    chunk[rctree.Interval]{make([]rctree.Interval, 0, groups)},
+	}
 	var open []*ctree.Node // internal nodes still missing a child
-	var root *ctree.Node
-	for i := 0; i < count; i++ {
-		if root != nil && len(open) == 0 {
+	for i := range nodes {
+		n := &nodes[i]
+		if i > 0 && len(open) == 0 {
 			return nil, fmt.Errorf("wire: node record %d after the tree completed", i)
 		}
-		n, err := decodeNode(r, in)
-		if err != nil {
+		if err := decodeNode(r, in, n, &c); err != nil {
 			return nil, err
 		}
-		if root == nil {
-			root = n
-		} else {
+		if i > 0 {
 			top := open[len(open)-1]
 			if top.Left == nil {
 				top.Left = n
@@ -549,25 +640,26 @@ func decodeTree(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 	if len(open) > 0 {
 		return nil, fmt.Errorf("wire: tree truncated, %d internal nodes missing children", len(open))
 	}
-	return root, nil
+	return &nodes[0], nil
 }
 
-func decodeNode(r *reader, in *ctree.Instance) (*ctree.Node, error) {
+// decodeNode fills the zero node n from its record.
+func decodeNode(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) error {
 	flags := r.u8()
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if flags&^(nodeLeaf|nodePlaced|nodeDeferred) != 0 {
-		return nil, fmt.Errorf("wire: node record with unknown flags %#x", flags)
+		return fmt.Errorf("wire: node record with unknown flags %#x", flags)
 	}
-	n := &ctree.Node{ID: int(r.iv())}
+	n.ID = int(r.iv())
 	if flags&nodeLeaf != 0 {
 		sid := int(r.uv())
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
 		if sid < 0 || sid >= len(in.Sinks) {
-			return nil, fmt.Errorf("wire: leaf sink id %d out of range", sid)
+			return fmt.Errorf("wire: leaf sink id %d out of range", sid)
 		}
 		n.Sink = &in.Sinks[sid]
 	}
@@ -577,43 +669,43 @@ func decodeNode(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 	n.Cap = r.f64()
 	ng := int(r.uv())
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if ng < 0 || ng > r.remaining() {
-		return nil, fmt.Errorf("wire: group count %d exceeds payload", ng)
+		return fmt.Errorf("wire: group count %d exceeds payload", ng)
 	}
 	if ng > 0 {
-		n.Groups = make([]int, ng)
+		n.Groups = c.groups.take(ng)
 		for i := range n.Groups {
 			n.Groups[i] = int(r.iv())
 			if i > 0 && r.err == nil && n.Groups[i] <= n.Groups[i-1] {
-				return nil, fmt.Errorf("wire: node %d groups not ascending", n.ID)
+				return fmt.Errorf("wire: node %d groups not ascending", n.ID)
 			}
 		}
 	}
 	hasDelay := r.bool()
 	nd := int(r.uv())
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if nd < 0 || nd > r.remaining()/minEntryBytes+1 {
-		return nil, fmt.Errorf("wire: delay count %d exceeds payload", nd)
+		return fmt.Errorf("wire: delay count %d exceeds payload", nd)
 	}
 	if hasDelay {
-		n.Delay = rctree.DelaySet{Groups: make([]int32, nd), Ivs: make([]rctree.Interval, nd)}
+		n.Delay = rctree.DelaySet{Groups: c.delays.take(nd), Ivs: c.ivs.take(nd)}
 		for i := 0; i < nd; i++ {
 			g := r.iv()
 			if g < math.MinInt32 || g > math.MaxInt32 {
-				return nil, fmt.Errorf("wire: delay group %d out of int32 range", g)
+				return fmt.Errorf("wire: delay group %d out of int32 range", g)
 			}
 			n.Delay.Groups[i] = int32(g)
 			n.Delay.Ivs[i] = rctree.Interval{Lo: r.f64(), Hi: r.f64()}
 			if i > 0 && r.err == nil && n.Delay.Groups[i] <= n.Delay.Groups[i-1] {
-				return nil, fmt.Errorf("wire: node %d delay groups not ascending", n.ID)
+				return fmt.Errorf("wire: node %d delay groups not ascending", n.ID)
 			}
 		}
 	} else if nd != 0 {
-		return nil, fmt.Errorf("wire: zero delay set with %d entries", nd)
+		return fmt.Errorf("wire: zero delay set with %d entries", nd)
 	}
 	n.Loc = geom.UV{U: r.f64(), V: r.f64()}
 	n.Placed = flags&nodePlaced != 0
@@ -627,5 +719,5 @@ func decodeNode(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 			SLo: r.f64(), SHi: r.f64(), TLo: r.f64(), THi: r.f64(),
 		}
 	}
-	return n, r.err
+	return r.err
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"math"
@@ -180,7 +181,7 @@ func TestDecodeRejectsVersionFlip(t *testing.T) {
 	}
 	// The version lives right after the 4-byte magic; flip it and reseal
 	// (an honest version mismatch, not transit corruption).
-	bad := append([]byte(nil), data[:len(data)-8]...)
+	bad := append([]byte(nil), data[:len(data)-sealLen]...)
 	bad[4] ^= 0xFF
 	w := &writer{b: bad}
 	if _, err := DecodeWork(w.seal()); err == nil {
@@ -189,17 +190,32 @@ func TestDecodeRejectsVersionFlip(t *testing.T) {
 }
 
 // resealAt rewrites a sealed message's version field to v and recomputes
-// its FNV-64a trailer: the bytes another build would have written.
+// its CRC-32C seal: the bytes another build would have written, had it
+// sealed the way this one does.
 func resealAt(data []byte, v uint16) []byte {
 	w := &writer{b: append([]byte(nil), data[:4]...)}
 	w.u16(v)
-	w.raw(data[6 : len(data)-8])
+	w.raw(data[6 : len(data)-sealLen])
 	return w.seal()
+}
+
+// asVersion6 rewrites a sealed message as Version 6 wrote it: the same body
+// under version 6, sealed with an 8-byte FNV-64a trailer. Version 7 changed
+// only the seal, so for a message whose nested messages (a cache's blobs)
+// went through asVersion6 first, these are a Version 6 build's bytes.
+func asVersion6(data []byte) []byte {
+	body := append([]byte(nil), data[:len(data)-sealLen]...)
+	binary.LittleEndian.PutUint16(body[4:], 6)
+	h := fnv.New64a()
+	h.Write(body)
+	return binary.LittleEndian.AppendUint64(body, h.Sum64())
 }
 
 // TestOtherVersionFailsWithErrVersion: a work unit, a result and a cache
 // written at any other Version fail their decoders with an error that
 // wraps ErrVersion, so callers can tell a stale message from a corrupt one.
+// That holds for the messages a Version 6 build wrote too, whose trailer
+// this build does not check.
 func TestOtherVersionFailsWithErrVersion(t *testing.T) {
 	u := buildWork(t, KindBuild)
 	work, err := u.Encode()
@@ -214,20 +230,31 @@ func TestOtherVersionFailsWithErrVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, err := buildCache(t).Encode()
+	c := buildCache(t)
+	cache, err := c.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range c.Blobs {
+		c.Blobs[i] = asVersion6(b)
+	}
+	cache6, err := c.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	decoders := []struct {
-		name   string
-		data   []byte
-		decode func([]byte) error
+		name     string
+		data, v6 []byte
+		decode   func([]byte) error
 	}{
-		{"work unit", work, func(b []byte) error { _, err := DecodeWork(b); return err }},
-		{"result", result, func(b []byte) error { _, err := DecodeResult(b, u.Instance); return err }},
-		{"cache", cache, func(b []byte) error { _, err := DecodeCache(b); return err }},
+		{"work unit", work, asVersion6(work), func(b []byte) error { _, err := DecodeWork(b); return err }},
+		{"result", result, asVersion6(result), func(b []byte) error { _, err := DecodeResult(b, u.Instance); return err }},
+		{"cache", cache, asVersion6(cache6), func(b []byte) error { _, err := DecodeCache(b); return err }},
 	}
 	for _, d := range decoders {
+		if err := d.decode(d.v6); !errors.Is(err, ErrVersion) {
+			t.Errorf("%s as Version 6 wrote it: err = %v, want ErrVersion", d.name, err)
+		}
 		if err := d.decode(resealAt(d.data, Version)); err != nil {
 			t.Fatalf("%s resealed at this Version: %v", d.name, err)
 		}
@@ -250,7 +277,7 @@ var wireLayout = struct {
 	version uint16
 	stats   []string
 	options []string
-}{6, []string{
+}{7, []string{
 	"Merges varint", "SameGroup varint", "CrossGroup varint", "Shared varint",
 	"Deferred varint", "GroupUnions varint", "MergeSnakes varint",
 	"SneakEvents varint", "SneakWire f64", "SneakIters varint",
@@ -379,6 +406,17 @@ func TestEncodeRejectsUnserializableOptions(t *testing.T) {
 	}
 }
 
+// resealed returns data with its trailer replaced by the seal of the rest,
+// so a fuzzed mutation reaches the decoder instead of failing the seal. The
+// fuzzers decode every input both as given and resealed.
+func resealed(data []byte) []byte {
+	if len(data) < sealLen {
+		return data
+	}
+	w := &writer{b: append([]byte(nil), data[:len(data)-sealLen]...)}
+	return w.seal()
+}
+
 // FuzzDecodeWork asserts the decoder's no-crash contract on arbitrary
 // bytes, and full round-trip fidelity on valid encodings.
 func FuzzDecodeWork(f *testing.F) {
@@ -396,30 +434,34 @@ func FuzzDecodeWork(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add(seed[:len(seed)-8])
+	f.Add(seed[:len(seed)-sealLen])
 	f.Add([]byte("ASTW"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeWork(data) // must never panic
-		if err != nil {
-			return
-		}
-		// Whatever decoded must re-encode and decode to the same thing.
-		again, err := got.Encode()
-		if err != nil {
-			t.Fatalf("decoded unit fails to re-encode: %v", err)
-		}
-		got2, err := DecodeWork(again)
-		if err != nil {
-			t.Fatalf("re-encoded unit fails to decode: %v", err)
-		}
-		if !reflect.DeepEqual(got.Registry, got2.Registry) || !reflect.DeepEqual(got.SinkIDs, got2.SinkIDs) {
-			t.Fatal("round-trip through re-encode diverged")
+		for _, data := range [][]byte{data, resealed(data)} {
+			got, err := DecodeWork(data) // must never panic
+			if err != nil {
+				continue
+			}
+			// Whatever decoded must re-encode and decode to the same thing.
+			again, err := got.Encode()
+			if err != nil {
+				t.Fatalf("decoded unit fails to re-encode: %v", err)
+			}
+			got2, err := DecodeWork(again)
+			if err != nil {
+				t.Fatalf("re-encoded unit fails to decode: %v", err)
+			}
+			if !reflect.DeepEqual(got.Registry, got2.Registry) || !reflect.DeepEqual(got.SinkIDs, got2.SinkIDs) {
+				t.Fatal("round-trip through re-encode diverged")
+			}
 		}
 	})
 }
 
 // FuzzDecodeResult asserts the result decoder's no-crash contract,
-// including the iterative tree reconstruction.
+// including the iterative tree reconstruction into the node slab, and that
+// whatever decodes re-encodes to bytes that decode and encode back to
+// themselves.
 func FuzzDecodeResult(f *testing.F) {
 	in := bench.Intermingled(bench.Small(40, 3), 2, 5)
 	reg, err := core.NewRegistry(in, core.Options{})
@@ -438,12 +480,25 @@ func FuzzDecodeResult(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte("ASTR"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		br, err := DecodeResult(data, in) // must never panic
-		if err != nil {
-			return
-		}
-		if br.Root == nil {
-			t.Fatal("decoded result with nil root")
+		for _, data := range [][]byte{data, resealed(data)} {
+			br, err := DecodeResult(data, in) // must never panic
+			if err != nil {
+				continue
+			}
+			if br.Root == nil {
+				t.Fatal("decoded result with nil root")
+			}
+			again, err := br.Encode()
+			if err != nil {
+				t.Fatalf("decoded result fails to re-encode: %v", err)
+			}
+			br2, err := DecodeResult(again, in)
+			if err != nil {
+				t.Fatalf("re-encoded result fails to decode: %v", err)
+			}
+			if third, err := br2.Encode(); err != nil || !bytes.Equal(third, again) {
+				t.Fatalf("round-trip through re-encode diverged (err %v)", err)
+			}
 		}
 	})
 }
