@@ -39,6 +39,12 @@ func paperInput(ci, k int) *ctree.Instance {
 // and differentials route.
 func paperR2K8() *ctree.Instance { return paperInput(1, 8) }
 
+// paperClustered is circuit r<ci+1> in k rectangle-clustered groups: a
+// Table I input.
+func paperClustered(ci, k int) *ctree.Instance {
+	return bench.Clustered(bench.Generate(bench.Suite()[ci]), k)
+}
+
 // TestFlatDelayMatchesMapBaseline pins the flat sorted-slice delay
 // representation bitwise to the behavior of the map-based implementation it
 // replaced: the wirelength bits and the per-sink delay digest below were
@@ -54,7 +60,10 @@ func paperR2K8() *ctree.Instance { return paperInput(1, 8) }
 // a positive bound exercises is pinned too. The rows recorded at commit
 // e959cfc extend that pin: r1, r3, r4 and r5 at B = 10 (instance names
 // r<circuit>k<groups>), and r2 k = 8 with the leash off (W < 0), the
-// constraint path no other golden reaches.
+// constraint path no other golden reaches. The Table I rows (r1–r5 at
+// k = 4 and 10, clustered, B = 10; names ending in c), recorded at commit
+// 277ff92, pin the split search on groupings where whole clusters meet
+// late, which no intermingled row does.
 func TestFlatDelayMatchesMapBaseline(t *testing.T) {
 	insts := map[string]*ctree.Instance{
 		"zst":     bench.Small(600, 21),
@@ -64,6 +73,11 @@ func TestFlatDelayMatchesMapBaseline(t *testing.T) {
 		"r3k6":    paperInput(2, 6),
 		"r4k10":   paperInput(3, 10),
 		"r5k10":   paperInput(4, 10),
+	}
+	for ci := 0; ci < 5; ci++ {
+		for _, k := range []int{4, 10} {
+			insts[fmt.Sprintf("r%dk%dc", ci+1, k)] = paperClustered(ci, k)
+		}
 	}
 	golden := []struct {
 		inst      string
@@ -90,6 +104,16 @@ func TestFlatDelayMatchesMapBaseline(t *testing.T) {
 		{"r4k10", order.Multi, 1, 0, 0x4154aba562de1ae7, 0x48e780b140cf08cd},
 		{"r5k10", order.Multi, 4, 0, 0x415e306baea812c8, 0x55b6430de79ffc86},
 		{"paper", order.Multi, 4, -1, 0x41408df3985ca7a2, 0x805e685de166f7a2},
+		{"r1k4c", order.Multi, 1, 0, 0x412feb644a131f69, 0x80884049a16f3978},
+		{"r1k10c", order.Multi, 4, 0, 0x41303f1a6e43fea1, 0x4c540e70350ce7e8},
+		{"r2k4c", order.Multi, 4, 0, 0x41407b1c6a097ae8, 0x7440f68aa7dc021c},
+		{"r2k10c", order.Multi, 1, 0, 0x41406c2e9e5616fa, 0xa6e5094a99ce4787},
+		{"r3k4c", order.Multi, 1, 0, 0x414497234681bdfb, 0x127822699a37d93d},
+		{"r3k10c", order.Multi, 4, 0, 0x4144c04fa6dc183c, 0xd48993b15a0362a9},
+		{"r4k4c", order.Multi, 4, 0, 0x415481c0e4d9c928, 0x83e4bd087804eca6},
+		{"r4k10c", order.Multi, 1, 0, 0x415475bcca816c90, 0x779f8428edf5ef6e},
+		{"r5k4c", order.Multi, 1, 0, 0x415e19294d55d764, 0xa03cd2853177522b},
+		{"r5k10c", order.Multi, 4, 0, 0x415e26958f1160ab, 0x082e352c43552bda},
 	}
 	for _, tc := range golden {
 		label := fmt.Sprintf("%s/strategy=%v/workers=%d/W=%v", tc.inst, tc.strategy, tc.workers, tc.interW)

@@ -29,8 +29,8 @@ type constraint struct {
 	id int
 }
 
-// forConstraints invokes f for every hard constraint of the merge b.plan
-// lays out, between operands with the raw delay sets da and db:
+// windows intersects the hard windows of the merge b.plan lays out, between
+// operands whose delays, in group order, are da and db:
 //
 //   - one window per shared raw group, at the intra-group bound B — the
 //     thesis's skew constraints proper; and
@@ -41,28 +41,45 @@ type constraint struct {
 //     which keeps independently built subtrees consistent without freezing
 //     the offsets outright.
 //
-// va and vb, when non-nil, hold da and db already on the normalized scale
-// (the split search normalizes each candidate split once and pairs it with
-// many partners); nil normalizes into the builder's scratch when the
-// union-root pass runs.
-func (b *builder) forConstraints(da, db rctree.DelaySet, va, vb []rctree.Interval,
-	f func(c constraint, ia, ib rctree.Interval, bound float64)) {
+// It returns the intersected X window [xLo, xHi] and the constraints that
+// set its two bounds (the zero constraint for a bound no window sets). va
+// and vb, when non-nil, hold da and db already on the normalized scale (the
+// split search normalizes each candidate split once and pairs it with many
+// partners); nil normalizes into the builder's scratch when the union-root
+// pass runs.
+func (b *builder) windows(da, db, va, vb []rctree.Interval) (xLo, xHi float64, cLo, cHi constraint) {
 	p := &b.plan
+	xLo, xHi = math.Inf(-1), math.Inf(1)
 	bd := b.opt.IntraSkewBound
 	for _, s := range p.raw {
-		f(constraint{raw: true, id: s.id}, da.Ivs[s.a], db.Ivs[s.b], bd)
+		ia, ib := da[s.a], db[s.b]
+		if lo := ib.Hi - ia.Lo - bd; lo > xLo {
+			xLo, cLo = lo, constraint{raw: true, id: s.id}
+		}
+		if hi := ib.Lo - ia.Hi + bd; hi < xHi {
+			xHi, cHi = hi, constraint{raw: true, id: s.id}
+		}
 	}
 	w := b.interBound()
 	if math.IsInf(w, 1) {
-		return
+		return xLo, xHi, cLo, cHi
 	}
 	if va == nil {
-		b.normA, b.normB = p.a.normalize(b.normA, da), p.b.normalize(b.normB, db)
-		va, vb = b.normA, b.normB
+		va, vb = b.normA[:len(p.a.roots)], b.normB[:len(p.b.roots)]
+		p.a.normalize(va, da)
+		p.b.normalize(vb, db)
 	}
+	bd += w
 	for _, r := range p.roots {
-		f(constraint{raw: false, id: r.id}, va[r.a], vb[r.b], bd+w)
+		ia, ib := va[r.a], vb[r.b]
+		if lo := ib.Hi - ia.Lo - bd; lo > xLo {
+			xLo, cLo = lo, constraint{id: r.id}
+		}
+		if hi := ib.Lo - ia.Hi + bd; hi < xHi {
+			xHi, cHi = hi, constraint{id: r.id}
+		}
 	}
+	return xLo, xHi, cLo, cHi
 }
 
 // overallOf returns the node's overall delay interval; for deferred nodes it
@@ -216,48 +233,20 @@ func (b *builder) unionGroups(na, nb *ctree.Node) []int {
 	}
 }
 
-// splitEval is one merge operand evaluated at a candidate split e: the
-// per-group delays it would commit, those delays on the registry-normalized
-// scale (one interval per union-root slot of the operand's plan side), and
-// its placement rectangle. Each depends on that operand's split alone, so
-// the split search evaluates every candidate once and pairs it with many
-// partners. The buffers are scratch owned by the evaluation, grown on first
-// use and reused across merges.
-type splitEval struct {
-	e     float64
-	delay rctree.DelaySet
-	norm  []rctree.Interval
-	buf   rctree.DelaySet // DelayAtBuf output backing delay
-	rect  geom.Rect
-}
-
-// evalSplit evaluates node n, laid out as plan side ps, at split e into s.
-func (b *builder) evalSplit(n *ctree.Node, e float64, s *splitEval, ps *planSide) {
-	s.e = e
-	s.delay = n.DelayAtBuf(b.opt.Model, e, &s.buf)
-	s.norm = ps.normalize(s.norm, s.delay)
-	s.rect = n.RectAt(e)
-}
-
-// splitCost scores the candidate splits sa of na and sb of nb against the
-// upcoming merge. It returns the infeasibility gap (ps) of the intersected
+// splitCost scores the candidate splits sa of an operand with downstream
+// capacitance capA and sb of one with capB, d apart, against the upcoming
+// merge. It returns the infeasibility gap (ps) of the intersected
 // hard-window system (0 when the windows intersect), the cost the merge
 // would commit — the candidate distance, plus any snaking excess needed to
 // reach the window, minus a small preference for wide residual windows —
 // and the misalignment of the shared union roots' required shifts.
-func (b *builder) splitCost(na, nb *ctree.Node, sa, sb *splitEval) (gap, cost, misalign float64) {
-	m := b.opt.Model
-	xLo, xHi := math.Inf(-1), math.Inf(1)
-	b.forConstraints(sa.delay, sb.delay, sa.norm, sb.norm, func(_ constraint, ia, ib rctree.Interval, bd float64) {
-		if lo := ib.Hi - ia.Lo - bd; lo > xLo {
-			xLo = lo
-		}
-		if hi := ib.Lo - ia.Hi + bd; hi < xHi {
-			xHi = hi
-		}
-	})
+//
+// Snaking only adds wire and the residual-window preference subtracts at
+// most 0.01·d, so every cost is at least 0.99·d up to rounding:
+// jointResolve's skip rule rests on that bound.
+func (b *builder) splitCost(capA, capB, d float64, sa, sb *splitEval) (gap, cost, misalign float64) {
+	xLo, xHi, _, _ := b.windows(sa.delay, sb.delay, sa.norm, sb.norm)
 	gap = max(xLo-xHi, 0)
-	d := geom.DistRR(sa.rect, sb.rect)
 	cost = d
 
 	// Tertiary criterion: the merge applies a single shift X to all shared
@@ -267,8 +256,7 @@ func (b *builder) splitCost(na, nb *ctree.Node, sa, sb *splitEval) (gap, cost, m
 	// spread keeps the global offset system consistent and cheap.
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, r := range b.plan.roots {
-		ia, ib := sa.norm[r.a], sb.norm[r.b]
-		s := (ib.Lo+ib.Hi)/2 - (ia.Lo+ia.Hi)/2
+		s := sb.mid[r.b] - sa.mid[r.a]
 		lo = min(lo, s)
 		hi = max(hi, s)
 	}
@@ -277,7 +265,7 @@ func (b *builder) splitCost(na, nb *ctree.Node, sa, sb *splitEval) (gap, cost, m
 	}
 
 	// Snaking excess: wire beyond d needed to shift X into the hard window.
-	capA, capB := na.Cap, nb.Cap
+	m := b.opt.Model
 	x0 := -m.WireDelay(d, capB)
 	xd := m.WireDelay(d, capA)
 	switch {
@@ -288,11 +276,12 @@ func (b *builder) splitCost(na, nb *ctree.Node, sa, sb *splitEval) (gap, cost, m
 	default:
 		// Prefer keeping a wide residual window: subtract the overlap width
 		// mapped to split units, weighted well below one wire unit so it
-		// only breaks ties among near-equal costs.
+		// only breaks ties among near-equal costs. x0 is the exact negation
+		// of WireDelay(d, capB), so xd − x0 is the X span of the split.
 		overlap := min(xHi, xd) - max(xLo, x0)
-		slope := m.WireDelay(d, capA) + m.WireDelay(d, capB)
+		slope := xd - x0
 		if d > 0 && slope > 0 && !math.IsInf(overlap, 1) {
-			cost -= 0.01 * d * min(overlap/slope, 1)
+			cost -= float64(0.01 * d * min(overlap/slope, 1))
 		}
 	}
 	return gap, cost, misalign
@@ -304,44 +293,69 @@ const jointSamples = 13
 // jointResolve pins the deferred splits of na and nb so the hard windows of
 // the upcoming merge intersect if at all possible, minimizing
 // (infeasibility gap, committed cost) lexicographically: a coarse grid
-// search followed by alternating golden-section polish per axis. The
-// constraint layout is built once per search (b.plan), and each side is
-// evaluated once per split (b.splitsA/b.splitsB): the coarse grid pairs
-// jointSamples evaluations per axis, and a golden pass evaluates its fixed
-// side once.
-func (b *builder) jointResolve(na, nb *ctree.Node) {
+// search followed by alternating golden-section polish per axis. It returns
+// the splits it pinned (the split range's start for a resolved operand).
+//
+// The plan is laid out once per search (b.plan): besides the constraints,
+// it names, for each group of a deferred operand, the child intervals that
+// merge into it, so an evaluation at a split is one pass over the
+// operand's groups. Each side is evaluated once per split (b.splitsA,
+// b.splitsB): the coarse grid pairs jointSamples evaluations per axis, and
+// a golden pass evaluates its fixed side once.
+//
+// consider skips a candidate pair unscored when the incumbent's gap is
+// within its tolerance (bestGap ≤ epsG) and 0.98·d > bestCost + epsC for
+// the pair's distance d. Such a pair cannot pass any clause of consider:
+// every cost splitCost returns is at least 0.99·d up to rounding, and no
+// gap is below 0, so it can neither lower the gap by more than epsG nor
+// come within epsC of the incumbent's cost. The skip therefore leaves the
+// sequence of accept decisions, and the splits pinned, exactly as scoring
+// every pair would. It prunes 66% of the grid pairs of a Table II build.
+// The golden passes compare exact values and are not pruned.
+func (b *builder) jointResolve(na, nb *ctree.Node) (ea, eb float64) {
+	if b.splitsA[0].buf == nil {
+		b.initSplits()
+	}
 	b.layout(na, nb, true)
 	la, lb := &b.plan.a, &b.plan.b
+	m := b.opt.Model
 	aLo, aHi := na.SplitRange()
 	bLo, bHi := nb.SplitRange()
 	evA, evB := &b.splitsA, &b.splitsB
-	b.evalSplit(na, mid(aLo, aHi), &evA[0], la)
-	b.evalSplit(nb, mid(bLo, bHi), &evB[0], lb)
+	la.eval(m, na, mid(aLo, aHi), &evA[0])
+	lb.eval(m, nb, mid(bLo, bHi), &evB[0])
+	score := func(sa, sb *splitEval) (float64, float64, float64) {
+		return b.splitCost(na.Cap, nb.Cap, geom.DistRR(sa.rect, sb.rect), sa, sb)
+	}
 	bestA, bestB := evA[0].e, evB[0].e
-	bestGap, bestCost, bestMis := b.splitCost(na, nb, &evA[0], &evB[0])
+	bestGap, bestCost, bestMis := score(&evA[0], &evB[0])
 
-	consider := func(ea, eb *splitEval) {
-		gap, cost, mis := b.splitCost(na, nb, ea, eb)
-		epsG := 1e-9 * (1 + bestGap)
-		epsC := 1e-6 * (1 + math.Abs(bestCost))
+	consider := func(sa, sb *splitEval) {
+		d := geom.DistRR(sa.rect, sb.rect)
+		epsG := float64(1e-9 * (1 + bestGap))
+		epsC := float64(1e-6 * (1 + math.Abs(bestCost)))
+		if bestGap <= epsG && 0.98*d > bestCost+epsC {
+			return
+		}
+		gap, cost, mis := b.splitCost(na.Cap, nb.Cap, d, sa, sb)
 		switch {
 		case gap < bestGap-epsG,
 			gap <= bestGap+epsG && cost < bestCost-epsC,
 			gap <= bestGap+epsG && cost <= bestCost+epsC && mis < bestMis:
 			bestGap, bestCost, bestMis = gap, cost, mis
-			bestA, bestB = ea.e, eb.e
+			bestA, bestB = sa.e, sb.e
 		}
 	}
 
-	// samples evaluates n at the coarse samples of [lo, hi] into dst and
-	// returns the filled prefix.
+	// samples evaluates n, laid out as ps, at the coarse samples of
+	// [lo, hi] into dst and returns the filled prefix.
 	samples := func(n *ctree.Node, lo, hi float64, dst *[jointSamples]splitEval, ps *planSide) []splitEval {
 		if hi-lo <= 0 {
-			b.evalSplit(n, lo, &dst[0], ps)
+			ps.eval(m, n, lo, &dst[0])
 			return dst[:1]
 		}
 		for i := range dst {
-			b.evalSplit(n, lo+(hi-lo)*float64(i)/float64(jointSamples-1), &dst[i], ps)
+			ps.eval(m, n, lo+(hi-lo)*float64(i)/float64(jointSamples-1), &dst[i])
 		}
 		return dst[:]
 	}
@@ -360,8 +374,8 @@ func (b *builder) jointResolve(na, nb *ctree.Node) {
 			return lo
 		}
 		const phi = 0.6180339887498949
-		x1 := hi - phi*(hi-lo)
-		x2 := lo + phi*(hi-lo)
+		x1 := hi - float64(phi*(hi-lo))
+		x2 := lo + float64(phi*(hi-lo))
 		f1g, f1c, f1m := f(x1)
 		f2g, f2c, f2m := f(x2)
 		better := func(g1, c1, m1, g2, c2, m2 float64) bool {
@@ -376,11 +390,11 @@ func (b *builder) jointResolve(na, nb *ctree.Node) {
 		for it := 0; it < 40 && hi-lo > 1e-9*(1+hi); it++ {
 			if better(f1g, f1c, f1m, f2g, f2c, f2m) {
 				hi, x2, f2g, f2c, f2m = x2, x1, f1g, f1c, f1m
-				x1 = hi - phi*(hi-lo)
+				x1 = hi - float64(phi*(hi-lo))
 				f1g, f1c, f1m = f(x1)
 			} else {
 				lo, x1, f1g, f1c, f1m = x1, x2, f2g, f2c, f2m
-				x2 = lo + phi*(hi-lo)
+				x2 = lo + float64(phi*(hi-lo))
 				f2g, f2c, f2m = f(x2)
 			}
 		}
@@ -400,32 +414,33 @@ func (b *builder) jointResolve(na, nb *ctree.Node) {
 	for round := 0; round < 2; round++ {
 		if na.Deferred {
 			fixed, vary := &evB[0], &evA[0]
-			b.evalSplit(nb, bestB, fixed, lb)
+			lb.eval(m, nb, bestB, fixed)
 			if bits := math.Float64bits(bestB); !passA.run || passA.fixed != bits {
 				passA = pass{run: true, fixed: bits, e: golden(aLo, aHi, func(e float64) (float64, float64, float64) {
-					b.evalSplit(na, e, vary, la)
-					return b.splitCost(na, nb, vary, fixed)
+					la.eval(m, na, e, vary)
+					return score(vary, fixed)
 				})}
 			}
-			b.evalSplit(na, passA.e, vary, la)
+			la.eval(m, na, passA.e, vary)
 			consider(vary, fixed)
 		}
 		if nb.Deferred {
 			fixed, vary := &evA[0], &evB[0]
-			b.evalSplit(na, bestA, fixed, la)
+			la.eval(m, na, bestA, fixed)
 			if bits := math.Float64bits(bestA); !passB.run || passB.fixed != bits {
 				passB = pass{run: true, fixed: bits, e: golden(bLo, bHi, func(e float64) (float64, float64, float64) {
-					b.evalSplit(nb, e, vary, lb)
-					return b.splitCost(na, nb, fixed, vary)
+					lb.eval(m, nb, e, vary)
+					return score(fixed, vary)
 				})}
 			}
-			b.evalSplit(nb, passB.e, vary, lb)
+			lb.eval(m, nb, passB.e, vary)
 			consider(fixed, vary)
 		}
 	}
 
 	b.resolve(na, bestA)
 	b.resolve(nb, bestB)
+	return bestA, bestB
 }
 
 // splitWindow maps the X-shift window [xLo, xHi] (possibly infinite) into

@@ -46,7 +46,10 @@ func replayMerges(in *ctree.Instance, opt Options, seq [][2]int) *builder {
 // nearest-neighbor machinery. ReportAllocs makes the allocation weight of
 // the bodies themselves visible. The paper case routes a Table II input at
 // the paper's 10 ps bound, where most merges resolve deferred splits
-// jointly, so its time is dominated by jointResolve's split search.
+// jointly, so its time is dominated by jointResolve's split search: per
+// search, one layout names the child intervals feeding each group of a
+// deferred operand, and every candidate split is evaluated from it in one
+// pass into buffers the builder sized once.
 func BenchmarkMergeBodies(b *testing.B) {
 	cases := []struct {
 		name string
@@ -139,23 +142,36 @@ func mkGroups(base, n int) []int32 {
 
 // TestMergeBodiesReplayAllocBudget bounds the allocations of the replayed
 // merge bodies (no pairing machinery), catching representation regressions
-// at the merge-body level with a cheap test: the flat-delay build replays
+// at the merge-body level with a cheap test. The flat-delay build replayed
 // the 1000-sink ZST sequence in ~1.5k allocations (node arena chunks, slab
-// chunks, queue-free replay); the map-based representation needed ~5 per
-// merge. The budget leaves ~2× headroom.
+// chunks, queue-free replay), and 27 at commit 277ff92; the map-based
+// representation needed ~5 per merge, and that budget leaves ~2× headroom
+// over the first. The paper case replays
+// BenchmarkMergeBodies' r2 k = 8 sequence at B = 10, where most merges run
+// the deferred-split search; its budget is the count measured at commit
+// 277ff92, so a search that grows scratch per merge instead of once per
+// builder fails it.
 func TestMergeBodiesReplayAllocBudget(t *testing.T) {
-	const budget = 3000
-	in := bench.Small(1000, 9)
-	opt := Options{SingleGroup: true, Model: DefaultModel()}
-	ref, err := Build(in, Options{SingleGroup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := mergeSequence(in, ref.Root)
-	allocs := testing.AllocsPerRun(1, func() {
-		replayMerges(in, opt, seq)
-	})
-	if allocs > budget {
-		t.Errorf("merge-body replay allocations = %.0f, budget %d", allocs, budget)
+	for _, tc := range []struct {
+		name   string
+		in     *ctree.Instance
+		opt    Options
+		budget float64
+	}{
+		{"zst/n=1000", bench.Small(1000, 9), Options{SingleGroup: true, Model: DefaultModel()}, 3000},
+		{"ast-paper-r2k8/B=10", paperR2K8(), Options{IntraSkewBound: 10, Model: DefaultModel()}, 4163},
+	} {
+		ref, err := Build(tc.in, Options{SingleGroup: tc.opt.SingleGroup, IntraSkewBound: tc.opt.IntraSkewBound})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := mergeSequence(tc.in, ref.Root)
+		allocs := testing.AllocsPerRun(1, func() {
+			replayMerges(tc.in, tc.opt, seq)
+		})
+		t.Logf("%s: %.0f allocations", tc.name, allocs)
+		if allocs > tc.budget {
+			t.Errorf("%s: merge-body replay allocations = %.0f, budget %.0f", tc.name, allocs, tc.budget)
+		}
 	}
 }

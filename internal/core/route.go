@@ -87,8 +87,8 @@ type builder struct {
 
 	// Reusable scratch for the allocation-heavy merge-body helpers. Worker
 	// builders carry their own copies, so merge bodies never share scratch.
-	plan             splitPlan               // the current merge's constraint layout
-	normA, normB     []rctree.Interval       // forConstraints' normalized sets (one per union-root slot)
+	plan             splitPlan               // the current merge's layout
+	normA, normB     []rctree.Interval       // windows' normalized sets (one per union-root slot)
 	splitsA, splitsB [jointSamples]splitEval // jointResolve's per-side evaluations
 	sneakA, sneakB   sneakScratch            // sneak plan buffers
 	unionBuf         []int                   // UnionGroups staging (one merge)
@@ -112,9 +112,30 @@ type builder struct {
 	busyNS       []int64
 }
 
-// initScratch sizes the builder's reusable merge-body buffers.
+// initScratch sizes the builder's reusable merge-body buffers for the
+// instance's group count, which bounds every operand's, so no merge grows a
+// buffer. The split search's evaluations are sized at the builder's first
+// search (initSplits): a builder that never defers a split, as in every
+// zero-skew build and the shard builds of a B = 0 sharded build, never
+// allocates them.
 func (b *builder) initScratch() {
-	b.plan.initScratch(b.in.NumGroups)
+	n := b.in.NumGroups
+	b.plan.initScratch(n)
+	b.normA, b.normB = make([]rctree.Interval, n), make([]rctree.Interval, n)
+}
+
+// initSplits carves the split search's evaluation buffers from one interval
+// slab and one float slab, sized for the instance's group count.
+func (b *builder) initSplits() {
+	n := b.in.NumGroups
+	ivs := make([]rctree.Interval, 4*jointSamples*n)
+	mids := make([]float64, 2*jointSamples*n)
+	for i := range b.splitsA {
+		for _, ev := range [2]*splitEval{&b.splitsA[i], &b.splitsB[i]} {
+			ev.buf, ev.norm, ev.mid = ivs[:n:n], ivs[n:2*n:2*n], mids[:n:n]
+			ivs, mids = ivs[2*n:], mids[n:]
+		}
+	}
 }
 
 // slot returns the preassigned arena slot of node index id.

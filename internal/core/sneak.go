@@ -74,16 +74,7 @@ func (b *builder) intersectWindows(na, nb *ctree.Node) (xLo, xHi float64, compro
 	m := b.opt.Model
 	budget := sneakCostCap * (geom.DistRR(na.Region, nb.Region) + 1)
 	for iter := 0; ; iter++ {
-		xLo, xHi := math.Inf(-1), math.Inf(1)
-		var gLo, gHi constraint
-		b.forConstraints(na.Delay, nb.Delay, nil, nil, func(c constraint, ia, ib rctree.Interval, bd float64) {
-			if lo := ib.Hi - ia.Lo - bd; lo > xLo {
-				xLo, gLo = lo, c
-			}
-			if hi := ib.Lo - ia.Hi + bd; hi < xHi {
-				xHi, gHi = hi, c
-			}
-		})
+		xLo, xHi, gLo, gHi := b.windows(na.Delay.Ivs, nb.Delay.Ivs, nil, nil)
 		if math.IsInf(xLo, -1) && math.IsInf(xHi, 1) {
 			return xLo, xHi, false // no constraints at all
 		}
@@ -99,7 +90,7 @@ func (b *builder) intersectWindows(na, nb *ctree.Node) (xLo, xHi float64, compro
 				// range (max violation 3·gap/4 instead of gap/2 at the
 				// midpoint) so the merge retains region freedom instead of
 				// collapsing to a point and starving later merges.
-				return xHi + gap/4, xLo - gap/4, gap > eps
+				return xHi + float64(gap/4), xLo - float64(gap/4), gap > eps
 			}
 			return xLo, xHi, false
 		}
@@ -143,15 +134,7 @@ func (b *builder) intersectWindows(na, nb *ctree.Node) (xLo, xHi float64, compro
 
 // currentGap recomputes the window infeasibility of the pair in place.
 func (b *builder) currentGap(na, nb *ctree.Node) float64 {
-	xLo, xHi := math.Inf(-1), math.Inf(1)
-	b.forConstraints(na.Delay, nb.Delay, nil, nil, func(_ constraint, ia, ib rctree.Interval, bd float64) {
-		if lo := ib.Hi - ia.Lo - bd; lo > xLo {
-			xLo = lo
-		}
-		if hi := ib.Lo - ia.Hi + bd; hi < xHi {
-			xHi = hi
-		}
-	})
+	xLo, xHi, _, _ := b.windows(na.Delay.Ivs, nb.Delay.Ivs, nil, nil)
 	if math.IsInf(xLo, -1) {
 		return 0
 	}

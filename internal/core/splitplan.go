@@ -4,21 +4,23 @@ import (
 	"slices"
 
 	"repro/internal/ctree"
+	"repro/internal/geom"
 	"repro/internal/rctree"
 )
 
-// splitPlan is the constraint layout of one merge: where every hard window
-// forConstraints enumerates reads its two intervals. It depends only on the
-// operands' group lists and the registry. A delay set lists its node's
-// groups in ascending order at every split (ctree.Node.Delay mirrors
-// Groups), and the registry changes only when a node commits, so neither a
-// split search nor a sneak moves the layout. jointResolve lays it out once
-// per search; intersectWindows lays it out again after the resolves have
+// splitPlan is the layout of one merge: where every hard window the window
+// walk (windows) enumerates reads its two intervals, and how each operand's
+// groups are evaluated at a candidate split. It depends only on the
+// operands' group lists, their children's group lists and the registry. A
+// delay set lists its node's groups in ascending order at every split
+// (ctree.Node.Delay mirrors Groups), and the registry changes only when a
+// node commits, so neither a split search nor a sneak moves the layout.
+// jointResolve lays it out once per search and evaluates every candidate
+// split from it; intersectWindows lays it out again after the resolves have
 // registered their offsets.
 type splitPlan struct {
-	// a and b lay out the two sides' normalized sets, and roots pairs their
-	// slots. They are laid out only when asked for (see layout) and are
-	// stale otherwise.
+	// a and b lay out the two sides. They are laid out only when asked for
+	// (see layout) and are stale otherwise.
 	a, b planSide
 	// raw lists the shared raw groups, ascending, with their positions in
 	// the two delay sets.
@@ -35,17 +37,43 @@ type planPair struct {
 	a, b int32
 }
 
-// planSide is one operand's normalization layout. Position i of the side's
-// delay set, the node's i-th group, sits in union-root slot slot[i] at
-// registry offset off[i]; first[i] marks the lowest group of its root,
-// whose interval starts the slot instead of widening it. roots lists the
-// side's distinct union roots, ascending: slot s is roots[s].
+// planSide is one operand's layout: pos[i] lays out position i of the
+// operand's delay set, its i-th group. roots lists the side's distinct union
+// roots, ascending: slot s is roots[s].
 type planSide struct {
-	slot  []int32
-	off   []float64
-	first []bool
+	pos   []planPos
 	roots []int32
 	seen  []bool // build scratch, one per slot
+}
+
+// planPos lays out one group of an operand. The group sits in union-root
+// slot slot at registry offset off; first marks the lowest group of its
+// root, whose interval starts the slot instead of widening it. For a
+// deferred operand, l and r locate the intervals of its left and right child
+// that merge into the group's interval at every split (−1 where that child
+// lacks the group).
+type planPos struct {
+	off   float64
+	slot  int32
+	l, r  int32
+	first bool
+}
+
+// splitEval is one merge operand evaluated at a candidate split e: the
+// per-group delays it would commit (in group order), those delays on the
+// registry-normalized scale (one interval per union-root slot of the
+// operand's plan side) with each slot's midpoint, and its placement
+// rectangle. Each depends on that operand's split alone, so the split
+// search evaluates every candidate once and pairs it with many partners.
+// initSplits carves the buffers once per builder, sized for the instance's
+// group count, and every search reuses them.
+type splitEval struct {
+	e     float64
+	delay []rctree.Interval // buf for a deferred operand, else its committed set
+	norm  []rctree.Interval
+	mid   []float64
+	rect  geom.Rect
+	buf   []rctree.Interval
 }
 
 // initScratch sizes the plan for n groups.
@@ -57,26 +85,24 @@ func (p *splitPlan) initScratch(n int) {
 }
 
 func (s *planSide) initScratch(n int) {
-	s.slot = make([]int32, 0, n)
-	s.off = make([]float64, 0, n)
-	s.first = make([]bool, 0, n)
+	s.pos = make([]planPos, 0, n)
 	s.roots = make([]int32, 0, n)
 	s.seen = make([]bool, n)
 }
 
 // layout builds b.plan for a merge of na and nb against the registry. The
-// union-root part is laid out only when normalized is set: the split search
-// always needs it (its misalignment term pairs union roots), intersectWindows
-// only under the offset leash.
+// sides are laid out only when normalized is set: the split search always
+// needs them (it evaluates deferred operands from them, and its
+// misalignment term pairs union roots), intersectWindows only under the
+// offset leash.
 func (b *builder) layout(na, nb *ctree.Node, normalized bool) {
 	p := &b.plan
-	ga, gb := na.Groups, nb.Groups
-	p.raw = appendShared(p.raw[:0], ga, gb)
+	p.raw = appendShared(p.raw[:0], na.Groups, nb.Groups)
 	if !normalized {
 		return
 	}
-	p.a.build(b.uf, ga)
-	p.b.build(b.uf, gb)
+	p.a.build(b.uf, na)
+	p.b.build(b.uf, nb)
 	p.roots = appendShared(p.roots[:0], p.a.roots, p.b.roots)
 }
 
@@ -98,40 +124,102 @@ func appendShared[T int | int32](dst []planPair, a, b []T) []planPair {
 	return dst
 }
 
-// build lays out a side with the given ascending groups.
-func (s *planSide) build(u *groupUF, groups []int) {
-	s.slot, s.off = s.slot[:0], s.off[:0]
-	for _, g := range groups {
+// build lays out operand n as this side. A deferred operand's groups are
+// the ascending union of its children's, so one merge walk over the
+// children's group lists locates the intervals feeding each group.
+func (s *planSide) build(u *groupUF, n *ctree.Node) {
+	s.pos, s.roots = s.pos[:0], s.roots[:0]
+	for _, g := range n.Groups {
 		r, off := u.find(g)
-		s.slot = append(s.slot, int32(r)) // the root for now; its slot below
-		s.off = append(s.off, off)
+		s.pos = append(s.pos, planPos{off: off, slot: int32(r)}) // the root for now; its slot below
+		s.roots = append(s.roots, int32(r))
 	}
-	s.roots = append(s.roots[:0], s.slot...)
 	slices.Sort(s.roots)
 	s.roots = slices.Compact(s.roots)
 	clear(s.seen[:len(s.roots)])
-	s.first = s.first[:0]
-	for i, r := range s.slot {
-		k, _ := slices.BinarySearch(s.roots, r)
-		s.slot[i] = int32(k)
-		s.first = append(s.first, !s.seen[k])
+	for i := range s.pos {
+		p := &s.pos[i]
+		k, _ := slices.BinarySearch(s.roots, p.slot)
+		p.slot, p.first = int32(k), !s.seen[k]
 		s.seen[k] = true
+	}
+	if !n.Deferred {
+		return
+	}
+	lg, rg := n.Left.Delay.Groups, n.Right.Delay.Groups
+	i, j := 0, 0
+	for k, g := range n.Groups {
+		p := &s.pos[k]
+		p.l, p.r = -1, -1
+		if i < len(lg) && int(lg[i]) == g {
+			p.l, i = int32(i), i+1
+		}
+		if j < len(rg) && int(rg[j]) == g {
+			p.r, j = int32(j), j+1
+		}
 	}
 }
 
-// normalize writes delay, a delay set of this side, into dst on the
-// registry's normalized (offset-corrected) scale: slot s covers the
-// intervals of root roots[s]'s groups, each shifted by minus its offset, in
-// group order. dst's backing array is reused, and grown when short.
-func (s *planSide) normalize(dst []rctree.Interval, delay rctree.DelaySet) []rctree.Interval {
-	dst = slices.Grow(dst[:0], len(s.roots))[:len(s.roots)]
-	for i, iv := range delay.Ivs {
-		v := iv.Shift(-s.off[i])
-		if k := s.slot[i]; s.first[i] {
-			dst[k] = v
-		} else {
-			dst[k] = rctree.Cover(dst[k], v)
-		}
+// fold folds iv, the delay interval of the group p lays out, into the
+// group's slot of dst on the registry's normalized (offset-corrected)
+// scale, and returns the slot's interval so far.
+func (p planPos) fold(dst []rctree.Interval, iv rctree.Interval) rctree.Interval {
+	v := iv.Shift(-p.off)
+	if !p.first {
+		v = rctree.Cover(dst[p.slot], v)
 	}
-	return dst
+	dst[p.slot] = v
+	return v
+}
+
+// normalize writes ivs, the delays of this side's operand in group order,
+// into dst on the normalized scale: slot s covers the intervals of root
+// roots[s]'s groups, each shifted by minus its offset, in group order. dst
+// holds at least one interval per slot.
+func (s *planSide) normalize(dst, ivs []rctree.Interval) {
+	for i, iv := range ivs {
+		s.pos[i].fold(dst, iv)
+	}
+}
+
+// eval evaluates operand n, laid out as this side, at split e into ev. A
+// deferred operand is evaluated in one pass over its groups: each group's
+// interval is shifted and covered from the child intervals the layout
+// names, written to ev.delay, and folded into its normalized slot and that
+// slot's midpoint. The shifts and covers are those of ctree.Node.Resolve
+// (rctree.MergeDelaysInto), in the same order, so ev.delay and ev.rect are
+// bitwise what Resolve at e commits. A resolved operand reads its committed
+// set and region and ignores e.
+func (s *planSide) eval(m rctree.Model, n *ctree.Node, e float64, ev *splitEval) {
+	ev.e = e
+	norm, mid := ev.norm[:len(s.roots)], ev.mid[:len(s.roots)]
+	ev.norm, ev.mid = norm, mid
+	if !n.Deferred {
+		ev.delay, ev.rect = n.Delay.Ivs, n.Region
+		s.normalize(norm, ev.delay)
+		for k, v := range norm {
+			mid[k] = (v.Lo + v.Hi) / 2
+		}
+		return
+	}
+	l, r := n.Left, n.Right
+	wl, wr := m.WireDelay(e, l.Cap), m.WireDelay(n.DefD-e, r.Cap)
+	li, ri := l.Delay.Ivs, r.Delay.Ivs
+	delay := ev.buf[:len(s.pos)]
+	for i, p := range s.pos {
+		var iv rctree.Interval
+		switch {
+		case p.r < 0:
+			iv = li[p.l].Shift(wl)
+		case p.l < 0:
+			iv = ri[p.r].Shift(wr)
+		default:
+			iv = rctree.Cover(li[p.l].Shift(wl), ri[p.r].Shift(wr))
+		}
+		delay[i] = iv
+		v := p.fold(norm, iv)
+		mid[p.slot] = (v.Lo + v.Hi) / 2
+	}
+	ev.delay = delay
+	ev.rect = geom.MergeLocus(l.Region, r.Region, e, n.DefD-e)
 }

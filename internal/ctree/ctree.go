@@ -228,39 +228,6 @@ func (n *Node) Resolve(m rctree.Model, e float64) {
 	n.Deferred = false
 }
 
-// DelayAt returns the per-group delay set a deferred node would commit at
-// split e, without committing it. For resolved nodes it returns the current
-// set. The result must not be mutated.
-func (n *Node) DelayAt(m rctree.Model, e float64) rctree.DelaySet {
-	if !n.Deferred {
-		return n.Delay
-	}
-	buf := rctree.MakeDelaySet(len(n.Groups))
-	return n.DelayAtBuf(m, e, &buf)
-}
-
-// DelayAtBuf is DelayAt evaluating into buf (reset first), so hot callers
-// — the split searches of joint resolution evaluate hundreds of candidate
-// splits per merge — can reuse one buffer instead of allocating per call.
-// For resolved nodes it returns the committed set and leaves buf untouched.
-// The result must not be mutated and is valid until buf's next reuse.
-func (n *Node) DelayAtBuf(m rctree.Model, e float64, buf *rctree.DelaySet) rctree.DelaySet {
-	if !n.Deferred {
-		return n.Delay
-	}
-	mergedDelayInto(buf, m, n.Left, n.Right, e, n.DefD-e)
-	return *buf
-}
-
-// RectAt returns the placement rectangle a deferred node would commit at
-// split e. For resolved nodes it returns the committed rectangle.
-func (n *Node) RectAt(e float64) geom.Rect {
-	if !n.Deferred {
-		return n.Region
-	}
-	return geom.MergeLocus(n.Left.Region, n.Right.Region, e, n.DefD-e)
-}
-
 // SplitRange returns the feasible split window ([0,0] for resolved nodes).
 func (n *Node) SplitRange() (lo, hi float64) {
 	if !n.Deferred {
@@ -273,16 +240,10 @@ func (n *Node) SplitRange() (lo, hi float64) {
 // children and committed edges.
 func mergedDelay(m rctree.Model, n *Node) rctree.DelaySet {
 	d := rctree.MakeDelaySet(len(n.Groups))
-	mergedDelayInto(&d, m, n.Left, n.Right, n.EdgeL, n.EdgeR)
+	wl := m.WireDelay(n.EdgeL, n.Left.Cap)
+	wr := m.WireDelay(n.EdgeR, n.Right.Cap)
+	rctree.MergeDelaysInto(&d, n.Left.Delay, wl, n.Right.Delay, wr)
 	return d
-}
-
-// mergedDelayInto merges the per-group delay intervals of children left and
-// right, joined through edges of the given lengths, into d (reset first).
-func mergedDelayInto(d *rctree.DelaySet, m rctree.Model, left, right *Node, edgeL, edgeR float64) {
-	wl := m.WireDelay(edgeL, left.Cap)
-	wr := m.WireDelay(edgeR, right.Cap)
-	rctree.MergeDelaysInto(d, left.Delay, wl, right.Delay, wr)
 }
 
 // HasGroup reports whether group g occurs in the subtree.

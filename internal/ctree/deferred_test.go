@@ -10,7 +10,7 @@ import (
 
 // deferredPair builds a deferred node over two leaves with a full split
 // window for testing the deferral API.
-func deferredPair(m rctree.Model) (*Node, *Node, *Node) {
+func deferredPair(m rctree.Model) *Node {
 	s0 := &Sink{ID: 0, Loc: geom.Point{X: 0, Y: 0}, CapFF: 10, Group: 0}
 	s1 := &Sink{ID: 1, Loc: geom.Point{X: 100, Y: 0}, CapFF: 30, Group: 1}
 	l0, l1 := NewLeaf(s0), NewLeaf(s1)
@@ -23,12 +23,12 @@ func deferredPair(m rctree.Model) (*Node, *Node, *Node) {
 		DefD:     d, DefELo: 0, DefEHi: d,
 		DefRegion: geom.SDR(l0.Region, l1.Region, d, 0, d),
 	}
-	return n, l0, l1
+	return n
 }
 
 func TestDeferredAccessors(t *testing.T) {
 	m := rctree.NewElmore(0.1, 0.02)
-	n, l0, l1 := deferredPair(m)
+	n := deferredPair(m)
 
 	lo, hi := n.SplitRange()
 	if lo != 0 || hi != 100 {
@@ -37,33 +37,11 @@ func TestDeferredAccessors(t *testing.T) {
 	if reg := n.ActiveRegion(); reg.IsEmpty() {
 		t.Fatal("empty active region")
 	}
-	// RectAt at each extreme touches the corresponding leaf.
-	r0 := n.RectAt(0)
-	if geom.DistRR(r0, l0.Region) > 1e-9 {
-		t.Errorf("RectAt(0) not at left leaf")
-	}
-	rd := n.RectAt(100)
-	if geom.DistRR(rd, l1.Region) > 1e-9 {
-		t.Errorf("RectAt(d) not at right leaf")
-	}
-
-	// DelayAt is consistent with a Resolve at the same split.
-	for _, e := range []float64{0, 25, 50, 100} {
-		want := n.DelayAt(m, e)
-		clone, _, _ := deferredPair(m)
-		clone.Resolve(m, e)
-		for i := 0; i < clone.Delay.Len(); i++ {
-			g, iv := clone.Delay.At(i)
-			if w, ok := want.Get(g); !ok || math.Abs(w.Lo-iv.Lo) > 1e-9 || math.Abs(w.Hi-iv.Hi) > 1e-9 {
-				t.Fatalf("e=%v group %d: DelayAt %v vs resolved %v", e, g, w, iv)
-			}
-		}
-	}
 }
 
 func TestResolveCommitsConsistentState(t *testing.T) {
 	m := rctree.NewElmore(0.1, 0.02)
-	n, _, _ := deferredPair(m)
+	n := deferredPair(m)
 	n.Resolve(m, 40)
 	if n.Deferred {
 		t.Fatal("still deferred")
@@ -90,26 +68,16 @@ func TestResolveCommitsConsistentState(t *testing.T) {
 
 func TestResolveClampsSplit(t *testing.T) {
 	m := rctree.NewElmore(0.1, 0.02)
-	n, _, _ := deferredPair(m)
+	n := deferredPair(m)
 	n.DefELo, n.DefEHi = 20, 70
 	n.Resolve(m, 500)
 	if n.EdgeL != 70 {
 		t.Errorf("split not clamped: %v", n.EdgeL)
 	}
-	n2, _, _ := deferredPair(m)
+	n2 := deferredPair(m)
 	n2.DefELo, n2.DefEHi = 20, 70
 	n2.Resolve(m, -3)
 	if n2.EdgeL != 20 {
 		t.Errorf("split not clamped low: %v", n2.EdgeL)
-	}
-}
-
-func TestDelayAtResolvedNodeReturnsCurrentSet(t *testing.T) {
-	m := rctree.NewElmore(0.1, 0.02)
-	n, _, _ := deferredPair(m)
-	n.Resolve(m, 50)
-	got := n.DelayAt(m, 999) // argument ignored for resolved nodes
-	if !got.Equal(n.Delay) {
-		t.Fatalf("DelayAt %v vs committed %v", got, n.Delay)
 	}
 }

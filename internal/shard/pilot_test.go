@@ -196,6 +196,38 @@ func TestPilotDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestPilotedShardGolden pins one piloted 4-shard build absolutely: 4k
+// power-law sinks (32 clusters, alpha 1.5, placement seed 1100) in 4
+// intermingled groups at B = 0, the build dmebench's sharded-difficult
+// workload routes at seed 11. The pilot's patch routes are unprescribed, so
+// they run the deferred-split search; the shard identity tests compare
+// builds with each other and would not see that search move the contract.
+// The wirelength bits, the per-sink delay digest and every pilot offset's
+// bits were recorded at commit 277ff92.
+func TestPilotedShardGolden(t *testing.T) {
+	in := bench.Intermingled(bench.PowerLaw(4000, bench.PowerLawClusters, bench.PowerLawAlpha, 1100), 4, 11)
+	res, err := Build(in, core.Options{Shards: 4, Pilot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantWire, wantHash = uint64(0x4164be821abec86b), uint64(0xa627761a9c4b1d10)
+	wantOffs := []uint64{0, 0x3fd3efc27b647798, 0xbfb8325ebe80db40, 0x3fbd8eccd904cedd}
+	if bits := math.Float64bits(res.Wirelength); bits != wantWire {
+		t.Errorf("wirelength bits 0x%016x (%v), want 0x%016x", bits, res.Wirelength, wantWire)
+	}
+	if h := delayDigest(t, res.Root, in); h != wantHash {
+		t.Errorf("per-sink delay digest 0x%016x, want 0x%016x", h, wantHash)
+	}
+	if len(res.PilotOffsets) != len(wantOffs) {
+		t.Fatalf("%d pilot offsets, want %d", len(res.PilotOffsets), len(wantOffs))
+	}
+	for g, o := range res.PilotOffsets {
+		if bits := math.Float64bits(o); bits != wantOffs[g] {
+			t.Errorf("pilot offset[%d] bits 0x%016x (%v), want 0x%016x", g, bits, o, wantOffs[g])
+		}
+	}
+}
+
 // TestShardPairerThresholdKeepsGrid is the regression test for the per-shard
 // PairerAuto fallback: a 10k-sink run at 8 shards puts ~1250 sinks in each
 // shard, and each shard must select the grid. The scan oracle's very first
