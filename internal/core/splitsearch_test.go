@@ -91,6 +91,16 @@ func TestSplitEvalMatchesResolve(t *testing.T) {
 				c.ID = base + m
 				b.nodes = append(b.nodes, c)
 			}
+			// The replay must be the routed build: searches mirrors merge's
+			// condition, and any drift between the two moves an edge.
+			want := make([]*ctree.Node, len(b.nodes))
+			ref.Root.Visit(func(n *ctree.Node) { want[n.ID] = n })
+			for _, n := range b.nodes[base : len(b.nodes)-1] {
+				w := want[n.ID]
+				if math.Float64bits(n.EdgeL) != math.Float64bits(w.EdgeL) || math.Float64bits(n.EdgeR) != math.Float64bits(w.EdgeR) {
+					t.Fatalf("%s node %d: replayed edges %v/%v, routed %v/%v", in.Name, n.ID, n.EdgeL, n.EdgeR, w.EdgeL, w.EdgeR)
+				}
+			}
 		}
 	}
 	if deferred == 0 || resolved == 0 {
