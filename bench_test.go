@@ -193,8 +193,11 @@ func BenchmarkSpiceLite(b *testing.B) {
 // TestRouteAllocBudget bounds the allocations of a full 10k-sink zero-skew
 // grid route, so allocation regressions on the large-instance hot path fail
 // CI instead of surfacing as silent slowdowns. The flat sorted-slice delay
-// representation plus the slab-backed grid buckets route 10k sinks in ~300
-// allocations (arena, slab chunks, queue and grid bootstrap); the budgets
+// representation routes 10k sinks in 169–170 allocations (arena, slab
+// chunks, queue and grid bootstrap). A Multi build keeps no grid buckets:
+// each round files the live set into the packed snapshot, whose arrays are
+// reused across rounds, as is the sample DensityCell measures the round's
+// cell from; with a fresh sample per round the count was 192–193. The budgets
 // leave headroom while staying far below the ~27k the map-based delay
 // bookkeeping needed. AllocsPerRun pins GOMAXPROCS to 1, so the count
 // excludes goroutine fan-out and is stable across CI machines.
@@ -216,7 +219,7 @@ func TestRouteAllocBudget(t *testing.T) {
 		t.Skip("short mode")
 	}
 	const (
-		budgetUntraced = 400 // observed ~300; tracing disabled must stay here
+		budgetUntraced = 400 // observed 169–170; tracing disabled must stay here
 		budgetTraced   = 600 // arena preallocated: small fixed overhead only
 	)
 	for _, dist := range []string{"uniform", "powerlaw"} {

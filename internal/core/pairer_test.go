@@ -108,27 +108,69 @@ func TestGridPairerDifferentialAST(t *testing.T) {
 	}
 }
 
-// TestFlatZSTPairScansBudget pins the grid pairer's work on the flat-zst
-// benchmark's input: 10k power-law sinks (the p10k placement, seed 1100)
-// with loads drawn from seed 1 as the benchmark draws them, routed ZST
-// under Multi. The clipped ring walk over a grid re-filed once per round
-// scans about 173k candidates; the unclipped walk, stopping only once
-// (r − 1)·cell passed the best key, over a grid re-celled midway through
-// each round's retirements, scanned 993,835.
-func TestFlatZSTPairScansBudget(t *testing.T) {
+// flatZSTInput is the flat-zst benchmark's input: 10k power-law sinks (the
+// p10k placement, seed 1100) with loads drawn from seed 1 as the benchmark
+// draws them.
+func flatZSTInput() *ctree.Instance {
 	in := bench.PowerLaw(10000, bench.PowerLawClusters, bench.PowerLawAlpha, 1100)
 	r := rand.New(rand.NewSource(1))
 	for i := range in.Sinks {
 		in.Sinks[i].CapFF = 5 + r.Float64()*45
 	}
-	res, err := ZST(in, Options{})
-	if err != nil {
-		t.Fatal(err)
+	return in
+}
+
+// TestFlatZSTPairScansBudget pins the grid pairer's work on the flat-zst
+// benchmark's input, routed ZST. Under Multi, the clipped ring walk over a
+// grid re-filed once per round scans 172,947 candidates; the unclipped
+// walk, stopping only once (r − 1)·cell passed the best key, over a grid
+// re-celled midway through each round's retirements, scanned 993,835.
+// Under Greedy, whose single queries keep the incremental cadence over
+// buckets built in the first round's window and cell, it scans 154,253.
+// Both counts, and the rebuilds by trigger, are exact: the per-round
+// snapshot, the exact-box key and the radix rank change how the walk reads
+// its candidates, never which cells it visits or what it counts.
+func TestFlatZSTPairScansBudget(t *testing.T) {
+	in := flatZSTInput()
+	for _, tc := range []struct {
+		strategy order.Strategy
+		scans    int64
+		rebuilds spatial.RebuildStats
+	}{
+		{order.Multi, 172_947, spatial.RebuildStats{LiveDrop: 18}},
+		{order.Greedy, 154_253, spatial.RebuildStats{LiveDrop: 8}},
+	} {
+		res, err := ZST(in, Options{Strategy: tc.strategy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Stats.PairScans; got != tc.scans {
+			t.Errorf("strategy %v: PairScans = %d, want %d", tc.strategy, got, tc.scans)
+		}
+		if got := res.Stats.GridRebuilds; got != tc.rebuilds {
+			t.Errorf("strategy %v: GridRebuilds = %+v, want %+v", tc.strategy, got, tc.rebuilds)
+		}
 	}
-	if got := res.Stats.PairScans; got > 300_000 {
-		t.Errorf("PairScans = %d, want ≤ 300000", got)
+}
+
+// BenchmarkFlatZSTPairing routes the flat-zst benchmark's input ZST under
+// Multi, the build whose time is mostly pairing: each round's ring walk over
+// the snapshot, its re-file and the ranking of its candidates. It reports
+// the scans per build, which TestFlatZSTPairScansBudget pins, so a timing
+// can be read against the work the walk did.
+func BenchmarkFlatZSTPairing(b *testing.B) {
+	in := flatZSTInput()
+	var scans int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := ZST(in, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		scans = res.Stats.PairScans
 	}
-	t.Logf("PairScans %d, grid rebuilds %+v", res.Stats.PairScans, res.Stats.GridRebuilds)
+	b.ReportMetric(float64(scans), "scans/op")
 }
 
 // TestPairerAutoSelection: auto mode must keep the oracle below the

@@ -238,9 +238,19 @@ func (b *builder) route() {
 		// distance under-estimates the true octagon distance, keeping the
 		// grid's pruning sound, while dist/key stay exact. mergeKey only
 		// ever adds non-negative snaking excess to the distance, so
-		// key ≥ dist holds and grid pairing is exact. The first batch
-		// query measures the grid's cell edge over the initial boxes.
-		box := func(id int) geom.Rect { return b.nodes[id].ActiveRegion().Bounds() }
+		// key ≥ dist holds and grid pairing is exact. A committed node is
+		// exact: its box is its Region (ActiveRegion().Bounds() bit for
+		// bit), and dist between two committed nodes is DistRR of their
+		// Regions, so the walk keys such pairs by the box distance it has
+		// already computed. The first batch query measures the grid's cell
+		// edge over the initial boxes.
+		box := func(id int) (geom.Rect, bool) {
+			nd := b.nodes[id]
+			if !nd.Deferred {
+				return nd.Region, true
+			}
+			return nd.DefRegion.Bounds(), false
+		}
 		ocfg.Pairer = spatial.NewGridPairer(0, 2*n-1, box, dist, ocfg.Key)
 	}
 	q := order.New(ocfg, n, dist)

@@ -38,6 +38,17 @@
 // disjoint merge set at once, which lets the router execute the merge bodies
 // concurrently (the pairs of one batch never share a subtree) and commit
 // results in batch order. Under Greedy every batch holds a single pair.
+//
+// # Ranking a round
+//
+// A Multi round ranks its candidates, each live item's best pair, in the
+// (Key, I, J) order of pairLess and sweeps them into the batch. The
+// candidates come one per item, ascending in I, so a stable sort by key
+// alone gives that order: an LSD radix sort over the keys' bits, a byte
+// per pass, with −0 read as +0 and the bytes on which every key agrees
+// skipped (rankPairs). It makes the permutation a comparison sort under
+// pairLess makes, in a few linear passes. Keys must not be NaN, which
+// pairLess cannot order either. Greedy's heap keeps pairLess itself.
 package order
 
 import (
@@ -143,6 +154,7 @@ type Queue struct {
 	// Reused per-round scratch (buildBatch).
 	ids  []int
 	used []bool
+	rank []ranked
 
 	// batchTime accumulates wall time spent inside NextBatch — the pairing
 	// and batch-selection cost of the run, separable from the merge bodies.
@@ -351,21 +363,9 @@ func (q *Queue) buildBatch() {
 			cand = append(cand, p)
 		}
 	}
-	// pairLess is a strict total order over the candidates (one entry per
-	// item), so the sorted sequence — and hence the selected batch — is
-	// reproducible regardless of sort stability or pairing parallelism.
-	// (slices.SortFunc, unlike sort.Slice, builds no reflect swapper: this
-	// sort runs every Multi round and stays allocation-free.)
-	slices.SortFunc(cand, func(a, b Pair) int {
-		switch {
-		case pairLess(a, b):
-			return -1
-		case pairLess(b, a):
-			return 1
-		default:
-			return 0
-		}
-	})
+	// The candidates hold one pair per item, ascending in I, so a stable
+	// sort by key alone ranks them in pairLess order (see rankPairs).
+	ranks := rankPairs(cand, &q.rank)
 	for len(q.used) < len(q.alive) {
 		q.used = append(q.used, false)
 	}
@@ -391,7 +391,8 @@ func (q *Queue) buildBatch() {
 			q.batch = append(q.batch, p)
 		}
 	}
-	for _, p := range cand {
+	for _, r := range ranks {
+		p := cand[r.at]
 		if used[p.I] || used[p.J] {
 			continue
 		}
@@ -404,6 +405,69 @@ func (q *Queue) buildBatch() {
 			q.age[i]++
 		}
 	}
+}
+
+// ranked is one candidate in rankPairs' sort: its key's radix bits and its
+// position among the candidates.
+type ranked struct {
+	bits uint64
+	at   int32
+}
+
+// rankPairs returns the positions of cand in ascending pairLess order, in
+// storage carved from *scratch, which it grows as needed. cand must hold at
+// most one pair per item, in ascending I, and no NaN key; then a stable
+// sort by key alone is the (Key, I, J) order, and rankPairs makes one: an
+// LSD radix sort, a byte per pass, over keyBits. A pass over a byte on
+// which every key agrees would move nothing, so it is skipped.
+func rankPairs(cand []Pair, scratch *[]ranked) []ranked {
+	n := len(cand)
+	*scratch = slices.Grow((*scratch)[:0], 2*n)
+	a, b := (*scratch)[:n], (*scratch)[n:2*n]
+	var counts [8][256]int32
+	agree, seen := ^uint64(0), uint64(0)
+	for i, p := range cand {
+		k := keyBits(p.Key)
+		a[i] = ranked{bits: k, at: int32(i)}
+		agree &= k
+		seen |= k
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	for d := range counts {
+		shift := 8 * d
+		if byte((agree^seen)>>shift) == 0 {
+			continue
+		}
+		// Exclusive prefix sums: where each byte value's run starts.
+		c := &counts[d]
+		var sum int32
+		for v, cnt := range c {
+			c[v], sum = sum, sum+cnt
+		}
+		for _, r := range a {
+			v := byte(r.bits >> shift)
+			b[c[v]] = r
+			c[v]++
+		}
+		a, b = b, a
+	}
+	return a
+}
+
+// keyBits maps a pair key to a uint64 whose unsigned order is the key's
+// numeric order: −0 as +0 (pairLess sees them equal), a non-negative key
+// with its sign bit set, a negative one with every bit flipped.
+func keyBits(k float64) uint64 {
+	b := math.Float64bits(k)
+	if k == 0 {
+		b = 0
+	}
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }
 
 // Merged registers the item that replaced the most recent merge(s). Items

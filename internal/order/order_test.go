@@ -3,6 +3,7 @@ package order
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -237,5 +238,57 @@ func TestParallelChunksPanicPropagates(t *testing.T) {
 	}()
 	if inline != "inline" {
 		t.Errorf("inline path panic = %v, want the raw value", inline)
+	}
+}
+
+// TestRankPairsMatchesPairLess: rankPairs ranks a round's candidates (one
+// pair per item, ascending in I) exactly as a comparison sort under
+// pairLess does, over keys drawn to tie often, to differ only in low bits,
+// to span signs and magnitudes, and to include −0 beside +0 (which
+// pairLess sees as equal) and infinities.
+func TestRankPairsMatchesPairLess(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	pool := []float64{0, math.Copysign(0, -1), 1, 1.5, 2, math.Inf(1), math.Inf(-1), -1, -2.5,
+		math.SmallestNonzeroFloat64, 1e300, math.Nextafter(1, 2), math.Nextafter(1, 0)}
+	var scratch []ranked
+	for trial := 0; trial < 500; trial++ {
+		n := r.Intn(300)
+		cand := make([]Pair, 0, n)
+		for i := 0; i < n; i++ {
+			if r.Intn(4) == 0 {
+				continue // an item without a partner leaves a gap in I
+			}
+			var k float64
+			switch trial % 4 {
+			case 0:
+				k = pool[r.Intn(len(pool))]
+			case 1:
+				k = float64(r.Intn(8)) // small integers: ties and agreeing bytes
+			case 2:
+				k = math.Float64frombits(0x40f0_0000_0000_0000 | uint64(r.Intn(1<<12))) // low bits only
+			default:
+				k = (r.Float64() - 0.25) * math.Pow(10, float64(r.Intn(20)-10))
+			}
+			cand = append(cand, Pair{Key: k, I: i, J: r.Intn(n + 1)})
+		}
+		want := slices.Clone(cand)
+		slices.SortFunc(want, func(a, b Pair) int {
+			switch {
+			case pairLess(a, b):
+				return -1
+			case pairLess(b, a):
+				return 1
+			}
+			return 0
+		})
+		got := rankPairs(cand, &scratch)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: ranked %d of %d candidates", trial, len(got), len(want))
+		}
+		for k, rk := range got {
+			if p := cand[rk.at]; p != want[k] {
+				t.Fatalf("trial %d: rank %d is %+v, want %+v", trial, k, p, want[k])
+			}
+		}
 	}
 }

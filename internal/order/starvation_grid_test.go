@@ -51,7 +51,9 @@ func starvationRun(t *testing.T, grid bool) [][2]int {
 		for i := range boxes {
 			boxes[i] = box(i)
 		}
-		cfg.Pairer = spatial.NewGridPairer(spatial.AutoCell(boxes), 0, box, dist, key)
+		// dist is not DistRR of the boxes in code, so no item is exact.
+		inexact := func(id int) (geom.Rect, bool) { return box(id), false }
+		cfg.Pairer = spatial.NewGridPairer(spatial.AutoCell(boxes), 0, inexact, dist, key)
 	}
 	q := order.New(cfg, n, dist)
 	var seq [][2]int

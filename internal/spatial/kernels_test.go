@@ -122,7 +122,7 @@ func TestNearestFreeMatchesScan(t *testing.T) {
 		n := 2 + r.Intn(300)
 		boxes := kernelBoxes(r, n)
 		dist := func(i, j int) float64 { return geom.DistRR(boxes[i], boxes[j]) }
-		box := func(id int) geom.Rect { return boxes[id] }
+		box := func(id int) (geom.Rect, bool) { return boxes[id], true }
 		key := func(i, j int, d float64) float64 { return d + float64((7*i+13*j)%5)*3 }
 		p := NewGridPairer(AutoCell(boxes)*(0.25+r.Float64()), 0, box, dist, key)
 		live := make([]bool, n)

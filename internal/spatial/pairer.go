@@ -11,14 +11,17 @@ import (
 // oracle below it and for keys the grid cannot prune exactly.
 //
 // box supplies the current bounding box of an item at Insert time (for the
-// router: the u/v bounds of the node's active region). dist is the exact
-// pair distance and key the pair priority; key == nil means priority =
-// distance. For exact results dist(i,j) must be ≥ DistRR of the two stored
-// boxes and key(i,j,d) ≥ d, both as computed in floating point — see the
-// package documentation on the clip's soundness and the box pre-filter.
+// router: the u/v bounds of the node's active region), and whether the item
+// is exact: its pair distance to every other exact item is DistRR of their
+// stored boxes, bit for bit (for the router: a committed node, whose
+// rectangle is its box). dist is the exact pair distance and key the pair
+// priority; key == nil means priority = distance. For exact results
+// dist(i,j) must be ≥ DistRR of the two stored boxes and key(i,j,d) ≥ d,
+// both as computed in floating point — see the package documentation on the
+// clip's soundness, the box pre-filter and the exact shortcut.
 type GridPairer struct {
 	idx  *Index
-	box  func(id int) geom.Rect
+	box  func(id int) (geom.Rect, bool)
 	dist func(i, j int) float64
 	key  func(i, j int, d float64) float64
 	out  []order.Pair
@@ -32,7 +35,7 @@ var _ keyer = (*GridPairer)(nil)
 // DensityCell; a cell ≤ 0 leaves it to the first filing. The index reserves
 // room for ids 0..ids−1 up front: a merge queue over n items registers
 // 2n−1 in all.
-func NewGridPairer(cell float64, ids int, box func(id int) geom.Rect, dist func(i, j int) float64, key func(i, j int, d float64) float64) *GridPairer {
+func NewGridPairer(cell float64, ids int, box func(id int) (geom.Rect, bool), dist func(i, j int) float64, key func(i, j int, d float64) float64) *GridPairer {
 	if key == nil {
 		key = func(_, _ int, d float64) float64 { return d }
 	}
@@ -44,16 +47,22 @@ func NewGridPairer(cell float64, ids int, box func(id int) geom.Rect, dist func(
 // Index exposes the underlying grid (diagnostics and tests).
 func (p *GridPairer) Index() *Index { return p.idx }
 
-// Insert queues the item under its current bounding box.
-func (p *GridPairer) Insert(id int) { p.idx.Insert(id, p.box(id)) }
+// Insert queues the item under its current bounding box and exact bit.
+func (p *GridPairer) Insert(id int) {
+	r, exact := p.box(id)
+	p.idx.insert(id, r, exact)
+}
 
 // Delete retires a merged item.
 func (p *GridPairer) Delete(id int) { p.idx.Delete(id) }
 
 // pairKey implements keyer: the configured pair priority over the exact
-// pair distance.
-func (p *GridPairer) pairKey(self, cand int) float64 {
-	return p.key(self, cand, p.dist(self, cand))
+// pair distance, which for two exact items is the box distance d.
+func (p *GridPairer) pairKey(self, cand int, d float64, exact bool) float64 {
+	if !exact {
+		d = p.dist(self, cand)
+	}
+	return p.key(self, cand, d)
 }
 
 // Nearest returns id's best live partner by key, smallest index on ties,
@@ -68,13 +77,19 @@ func (p *GridPairer) Nearest(id int) (order.Pair, bool) {
 // must, for the pair key to), so the ring walk stays exact under it.
 type distKeyer GridPairer
 
-func (p *distKeyer) pairKey(self, cand int) float64 { return p.dist(self, cand) }
+func (p *distKeyer) pairKey(self, cand int, d float64, exact bool) float64 {
+	if exact {
+		return d
+	}
+	return p.dist(self, cand)
+}
 
 // NearestFree returns id's nearest live partner by raw distance among the
 // ids not marked in used, smallest index on ties: the anti-starvation
 // partner of order's batch selection, answered by the ring walk after the
 // single-query settle. Within a Multi round it follows the round's
-// NearestAll with no mutation between, so the settle finds nothing to do.
+// NearestAll with no mutation between, so the settle finds nothing to do
+// and the walk reads the round's snapshot.
 func (p *GridPairer) NearestFree(id int, used []bool) (order.Pair, bool) {
 	p.idx.settle()
 	return p.pair(id, (*distKeyer)(p), used)
@@ -96,10 +111,10 @@ func pairOf(id, j int, key float64) (order.Pair, bool) {
 	return order.Pair{Key: key, I: id, J: j}, true
 }
 
-// NearestAll re-files the index for this batch (see the package
-// documentation), then spreads the queries over the CPUs. Queries only read
-// the settled index, and every result is written by position with
-// smallest-index tie-breaking, so the output and the scan count are
+// NearestAll re-files the index into a snapshot for this batch (see the
+// package documentation), then spreads the queries over the CPUs. Queries
+// only read the settled index, and every result is written by position
+// with smallest-index tie-breaking, so the output and the scan count are
 // identical at any GOMAXPROCS. Each block of queries adds its scans to the
 // count once. The returned slice aliases an internal buffer valid until the
 // next call.

@@ -23,7 +23,10 @@ func sim(t *testing.T, cfg order.Config, pts []geom.UV, useGrid bool) ([][2]int,
 		for i := range boxes {
 			boxes[i] = boxAt(i)
 		}
-		cfg.Pairer = NewGridPairer(AutoCell(boxes), 0, boxAt, dist, cfg.Key)
+		// Every item is exact: DistUV of two points is DistRR of their
+		// degenerate boxes bit for bit.
+		exactAt := func(id int) (geom.Rect, bool) { return boxAt(id), true }
+		cfg.Pairer = NewGridPairer(AutoCell(boxes), 0, exactAt, dist, cfg.Key)
 	}
 	q := order.New(cfg, len(pts), dist)
 	var seq [][2]int
@@ -153,7 +156,8 @@ func TestGridPairerScans(t *testing.T) {
 	for i := range boxes {
 		boxes[i] = boxAt(i)
 	}
-	gridScans := run(NewGridPairer(AutoCell(boxes), 0, boxAt, dist, nil))
+	exactAt := func(id int) (geom.Rect, bool) { return boxAt(id), true }
+	gridScans := run(NewGridPairer(AutoCell(boxes), 0, exactAt, dist, nil))
 	p = append([]geom.UV(nil), pts...)
 	scanScans := run(nil)
 	if gridScans <= 0 || scanScans <= 0 {

@@ -15,7 +15,7 @@
 //
 // The index is a uniform bucket grid, after Edahiro's bucket decomposition
 // for greedy-DME: square cells of edge `cell` over a dense array window,
-// each holding the ids of the items whose boxes overlap it. Items whose
+// each holding the items whose boxes overlap it. Items whose
 // boxes fall outside the window are filed clamped to the window edge, which
 // is sound (they are discovered no later than their true distance warrants)
 // and self-correcting (enough clamped items trigger a re-windowing rebuild).
@@ -35,13 +35,24 @@
 //     population. Merge rounds retire most of the live set and replace it
 //     with fatter merged regions, so a grid fitted to the previous round, or
 //     re-celled midway through the retirement, mis-sizes every bucket.
+//     It files the set into a packed snapshot: a cell-offset table over the
+//     window and one record array in cell order, each record an item's box,
+//     id and exact bit, ascending in id within a cell. The round's queries,
+//     NearestAll's and the NearestFree calls that follow it with no
+//     mutation between, walk the snapshot; it holds live items only, so
+//     they read no bucket header, span or box table and test no liveness.
 //   - Single queries (GridPairer.Nearest and NearestFree, and NearestBox,
 //     which Greedy, internal/dme and the ECO dirty set query) file the
-//     queued items one by one and keep the incremental cadence: a full
-//     re-cell once the live count has halved since the last build, a
-//     re-window once more than clampSlack live items sit clamped at the
-//     window edge, and a sweep of dead bucket entries once they outnumber
-//     live ones. Each is amortized against the mutations that tripped it.
+//     queued items one by one into growable buckets and keep the
+//     incremental cadence: a full re-cell once the live count has halved
+//     since the last build, a re-window once more than clampSlack live
+//     items sit clamped at the window edge, and a sweep of dead bucket
+//     entries once they outnumber live ones. Each is amortized against the
+//     mutations that tripped it. The buckets are built when a single query
+//     first needs them after a mutation: after a snapshot, in the
+//     snapshot's own window and cell, from its filing less the items
+//     re-inserted since, so every count is what buckets filed by the batch
+//     query itself would give.
 //
 // Both rules read counters kept by the single owning goroutine, and cell
 // size never affects query results, so merge sequences and scan counts are
@@ -59,10 +70,13 @@
 // candidate within the best key found so far: the query box inflated on
 // every side by that key plus a float-safe margin, re-derived whenever the
 // best key improves. The walk stops once the rings it has walked cover the
-// clip box. Exactness requires the candidate key to dominate the
-// bounding-box distance: true for plain distance (greedy-DME, classic DME)
-// and for the router's snaking-aware merge keys, which only add
-// non-negative elongation excess to the distance.
+// clip box. The snapshot and the buckets share this walk, its clip and its
+// tie-break; only the enumeration of a cell's candidates differs (a run of
+// records, or bucket ids whose tombstones are skipped), so both visit the
+// same cells and count the same scans. Exactness requires the candidate
+// key to dominate the bounding-box distance: true for plain distance
+// (greedy-DME, classic DME) and for the router's snaking-aware merge keys,
+// which only add non-negative elongation excess to the distance.
 //
 // The clip is sound in floating point, not only in exact arithmetic. A
 // candidate b can win only if its key, and so its computed DistRR from the
@@ -84,7 +98,7 @@
 // Before it scores a candidate, a query takes DistRR between its query box
 // and the candidate's stored box, and skips the key call when that
 // distance exceeds the best key so far, or equals it at a larger id
-// (outranked). The skipped candidate still counts in Scans. This
+// (the pre-filter). The skipped candidate still counts in Scans. This
 // pre-filter needs the key bound to hold in floating point, not only in
 // exact arithmetic: key ≥ DistRR of the stored boxes as computed. Every
 // caller meets it. The router's key is DistRR of the same rectangles;
@@ -94,6 +108,17 @@
 // and the ECO dirty set query, scores by DistRR of the stored boxes
 // themselves. GridPairer.NearestFree, the anti-starvation query, scores by
 // the router's exact distance, which meets the same bound.
+//
+// The pre-filter's distance is also the key's input when it can be. An
+// item inserted through GridPairer carries an exact bit: its pair distance
+// to every other exact item is DistRR of their stored boxes, bit for bit.
+// The router marks every committed node exact (its box is its Region, and
+// the distance of two committed nodes is DistRR of their Regions); a
+// deferred node, whose octagon distance can exceed its bounds', is not.
+// For two exact items the walk hands the distance it has computed to the
+// key instead of calling the pair distance, so such candidates never load
+// the caller's own item storage; NearestBox's key is that distance for
+// every candidate. Items inserted through Index.Insert are not exact.
 //
 // DensityCell's nearest-neighbor pass sorts its sample by ULo and sweeps
 // each sample outward until a u-gap bound passes its best so far
@@ -173,9 +198,11 @@ const (
 
 // itemSpan records where an item was filed so refiles and rebuilds can
 // unfile it. Cell coordinates are window-relative and already clamped.
+// exact is the item's exact bit (see the package documentation).
 type itemSpan struct {
 	cu0, cu1, cv0, cv1 int32
 	overflow           bool
+	exact              bool
 	state              spanState
 }
 
@@ -190,17 +217,42 @@ func (sp itemSpan) cellCount() int {
 // cellBox is an inclusive window-relative cell range.
 type cellBox struct{ u0, u1, v0, v1 int32 }
 
-// Index is the uniform bucket grid. All of its methods must be called from
-// a single goroutine: queries settle the grid first (see the package
+// snapRec is one filing of an item in the packed snapshot: its stored box,
+// id and exact bit, so a walk over the snapshot reads nothing else.
+type snapRec struct {
+	box   geom.Rect
+	id    int32
+	exact bool
+}
+
+// snapshot is the packed grid a batch query files the live set into: the
+// records of window cell c are recs[off[c]:off[c+1]], in ascending id, and
+// over holds the records of the oversized items, in ascending id.
+type snapshot struct {
+	off  []int32
+	recs []snapRec
+	over []snapRec
+}
+
+// Index is the uniform grid. All of its methods must be called from a
+// single goroutine: queries settle the grid first (see the package
 // documentation), which mutates it. GridPairer.NearestAll fans its queries
 // out across goroutines only after settling, while nothing mutates the
 // index.
 type Index struct {
 	cell float64
-	// Window: cells[cu + cv*w] holds the bucket of window-relative cell
-	// (cu, cv); (ou, ov) is the absolute cell coordinate of (0, 0).
-	ou, ov  int32
-	w, h    int32
+	// Window: window-relative cell (cu, cv) is cell cu + cv*w; (ou, ov) is
+	// the absolute cell coordinate of (0, 0).
+	ou, ov int32
+	w, h   int32
+	// The filed items live in one of two forms. packed: the last filing is
+	// the snapshot a batch query filed the live set into, and cells is
+	// stale. A mutation leaves it so until the next query settles, which
+	// packs afresh (batch) or unpacks into buckets (single), so a walk that
+	// finds the index packed reads a current snapshot. Otherwise cells[c]
+	// is the growable bucket of cell c.
+	packed  bool
+	snap    snapshot
 	cells   [][]int32
 	spans   []itemSpan
 	boxes   []geom.Rect
@@ -222,11 +274,13 @@ type Index struct {
 	rebuildTime time.Duration
 
 	// Build scratch, reused by every rebuild: per-cell entry counts, the
-	// live ids and boxes, and the flat backing the buckets are carved from.
-	countBuf  []int32
-	liveIDs   []int32
-	liveBoxes []geom.Rect
-	flat      []int32
+	// ids the last rebuild filed, DensityCell's sample and its spacings, and
+	// the flat backing the buckets are carved from.
+	countBuf []int32
+	liveIDs  []int32
+	sample   []sampleBox
+	spacing  []float64
+	flat     []int32
 
 	// entrySlab backs bucket growth: when an append outgrows a bucket's
 	// capacity, the doubled backing comes from this chunked slab instead of
@@ -258,9 +312,13 @@ func AutoCell(boxes []geom.Rect) float64 {
 	if len(boxes) == 0 {
 		return 1
 	}
-	bb := boundsOf(boxes)
+	return autoCell(boundsOf(boxes), len(boxes))
+}
+
+// autoCell is AutoCell over n boxes whose bounding box is bb.
+func autoCell(bb geom.Rect, n int) float64 {
 	edge := max(bb.Width(), bb.Height())
-	cell := edge / math.Ceil(math.Sqrt(float64(len(boxes))))
+	cell := edge / math.Ceil(math.Sqrt(float64(n)))
 	if !(cell > 0) {
 		return 1
 	}
@@ -286,26 +344,29 @@ func DensityCell(boxes []geom.Rect) float64 {
 	if n == 0 {
 		return 1
 	}
-	bb := boundsOf(boxes)
-	// Sample size: capped at 256, scaled down as 4√n for small populations
-	// so the sampling stays a vanishing fraction of the build it serves.
-	s := int(4 * math.Sqrt(float64(n)))
-	if s > 256 {
-		s = 256
+	sample := make([]sampleBox, sampleSize(n))
+	stride := n / len(sample)
+	for a := range sample {
+		sample[a].Rect = boxes[a*stride]
 	}
-	if s < 16 {
-		s = 16
-	}
-	if s > n {
-		s = n
-	}
-	stride := n / s
-	sample := make([]sampleBox, s)
-	vals := make([]float64, 2*s)
+	return densityCell(boundsOf(boxes), n, sample, make([]float64, 2*len(sample)))
+}
+
+// sampleSize is the number of boxes DensityCell samples from n: 4√n for
+// small populations, so the sampling stays a vanishing fraction of the
+// build it serves, within [16, 256] and at most n.
+func sampleSize(n int) int {
+	return min(max(int(4*math.Sqrt(float64(n))), 16), 256, n)
+}
+
+// densityCell is DensityCell over a population of n boxes with bounding
+// box bb, from its sample: sampleSize(n) boxes at the stride n/sampleSize(n),
+// in population order. vals is scratch of length 2·len(sample).
+func densityCell(bb geom.Rect, n int, sample []sampleBox, vals []float64) float64 {
+	s := len(sample)
 	edges, nn := vals[:s], vals[s:s]
 	for a := range sample {
-		r := boxes[a*stride]
-		sample[a].Rect = r
+		r := sample[a].Rect
 		edges[a] = max(r.Width(), r.Height())
 	}
 	nn = sampleSpacings(sample, nn)
@@ -325,7 +386,7 @@ func DensityCell(boxes []geom.Rect) float64 {
 		cell = med
 	}
 	if !(cell > 0) {
-		return AutoCell(boxes)
+		return autoCell(bb, n)
 	}
 	return cell
 }
@@ -422,18 +483,10 @@ func (x *Index) windowCell(v float64, o, n int32) int32 {
 	return 0
 }
 
-// setWindow sizes the dense bucket array for absolute cell range
-// [u0, u1] × [v0, v1], reusing the previous array when it is large enough.
+// setWindow sets the window to absolute cell range [u0, u1] × [v0, v1].
 func (x *Index) setWindow(u0, u1, v0, v1 int32) {
 	x.ou, x.ov = u0, v0
 	x.w, x.h = u1-u0+1, v1-v0+1
-	n := int(x.w) * int(x.h)
-	if cap(x.cells) >= n {
-		x.cells = x.cells[:n]
-		clear(x.cells)
-	} else {
-		x.cells = make([][]int32, n)
-	}
 }
 
 // Len returns the number of live items.
@@ -520,7 +573,10 @@ func (x *Index) unfile(id int) {
 			}
 		}
 	} else {
-		for cv := sp.cv0; cv <= sp.cv1; cv++ {
+		// A packed index has no buckets to unfile from: unpack files only
+		// the ids still live or tombstoned, and this one is about to be
+		// neither.
+		for cv := sp.cv0; cv <= sp.cv1 && !x.packed; cv++ {
 			row := cv * x.w
 			for cu := sp.cu0; cu <= sp.cu1; cu++ {
 				bucket := x.cells[row+cu]
@@ -545,8 +601,11 @@ func (x *Index) unfile(id int) {
 
 // Insert queues item id under bounding box r; the next query files it. Ids
 // may be sparse and only grow; re-inserting a live id moves it to the new
-// box.
-func (x *Index) Insert(id int, r geom.Rect) {
+// box. The item is not exact: a keyer scores it by its own distance.
+func (x *Index) Insert(id int, r geom.Rect) { x.insert(id, r, false) }
+
+// insert is Insert with the item's exact bit.
+func (x *Index) insert(id int, r geom.Rect, exact bool) {
 	for len(x.spans) <= id {
 		x.spans = append(x.spans, itemSpan{})
 		x.boxes = append(x.boxes, geom.Rect{})
@@ -555,7 +614,9 @@ func (x *Index) Insert(id int, r geom.Rect) {
 	x.changed = true
 	switch x.spans[id].state {
 	case spanQueued:
-		return // already queued: filed under the new box
+		// Already queued: filed under the new box and exact bit.
+		x.spans[id].exact = exact
+		return
 	case spanLive:
 		x.unfile(id)
 		x.n--
@@ -564,7 +625,7 @@ func (x *Index) Insert(id int, r geom.Rect) {
 		// purge sweep would mistake them for the new live filing.
 		x.unfile(id)
 	}
-	x.spans[id] = itemSpan{state: spanQueued}
+	x.spans[id] = itemSpan{state: spanQueued, exact: exact}
 	if x.w > 0 {
 		// Without a window, the next query files every live item at once
 		// and has no use for the queue.
@@ -619,17 +680,24 @@ func (x *Index) Delete(id int) {
 // settle brings the grid up to date for a single query under the
 // incremental cadence (see the package documentation): the first filing,
 // the live-drop re-cell, or the queued items filed one by one followed by
-// the edge-clamp re-window or the dead-entry sweep when due.
+// the edge-clamp re-window or the dead-entry sweep when due. A snapshot
+// with no mutation since needs nothing; after a mutation, its filing is
+// first unpacked into buckets.
 func (x *Index) settle() {
 	switch {
 	case x.w == 0:
 		if x.n > 0 {
-			x.rebuild(false)
+			x.rebuild(false, false)
 		}
+	case x.packed && !x.changed:
+		// The batch query's snapshot is current: nothing to file.
 	case x.n >= recellMinLive && 2*x.n <= x.peakLive:
 		x.rebuilds.LiveDrop++
-		x.rebuild(true)
+		x.rebuild(true, false)
 	default:
+		if x.packed {
+			x.unpack()
+		}
 		for _, id := range x.pending {
 			if x.spans[id].state == spanQueued {
 				x.fileQueued(id)
@@ -639,7 +707,7 @@ func (x *Index) settle() {
 		switch {
 		case x.clamped > clampSlack && 8*x.clamped > x.n:
 			x.rebuilds.EdgeClamp++
-			x.rebuild(false)
+			x.rebuild(false, false)
 		case x.deadFiled > x.liveFiled+purgeSlack:
 			x.purge()
 		default:
@@ -649,8 +717,8 @@ func (x *Index) settle() {
 }
 
 // settleBatch brings the grid up to date for a batch query: when the live
-// set changed since the last build, it re-files it into a window fitted to
-// its bounding box, under a cell DensityCell measures for it.
+// set changed since the last build, it re-files it into a snapshot whose
+// window fits its bounding box, under a cell DensityCell measures for it.
 func (x *Index) settleBatch() {
 	if !x.changed {
 		return
@@ -658,7 +726,7 @@ func (x *Index) settleBatch() {
 	if x.w > 0 {
 		x.rebuilds.LiveDrop++ // a first filing is no rebuild
 	}
-	x.rebuild(true)
+	x.rebuild(true, true)
 }
 
 // liveSpan records id's span in the current window as live, moving the
@@ -666,7 +734,7 @@ func (x *Index) settleBatch() {
 // cells. clamped reports whether the window edge cut the span.
 func (x *Index) liveSpan(id int32) (sp itemSpan, clamped bool) {
 	sp, clamped = x.clampSpan(x.boxes[id])
-	sp.state = spanLive
+	sp.state, sp.exact = spanLive, x.spans[id].exact
 	if sp.cellCount() > maxSpanCells {
 		sp.overflow = true
 		x.over = append(x.over, id)
@@ -726,8 +794,9 @@ func (x *Index) purge() {
 // rebuild files every live item, queued ones included, under a fresh
 // window fitted to the live bounding box — with a re-measured DensityCell
 // edge when recell is set, or when the index has no edge yet — dropping
-// all tombstones.
-func (x *Index) rebuild(recell bool) {
+// all tombstones. It files them into the snapshot when pack is set (the
+// batch cadence), else into buckets.
+func (x *Index) rebuild(recell, pack bool) {
 	start := obs.Now()
 	defer func() { x.rebuildTime += obs.Since(start) }()
 	ids := x.liveIDs[:0]
@@ -741,7 +810,7 @@ func (x *Index) rebuild(recell bool) {
 				bb = geom.Union(bb, x.boxes[id])
 			}
 			ids = append(ids, int32(id))
-		default:
+		case spanTomb:
 			x.spans[id].state = spanEmpty
 		}
 	}
@@ -750,44 +819,128 @@ func (x *Index) rebuild(recell bool) {
 	x.liveFiled, x.deadFiled, x.clamped = 0, 0, 0
 	x.peakLive = x.n
 	x.changed = false
+	x.packed = pack && len(ids) > 0
 	if len(ids) == 0 {
 		x.w, x.h, x.cells = 0, 0, x.cells[:0]
 		return
 	}
 	if recell && len(ids) >= recellMinLive || x.cell == 0 {
-		boxes := slices.Grow(x.liveBoxes[:0], len(ids))
-		for _, id := range ids {
-			boxes = append(boxes, x.boxes[id])
-		}
-		x.liveBoxes = boxes
-		x.cell = DensityCell(boxes)
+		x.cell = x.measureCell(ids, bb)
 	}
 	x.setWindow(x.cellIdx(bb.ULo)-windowPad, x.cellIdx(bb.UHi)+windowPad,
 		x.cellIdx(bb.VLo)-windowPad, x.cellIdx(bb.VHi)+windowPad)
-	x.bulkFile(ids)
+	for _, id := range ids {
+		if sp, _ := x.liveSpan(id); !sp.overflow {
+			x.liveFiled += sp.cellCount()
+		}
+	}
+	if pack {
+		x.pack(ids)
+	} else {
+		x.fileBuckets(ids)
+	}
 }
 
-// bulkFile files the given items into the (fresh) bucket array with a
-// counting pass over one flat backing slice, instead of growing each bucket
-// by appends.
-func (x *Index) bulkFile(ids []int32) {
-	if cap(x.countBuf) < len(x.cells) {
-		x.countBuf = make([]int32, len(x.cells))
+// measureCell is DensityCell over the boxes of the live items ids, whose
+// bounding box is bb, sampled in place.
+func (x *Index) measureCell(ids []int32, bb geom.Rect) float64 {
+	s := sampleSize(len(ids))
+	stride := len(ids) / s
+	x.sample = slices.Grow(x.sample[:0], s)[:s]
+	for a := range x.sample {
+		x.sample[a].Rect = x.boxes[ids[a*stride]]
 	}
-	counts := x.countBuf[:len(x.cells)]
+	x.spacing = slices.Grow(x.spacing[:0], 2*s)[:2*s]
+	return densityCell(bb, len(ids), x.sample, x.spacing)
+}
+
+// countCells sets counts, one per window cell, to the number of bucket
+// entries the recorded spans of ids that are still filed (live or
+// tombstoned) occupy, and returns their total.
+func (x *Index) countCells(ids []int32, counts []int32) int {
 	clear(counts)
 	total := 0
 	for _, id := range ids {
-		if sp, _ := x.liveSpan(id); !sp.overflow {
-			total += sp.cellCount()
-			for cv := sp.cv0; cv <= sp.cv1; cv++ {
-				row := cv * x.w
-				for cu := sp.cu0; cu <= sp.cu1; cu++ {
-					counts[row+cu]++
-				}
+		sp := x.spans[id]
+		if sp.overflow || sp.state != spanLive && sp.state != spanTomb {
+			continue
+		}
+		total += sp.cellCount()
+		for cv := sp.cv0; cv <= sp.cv1; cv++ {
+			row := cv * x.w
+			for cu := sp.cu0; cu <= sp.cu1; cu++ {
+				counts[row+cu]++
 			}
 		}
 	}
+	return total
+}
+
+// pack files the live items ids, whose spans are recorded, into the
+// snapshot: a counting pass sizes each cell's run of records, then the
+// items, taken in descending id, fill each run from its end, which leaves
+// every run in ascending id.
+func (x *Index) pack(ids []int32) {
+	s := &x.snap
+	cells := int(x.w) * int(x.h)
+	s.off = slices.Grow(s.off[:0], cells+1)[:cells+1]
+	total := x.countCells(ids, s.off[:cells])
+	// Inclusive prefix sums: off[c] is the end of cell c's run until the
+	// fill below has walked it back to the run's start.
+	for c := 1; c < cells; c++ {
+		s.off[c] += s.off[c-1]
+	}
+	s.off[cells] = int32(total)
+	s.recs = slices.Grow(s.recs[:0], total)[:total]
+	for k := len(ids) - 1; k >= 0; k-- {
+		id := ids[k]
+		sp := x.spans[id]
+		if sp.overflow {
+			continue
+		}
+		r := snapRec{box: x.boxes[id], id: id, exact: sp.exact}
+		for cv := sp.cv0; cv <= sp.cv1; cv++ {
+			row := cv * x.w
+			for cu := sp.cu0; cu <= sp.cu1; cu++ {
+				s.off[row+cu]--
+				s.recs[s.off[row+cu]] = r
+			}
+		}
+	}
+	s.over = s.over[:0]
+	for _, id := range x.over {
+		s.over = append(s.over, snapRec{box: x.boxes[id], id: id, exact: x.spans[id].exact})
+	}
+}
+
+// unpack builds the buckets single queries need from the snapshot's filing,
+// in its window and cell: each bucket holds the ids filed there that are
+// still live or tombstoned, exactly as if the snapshot's rebuild had filed
+// buckets and the mutations since had been applied to them.
+func (x *Index) unpack() {
+	start := obs.Now()
+	defer func() { x.rebuildTime += obs.Since(start) }()
+	x.packed = false
+	x.fileBuckets(x.liveIDs)
+}
+
+// fileBuckets files the recorded spans of ids that are still filed into a
+// fresh bucket array, with a counting pass over one flat backing slice
+// instead of growing each bucket by appends. Filing in the order of ids
+// keeps every bucket in ascending id.
+func (x *Index) fileBuckets(ids []int32) {
+	cells := int(x.w) * int(x.h)
+	if cap(x.cells) >= cells {
+		x.cells = x.cells[:cells]
+		clear(x.cells)
+	} else {
+		x.cells = make([][]int32, cells)
+	}
+	if cap(x.countBuf) < cells {
+		x.countBuf = make([]int32, cells)
+	}
+	counts := x.countBuf[:cells]
+	total := x.countCells(ids, counts)
 	// Every bucket is re-carved below, so no bucket of the previous build
 	// still aliases the reused backing.
 	if cap(x.flat) < total {
@@ -802,10 +955,8 @@ func (x *Index) bulkFile(ids []int32) {
 		}
 	}
 	for _, id := range ids {
-		sp := x.spans[id]
-		if !sp.overflow {
+		if sp := x.spans[id]; !sp.overflow && (sp.state == spanLive || sp.state == spanTomb) {
 			x.file(id, sp)
-			x.liveFiled += sp.cellCount()
 		}
 	}
 }
@@ -815,11 +966,28 @@ func (x *Index) bulkFile(ids []int32) {
 // implementation (typically a pairer) is bound once and reused for every
 // query.
 type keyer interface {
-	// pairKey returns the pair priority of (self, cand). It must be ≥
-	// DistRR of the two items' stored boxes as computed in floating point,
-	// not only in exact arithmetic: the clip and the box pre-filter both
-	// rest on that bound (see the package documentation).
-	pairKey(self, cand int) float64
+	// pairKey returns the pair priority of (self, cand). d is DistRR of
+	// the two items' stored boxes as the walk computed it, and exact
+	// reports that both items are exact, so that d is their pair distance
+	// bit for bit. The key must be ≥ d in floating point, not only in exact
+	// arithmetic: the clip and the box pre-filter both rest on that bound
+	// (see the package documentation).
+	pairKey(self, cand int, d float64, exact bool) float64
+}
+
+// walk is the state of one ring walk: the query, the best candidate so far
+// and the clip box its key implies.
+type walk struct {
+	x         *Index
+	k         keyer
+	used      []bool
+	q         geom.Rect
+	self      int
+	selfExact bool
+	best      int
+	bestKey   float64
+	clip      cellBox
+	scans     int64
 }
 
 // nearest returns the live item minimizing k.pairKey(self, ·), excluding
@@ -829,85 +997,112 @@ type keyer interface {
 // The query box is self's own stored box.
 //
 // The index must be settled, with nothing mutating it during the call; then
-// nearest only reads it, so concurrent calls are safe. Items spanning
-// several cells may be evaluated more than once (the ring walk does not
-// deduplicate), so pairKey must be pure.
+// nearest only reads it, so concurrent calls are safe. It walks the snapshot
+// when the index is packed and the buckets otherwise: the ring, clip and
+// tie-break are the same, only the enumeration of a cell's candidates
+// differs. Items spanning several cells may be evaluated more than once
+// (the ring walk does not deduplicate), so pairKey must be pure.
 func (x *Index) nearest(self int, k keyer, used []bool) (best int, bestKey float64, scans int64) {
-	q := x.boxes[self]
-	best, bestKey = -1, math.Inf(1)
-	for _, id32 := range x.over {
-		id := int(id32)
-		if id == self || x.spans[id].state != spanLive || used != nil && used[id] {
-			continue
-		}
-		scans++
-		if x.outranked(q, id, best, bestKey) {
-			continue
-		}
-		if key := k.pairKey(self, id); key < bestKey || (key == bestKey && id < best) {
-			best, bestKey = id, key
-		}
+	// Set field by field: a composite literal is built aside and copied in.
+	var w walk
+	w.x, w.k, w.used = x, k, used
+	w.q, w.self, w.selfExact = x.boxes[self], self, x.spans[self].exact
+	w.best, w.bestKey = -1, math.Inf(1)
+	off, recs := x.snap.off, x.snap.recs
+	if x.packed {
+		w.records(x.snap.over)
+	} else {
+		w.entries(x.over)
 	}
 	if x.w == 0 {
-		return best, bestKey, scans
+		return w.best, w.bestKey, w.scans
 	}
-	sp, _ := x.clampSpan(q)
+	sp, _ := x.clampSpan(w.q)
 	qc := cellBox{sp.cu0, sp.cu1, sp.cv0, sp.cv1}
-	clip := x.clipBox(q, bestKey)
+	w.clip = x.clipBox(w.q, w.bestKey)
 	for r := int32(0); ; r++ {
 		ring := cellBox{qc.u0 - r, qc.u1 + r, qc.v0 - r, qc.v1 + r}
 		var strips [4]cellBox
 		for _, st := range strips[:ringStrips(&strips, ring, r)] {
-			// Loop bounds re-read clip, which shrinks whenever the best
+			// Loop bounds re-read the clip, which shrinks whenever the best
 			// key improves.
-			for cv := max(st.v0, clip.v0); cv <= min(st.v1, clip.v1); cv++ {
+			for cv := max(st.v0, w.clip.v0); cv <= min(st.v1, w.clip.v1); cv++ {
 				row := cv * x.w
-				for cu := max(st.u0, clip.u0); cu <= min(st.u1, clip.u1); cu++ {
-					for _, id32 := range x.cells[row+cu] {
-						id := int(id32)
-						if id == self || x.spans[id].state != spanLive || used != nil && used[id] {
-							continue
+				for cu := max(st.u0, w.clip.u0); cu <= min(st.u1, w.clip.u1); cu++ {
+					c := row + cu
+					if x.packed {
+						if lo, hi := off[c], off[c+1]; lo < hi {
+							w.records(recs[lo:hi])
 						}
-						scans++
-						if x.outranked(q, id, best, bestKey) {
-							continue
-						}
-						if key := k.pairKey(self, id); key < bestKey || (key == bestKey && id < best) {
-							best, bestKey = id, key
-							clip = x.clipBox(q, bestKey)
-						}
+					} else if b := x.cells[c]; len(b) > 0 {
+						w.entries(b)
 					}
 				}
 			}
 		}
-		if ring.u0 <= clip.u0 && ring.u1 >= clip.u1 && ring.v0 <= clip.v0 && ring.v1 >= clip.v1 {
-			return best, bestKey, scans
+		if ring.u0 <= w.clip.u0 && ring.u1 >= w.clip.u1 && ring.v0 <= w.clip.v0 && ring.v1 >= w.clip.v1 {
+			return w.best, w.bestKey, w.scans
 		}
+	}
+}
+
+// records considers a run of snapshot records, which are all live.
+func (w *walk) records(recs []snapRec) {
+	for i := range recs {
+		r := &recs[i]
+		if id := int(r.id); id != w.self && (w.used == nil || !w.used[id]) {
+			w.scans++
+			if d := geom.DistRR(w.q, r.box); w.admits(id, d) {
+				w.score(id, d, r.exact && w.selfExact)
+			}
+		}
+	}
+}
+
+// entries considers a bucket's entries, skipping tombstones.
+func (w *walk) entries(ids []int32) {
+	for _, id32 := range ids {
+		id := int(id32)
+		if sp := &w.x.spans[id]; id != w.self && sp.state == spanLive && (w.used == nil || !w.used[id]) {
+			w.scans++
+			if d := geom.DistRR(w.q, w.x.boxes[id]); w.admits(id, d) {
+				w.score(id, d, sp.exact && w.selfExact)
+			}
+		}
+	}
+}
+
+// admits is the box pre-filter: it reports that candidate id, whose stored
+// box lies at distance d from the query box, may still beat the best so
+// far. A candidate whose d exceeds the best key, or equals it at a larger
+// id, cannot: every key is ≥ d in floating point (the keyer contract), so
+// skipping its key call never changes a result; it only saves the call.
+// The candidate still counts in scans.
+func (w *walk) admits(id int, d float64) bool {
+	return !(d > w.bestKey || (d == w.bestKey && id > w.best))
+}
+
+// score keys a candidate the pre-filter admitted, whose box distance is d,
+// and makes it the best so far if it wins, shrinking the clip.
+func (w *walk) score(id int, d float64, exact bool) {
+	if key := w.k.pairKey(w.self, id, d, exact); key < w.bestKey || (key == w.bestKey && id < w.best) {
+		w.best, w.bestKey = id, key
+		w.clip = w.x.clipBox(w.q, key)
 	}
 }
 
 // clipBox returns the window cells that can hold a candidate whose key is
 // at most key against query box q: q inflated on every side by key plus
 // the float-safe margin, mapped to cells like the items' own filing and
-// clamped to the window. An infinite key gives the whole window.
+// clamped to the window. An infinite key gives the whole window. The
+// margin's product is rounded on its own (float64), so no platform fuses
+// it into the addition and moves a clip edge across a cell.
 func (x *Index) clipBox(q geom.Rect, key float64) cellBox {
-	k := key + (key+math.Abs(q.ULo)+math.Abs(q.UHi)+math.Abs(q.VLo)+math.Abs(q.VHi))*clipMargin
+	k := key + float64((key+math.Abs(q.ULo)+math.Abs(q.UHi)+math.Abs(q.VLo)+math.Abs(q.VHi))*clipMargin)
 	return cellBox{
 		x.windowCell(q.ULo-k, x.ou, x.w), x.windowCell(q.UHi+k, x.ou, x.w),
 		x.windowCell(q.VLo-k, x.ov, x.h), x.windowCell(q.VHi+k, x.ov, x.h),
 	}
-}
-
-// outranked is the box pre-filter of the ring walk: it reports that
-// candidate id cannot beat the best so far (best, bestKey) because the
-// distance between the query box q and its stored box already exceeds
-// bestKey, or equals it while id is larger. Every key is ≥ that distance in
-// floating point (the keyer contract), so skipping the key call never
-// changes a result; it only saves the call. The candidate still counts in
-// scans.
-func (x *Index) outranked(q geom.Rect, id, best int, bestKey float64) bool {
-	d := geom.DistRR(q, x.boxes[id])
-	return d > bestKey || (d == bestKey && id > best)
 }
 
 // ringStrips writes the cell strips of Chebyshev ring r, whose outer
@@ -933,7 +1128,7 @@ func ringStrips(strips *[4]cellBox, ring cellBox, r int32) int {
 // single-query cadence first.
 func (x *Index) NearestBox(self int) (best int, dist float64, ok bool) {
 	x.settle()
-	best, dist, scans := x.nearest(self, boxKeyer{x}, nil)
+	best, dist, scans := x.nearest(self, boxKeyer{}, nil)
 	x.scans.Add(scans)
 	if best < 0 {
 		return -1, 0, false
@@ -942,13 +1137,12 @@ func (x *Index) NearestBox(self int) (best int, dist float64, ok bool) {
 }
 
 // boxKeyer scores a candidate by DistRR of the two stored boxes, which
-// meets the keyer bound with equality. It holds one pointer, so passing it
-// as a keyer allocates nothing.
-type boxKeyer struct{ x *Index }
+// meets the keyer bound with equality: the distance the walk's pre-filter
+// already computed. It holds nothing, so passing it as a keyer allocates
+// nothing.
+type boxKeyer struct{}
 
-func (k boxKeyer) pairKey(self, cand int) float64 {
-	return geom.DistRR(k.x.boxes[self], k.x.boxes[cand])
-}
+func (boxKeyer) pairKey(_, _ int, d float64, _ bool) float64 { return d }
 
 func clamp32(x, lo, hi int32) int32 {
 	if x < lo {
