@@ -44,6 +44,9 @@ func nudge(v float64, ulps int) float64 {
 //     would answer wrong;
 //   - deletes, including of the item inserted last, which may still be
 //     queued;
+//   - moves: re-inserts of a live or dead id under a fresh box, which
+//     unfile it from whichever form holds it (order never re-inserts an
+//     id, but the index allows it, and the ECO dirty set moves sinks);
 //   - batch queries (NearestAll), which file the live set into a snapshot
 //     and answer from it, each optionally followed by a NearestFree that
 //     reads the same snapshot;
@@ -61,6 +64,13 @@ func FuzzNearestMatchesScan(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 64, 65, 66, 67, 0, 1, 2, 3, 4, 4, 5, 1, 6, 0, 7})
 	f.Add([]byte{5, 1, 2, 200, 3, 3, 3, 1, 17, 33, 49, 2, 40, 40, 40, 4, 5, 2, 7, 6, 85})
 	f.Add([]byte{1, 0, 8, 3, 4, 1, 16, 9, 5, 2, 0, 24, 6, 6, 2, 3, 2, 1, 0, 7, 15, 2, 9, 3, 5, 1, 15, 3, 85, 5, 0, 6, 1, 170})
+	f.Add([]byte{2, 0, 0, 1, 2, 3, 1, 4, 5, 6, 7, 128, 2, 8, 9, 10, 11, 3, 1, 7, 140, 0, 2, 2, 9, 1, 5, 1, 3, 0, 132, 1, 5, 5, 1, 1, 6, 0, 3, 7, 6, 0, 0, 5, 0})
+	// Moves after a batch query: a tombstoned item resurrected, an
+	// overflow item and a live one moved, then single and batch queries.
+	f.Add([]byte{0, 0,
+		0, 1, 3, 2, 3, 0, 0, 5, 3, 6, 3, 0, 0, 9, 3, 2, 3, 128, 0, 3, 3, 7, 3, 1,
+		7, 3, 0, 132, 0, 4, 3, 4, 3, 0, 132, 2, 8, 3, 8, 3, 0, 140, 1, 2, 3, 9, 3, 2,
+		5, 0, 7, 15, 1, 5, 3, 2, 132, 3, 5, 3, 5, 3, 0, 5, 0, 6, 1, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		cell := []float64{1, 0.1, 3, 0.7, 10, 1e-3, 1e6, 0.3}[in.next()%8]
@@ -68,6 +78,15 @@ func FuzzNearestMatchesScan(f *testing.F) {
 		coord := func() float64 {
 			k := float64(in.next()%16) - 4
 			return nudge(base+k*cell, in.next()%7-3)
+		}
+		newBox := func() geom.Rect {
+			u, v := coord(), coord()
+			spread := in.next()
+			wu, wv := float64(spread%4)*cell, float64(spread/4%4)*cell
+			if spread&0x80 != 0 {
+				wu, wv = 10*cell, 10*cell // spans > maxSpanCells: overflow
+			}
+			return geom.Rect{ULo: u, UHi: nudge(u+wu, spread/16%3), VLo: v, VHi: nudge(v+wv, spread/48%3)}
 		}
 		var boxes []geom.Rect
 		var live, exact []bool
@@ -145,14 +164,7 @@ func FuzzNearestMatchesScan(f *testing.F) {
 				if len(boxes) >= 200 {
 					continue
 				}
-				u, v := coord(), coord()
-				spread := in.next()
-				wu, wv := float64(spread%4)*cell, float64(spread/4%4)*cell
-				if spread&0x80 != 0 {
-					wu, wv = 10*cell, 10*cell // spans > maxSpanCells: overflow
-				}
-				r := geom.Rect{ULo: u, UHi: nudge(u+wu, spread/16%3), VLo: v, VHi: nudge(v+wv, spread/48%3)}
-				boxes = append(boxes, r)
+				boxes = append(boxes, newBox())
 				live = append(live, true)
 				exact = append(exact, op/8%2 == 0)
 				p.Insert(len(boxes) - 1)
@@ -164,6 +176,13 @@ func FuzzNearestMatchesScan(f *testing.F) {
 					mutated = true
 				}
 			case 4:
+				if op >= 128 && len(boxes) > 0 {
+					id := in.next() % len(boxes)
+					boxes[id], live[id], exact[id] = newBox(), true, op/8%2 == 0
+					p.Insert(id)
+					mutated = true
+					continue
+				}
 				if id := len(boxes) - 1; id >= 0 && live[id] {
 					p.Delete(id)
 					live[id] = false
