@@ -126,7 +126,8 @@ func flatZSTInput() *ctree.Instance {
 // walk, stopping only once (r − 1)·cell passed the best key, over a grid
 // re-celled midway through each round's retirements, scanned 993,835.
 // Under Greedy, whose single queries keep the incremental cadence over
-// buckets built in the first round's window and cell, it scans 154,253.
+// buckets built in the window and cell of the queue's initial batch query,
+// it scans 154,253.
 // Both counts, and the rebuilds by trigger, are exact: the per-round
 // snapshot, the exact-box key and the radix rank change how the walk reads
 // its candidates, never which cells it visits or what it counts.
