@@ -84,15 +84,18 @@ func waitExit(t *testing.T, cmd *exec.Cmd, within time.Duration) int {
 func TestWorkerServesAndDrainsOnSIGTERM(t *testing.T) {
 	cmd, addr, stderr := startWorkerProc(t, "-stall", "300ms", "-drain", "10s")
 
-	u := &wire.WorkUnit{
-		Kind:     wire.KindBuild,
-		Instance: bench.Small(60, 5),
-	}
-	reg, err := core.NewRegistry(u.Instance, core.Options{})
+	in := bench.Small(60, 5)
+	reg, err := core.NewRegistry(in, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	u.Registry = reg.Snapshot()
+	u := &wire.WorkUnit{
+		Kind:      wire.KindBuild,
+		Sinks:     in.SinkList(nil),
+		NumGroups: in.NumGroups,
+		Source:    in.Source,
+		Registry:  reg.Snapshot(),
+	}
 	body, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)

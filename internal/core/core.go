@@ -298,10 +298,10 @@ func (r *Result) OverBound() bool {
 }
 
 // normalizeOptions applies defaults and validates the options against the
-// instance. It is shared by Build, BuildSubtree and MergeRoots, and is
-// idempotent, so the sharded pipeline may normalize once and pass the result
-// through every stage.
-func normalizeOptions(in *ctree.Instance, opt *Options) error {
+// instance's group count. It is shared by Build, BuildSubtree and
+// MergeRoots, and is idempotent, so the sharded pipeline may normalize once
+// and pass the result through every stage.
+func normalizeOptions(numGroups int, opt *Options) error {
 	if opt.Model == nil {
 		opt.Model = DefaultModel()
 	}
@@ -336,9 +336,9 @@ func normalizeOptions(in *ctree.Instance, opt *Options) error {
 		if opt.SingleGroup {
 			return fmt.Errorf("core: GroupOffsets is incompatible with SingleGroup")
 		}
-		if len(opt.GroupOffsets) != in.NumGroups {
+		if len(opt.GroupOffsets) != numGroups {
 			return fmt.Errorf("core: GroupOffsets has %d entries for %d groups",
-				len(opt.GroupOffsets), in.NumGroups)
+				len(opt.GroupOffsets), numGroups)
 		}
 		if opt.GroupOffsets[0] != 0 {
 			return fmt.Errorf("core: GroupOffsets[0] must be 0 (the reference group)")
@@ -357,7 +357,7 @@ func Build(in *ctree.Instance, opt Options) (*Result, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if err := normalizeOptions(in, &opt); err != nil {
+	if err := normalizeOptions(in.NumGroups, &opt); err != nil {
 		return nil, err
 	}
 	if opt.Shards > 1 {
@@ -377,9 +377,9 @@ func Build(in *ctree.Instance, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &builder{opt: opt, in: in, uf: &reg.uf, done: doneOf(opt.Ctx)}
+	b := &builder{opt: opt, numGroups: in.NumGroups, source: in.Source, uf: &reg.uf, done: doneOf(opt.Ctx)}
 	b.initScratch()
-	b.initSinkNodes(nil)
+	b.initSinkNodes(len(in.Sinks), func(i int) *ctree.Sink { return &in.Sinks[i] })
 	b.route()
 	if b.err != nil {
 		return nil, b.err
@@ -413,30 +413,37 @@ type Subtree struct {
 	Stats Stats
 }
 
-// BuildSubtree routes the sub-instance consisting of the given sink IDs
-// (nil = all sinks) against the supplied registry, using exactly the same
-// merge engine as Build. The caller owns instance validation and the
-// registry's lifecycle; the returned root is not embedded and may be
-// Deferred. Stats.GroupUnions excludes the registry's construction-time
-// prescribed-offset unions (aggregate them once via Registry.PreUnions).
-func BuildSubtree(in *ctree.Instance, sinkIDs []int, opt Options, reg *Registry) (*Subtree, error) {
-	if err := normalizeOptions(in, &opt); err != nil {
+// BuildSubtree routes a sub-instance, the given sinks of an instance with
+// numGroups groups, against the supplied registry, using exactly the same
+// merge engine as Build. The sinks are routed in the order given, and each
+// leaf takes its sink's pointer and ID (the sink's id in its instance), so a
+// sub-build over pointers into an instance routes that subset in place — no
+// instance cloning or sink transplanting. The caller owns sink validation
+// past the group index and the registry's lifecycle; the returned root is
+// not embedded and may be Deferred. Stats.GroupUnions excludes the
+// registry's construction-time prescribed-offset unions (aggregate them once
+// via Registry.PreUnions).
+func BuildSubtree(sinks []*ctree.Sink, numGroups int, opt Options, reg *Registry) (*Subtree, error) {
+	if err := normalizeOptions(numGroups, &opt); err != nil {
 		return nil, err
 	}
-	if reg.Groups() != in.NumGroups {
-		return nil, fmt.Errorf("core: registry over %d groups for instance with %d", reg.Groups(), in.NumGroups)
+	if reg.Groups() != numGroups {
+		return nil, fmt.Errorf("core: registry over %d groups for instance with %d", reg.Groups(), numGroups)
 	}
-	if sinkIDs != nil && len(sinkIDs) == 0 {
+	if len(sinks) == 0 {
 		return nil, fmt.Errorf("core: BuildSubtree over an empty sink set")
 	}
-	for _, id := range sinkIDs {
-		if id < 0 || id >= len(in.Sinks) {
-			return nil, fmt.Errorf("core: BuildSubtree sink id %d out of range [0, %d)", id, len(in.Sinks))
+	for i, s := range sinks {
+		if s == nil {
+			return nil, fmt.Errorf("core: BuildSubtree sink %d is nil", i)
+		}
+		if s.Group < 0 || s.Group >= numGroups {
+			return nil, fmt.Errorf("core: BuildSubtree sink %d in group %d, out of range [0, %d)", s.ID, s.Group, numGroups)
 		}
 	}
-	b := &builder{opt: opt, in: in, uf: &reg.uf, done: doneOf(opt.Ctx)}
+	b := &builder{opt: opt, numGroups: numGroups, uf: &reg.uf, done: doneOf(opt.Ctx)}
 	b.initScratch()
-	b.initSinkNodes(sinkIDs)
+	b.initSinkNodes(len(sinks), func(i int) *ctree.Sink { return sinks[i] })
 	b.route()
 	if b.err != nil {
 		return nil, b.err
@@ -445,27 +452,27 @@ func BuildSubtree(in *ctree.Instance, sinkIDs []int, opt Options, reg *Registry)
 	return &Subtree{Root: b.root, Stats: b.stats}, nil
 }
 
-// MergeRoots merges pre-built subtree roots into one tree under the full
+// MergeRoots merges pre-built subtree roots of an instance with numGroups
+// groups and its clock source at source into one tree under the full
 // constraint machinery — shared-group windows, the registry leash, joint
 // resolution of deferred roots, and wire sneaking — exactly as intra-build
 // merges are performed, and resolves any final deferred split toward the
-// instance source. This is the skew-aware generalization of the stitch
-// baseline's unconstrained root merging (internal/stitch): where the
-// baseline connects roots at bare distance, MergeRoots keeps enforcing the
-// intra-group bound across the stitched seams. The returned root is not
-// embedded; the roots' subtrees are adopted (and deferred roots committed)
-// in place.
-func MergeRoots(in *ctree.Instance, roots []*ctree.Node, opt Options, reg *Registry) (*Subtree, error) {
-	if err := normalizeOptions(in, &opt); err != nil {
+// source. This is the skew-aware generalization of the stitch baseline's
+// unconstrained root merging (internal/stitch): where the baseline connects
+// roots at bare distance, MergeRoots keeps enforcing the intra-group bound
+// across the stitched seams. The returned root is not embedded; the roots'
+// subtrees are adopted (and deferred roots committed) in place.
+func MergeRoots(roots []*ctree.Node, numGroups int, source geom.Point, opt Options, reg *Registry) (*Subtree, error) {
+	if err := normalizeOptions(numGroups, &opt); err != nil {
 		return nil, err
 	}
-	if reg.Groups() != in.NumGroups {
-		return nil, fmt.Errorf("core: registry over %d groups for instance with %d", reg.Groups(), in.NumGroups)
+	if reg.Groups() != numGroups {
+		return nil, fmt.Errorf("core: registry over %d groups for instance with %d", reg.Groups(), numGroups)
 	}
 	if len(roots) == 0 {
 		return nil, fmt.Errorf("core: MergeRoots over no roots")
 	}
-	b := &builder{opt: opt, in: in, uf: &reg.uf, done: doneOf(opt.Ctx)}
+	b := &builder{opt: opt, numGroups: numGroups, source: source, uf: &reg.uf, done: doneOf(opt.Ctx)}
 	b.initScratch()
 	b.initRootNodes(roots)
 	b.route()

@@ -413,11 +413,11 @@ func TestRegistryOffsets(t *testing.T) {
 	if _, err := reg.Offsets(); err == nil {
 		t.Error("fresh registry (no committed offsets) returned a contract, want error")
 	}
-	sub, err := BuildSubtree(in, nil, Options{}, reg)
+	sub, err := BuildSubtree(in.SinkList(nil), in.NumGroups, Options{}, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeRoots(in, []*ctree.Node{sub.Root}, Options{}, reg); err != nil {
+	if _, err := MergeRoots([]*ctree.Node{sub.Root}, in.NumGroups, in.Source, Options{}, reg); err != nil {
 		t.Fatal(err)
 	}
 	offs, err := reg.Offsets()
@@ -485,16 +485,16 @@ func TestOptionValueValidation(t *testing.T) {
 			return err
 		}},
 		{"BuildSubtree", func(o Options) error {
-			_, err := BuildSubtree(in, nil, o, freshRegistry())
+			_, err := BuildSubtree(in.SinkList(nil), in.NumGroups, o, freshRegistry())
 			return err
 		}},
 		{"MergeRoots", func(o Options) error {
 			reg := freshRegistry()
-			sub, err := BuildSubtree(in, nil, Options{}, reg)
+			sub, err := BuildSubtree(in.SinkList(nil), in.NumGroups, Options{}, reg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = MergeRoots(in, []*ctree.Node{sub.Root}, o, reg)
+			_, err = MergeRoots([]*ctree.Node{sub.Root}, in.NumGroups, in.Source, o, reg)
 			return err
 		}},
 	}

@@ -23,12 +23,19 @@ func mergeSequence(in *ctree.Instance, root *ctree.Node) [][2]int {
 	return seq
 }
 
+// instanceBuilder is the builder Build makes over every sink of in, before
+// its first merge.
+func instanceBuilder(in *ctree.Instance, opt Options) *builder {
+	b := &builder{opt: opt, numGroups: in.NumGroups, source: in.Source, uf: newGroupUF(in.NumGroups)}
+	b.initScratch()
+	b.initSinkNodes(len(in.Sinks), func(i int) *ctree.Sink { return &in.Sinks[i] })
+	return b
+}
+
 // replayMerges executes exactly the recorded merge bodies — no pairing, no
 // queue — reproducing the serial build of the same tree.
 func replayMerges(in *ctree.Instance, opt Options, seq [][2]int) *builder {
-	b := &builder{opt: opt, in: in, uf: newGroupUF(in.NumGroups)}
-	b.initScratch()
-	b.initSinkNodes(nil)
+	b := instanceBuilder(in, opt)
 	base := len(b.nodes)
 	for k, p := range seq {
 		c := &b.arena[base+k]

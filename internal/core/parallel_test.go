@@ -188,7 +188,7 @@ func TestWaveGateReadsBuildGroups(t *testing.T) {
 			t.Fatal(err)
 		}
 		var sub *Subtree
-		withGOMAXPROCS(procs, func() { sub, err = BuildSubtree(in, ids, Options{Trace: tr}, reg) })
+		withGOMAXPROCS(procs, func() { sub, err = BuildSubtree(in.SinkList(ids), in.NumGroups, Options{Trace: tr}, reg) })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ type Registry struct {
 // subsequent merge of related subtrees enforces the prescribed targets
 // through the registry leash.
 func NewRegistry(in *ctree.Instance, opt Options) (*Registry, error) {
-	if err := normalizeOptions(in, &opt); err != nil {
+	if err := normalizeOptions(in.NumGroups, &opt); err != nil {
 		return nil, err
 	}
 	r := &Registry{uf: *newGroupUF(in.NumGroups)}

@@ -61,12 +61,16 @@ func (sl *delaySlab) reclaim(ds rctree.DelaySet) rctree.DelaySet {
 }
 
 type builder struct {
-	opt   Options
-	in    *ctree.Instance
-	uf    *groupUF
-	nodes []*ctree.Node
-	root  *ctree.Node
-	stats Stats
+	opt Options
+	// numGroups is the instance's group count and source its clock source,
+	// which finishRoot resolves a deferred root toward (unset in a
+	// BuildSubtree builder, which leaves its root deferred).
+	numGroups int
+	source    geom.Point
+	uf        *groupUF
+	nodes     []*ctree.Node
+	root      *ctree.Node
+	stats     Stats
 	// groups lists the distinct groups of the build's initial nodes (see
 	// united).
 	groups []int
@@ -119,7 +123,7 @@ type builder struct {
 // zero-skew build and the shard builds of a B = 0 sharded build, never
 // allocates them.
 func (b *builder) initScratch() {
-	n := b.in.NumGroups
+	n := b.numGroups
 	b.plan.initScratch(n)
 	b.normA, b.normB = make([]rctree.Interval, n), make([]rctree.Interval, n)
 }
@@ -127,7 +131,7 @@ func (b *builder) initScratch() {
 // initSplits carves the split search's evaluation buffers from one interval
 // slab and one float slab, sized for the instance's group count.
 func (b *builder) initSplits() {
-	n := b.in.NumGroups
+	n := b.numGroups
 	ivs := make([]rctree.Interval, 4*jointSamples*n)
 	mids := make([]float64, 2*jointSamples*n)
 	for i := range b.splitsA {
@@ -141,15 +145,10 @@ func (b *builder) initSplits() {
 // slot returns the preassigned arena slot of node index id.
 func (b *builder) slot(id int) *ctree.Node { return &b.arena[id-b.arenaOff] }
 
-// initSinkNodes allocates the node arena and initializes the leaf nodes for
-// the given sink IDs (nil = every sink of the instance, in ID order). Leaves
-// keep their original Sink pointers and IDs, so a sub-instance build routes
-// a subset in place — no instance cloning or sink transplanting.
-func (b *builder) initSinkNodes(sinkIDs []int) {
-	n := len(b.in.Sinks)
-	if sinkIDs != nil {
-		n = len(sinkIDs)
-	}
+// initSinkNodes allocates the node arena and initializes one leaf for each
+// of the n sinks sink(0), …, sink(n−1), in that order. Leaves keep their
+// sinks' pointers and IDs, so a sub-instance build routes a subset in place.
+func (b *builder) initSinkNodes(n int, sink func(i int) *ctree.Sink) {
 	b.arena = make([]ctree.Node, 2*n-1)
 	b.arenaOff = 0
 	b.nodes = make([]*ctree.Node, 0, 2*n-1)
@@ -159,8 +158,8 @@ func (b *builder) initSinkNodes(sinkIDs []int) {
 	// the interning table below holds one Groups slice and one DelaySet per
 	// group, and on large single-group (ZST) runs this removes three
 	// allocations per sink.
-	groupsIntern := make([][]int, b.in.NumGroups)
-	delayIntern := make([]rctree.DelaySet, b.in.NumGroups)
+	groupsIntern := make([][]int, b.numGroups)
+	delayIntern := make([]rctree.DelaySet, b.numGroups)
 	leafGroup := func(s *ctree.Sink) int {
 		if b.opt.SingleGroup {
 			return 0
@@ -168,11 +167,7 @@ func (b *builder) initSinkNodes(sinkIDs []int) {
 		return s.Group
 	}
 	for i := 0; i < n; i++ {
-		id := i
-		if sinkIDs != nil {
-			id = sinkIDs[i]
-		}
-		s := &b.in.Sinks[id]
+		s := sink(i)
 		g := leafGroup(s)
 		if groupsIntern[g] == nil {
 			b.groups = append(b.groups, g)
@@ -294,7 +289,7 @@ func (b *builder) finishRoot() {
 	if !b.root.Deferred {
 		return
 	}
-	src := geom.OctFromUV(geom.ToUV(b.in.Source))
+	src := geom.OctFromUV(geom.ToUV(b.source))
 	q, _ := geom.ClosestPoints(b.root.DefRegion, src)
 	b.resolve(b.root, geom.DistRP(b.root.Left.Region, q))
 }

@@ -54,9 +54,7 @@ func TestSplitEvalMatchesResolve(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b := &builder{opt: Options{IntraSkewBound: 10, Model: DefaultModel()}, in: in, uf: newGroupUF(in.NumGroups)}
-			b.initScratch()
-			b.initSinkNodes(nil)
+			b := instanceBuilder(in, Options{IntraSkewBound: 10, Model: DefaultModel()})
 			// The search's plan and evaluations are scratch once it returns.
 			side, ev := &b.plan.a, &b.splitsA[0]
 			base := len(b.nodes)
@@ -125,10 +123,8 @@ func TestSplitCostAtLeastDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	pairs, minRatio := 0, math.Inf(1)
 	for _, w := range []float64{0, 20, -1} {
-		b := &builder{opt: Options{IntraSkewBound: 10, InterSkewBound: w, Model: DefaultModel()}, in: in, uf: newGroupUF(in.NumGroups)}
-		b.initScratch()
+		b := instanceBuilder(in, Options{IntraSkewBound: 10, InterSkewBound: w, Model: DefaultModel()})
 		b.initSplits()
-		b.initSinkNodes(nil)
 		base := len(b.nodes)
 		for k, p := range seq {
 			c := &b.arena[base+k]

@@ -88,7 +88,7 @@ func (b *builder) mergeBatchParallel(batch []order.Pair, base, workers int) {
 	for len(b.workers) < workers {
 		// Workers run untraced: a Trace is single-goroutine, and the
 		// coordinating builder owns the round's accounting.
-		w := builder{opt: b.opt, in: b.in, uf: b.uf}
+		w := builder{opt: b.opt, numGroups: b.numGroups, uf: b.uf}
 		w.opt.Trace = nil
 		w.initScratch()
 		b.workers = append(b.workers, w)

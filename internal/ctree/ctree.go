@@ -92,6 +92,24 @@ func (in *Instance) Validate() error {
 	return nil
 }
 
+// SinkList points at the sinks with the given ids, in that order, or at
+// every sink in ID order when ids is nil: the sink list a sub-build routes
+// (core.BuildSubtree), whose leaves then point into in.
+func (in *Instance) SinkList(ids []int) []*Sink {
+	if ids == nil {
+		l := make([]*Sink, len(in.Sinks))
+		for i := range l {
+			l[i] = &in.Sinks[i]
+		}
+		return l
+	}
+	l := make([]*Sink, len(ids))
+	for i, id := range ids {
+		l[i] = &in.Sinks[id]
+	}
+	return l
+}
+
 // GroupSizes returns the number of sinks per group.
 func (in *Instance) GroupSizes() []int {
 	n := make([]int, in.NumGroups)

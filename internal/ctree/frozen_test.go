@@ -27,7 +27,7 @@ func frozenHalves(tb testing.TB, n int) (*ctree.Instance, *core.Registry, [2]*ct
 	var frozen [2]*ctree.Frozen
 	var enc [2][]byte
 	for h, ids := range halves {
-		sub, err := core.BuildSubtree(in, ids, core.Options{}, copyRegistry(tb, base))
+		sub, err := core.BuildSubtree(in.SinkList(ids), in.NumGroups, core.Options{}, copyRegistry(tb, base))
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestFrozenThaw(t *testing.T) {
 		t.Fatal("thawed copy encodes differently from the original subtree")
 	}
 
-	if _, err := core.MergeRoots(in, []*ctree.Node{a, frozen[1].Thaw(in, nil)}, core.Options{}, copyRegistry(t, base)); err != nil {
+	if _, err := core.MergeRoots([]*ctree.Node{a, frozen[1].Thaw(in, nil)}, in.NumGroups, in.Source, core.Options{}, copyRegistry(t, base)); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(encodeTree(t, a), enc[0]) {

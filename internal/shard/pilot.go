@@ -177,7 +177,7 @@ func runPilot(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (offs
 	if err != nil {
 		return nil, stats, sinks, rep, err
 	}
-	unit := wire.WorkUnit{Kind: wire.KindPatch, Instance: in, Opt: opt, Registry: fresh.Snapshot()}
+	unit := wire.WorkUnit{Kind: wire.KindPatch, NumGroups: in.NumGroups, Source: in.Source, Opt: opt, Registry: fresh.Snapshot()}
 	for q := pilotPatchSinks; ; q *= 4 {
 		// Samples are computed serially up front: they are cheap relative to
 		// their routes, and the first sample that degenerates to the full
@@ -195,7 +195,10 @@ func runPilot(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (offs
 		// One child trace per patch route (spans and metrics of the patch's
 		// own build nest under it; the pilot trace aggregates over children
 		// via MetricValue).
-		sb := &subBuilds{phase: "pilot", unit: unit, sinks: samples, traces: make([]*obs.Trace, len(samples))}
+		sb := &subBuilds{phase: "pilot", in: in, unit: unit, sinks: make([][]*ctree.Sink, len(samples)), traces: make([]*obs.Trace, len(samples))}
+		for pi, ids := range samples {
+			sb.sinks[pi] = in.SinkList(ids)
+		}
 		if opt.Trace != nil {
 			for pi := range sb.traces {
 				sb.traces[pi] = opt.Trace.Child("patch" + strconv.Itoa(pi))

@@ -5,14 +5,16 @@ import (
 	"runtime/pprof"
 	"strconv"
 
+	"repro/internal/ctree"
 	"repro/internal/dispatch"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
 // Sub-build dispatch. Every sub-build of the pipeline — a pilot patch route
-// or a shard build — is an internal/wire work unit (sink subset + frozen
-// registry snapshot + options), and wire.Execute is its one definition. In
+// or a shard build — is an internal/wire work unit (the sinks it routes +
+// frozen registry snapshot + options), and wire.Execute is its one
+// definition. In
 // process, a phase's runner executes the unit directly. When
 // dispatch.Options.Remote carries a worker pool, the runner is a
 // dispatch.RemoteRunner instead: the same unit is encoded, shipped to a
@@ -26,11 +28,14 @@ import (
 // builds run untraced and the per-task child traces record only locally
 // executed (fallback) attempts.
 
-// subBuilds is one dispatched phase: task t executes unit over sinks[t].
+// subBuilds is one dispatched phase over the instance in: task t executes
+// unit over sinks[t], pointers into in, and decodes a remote result against
+// in.
 type subBuilds struct {
-	phase string        // the dispatch phase, "pilot" or "shard"
-	unit  wire.WorkUnit // every task's unit but its SinkIDs
-	sinks [][]int
+	phase string // the dispatch phase, "pilot" or "shard"
+	in    *ctree.Instance
+	unit  wire.WorkUnit // every task's unit but its Sinks
+	sinks [][]*ctree.Sink
 	// traces[t] is task t's child trace (nil when untraced). Only the first
 	// attempt records into it: a trace node is single-goroutine and a retry
 	// or hedge may race the attempt it replaces, so under faults a child
@@ -51,10 +56,10 @@ func (s *subBuilds) run(ctx context.Context, dopt dispatch.Options, tr *obs.Trac
 			Phase: s.phase,
 			Encode: func(t dispatch.Task) ([]byte, error) {
 				u := s.unit
-				u.SinkIDs = s.sinks[t.Index]
+				u.Sinks = s.sinks[t.Index]
 				return u.Encode()
 			},
-			Decode: func(data []byte) (any, error) { return wire.DecodeResult(data, s.unit.Instance) },
+			Decode: func(data []byte) (any, error) { return wire.DecodeResult(data, s.in) },
 			Local:  runner,
 			Faults: dopt.Faults,
 		})
@@ -83,7 +88,7 @@ func (s *subBuilds) run(ctx context.Context, dopt dispatch.Options, tr *obs.Trac
 // the attempt's context.
 func (s *subBuilds) execute(ctx context.Context, t dispatch.Task) (any, error) {
 	u := s.unit
-	u.SinkIDs = s.sinks[t.Index]
+	u.Sinks = s.sinks[t.Index]
 	u.Opt.Ctx = ctx
 	u.Opt.Trace = nil
 	if t.Attempt == 0 {

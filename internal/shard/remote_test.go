@@ -3,8 +3,10 @@ package shard
 import (
 	"context"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,7 +74,7 @@ func TestRemoteShardedBitwiseIdentical(t *testing.T) {
 	}
 	in := groupedInstance("uniform", 10_000, 4)
 	addrs := startWorkers(t, 2, wire.ServerOptions{})
-	for _, k := range []int{2, 4} {
+	for _, k := range []int{2, 4, 8} {
 		opt := core.Options{Shards: k, Pilot: true}
 		ref, err := Build(in, opt)
 		if err != nil {
@@ -90,6 +92,54 @@ func TestRemoteShardedBitwiseIdentical(t *testing.T) {
 		}
 		t.Logf("shards=%d: %+v", k, d)
 	}
+}
+
+// TestRemoteUnitsShipOnlyTheirSinks pins what a remote build sends: each
+// work unit of a piloted 8-shard build, pilot patches included, encodes in
+// under 0.2× the bytes of one that carries every sink of the instance, and
+// the build is still bitwise the in-process one.
+func TestRemoteUnitsShipOnlyTheirSinks(t *testing.T) {
+	in := groupedInstance("uniform", 4_000, 4)
+	reg, err := core.NewRegistry(in, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := (&wire.WorkUnit{Kind: wire.KindBuild, Sinks: in.SinkList(nil), NumGroups: in.NumGroups,
+		Source: in.Source, Registry: reg.Snapshot()}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var sizes []int
+	worker := wire.NewHandler(wire.ServerOptions{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == dispatch.PathBuild {
+			mu.Lock()
+			sizes = append(sizes, int(r.ContentLength))
+			mu.Unlock()
+		}
+		worker.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	opt := core.Options{Shards: 8, Pilot: true}
+	ref, err := Build(in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := BuildDispatch(in, opt, dispatch.Options{Remote: remotePool(t, dispatch.PoolOptions{}, srv.URL)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertIdentical(t, "remote", got, ref, in)
+	if got.Dispatch.RemoteFallbacks != 0 || len(sizes) < 8 {
+		t.Fatalf("%d requests and %d fallbacks, want every sub-build remote", len(sizes), got.Dispatch.RemoteFallbacks)
+	}
+	for i, n := range sizes {
+		if 5*n >= len(whole) {
+			t.Errorf("request %d of %d bytes, want under 0.2× the whole instance's %d", i, n, len(whole))
+		}
+	}
+	t.Logf("%d requests of %v bytes; the whole instance takes %d", len(sizes), sizes, len(whole))
 }
 
 // TestRemoteWorkerKilledMidBuildBitwise kills one of two workers while its

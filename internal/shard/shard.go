@@ -249,13 +249,14 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 	fanRgn := tr.Begin(fanout).Attr(count, float64(len(todo)))
 	sb := &subBuilds{
 		phase:  "shard",
-		unit:   wire.WorkUnit{Kind: wire.KindBuild, Instance: in, Opt: subOpt, Registry: base.Snapshot()},
-		sinks:  make([][]int, len(todo)),
+		in:     in,
+		unit:   wire.WorkUnit{Kind: wire.KindBuild, NumGroups: in.NumGroups, Source: in.Source, Opt: subOpt, Registry: base.Snapshot()},
+		sinks:  make([][]*ctree.Sink, len(todo)),
 		traces: make([]*obs.Trace, len(todo)),
 		shards: todo,
 	}
 	for j, i := range todo {
-		sb.sinks[j] = parts[i]
+		sb.sinks[j] = in.SinkList(parts[i])
 		if tr != nil {
 			sb.traces[j] = tr.Child("shard" + strconv.Itoa(i))
 		}
@@ -333,7 +334,7 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 	var top *core.Subtree
 	err = dispatch.Protect("stitch", func() error {
 		var err error
-		top, err = core.MergeRoots(in, roots, stitchOpt, topReg)
+		top, err = core.MergeRoots(roots, in.NumGroups, in.Source, stitchOpt, topReg)
 		return err
 	})
 	stitchOpt.Trace.Close()

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/ctree"
 )
 
 // buildCache constructs a realistic cache container: a grouped instance
@@ -26,8 +27,7 @@ func buildCache(t testing.TB) *Cache {
 	}
 	blobs := make([][]byte, 2)
 	for i, p := range parts {
-		u := &WorkUnit{Kind: KindBuild, Instance: in, SinkIDs: p, Opt: opt, Registry: reg.Snapshot()}
-		br, err := Execute(u)
+		br, err := Execute(unitOf(in, KindBuild, p, opt, reg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,11 +149,30 @@ func TestCacheDecodeRejects(t *testing.T) {
 
 // FuzzDecodeCache asserts the cache decoder's no-crash contract on
 // arbitrary bytes, as given and resealed, and that whatever decodes
-// re-encodes to bytes that decode and encode back to themselves.
+// re-encodes to bytes that decode and encode back to themselves. Its seed's
+// shard blobs hold compact leaves, and a decoded cache's blobs go through
+// the result decoder against its instance, as an ECO rebuild opens them.
 func FuzzDecodeCache(f *testing.F) {
-	seed, err := buildCache(f).Encode()
+	c := buildCache(f)
+	seed, err := c.Encode()
 	if err != nil {
 		f.Fatal(err)
+	}
+	seedRoundTrip(f, seed, func(b []byte) (interface{ Encode() ([]byte, error) }, error) { return DecodeCache(b) })
+	for i, b := range c.Blobs {
+		br, err := DecodeResult(b, c.Instance)
+		if err != nil {
+			f.Fatal(err)
+		}
+		compact := 0
+		br.Root.Visit(func(n *ctree.Node) {
+			if n.IsLeaf() && canonicalLeaf(n) {
+				compact++
+			}
+		})
+		if compact != len(c.Parts[i]) {
+			f.Fatalf("blob %d holds %d compact leaves of %d", i, compact, len(c.Parts[i]))
+		}
 	}
 	f.Add(seed)
 	f.Add([]byte("ASTC"))
@@ -162,6 +181,9 @@ func FuzzDecodeCache(f *testing.F) {
 			c, err := DecodeCache(data) // must never panic
 			if err != nil {
 				continue
+			}
+			for _, b := range c.Blobs {
+				DecodeResult(b, c.Instance) // must never panic
 			}
 			again, err := c.Encode()
 			if err != nil {

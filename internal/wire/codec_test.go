@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -14,10 +15,11 @@ import (
 	"repro/internal/rctree"
 )
 
-// shardUnit is a sharded-difficult-sized work unit: a 4k-sink power-law
-// instance in 4 intermingled groups, and the quarter of its sinks with the
-// smallest x as the shard, so its result is a subtree of about 2,000 nodes.
-func shardUnit(tb testing.TB) *WorkUnit {
+// shardUnit is a sharded-difficult-sized work unit and its instance: a
+// 4k-sink power-law instance in 4 intermingled groups, and the quarter of
+// its sinks with the smallest x as the shard, so its result is a subtree of
+// about 2,000 nodes.
+func shardUnit(tb testing.TB) (*WorkUnit, *ctree.Instance) {
 	tb.Helper()
 	in := bench.Intermingled(bench.PowerLaw(4000, bench.PowerLawClusters, bench.PowerLawAlpha, 1), 4, 11)
 	reg, err := core.NewRegistry(in, core.Options{})
@@ -39,13 +41,14 @@ func shardUnit(tb testing.TB) *WorkUnit {
 	})
 	ids = ids[:len(ids)/4]
 	slices.Sort(ids)
-	return &WorkUnit{Kind: KindBuild, Instance: in, SinkIDs: ids, Registry: reg.Snapshot()}
+	return unitOf(in, KindBuild, ids, core.Options{}, reg), in
 }
 
-// shardResult executes shardUnit and returns the unit and the encoded result.
-func shardResult(tb testing.TB) (*WorkUnit, []byte) {
+// shardResult executes shardUnit and returns the unit, its instance and the
+// encoded result.
+func shardResult(tb testing.TB) (*WorkUnit, *ctree.Instance, []byte) {
 	tb.Helper()
-	u := shardUnit(tb)
+	u, in := shardUnit(tb)
 	br, err := Execute(u)
 	if err != nil {
 		tb.Fatal(err)
@@ -54,7 +57,7 @@ func shardResult(tb testing.TB) (*WorkUnit, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return u, data
+	return u, in, data
 }
 
 // TestDecodedTreeSlab pins the slab decode of a ~2,000-node subtree: each
@@ -62,8 +65,8 @@ func shardResult(tb testing.TB) (*WorkUnit, []byte) {
 // node leaves every other node as decoded; a decoded result re-encodes to
 // its own bytes; and decoding allocates per chunk, not per node.
 func TestDecodedTreeSlab(t *testing.T) {
-	u, data := shardResult(t)
-	br, err := DecodeResult(data, u.Instance)
+	_, in, data := shardResult(t)
+	br, err := DecodeResult(data, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,7 @@ func TestDecodedTreeSlab(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := DecodeResult(data, u.Instance); err != nil {
+		if _, err := DecodeResult(data, in); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -126,7 +129,7 @@ func TestDecodedTreeSlab(t *testing.T) {
 // upper bounds kept for options and stats; a regrown buffer would have at
 // least a quarter of its length spare.
 func TestEncodeSizesOnce(t *testing.T) {
-	u, result := shardResult(t)
+	u, _, result := shardResult(t)
 	work, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +179,7 @@ func TestDecodeSnapshotBoundsGroupCount(t *testing.T) {
 var benchSink any
 
 func BenchmarkEncodeWork(b *testing.B) {
-	u := shardUnit(b)
+	u, _ := shardUnit(b)
 	data, err := u.Encode()
 	if err != nil {
 		b.Fatal(err)
@@ -190,7 +193,7 @@ func BenchmarkEncodeWork(b *testing.B) {
 }
 
 func BenchmarkDecodeWork(b *testing.B) {
-	u := shardUnit(b)
+	u, _ := shardUnit(b)
 	data, err := u.Encode()
 	if err != nil {
 		b.Fatal(err)
@@ -206,7 +209,8 @@ func BenchmarkDecodeWork(b *testing.B) {
 }
 
 func BenchmarkEncodeResult(b *testing.B) {
-	br, err := Execute(shardUnit(b))
+	u, _ := shardUnit(b)
+	br, err := Execute(u)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -223,14 +227,193 @@ func BenchmarkEncodeResult(b *testing.B) {
 }
 
 func BenchmarkDecodeResult(b *testing.B) {
-	u, data := shardResult(b)
+	_, in, data := shardResult(b)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if benchSink, err = DecodeResult(data, u.Instance); err != nil {
+		if benchSink, err = DecodeResult(data, in); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// nodeBits lists every float of a node as its bit pattern, the deferral
+// state only while the node is deferred: Resolve leaves it behind as it
+// was, and the format has never carried it for a resolved node.
+func nodeBits(n *ctree.Node) []uint64 {
+	fs := []float64{n.EdgeL, n.EdgeR, n.Region.ULo, n.Region.UHi, n.Region.VLo, n.Region.VHi, n.Cap,
+		n.Loc.U, n.Loc.V}
+	if n.Deferred {
+		fs = append(fs, n.DefD, n.DefELo, n.DefEHi, n.DefRegion.ULo, n.DefRegion.UHi, n.DefRegion.VLo,
+			n.DefRegion.VHi, n.DefRegion.SLo, n.DefRegion.SHi, n.DefRegion.TLo, n.DefRegion.THi)
+	}
+	for _, iv := range n.Delay.Ivs {
+		fs = append(fs, iv.Lo, iv.Hi)
+	}
+	bits := make([]uint64, len(fs))
+	for i, f := range fs {
+		bits[i] = math.Float64bits(f)
+	}
+	return bits
+}
+
+// TestDecodedResultMatchesExecute: a sub-build that travels — its unit
+// encoded and decoded, executed on the decoded unit, its result encoded and
+// decoded against the coordinator's instance — is the in-process Execute's
+// tree node for node: every field bitwise (a resolved node's stale
+// deferral state aside, see nodeBits), and every leaf's Sink pointing into
+// the coordinator's instance. It holds for a shard build (deferred
+// root), a pilot patch (resolved root) and a SingleGroup build, whose leaves
+// take group 0 whatever their sinks' groups, and every leaf of each travels
+// as a compact record.
+func TestDecodedResultMatchesExecute(t *testing.T) {
+	u, in := shardUnit(t)
+	patch := *u
+	patch.Kind = KindPatch
+	single := *u
+	single.Opt.SingleGroup = true
+	for _, tc := range []struct {
+		name string
+		u    *WorkUnit
+	}{{"shard", u}, {"patch", &patch}, {"single group", &single}} {
+		ref, err := Execute(tc.u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := tc.u.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wu, err := DecodeWork(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br, err := Execute(wu)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data, err = br.Encode(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeResult(data, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats != ref.Stats || !reflect.DeepEqual(got.Registry, ref.Registry) {
+			t.Errorf("%s: stats or registry differ", tc.name)
+		}
+		want, err := preorder(ref.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		have, err := preorder(got.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(have) != len(want) {
+			t.Fatalf("%s: %d nodes, want %d", tc.name, len(have), len(want))
+		}
+		leaves := 0
+		for i, w := range want {
+			h := have[i]
+			if h.ID != w.ID || h.Placed != w.Placed || h.Deferred != w.Deferred || h.IsLeaf() != w.IsLeaf() ||
+				!slices.Equal(h.Groups, w.Groups) || !slices.Equal(h.Delay.Groups, w.Delay.Groups) ||
+				h.Delay.IsZero() != w.Delay.IsZero() || !slices.Equal(nodeBits(h), nodeBits(w)) {
+				t.Fatalf("%s: node %d (ID %d) differs from Execute's", tc.name, i, w.ID)
+			}
+			if w.IsLeaf() {
+				leaves++
+				if h.Sink != &in.Sinks[w.ID] || w.Sink != h.Sink {
+					t.Fatalf("%s: leaf %d does not point at its sink in the instance", tc.name, w.ID)
+				}
+				if !canonicalLeaf(w) {
+					t.Fatalf("%s: leaf %d is not canonical, so it travels in full", tc.name, w.ID)
+				}
+			}
+		}
+		if leaves != len(tc.u.Sinks) {
+			t.Fatalf("%s: %d leaves for %d sinks", tc.name, leaves, len(tc.u.Sinks))
+		}
+	}
+}
+
+// allocsOf reports the bytes f allocates.
+func allocsOf(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodeWorkBoundsSinks: a sealed unit of a few hundred bytes that
+// claims a huge instance — a sink count past its payload, or sink ids up to
+// 1<<40 — fails before the decoder allocates for it.
+func TestDecodeWorkBoundsSinks(t *testing.T) {
+	in := bench.Intermingled(bench.Small(40, 3), 4, 5)
+	reg, err := core.NewRegistry(in, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := func(count uint64, ids []uint64) []byte {
+		w := newWriter(magicWork, 0)
+		w.u8(KindBuild)
+		if err := encodeOptions(w, core.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		encodeSnapshot(w, reg.Snapshot())
+		w.uv(uint64(in.NumGroups))
+		w.f64(in.Source.X)
+		w.f64(in.Source.Y)
+		w.uv(count)
+		for i, id := range ids {
+			s := in.Sinks[i]
+			w.uv(id)
+			w.f64(s.Loc.X)
+			w.f64(s.Loc.Y)
+			w.f64(s.CapFF)
+			w.uv(uint64(s.Group))
+		}
+		return w.seal()
+	}
+	for _, tc := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"sink count 1<<40", "sink count", unit(1<<40, []uint64{0, 1, 2, 3, 4, 5, 6, 7})},
+		{"sink count past payload", "sink count", unit(9, []uint64{0, 1, 2, 3, 4, 5, 6, 7})},
+		{"ids up to 1<<40", "out of range", unit(8, []uint64{0, 1 << 20, 1 << 30, 1 << 33, 1 << 36, 1 << 38, 1 << 39, 1 << 40})},
+		{"duplicate ids", "duplicate", unit(8, []uint64{5, 1, 2, 3, 4, 5, 6, 7})},
+	} {
+		var err error
+		alloc := allocsOf(func() { _, err = DecodeWork(tc.data) })
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if alloc >= 4*uint64(len(tc.data)) {
+			t.Errorf("%s: decoding a %d-byte unit allocated %d bytes, want under 4× its size", tc.name, len(tc.data), alloc)
+		}
+	}
+}
+
+// TestDecodeResultBoundsNodeCount: a sealed result that claims more than
+// 2n − 1 nodes over an n-sink instance fails on its node count before the
+// decoder allocates the node slab, however much payload follows.
+func TestDecodeResultBoundsNodeCount(t *testing.T) {
+	in := bench.Intermingled(bench.Small(40, 3), 4, 5)
+	count := 2 * len(in.Sinks)
+	w := newWriter(magicResult, 0)
+	w.uv(uint64(count))
+	w.raw(make([]byte, count*(minNodeBytes+minLeafBytes)))
+	data := w.seal()
+	var err error
+	alloc := allocsOf(func() { _, err = DecodeResult(data, in) })
+	if err == nil || !strings.Contains(err.Error(), "nodes over an instance") {
+		t.Fatalf("err = %v, want the node-count error", err)
+	}
+	if alloc >= 2*uint64(len(data)) {
+		t.Errorf("decoding a %d-byte result allocated %d bytes, want under twice its size", len(data), alloc)
 	}
 }

@@ -20,7 +20,7 @@ func Execute(u *WorkUnit) (*BuildResult, error) {
 	}
 	switch u.Kind {
 	case KindBuild:
-		sub, err := core.BuildSubtree(u.Instance, u.SinkIDs, u.Opt, reg)
+		sub, err := core.BuildSubtree(u.Sinks, u.NumGroups, u.Opt, reg)
 		if err != nil {
 			return nil, err
 		}
@@ -28,13 +28,13 @@ func Execute(u *WorkUnit) (*BuildResult, error) {
 	case KindPatch:
 		// The pilot patch pair: sample build, then the single-root stitch
 		// that resolves a deferred root and so commits its offsets.
-		sub, err := core.BuildSubtree(u.Instance, u.SinkIDs, u.Opt, reg)
+		sub, err := core.BuildSubtree(u.Sinks, u.NumGroups, u.Opt, reg)
 		if err != nil {
 			return nil, err
 		}
 		var st core.Stats
 		st.AddRun(sub.Stats)
-		top, err := core.MergeRoots(u.Instance, []*ctree.Node{sub.Root}, u.Opt, reg)
+		top, err := core.MergeRoots([]*ctree.Node{sub.Root}, u.NumGroups, u.Source, u.Opt, reg)
 		if err != nil {
 			return nil, err
 		}

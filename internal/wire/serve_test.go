@@ -24,7 +24,7 @@ func postBuild(t *testing.T, h http.Handler, body []byte) *httptest.ResponseReco
 
 func TestHandlerServesBuild(t *testing.T) {
 	h := NewHandler(ServerOptions{})
-	u := buildWork(t, KindBuild)
+	u, in := buildWork(t, KindBuild)
 	body, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestHandlerServesBuild(t *testing.T) {
 	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(rec.Body.Len()); got != want {
 		t.Errorf("Content-Length = %q, want %s", got, want)
 	}
-	res, err := DecodeResult(rec.Body.Bytes(), u.Instance)
+	res, err := DecodeResult(rec.Body.Bytes(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestHandlerHealthz(t *testing.T) {
 func TestHandlerContainsPanicAs500(t *testing.T) {
 	boom := func(u *WorkUnit) (*BuildResult, error) { panic("routing exploded") }
 	h := newHandler(boom, ServerOptions{})
-	u := buildWork(t, KindBuild)
+	u, _ := buildWork(t, KindBuild)
 	body, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +100,7 @@ func TestHandlerContainsPanicAs500(t *testing.T) {
 func TestHandlerBuildErrorIs422(t *testing.T) {
 	fail := func(u *WorkUnit) (*BuildResult, error) { return nil, errors.New("infeasible skew bound") }
 	h := newHandler(fail, ServerOptions{})
-	u := buildWork(t, KindBuild)
+	u, _ := buildWork(t, KindBuild)
 	body, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestServerDrainsInFlightBuild(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve() }()
 
-	u := buildWork(t, KindBuild)
+	u, _ := buildWork(t, KindBuild)
 	body, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)

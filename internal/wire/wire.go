@@ -1,8 +1,8 @@
 // Package wire is the remote-dispatch serialization layer: a compact,
 // deterministic, versioned binary codec for the sharded pipeline's work
-// units (a sink subset plus a frozen registry snapshot and the
-// remote-relevant subset of core.Options, inbound) and for built subtrees
-// (nodes, delay sets, stats, registry state, outbound). The codec's
+// units (the sinks a sub-build routes plus a frozen registry snapshot and
+// the remote-relevant subset of core.Options, inbound) and for built
+// subtrees (nodes, delay sets, stats, registry state, outbound). The codec's
 // contract is the pipeline's determinism contract made portable: decoding
 // an encoding reproduces the value bitwise — floats travel as their IEEE
 // bit patterns and are never recomputed — so a sub-build executed by a
@@ -16,19 +16,38 @@
 // or malicious payload yields an error, never a crash — the dispatch layer
 // classifies such errors as transient and re-dispatches.
 //
-// The format is at Version 7, which changed only the seal: Version 6 sealed
-// with an 8-byte FNV-64a trailer. A tree travels as pre-order node records
-// (geometry, delay sets, deferred state) with no snaking-handle records:
-// routers recompute handles from the subtree when they need them. Run stats
-// travel field by field, so any change to core.Stats' fields changes the
-// layout, and so does any change to the core.Options fields encodeOptions
-// writes: Model, IntraSkewBound, InterSkewBound, SingleGroup, Strategy,
-// Pairer, EndpointSplit and GroupOffsets. A result carries the subtree, its
-// stats and the worker's registry; the coordinator measures wire from the
-// subtree itself. Work units, results and ECO cache files of any other
-// version fail the check with ErrVersion. A decoded tree lives in one node
-// slab, its nodes' Groups and Delay slices cut, capacity-capped, from shared
-// chunks: appending to one node's slice never writes into another's.
+// The format is at Version 8, which ships only what the other side lacks
+// (Version 7 sent the whole instance in every unit and a full record for
+// every leaf). A work unit carries the sinks it routes, in routing order,
+// each as its instance id, location, load and group, plus the instance's
+// group count and clock source: nothing else of the instance. A worker
+// allocates for the sinks it was sent and no more, and checks their ids
+// in range (an int32, as a frozen subtree stores them) and unique with no
+// instance-sized table.
+//
+// A tree travels as pre-order node records with no snaking-handle records:
+// routers recompute handles from the subtree when they need them. A leaf
+// that is bitwise the one the builder makes from its sink — its point as
+// region, its load as cap, one group g, delay set {g: [+0, +0]}, zero
+// edges, zero Loc, unplaced, not deferred, ID the sink's — travels as a
+// compact record, its sink id and g, and DecodeResult rebuilds it from the
+// coordinator's instance, the leaves of one group sharing one Groups slice
+// and one delay set as the builder's do. Every other node travels as a full
+// record (geometry, delay sets, deferred state), with Loc only when it is
+// set. A result's node count is bounded by the payload and by 2n − 1 over
+// the coordinator's n-sink instance, and every group a record names must be
+// one of that instance's.
+//
+// Run stats travel field by field, so any change to core.Stats' fields
+// changes the layout, and so does any change to the core.Options fields
+// encodeOptions writes: Model, IntraSkewBound, InterSkewBound, SingleGroup,
+// Strategy, Pairer, EndpointSplit and GroupOffsets. A result carries the
+// subtree, its stats and the worker's registry; the coordinator measures
+// wire from the subtree itself. Work units, results and ECO cache files of
+// any other version fail the check with ErrVersion. A decoded tree lives in
+// one node slab, its nodes' Groups and Delay slices cut, capacity-capped,
+// from shared chunks: appending to one node's slice never writes into
+// another's.
 //
 // Observation does not travel: Options.Trace and Options.Ctx are
 // deliberately not encoded (a worker build runs untraced; the coordinator
@@ -40,6 +59,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ctree"
@@ -50,7 +70,7 @@ import (
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 7
+const Version uint16 = 8
 
 // ErrVersion marks a message written by a build that speaks another
 // Version; errors.Is recognizes it through the decoders' wrapping.
@@ -65,7 +85,7 @@ var (
 
 // Work-unit kinds.
 const (
-	// KindBuild is a shard sub-build: BuildSubtree over the sink subset.
+	// KindBuild is a shard sub-build: BuildSubtree over the unit's sinks.
 	KindBuild = 1
 	// KindPatch is a pilot patch: BuildSubtree over the sample followed by
 	// a single-root MergeRoots, which commits the patch root's offsets.
@@ -76,26 +96,43 @@ const (
 // counts; real payloads sit far below them.
 const (
 	maxNameLen = 4096
+	// maxSinkID is the largest sink id a unit may carry: ctree.Frozen
+	// stores sink ids as int32.
+	maxSinkID = math.MaxInt32
+	// maxTreeNodes bounds preorder's walk, so a cyclic tree fails to
+	// encode instead of walking forever: a sub-build over m sinks has
+	// 2m − 1 nodes, so this admits sub-builds of up to 8M sinks.
+	maxTreeNodes = 1 << 24
 	// minimum encoded bytes per repeated element, used to bound counts
 	// against the remaining payload before allocating.
-	minSinkBytes  = 25 // 3 floats + group varint
-	minNodeBytes  = 77 // flags, ID, 7 floats, 2 counts, delay flag, location
+	minSinkBytes = 25 // 3 floats + group varint
+	// minNodeBytes is a full node record's least: flags, ID, 7 floats,
+	// two counts and the delay flag.
+	minNodeBytes = 61
+	// minLeafBytes is a compact leaf record's: flags, sink id, group.
+	minLeafBytes  = 3
 	minEntryBytes = 8
 	minGroupBytes = 9 // registry parent varint + offset float
-	// minTreeGroupBytes is what a group held by a tree node adds to the
-	// node's record: a varint in Groups and a delay entry (varint and two
-	// floats), since a node's delay groups mirror its Groups.
+	// minTreeGroupBytes is what a group held by a full record adds to it:
+	// a varint in Groups and a delay entry (varint and two floats), since a
+	// node's delay groups mirror its Groups.
 	minTreeGroupBytes = 18
 )
 
-// WorkUnit is one remote task: route SinkIDs of Instance under Opt against
-// a private registry reconstructed from Registry.
+// WorkUnit is one remote task: route Sinks, sinks of an instance with
+// NumGroups groups and its clock source at Source, under Opt against a
+// private registry reconstructed from Registry.
 type WorkUnit struct {
-	Kind     int
-	Instance *ctree.Instance
-	SinkIDs  []int
-	Opt      core.Options
-	Registry core.RegistrySnapshot
+	Kind int
+	// Sinks are the sinks the unit routes, in routing order, each with its
+	// instance id as ID. In process they point into the instance, so the
+	// routed leaves do too; a decoded unit's point into one slice of its
+	// own that holds only them.
+	Sinks     []*ctree.Sink
+	NumGroups int
+	Source    geom.Point
+	Opt       core.Options
+	Registry  core.RegistrySnapshot
 }
 
 // BuildResult is a worker's product: the built (unembedded) subtree, its
@@ -107,20 +144,33 @@ type BuildResult struct {
 	Registry core.RegistrySnapshot
 }
 
-// EncodeWork serializes a work unit. It errors on options the format cannot
+// Encode serializes a work unit. It errors on options the format cannot
 // carry faithfully (closure-valued order overrides, non-Elmore models,
-// nested sharding) rather than silently dropping them.
+// nested sharding) and on sinks a decoder would refuse, rather than
+// silently dropping them.
 func (u *WorkUnit) Encode() ([]byte, error) {
-	if u.Instance == nil {
-		return nil, fmt.Errorf("wire: work unit without instance")
-	}
 	if u.Kind != KindBuild && u.Kind != KindPatch {
 		return nil, fmt.Errorf("wire: unknown work kind %d", u.Kind)
 	}
+	if len(u.Sinks) == 0 {
+		return nil, fmt.Errorf("wire: work unit without sinks")
+	}
+	if u.NumGroups <= 0 {
+		return nil, fmt.Errorf("wire: work unit over %d groups", u.NumGroups)
+	}
 	size := headerLen + 1 + optionsLen(u.Opt) + snapshotLen(u.Registry) +
-		instanceLen(u.Instance) + uvLen(uint64(len(u.SinkIDs))) + sealLen
-	for _, id := range u.SinkIDs {
-		size += uvLen(uint64(id))
+		uvLen(uint64(u.NumGroups)) + 16 + uvLen(uint64(len(u.Sinks))) + sealLen
+	for _, s := range u.Sinks {
+		if s == nil {
+			return nil, fmt.Errorf("wire: work unit with a nil sink")
+		}
+		if s.ID < 0 || s.ID > maxSinkID {
+			return nil, fmt.Errorf("wire: sink id %d out of range", s.ID)
+		}
+		if s.Group < 0 || s.Group >= u.NumGroups {
+			return nil, fmt.Errorf("wire: sink %d in group %d of %d", s.ID, s.Group, u.NumGroups)
+		}
+		size += uvLen(uint64(s.ID)) + 24 + uvLen(uint64(s.Group))
 	}
 	w := newWriter(magicWork, size)
 	w.u8(byte(u.Kind))
@@ -128,20 +178,24 @@ func (u *WorkUnit) Encode() ([]byte, error) {
 		return nil, err
 	}
 	encodeSnapshot(w, u.Registry)
-	encodeInstance(w, u.Instance)
-	w.uv(uint64(len(u.SinkIDs)))
-	for _, id := range u.SinkIDs {
-		if id < 0 || id >= len(u.Instance.Sinks) {
-			return nil, fmt.Errorf("wire: sink id %d out of range", id)
-		}
-		w.uv(uint64(id))
+	w.uv(uint64(u.NumGroups))
+	w.f64(u.Source.X)
+	w.f64(u.Source.Y)
+	w.uv(uint64(len(u.Sinks)))
+	for _, s := range u.Sinks {
+		w.uv(uint64(s.ID))
+		w.f64(s.Loc.X)
+		w.f64(s.Loc.Y)
+		w.f64(s.CapFF)
+		w.uv(uint64(s.Group))
 	}
 	return w.seal(), nil
 }
 
-// DecodeWork parses and validates a work unit: magic, version and seal first,
-// then every count and index against the instance, and the registry
-// snapshot through the same forest validation the executor will apply.
+// DecodeWork parses and validates a work unit: magic, version and seal
+// first, then the group count against the registry snapshot, the sink count
+// against the payload, every sink (decodeSinks), and the snapshot through
+// the same forest validation the executor will apply.
 func DecodeWork(data []byte) (*WorkUnit, error) {
 	r, err := open(data, magicWork)
 	if err != nil {
@@ -156,44 +210,31 @@ func DecodeWork(data []byte) (*WorkUnit, error) {
 		return nil, err
 	}
 	u.Registry = decodeSnapshot(r)
-	u.Instance, err = decodeInstance(r)
-	if err != nil {
-		return nil, err
-	}
-	n := int(r.uv())
+	groups := r.uv()
+	u.Source = geom.Point{X: r.f64(), Y: r.f64()}
+	m := r.uv()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if n < 0 || n > len(u.Instance.Sinks) {
-		return nil, fmt.Errorf("wire: %d sink ids for %d sinks", n, len(u.Instance.Sinks))
+	if groups == 0 || groups != uint64(len(u.Registry.Parent)) {
+		return nil, fmt.Errorf("wire: registry over %d groups for instance with %d",
+			len(u.Registry.Parent), groups)
 	}
-	if n > 0 {
-		u.SinkIDs = make([]int, n)
-		seen := make([]bool, len(u.Instance.Sinks))
-		for i := range u.SinkIDs {
-			id := int(r.uv())
-			if r.err != nil {
-				return nil, r.err
-			}
-			if id < 0 || id >= len(u.Instance.Sinks) {
-				return nil, fmt.Errorf("wire: sink id %d out of range", id)
-			}
-			if seen[id] {
-				return nil, fmt.Errorf("wire: duplicate sink id %d", id)
-			}
-			seen[id] = true
-			u.SinkIDs[i] = id
-		}
+	u.NumGroups = int(groups)
+	if !finite(u.Source.X) || !finite(u.Source.Y) {
+		return nil, fmt.Errorf("wire: non-finite source location")
+	}
+	if m == 0 || m > uint64(r.remaining()/minSinkBytes) {
+		return nil, fmt.Errorf("wire: sink count %d exceeds payload", m)
+	}
+	if u.Sinks, err = decodeSinks(r, int(m), u.NumGroups); err != nil {
+		return nil, err
 	}
 	if err := r.done(); err != nil {
 		return nil, err
 	}
 	if _, err := core.NewRegistryFromSnapshot(u.Registry); err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
-	}
-	if len(u.Registry.Parent) != u.Instance.NumGroups {
-		return nil, fmt.Errorf("wire: registry over %d groups for instance with %d",
-			len(u.Registry.Parent), u.Instance.NumGroups)
 	}
 	return u, nil
 }
@@ -208,13 +249,15 @@ func (b *BuildResult) Encode() ([]byte, error) {
 		return nil, err
 	}
 	size := headerLen + uvLen(uint64(len(nodes))) + statsMaxLen + snapshotLen(b.Registry) + sealLen
-	for _, n := range nodes {
-		size += nodeLen(n)
+	compact := make([]bool, len(nodes))
+	for i, n := range nodes {
+		compact[i] = n.IsLeaf() && canonicalLeaf(n)
+		size += nodeLen(n, compact[i])
 	}
 	w := newWriter(magicResult, size)
 	w.uv(uint64(len(nodes)))
-	for _, n := range nodes {
-		if err := encodeNode(w, n); err != nil {
+	for i, n := range nodes {
+		if err := encodeNode(w, n, compact[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -226,7 +269,8 @@ func (b *BuildResult) Encode() ([]byte, error) {
 }
 
 // DecodeResult parses a build result against the instance the work was cut
-// from (leaf nodes resolve their sink pointers into it).
+// from: leaves resolve their sink pointers into it, and compact leaves are
+// rebuilt from its sinks.
 func DecodeResult(data []byte, in *ctree.Instance) (*BuildResult, error) {
 	if in == nil {
 		return nil, fmt.Errorf("wire: decode result without instance")
@@ -252,6 +296,8 @@ func DecodeResult(data []byte, in *ctree.Instance) (*BuildResult, error) {
 	}
 	return b, nil
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // ---- options ----
 
@@ -440,20 +486,67 @@ func decodeInstance(r *reader) (*ctree.Instance, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		for _, f := range []float64{s.Loc.X, s.Loc.Y, s.CapFF} {
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return nil, fmt.Errorf("wire: non-finite coordinate on sink %d", i)
-			}
+		if !finite(s.Loc.X) || !finite(s.Loc.Y) || !finite(s.CapFF) {
+			return nil, fmt.Errorf("wire: non-finite coordinate on sink %d", i)
 		}
 	}
-	if math.IsNaN(in.Source.X) || math.IsInf(in.Source.X, 0) ||
-		math.IsNaN(in.Source.Y) || math.IsInf(in.Source.Y, 0) {
+	if !finite(in.Source.X) || !finite(in.Source.Y) {
 		return nil, fmt.Errorf("wire: non-finite source location")
 	}
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("wire: %w", err)
 	}
 	return in, nil
+}
+
+// ---- unit sinks ----
+
+// decodeSinks reads a unit's m sinks into one slice of its own, checking
+// each: an id in [0, maxSinkID], finite coordinates, a finite non-negative
+// load and a group in [0, numGroups). The ids must be unique: a scan sees it
+// when they ascend, as a shard's do, and a sorted copy of them otherwise.
+func decodeSinks(r *reader, m, numGroups int) ([]*ctree.Sink, error) {
+	sinks := make([]ctree.Sink, m)
+	list := make([]*ctree.Sink, m)
+	ascending := true
+	for i := range sinks {
+		s := &sinks[i]
+		id := r.uv()
+		s.Loc = geom.Point{X: r.f64(), Y: r.f64()}
+		s.CapFF = r.f64()
+		g := r.uv()
+		if r.err != nil {
+			return nil, r.err
+		}
+		if id > maxSinkID {
+			return nil, fmt.Errorf("wire: sink id %d out of range", id)
+		}
+		if g >= uint64(numGroups) {
+			return nil, fmt.Errorf("wire: sink %d in group %d of %d", id, g, numGroups)
+		}
+		if !finite(s.Loc.X) || !finite(s.Loc.Y) || !finite(s.CapFF) {
+			return nil, fmt.Errorf("wire: non-finite coordinate on sink %d", id)
+		}
+		if s.CapFF < 0 {
+			return nil, fmt.Errorf("wire: sink %d negative cap", id)
+		}
+		s.ID, s.Group = int(id), int(g)
+		ascending = ascending && (i == 0 || s.ID > sinks[i-1].ID)
+		list[i] = s
+	}
+	if !ascending {
+		ids := make([]int, m)
+		for i := range sinks {
+			ids[i] = sinks[i].ID
+		}
+		slices.Sort(ids)
+		for i := 1; i < m; i++ {
+			if ids[i] == ids[i-1] {
+				return nil, fmt.Errorf("wire: duplicate sink id %d", ids[i])
+			}
+		}
+	}
+	return list, nil
 }
 
 // ---- node tree ----
@@ -463,13 +556,19 @@ const (
 	nodeLeaf     = 1 << 0
 	nodePlaced   = 1 << 1
 	nodeDeferred = 1 << 2
+	// nodeSink marks a compact leaf record (with nodeLeaf, alone): the sink
+	// id and group of a canonical leaf.
+	nodeSink = 1 << 3
+	// nodeLoc marks a full record that carries Loc; a zero Loc stays home.
+	nodeLoc = 1 << 4
 )
 
 // preorder collects the subtree's nodes in pre-order, checking its shape:
 // the records are written in this order, so the format needs no pointers and
-// decoding needs no recursion, and the record count leads them.
+// decoding needs no recursion, and the record count leads them. The walk is
+// bounded by maxTreeNodes rather than checked against a visited set: a node
+// reached twice without a cycle is written twice, and decodes as two.
 func preorder(root *ctree.Node) ([]*ctree.Node, error) {
-	seen := map[*ctree.Node]bool{}
 	var nodes []*ctree.Node
 	stack := []*ctree.Node{root}
 	for len(stack) > 0 {
@@ -478,10 +577,9 @@ func preorder(root *ctree.Node) ([]*ctree.Node, error) {
 		if n == nil {
 			return nil, fmt.Errorf("wire: nil node in tree")
 		}
-		if seen[n] {
-			return nil, fmt.Errorf("wire: node %d appears twice in tree", n.ID)
+		if len(nodes) == maxTreeNodes {
+			return nil, fmt.Errorf("wire: tree past %d nodes (a cycle)", maxTreeNodes)
 		}
-		seen[n] = true
 		nodes = append(nodes, n)
 		if n.IsLeaf() {
 			if n.Left != nil || n.Right != nil {
@@ -499,10 +597,50 @@ func preorder(root *ctree.Node) ([]*ctree.Node, error) {
 	return nodes, nil
 }
 
-// nodeLen is the length of n's record as encodeNode writes it.
-func nodeLen(n *ctree.Node) int {
+// canonicalLeaf reports whether the leaf n is bitwise the leaf core's
+// builder makes from its sink in group Groups[0]: the sink's ID, its point
+// as region, its load as cap, delay set {g: [+0, +0]}, zero edges, zero
+// Loc, unplaced and not deferred. Such a leaf travels as a compact record.
+func canonicalLeaf(n *ctree.Node) bool {
+	s := n.Sink
+	if n.ID != s.ID || s.ID < 0 || n.Placed || n.Deferred ||
+		len(n.Groups) != 1 || n.Delay.Len() != 1 || len(n.Delay.Ivs) != 1 {
+		return false
+	}
+	g := n.Groups[0]
+	if g < 0 || int(n.Delay.Groups[0]) != g {
+		return false
+	}
+	want := geom.RectFromPoint(s.Loc)
+	var bits uint64
+	for _, f := range [...]float64{
+		n.EdgeL, n.EdgeR, n.Loc.U, n.Loc.V, n.Delay.Ivs[0].Lo, n.Delay.Ivs[0].Hi,
+		n.DefD, n.DefELo, n.DefEHi, n.DefRegion.ULo, n.DefRegion.UHi, n.DefRegion.VLo,
+		n.DefRegion.VHi, n.DefRegion.SLo, n.DefRegion.SHi, n.DefRegion.TLo, n.DefRegion.THi,
+	} {
+		bits |= math.Float64bits(f)
+	}
+	return bits == 0 && math.Float64bits(n.Cap) == math.Float64bits(s.CapFF) &&
+		sameBits(n.Region.ULo, want.ULo) && sameBits(n.Region.UHi, want.UHi) &&
+		sameBits(n.Region.VLo, want.VLo) && sameBits(n.Region.VHi, want.VHi)
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// hasLoc reports whether n's Loc is set, bitwise: a full record carries it
+// only then.
+func hasLoc(n *ctree.Node) bool {
+	return math.Float64bits(n.Loc.U)|math.Float64bits(n.Loc.V) != 0
+}
+
+// nodeLen is the length of n's record as encodeNode writes it, compact
+// when n is a canonical leaf.
+func nodeLen(n *ctree.Node, compact bool) int {
+	if compact {
+		return 1 + uvLen(uint64(n.Sink.ID)) + uvLen(uint64(n.Groups[0]))
+	}
 	l := 1 + ivLen(int64(n.ID)) + 7*8 + uvLen(uint64(len(n.Groups))) +
-		1 + uvLen(uint64(len(n.Delay.Groups))) + 16*len(n.Delay.Groups) + 16
+		1 + uvLen(uint64(len(n.Delay.Groups))) + 16*len(n.Delay.Groups)
 	if n.IsLeaf() {
 		l += uvLen(uint64(n.Sink.ID))
 	}
@@ -512,13 +650,22 @@ func nodeLen(n *ctree.Node) int {
 	for _, g := range n.Delay.Groups {
 		l += ivLen(int64(g))
 	}
+	if hasLoc(n) {
+		l += 16
+	}
 	if n.Deferred {
 		l += 11 * 8
 	}
 	return l
 }
 
-func encodeNode(w *writer, n *ctree.Node) error {
+func encodeNode(w *writer, n *ctree.Node, compact bool) error {
+	if compact {
+		w.u8(nodeLeaf | nodeSink)
+		w.uv(uint64(n.Sink.ID))
+		w.uv(uint64(n.Groups[0]))
+		return nil
+	}
 	var flags byte
 	if n.IsLeaf() {
 		flags |= nodeLeaf
@@ -528,6 +675,9 @@ func encodeNode(w *writer, n *ctree.Node) error {
 	}
 	if n.Deferred {
 		flags |= nodeDeferred
+	}
+	if hasLoc(n) {
+		flags |= nodeLoc
 	}
 	w.u8(flags)
 	w.iv(int64(n.ID))
@@ -557,8 +707,10 @@ func encodeNode(w *writer, n *ctree.Node) error {
 		w.f64(iv.Lo)
 		w.f64(iv.Hi)
 	}
-	w.f64(n.Loc.U)
-	w.f64(n.Loc.V)
+	if flags&nodeLoc != 0 {
+		w.f64(n.Loc.U)
+		w.f64(n.Loc.V)
+	}
 	if flags&nodeDeferred != 0 {
 		w.f64(n.DefD)
 		w.f64(n.DefELo)
@@ -588,28 +740,37 @@ func (c *chunk[T]) take(n int) []T {
 	return c.buf[i : i+n : i+n]
 }
 
-// treeChunks back one decoded tree's Groups and Delay slices.
+// treeChunks back one decoded tree's Groups and Delay slices. leaves[g]
+// is the first compact leaf of group g, whose slices the later ones share.
 type treeChunks struct {
 	groups chunk[int]
 	delays chunk[int32]
 	ivs    chunk[rctree.Interval]
+	leaves []*ctree.Node
 }
 
 // decodeTree reconstructs the pre-order into one node slab, iteratively (a
 // stack of open internal nodes, never the goroutine stack — adversarially
-// deep chains cannot overflow it). The payload past the records' minimum
-// bounds the groups the nodes hold, so the chunks start at that many
-// entries and a real tree fits in them.
+// deep chains cannot overflow it). A tree over in's sinks has at most
+// 2n − 1 nodes, and the payload bounds the count too: a full tree of k
+// internal nodes takes at least k full records and k + 1 compact ones. The
+// payload past those minimums bounds the groups the full records hold, so
+// the chunks start at that many entries and a real tree fits in them.
 func decodeTree(r *reader, in *ctree.Instance) (*ctree.Node, error) {
-	count := int(r.uv())
+	count := r.uv()
 	if r.err != nil {
 		return nil, r.err
 	}
-	if count <= 0 || count > r.remaining()/minNodeBytes+1 {
+	if count == 0 || count > 2*uint64(len(in.Sinks))-1 {
+		return nil, fmt.Errorf("wire: %d nodes over an instance of %d sinks", count, len(in.Sinks))
+	}
+	p := r.remaining()
+	if count > 2*uint64(max(p-minLeafBytes, 0)/(minNodeBytes+minLeafBytes))+1 {
 		return nil, fmt.Errorf("wire: node count %d exceeds payload", count)
 	}
 	nodes := make([]ctree.Node, count)
-	groups := max(r.remaining()-count*minNodeBytes, 0) / minTreeGroupBytes
+	internal := (len(nodes) - 1) / 2
+	groups := max(p-internal*minNodeBytes-(len(nodes)-internal)*minLeafBytes, 0) / minTreeGroupBytes
 	c := treeChunks{
 		groups: chunk[int]{make([]int, 0, groups)},
 		delays: chunk[int32]{make([]int32, 0, groups)},
@@ -649,16 +810,19 @@ func decodeNode(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) err
 	if r.err != nil {
 		return r.err
 	}
-	if flags&^(nodeLeaf|nodePlaced|nodeDeferred) != 0 {
+	if flags == nodeLeaf|nodeSink {
+		return decodeLeaf(r, in, n, c)
+	}
+	if flags&^(nodeLeaf|nodePlaced|nodeDeferred|nodeLoc) != 0 {
 		return fmt.Errorf("wire: node record with unknown flags %#x", flags)
 	}
 	n.ID = int(r.iv())
 	if flags&nodeLeaf != 0 {
-		sid := int(r.uv())
+		sid := r.uv()
 		if r.err != nil {
 			return r.err
 		}
-		if sid < 0 || sid >= len(in.Sinks) {
+		if sid >= uint64(len(in.Sinks)) {
 			return fmt.Errorf("wire: leaf sink id %d out of range", sid)
 		}
 		n.Sink = &in.Sinks[sid]
@@ -677,7 +841,11 @@ func decodeNode(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) err
 	if ng > 0 {
 		n.Groups = c.groups.take(ng)
 		for i := range n.Groups {
-			n.Groups[i] = int(r.iv())
+			g := r.iv()
+			if r.err == nil && (g < 0 || g >= int64(in.NumGroups)) {
+				return fmt.Errorf("wire: node %d group %d out of range", n.ID, g)
+			}
+			n.Groups[i] = int(g)
 			if i > 0 && r.err == nil && n.Groups[i] <= n.Groups[i-1] {
 				return fmt.Errorf("wire: node %d groups not ascending", n.ID)
 			}
@@ -695,8 +863,8 @@ func decodeNode(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) err
 		n.Delay = rctree.DelaySet{Groups: c.delays.take(nd), Ivs: c.ivs.take(nd)}
 		for i := 0; i < nd; i++ {
 			g := r.iv()
-			if g < math.MinInt32 || g > math.MaxInt32 {
-				return fmt.Errorf("wire: delay group %d out of int32 range", g)
+			if r.err == nil && (g < 0 || g >= int64(in.NumGroups)) {
+				return fmt.Errorf("wire: node %d delay group %d out of range", n.ID, g)
 			}
 			n.Delay.Groups[i] = int32(g)
 			n.Delay.Ivs[i] = rctree.Interval{Lo: r.f64(), Hi: r.f64()}
@@ -707,7 +875,9 @@ func decodeNode(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) err
 	} else if nd != 0 {
 		return fmt.Errorf("wire: zero delay set with %d entries", nd)
 	}
-	n.Loc = geom.UV{U: r.f64(), V: r.f64()}
+	if flags&nodeLoc != 0 {
+		n.Loc = geom.UV{U: r.f64(), V: r.f64()}
+	}
 	n.Placed = flags&nodePlaced != 0
 	if flags&nodeDeferred != 0 {
 		n.Deferred = true
@@ -720,4 +890,35 @@ func decodeNode(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) err
 		}
 	}
 	return r.err
+}
+
+// decodeLeaf fills the zero node n from a compact leaf record: the leaf
+// core's builder makes from sink sid of in in group g, sharing the Groups
+// slice and delay set of the first compact leaf of g.
+func decodeLeaf(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) error {
+	sid, g := r.uv(), r.uv()
+	if r.err != nil {
+		return r.err
+	}
+	if sid >= uint64(len(in.Sinks)) {
+		return fmt.Errorf("wire: leaf sink id %d out of range", sid)
+	}
+	if g >= uint64(in.NumGroups) {
+		return fmt.Errorf("wire: leaf %d group %d out of range", sid, g)
+	}
+	s := &in.Sinks[sid]
+	*n = ctree.Node{ID: int(sid), Sink: s, Region: geom.RectFromPoint(s.Loc), Cap: s.CapFF}
+	if c.leaves == nil {
+		c.leaves = make([]*ctree.Node, in.NumGroups)
+	}
+	if first := c.leaves[g]; first != nil {
+		n.Groups, n.Delay = first.Groups, first.Delay
+		return nil
+	}
+	n.Groups = c.groups.take(1)
+	n.Groups[0] = int(g)
+	n.Delay = rctree.DelaySet{Groups: c.delays.take(1), Ivs: c.ivs.take(1)}
+	n.Delay.Groups[0] = int32(g)
+	c.leaves[g] = n
+	return nil
 }

@@ -15,13 +15,23 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctree"
 	"repro/internal/eval"
+	"repro/internal/geom"
 	"repro/internal/order"
 	"repro/internal/rctree"
 )
 
-// buildWork constructs a realistic grouped work unit: an intermingled
-// 4-group instance, a sink subset, a registry with some committed state.
-func buildWork(t *testing.T, kind int) *WorkUnit {
+// unitOf is the unit the sharded pipeline cuts from in: a sub-build of
+// kind over the sinks ids names (every sink when nil) under opt, against
+// reg's state.
+func unitOf(in *ctree.Instance, kind int, ids []int, opt core.Options, reg *core.Registry) *WorkUnit {
+	return &WorkUnit{Kind: kind, Sinks: in.SinkList(ids), NumGroups: in.NumGroups, Source: in.Source,
+		Opt: opt, Registry: reg.Snapshot()}
+}
+
+// buildWork constructs a realistic grouped work unit and the instance it
+// was cut from: an intermingled 4-group instance, a sink subset, a registry
+// with some committed state.
+func buildWork(t *testing.T, kind int) (*WorkUnit, *ctree.Instance) {
 	t.Helper()
 	in := bench.Intermingled(bench.Small(300, 7), 4, 11)
 	opt := core.Options{IntraSkewBound: 2}
@@ -36,7 +46,7 @@ func buildWork(t *testing.T, kind int) *WorkUnit {
 	if kind == KindPatch {
 		ids = nil // a patch routes its full sample; nil = all sinks
 	}
-	return &WorkUnit{Kind: kind, Instance: in, SinkIDs: ids, Opt: opt, Registry: reg.Snapshot()}
+	return unitOf(in, kind, ids, opt, reg), in
 }
 
 func digestTree(t *testing.T, root *ctree.Node, in *ctree.Instance) uint64 {
@@ -59,7 +69,7 @@ func digestTree(t *testing.T, root *ctree.Node, in *ctree.Instance) uint64 {
 // marks encoded is set to a non-default value, so a field dropped from the
 // codec fails the comparison.
 func TestWorkUnitRoundTrip(t *testing.T) {
-	u := buildWork(t, KindBuild)
+	u, _ := buildWork(t, KindBuild)
 	u.Opt = core.Options{
 		Model:          rctree.NewElmore(0.3, 0.05),
 		IntraSkewBound: 2,
@@ -93,18 +103,14 @@ func TestWorkUnitRoundTrip(t *testing.T) {
 	if got.Kind != u.Kind {
 		t.Errorf("kind = %d, want %d", got.Kind, u.Kind)
 	}
-	if !reflect.DeepEqual(got.SinkIDs, u.SinkIDs) {
-		t.Error("sink ids did not round-trip")
+	if got.NumGroups != u.NumGroups || got.Source != u.Source || !reflect.DeepEqual(got.Sinks, u.Sinks) {
+		t.Error("sinks, group count or source did not round-trip")
 	}
 	if !reflect.DeepEqual(got.Registry, u.Registry) {
 		t.Errorf("registry did not round-trip: %+v vs %+v", got.Registry, u.Registry)
 	}
 	if !reflect.DeepEqual(got.Opt, u.Opt) {
 		t.Errorf("options did not round-trip:\n got %+v\nwant %+v", got.Opt, u.Opt)
-	}
-	if got.Instance.Name != u.Instance.Name || got.Instance.NumGroups != u.Instance.NumGroups ||
-		got.Instance.Source != u.Instance.Source || !reflect.DeepEqual(got.Instance.Sinks, u.Instance.Sinks) {
-		t.Error("instance did not round-trip")
 	}
 	// Determinism of the encoding itself: same value, same bytes.
 	data2, err := u.Encode()
@@ -123,7 +129,7 @@ func TestWorkUnitRoundTrip(t *testing.T) {
 // original, and the two trees agree on wirelength bits, per-sink delay
 // digest, and stats.
 func TestResultRoundTripThroughFullBuild(t *testing.T) {
-	u := buildWork(t, KindBuild)
+	u, in := buildWork(t, KindBuild)
 	ref, err := Execute(u) // the worker-side path over the original structs
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +138,7 @@ func TestResultRoundTripThroughFullBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeResult(data, u.Instance)
+	got, err := DecodeResult(data, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +158,7 @@ func TestResultRoundTripThroughFullBuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		top, err := core.MergeRoots(u.Instance, []*ctree.Node{root}, u.Opt, reg)
+		top, err := core.MergeRoots([]*ctree.Node{root}, in.NumGroups, in.Source, u.Opt, reg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,13 +174,13 @@ func TestResultRoundTripThroughFullBuild(t *testing.T) {
 	if refW != gotW {
 		t.Errorf("stitched wirelength bits differ: %x vs %x", gotW, refW)
 	}
-	if dr, dg := digestTree(t, refTop.Root, u.Instance), digestTree(t, gotTop.Root, u.Instance); dr != dg {
+	if dr, dg := digestTree(t, refTop.Root, in), digestTree(t, gotTop.Root, in); dr != dg {
 		t.Errorf("per-sink delay digests differ: %x vs %x", dg, dr)
 	}
 }
 
 func TestDecodeRejectsVersionFlip(t *testing.T) {
-	u := buildWork(t, KindBuild)
+	u, _ := buildWork(t, KindBuild)
 	data, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +223,7 @@ func asVersion6(data []byte) []byte {
 // That holds for the messages a Version 6 build wrote too, whose trailer
 // this build does not check.
 func TestOtherVersionFailsWithErrVersion(t *testing.T) {
-	u := buildWork(t, KindBuild)
+	u, in := buildWork(t, KindBuild)
 	work, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +254,7 @@ func TestOtherVersionFailsWithErrVersion(t *testing.T) {
 		decode   func([]byte) error
 	}{
 		{"work unit", work, asVersion6(work), func(b []byte) error { _, err := DecodeWork(b); return err }},
-		{"result", result, asVersion6(result), func(b []byte) error { _, err := DecodeResult(b, u.Instance); return err }},
+		{"result", result, asVersion6(result), func(b []byte) error { _, err := DecodeResult(b, in); return err }},
 		{"cache", cache, asVersion6(cache6), func(b []byte) error { _, err := DecodeCache(b); return err }},
 	}
 	for _, d := range decoders {
@@ -277,7 +283,7 @@ var wireLayout = struct {
 	version uint16
 	stats   []string
 	options []string
-}{7, []string{
+}{8, []string{
 	"Merges varint", "SameGroup varint", "CrossGroup varint", "Shared varint",
 	"Deferred varint", "GroupUnions varint", "MergeSnakes varint",
 	"SneakEvents varint", "SneakWire f64", "SneakIters varint",
@@ -338,7 +344,7 @@ func TestStatsLayoutPinnedToVersion(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	u := buildWork(t, KindBuild)
+	u, _ := buildWork(t, KindBuild)
 	data, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +376,7 @@ func TestDecodeWorkRejectsNonFinite(t *testing.T) {
 		{"+Inf registry offset", func(u *WorkUnit) { u.Registry.Off[2] = math.Inf(1) }},
 		{"NaN IntraSkewBound", func(u *WorkUnit) { u.Opt.IntraSkewBound = math.NaN() }},
 	} {
-		u := buildWork(t, KindBuild)
+		u, _ := buildWork(t, KindBuild)
 		tc.edit(u)
 		data, err := u.Encode()
 		if err != nil {
@@ -383,23 +389,23 @@ func TestDecodeWorkRejectsNonFinite(t *testing.T) {
 }
 
 func TestWorkCannotDecodeAsResult(t *testing.T) {
-	u := buildWork(t, KindBuild)
+	u, in := buildWork(t, KindBuild)
 	data, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeResult(data, u.Instance); err == nil {
+	if _, err := DecodeResult(data, in); err == nil {
 		t.Fatal("work unit decoded as a result")
 	}
 }
 
 func TestEncodeRejectsUnserializableOptions(t *testing.T) {
-	u := buildWork(t, KindBuild)
+	u, _ := buildWork(t, KindBuild)
 	u.Opt.Shards = 4
 	if _, err := u.Encode(); err == nil {
 		t.Error("nested Shards encoded")
 	}
-	u = buildWork(t, KindBuild)
+	u, _ = buildWork(t, KindBuild)
 	u.Opt.Pilot = true
 	if _, err := u.Encode(); err == nil {
 		t.Error("nested Pilot encoded")
@@ -417,24 +423,40 @@ func resealed(data []byte) []byte {
 	return w.seal()
 }
 
+// seedRoundTrip fails unless seed decodes and re-encodes to its own bytes:
+// a seed a decoder refuses would only fuzz the error paths.
+func seedRoundTrip(f *testing.F, seed []byte, decode func([]byte) (interface{ Encode() ([]byte, error) }, error)) {
+	f.Helper()
+	v, err := decode(seed)
+	if err != nil {
+		f.Fatalf("seed does not decode: %v", err)
+	}
+	again, err := v.Encode()
+	if err != nil || !bytes.Equal(again, seed) {
+		f.Fatalf("seed does not re-encode to itself (err %v)", err)
+	}
+}
+
 // FuzzDecodeWork asserts the decoder's no-crash contract on arbitrary
-// bytes, and full round-trip fidelity on valid encodings.
+// bytes, and full round-trip fidelity on valid encodings. Its seeds are a
+// subset unit whose ids do not ascend (as a pilot sample's need not) and an
+// all-sinks unit.
 func FuzzDecodeWork(f *testing.F) {
-	u := &WorkUnit{}
-	func() {
-		in := bench.Intermingled(bench.Small(40, 3), 2, 5)
-		reg, err := core.NewRegistry(in, core.Options{})
-		if err != nil {
-			f.Fatal(err)
-		}
-		u = &WorkUnit{Kind: KindBuild, Instance: in, SinkIDs: []int{0, 3, 9}, Registry: reg.Snapshot()}
-	}()
-	seed, err := u.Encode()
+	in := bench.Intermingled(bench.Small(40, 3), 2, 5)
+	reg, err := core.NewRegistry(in, core.Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)-sealLen])
+	decode := func(b []byte) (interface{ Encode() ([]byte, error) }, error) { return DecodeWork(b) }
+	for _, ids := range [][]int{{9, 0, 3}, nil} {
+		seed, err := unitOf(in, KindBuild, ids, core.Options{}, reg).Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		seedRoundTrip(f, seed, decode)
+		f.Add(seed)
+		f.Add(seed[:len(seed)-sealLen])
+	}
 	f.Add([]byte("ASTW"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, data := range [][]byte{data, resealed(data)} {
@@ -451,8 +473,11 @@ func FuzzDecodeWork(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encoded unit fails to decode: %v", err)
 			}
-			if !reflect.DeepEqual(got.Registry, got2.Registry) || !reflect.DeepEqual(got.SinkIDs, got2.SinkIDs) {
+			if !reflect.DeepEqual(got.Registry, got2.Registry) || !reflect.DeepEqual(got.Sinks, got2.Sinks) {
 				t.Fatal("round-trip through re-encode diverged")
+			}
+			if third, err := got2.Encode(); err != nil || !bytes.Equal(third, again) {
+				t.Fatalf("round-trip through re-encode diverged (err %v)", err)
 			}
 		}
 	})
@@ -461,23 +486,48 @@ func FuzzDecodeWork(f *testing.F) {
 // FuzzDecodeResult asserts the result decoder's no-crash contract,
 // including the iterative tree reconstruction into the node slab, and that
 // whatever decodes re-encodes to bytes that decode and encode back to
-// themselves.
+// themselves. Its seeds are a sub-build with compact leaves and a deferred
+// root, the same with one leaf whose delay set starts at −0 (so it takes a
+// full record), and an embedded pilot patch, whose placed nodes carry Loc.
 func FuzzDecodeResult(f *testing.F) {
-	in := bench.Intermingled(bench.Small(40, 3), 2, 5)
+	in := bench.Intermingled(bench.Small(40, 3), 3, 5)
 	reg, err := core.NewRegistry(in, core.Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
-	u := &WorkUnit{Kind: KindBuild, Instance: in, Opt: core.Options{}, Registry: reg.Snapshot()}
-	ref, err := Execute(u)
-	if err != nil {
-		f.Fatal(err)
+	encode := func(kind int, edit func(*ctree.Node)) []byte {
+		br, err := Execute(unitOf(in, kind, nil, core.Options{IntraSkewBound: 2}, reg))
+		if err != nil {
+			f.Fatal(err)
+		}
+		edit(br.Root)
+		data, err := br.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
 	}
-	seed, err := ref.Encode()
-	if err != nil {
-		f.Fatal(err)
+	compact := encode(KindBuild, func(root *ctree.Node) {
+		if !root.Deferred {
+			f.Fatal("seed sub-build root is not deferred")
+		}
+	})
+	negZero := encode(KindBuild, func(root *ctree.Node) {
+		leaf := root
+		for !leaf.IsLeaf() {
+			leaf = leaf.Left
+		}
+		leaf.Delay = rctree.PointDelaySet(leaf.Groups[0], rctree.Interval{Lo: math.Copysign(0, -1)})
+	})
+	if len(negZero) <= len(compact) {
+		f.Fatal("the −0 leaf still travels as a compact record")
 	}
-	f.Add(seed)
+	placed := encode(KindPatch, func(root *ctree.Node) { root.Embed(geom.ToUV(in.Source)) })
+	decode := func(b []byte) (interface{ Encode() ([]byte, error) }, error) { return DecodeResult(b, in) }
+	for _, seed := range [][]byte{compact, negZero, placed} {
+		seedRoundTrip(f, seed, decode)
+		f.Add(seed)
+	}
 	f.Add([]byte("ASTR"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, data := range [][]byte{data, resealed(data)} {
