@@ -175,14 +175,7 @@ func (b *builder) initSinkNodes(n int, sink func(i int) *ctree.Sink) {
 			delayIntern[g] = rctree.PointDelaySet(g, rctree.PointInterval(0))
 		}
 		leaf := &b.arena[i]
-		*leaf = ctree.Node{
-			ID:     s.ID,
-			Sink:   s,
-			Region: geom.RectFromPoint(s.Loc),
-			Cap:    s.CapFF,
-			Groups: groupsIntern[g],
-			Delay:  delayIntern[g],
-		}
+		*leaf = ctree.Leaf(s, groupsIntern[g], delayIntern[g])
 		b.nodes = append(b.nodes, leaf)
 	}
 }

@@ -27,6 +27,7 @@ package ctree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/geom"
@@ -201,18 +202,46 @@ type Node struct {
 	DefRegion      geom.Octagon
 }
 
-// NewLeaf builds the leaf node for a sink. (core's arena path constructs
-// its leaves inline instead, to intern the Groups/Delay structures.)
+// NewLeaf builds the leaf node for a sink, in the sink's group.
 func NewLeaf(s *Sink) *Node {
-	return &Node{
-		ID:     s.ID,
-		Sink:   s,
-		Region: geom.RectFromPoint(s.Loc),
-		Cap:    s.CapFF,
-		Groups: []int{s.Group},
-		Delay:  rctree.PointDelaySet(s.Group, rctree.PointInterval(0)),
-	}
+	n := Leaf(s, []int{s.Group}, rctree.PointDelaySet(s.Group, rctree.PointInterval(0)))
+	return &n
 }
+
+// Leaf is the leaf node for sink s in group g, given groups = {g} and delay
+// = {g: [+0, +0]}. Builders that make many leaves pass one interned groups
+// slice and delay set per group, which that group's leaves share: core's
+// node arena, and the wire decoder's compact leaf records.
+func Leaf(s *Sink, groups []int, delay rctree.DelaySet) Node {
+	return Node{ID: s.ID, Sink: s, Region: geom.RectFromPoint(s.Loc), Cap: s.CapFF, Groups: groups, Delay: delay}
+}
+
+// IsCanonicalLeaf reports whether n is bitwise a leaf that Leaf makes from
+// its sink: its Groups one group g, its delay set {g: [+0, +0]}, and every
+// other field as Leaf sets it, so n can be rebuilt from its sink and g alone.
+// Every field of Node is checked here (TestCanonicalLeafSeesEveryField).
+func (n *Node) IsCanonicalLeaf() bool {
+	s := n.Sink
+	if s == nil || n.ID != s.ID || n.Left != nil || n.Right != nil || n.Placed || n.Deferred ||
+		len(n.Groups) != 1 || len(n.Delay.Groups) != 1 || len(n.Delay.Ivs) != 1 ||
+		int(n.Delay.Groups[0]) != n.Groups[0] {
+		return false
+	}
+	want := geom.RectFromPoint(s.Loc)
+	var zero uint64
+	for _, f := range [...]float64{
+		n.EdgeL, n.EdgeR, n.Loc.U, n.Loc.V, n.Delay.Ivs[0].Lo, n.Delay.Ivs[0].Hi,
+		n.DefD, n.DefELo, n.DefEHi, n.DefRegion.ULo, n.DefRegion.UHi, n.DefRegion.VLo,
+		n.DefRegion.VHi, n.DefRegion.SLo, n.DefRegion.SHi, n.DefRegion.TLo, n.DefRegion.THi,
+	} {
+		zero |= math.Float64bits(f)
+	}
+	return zero == 0 && sameBits(n.Cap, s.CapFF) &&
+		sameBits(n.Region.ULo, want.ULo) && sameBits(n.Region.UHi, want.UHi) &&
+		sameBits(n.Region.VLo, want.VLo) && sameBits(n.Region.VHi, want.VHi)
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // IsLeaf reports whether the node wraps a sink.
 func (n *Node) IsLeaf() bool { return n.Sink != nil }

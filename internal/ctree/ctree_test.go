@@ -1,6 +1,7 @@
 package ctree
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -196,5 +197,64 @@ func TestOverallDelayAndQueries(t *testing.T) {
 	got := root.Sinks(nil)
 	if len(got) != len(sinks) {
 		t.Errorf("Sinks len = %d", len(got))
+	}
+}
+
+// eachScalar calls f on every scalar reachable from v through its struct
+// fields and slice elements, and on every slice itself, with its path.
+func eachScalar(v reflect.Value, path string, f func(v reflect.Value, path string)) {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			eachScalar(v.Field(i), path+"."+v.Type().Field(i).Name, f)
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			eachScalar(v.Index(i), fmt.Sprintf("%s[%d]", path, i), f)
+		}
+		f(v, path)
+	default:
+		f(v, path)
+	}
+}
+
+// TestCanonicalLeafSeesEveryField: a leaf NewLeaf makes is canonical, and
+// changing any one field of it — a float's sign bit, an int by one, a bool,
+// a pointer to a fresh value, a slice's length — makes it not: a field added
+// to Node fails here until IsCanonicalLeaf checks it, so a compact wire leaf
+// can never drop it.
+func TestCanonicalLeafSeesEveryField(t *testing.T) {
+	s := sink(7, 3, -2, 1.5, 2)
+	if !NewLeaf(&s).IsCanonicalLeaf() {
+		t.Fatal("NewLeaf's leaf is not canonical")
+	}
+	sites := 0
+	eachScalar(reflect.ValueOf(NewLeaf(&s)).Elem(), "Node", func(reflect.Value, string) { sites++ })
+	for i := 0; i < sites; i++ {
+		n := NewLeaf(&s)
+		site := -1
+		eachScalar(reflect.ValueOf(n).Elem(), "Node", func(v reflect.Value, path string) {
+			site++
+			if site != i {
+				return
+			}
+			switch v.Kind() {
+			case reflect.Float64:
+				v.SetFloat(math.Float64frombits(math.Float64bits(v.Float()) ^ 1<<63))
+			case reflect.Int, reflect.Int32:
+				v.SetInt(v.Int() + 1)
+			case reflect.Bool:
+				v.SetBool(!v.Bool())
+			case reflect.Pointer:
+				v.Set(reflect.New(v.Type().Elem()))
+			case reflect.Slice:
+				v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+			default:
+				t.Fatalf("%s: no change for a %s", path, v.Kind())
+			}
+			if n.IsCanonicalLeaf() {
+				t.Errorf("%s changed, yet the leaf is still canonical", path)
+			}
+		})
 	}
 }

@@ -1,10 +1,8 @@
 package spatial
 
 import (
-	"cmp"
 	"math"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -166,36 +164,5 @@ func TestNearestFreeMatchesScan(t *testing.T) {
 	}
 	if overflowTrials == 0 {
 		t.Error("no trial put an item in the overflow list")
-	}
-}
-
-// TestSelectKthMatchesSort: selectKth returns, for every k, an element the
-// sort that densityCell used to make puts at k, or one that order ranks
-// equal to it, over short and long inputs heavy with ties, signed zeros,
-// infinities and NaNs.
-func TestSelectKthMatchesSort(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	pool := []float64{math.NaN(), math.Inf(-1), math.Inf(1), math.Copysign(0, -1), 0, 1, 2.5, -3}
-	for trial := 0; trial < 2000; trial++ {
-		v := make([]float64, 1+r.Intn(300))
-		for i := range v {
-			if r.Intn(3) == 0 {
-				v[i] = pool[r.Intn(len(pool))]
-			} else {
-				v[i] = float64(r.Intn(40)) / 4
-			}
-		}
-		sorted := slices.Clone(v)
-		slices.Sort(sorted)
-		for _, k := range []int{0, len(v) / 4, len(v) / 2, len(v) - 1} {
-			w := slices.Clone(v)
-			if got := selectKth(w, k); cmp.Compare(got, sorted[k]) != 0 {
-				t.Fatalf("trial %d (n=%d): selectKth(%d) = %v, sort puts %v there", trial, len(v), k, got, sorted[k])
-			}
-			slices.Sort(w)
-			if !slices.EqualFunc(w, sorted, func(a, b float64) bool { return cmp.Compare(a, b) == 0 }) {
-				t.Fatalf("trial %d: selectKth lost or duplicated an element", trial)
-			}
-		}
 	}
 }

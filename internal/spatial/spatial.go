@@ -370,69 +370,25 @@ func densityCell(bb geom.Rect, n int, sample []sampleBox, vals []float64) float6
 		edges[a] = max(r.Width(), r.Height())
 	}
 	nn = sampleSpacings(sample, nn)
+	slices.Sort(nn)
+	slices.Sort(edges)
 	var cell float64
 	if len(nn) > 0 {
 		// 25th-percentile sample spacing, rescaled to the full population
 		// and doubled: about 2-4 items per cell in the dense regions.
-		cell = 2 * selectKth(nn, len(nn)/4) * math.Sqrt(float64(s)/float64(n))
+		cell = 2 * nn[len(nn)/4] * math.Sqrt(float64(s)/float64(n))
 	}
 	if floor := windowFloor(bb, n); cell < floor {
 		cell = floor
 	}
 	// Fat regions should span O(1) cells, not maxSpanCells.
-	if med := selectKth(edges, len(edges)/2); cell < med {
+	if med := edges[len(edges)/2]; cell < med {
 		cell = med
 	}
 	if !(cell > 0) {
 		return autoCell(bb, n)
 	}
 	return cell
-}
-
-// selectKth returns the element slices.Sort would put at v[k], reordering v
-// (Hoare's selection, median-of-three pivots, under the same order: NaNs
-// first). Elements that order ranks equal — +0 and −0, or two NaNs — are
-// interchangeable here: densityCell only compares what it selects, or
-// scales it into a cell that then fails every comparison alike.
-func selectKth(v []float64, k int) float64 {
-	lo, hi := 0, len(v)-1
-	for lo < hi {
-		mid := lo + (hi-lo)/2
-		if cmp.Less(v[mid], v[lo]) {
-			v[mid], v[lo] = v[lo], v[mid]
-		}
-		if cmp.Less(v[hi], v[lo]) {
-			v[hi], v[lo] = v[lo], v[hi]
-		}
-		if cmp.Less(v[hi], v[mid]) {
-			v[hi], v[mid] = v[mid], v[hi]
-		}
-		p := v[mid]
-		i, j := lo, hi
-		for i <= j {
-			for cmp.Less(v[i], p) {
-				i++
-			}
-			for cmp.Less(p, v[j]) {
-				j--
-			}
-			if i <= j {
-				v[i], v[j] = v[j], v[i]
-				i++
-				j--
-			}
-		}
-		// v[lo..j] ≤ p ≤ v[i..hi], and whatever lies between equals p.
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return v[k]
-		}
-	}
-	return v[k]
 }
 
 // windowFloor is the smallest cell edge that keeps a window over bb at

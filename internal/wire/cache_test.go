@@ -166,7 +166,7 @@ func FuzzDecodeCache(f *testing.F) {
 		}
 		compact := 0
 		br.Root.Visit(func(n *ctree.Node) {
-			if n.IsLeaf() && canonicalLeaf(n) {
+			if isCompact(n) {
 				compact++
 			}
 		})

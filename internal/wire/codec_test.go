@@ -18,7 +18,8 @@ import (
 // shardUnit is a sharded-difficult-sized work unit and its instance: a
 // 4k-sink power-law instance in 4 intermingled groups, and the quarter of
 // its sinks with the smallest x as the shard, so its result is a subtree of
-// about 2,000 nodes.
+// about 2,000 nodes. The shard's sinks stay in coordinate order, as
+// shard.Partition leaves a shard's ids, so their ids do not ascend.
 func shardUnit(tb testing.TB) (*WorkUnit, *ctree.Instance) {
 	tb.Helper()
 	in := bench.Intermingled(bench.PowerLaw(4000, bench.PowerLawClusters, bench.PowerLawAlpha, 1), 4, 11)
@@ -40,7 +41,6 @@ func shardUnit(tb testing.TB) (*WorkUnit, *ctree.Instance) {
 		return a - b
 	})
 	ids = ids[:len(ids)/4]
-	slices.Sort(ids)
 	return unitOf(in, KindBuild, ids, core.Options{}, reg), in
 }
 
@@ -328,7 +328,7 @@ func TestDecodedResultMatchesExecute(t *testing.T) {
 				if h.Sink != &in.Sinks[w.ID] || w.Sink != h.Sink {
 					t.Fatalf("%s: leaf %d does not point at its sink in the instance", tc.name, w.ID)
 				}
-				if !canonicalLeaf(w) {
+				if !isCompact(w) {
 					t.Fatalf("%s: leaf %d is not canonical, so it travels in full", tc.name, w.ID)
 				}
 			}
@@ -350,14 +350,28 @@ func allocsOf(f func()) uint64 {
 
 // TestDecodeWorkBoundsSinks: a sealed unit of a few hundred bytes that
 // claims a huge instance — a sink count past its payload, or sink ids up to
-// 1<<40 — fails before the decoder allocates for it.
+// 1<<40 — fails before the decoder allocates for it, and so does one whose
+// ids repeat or one of whose sinks a decoded instance would refuse: a NaN
+// location, a negative load, a group past the unit's group count.
 func TestDecodeWorkBoundsSinks(t *testing.T) {
 	in := bench.Intermingled(bench.Small(40, 3), 4, 5)
 	reg, err := core.NewRegistry(in, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit := func(count uint64, ids []uint64) []byte {
+	// sinks copies the instance's first len(ids) sinks under the given ids,
+	// after edit.
+	sinks := func(ids []int, edit func(s []ctree.Sink)) []ctree.Sink {
+		s := slices.Clone(in.Sinks[:len(ids)])
+		for i, id := range ids {
+			s[i].ID = id
+		}
+		if edit != nil {
+			edit(s)
+		}
+		return s
+	}
+	unit := func(count uint64, sinks []ctree.Sink) []byte {
 		w := newWriter(magicWork, 0)
 		w.u8(KindBuild)
 		if err := encodeOptions(w, core.Options{}); err != nil {
@@ -368,9 +382,8 @@ func TestDecodeWorkBoundsSinks(t *testing.T) {
 		w.f64(in.Source.X)
 		w.f64(in.Source.Y)
 		w.uv(count)
-		for i, id := range ids {
-			s := in.Sinks[i]
-			w.uv(id)
+		for _, s := range sinks {
+			w.uv(uint64(s.ID))
 			w.f64(s.Loc.X)
 			w.f64(s.Loc.Y)
 			w.f64(s.CapFF)
@@ -378,14 +391,18 @@ func TestDecodeWorkBoundsSinks(t *testing.T) {
 		}
 		return w.seal()
 	}
+	ids := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for _, tc := range []struct {
 		name, want string
 		data       []byte
 	}{
-		{"sink count 1<<40", "sink count", unit(1<<40, []uint64{0, 1, 2, 3, 4, 5, 6, 7})},
-		{"sink count past payload", "sink count", unit(9, []uint64{0, 1, 2, 3, 4, 5, 6, 7})},
-		{"ids up to 1<<40", "out of range", unit(8, []uint64{0, 1 << 20, 1 << 30, 1 << 33, 1 << 36, 1 << 38, 1 << 39, 1 << 40})},
-		{"duplicate ids", "duplicate", unit(8, []uint64{5, 1, 2, 3, 4, 5, 6, 7})},
+		{"sink count 1<<40", "sink count", unit(1<<40, sinks(ids, nil))},
+		{"sink count past payload", "sink count", unit(9, sinks(ids, nil))},
+		{"ids up to 1<<40", "out of range", unit(8, sinks([]int{0, 1 << 20, 1 << 30, 1 << 33, 1 << 36, 1 << 38, 1 << 39, 1 << 40}, nil))},
+		{"duplicate ids", "duplicate", unit(8, sinks([]int{5, 1, 2, 3, 4, 5, 6, 7}, nil))},
+		{"NaN location", "non-finite", unit(8, sinks(ids, func(s []ctree.Sink) { s[3].Loc.Y = math.NaN() }))},
+		{"negative load", "negative cap", unit(8, sinks(ids, func(s []ctree.Sink) { s[5].CapFF = -1 }))},
+		{"group past the count", "in group 4 of 4", unit(8, sinks(ids, func(s []ctree.Sink) { s[2].Group = in.NumGroups }))},
 	} {
 		var err error
 		alloc := allocsOf(func() { _, err = DecodeWork(tc.data) })
@@ -395,6 +412,9 @@ func TestDecodeWorkBoundsSinks(t *testing.T) {
 		if alloc >= 4*uint64(len(tc.data)) {
 			t.Errorf("%s: decoding a %d-byte unit allocated %d bytes, want under 4× its size", tc.name, len(tc.data), alloc)
 		}
+	}
+	if _, err := DecodeWork(unit(8, sinks(ids, nil))); err != nil {
+		t.Fatalf("the unedited unit fails to decode: %v", err)
 	}
 }
 

@@ -26,13 +26,15 @@
 // instance-sized table.
 //
 // A tree travels as pre-order node records with no snaking-handle records:
-// routers recompute handles from the subtree when they need them. A leaf
-// that is bitwise the one the builder makes from its sink — its point as
-// region, its load as cap, one group g, delay set {g: [+0, +0]}, zero
-// edges, zero Loc, unplaced, not deferred, ID the sink's — travels as a
-// compact record, its sink id and g, and DecodeResult rebuilds it from the
-// coordinator's instance, the leaves of one group sharing one Groups slice
-// and one delay set as the builder's do. Every other node travels as a full
+// routers recompute handles from the subtree when they need them. A
+// canonical leaf, bitwise the ctree.Leaf that core's builder makes from its
+// sink (its point as region, its load as cap, one group g, delay set
+// {g: [+0, +0]}, ID the sink's, every other field zero), travels as a
+// compact record, its sink id and g, and DecodeResult rebuilds it with
+// ctree.Leaf from the coordinator's instance, the leaves of one group
+// sharing one Groups slice and one delay set as the builder's do. Which
+// leaves are canonical is ctree.(*Node).IsCanonicalLeaf's to say, beside
+// the Node type it checks field by field. Every other node travels as a full
 // record (geometry, delay sets, deferred state), with Loc only when it is
 // set. A result's node count is bounded by the payload and by 2n − 1 over
 // the coordinator's n-sink instance, and every group a record names must be
@@ -99,10 +101,9 @@ const (
 	// maxSinkID is the largest sink id a unit may carry: ctree.Frozen
 	// stores sink ids as int32.
 	maxSinkID = math.MaxInt32
-	// maxTreeNodes bounds preorder's walk, so a cyclic tree fails to
-	// encode instead of walking forever: a sub-build over m sinks has
-	// 2m − 1 nodes, so this admits sub-builds of up to 8M sinks.
-	maxTreeNodes = 1 << 24
+	// maxTreeNodes is the most nodes a result carries: a sub-build over
+	// at most maxSinkID + 1 sinks has at most 2·maxSinkID + 1 nodes.
+	maxTreeNodes = 2*maxSinkID + 1
 	// minimum encoded bytes per repeated element, used to bound counts
 	// against the remaining payload before allocating.
 	minSinkBytes = 25 // 3 floats + group varint
@@ -251,7 +252,7 @@ func (b *BuildResult) Encode() ([]byte, error) {
 	size := headerLen + uvLen(uint64(len(nodes))) + statsMaxLen + snapshotLen(b.Registry) + sealLen
 	compact := make([]bool, len(nodes))
 	for i, n := range nodes {
-		compact[i] = n.IsLeaf() && canonicalLeaf(n)
+		compact[i] = isCompact(n)
 		size += nodeLen(n, compact[i])
 	}
 	w := newWriter(magicResult, size)
@@ -503,12 +504,13 @@ func decodeInstance(r *reader) (*ctree.Instance, error) {
 
 // decodeSinks reads a unit's m sinks into one slice of its own, checking
 // each: an id in [0, maxSinkID], finite coordinates, a finite non-negative
-// load and a group in [0, numGroups). The ids must be unique: a scan sees it
-// when they ascend, as a shard's do, and a sorted copy of them otherwise.
+// load and a group in [0, numGroups). The ids must be unique, which a sorted
+// copy of them shows: a unit's sinks arrive in routing order, and a shard's
+// routing order is Partition's coordinate order, not its ids'.
 func decodeSinks(r *reader, m, numGroups int) ([]*ctree.Sink, error) {
 	sinks := make([]ctree.Sink, m)
 	list := make([]*ctree.Sink, m)
-	ascending := true
+	ids := make([]int, m)
 	for i := range sinks {
 		s := &sinks[i]
 		id := r.uv()
@@ -531,19 +533,12 @@ func decodeSinks(r *reader, m, numGroups int) ([]*ctree.Sink, error) {
 			return nil, fmt.Errorf("wire: sink %d negative cap", id)
 		}
 		s.ID, s.Group = int(id), int(g)
-		ascending = ascending && (i == 0 || s.ID > sinks[i-1].ID)
-		list[i] = s
+		list[i], ids[i] = s, s.ID
 	}
-	if !ascending {
-		ids := make([]int, m)
-		for i := range sinks {
-			ids[i] = sinks[i].ID
-		}
-		slices.Sort(ids)
-		for i := 1; i < m; i++ {
-			if ids[i] == ids[i-1] {
-				return nil, fmt.Errorf("wire: duplicate sink id %d", ids[i])
-			}
+	slices.Sort(ids)
+	for i := 1; i < m; i++ {
+		if ids[i] == ids[i-1] {
+			return nil, fmt.Errorf("wire: duplicate sink id %d", ids[i])
 		}
 	}
 	return list, nil
@@ -565,9 +560,10 @@ const (
 
 // preorder collects the subtree's nodes in pre-order, checking its shape:
 // the records are written in this order, so the format needs no pointers and
-// decoding needs no recursion, and the record count leads them. The walk is
-// bounded by maxTreeNodes rather than checked against a visited set: a node
-// reached twice without a cycle is written twice, and decodes as two.
+// decoding needs no recursion, and the record count leads them. The walk
+// keeps no visited set: a node reached twice is written twice, and decodes
+// as two. A cyclic tree, which core never builds, is not detected: its walk
+// stops only past maxTreeNodes.
 func preorder(root *ctree.Node) ([]*ctree.Node, error) {
 	var nodes []*ctree.Node
 	stack := []*ctree.Node{root}
@@ -577,8 +573,8 @@ func preorder(root *ctree.Node) ([]*ctree.Node, error) {
 		if n == nil {
 			return nil, fmt.Errorf("wire: nil node in tree")
 		}
-		if len(nodes) == maxTreeNodes {
-			return nil, fmt.Errorf("wire: tree past %d nodes (a cycle)", maxTreeNodes)
+		if uint64(len(nodes)) == maxTreeNodes {
+			return nil, fmt.Errorf("wire: tree past %d nodes, the most a result carries", uint64(maxTreeNodes))
 		}
 		nodes = append(nodes, n)
 		if n.IsLeaf() {
@@ -597,35 +593,12 @@ func preorder(root *ctree.Node) ([]*ctree.Node, error) {
 	return nodes, nil
 }
 
-// canonicalLeaf reports whether the leaf n is bitwise the leaf core's
-// builder makes from its sink in group Groups[0]: the sink's ID, its point
-// as region, its load as cap, delay set {g: [+0, +0]}, zero edges, zero
-// Loc, unplaced and not deferred. Such a leaf travels as a compact record.
-func canonicalLeaf(n *ctree.Node) bool {
-	s := n.Sink
-	if n.ID != s.ID || s.ID < 0 || n.Placed || n.Deferred ||
-		len(n.Groups) != 1 || n.Delay.Len() != 1 || len(n.Delay.Ivs) != 1 {
-		return false
-	}
-	g := n.Groups[0]
-	if g < 0 || int(n.Delay.Groups[0]) != g {
-		return false
-	}
-	want := geom.RectFromPoint(s.Loc)
-	var bits uint64
-	for _, f := range [...]float64{
-		n.EdgeL, n.EdgeR, n.Loc.U, n.Loc.V, n.Delay.Ivs[0].Lo, n.Delay.Ivs[0].Hi,
-		n.DefD, n.DefELo, n.DefEHi, n.DefRegion.ULo, n.DefRegion.UHi, n.DefRegion.VLo,
-		n.DefRegion.VHi, n.DefRegion.SLo, n.DefRegion.SHi, n.DefRegion.TLo, n.DefRegion.THi,
-	} {
-		bits |= math.Float64bits(f)
-	}
-	return bits == 0 && math.Float64bits(n.Cap) == math.Float64bits(s.CapFF) &&
-		sameBits(n.Region.ULo, want.ULo) && sameBits(n.Region.UHi, want.UHi) &&
-		sameBits(n.Region.VLo, want.VLo) && sameBits(n.Region.VHi, want.VHi)
+// isCompact reports whether n travels as a compact record: a canonical leaf
+// (ctree.(*Node).IsCanonicalLeaf) whose sink id and group the record can
+// write unsigned.
+func isCompact(n *ctree.Node) bool {
+	return n.IsCanonicalLeaf() && n.ID >= 0 && n.Groups[0] >= 0
 }
-
-func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // hasLoc reports whether n's Loc is set, bitwise: a full record carries it
 // only then.
@@ -892,9 +865,9 @@ func decodeNode(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) err
 	return r.err
 }
 
-// decodeLeaf fills the zero node n from a compact leaf record: the leaf
-// core's builder makes from sink sid of in in group g, sharing the Groups
-// slice and delay set of the first compact leaf of g.
+// decodeLeaf fills n from a compact leaf record: ctree.Leaf of sink sid of
+// in in group g, sharing the Groups slice and delay set of the first compact
+// leaf of g.
 func decodeLeaf(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) error {
 	sid, g := r.uv(), r.uv()
 	if r.err != nil {
@@ -906,19 +879,18 @@ func decodeLeaf(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) err
 	if g >= uint64(in.NumGroups) {
 		return fmt.Errorf("wire: leaf %d group %d out of range", sid, g)
 	}
-	s := &in.Sinks[sid]
-	*n = ctree.Node{ID: int(sid), Sink: s, Region: geom.RectFromPoint(s.Loc), Cap: s.CapFF}
 	if c.leaves == nil {
 		c.leaves = make([]*ctree.Node, in.NumGroups)
 	}
+	s := &in.Sinks[sid]
 	if first := c.leaves[g]; first != nil {
-		n.Groups, n.Delay = first.Groups, first.Delay
+		*n = ctree.Leaf(s, first.Groups, first.Delay)
 		return nil
 	}
-	n.Groups = c.groups.take(1)
+	delay := rctree.DelaySet{Groups: c.delays.take(1), Ivs: c.ivs.take(1)}
+	delay.Groups[0] = int32(g)
+	*n = ctree.Leaf(s, c.groups.take(1), delay)
 	n.Groups[0] = int(g)
-	n.Delay = rctree.DelaySet{Groups: c.delays.take(1), Ivs: c.ivs.take(1)}
-	n.Delay.Groups[0] = int32(g)
 	c.leaves[g] = n
 	return nil
 }

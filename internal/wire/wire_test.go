@@ -439,8 +439,8 @@ func seedRoundTrip(f *testing.F, seed []byte, decode func([]byte) (interface{ En
 
 // FuzzDecodeWork asserts the decoder's no-crash contract on arbitrary
 // bytes, and full round-trip fidelity on valid encodings. Its seeds are a
-// subset unit whose ids do not ascend (as a pilot sample's need not) and an
-// all-sinks unit.
+// subset unit whose ids do not ascend (a shard's, in shard.Partition's
+// coordinate order, do not) and an all-sinks unit.
 func FuzzDecodeWork(f *testing.F) {
 	in := bench.Intermingled(bench.Small(40, 3), 2, 5)
 	reg, err := core.NewRegistry(in, core.Options{})
