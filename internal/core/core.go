@@ -29,14 +29,15 @@
 //
 // *Deferred splits.* A merge whose window leaves slack does not commit the
 // split of its wire between the two child edges; the node keeps the whole
-// feasible sub-region of the SDR (an octagon; see geom.SDR) — the thesis's
-// merging region, whose extent "implies a bounded range for the inter-group
-// skew". The split is pinned only when the node is merged again: without
-// constraints at the closest approach to the partner (the thesis's collapse
-// of a merging region to its nearest boundary, Ch. V.E), otherwise by a
-// joint search over both subtrees' split ranges that makes the shared
-// windows intersect — "find an intersection between the feasible merging
-// regions" (Fig. 5) — at the least committed cost.
+// feasible sub-region of the SDR (an octagon; see geom.SDR) in a
+// ctree.Deferral record, which Resolve drops once the split commits — the
+// thesis's merging region, whose extent "implies a bounded range for the
+// inter-group skew". The split is pinned only when the node is merged
+// again: without constraints at the closest approach to the partner (the
+// thesis's collapse of a merging region to its nearest boundary, Ch. V.E),
+// otherwise by a joint search over both subtrees' split ranges that makes
+// the shared windows intersect — "find an intersection between the
+// feasible merging regions" (Fig. 5) — at the least committed cost.
 //
 // *Offset registry.* Whenever a node commits (resolves) while containing
 // several groups, the relative offsets among those groups are fixed inside
@@ -405,9 +406,10 @@ func Build(in *ctree.Instance, opt Options) (*Result, error) {
 
 // Subtree is the product of a sub-instance build (BuildSubtree) or a root
 // stitch (MergeRoots): an unembedded subtree plus the stats of the merges
-// that built it. A BuildSubtree root may still be Deferred — its final split
-// is left open so a later MergeRoots can resolve it jointly against its
-// stitch partners instead of pinning it blind.
+// that built it. A BuildSubtree root may still be deferred (it holds a
+// ctree.Deferral) — its final split is left open so a later MergeRoots can
+// resolve it jointly against its stitch partners instead of pinning it
+// blind.
 type Subtree struct {
 	Root  *ctree.Node
 	Stats Stats
@@ -420,7 +422,7 @@ type Subtree struct {
 // sub-build over pointers into an instance routes that subset in place — no
 // instance cloning or sink transplanting. The caller owns sink validation
 // past the group index and the registry's lifecycle; the returned root is
-// not embedded and may be Deferred. Stats.GroupUnions excludes the
+// not embedded and may be deferred. Stats.GroupUnions excludes the
 // registry's construction-time prescribed-offset unions (aggregate them once
 // via Registry.PreUnions).
 func BuildSubtree(sinks []*ctree.Sink, numGroups int, opt Options, reg *Registry) (*Subtree, error) {

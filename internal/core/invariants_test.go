@@ -63,17 +63,17 @@ func TestNodeInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 	res.Root.Visit(func(n *ctree.Node) {
-		if n.Deferred {
+		if n.Def != nil {
 			t.Fatalf("node %d still deferred in final tree", n.ID)
 		}
 		if n.Region.IsEmpty() {
 			t.Fatalf("node %d empty region", n.ID)
 		}
-		if len(n.Groups) == 0 || n.Delay.IsZero() {
+		if len(n.Groups()) == 0 || n.Delay.IsZero() {
 			t.Fatalf("node %d missing group state", n.ID)
 		}
-		for _, g := range n.Groups {
-			if _, ok := n.Delay.Get(g); !ok {
+		for _, g := range n.Groups() {
+			if _, ok := n.Delay.Get(int(g)); !ok {
 				t.Fatalf("node %d group %d missing delay", n.ID, g)
 			}
 		}

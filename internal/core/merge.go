@@ -85,13 +85,13 @@ func (b *builder) windows(da, db, va, vb []rctree.Interval) (xLo, xHi float64, c
 // overallOf returns the node's overall delay interval; for deferred nodes it
 // evaluates the midpoint split without committing it.
 func (b *builder) overallOf(n *ctree.Node) rctree.Interval {
-	if !n.Deferred {
+	if n.Def == nil {
 		return n.OverallDelay()
 	}
 	m := b.opt.Model
 	e := mid(n.SplitRange())
 	l := n.Left.OverallDelay().Shift(m.WireDelay(e, n.Left.Cap))
-	r := n.Right.OverallDelay().Shift(m.WireDelay(n.DefD-e, n.Right.Cap))
+	r := n.Right.OverallDelay().Shift(m.WireDelay(n.Def.D-e, n.Right.Cap))
 	return rctree.Cover(l, r)
 }
 
@@ -110,7 +110,7 @@ func (b *builder) mergeKey(i, j int, d float64) float64 {
 	na, nb := b.nodes[i], b.nodes[j]
 	var bound float64
 	switch {
-	case ctree.SharesGroup(na.Groups, nb.Groups):
+	case ctree.SharesGroup(na.Groups(), nb.Groups()):
 		bound = b.opt.IntraSkewBound
 	case b.relatedRoots(na, nb):
 		bound = b.opt.IntraSkewBound + b.interBound()
@@ -142,12 +142,12 @@ func (b *builder) mergeKey(i, j int, d float64) float64 {
 // slot; c.ID is set by the caller at commit).
 func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 	m := b.opt.Model
-	shared := ctree.SharesGroup(na.Groups, nb.Groups)
+	shared := ctree.SharesGroup(na.Groups(), nb.Groups())
 	b.stats.Merges++
 	switch {
 	case !shared:
 		b.stats.CrossGroup++
-	case len(na.Groups) == 1 && len(nb.Groups) == 1:
+	case len(na.Groups()) == 1 && len(nb.Groups()) == 1:
 		b.stats.SameGroup++
 	default:
 		b.stats.Shared++
@@ -156,15 +156,15 @@ func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 	// Pin any deferred splits. With constraints between the pair the splits
 	// are chosen jointly so the windows intersect at the least committed
 	// cost; otherwise the closest approach decides.
-	if na.Deferred || nb.Deferred {
+	if na.Def != nil || nb.Def != nil {
 		if shared || (!math.IsInf(b.interBound(), 1) && b.relatedRoots(na, nb)) {
 			b.jointResolve(na, nb)
 		} else {
 			qa, qb := geom.ClosestPoints(na.ActiveRegion(), nb.ActiveRegion())
-			if na.Deferred {
+			if na.Def != nil {
 				b.resolve(na, geom.DistRP(na.Left.Region, qa))
 			}
-			if nb.Deferred {
+			if nb.Def != nil {
 				b.resolve(nb, geom.DistRP(nb.Left.Region, qb))
 			}
 		}
@@ -175,11 +175,7 @@ func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 	xLo, xHi, compromised := b.intersectWindows(na, nb)
 
 	d := geom.DistRR(na.Region, nb.Region)
-	*c = ctree.Node{
-		Left: na, Right: nb,
-		Cap:    na.Cap + nb.Cap,
-		Groups: b.unionGroups(na, nb),
-	}
+	*c = ctree.Node{Left: na, Right: nb, Cap: na.Cap + nb.Cap}
 
 	eLo, eHi, snaked := b.splitWindow(na, nb, d, xLo, xHi, compromised)
 	if snaked {
@@ -189,10 +185,7 @@ func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 	if !snaked && eHi-eLo > widthEps*(1+d) {
 		// Keep the whole feasible sub-region of the SDR; the split commits
 		// when this node is next merged (or at the tree root).
-		c.Deferred = true
-		c.DefD = d
-		c.DefELo, c.DefEHi = eLo, eHi
-		c.DefRegion = geom.SDR(na.Region, nb.Region, d, eLo, eHi)
+		c.Def = b.deferrals.add(ctree.NewDeferral(na, nb, d, eLo, eHi, geom.SDR(na.Region, nb.Region, d, eLo, eHi)))
 		c.Cap += m.WireCap(d)
 		b.stats.Deferred++
 	} else {
@@ -215,23 +208,6 @@ func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 }
 
 func mid(lo, hi float64) float64 { return (lo + hi) / 2 }
-
-// unionGroups returns the sorted union of the children's group sets,
-// sharing the child's slice when one side covers the other (always, in
-// single-group runs) — group slices are never mutated in place, so sharing
-// is safe and saves an allocation on the vast majority of merges.
-func (b *builder) unionGroups(na, nb *ctree.Node) []int {
-	b.unionBuf = ctree.AppendUnionGroups(b.unionBuf[:0], na.Groups, nb.Groups)
-	u := b.unionBuf
-	switch {
-	case len(u) == len(na.Groups):
-		return na.Groups // union ⊇ a and same length ⇒ equal
-	case len(u) == len(nb.Groups):
-		return nb.Groups
-	default:
-		return append([]int(nil), u...)
-	}
-}
 
 // splitCost scores the candidate splits sa of an operand with downstream
 // capacitance capA and sb of one with capB, d apart, against the upcoming
@@ -412,7 +388,7 @@ func (b *builder) jointResolve(na, nb *ctree.Node) (ea, eb float64) {
 	}
 	var passA, passB pass
 	for round := 0; round < 2; round++ {
-		if na.Deferred {
+		if na.Def != nil {
 			fixed, vary := &evB[0], &evA[0]
 			lb.eval(m, nb, bestB, fixed)
 			if bits := math.Float64bits(bestB); !passA.run || passA.fixed != bits {
@@ -424,7 +400,7 @@ func (b *builder) jointResolve(na, nb *ctree.Node) (ea, eb float64) {
 			la.eval(m, na, passA.e, vary)
 			consider(vary, fixed)
 		}
-		if nb.Deferred {
+		if nb.Def != nil {
 			fixed, vary := &evA[0], &evB[0]
 			la.eval(m, na, bestA, fixed)
 			if bits := math.Float64bits(bestA); !passB.run || passB.fixed != bits {

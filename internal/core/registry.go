@@ -115,9 +115,9 @@ func (u *groupUF) union(ra, rb int, rel float64) {
 // appendDistinctRoots appends the distinct union roots of the given groups
 // to dst, linearly deduplicating (group counts are small, and a stack
 // buffer beats a map on the hot paths that call this).
-func (b *builder) appendDistinctRoots(dst []int, gs []int) []int {
+func (b *builder) appendDistinctRoots(dst []int, gs []int32) []int {
 	for _, g := range gs {
-		r, _ := b.uf.find(g)
+		r, _ := b.uf.find(int(g))
 		dup := false
 		for _, have := range dst {
 			if have == r {
@@ -135,7 +135,7 @@ func (b *builder) appendDistinctRoots(dst []int, gs []int) []int {
 // resolve pins a deferred node and registers the group-offset commitments it
 // makes with the soft registry.
 func (b *builder) resolve(n *ctree.Node, e float64) {
-	if !n.Deferred {
+	if n.Def == nil {
 		return
 	}
 	n.Resolve(b.opt.Model, e)
@@ -171,9 +171,9 @@ func (b *builder) registerOffsets(n *ctree.Node) {
 // the rest of the build and the merge wave may read it from many workers.
 // Single-group and prescribed-offset builds are united from the start.
 func (b *builder) united() bool {
-	r0, _ := b.uf.find(b.groups[0])
+	r0, _ := b.uf.find(int(b.groups[0]))
 	for _, g := range b.groups[1:] {
-		if r, _ := b.uf.find(g); r != r0 {
+		if r, _ := b.uf.find(int(g)); r != r0 {
 			return false
 		}
 	}
@@ -185,9 +185,9 @@ func (b *builder) united() bool {
 // goroutines, so it only reads the registry.
 func (b *builder) relatedRoots(na, nb *ctree.Node) bool {
 	var buf [16]int
-	roots := b.appendDistinctRoots(buf[:0], na.Groups)
-	for _, g := range nb.Groups {
-		r, _ := b.uf.find(g)
+	roots := b.appendDistinctRoots(buf[:0], na.Groups())
+	for _, g := range nb.Groups() {
+		r, _ := b.uf.find(int(g))
 		for _, have := range roots {
 			if have == r {
 				return true

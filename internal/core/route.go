@@ -60,6 +60,21 @@ func (sl *delaySlab) reclaim(ds rctree.DelaySet) rctree.DelaySet {
 	return rctree.DelaySet{Groups: ds.Groups[:n:n], Ivs: ds.Ivs[:n:n]}
 }
 
+// deferralSlab allocates a builder's Deferral records in chunks of 64 to
+// 256 instead of one allocation each. Resolve drops a node's record, so once
+// a build is done only a still deferred root's keeps its chunk alive. Each
+// builder owns a private slab, like its delay slab.
+type deferralSlab struct{ buf []ctree.Deferral }
+
+// add places d in the slab and returns its address.
+func (sl *deferralSlab) add(d ctree.Deferral) *ctree.Deferral {
+	if len(sl.buf) == cap(sl.buf) {
+		sl.buf = make([]ctree.Deferral, 0, min(max(2*cap(sl.buf), 64), 256))
+	}
+	sl.buf = append(sl.buf, d)
+	return &sl.buf[len(sl.buf)-1]
+}
+
 type builder struct {
 	opt Options
 	// numGroups is the instance's group count and source its clock source,
@@ -73,7 +88,7 @@ type builder struct {
 	stats     Stats
 	// groups lists the distinct groups of the build's initial nodes (see
 	// united).
-	groups []int
+	groups []int32
 
 	// Cancellation state: done is Options.Ctx's Done channel (nil when the
 	// build is unbounded — Background's Done is already nil, so the per-round
@@ -95,8 +110,8 @@ type builder struct {
 	normA, normB     []rctree.Interval       // windows' normalized sets (one per union-root slot)
 	splitsA, splitsB [jointSamples]splitEval // jointResolve's per-side evaluations
 	sneakA, sneakB   sneakScratch            // sneak plan buffers
-	unionBuf         []int                   // UnionGroups staging (one merge)
 	delays           delaySlab               // committed delay-set storage
+	deferrals        deferralSlab            // deferred merges' records
 
 	// Parallel batch execution state (main builder only): the wave's worker
 	// builders, which share uf read-only, and the per-merge stat deltas they
@@ -152,13 +167,11 @@ func (b *builder) initSinkNodes(n int, sink func(i int) *ctree.Sink) {
 	b.arena = make([]ctree.Node, 2*n-1)
 	b.arenaOff = 0
 	b.nodes = make([]*ctree.Node, 0, 2*n-1)
-	// Leaves of one group are identical in Groups and Delay ({g: [0,0]}),
-	// and node Group slices / Delay sets are never mutated in place (all
-	// paths build replacements), so the leaves share interned instances —
-	// the interning table below holds one Groups slice and one DelaySet per
-	// group, and on large single-group (ZST) runs this removes three
-	// allocations per sink.
-	groupsIntern := make([][]int, b.numGroups)
+	// Leaves of one group are identical in Delay ({g: [0,0]}), and node
+	// Delay sets are never mutated in place (all paths build replacements),
+	// so the leaves share interned instances — the interning table below
+	// holds one DelaySet per group, and on large single-group (ZST) runs
+	// this removes two allocations per sink.
 	delayIntern := make([]rctree.DelaySet, b.numGroups)
 	leafGroup := func(s *ctree.Sink) int {
 		if b.opt.SingleGroup {
@@ -169,13 +182,12 @@ func (b *builder) initSinkNodes(n int, sink func(i int) *ctree.Sink) {
 	for i := 0; i < n; i++ {
 		s := sink(i)
 		g := leafGroup(s)
-		if groupsIntern[g] == nil {
-			b.groups = append(b.groups, g)
-			groupsIntern[g] = []int{g}
+		if delayIntern[g].IsZero() {
+			b.groups = append(b.groups, int32(g))
 			delayIntern[g] = rctree.PointDelaySet(g, rctree.PointInterval(0))
 		}
 		leaf := &b.arena[i]
-		*leaf = ctree.Leaf(s, groupsIntern[g], delayIntern[g])
+		*leaf = ctree.Leaf(s, delayIntern[g])
 		b.nodes = append(b.nodes, leaf)
 	}
 }
@@ -192,13 +204,13 @@ func (b *builder) initRootNodes(roots []*ctree.Node) {
 	b.arenaOff = k
 	b.nodes = append(make([]*ctree.Node, 0, 2*k-1), roots...)
 	for _, r := range roots {
-		b.groups = ctree.AppendUnionGroups(nil, b.groups, r.Groups)
+		b.groups = ctree.AppendUnionGroups(nil, b.groups, r.Groups())
 	}
 }
 
 // route runs the merging loop over the builder's initial nodes (set by
 // initSinkNodes or initRootNodes) down to a single root, which may be left
-// Deferred — finishRoot commits it toward the source when the tree is final.
+// deferred — finishRoot commits it toward the source when the tree is final.
 func (b *builder) route() {
 	rgn := b.opt.Trace.Begin("route")
 	defer rgn.End()
@@ -210,7 +222,7 @@ func (b *builder) route() {
 
 	dist := func(i, j int) float64 {
 		na, nb := b.nodes[i], b.nodes[j]
-		if !na.Deferred && !nb.Deferred {
+		if na.Def == nil && nb.Def == nil {
 			// Committed regions are rectangles; their octagon lift has
 			// redundant diagonal bounds (each diagonal gap is at most the
 			// larger axis gap), so DistOO reduces to the much cheaper
@@ -234,10 +246,10 @@ func (b *builder) route() {
 		// edge over the initial boxes.
 		box := func(id int) (geom.Rect, bool) {
 			nd := b.nodes[id]
-			if !nd.Deferred {
+			if nd.Def == nil {
 				return nd.Region, true
 			}
-			return nd.DefRegion.Bounds(), false
+			return nd.Def.Region.Bounds(), false
 		}
 		ocfg.Pairer = spatial.NewGridPairer(0, 2*n-1, box, dist, ocfg.Key)
 	}
@@ -279,11 +291,11 @@ func (b *builder) route() {
 // finishRoot pins a still-deferred tree root at the split realizing its
 // closest approach to the clock source.
 func (b *builder) finishRoot() {
-	if !b.root.Deferred {
+	if b.root.Def == nil {
 		return
 	}
 	src := geom.OctFromUV(geom.ToUV(b.source))
-	q, _ := geom.ClosestPoints(b.root.DefRegion, src)
+	q, _ := geom.ClosestPoints(b.root.Def.Region, src)
 	b.resolve(b.root, geom.DistRP(b.root.Left.Region, q))
 }
 

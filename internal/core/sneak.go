@@ -37,7 +37,7 @@ type handle struct {
 // Fig. 5). Appends nothing when n itself is pure (no interior edge covers
 // the group). dst is a reusable scratch buffer: callers own its lifetime.
 func appendCoverHandles(dst []handle, m rctree.Model, n *ctree.Node, g int) []handle {
-	if _, pure := n.PureGroup(); pure || n.IsLeaf() {
+	if _, pure := ctree.PureGroup(n.Delay.Groups); pure || n.IsLeaf() {
 		return dst
 	}
 	var walk func(parent *ctree.Node, rUp float64)
@@ -45,10 +45,10 @@ func appendCoverHandles(dst []handle, m rctree.Model, n *ctree.Node, g int) []ha
 		for _, side := range []ctree.Side{ctree.SideL, ctree.SideR} {
 			ref := ctree.EdgeRef{Parent: parent, Side: side}
 			child := ref.Child()
-			if !child.HasGroup(g) {
+			if !ctree.HasGroup(child.Delay.Groups, g) {
 				continue
 			}
-			if pg, pure := child.PureGroup(); pure && pg == g {
+			if pg, pure := ctree.PureGroup(child.Delay.Groups); pure && pg == g {
 				dst = append(dst, handle{ref: ref, rUp: rUp})
 				continue
 			}
@@ -162,9 +162,9 @@ func (b *builder) sneakPlan(n *ctree.Node, c constraint, delay float64, buf *sne
 	if c.raw {
 		hs = appendCoverHandles(hs, m, n, c.id)
 	} else {
-		for _, g := range n.Groups {
-			if r, _ := b.uf.find(g); r == c.id {
-				hs = appendCoverHandles(hs, m, n, g)
+		for _, g := range n.Delay.Groups {
+			if r, _ := b.uf.find(int(g)); r == c.id {
+				hs = appendCoverHandles(hs, m, n, int(g))
 			}
 		}
 	}

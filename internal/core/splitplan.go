@@ -11,9 +11,10 @@ import (
 // splitPlan is the layout of one merge: where every hard window the window
 // walk (windows) enumerates reads its two intervals, and how each operand's
 // groups are evaluated at a candidate split. It depends only on the
-// operands' group lists, their children's group lists and the registry. A
-// delay set lists its node's groups in ascending order at every split
-// (ctree.Node.Delay mirrors Groups), and the registry changes only when a
+// operands' group lists (ctree.(*Node).Groups), their children's and the
+// registry. A deferred operand's delay set lists, at every split, the groups
+// of its Deferral record in ascending order (Resolve merges the children's
+// sets, whose union that list is), and the registry changes only when a
 // node commits, so neither a split search nor a sneak moves the layout.
 // jointResolve lays it out once per search and evaluates every candidate
 // split from it; intersectWindows lays it out again after the resolves have
@@ -97,7 +98,7 @@ func (s *planSide) initScratch(n int) {
 // offset leash.
 func (b *builder) layout(na, nb *ctree.Node, normalized bool) {
 	p := &b.plan
-	p.raw = appendShared(p.raw[:0], na.Groups, nb.Groups)
+	p.raw = appendShared(p.raw[:0], na.Groups(), nb.Groups())
 	if !normalized {
 		return
 	}
@@ -108,7 +109,7 @@ func (b *builder) layout(na, nb *ctree.Node, normalized bool) {
 
 // appendShared appends to dst, in ascending order, every value present in
 // both of the ascending lists a and b, with its positions in each.
-func appendShared[T int | int32](dst []planPair, a, b []T) []planPair {
+func appendShared(dst []planPair, a, b []int32) []planPair {
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {
 		case a[i] < b[j]:
@@ -129,8 +130,8 @@ func appendShared[T int | int32](dst []planPair, a, b []T) []planPair {
 // children's group lists locates the intervals feeding each group.
 func (s *planSide) build(u *groupUF, n *ctree.Node) {
 	s.pos, s.roots = s.pos[:0], s.roots[:0]
-	for _, g := range n.Groups {
-		r, off := u.find(g)
+	for _, g := range n.Groups() {
+		r, off := u.find(int(g))
 		s.pos = append(s.pos, planPos{off: off, slot: int32(r)}) // the root for now; its slot below
 		s.roots = append(s.roots, int32(r))
 	}
@@ -143,18 +144,18 @@ func (s *planSide) build(u *groupUF, n *ctree.Node) {
 		p.slot, p.first = int32(k), !s.seen[k]
 		s.seen[k] = true
 	}
-	if !n.Deferred {
+	if n.Def == nil {
 		return
 	}
 	lg, rg := n.Left.Delay.Groups, n.Right.Delay.Groups
 	i, j := 0, 0
-	for k, g := range n.Groups {
+	for k, g := range n.Def.Groups {
 		p := &s.pos[k]
 		p.l, p.r = -1, -1
-		if i < len(lg) && int(lg[i]) == g {
+		if i < len(lg) && lg[i] == g {
 			p.l, i = int32(i), i+1
 		}
-		if j < len(rg) && int(rg[j]) == g {
+		if j < len(rg) && rg[j] == g {
 			p.r, j = int32(j), j+1
 		}
 	}
@@ -194,7 +195,7 @@ func (s *planSide) eval(m rctree.Model, n *ctree.Node, e float64, ev *splitEval)
 	ev.e = e
 	norm, mid := ev.norm[:len(s.roots)], ev.mid[:len(s.roots)]
 	ev.norm, ev.mid = norm, mid
-	if !n.Deferred {
+	if n.Def == nil {
 		ev.delay, ev.rect = n.Delay.Ivs, n.Region
 		s.normalize(norm, ev.delay)
 		for k, v := range norm {
@@ -203,7 +204,7 @@ func (s *planSide) eval(m rctree.Model, n *ctree.Node, e float64, ev *splitEval)
 		return
 	}
 	l, r := n.Left, n.Right
-	wl, wr := m.WireDelay(e, l.Cap), m.WireDelay(n.DefD-e, r.Cap)
+	wl, wr := m.WireDelay(e, l.Cap), m.WireDelay(n.Def.D-e, r.Cap)
 	li, ri := l.Delay.Ivs, r.Delay.Ivs
 	delay := ev.buf[:len(s.pos)]
 	for i, p := range s.pos {
@@ -221,5 +222,5 @@ func (s *planSide) eval(m rctree.Model, n *ctree.Node, e float64, ev *splitEval)
 		mid[p.slot] = (v.Lo + v.Hi) / 2
 	}
 	ev.delay = delay
-	ev.rect = geom.MergeLocus(l.Region, r.Region, e, n.DefD-e)
+	ev.rect = geom.MergeLocus(l.Region, r.Region, e, n.Def.D-e)
 }

@@ -13,10 +13,10 @@ import (
 // searches reports whether merge would pin the deferred splits of na and nb
 // with jointResolve (the condition merge tests).
 func (b *builder) searches(na, nb *ctree.Node) bool {
-	if !na.Deferred && !nb.Deferred {
+	if na.Def == nil && nb.Def == nil {
 		return false
 	}
-	return ctree.SharesGroup(na.Groups, nb.Groups) ||
+	return ctree.SharesGroup(na.Groups(), nb.Groups()) ||
 		(!math.IsInf(b.interBound(), 1) && b.relatedRoots(na, nb))
 }
 
@@ -75,9 +75,9 @@ func TestSplitEvalMatchesResolve(t *testing.T) {
 						side.eval(b.opt.Model, pre, e, ev)
 						if !sameIntervals(ev.delay, n.Delay.Ivs) || ev.rect != n.Region {
 							t.Fatalf("%s merge %d operand %d (deferred %v) at split %v: evaluated %v in %v, committed %v in %v",
-								in.Name, m, i, pre.Deferred, e, ev.delay, ev.rect, n.Delay.Ivs, n.Region)
+								in.Name, m, i, pre.Def != nil, e, ev.delay, ev.rect, n.Delay.Ivs, n.Region)
 						}
-						if pre.Deferred {
+						if pre.Def != nil {
 							deferred++
 						} else {
 							resolved++
@@ -136,7 +136,7 @@ func TestSplitCostAtLeastDistance(t *testing.T) {
 			}
 			var live []*ctree.Node
 			for _, n := range b.nodes {
-				if n.Deferred {
+				if n.Def != nil {
 					live = append(live, n)
 				}
 			}

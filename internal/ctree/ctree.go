@@ -5,30 +5,33 @@
 // A Node represents a subtree produced by bottom-up deferred merging. Until
 // top-down embedding, a node's position is a locus (geom.Rect); the wire
 // lengths of its two child edges, however, are committed at merge time and
-// may exceed the geometric child distance (wire snaking).
+// may exceed the geometric child distance (wire snaking). A merge that
+// leaves its split open makes a deferred node, which holds a Deferral record
+// until Resolve commits the split and drops it: only the roots of active
+// (unmerged) subtrees are deferred, and a committed node holds no record.
 //
 // # Delay bookkeeping
 //
-// Each node carries, per sink group present in its subtree, the Interval of
-// root-to-sink delays of that group's sinks (a zero intra-group skew
-// constraint keeps each group's interval degenerate). The bookkeeping is a
-// flat rctree.DelaySet — parallel group-id/interval slices sorted by group —
-// rather than a map: merging two children is one linear pass over both
-// sorted sets (rctree.MergeDelaysInto), lookups are binary searches, and
-// iteration is always in ascending group order, so no map-iteration order
-// can leak into results. The flat sets also slab-allocate: routers that
-// build millions of nodes back them with arena slices instead of one map
-// (plus buckets) per node, which is where the bulk of a large route's
-// allocations used to come from. Delay sets are never mutated in place once
-// committed — all paths build replacements — so leaves of one group may
-// share one interned set, and any code holding a DelaySet may keep it
-// across merges.
+// Each committed node carries, per sink group present in its subtree, the
+// Interval of root-to-sink delays of that group's sinks (a zero intra-group
+// skew constraint keeps each group's interval degenerate). The bookkeeping
+// is a flat rctree.DelaySet — parallel group-id/interval slices sorted by
+// group — rather than a map: merging two children is one linear pass over
+// both sorted sets (rctree.MergeDelaysInto), lookups are binary searches,
+// and iteration is always in ascending group order, so no map-iteration
+// order can leak into results. Its group ids are the node's one group list.
+// The flat sets also slab-allocate: routers that build millions of nodes
+// back them with arena slices instead of one map (plus buckets) per node,
+// which is where the bulk of a large route's allocations used to come from.
+// Delay sets and Deferral records are never mutated once made — all paths
+// build replacements — so leaves of one group share one interned set, nodes
+// may share a record, and any code holding either may keep it.
 package ctree
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/rctree"
@@ -179,61 +182,59 @@ type Node struct {
 	// Cap is the total downstream capacitance (fF): sink caps plus wire cap
 	// of all edges strictly below this node.
 	Cap float64
-	// Groups lists, sorted ascending, the sink groups present in the subtree.
-	Groups []int
-	// Delay holds, for each group in Groups, the interval of root-to-sink
-	// delays of that group's sinks (ps), as a flat group-sorted set whose
-	// group ids mirror Groups exactly.
+	// Delay holds, for each sink group present in the subtree, in ascending
+	// group order, the interval of root-to-sink delays of that group's sinks
+	// (ps). Its group ids are a committed node's group list.
 	Delay rctree.DelaySet
 	// Loc is the embedded location; valid once Placed is true.
 	Loc    geom.UV
 	Placed bool
+	// Def is a deferred node's open split, nil once the node is committed.
+	// While it is set, EdgeL/EdgeR, Region and Delay are not yet valid.
+	Def *Deferral
+}
 
-	// Deferred marks a node whose split of the committed merge wire DefD
-	// between its two child edges is not yet pinned: the node's feasible
-	// placement locus is the octagonal DefRegion (a shortest-distance
-	// region), every point q of which corresponds to the split
-	// e = dist(q, Left.Region) ∈ [DefELo, DefEHi]. EdgeL/EdgeR, Region and
-	// Delay become valid only after Resolve. Only the roots of active
-	// (unmerged) subtrees are ever deferred.
-	Deferred       bool
-	DefD           float64
-	DefELo, DefEHi float64
-	DefRegion      geom.Octagon
+// Deferral is a deferred node's open split of the committed merge wire D
+// between its two child edges: the node's feasible placement locus is the
+// octagonal Region (a shortest-distance region), every point q of which
+// corresponds to the split e = dist(q, Left.Region) ∈ [ELo, EHi]. Groups is
+// the node's group list, the ascending union of its committed children's.
+// NewDeferral makes a record and Node.Resolve drops it; nothing mutates one
+// in between, so a Frozen snapshot and its thaws share theirs.
+type Deferral struct {
+	D        float64
+	ELo, EHi float64
+	Region   geom.Octagon
+	Groups   []int32
 }
 
 // NewLeaf builds the leaf node for a sink, in the sink's group.
 func NewLeaf(s *Sink) *Node {
-	n := Leaf(s, []int{s.Group}, rctree.PointDelaySet(s.Group, rctree.PointInterval(0)))
+	n := Leaf(s, rctree.PointDelaySet(s.Group, rctree.PointInterval(0)))
 	return &n
 }
 
-// Leaf is the leaf node for sink s in group g, given groups = {g} and delay
-// = {g: [+0, +0]}. Builders that make many leaves pass one interned groups
-// slice and delay set per group, which that group's leaves share: core's
-// node arena, and the wire decoder's compact leaf records.
-func Leaf(s *Sink, groups []int, delay rctree.DelaySet) Node {
-	return Node{ID: s.ID, Sink: s, Region: geom.RectFromPoint(s.Loc), Cap: s.CapFF, Groups: groups, Delay: delay}
+// Leaf is the leaf node for sink s whose delay set is {g: [+0, +0]} for
+// its group g. Builders that make many leaves pass one interned delay set
+// per group, which that group's leaves share: core's node arena, and the
+// wire decoder's compact leaf records.
+func Leaf(s *Sink, delay rctree.DelaySet) Node {
+	return Node{ID: s.ID, Sink: s, Region: geom.RectFromPoint(s.Loc), Cap: s.CapFF, Delay: delay}
 }
 
 // IsCanonicalLeaf reports whether n is bitwise a leaf that Leaf makes from
-// its sink: its Groups one group g, its delay set {g: [+0, +0]}, and every
-// other field as Leaf sets it, so n can be rebuilt from its sink and g alone.
+// its sink: its delay set {g: [+0, +0]} for one group g, and every other
+// field as Leaf sets it, so n can be rebuilt from its sink and g alone.
 // Every field of Node is checked here (TestCanonicalLeafSeesEveryField).
 func (n *Node) IsCanonicalLeaf() bool {
 	s := n.Sink
-	if s == nil || n.ID != s.ID || n.Left != nil || n.Right != nil || n.Placed || n.Deferred ||
-		len(n.Groups) != 1 || len(n.Delay.Groups) != 1 || len(n.Delay.Ivs) != 1 ||
-		int(n.Delay.Groups[0]) != n.Groups[0] {
+	if s == nil || n.ID != s.ID || n.Left != nil || n.Right != nil || n.Placed || n.Def != nil ||
+		len(n.Delay.Groups) != 1 || len(n.Delay.Ivs) != 1 {
 		return false
 	}
 	want := geom.RectFromPoint(s.Loc)
 	var zero uint64
-	for _, f := range [...]float64{
-		n.EdgeL, n.EdgeR, n.Loc.U, n.Loc.V, n.Delay.Ivs[0].Lo, n.Delay.Ivs[0].Hi,
-		n.DefD, n.DefELo, n.DefEHi, n.DefRegion.ULo, n.DefRegion.UHi, n.DefRegion.VLo,
-		n.DefRegion.VHi, n.DefRegion.SLo, n.DefRegion.SHi, n.DefRegion.TLo, n.DefRegion.THi,
-	} {
+	for _, f := range [...]float64{n.EdgeL, n.EdgeR, n.Loc.U, n.Loc.V, n.Delay.Ivs[0].Lo, n.Delay.Ivs[0].Hi} {
 		zero |= math.Float64bits(f)
 	}
 	return zero == 0 && sameBits(n.Cap, s.CapFF) &&
@@ -250,60 +251,87 @@ func (n *Node) IsLeaf() bool { return n.Sink != nil }
 // octagonal deferred region while the split is open, otherwise the committed
 // rectangle.
 func (n *Node) ActiveRegion() geom.Octagon {
-	if n.Deferred {
-		return n.DefRegion
+	if n.Def != nil {
+		return n.Def.Region
 	}
 	return geom.OctFromRect(n.Region)
 }
 
-// Resolve pins a deferred node's split at e ∈ [DefELo, DefEHi] (clamped),
+// Groups returns the sink groups present in the subtree, ascending: its
+// delay set's, or a deferred node's record's until Resolve makes the set.
+func (n *Node) Groups() []int32 {
+	if n.Def != nil {
+		return n.Def.Groups
+	}
+	return n.Delay.Groups
+}
+
+// NewDeferral returns the record of a node over committed children l and r
+// whose merge wire d splits at e ∈ [eLo, eHi] over the locus region. Its
+// group list is the union of the children's: one child's own list when it
+// covers the other's, as it always does in single-group runs.
+func NewDeferral(l, r *Node, d, eLo, eHi float64, region geom.Octagon) Deferral {
+	a, b := l.Delay.Groups, r.Delay.Groups
+	var buf [16]int32
+	groups := b
+	if u := AppendUnionGroups(buf[:0], a, b); len(u) == len(a) {
+		groups = a // the union covers a and is as long: it is a
+	} else if len(u) != len(b) {
+		groups = append([]int32(nil), u...)
+	}
+	return Deferral{D: d, ELo: eLo, EHi: eHi, Region: region, Groups: groups}
+}
+
+// Resolve pins a deferred node's split at e ∈ [ELo, EHi] (clamped),
 // committing the child edge lengths, the placement rectangle and the exact
-// per-group delay map. Resolving a non-deferred node is a no-op.
+// per-group delay set, and drops the node's Deferral. Resolving a committed
+// node is a no-op.
 func (n *Node) Resolve(m rctree.Model, e float64) {
-	if !n.Deferred {
+	s := n.Def
+	if s == nil {
 		return
 	}
-	if e < n.DefELo {
-		e = n.DefELo
+	if e < s.ELo {
+		e = s.ELo
 	}
-	if e > n.DefEHi {
-		e = n.DefEHi
+	if e > s.EHi {
+		e = s.EHi
 	}
-	n.EdgeL, n.EdgeR = e, n.DefD-e
+	n.EdgeL, n.EdgeR = e, s.D-e
 	n.Region = geom.MergeLocus(n.Left.Region, n.Right.Region, n.EdgeL, n.EdgeR)
-	n.Delay = mergedDelay(m, n)
-	n.Deferred = false
+	n.Delay = mergedDelay(m, n, len(s.Groups))
+	n.Def = nil
 }
 
-// SplitRange returns the feasible split window ([0,0] for resolved nodes).
+// SplitRange returns the feasible split window ([0,0] for committed nodes).
 func (n *Node) SplitRange() (lo, hi float64) {
-	if !n.Deferred {
+	if n.Def == nil {
 		return 0, 0
 	}
-	return n.DefELo, n.DefEHi
+	return n.Def.ELo, n.Def.EHi
 }
 
-// mergedDelay computes a node's per-group delay set from its resolved
-// children and committed edges.
-func mergedDelay(m rctree.Model, n *Node) rctree.DelaySet {
-	d := rctree.MakeDelaySet(len(n.Groups))
+// mergedDelay computes a node's per-group delay set, of k groups, from its
+// committed children and edges.
+func mergedDelay(m rctree.Model, n *Node, k int) rctree.DelaySet {
+	d := rctree.MakeDelaySet(k)
 	wl := m.WireDelay(n.EdgeL, n.Left.Cap)
 	wr := m.WireDelay(n.EdgeR, n.Right.Cap)
 	rctree.MergeDelaysInto(&d, n.Left.Delay, wl, n.Right.Delay, wr)
 	return d
 }
 
-// HasGroup reports whether group g occurs in the subtree.
-func (n *Node) HasGroup(g int) bool {
-	i := sort.SearchInts(n.Groups, g)
-	return i < len(n.Groups) && n.Groups[i] == g
+// HasGroup reports whether the ascending group list gs holds group g.
+func HasGroup(gs []int32, g int) bool {
+	_, ok := slices.BinarySearch(gs, int32(g))
+	return ok
 }
 
-// PureGroup returns (g, true) when every sink of the subtree belongs to the
-// single group g.
-func (n *Node) PureGroup() (int, bool) {
-	if len(n.Groups) == 1 {
-		return n.Groups[0], true
+// PureGroup returns (g, true) when the group list gs is the single group g:
+// every sink of its subtree belongs to g.
+func PureGroup(gs []int32) (int, bool) {
+	if len(gs) == 1 {
+		return int(gs[0]), true
 	}
 	return -1, false
 }
@@ -313,14 +341,9 @@ func (n *Node) OverallDelay() rctree.Interval {
 	return n.Delay.Overall()
 }
 
-// UnionGroups merges two sorted group slices.
-func UnionGroups(a, b []int) []int {
-	return AppendUnionGroups(make([]int, 0, len(a)+len(b)), a, b)
-}
-
 // AppendUnionGroups appends the sorted union of a and b to dst, letting hot
 // callers reuse a scratch buffer.
-func AppendUnionGroups(dst, a, b []int) []int {
+func AppendUnionGroups(dst, a, b []int32) []int32 {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -341,11 +364,11 @@ func AppendUnionGroups(dst, a, b []int) []int {
 	return dst
 }
 
-// SharesGroup reports whether two sorted group slices intersect, without
+// SharesGroup reports whether two ascending group lists intersect, without
 // building the intersection: merge keys test it from concurrent pairing
 // goroutines on every candidate pair, and every merge classifies itself
 // with it.
-func SharesGroup(a, b []int) bool {
+func SharesGroup(a, b []int32) bool {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -411,7 +434,7 @@ func (n *Node) Recompute(m rctree.Model) {
 	n.Left.Recompute(m)
 	n.Right.Recompute(m)
 	n.Cap = n.Left.Cap + n.Right.Cap + m.WireCap(n.EdgeL) + m.WireCap(n.EdgeR)
-	n.Delay = mergedDelay(m, n)
+	n.Delay = mergedDelay(m, n, n.Delay.Len())
 }
 
 // Embed performs the DME top-down embedding: the subtree root is placed at

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geom"
 	"repro/internal/rctree"
@@ -52,16 +54,16 @@ func TestGroupSizes(t *testing.T) {
 
 func TestUnionSharedGroups(t *testing.T) {
 	cases := []struct {
-		a, b, union, shared []int
+		a, b, union, shared []int32
 	}{
-		{[]int{0}, []int{1}, []int{0, 1}, nil},
-		{[]int{0, 2}, []int{1, 2, 3}, []int{0, 1, 2, 3}, []int{2}},
-		{[]int{1, 2}, []int{1, 2}, []int{1, 2}, []int{1, 2}},
-		{nil, []int{5}, []int{5}, nil},
+		{[]int32{0}, []int32{1}, []int32{0, 1}, nil},
+		{[]int32{0, 2}, []int32{1, 2, 3}, []int32{0, 1, 2, 3}, []int32{2}},
+		{[]int32{1, 2}, []int32{1, 2}, []int32{1, 2}, []int32{1, 2}},
+		{nil, []int32{5}, []int32{5}, nil},
 	}
 	for _, c := range cases {
-		if got := UnionGroups(c.a, c.b); !reflect.DeepEqual(got, c.union) {
-			t.Errorf("UnionGroups(%v,%v) = %v, want %v", c.a, c.b, got, c.union)
+		if got := AppendUnionGroups(nil, c.a, c.b); !reflect.DeepEqual(got, c.union) {
+			t.Errorf("AppendUnionGroups(nil,%v,%v) = %v, want %v", c.a, c.b, got, c.union)
 		}
 		if got := SharesGroup(c.a, c.b); got != (len(c.shared) > 0) {
 			t.Errorf("SharesGroup(%v,%v) = %v, want %v", c.a, c.b, got, len(c.shared) > 0)
@@ -76,9 +78,9 @@ func buildTwoLevel(m rctree.Model) (*Node, []*Sink) {
 	s2 := &Sink{ID: 2, Loc: geom.Point{X: 5, Y: 8}, CapFF: 20, Group: 1}
 	l0, l1, l2 := NewLeaf(s0), NewLeaf(s1), NewLeaf(s2)
 	a := &Node{ID: 3, Left: l0, Right: l1, EdgeL: 5, EdgeR: 5,
-		Groups: []int{0}, Region: geom.MergeLocus(l0.Region, l1.Region, 5, 5)}
+		Region: geom.MergeLocus(l0.Region, l1.Region, 5, 5)}
 	root := &Node{ID: 4, Left: a, Right: l2, EdgeL: 4, EdgeR: 4,
-		Groups: []int{0, 1}, Region: geom.MergeLocus(a.Region, l2.Region, 4, 4)}
+		Region: geom.MergeLocus(a.Region, l2.Region, 4, 4)}
 	root.Recompute(m)
 	return root, []*Sink{s0, s1, s2}
 }
@@ -185,13 +187,13 @@ func TestOverallDelayAndQueries(t *testing.T) {
 			t.Errorf("group %d interval %v outside overall %v", g, iv, all)
 		}
 	}
-	if !root.HasGroup(0) || !root.HasGroup(1) || root.HasGroup(2) {
+	if !HasGroup(root.Delay.Groups, 0) || !HasGroup(root.Delay.Groups, 1) || HasGroup(root.Delay.Groups, 2) {
 		t.Error("HasGroup wrong")
 	}
-	if _, pure := root.PureGroup(); pure {
+	if _, pure := PureGroup(root.Delay.Groups); pure {
 		t.Error("root should not be pure")
 	}
-	if g, pure := root.Left.PureGroup(); !pure || g != 0 {
+	if g, pure := PureGroup(root.Left.Delay.Groups); !pure || g != 0 {
 		t.Error("left subtree should be pure group 0")
 	}
 	got := root.Sinks(nil)
@@ -220,9 +222,10 @@ func eachScalar(v reflect.Value, path string, f func(v reflect.Value, path strin
 
 // TestCanonicalLeafSeesEveryField: a leaf NewLeaf makes is canonical, and
 // changing any one field of it — a float's sign bit, an int by one, a bool,
-// a pointer to a fresh value, a slice's length — makes it not: a field added
-// to Node fails here until IsCanonicalLeaf checks it, so a compact wire leaf
-// can never drop it.
+// a pointer to a fresh value (a Deferral record among them), a slice's
+// length — makes it not, save its group id, which a compact record carries
+// beside the sink id: a field added to Node fails here until
+// IsCanonicalLeaf checks it, so a compact wire leaf can never drop it.
 func TestCanonicalLeafSeesEveryField(t *testing.T) {
 	s := sink(7, 3, -2, 1.5, 2)
 	if !NewLeaf(&s).IsCanonicalLeaf() {
@@ -252,9 +255,21 @@ func TestCanonicalLeafSeesEveryField(t *testing.T) {
 			default:
 				t.Fatalf("%s: no change for a %s", path, v.Kind())
 			}
-			if n.IsCanonicalLeaf() {
+			if n.IsCanonicalLeaf() && path != "Node.Delay.Groups[0]" {
 				t.Errorf("%s changed, yet the leaf is still canonical", path)
 			}
 		})
+	}
+}
+
+// TestNodeSize pins the node's footprint on 64-bit platforms: every build,
+// thaw and decode allocates 2n − 1 nodes, and a committed node carries one
+// group list (its delay set's) and one pointer for deferral state.
+func TestNodeSize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("the pin is for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Node{}); got > 168 {
+		t.Errorf("ctree.Node is %d bytes, want at most 168", got)
 	}
 }

@@ -2,6 +2,7 @@ package ctree
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -15,14 +16,9 @@ func deferredPair(m rctree.Model) *Node {
 	s1 := &Sink{ID: 1, Loc: geom.Point{X: 100, Y: 0}, CapFF: 30, Group: 1}
 	l0, l1 := NewLeaf(s0), NewLeaf(s1)
 	d := geom.DistRR(l0.Region, l1.Region)
-	n := &Node{
-		ID: 2, Left: l0, Right: l1,
-		Groups:   []int{0, 1},
-		Cap:      l0.Cap + l1.Cap + m.WireCap(d),
-		Deferred: true,
-		DefD:     d, DefELo: 0, DefEHi: d,
-		DefRegion: geom.SDR(l0.Region, l1.Region, d, 0, d),
-	}
+	n := &Node{ID: 2, Left: l0, Right: l1, Cap: l0.Cap + l1.Cap + m.WireCap(d)}
+	def := NewDeferral(l0, l1, d, 0, d, geom.SDR(l0.Region, l1.Region, d, 0, d))
+	n.Def = &def
 	return n
 }
 
@@ -37,14 +33,20 @@ func TestDeferredAccessors(t *testing.T) {
 	if reg := n.ActiveRegion(); reg.IsEmpty() {
 		t.Fatal("empty active region")
 	}
+	if got := n.Groups(); !slices.Equal(got, []int32{0, 1}) {
+		t.Fatalf("deferred groups %v, want the children's union [0 1]", got)
+	}
 }
 
 func TestResolveCommitsConsistentState(t *testing.T) {
 	m := rctree.NewElmore(0.1, 0.02)
 	n := deferredPair(m)
 	n.Resolve(m, 40)
-	if n.Deferred {
+	if n.Def != nil {
 		t.Fatal("still deferred")
+	}
+	if got := n.Groups(); !slices.Equal(got, []int32{0, 1}) {
+		t.Fatalf("resolved groups %v, want [0 1]", got)
 	}
 	if n.EdgeL != 40 || n.EdgeR != 60 {
 		t.Fatalf("edges %v/%v", n.EdgeL, n.EdgeR)
@@ -69,13 +71,14 @@ func TestResolveCommitsConsistentState(t *testing.T) {
 func TestResolveClampsSplit(t *testing.T) {
 	m := rctree.NewElmore(0.1, 0.02)
 	n := deferredPair(m)
-	n.DefELo, n.DefEHi = 20, 70
+	narrow := NewDeferral(n.Left, n.Right, n.Def.D, 20, 70, n.Def.Region)
+	n.Def = &narrow
 	n.Resolve(m, 500)
 	if n.EdgeL != 70 {
 		t.Errorf("split not clamped: %v", n.EdgeL)
 	}
 	n2 := deferredPair(m)
-	n2.DefELo, n2.DefEHi = 20, 70
+	n2.Def = &narrow
 	n2.Resolve(m, -3)
 	if n2.EdgeL != 20 {
 		t.Errorf("split not clamped low: %v", n2.EdgeL)

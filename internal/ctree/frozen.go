@@ -9,12 +9,13 @@ import "fmt"
 // copy, and a copy costs one slab allocation and one slab copy instead of a
 // serialization round trip.
 //
-// The nodes are stored by value in one pre-order slab with their pointer
-// fields cleared. Child links become slab indices (the left child of node i
-// is always i+1), and leaves keep their sink ids. The Groups and Delay
-// slices are shared by the snapshot and every copy: routers never mutate a
-// committed group slice or delay set in place (see the package comment),
-// they assign replacements.
+// The nodes are stored by value in one pre-order slab with their tree
+// pointers cleared. Child links become slab indices (the left child of node
+// i is always i+1), and leaves keep their sink ids. A node's delay set and a
+// deferred root's Deferral record are shared by the snapshot and every
+// copy: routers never mutate either once made (see the package comment).
+// They assign replacements, and the stitch's Resolve of a copy's deferred
+// root drops that copy's pointer to the record.
 type Frozen struct {
 	nodes []Node
 	links []frozenLink

@@ -2,6 +2,8 @@ package ctree_test
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -59,18 +61,24 @@ func encodeTree(tb testing.TB, root *ctree.Node) []byte {
 
 // TestFrozenThaw pins the frozen form's contract: every thaw is an
 // independent copy whose wire encoding is the original subtree's byte for
-// byte, and stitching one copy (which resolves its deferred root and may
-// elongate handle edges in place) leaves the snapshot and every other copy
-// untouched.
+// byte, and stitching one copy (which resolves its deferred root, dropping
+// the Deferral record the copies share, and may elongate handle edges in
+// place) leaves the record, the snapshot and every other copy untouched.
 func TestFrozenThaw(t *testing.T) {
 	in, base, frozen, enc := frozenHalves(t, 2000)
 	a, b := frozen[0].Thaw(in, nil), frozen[0].Thaw(in, nil)
 	if a == b {
 		t.Fatal("two thaws returned the same root")
 	}
-	if !a.Deferred {
+	if a.Def == nil {
 		t.Fatal("subtree exercises too little: its root is not deferred")
 	}
+	rec := a.Def
+	if b.Def != rec {
+		t.Fatal("two thaws hold different records; the snapshot's is shared")
+	}
+	want := *rec
+	want.Groups = slices.Clone(rec.Groups)
 	if !bytes.Equal(encodeTree(t, a), enc[0]) {
 		t.Fatal("thawed copy encodes differently from the original subtree")
 	}
@@ -80,6 +88,12 @@ func TestFrozenThaw(t *testing.T) {
 	}
 	if bytes.Equal(encodeTree(t, a), enc[0]) {
 		t.Fatal("stitch left the thawed copy unchanged; the test mutates nothing")
+	}
+	if a.Def != nil {
+		t.Fatal("the stitch left the thawed root's record in place")
+	}
+	if !reflect.DeepEqual(*rec, want) || b.Def != rec {
+		t.Error("stitching one copy changed the shared record")
 	}
 	if !bytes.Equal(encodeTree(t, b), enc[0]) {
 		t.Error("stitching one copy changed a sibling copy")

@@ -27,9 +27,9 @@ func buildKnown(m rctree.Model) (*ctree.Node, *ctree.Instance) {
 	l1 := ctree.NewLeaf(&in.Sinks[1])
 	l2 := ctree.NewLeaf(&in.Sinks[2])
 	a := &ctree.Node{ID: 3, Left: l0, Right: l1, EdgeL: 5, EdgeR: 5,
-		Groups: []int{0}, Region: geom.MergeLocus(l0.Region, l1.Region, 5, 5)}
+		Region: geom.MergeLocus(l0.Region, l1.Region, 5, 5)}
 	root := &ctree.Node{ID: 4, Left: a, Right: l2, EdgeL: 6, EdgeR: 6,
-		Groups: []int{0, 1}, Region: geom.MergeLocus(a.Region, l2.Region, 6, 6)}
+		Region: geom.MergeLocus(a.Region, l2.Region, 6, 6)}
 	root.Recompute(m)
 	root.Embed(geom.ToUV(in.Source))
 	return root, in

@@ -75,14 +75,12 @@ func Build(in *ctree.Instance, opt Options) (*Result, error) {
 			return nil, err
 		}
 		// Point the leaves back at the original instance's sinks so that
-		// evaluation against the full instance works.
+		// evaluation against the full instance works. Their delay sets keep
+		// the sub-instance's group 0 until a stitch merge recomputes the
+		// subtree from the sinks' own groups.
 		r.Root.Visit(func(n *ctree.Node) {
 			if n.IsLeaf() {
-				orig := &in.Sinks[backRefs[n.Sink.ID]]
-				n.Sink = orig
-				n.Groups = []int{orig.Group}
-			} else {
-				n.Groups = []int{g}
+				n.Sink = &in.Sinks[backRefs[n.Sink.ID]]
 			}
 		})
 		roots[g] = r.Root
@@ -111,7 +109,6 @@ func Build(in *ctree.Instance, opt Options) (*Result, error) {
 			EdgeL: mg.Ea, EdgeR: mg.Eb,
 			Region: geom.MergeLocus(na.Region, nb.Region, mg.Ea, mg.Eb),
 			Cap:    na.Cap + nb.Cap + m.WireCap(d),
-			Groups: ctree.UnionGroups(na.Groups, nb.Groups),
 		}
 		c.Recompute(m)
 		res.StitchWire += d

@@ -149,16 +149,52 @@ func TestCacheDecodeRejects(t *testing.T) {
 
 // FuzzDecodeCache asserts the cache decoder's no-crash contract on
 // arbitrary bytes, as given and resealed, and that whatever decodes
-// re-encodes to bytes that decode and encode back to themselves. Its seed's
-// shard blobs hold compact leaves, and a decoded cache's blobs go through
-// the result decoder against its instance, as an ECO rebuild opens them.
+// re-encodes to bytes that decode and encode back to themselves. Its seeds'
+// shard blobs hold compact leaves under a deferred root (sub-builds), under
+// a resolved root (pilot patches), or the misplaced deferred records the
+// result decoder rejects, and a decoded cache's blobs go through the result
+// decoder against its instance, as an ECO rebuild opens them.
 func FuzzDecodeCache(f *testing.F) {
 	c := buildCache(f)
 	seed, err := c.Encode()
 	if err != nil {
 		f.Fatal(err)
 	}
-	seedRoundTrip(f, seed, func(b []byte) (interface{ Encode() ([]byte, error) }, error) { return DecodeCache(b) })
+	decode := func(b []byte) (interface{ Encode() ([]byte, error) }, error) { return DecodeCache(b) }
+	seedRoundTrip(f, seed, decode)
+	reg, err := core.NewRegistryFromSnapshot(c.Base)
+	if err != nil {
+		f.Fatal(err)
+	}
+	patched, misplaced := *c, *c
+	patched.Blobs = make([][]byte, len(c.Parts))
+	for i, p := range c.Parts {
+		br, err := Execute(unitOf(c.Instance, KindPatch, p, c.Opt, reg))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if br.Root.Def != nil {
+			f.Fatal("a patch's root is still deferred")
+		}
+		if patched.Blobs[i], err = br.Encode(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	misplaced.Blobs = nil
+	for _, tc := range misplacedDeferrals(f, c.Instance) {
+		if _, err := DecodeResult(tc.bad, c.Instance); err == nil {
+			f.Fatalf("blob %q decodes", tc.name)
+		}
+		misplaced.Blobs = append(misplaced.Blobs, tc.bad)
+	}
+	for _, extra := range []*Cache{&patched, &misplaced} {
+		data, err := extra.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		seedRoundTrip(f, data, decode)
+		f.Add(data)
+	}
 	for i, b := range c.Blobs {
 		br, err := DecodeResult(b, c.Instance)
 		if err != nil {

@@ -61,9 +61,9 @@ func shardResult(tb testing.TB) (*WorkUnit, *ctree.Instance, []byte) {
 }
 
 // TestDecodedTreeSlab pins the slab decode of a ~2,000-node subtree: each
-// node's Groups and Delay slices are capacity-capped, so appending to one
-// node leaves every other node as decoded; a decoded result re-encodes to
-// its own bytes; and decoding allocates per chunk, not per node.
+// node's delay-set slices are capacity-capped, so appending to one node
+// leaves every other node as decoded; a decoded result re-encodes to its
+// own bytes; and decoding allocates per chunk, not per node.
 func TestDecodedTreeSlab(t *testing.T) {
 	_, in, data := shardResult(t)
 	br, err := DecodeResult(data, in)
@@ -85,15 +85,14 @@ func TestDecodedTreeSlab(t *testing.T) {
 	if len(nodes) < 1500 {
 		t.Fatalf("fixture subtree has only %d nodes", len(nodes))
 	}
-	type slices3 struct {
-		groups []int
+	type slices2 struct {
 		delays []int32
 		ivs    []rctree.Interval
 	}
-	copyOf := func(n *ctree.Node) slices3 {
-		return slices3{slices.Clone(n.Groups), slices.Clone(n.Delay.Groups), slices.Clone(n.Delay.Ivs)}
+	copyOf := func(n *ctree.Node) slices2 {
+		return slices2{slices.Clone(n.Delay.Groups), slices.Clone(n.Delay.Ivs)}
 	}
-	want := make([]slices3, len(nodes))
+	want := make([]slices2, len(nodes))
 	for i, n := range nodes {
 		want[i] = copyOf(n)
 	}
@@ -101,7 +100,6 @@ func TestDecodedTreeSlab(t *testing.T) {
 	// between or after other nodes' slices.
 	for _, k := range []int{0, len(nodes) / 2, len(nodes) - 1} {
 		n := nodes[k]
-		n.Groups = append(n.Groups, 1<<20)
 		n.Delay.Groups = append(n.Delay.Groups, 1<<20)
 		n.Delay.Ivs = append(n.Delay.Ivs, rctree.Interval{Lo: -1, Hi: -1})
 		want[k] = copyOf(n)
@@ -239,15 +237,14 @@ func BenchmarkDecodeResult(b *testing.B) {
 	}
 }
 
-// nodeBits lists every float of a node as its bit pattern, the deferral
-// state only while the node is deferred: Resolve leaves it behind as it
-// was, and the format has never carried it for a resolved node.
+// nodeBits lists every float of a node as its bit pattern, its deferral
+// record's included.
 func nodeBits(n *ctree.Node) []uint64 {
 	fs := []float64{n.EdgeL, n.EdgeR, n.Region.ULo, n.Region.UHi, n.Region.VLo, n.Region.VHi, n.Cap,
 		n.Loc.U, n.Loc.V}
-	if n.Deferred {
-		fs = append(fs, n.DefD, n.DefELo, n.DefEHi, n.DefRegion.ULo, n.DefRegion.UHi, n.DefRegion.VLo,
-			n.DefRegion.VHi, n.DefRegion.SLo, n.DefRegion.SHi, n.DefRegion.TLo, n.DefRegion.THi)
+	if s := n.Def; s != nil {
+		fs = append(fs, s.D, s.ELo, s.EHi, s.Region.ULo, s.Region.UHi, s.Region.VLo,
+			s.Region.VHi, s.Region.SLo, s.Region.SHi, s.Region.TLo, s.Region.THi)
 	}
 	for _, iv := range n.Delay.Ivs {
 		fs = append(fs, iv.Lo, iv.Hi)
@@ -262,9 +259,8 @@ func nodeBits(n *ctree.Node) []uint64 {
 // TestDecodedResultMatchesExecute: a sub-build that travels — its unit
 // encoded and decoded, executed on the decoded unit, its result encoded and
 // decoded against the coordinator's instance — is the in-process Execute's
-// tree node for node: every field bitwise (a resolved node's stale
-// deferral state aside, see nodeBits), and every leaf's Sink pointing into
-// the coordinator's instance. It holds for a shard build (deferred
+// tree node for node: every field bitwise, a deferred node's record
+// included, and every leaf's Sink pointing into the coordinator's instance. It holds for a shard build (deferred
 // root), a pilot patch (resolved root) and a SingleGroup build, whose leaves
 // take group 0 whatever their sinks' groups, and every leaf of each travels
 // as a compact record.
@@ -318,8 +314,8 @@ func TestDecodedResultMatchesExecute(t *testing.T) {
 		leaves := 0
 		for i, w := range want {
 			h := have[i]
-			if h.ID != w.ID || h.Placed != w.Placed || h.Deferred != w.Deferred || h.IsLeaf() != w.IsLeaf() ||
-				!slices.Equal(h.Groups, w.Groups) || !slices.Equal(h.Delay.Groups, w.Delay.Groups) ||
+			if h.ID != w.ID || h.Placed != w.Placed || (h.Def == nil) != (w.Def == nil) || h.IsLeaf() != w.IsLeaf() ||
+				!slices.Equal(h.Groups(), w.Groups()) || !slices.Equal(h.Delay.Groups, w.Delay.Groups) ||
 				h.Delay.IsZero() != w.Delay.IsZero() || !slices.Equal(nodeBits(h), nodeBits(w)) {
 				t.Fatalf("%s: node %d (ID %d) differs from Execute's", tc.name, i, w.ID)
 			}

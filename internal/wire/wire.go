@@ -16,28 +16,33 @@
 // or malicious payload yields an error, never a crash — the dispatch layer
 // classifies such errors as transient and re-dispatches.
 //
-// The format is at Version 8, which ships only what the other side lacks
-// (Version 7 sent the whole instance in every unit and a full record for
-// every leaf). A work unit carries the sinks it routes, in routing order,
-// each as its instance id, location, load and group, plus the instance's
-// group count and clock source: nothing else of the instance. A worker
-// allocates for the sinks it was sent and no more, and checks their ids
-// in range (an int32, as a frozen subtree stores them) and unique with no
-// instance-sized table.
+// The format is at Version 9. A work unit carries the sinks it routes, in
+// routing order, each as its instance id, location, load and group, plus
+// the instance's group count and clock source: nothing else of the
+// instance. A worker allocates for the sinks it was sent and no more, and
+// checks their ids in range (an int32, as a frozen subtree stores them) and
+// unique with no instance-sized table.
 //
 // A tree travels as pre-order node records with no snaking-handle records:
 // routers recompute handles from the subtree when they need them. A
 // canonical leaf, bitwise the ctree.Leaf that core's builder makes from its
-// sink (its point as region, its load as cap, one group g, delay set
-// {g: [+0, +0]}, ID the sink's, every other field zero), travels as a
-// compact record, its sink id and g, and DecodeResult rebuilds it with
-// ctree.Leaf from the coordinator's instance, the leaves of one group
-// sharing one Groups slice and one delay set as the builder's do. Which
-// leaves are canonical is ctree.(*Node).IsCanonicalLeaf's to say, beside
-// the Node type it checks field by field. Every other node travels as a full
-// record (geometry, delay sets, deferred state), with Loc only when it is
-// set. A result's node count is bounded by the payload and by 2n − 1 over
-// the coordinator's n-sink instance, and every group a record names must be
+// sink (its point as region, its load as cap, delay set {g: [+0, +0]} for
+// one group g, ID the sink's, every other field zero), travels as a compact
+// record, its sink id and g, and DecodeResult rebuilds it with ctree.Leaf
+// from the coordinator's instance, the leaves of one group sharing one
+// delay set as the builder's do. Which leaves are canonical is
+// ctree.(*Node).IsCanonicalLeaf's to say, beside the Node type it checks
+// field by field. Every other node travels as a full record: ID, a leaf's
+// sink id, edges, region, cap and the delay set, whose groups are the
+// node's, with Loc only when it is set. A deferred node's record is a full
+// record followed by its open split (split wire, split range and octagonal
+// locus) and carries no group list either: the decoder rebuilds the
+// ctree.Deferral with ctree.NewDeferral from the node's children, as core's
+// merge makes it. Only the root may be deferred, and only an internal one,
+// since core defers only the roots of active subtrees; a result with a
+// deferred leaf or a deferred node below its root fails to decode. A
+// result's node count is bounded by the payload and by 2n − 1 over the
+// coordinator's n-sink instance, and every group a record names must be
 // one of that instance's.
 //
 // Run stats travel field by field, so any change to core.Stats' fields
@@ -47,9 +52,8 @@
 // subtree, its stats and the worker's registry; the coordinator measures
 // wire from the subtree itself. Work units, results and ECO cache files of
 // any other version fail the check with ErrVersion. A decoded tree lives in
-// one node slab, its nodes' Groups and Delay slices cut, capacity-capped,
-// from shared chunks: appending to one node's slice never writes into
-// another's.
+// one node slab, its nodes' delay-set slices cut, capacity-capped, from
+// shared chunks: appending to one node's slice never writes into another's.
 //
 // Observation does not travel: Options.Trace and Options.Ctx are
 // deliberately not encoded (a worker build runs untraced; the coordinator
@@ -72,7 +76,7 @@ import (
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 8
+const Version uint16 = 9
 
 // ErrVersion marks a message written by a build that speaks another
 // Version; errors.Is recognizes it through the decoders' wrapping.
@@ -108,16 +112,15 @@ const (
 	// against the remaining payload before allocating.
 	minSinkBytes = 25 // 3 floats + group varint
 	// minNodeBytes is a full node record's least: flags, ID, 7 floats,
-	// two counts and the delay flag.
-	minNodeBytes = 61
+	// the delay flag and the delay count.
+	minNodeBytes = 60
 	// minLeafBytes is a compact leaf record's: flags, sink id, group.
 	minLeafBytes  = 3
 	minEntryBytes = 8
 	minGroupBytes = 9 // registry parent varint + offset float
 	// minTreeGroupBytes is what a group held by a full record adds to it:
-	// a varint in Groups and a delay entry (varint and two floats), since a
-	// node's delay groups mirror its Groups.
-	minTreeGroupBytes = 18
+	// a delay entry, a varint and two floats.
+	minTreeGroupBytes = 17
 )
 
 // WorkUnit is one remote task: route Sinks, sinks of an instance with
@@ -597,7 +600,7 @@ func preorder(root *ctree.Node) ([]*ctree.Node, error) {
 // (ctree.(*Node).IsCanonicalLeaf) whose sink id and group the record can
 // write unsigned.
 func isCompact(n *ctree.Node) bool {
-	return n.IsCanonicalLeaf() && n.ID >= 0 && n.Groups[0] >= 0
+	return n.IsCanonicalLeaf() && n.ID >= 0 && n.Delay.Groups[0] >= 0
 }
 
 // hasLoc reports whether n's Loc is set, bitwise: a full record carries it
@@ -610,15 +613,11 @@ func hasLoc(n *ctree.Node) bool {
 // when n is a canonical leaf.
 func nodeLen(n *ctree.Node, compact bool) int {
 	if compact {
-		return 1 + uvLen(uint64(n.Sink.ID)) + uvLen(uint64(n.Groups[0]))
+		return 1 + uvLen(uint64(n.Sink.ID)) + uvLen(uint64(n.Delay.Groups[0]))
 	}
-	l := 1 + ivLen(int64(n.ID)) + 7*8 + uvLen(uint64(len(n.Groups))) +
-		1 + uvLen(uint64(len(n.Delay.Groups))) + 16*len(n.Delay.Groups)
+	l := 1 + ivLen(int64(n.ID)) + 7*8 + 1 + uvLen(uint64(len(n.Delay.Groups))) + 16*len(n.Delay.Groups)
 	if n.IsLeaf() {
 		l += uvLen(uint64(n.Sink.ID))
-	}
-	for _, g := range n.Groups {
-		l += ivLen(int64(g))
 	}
 	for _, g := range n.Delay.Groups {
 		l += ivLen(int64(g))
@@ -626,7 +625,7 @@ func nodeLen(n *ctree.Node, compact bool) int {
 	if hasLoc(n) {
 		l += 16
 	}
-	if n.Deferred {
+	if n.Def != nil {
 		l += 11 * 8
 	}
 	return l
@@ -636,7 +635,7 @@ func encodeNode(w *writer, n *ctree.Node, compact bool) error {
 	if compact {
 		w.u8(nodeLeaf | nodeSink)
 		w.uv(uint64(n.Sink.ID))
-		w.uv(uint64(n.Groups[0]))
+		w.uv(uint64(n.Delay.Groups[0]))
 		return nil
 	}
 	var flags byte
@@ -646,7 +645,7 @@ func encodeNode(w *writer, n *ctree.Node, compact bool) error {
 	if n.Placed {
 		flags |= nodePlaced
 	}
-	if n.Deferred {
+	if n.Def != nil {
 		flags |= nodeDeferred
 	}
 	if hasLoc(n) {
@@ -664,10 +663,6 @@ func encodeNode(w *writer, n *ctree.Node, compact bool) error {
 	w.f64(n.Region.VLo)
 	w.f64(n.Region.VHi)
 	w.f64(n.Cap)
-	w.uv(uint64(len(n.Groups)))
-	for _, g := range n.Groups {
-		w.iv(int64(g))
-	}
 	if len(n.Delay.Groups) != len(n.Delay.Ivs) {
 		return fmt.Errorf("wire: node %d delay set with %d groups, %d intervals",
 			n.ID, len(n.Delay.Groups), len(n.Delay.Ivs))
@@ -684,12 +679,12 @@ func encodeNode(w *writer, n *ctree.Node, compact bool) error {
 		w.f64(n.Loc.U)
 		w.f64(n.Loc.V)
 	}
-	if flags&nodeDeferred != 0 {
-		w.f64(n.DefD)
-		w.f64(n.DefELo)
-		w.f64(n.DefEHi)
-		for _, f := range []float64{n.DefRegion.ULo, n.DefRegion.UHi, n.DefRegion.VLo, n.DefRegion.VHi,
-			n.DefRegion.SLo, n.DefRegion.SHi, n.DefRegion.TLo, n.DefRegion.THi} {
+	if s := n.Def; s != nil {
+		w.f64(s.D)
+		w.f64(s.ELo)
+		w.f64(s.EHi)
+		for _, f := range [...]float64{s.Region.ULo, s.Region.UHi, s.Region.VLo, s.Region.VHi,
+			s.Region.SLo, s.Region.SHi, s.Region.TLo, s.Region.THi} {
 			w.f64(f)
 		}
 	}
@@ -713,13 +708,12 @@ func (c *chunk[T]) take(n int) []T {
 	return c.buf[i : i+n : i+n]
 }
 
-// treeChunks back one decoded tree's Groups and Delay slices. leaves[g]
-// is the first compact leaf of group g, whose slices the later ones share.
+// treeChunks back one decoded tree's delay sets. leaves[g] is the delay
+// set of the first compact leaf of group g, which the later ones share.
 type treeChunks struct {
-	groups chunk[int]
 	delays chunk[int32]
 	ivs    chunk[rctree.Interval]
-	leaves []*ctree.Node
+	leaves []rctree.DelaySet
 }
 
 // decodeTree reconstructs the pre-order into one node slab, iteratively (a
@@ -745,7 +739,6 @@ func decodeTree(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 	internal := (len(nodes) - 1) / 2
 	groups := max(p-internal*minNodeBytes-(len(nodes)-internal)*minLeafBytes, 0) / minTreeGroupBytes
 	c := treeChunks{
-		groups: chunk[int]{make([]int, 0, groups)},
 		delays: chunk[int32]{make([]int32, 0, groups)},
 		ivs:    chunk[rctree.Interval]{make([]rctree.Interval, 0, groups)},
 	}
@@ -757,6 +750,11 @@ func decodeTree(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 		}
 		if err := decodeNode(r, in, n, &c); err != nil {
 			return nil, err
+		}
+		// Only an internal root may be deferred: core defers only the roots
+		// of active subtrees.
+		if n.Def != nil && (i > 0 || n.IsLeaf()) {
+			return nil, fmt.Errorf("wire: deferred record not at an internal root")
 		}
 		if i > 0 {
 			top := open[len(open)-1]
@@ -774,10 +772,17 @@ func decodeTree(r *reader, in *ctree.Instance) (*ctree.Node, error) {
 	if len(open) > 0 {
 		return nil, fmt.Errorf("wire: tree truncated, %d internal nodes missing children", len(open))
 	}
-	return &nodes[0], nil
+	root := &nodes[0]
+	if s := root.Def; s != nil {
+		// The record is the root's alone so far; its group list is its
+		// children's, which have now decoded.
+		*s = ctree.NewDeferral(root.Left, root.Right, s.D, s.ELo, s.EHi, s.Region)
+	}
+	return root, nil
 }
 
-// decodeNode fills the zero node n from its record.
+// decodeNode fills the zero node n from its record. A deferred record's
+// group list is left to decodeTree, which rebuilds it from the children.
 func decodeNode(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) error {
 	flags := r.u8()
 	if r.err != nil {
@@ -804,26 +809,6 @@ func decodeNode(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) err
 	n.EdgeR = r.f64()
 	n.Region = geom.Rect{ULo: r.f64(), UHi: r.f64(), VLo: r.f64(), VHi: r.f64()}
 	n.Cap = r.f64()
-	ng := int(r.uv())
-	if r.err != nil {
-		return r.err
-	}
-	if ng < 0 || ng > r.remaining() {
-		return fmt.Errorf("wire: group count %d exceeds payload", ng)
-	}
-	if ng > 0 {
-		n.Groups = c.groups.take(ng)
-		for i := range n.Groups {
-			g := r.iv()
-			if r.err == nil && (g < 0 || g >= int64(in.NumGroups)) {
-				return fmt.Errorf("wire: node %d group %d out of range", n.ID, g)
-			}
-			n.Groups[i] = int(g)
-			if i > 0 && r.err == nil && n.Groups[i] <= n.Groups[i-1] {
-				return fmt.Errorf("wire: node %d groups not ascending", n.ID)
-			}
-		}
-	}
 	hasDelay := r.bool()
 	nd := int(r.uv())
 	if r.err != nil {
@@ -853,21 +838,16 @@ func decodeNode(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) err
 	}
 	n.Placed = flags&nodePlaced != 0
 	if flags&nodeDeferred != 0 {
-		n.Deferred = true
-		n.DefD = r.f64()
-		n.DefELo = r.f64()
-		n.DefEHi = r.f64()
-		n.DefRegion = geom.Octagon{
+		n.Def = &ctree.Deferral{D: r.f64(), ELo: r.f64(), EHi: r.f64(), Region: geom.Octagon{
 			ULo: r.f64(), UHi: r.f64(), VLo: r.f64(), VHi: r.f64(),
 			SLo: r.f64(), SHi: r.f64(), TLo: r.f64(), THi: r.f64(),
-		}
+		}}
 	}
 	return r.err
 }
 
 // decodeLeaf fills n from a compact leaf record: ctree.Leaf of sink sid of
-// in in group g, sharing the Groups slice and delay set of the first compact
-// leaf of g.
+// in in group g, sharing the delay set of the first compact leaf of g.
 func decodeLeaf(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) error {
 	sid, g := r.uv(), r.uv()
 	if r.err != nil {
@@ -880,17 +860,12 @@ func decodeLeaf(r *reader, in *ctree.Instance, n *ctree.Node, c *treeChunks) err
 		return fmt.Errorf("wire: leaf %d group %d out of range", sid, g)
 	}
 	if c.leaves == nil {
-		c.leaves = make([]*ctree.Node, in.NumGroups)
+		c.leaves = make([]rctree.DelaySet, in.NumGroups)
 	}
-	s := &in.Sinks[sid]
-	if first := c.leaves[g]; first != nil {
-		*n = ctree.Leaf(s, first.Groups, first.Delay)
-		return nil
+	if c.leaves[g].IsZero() {
+		c.leaves[g] = rctree.DelaySet{Groups: c.delays.take(1), Ivs: c.ivs.take(1)}
+		c.leaves[g].Groups[0] = int32(g)
 	}
-	delay := rctree.DelaySet{Groups: c.delays.take(1), Ivs: c.ivs.take(1)}
-	delay.Groups[0] = int32(g)
-	*n = ctree.Leaf(s, c.groups.take(1), delay)
-	n.Groups[0] = int(g)
-	c.leaves[g] = n
+	*n = ctree.Leaf(&in.Sinks[sid], c.leaves[g])
 	return nil
 }

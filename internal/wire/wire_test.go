@@ -283,7 +283,7 @@ var wireLayout = struct {
 	version uint16
 	stats   []string
 	options []string
-}{8, []string{
+}{9, []string{
 	"Merges varint", "SameGroup varint", "CrossGroup varint", "Shared varint",
 	"Deferred varint", "GroupUnions varint", "MergeSnakes varint",
 	"SneakEvents varint", "SneakWire f64", "SneakIters varint",
@@ -483,12 +483,76 @@ func FuzzDecodeWork(f *testing.F) {
 	})
 }
 
+// misplacedDeferral is a sealed result whose tree holds a deferred record
+// where only a committed node may be, beside the control result of the same
+// tree without that record.
+type misplacedDeferral struct {
+	name      string
+	bad, good []byte
+}
+
+// misplacedDeferrals encodes, from hand-made trees over in's first three
+// sinks, the deferred records DecodeResult must reject, since only an
+// internal root may be deferred: a leaf at the root that holds a record,
+// and a deferred node below a committed root.
+func misplacedDeferrals(tb testing.TB, in *ctree.Instance) []misplacedDeferral {
+	tb.Helper()
+	m := core.DefaultModel()
+	reg, err := core.NewRegistry(in, core.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	encode := func(root *ctree.Node) []byte {
+		data, err := (&BuildResult{Root: root, Registry: reg.Snapshot()}).Encode()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return data
+	}
+	leaf := func(i int) *ctree.Node { return ctree.NewLeaf(&in.Sinks[i]) }
+
+	lone := leaf(0)
+	loneGood := encode(lone)
+	lone.Def = &ctree.Deferral{D: 1, EHi: 1, Region: geom.OctFromRect(lone.Region), Groups: lone.Delay.Groups}
+
+	l, r := leaf(0), leaf(1)
+	d := geom.DistRR(l.Region, r.Region)
+	below := &ctree.Node{ID: len(in.Sinks), Left: l, Right: r, Cap: l.Cap + r.Cap + m.WireCap(d)}
+	split := ctree.NewDeferral(l, r, d, 0, d, geom.SDR(l.Region, r.Region, d, 0, d))
+	below.Def = &split
+	root := &ctree.Node{ID: len(in.Sinks) + 1, Left: below, Right: leaf(2)}
+	belowBad := encode(root)
+	below.Resolve(m, d/2)
+	return []misplacedDeferral{
+		{"deferred leaf at the root", encode(lone), loneGood},
+		{"deferred node below the root", belowBad, encode(root)},
+	}
+}
+
+// TestDecodeResultRejectsMisplacedDeferral: a sealed result whose deferred
+// record is a leaf, or sits below the root, fails to decode with an error
+// (which dispatch retries as transient) instead of reaching the stitch,
+// while the same tree without that record decodes.
+func TestDecodeResultRejectsMisplacedDeferral(t *testing.T) {
+	in := bench.Intermingled(bench.Small(40, 3), 3, 5)
+	for _, tc := range misplacedDeferrals(t, in) {
+		if _, err := DecodeResult(tc.good, in); err != nil {
+			t.Fatalf("%s: the control tree fails to decode: %v", tc.name, err)
+		}
+		if _, err := DecodeResult(tc.bad, in); err == nil || !strings.Contains(err.Error(), "deferred record") {
+			t.Errorf("%s: err = %v, want the deferred-record error", tc.name, err)
+		}
+	}
+}
+
 // FuzzDecodeResult asserts the result decoder's no-crash contract,
 // including the iterative tree reconstruction into the node slab, and that
 // whatever decodes re-encodes to bytes that decode and encode back to
 // themselves. Its seeds are a sub-build with compact leaves and a deferred
 // root, the same with one leaf whose delay set starts at −0 (so it takes a
-// full record), and an embedded pilot patch, whose placed nodes carry Loc.
+// full record), an embedded pilot patch, whose placed nodes carry Loc and
+// whose root is resolved, and the misplaced deferred records the decoder
+// rejects.
 func FuzzDecodeResult(f *testing.F) {
 	in := bench.Intermingled(bench.Small(40, 3), 3, 5)
 	reg, err := core.NewRegistry(in, core.Options{})
@@ -508,7 +572,7 @@ func FuzzDecodeResult(f *testing.F) {
 		return data
 	}
 	compact := encode(KindBuild, func(root *ctree.Node) {
-		if !root.Deferred {
+		if root.Def == nil {
 			f.Fatal("seed sub-build root is not deferred")
 		}
 	})
@@ -517,7 +581,7 @@ func FuzzDecodeResult(f *testing.F) {
 		for !leaf.IsLeaf() {
 			leaf = leaf.Left
 		}
-		leaf.Delay = rctree.PointDelaySet(leaf.Groups[0], rctree.Interval{Lo: math.Copysign(0, -1)})
+		leaf.Delay = rctree.PointDelaySet(int(leaf.Delay.Groups[0]), rctree.Interval{Lo: math.Copysign(0, -1)})
 	})
 	if len(negZero) <= len(compact) {
 		f.Fatal("the −0 leaf still travels as a compact record")
@@ -527,6 +591,12 @@ func FuzzDecodeResult(f *testing.F) {
 	for _, seed := range [][]byte{compact, negZero, placed} {
 		seedRoundTrip(f, seed, decode)
 		f.Add(seed)
+	}
+	for _, tc := range misplacedDeferrals(f, in) {
+		if _, err := DecodeResult(tc.bad, in); err == nil {
+			f.Fatalf("seed %q decodes", tc.name)
+		}
+		f.Add(tc.bad)
 	}
 	f.Add([]byte("ASTR"))
 	f.Fuzz(func(t *testing.T, data []byte) {
