@@ -225,14 +225,19 @@ type Stats struct {
 	SneakIters int
 	// PairScans is the number of candidate pair evaluations the merging
 	// order performed — the work metric the spatial pairer drives
-	// sub-quadratic (all-pairs pairing scans Θ(n²) of them per round).
+	// sub-quadratic (all-pairs pairing scans Θ(n²) of them per round): a
+	// batch query scans the cells near each item, and the single queries of
+	// a Greedy build also scan the items inserted since the last filing,
+	// about n^1.5 of them over the build.
 	PairScans int64
-	// GridRebuilds counts the spatial pairer's index rebuilds by trigger
-	// (all zero under the all-pairs oracle): under Multi, LiveDrop is about
-	// one per round, the batch query's re-file; under Greedy it counts the
-	// live-count halvings (see spatial.RebuildStats). Like PairScans it is
-	// recorded once per run from the pairing engine, not accumulated by
-	// merge bodies.
+	// GridRebuilds counts the spatial pairer's index filings after the
+	// first (all zero under the all-pairs oracle): under Multi, LiveDrop is
+	// about one per round, the batch query's re-pack; under Greedy it
+	// counts the single queries' refreshes and re-packs, each once their
+	// scans of late items and skips of stale records since the last
+	// outnumber twice the live set (see spatial.RebuildStats). Like
+	// PairScans it is recorded once per run from the pairing engine, not
+	// accumulated by merge bodies.
 	GridRebuilds spatial.RebuildStats
 	// SneakUnresolved counts merges where sneaking could not (affordably)
 	// reconcile conflicting windows; the residual intra-group skew is then
@@ -514,8 +519,8 @@ func EXTBST(in *ctree.Instance, boundPs float64, opt Options) (*Result, error) {
 
 // String summarizes the stats.
 func (s Stats) String() string {
-	return fmt.Sprintf("merges=%d (same=%d cross=%d shared=%d deferred=%d unions=%d) snakes=%d sneaks=%d/%d iters (+%.0f wire, %d unresolved) scans=%d rebuilds=%d (drop=%d clamp=%d)",
+	return fmt.Sprintf("merges=%d (same=%d cross=%d shared=%d deferred=%d unions=%d) snakes=%d sneaks=%d/%d iters (+%.0f wire, %d unresolved) scans=%d rebuilds=%d",
 		s.Merges, s.SameGroup, s.CrossGroup, s.Shared, s.Deferred, s.GroupUnions,
 		s.MergeSnakes, s.SneakEvents, s.SneakIters, s.SneakWire, s.SneakUnresolved, s.PairScans,
-		s.GridRebuilds.Total(), s.GridRebuilds.LiveDrop, s.GridRebuilds.EdgeClamp)
+		s.GridRebuilds.LiveDrop)
 }

@@ -125,12 +125,14 @@ func flatZSTInput() *ctree.Instance {
 // grid re-filed once per round scans 172,947 candidates; the unclipped
 // walk, stopping only once (r − 1)·cell passed the best key, over a grid
 // re-celled midway through each round's retirements, scanned 993,835.
-// Under Greedy, whose single queries keep the incremental cadence over
-// buckets built in the window and cell of the queue's initial batch query,
-// it scans 154,253.
-// Both counts, and the rebuilds by trigger, are exact: the per-round
-// snapshot, the exact-box key and the radix rank change how the walk reads
-// its candidates, never which cells it visits or what it counts.
+// Under Greedy, each merge's single queries walk the snapshot the last
+// filing left, skipping the records of the items merged since, and scan
+// every item inserted since: 927,951 candidates, with 129 filings, each
+// once those skips and scans since the last outnumber twice the live set,
+// a refresh of the snapshot or, once the live count has halved, a re-pack.
+// Both counts, and the rebuilds, are exact: the per-round snapshot, the
+// exact-box key and the radix rank change how the walk reads its
+// candidates, never which cells it visits or what it counts.
 func TestFlatZSTPairScansBudget(t *testing.T) {
 	in := flatZSTInput()
 	for _, tc := range []struct {
@@ -139,7 +141,7 @@ func TestFlatZSTPairScansBudget(t *testing.T) {
 		rebuilds spatial.RebuildStats
 	}{
 		{order.Multi, 172_947, spatial.RebuildStats{LiveDrop: 18}},
-		{order.Greedy, 154_253, spatial.RebuildStats{LiveDrop: 8}},
+		{order.Greedy, 927_951, spatial.RebuildStats{LiveDrop: 129}},
 	} {
 		res, err := ZST(in, Options{Strategy: tc.strategy})
 		if err != nil {
@@ -154,24 +156,34 @@ func TestFlatZSTPairScansBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkFlatZSTPairing routes the flat-zst benchmark's input ZST under
-// Multi, the build whose time is mostly pairing: each round's ring walk over
-// the snapshot, its re-file and the ranking of its candidates. It reports
-// the scans per build, which TestFlatZSTPairScansBudget pins, so a timing
-// can be read against the work the walk did.
+// BenchmarkFlatZSTPairing routes the flat-zst benchmark's input ZST, the
+// build whose time is mostly pairing, under each strategy. Multi's time is
+// each round's ring walk over the snapshot, its re-file and the ranking of
+// its candidates; Greedy's is the single queries of each merge, over the
+// snapshot, its stale records and the items inserted after it, and the
+// filings their lag work trips. It reports the scans per build, which
+// TestFlatZSTPairScansBudget pins, so a timing can be read against the
+// work the walk did.
 func BenchmarkFlatZSTPairing(b *testing.B) {
 	in := flatZSTInput()
-	var scans int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ZST(in, Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		scans = res.Stats.PairScans
+	for _, tc := range []struct {
+		name     string
+		strategy order.Strategy
+	}{{"multi", order.Multi}, {"greedy", order.Greedy}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var scans int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := ZST(in, Options{Strategy: tc.strategy})
+				if err != nil {
+					b.Fatal(err)
+				}
+				scans = res.Stats.PairScans
+			}
+			b.ReportMetric(float64(scans), "scans/op")
+		})
 	}
-	b.ReportMetric(float64(scans), "scans/op")
 }
 
 // TestPairerAutoSelection: auto mode must keep the oracle below the

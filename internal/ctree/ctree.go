@@ -425,16 +425,28 @@ func (n *Node) Sinks(dst []*Sink) []*Sink {
 // committed edge lengths, using the given delay model. It is called after
 // structural modifications such as wire snaking on an interior edge, where
 // the added wire capacitance perturbs delays along shared ancestor paths.
+// A leaf keeps its delay set when it already is {g: [+0, +0]} for its
+// sink's group g, and gets that set otherwise, as a leaf relabelled to
+// another group does.
 func (n *Node) Recompute(m rctree.Model) {
 	if n.IsLeaf() {
 		n.Cap = n.Sink.CapFF
-		n.Delay = rctree.PointDelaySet(n.Sink.Group, rctree.PointInterval(0))
+		if !isLeafDelay(n.Delay, n.Sink.Group) {
+			n.Delay = rctree.PointDelaySet(n.Sink.Group, rctree.PointInterval(0))
+		}
 		return
 	}
 	n.Left.Recompute(m)
 	n.Right.Recompute(m)
 	n.Cap = n.Left.Cap + n.Right.Cap + m.WireCap(n.EdgeL) + m.WireCap(n.EdgeR)
 	n.Delay = mergedDelay(m, n, n.Delay.Len())
+}
+
+// isLeafDelay reports whether d is bitwise {g: [+0, +0]}, the delay set a
+// leaf of group g has, which Recompute then keeps rather than rebuilds.
+func isLeafDelay(d rctree.DelaySet, g int) bool {
+	return len(d.Groups) == 1 && len(d.Ivs) == 1 && d.Groups[0] == int32(g) &&
+		math.Float64bits(d.Ivs[0].Lo)|math.Float64bits(d.Ivs[0].Hi) == 0
 }
 
 // Embed performs the DME top-down embedding: the subtree root is placed at

@@ -111,6 +111,36 @@ func TestRecompute(t *testing.T) {
 	}
 }
 
+// TestRecomputeKeepsLeafDelaySets: Recompute keeps a leaf's delay set when
+// it is bitwise {g: [+0, +0]} for the sink's group g, so recomputing a leaf
+// allocates nothing and a subtree's recompute keeps its leaves' sets, and
+// it gives a leaf whose sink moved to another group, as the stitch
+// baseline's leaves do, or whose set is not bitwise that, a fresh one.
+func TestRecomputeKeepsLeafDelaySets(t *testing.T) {
+	var m rctree.Model = rctree.NewElmore(0.03, 0.02)
+	root, sinks := buildTwoLevel(m)
+	leaf := root.Left.Left
+	kept := leaf.Delay
+	if allocs := testing.AllocsPerRun(20, func() { leaf.Recompute(m) }); allocs != 0 {
+		t.Errorf("Recompute of a leaf made %v allocations, want 0", allocs)
+	}
+	root.Recompute(m)
+	if &leaf.Delay.Groups[0] != &kept.Groups[0] || &leaf.Delay.Ivs[0] != &kept.Ivs[0] {
+		t.Error("Recompute rebuilt a leaf's {g: [+0, +0]} delay set")
+	}
+	sinks[0].Group = 1
+	leaf.Recompute(m)
+	if g, _ := PureGroup(leaf.Delay.Groups); g != 1 || &leaf.Delay.Groups[0] == &kept.Groups[0] {
+		t.Errorf("relabelled leaf keeps groups %v", leaf.Delay.Groups)
+	}
+	negZero := rctree.PointDelaySet(1, rctree.PointInterval(math.Copysign(0, -1)))
+	leaf.Delay = negZero
+	leaf.Recompute(m)
+	if iv := leaf.Delay.Ivs[0]; math.Float64bits(iv.Lo)|math.Float64bits(iv.Hi) != 0 {
+		t.Errorf("leaf delay %v after Recompute, want [+0, +0]", iv)
+	}
+}
+
 func TestSnakeHandleChangesOnlyThatGroupPlusUpstreamCap(t *testing.T) {
 	m := rctree.NewElmore(0.03, 0.02)
 	root, _ := buildTwoLevel(m)

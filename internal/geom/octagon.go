@@ -188,17 +188,15 @@ func ClosestPoints(a, b Octagon) (UV, UV) {
 func SDR(a, b Rect, d, eLo, eHi float64) Octagon {
 	eLo = clamp1(eLo, 0, d)
 	eHi = clamp1(eHi, eLo, d)
-	// Candidate breakpoints of the piecewise-linear corner trajectories.
-	cands := []float64{eLo, eHi}
-	addBreak := func(x float64) {
+	// Candidate breakpoints of the piecewise-linear corner trajectories:
+	// the range ends and up to four inside it, in an array on the stack.
+	var buf [6]float64
+	cands := append(buf[:0], eLo, eHi)
+	for _, x := range [...]float64{(a.ULo - b.ULo + d) / 2, (b.UHi - a.UHi + d) / 2, (a.VLo - b.VLo + d) / 2, (b.VHi - a.VHi + d) / 2} {
 		if x > eLo && x < eHi {
 			cands = append(cands, x)
 		}
 	}
-	addBreak((a.ULo - b.ULo + d) / 2)
-	addBreak((b.UHi - a.UHi + d) / 2)
-	addBreak((a.VLo - b.VLo + d) / 2)
-	addBreak((b.VHi - a.VHi + d) / 2)
 
 	o := Octagon{
 		ULo: math.Inf(1), UHi: math.Inf(-1),

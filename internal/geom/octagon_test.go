@@ -198,6 +198,29 @@ func TestSDRMembership(t *testing.T) {
 	}
 }
 
+// TestSDRBreakpointsStayOnStack: SDR collects its breakpoints in an array
+// on the stack, so a call with all four inside [eLo, eHi], as a deferred
+// merge's can be, allocates nothing, and its octagon is the one it gave
+// when the breakpoints grew a slice on the heap.
+func TestSDRBreakpointsStayOnStack(t *testing.T) {
+	a := Rect{ULo: 0, UHi: 2, VLo: 0, VHi: 2}
+	b := Rect{ULo: 3, UHi: 5, VLo: 1, VHi: 4}
+	const d, eLo, eHi = 10.0, 0.0, 10.0
+	for _, x := range []float64{(a.ULo - b.ULo + d) / 2, (b.UHi - a.UHi + d) / 2, (a.VLo - b.VLo + d) / 2, (b.VHi - a.VHi + d) / 2} {
+		if !(x > eLo && x < eHi) {
+			t.Fatalf("breakpoint %v outside (%v, %v): the test lost its point", x, eLo, eHi)
+		}
+	}
+	var o Octagon
+	if allocs := testing.AllocsPerRun(100, func() { o = SDR(a, b, d, eLo, eHi) }); allocs != 0 {
+		t.Errorf("SDR allocated %v times per call, want 0", allocs)
+	}
+	want := Octagon{ULo: -3.5, UHi: 8.5, VLo: -4.5, VHi: 8, SLo: -7, SHi: 16, TLo: -9, THi: 11}
+	if o != want {
+		t.Errorf("SDR = %v, want %v", o, want)
+	}
+}
+
 // geomUV is the identity; it exists to make the call sites above readable.
 func geomUV(q UV) UV { return q }
 

@@ -11,12 +11,13 @@ import (
 // TestEcoChurnMatchesFreshIndex pins the index under the exact churn shape
 // the incremental rerouting path produces: a long run of ECO rounds, each a
 // clustered batch of moves (delete + re-insert of the SAME id at a shifted
-// placement), removals (tombstones) and additions (fresh ids extending the
-// id space), with the live count crossing re-cell boundaries in both
-// directions so the LiveDrop purge/rebuild machinery fires mid-sequence.
-// After every round the churned index must answer NearestBox identically to
-// an index freshly built from the surviving boxes — cell geometry and
-// rebuild history are never allowed to leak into results.
+// placement), removals (stale filings) and additions (fresh ids extending
+// the id space, late until a filing), with the live count moving in both
+// directions so single queries refresh and re-pack (LiveDrop) mid-sequence.
+// After every round the churned index must answer NearestBox identically
+// to an index freshly built from the surviving boxes — cell geometry, late
+// items, stale records and filing history are never allowed to leak into
+// results.
 func TestEcoChurnMatchesFreshIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	const n = 500
@@ -120,8 +121,10 @@ func TestEcoChurnMatchesFreshIndex(t *testing.T) {
 		check("round")
 	}
 
-	// Now force the re-cell boundary from above: drain far enough that the
-	// live-count halving rebuild must fire, churning survivors on the way.
+	// Now drain far enough that the live count halves: the stale records
+	// the queries skip trip a filing, a re-pack that re-measures the cell
+	// for the survivors.
+	drops := x.Rebuilds().LiveDrop
 	dropped, target := 0, 4*x.Len()/5
 	for id := 0; id < len(live) && dropped < target; id++ {
 		if live[id] {
@@ -130,12 +133,15 @@ func TestEcoChurnMatchesFreshIndex(t *testing.T) {
 			dropped++
 		}
 	}
-	check("after drain") // its first query settles the drained index
-	if x.Rebuilds().LiveDrop == 0 {
-		t.Error("drain never crossed the live-drop re-cell boundary; the test lost its point")
+	check("after drain")
+	// The re-pack measured the cell for the survivors and the probe box
+	// the tripping query was filed for.
+	if x.Rebuilds().LiveDrop == drops || x.cellLive != x.Len()+1 {
+		t.Errorf("drain never made a single query re-pack the survivors; the test lost its point")
 	}
 
-	// And from below: mass re-insertion over the drained grid.
+	// And from below: mass re-insertion over the drained grid, late until
+	// a query files them.
 	for id := range live {
 		if !live[id] && r.Float64() < 0.7 {
 			boxes[id] = randRect(r, 1000, 4)

@@ -158,7 +158,7 @@ func TestNearestFreeMatchesScan(t *testing.T) {
 				t.Fatalf("trial %d, item %d: NearestFree = %+v, %v; scan (%d, %v)", trial, i, got, ok, want, wantD)
 			}
 		}
-		if len(p.Index().over) > 0 {
+		if len(p.Index().snap.over) > 0 {
 			overflowTrials++
 		}
 	}

@@ -47,7 +47,8 @@ func NewGridPairer(cell float64, ids int, box func(id int) (geom.Rect, bool), di
 // Index exposes the underlying grid (diagnostics and tests).
 func (p *GridPairer) Index() *Index { return p.idx }
 
-// Insert queues the item under its current bounding box and exact bit.
+// Insert lists the item as late under its current bounding box and exact
+// bit, until the next filing files it.
 func (p *GridPairer) Insert(id int) {
 	r, exact := p.box(id)
 	p.idx.insert(id, r, exact)
@@ -66,10 +67,10 @@ func (p *GridPairer) pairKey(self, cand int, d float64, exact bool) float64 {
 }
 
 // Nearest returns id's best live partner by key, smallest index on ties,
-// settling the index under the single-query cadence first.
+// bringing the snapshot up to date under the single-query rule first.
 func (p *GridPairer) Nearest(id int) (order.Pair, bool) {
-	p.idx.settle()
-	return p.pair(id, p, nil)
+	j, key := p.idx.single(id, p, nil)
+	return pairOf(id, j, key)
 }
 
 // distKeyer is GridPairer's keyer view that scores by the exact pair
@@ -86,19 +87,12 @@ func (p *distKeyer) pairKey(self, cand int, d float64, exact bool) float64 {
 
 // NearestFree returns id's nearest live partner by raw distance among the
 // ids not marked in used, smallest index on ties: the anti-starvation
-// partner of order's batch selection, answered by the ring walk after the
-// single-query settle. Within a Multi round it follows the round's
-// NearestAll with no mutation between, so the settle finds nothing to do
-// and the walk reads the round's snapshot.
+// partner of order's batch selection, answered under the single-query
+// rule. Within a Multi round it follows the round's NearestAll with no
+// mutation between, so it files nothing and walks the round's fresh
+// snapshot, with no late item or stale record, as NearestAll's queries do.
 func (p *GridPairer) NearestFree(id int, used []bool) (order.Pair, bool) {
-	p.idx.settle()
-	return p.pair(id, (*distKeyer)(p), used)
-}
-
-// pair runs one query on the settled index and counts its scans.
-func (p *GridPairer) pair(id int, k keyer, used []bool) (order.Pair, bool) {
-	j, key, scans := p.idx.nearest(id, k, used)
-	p.idx.scans.Add(scans)
+	j, key := p.idx.single(id, (*distKeyer)(p), used)
 	return pairOf(id, j, key)
 }
 
@@ -111,15 +105,15 @@ func pairOf(id, j int, key float64) (order.Pair, bool) {
 	return order.Pair{Key: key, I: id, J: j}, true
 }
 
-// NearestAll re-files the index into a snapshot for this batch (see the
-// package documentation), then spreads the queries over the CPUs. Queries
-// only read the settled index, and every result is written by position
-// with smallest-index tie-breaking, so the output and the scan count are
-// identical at any GOMAXPROCS. Each block of queries adds its scans to the
-// count once. The returned slice aliases an internal buffer valid until the
-// next call.
+// NearestAll re-packs the index into a fresh snapshot for this batch when
+// it lags the live set (see the package documentation), then spreads the
+// queries over the CPUs. Queries only read the index, and every result is
+// written by position with smallest-index tie-breaking, so the output and
+// the scan count are identical at any GOMAXPROCS. Each block of queries
+// adds its scans to the count once. The returned slice aliases an internal
+// buffer valid until the next call.
 func (p *GridPairer) NearestAll(ids []int) []order.Pair {
-	p.idx.settleBatch()
+	p.idx.settle(true)
 	if cap(p.out) < len(ids) {
 		p.out = make([]order.Pair, len(ids))
 	}
@@ -127,7 +121,7 @@ func (p *GridPairer) NearestAll(ids []int) []order.Pair {
 	order.ParallelChunks(len(ids), func(_, lo, hi int) {
 		var scans int64
 		for t := lo; t < hi; t++ {
-			j, key, n := p.idx.nearest(ids[t], p, nil)
+			j, key, n, _ := p.idx.nearest(ids[t], p, nil)
 			scans += n
 			out[t], _ = pairOf(ids[t], j, key)
 		}

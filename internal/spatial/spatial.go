@@ -15,68 +15,77 @@
 //
 // The index is a uniform bucket grid, after Edahiro's bucket decomposition
 // for greedy-DME: square cells of edge `cell` over a dense array window,
-// each holding the items whose boxes overlap it. Items whose
-// boxes fall outside the window are filed clamped to the window edge, which
-// is sound (they are discovered no later than their true distance warrants)
-// and self-correcting (enough clamped items trigger a re-windowing rebuild).
+// each holding the items whose boxes overlap it. A re-pack fits the window
+// to the live items' bounding box, and a refresh files no item that reaches
+// the window's edge cells, so no filed item lies outside it.
 // Items spanning more than maxSpanCells cells go to a small overflow list
 // that every query scans linearly — oversized regions appear near the top of
 // the merge tree, when few items are live, so the list stays short.
 //
-// # Settling: upkeep at query time
+// # Filing: one packed snapshot, brought up to date at query time
 //
-// Mutations only record: Insert queues the item, and Delete marks it dead
-// (a tombstone) in O(1). The grid is brought up to date when a query needs
-// it, on the single goroutine that owns the index, by one of two rules:
+// The grid has one form, a packed snapshot: a cell-offset table over the
+// window and one record array in cell order, each record an item's box, id
+// and exact bit. A filing packs the live set into it. Mutations only
+// record, in O(1). Insert lists the item as late, filed after the
+// snapshot: every query scans the late list linearly, as it scans the
+// overflow list, and Delete drops a late item from it. Delete, and an
+// Insert that moves a filed item, leave a filed item's records stale: the
+// index lists the item, and a walk over a snapshot with stale records
+// skips each record whose item is no longer filed, a check that a walk
+// over an up-to-date snapshot does not make.
+// Queries bring the snapshot up to date, on the single goroutine that owns
+// the index, by one of two rules:
 //
-//   - The batch query (GridPairer.NearestAll, once per Multi round)
-//     re-files the whole live set into a fresh grid whose window fits the
-//     live bounding box and whose cell DensityCell measures for that round's
-//     population. Merge rounds retire most of the live set and replace it
-//     with fatter merged regions, so a grid fitted to the previous round, or
-//     re-celled midway through the retirement, mis-sizes every bucket.
-//     It files the set into a packed snapshot: a cell-offset table over the
-//     window and one record array in cell order, each record an item's box,
-//     id and exact bit, ascending in id within a cell. The round's queries,
-//     NearestAll's and the NearestFree calls that follow it with no
-//     mutation between, walk the snapshot; it holds live items only, so
-//     they read no bucket header, span or box table and test no liveness.
+//   - The batch query (GridPairer.NearestAll, once per Multi round) re-packs
+//     whenever the snapshot lags the live set, by a late item or a stale
+//     filing, into a window fitted to the live bounding box under a cell
+//     DensityCell measures for that round's population. Merge
+//     rounds retire most of the live set and replace it with fatter merged
+//     regions, so a grid fitted to the previous round mis-sizes every cell.
+//     The round's queries, NearestAll's and the NearestFree calls that
+//     follow it with no mutation between, walk a snapshot with no late item
+//     and no stale record.
 //   - Single queries (GridPairer.Nearest and NearestFree, and NearestBox,
-//     which Greedy, internal/dme and the ECO dirty set query) file the
-//     queued items one by one into growable buckets and keep the
-//     incremental cadence: a full re-cell once the live count has halved
-//     since the last build, a re-window once more than clampSlack live
-//     items sit clamped at the window edge, and a sweep of dead bucket
-//     entries once they outnumber live ones. Each is amortized against the
-//     mutations that tripped it. The buckets are built when a single query
-//     first needs them after a mutation: after a snapshot, in the
-//     snapshot's own window and cell, from its filing less the items
-//     re-inserted since, so every count is what buckets filed by the batch
-//     query itself would give.
+//     which Greedy, internal/dme and the ECO dirty set query) tally their
+//     lag work: the late items they scan and the stale records they skip.
+//     Once the tally since the last filing exceeds repackWork per live
+//     item, the next single query files anew, by a refresh, or by a re-pack
+//     as the batch query's once the live count has halved since the cell
+//     was set, a late item reaches the window's edge cells, or a move or a
+//     re-insert has replaced the box a stale item was filed under. A
+//     refresh keeps the cell and the window and rewrites only the cells that
+//     held a stale filing or gain a late item, moving the runs between them
+//     in one copy each. Each O(live) filing is paid for by the lag work that
+//     tripped it, so the single queries never spend much more on the lag
+//     than their filings cost: a Greedy build over n items files about √n
+//     times and scans about n^1.5 late items in all.
 //
-// Both rules read counters kept by the single owning goroutine, and cell
-// size never affects query results, so merge sequences and scan counts are
-// exactly reproducible. RebuildStats counts the rebuilds: LiveDrop the
-// re-cells of a changed live set (each batch query after mutations, and the
-// single-query halving rule), EdgeClamp the re-windows. The first filing of
-// an index, which fits its window to the items queued so far, counts as
-// neither.
+// A refresh appends a cell's late records to its run, so the records of a
+// cell lie in no particular order; a walk's answer breaks ties by id and
+// its scans count every record it reaches, so neither depends on that
+// order. Both rules read counters kept by the single owning goroutine, and
+// cell size never affects query results, so merge sequences and scan
+// counts are exactly reproducible. RebuildStats counts the re-packs and
+// refreshes (LiveDrop). The first filing of an index, which packs the
+// items inserted so far, counts as none.
 //
 // # Ring walk and clip
 //
-// Every query runs one expanding ring walk (nearest): ring r is the square
-// annulus of cells at Chebyshev distance r around the query box's own
-// cells. Each ring is clipped to the clip box, the cells that can hold a
-// candidate within the best key found so far: the query box inflated on
-// every side by that key plus a float-safe margin, re-derived whenever the
-// best key improves. The walk stops once the rings it has walked cover the
-// clip box. The snapshot and the buckets share this walk, its clip and its
-// tie-break; only the enumeration of a cell's candidates differs (a run of
-// records, or bucket ids whose tombstones are skipped), so both visit the
-// same cells and count the same scans. Exactness requires the candidate
-// key to dominate the bounding-box distance: true for plain distance
-// (greedy-DME, classic DME) and for the router's snaking-aware merge keys,
-// which only add non-negative elongation excess to the distance.
+// Every query scans the overflow list, runs one expanding ring walk
+// (nearest), and scans the late list last, when its best key is tightest:
+// ring r is the square annulus of cells at Chebyshev distance r around the
+// query box's own cells, each cell a run of records. Each ring is clipped
+// to the clip box, the cells that can hold a candidate within the best key
+// found so far: those the reach covers, the query box inflated on every
+// side by that key plus a float-safe margin, re-derived whenever the best
+// key improves. The walk stops once the rings it has walked cover the clip
+// box. A candidate whose box lies wholly beyond the reach cannot win, and
+// is scanned without a distance. A stale record is skipped without
+// counting a scan. Exactness requires the candidate key to dominate the
+// bounding-box distance: true for plain distance (greedy-DME, classic DME)
+// and for the router's snaking-aware merge keys, which only add
+// non-negative elongation excess to the distance.
 //
 // The clip is sound in floating point, not only in exact arithmetic. A
 // candidate b can win only if its key, and so its computed DistRR from the
@@ -85,13 +94,14 @@
 // u = 2⁻⁵³, and likewise for the three other sides. The margin,
 // 2⁻⁴⁰·(K + |q.ULo| + |q.UHi| + |q.VLo| + |q.VHi|), outweighs that error
 // plus the rounding of the inflation's own additions by more than 2⁸, so
-// the computed clip edges lie beyond every exact edge a winning candidate
-// can reach. Clip edges map to cells through the very floor(v/cell) that
-// files the items, which is monotone, so such a candidate always has a
-// filed cell inside the clip. A cell is pruned only when it lies wholly
-// beyond an inflated edge: the comparison is strict, so equal-key
-// candidates are always visited and the smallest-id tie-break is global,
-// matching the all-pairs scan.
+// the computed reach edges lie beyond every exact edge a winning candidate
+// can reach: such a candidate lies within the reach. Clip edges map to
+// cells through the very floor(v/cell) that files the items, which is
+// monotone, so such a candidate always has a filed cell inside the clip.
+// A candidate or a cell is pruned only when it lies wholly beyond an
+// inflated edge: the comparison is strict, so equal-key candidates are
+// always visited and the smallest-id tie-break is global, matching the
+// all-pairs scan.
 //
 // # Exact shortcuts
 //
@@ -141,20 +151,16 @@ import (
 // is moved to the linearly-scanned overflow list.
 const maxSpanCells = 64
 
-// Upkeep constants. The thresholds are deliberately coarse powers of two:
-// every trigger is amortized against the mutations that tripped it.
+// Upkeep constants.
 const (
-	// windowPad inflates a rebuilt window by this many cells per side, so
-	// regions drifting slightly past the live bounding box stay unclamped.
+	// windowPad inflates a filing's window by this many cells per side.
 	windowPad = 2
-	// purgeSlack delays the dead-entry sweep until tombstones outnumber
-	// live filed entries by this margin (avoids thrashing tiny indices).
-	purgeSlack = 64
-	// clampSlack is the minimum number of edge-clamped live items before a
-	// re-windowing rebuild is considered.
-	clampSlack = 32
-	// recellMinLive disables re-cell rebuilds for tiny live sets, where any
-	// cell size is fine and rebuild bookkeeping would dominate.
+	// repackWork sets the single queries' filing threshold: their lag work
+	// since the last filing exceeds repackWork per live item. Of 1, 2 and
+	// 4, 2 built Greedy's flat-zst tree fastest.
+	repackWork = 2
+	// recellMinLive disables re-measuring the cell for tiny live sets,
+	// where any cell size is fine and the measurement would dominate.
 	recellMinLive = 32
 	// maxCellsPerItem caps the dense window at this many cells per live
 	// item; DensityCell's estimate is floored so the array stays O(n).
@@ -165,57 +171,46 @@ const (
 	clipMargin = 0x1p-40
 )
 
-// RebuildStats counts index rebuilds by trigger. LiveDrop counts re-cells
-// of a changed live set: every batch query that follows mutations re-files
-// the live set under a DensityCell measured for it, and a single query
-// does so once the live count has halved since the last build. EdgeClamp
-// counts re-windows, when a single query finds more than clampSlack live
-// items filed clamped at the window edge. An index's first filing counts as
-// neither.
+// RebuildStats counts the index's filings of a changed live set: a batch
+// query re-packs whenever the snapshot lags the live set, and a single
+// query refreshes or re-packs once the single queries' lag work exceeds
+// repackWork per live item (see the package documentation). An index's
+// first filing counts as none.
 type RebuildStats struct {
-	LiveDrop, EdgeClamp int
+	LiveDrop int
 }
 
 // Total returns the total rebuild count.
-func (r RebuildStats) Total() int { return r.LiveDrop + r.EdgeClamp }
+func (r RebuildStats) Total() int { return r.LiveDrop }
 
 // Add accumulates another index's rebuild counts (aggregation across the
 // per-shard indices of a sharded run).
-func (r *RebuildStats) Add(o RebuildStats) {
-	r.LiveDrop += o.LiveDrop
-	r.EdgeClamp += o.EdgeClamp
-}
+func (r *RebuildStats) Add(o RebuildStats) { r.LiveDrop += o.LiveDrop }
 
-// spanState tracks how an item relates to the bucket array.
-type spanState uint8
+// itemState is an id's standing in the index.
+type itemState uint8
 
 const (
-	spanEmpty  spanState = iota // not live, not filed anywhere
-	spanQueued                  // live, waiting in pending to be filed
-	spanLive                    // filed and alive
-	spanTomb                    // dead, bucket or overflow entries not yet purged
+	itemEmpty itemState = iota // not live; any record of it is stale
+	itemFiled                  // live, with current records in the snapshot
+	itemLate                   // live, listed at late[at]
+	itemGone                   // deleted while filed: any record of it lies under its box
 )
 
-// itemSpan records where an item was filed so refiles and rebuilds can
-// unfile it. Cell coordinates are window-relative and already clamped.
-// exact is the item's exact bit (see the package documentation).
-type itemSpan struct {
-	cu0, cu1, cv0, cv1 int32
-	overflow           bool
-	exact              bool
-	state              spanState
-}
-
-// cellCount returns the number of bucket entries the span occupies.
-func (sp itemSpan) cellCount() int {
-	if sp.overflow {
-		return 0
-	}
-	return int(sp.cu1-sp.cu0+1) * int(sp.cv1-sp.cv0+1)
+// item is what the index keeps per id besides its box: its state, its
+// exact bit (see the package documentation) and, while it is late, its
+// position in the late list.
+type item struct {
+	state itemState
+	exact bool
+	at    int32
 }
 
 // cellBox is an inclusive window-relative cell range.
 type cellBox struct{ u0, u1, v0, v1 int32 }
+
+// cells returns the number of cells the range covers.
+func (b cellBox) cells() int { return int(b.u1-b.u0+1) * int(b.v1-b.v0+1) }
 
 // snapRec is one filing of an item in the packed snapshot: its stored box,
 // id and exact bit, so a walk over the snapshot reads nothing else.
@@ -225,9 +220,14 @@ type snapRec struct {
 	exact bool
 }
 
-// snapshot is the packed grid a batch query files the live set into: the
-// records of window cell c are recs[off[c]:off[c+1]], in ascending id, and
-// over holds the records of the oversized items, in ascending id.
+// record returns item id's snapshot record.
+func (x *Index) record(id int32) snapRec {
+	return snapRec{box: x.boxes[id], id: id, exact: x.items[id].exact}
+}
+
+// snapshot is the packed grid a filing files the live set into: the
+// records of window cell c are recs[off[c]:off[c+1]], and over holds the
+// records of the oversized items.
 type snapshot struct {
 	off  []int32
 	recs []snapRec
@@ -235,69 +235,54 @@ type snapshot struct {
 }
 
 // Index is the uniform grid. All of its methods must be called from a
-// single goroutine: queries settle the grid first (see the package
-// documentation), which mutates it. GridPairer.NearestAll fans its queries
-// out across goroutines only after settling, while nothing mutates the
+// single goroutine: queries bring the snapshot up to date first (see the
+// package documentation), which mutates it. GridPairer.NearestAll fans its
+// queries out across goroutines only after that, while nothing mutates the
 // index.
 type Index struct {
 	cell float64
 	// Window: window-relative cell (cu, cv) is cell cu + cv*w; (ou, ov) is
-	// the absolute cell coordinate of (0, 0).
+	// the absolute cell coordinate of (0, 0). w is 0 until the first
+	// filing, and after a filing of an empty live set.
 	ou, ov int32
 	w, h   int32
-	// The filed items live in one of two forms. packed: the last filing is
-	// the snapshot a batch query filed the live set into, and cells is
-	// stale. A mutation leaves it so until the next query settles, which
-	// packs afresh (batch) or unpacks into buckets (single), so a walk that
-	// finds the index packed reads a current snapshot. Otherwise cells[c]
-	// is the growable bucket of cell c.
-	packed  bool
+	// snap is the last filing. late lists the items inserted since, in no
+	// order; stale the filed items deleted or moved since. lagWork tallies
+	// the single queries' lag work since.
 	snap    snapshot
-	cells   [][]int32
-	spans   []itemSpan
+	late    []int32
+	stale   []int32
+	lagWork int64
+	items   []item
 	boxes   []geom.Rect
-	over    []int32 // ids of oversized filed items, tombstoned ones included
-	pending []int32 // queued inserts; ids deleted or re-queued since are skipped
-	n       int     // live items, queued ones included
-
-	// Upkeep counters (single-writer).
-	liveFiled int  // bucket entries of live items
-	deadFiled int  // bucket entries of tombstoned items
-	clamped   int  // live items filed clamped at the window edge since last build
-	peakLive  int  // max live count since last build (re-cell trigger)
-	changed   bool // a mutation since the last build (batch re-file trigger)
+	n       int // live items
 
 	rebuilds RebuildStats
-	// rebuildTime accumulates wall time spent inside rebuild. Measured
-	// unconditionally (two clock reads per rebuild, no allocations) so
+	// rebuildTime accumulates wall time spent filing. Measured
+	// unconditionally (two clock reads per filing, no allocations) so
 	// traced callers can attribute pairing time to index maintenance.
 	rebuildTime time.Duration
 
-	// Build scratch, reused by every rebuild: per-cell entry counts, the
-	// ids the last rebuild filed, DensityCell's sample and its spacings, and
-	// the flat backing the buckets are carved from.
-	countBuf []int32
-	liveIDs  []int32
+	// cellLive is the live count the cell was set for: the live count it
+	// was measured for, or the first filing's (0 before it). Filing scratch, reused by
+	// every filing: the ids the last filing filed, ascending; the cells of
+	// each item being filed; a refresh's changed cells and its spare record
+	// array; and DensityCell's sample and its spacings.
+	cellLive int
+	filedIDs []int32
+	spans    []cellBox
+	changes  []uint64
+	spare    []snapRec
 	sample   []sampleBox
 	spacing  []float64
-	flat     []int32
-
-	// entrySlab backs bucket growth: when an append outgrows a bucket's
-	// capacity, the doubled backing comes from this chunked slab instead of
-	// its own heap allocation. After a bulk build every bucket sits at exact
-	// capacity, so without the slab nearly every post-build insert pays a
-	// malloc; with it, growth costs only the copy. Abandoned backings (the
-	// outgrown originals, and every bucket on rebuild) simply become garbage
-	// with their chunk.
-	entrySlab []int32
 
 	scans atomic.Int64
 }
 
 // New returns an empty index with the given cell edge; a cell ≤ 0 leaves
-// the edge to the first filing, which measures it with DensityCell. The
-// first query fits the window to the items queued so far; later rebuilds
-// re-fit it, and batch queries re-measure the cell.
+// the edge to the first filing, which measures it with DensityCell. Every
+// re-pack fits the window to the items live then, and each after the first
+// filing re-measures the cell; a refresh keeps both.
 func New(cell float64) *Index {
 	if !(cell > 0) {
 		cell = 0
@@ -335,7 +320,7 @@ func autoCell(bb geom.Rect, n int) float64 {
 // (windowFloor), and raised to the samples' median box
 // edge so fattened regions keep spanning O(1) cells. On uniform placements
 // this lands near AutoCell; on power-law placements it is several times
-// finer, which keeps the hot clusters' buckets small.
+// finer, which keeps the hot clusters' cells small.
 //
 // The nearest-neighbor distances come from sampleSpacings' sort-and-sweep,
 // which computes the same values as comparing every pair of samples.
@@ -469,9 +454,10 @@ func (x *Index) cellIdx(v float64) int32 {
 
 // windowCell returns the window-relative cell of coordinate v along an axis
 // whose window starts at absolute cell o and spans n cells, clamped to
-// [0, n−1]. It equals clamp32(cellIdx(v)−o, 0, n−1) wherever cellIdx fits
-// an int32, and clamps in floating point so that an inflated clip edge far
-// outside the window (or infinite) never overflows the conversion.
+// [0, n−1]. It equals clamp(cellIdx(v)−o, 0, n−1) wherever cellIdx fits an
+// int32, and clamps in floating point so that a coordinate far outside the
+// window (a late item's, or an inflated clip edge, which may be infinite)
+// never overflows the conversion.
 func (x *Index) windowCell(v float64, o, n int32) int32 {
 	c := math.Floor(v/x.cell) - float64(o)
 	switch {
@@ -483,10 +469,12 @@ func (x *Index) windowCell(v float64, o, n int32) int32 {
 	return 0
 }
 
-// setWindow sets the window to absolute cell range [u0, u1] × [v0, v1].
-func (x *Index) setWindow(u0, u1, v0, v1 int32) {
-	x.ou, x.ov = u0, v0
-	x.w, x.h = u1-u0+1, v1-v0+1
+// cellSpan returns the window cells box r overlaps, clamped to the window.
+func (x *Index) cellSpan(r geom.Rect) cellBox {
+	return cellBox{
+		x.windowCell(r.ULo, x.ou, x.w), x.windowCell(r.UHi, x.ou, x.w),
+		x.windowCell(r.VLo, x.ov, x.h), x.windowCell(r.VHi, x.ov, x.h),
+	}
 }
 
 // Len returns the number of live items.
@@ -496,148 +484,42 @@ func (x *Index) Len() int { return x.n }
 // queries.
 func (x *Index) Scans() int64 { return x.scans.Load() }
 
-// Rebuilds reports how many times the index rebuilt itself, by trigger.
-// Rebuilds run when a query settles the index, so mutations alone never
-// move the counts.
+// Rebuilds reports how many times a query filed the index anew after its
+// first filing. Filings run when a query brings the snapshot up to date, so
+// mutations alone never move the count.
 func (x *Index) Rebuilds() RebuildStats { return x.rebuilds }
 
-// RebuildTime reports the cumulative wall time spent rebuilding the index.
+// RebuildTime reports the cumulative wall time spent filing the index.
 func (x *Index) RebuildTime() time.Duration { return x.rebuildTime }
 
-// clampSpan converts box r to a window-relative, clamped cell span.
-// clamped reports whether any side was cut by the window edge.
-func (x *Index) clampSpan(r geom.Rect) (sp itemSpan, clamped bool) {
-	cu0, cu1 := x.cellIdx(r.ULo)-x.ou, x.cellIdx(r.UHi)-x.ou
-	cv0, cv1 := x.cellIdx(r.VLo)-x.ov, x.cellIdx(r.VHi)-x.ov
-	if cu0 < 0 || cv0 < 0 || cu1 >= x.w || cv1 >= x.h {
-		clamped = true
-	}
-	sp.cu0 = clamp32(cu0, 0, x.w-1)
-	sp.cu1 = clamp32(cu1, sp.cu0, x.w-1)
-	sp.cv0 = clamp32(cv0, 0, x.h-1)
-	sp.cv1 = clamp32(cv1, sp.cv0, x.h-1)
-	return sp, clamped
-}
-
-// file writes the span's id into its buckets.
-func (x *Index) file(id int32, sp itemSpan) {
-	for cv := sp.cv0; cv <= sp.cv1; cv++ {
-		row := cv * x.w
-		for cu := sp.cu0; cu <= sp.cu1; cu++ {
-			x.appendEntry(row+cu, id)
-		}
-	}
-}
-
-// entrySlabMin is the chunk size (entries) of the bucket-growth slab.
-const entrySlabMin = 1 << 14
-
-// appendEntry appends id to bucket c, growing an out-of-capacity bucket out
-// of the entry slab rather than a per-bucket heap allocation.
-func (x *Index) appendEntry(c int32, id int32) {
-	b := x.cells[c]
-	if len(b) == cap(b) {
-		n := 2 * len(b)
-		if n < 4 {
-			n = 4
-		}
-		if cap(x.entrySlab)-len(x.entrySlab) < n {
-			sz := entrySlabMin
-			if n > sz {
-				sz = n
-			}
-			x.entrySlab = make([]int32, 0, sz)
-		}
-		l := len(x.entrySlab)
-		nb := x.entrySlab[l : l+len(b) : l+n]
-		x.entrySlab = x.entrySlab[:l+n]
-		copy(nb, b)
-		b = nb
-	}
-	x.cells[c] = append(b, id)
-}
-
-// unfile removes a filed id's bucket (or overflow) entries eagerly,
-// adjusting the filed counters for the span's previous state. Used when a
-// filed id, live or tombstoned, is inserted again; bulk removal goes
-// through purge and rebuild.
-func (x *Index) unfile(id int) {
-	sp := x.spans[id]
-	if sp.overflow {
-		for k, v := range x.over {
-			if v == int32(id) {
-				last := len(x.over) - 1
-				x.over[k] = x.over[last]
-				x.over = x.over[:last]
-				break
-			}
-		}
-	} else {
-		// A packed index has no buckets to unfile from: unpack files only
-		// the ids still live or tombstoned, and this one is about to be
-		// neither.
-		for cv := sp.cv0; cv <= sp.cv1 && !x.packed; cv++ {
-			row := cv * x.w
-			for cu := sp.cu0; cu <= sp.cu1; cu++ {
-				bucket := x.cells[row+cu]
-				for b, v := range bucket {
-					if v == int32(id) {
-						last := len(bucket) - 1
-						bucket[b] = bucket[last]
-						x.cells[row+cu] = bucket[:last]
-						break
-					}
-				}
-			}
-		}
-		if sp.state == spanLive {
-			x.liveFiled -= sp.cellCount()
-		} else {
-			x.deadFiled -= sp.cellCount()
-		}
-	}
-	x.spans[id].state = spanEmpty
-}
-
-// Insert queues item id under bounding box r; the next query files it. Ids
-// may be sparse and only grow; re-inserting a live id moves it to the new
-// box. The item is not exact: a keyer scores it by its own distance.
+// Insert files item id under bounding box r as late, until the next
+// filing. Ids may be sparse and only grow; re-inserting a live id moves it
+// to the new box. The item is not exact: a keyer scores it by its own
+// distance.
 func (x *Index) Insert(id int, r geom.Rect) { x.insert(id, r, false) }
 
 // insert is Insert with the item's exact bit.
 func (x *Index) insert(id int, r geom.Rect, exact bool) {
-	for len(x.spans) <= id {
-		x.spans = append(x.spans, itemSpan{})
+	for len(x.items) <= id {
+		x.items = append(x.items, item{})
 		x.boxes = append(x.boxes, geom.Rect{})
 	}
-	x.boxes[id] = r
-	x.changed = true
-	switch x.spans[id].state {
-	case spanQueued:
-		// Already queued: filed under the new box and exact bit.
-		x.spans[id].exact = exact
+	it := &x.items[id]
+	switch it.state {
+	case itemLate: // a move in place
+		x.boxes[id], it.exact = r, exact
 		return
-	case spanLive:
-		x.unfile(id)
-		x.n--
-	case spanTomb:
-		// Resurrected id: drop the stale tombstoned entries now, or the
-		// purge sweep would mistake them for the new live filing.
-		x.unfile(id)
+	case itemFiled: // a move: its records hold the box r replaces
+		x.stale = append(x.stale, int32(id))
+	default:
+		x.n++
 	}
-	x.spans[id] = itemSpan{state: spanQueued, exact: exact}
-	if x.w > 0 {
-		// Without a window, the next query files every live item at once
-		// and has no use for the queue.
-		x.pending = append(x.pending, int32(id))
-	}
-	x.n++
-	if x.n > x.peakLive {
-		x.peakLive = x.n
-	}
+	x.boxes[id] = r
+	*it = item{state: itemLate, exact: exact, at: int32(len(x.late))}
+	x.late = append(x.late, int32(id))
 }
 
-// InsertAll queues boxes under ids 0..len(boxes)-1, as Insert does one by
+// InsertAll inserts boxes under ids 0..len(boxes)-1, as Insert does one by
 // one. On a fresh index the first query files them all in one counting
 // pass, with the window fitted to their bounding box.
 func (x *Index) InsertAll(boxes []geom.Rect) {
@@ -649,196 +531,202 @@ func (x *Index) InsertAll(boxes []geom.Rect) {
 
 // reserve makes room for ids 0..ids-1 without regrowing the per-id tables.
 func (x *Index) reserve(ids int) {
-	if more := ids - len(x.spans); more > 0 {
-		x.spans = slices.Grow(x.spans, more)
+	if more := ids - len(x.items); more > 0 {
+		x.items = slices.Grow(x.items, more)
 		x.boxes = slices.Grow(x.boxes, more)
 	}
 }
 
-// Delete retires item id. Deleting a dead or unknown id is a no-op. A filed
-// item is only tombstoned: its entries are swept lazily (see the package
-// documentation), so Delete is O(1) however many cells the item spanned.
+// Delete retires item id in O(1). Deleting a dead or unknown id is a no-op.
 func (x *Index) Delete(id int) {
-	if id < 0 || id >= len(x.spans) {
+	if id < 0 || id >= len(x.items) {
 		return
 	}
-	switch x.spans[id].state {
-	case spanQueued:
-		x.spans[id].state = spanEmpty // its pending entry is skipped
-	case spanLive:
-		x.spans[id].state = spanTomb
-		c := x.spans[id].cellCount()
-		x.liveFiled -= c
-		x.deadFiled += c
+	switch it := &x.items[id]; it.state {
+	case itemFiled: // its records go stale, filed under its box
+		x.stale = append(x.stale, int32(id))
+		it.state = itemGone
+	case itemLate: // it leaves the list, the last item taking its place
+		last := x.late[len(x.late)-1]
+		x.late[it.at], x.items[last].at = last, it.at
+		x.late = x.late[:len(x.late)-1]
+		it.state = itemEmpty
 	default:
 		return
 	}
 	x.n--
-	x.changed = true
 }
 
-// settle brings the grid up to date for a single query under the
-// incremental cadence (see the package documentation): the first filing,
-// the live-drop re-cell, or the queued items filed one by one followed by
-// the edge-clamp re-window or the dead-entry sweep when due. A snapshot
-// with no mutation since needs nothing; after a mutation, its filing is
-// first unpacked into buckets.
-func (x *Index) settle() {
+// dirty returns how many late items and stale filings the snapshot lags
+// the live set by; at 0 it holds the live set as its filing left it.
+func (x *Index) dirty() int { return len(x.late) + len(x.stale) }
+
+// single answers one query under the single-query rule: it brings the
+// snapshot up to date (settle), walks it, and counts the walk's scans and
+// its lag work.
+func (x *Index) single(self int, k keyer, used []bool) (int, float64) {
+	x.settle(false)
+	best, key, scans, lag := x.nearest(self, k, used)
+	x.scans.Add(scans)
+	x.lagWork += lag
+	return best, key
+}
+
+// settle brings the snapshot up to date for a query, by its rule (see the
+// package documentation): the first filing; for a batch query, a re-pack
+// whenever the snapshot lags the live set; for a single query, once the
+// single queries' lag work since the last filing exceeds repackWork per
+// live item, a refresh, or a re-pack where the live count has halved since
+// the cell was set or the refresh declines. Each filing but the first
+// counts a LiveDrop.
+func (x *Index) settle(batch bool) {
 	switch {
+	case x.dirty() == 0:
 	case x.w == 0:
-		if x.n > 0 {
-			x.rebuild(false, false)
-		}
-	case x.packed && !x.changed:
-		// The batch query's snapshot is current: nothing to file.
-	case x.n >= recellMinLive && 2*x.n <= x.peakLive:
+		x.rebuild(batch)
+	case batch:
 		x.rebuilds.LiveDrop++
-		x.rebuild(true, false)
-	default:
-		if x.packed {
-			x.unpack()
-		}
-		for _, id := range x.pending {
-			if x.spans[id].state == spanQueued {
-				x.fileQueued(id)
-			}
-		}
-		x.pending = x.pending[:0]
-		switch {
-		case x.clamped > clampSlack && 8*x.clamped > x.n:
-			x.rebuilds.EdgeClamp++
-			x.rebuild(false, false)
-		case x.deadFiled > x.liveFiled+purgeSlack:
-			x.purge()
-		default:
-			x.dropDeadOverflow()
+		x.rebuild(true)
+	case x.lagWork > repackWork*int64(x.n):
+		x.rebuilds.LiveDrop++
+		if 2*x.n <= x.cellLive || !x.refresh() {
+			x.rebuild(true)
 		}
 	}
 }
 
-// settleBatch brings the grid up to date for a batch query: when the live
-// set changed since the last build, it re-files it into a snapshot whose
-// window fits its bounding box, under a cell DensityCell measures for it.
-func (x *Index) settleBatch() {
-	if !x.changed {
-		return
-	}
-	if x.w > 0 {
-		x.rebuilds.LiveDrop++ // a first filing is no rebuild
-	}
-	x.rebuild(true, true)
-}
-
-// liveSpan records id's span in the current window as live, moving the
-// item to the overflow list when the span covers more than maxSpanCells
-// cells. clamped reports whether the window edge cut the span.
-func (x *Index) liveSpan(id int32) (sp itemSpan, clamped bool) {
-	sp, clamped = x.clampSpan(x.boxes[id])
-	sp.state, sp.exact = spanLive, x.spans[id].exact
-	if sp.cellCount() > maxSpanCells {
-		sp.overflow = true
-		x.over = append(x.over, id)
-	}
-	x.spans[id] = sp
-	return sp, clamped
-}
-
-// fileQueued files a queued item into the current window, counting an
-// edge-clamped filing toward the re-window trigger.
-func (x *Index) fileQueued(id int32) {
-	if sp, clamped := x.liveSpan(id); !sp.overflow {
-		x.file(id, sp)
-		x.liveFiled += sp.cellCount()
-		if clamped {
-			x.clamped++
-		}
-	}
-}
-
-// dropDeadOverflow removes tombstoned items from the overflow list, which
-// every query scans.
-func (x *Index) dropDeadOverflow() {
-	kept := x.over[:0]
-	for _, id := range x.over {
-		if x.spans[id].state == spanLive {
-			kept = append(kept, id)
-		} else {
-			x.spans[id].state = spanEmpty
-		}
-	}
-	x.over = kept
-}
-
-// purge sweeps tombstoned entries out of every bucket and the overflow
-// list. Cost is one pass over the filed entries, amortized against the
-// deletes that created them.
-func (x *Index) purge() {
-	for c, bucket := range x.cells {
-		kept := bucket[:0]
-		for _, id := range bucket {
-			if x.spans[id].state == spanLive {
-				kept = append(kept, id)
-			}
-		}
-		x.cells[c] = kept
-	}
-	x.dropDeadOverflow()
-	for id := range x.spans {
-		if x.spans[id].state == spanTomb {
-			x.spans[id].state = spanEmpty
-		}
-	}
-	x.deadFiled = 0
-}
-
-// rebuild files every live item, queued ones included, under a fresh
-// window fitted to the live bounding box — with a re-measured DensityCell
-// edge when recell is set, or when the index has no edge yet — dropping
-// all tombstones. It files them into the snapshot when pack is set (the
-// batch cadence), else into buckets.
-func (x *Index) rebuild(recell, pack bool) {
+// rebuild packs the live set into a fresh snapshot whose window fits its
+// bounding box, re-measuring the cell with DensityCell when recell is set
+// and at least recellMinLive items are live, or when the index has no cell
+// yet.
+func (x *Index) rebuild(recell bool) {
 	start := obs.Now()
 	defer func() { x.rebuildTime += obs.Since(start) }()
-	ids := x.liveIDs[:0]
-	var bb geom.Rect
-	for id := range x.spans {
-		switch x.spans[id].state {
-		case spanLive, spanQueued:
-			if len(ids) == 0 {
-				bb = x.boxes[id]
-			} else {
-				bb = geom.Union(bb, x.boxes[id])
-			}
-			ids = append(ids, int32(id))
-		case spanTomb:
-			x.spans[id].state = spanEmpty
-		}
-	}
-	x.liveIDs = ids
-	x.pending, x.over = x.pending[:0], x.over[:0]
-	x.liveFiled, x.deadFiled, x.clamped = 0, 0, 0
-	x.peakLive = x.n
-	x.changed = false
-	x.packed = pack && len(ids) > 0
+	ids := x.gather()
 	if len(ids) == 0 {
-		x.w, x.h, x.cells = 0, 0, x.cells[:0]
+		x.w, x.h, x.snap.over = 0, 0, x.snap.over[:0]
 		return
 	}
-	if recell && len(ids) >= recellMinLive || x.cell == 0 {
-		x.cell = x.measureCell(ids, bb)
+	bb := x.boxes[ids[0]]
+	for _, id := range ids[1:] {
+		bb = geom.Union(bb, x.boxes[id])
 	}
-	x.setWindow(x.cellIdx(bb.ULo)-windowPad, x.cellIdx(bb.UHi)+windowPad,
-		x.cellIdx(bb.VLo)-windowPad, x.cellIdx(bb.VHi)+windowPad)
-	for _, id := range ids {
-		if sp, _ := x.liveSpan(id); !sp.overflow {
-			x.liveFiled += sp.cellCount()
+	if recell && len(ids) >= recellMinLive || x.cell == 0 {
+		x.cell, x.cellLive = x.measureCell(ids, bb), len(ids)
+	} else if x.cellLive == 0 {
+		x.cellLive = len(ids)
+	}
+	x.ou, x.ov = x.cellIdx(bb.ULo)-windowPad, x.cellIdx(bb.VLo)-windowPad
+	x.w = x.cellIdx(bb.UHi) + windowPad - x.ou + 1
+	x.h = x.cellIdx(bb.VHi) + windowPad - x.ov + 1
+	x.pack(ids)
+}
+
+// refresh brings the snapshot up to date under its cell and window, at a
+// fraction of a re-pack's cost. It declines, reporting false and changing
+// nothing, when a move or a re-insert has replaced the box a stale item
+// was filed under (the item is no longer itemGone), or a late or stale
+// item spans more than maxSpanCells cells (an overflow record) or, for a
+// late one, reaches the window's edge cells, where it may lie outside the
+// window. It rewrites only the cells that held a stale filing or gain a
+// late item, each keeping its records of items still filed and appending
+// those of its late items, and moves the runs between them in one copy
+// each.
+func (x *Index) refresh() bool {
+	start := obs.Now()
+	defer func() { x.rebuildTime += obs.Since(start) }()
+	// The changed cells, ascending, as cell<<32 | i+1 for a cell late item
+	// i files a record in and cell<<32 for one a stale filing held.
+	ch := x.changes[:0]
+	for i, id := range x.late {
+		sp := x.cellSpan(x.boxes[id])
+		if sp.u0 == 0 || sp.v0 == 0 || sp.u1 == x.w-1 || sp.v1 == x.h-1 || sp.cells() > maxSpanCells {
+			return false
+		}
+		ch = x.appendCells(ch, sp, uint64(i)+1)
+	}
+	for _, id := range x.stale {
+		sp := x.cellSpan(x.boxes[id])
+		if x.items[id].state != itemGone || sp.cells() > maxSpanCells {
+			return false
+		}
+		ch = x.appendCells(ch, sp, 0)
+	}
+	slices.Sort(ch)
+	x.changes = ch
+	s := &x.snap
+	old, recs := s.recs, x.spare[:0]
+	next, shift := 0, int32(0) // the first cell not yet rewritten, and its offset's shift
+	for k := 0; k < len(ch); {
+		c := int(ch[k] >> 32)
+		recs = append(recs, old[s.off[next]:s.off[c]]...)
+		shiftAll(s.off[next:c], shift)
+		lo, hi := s.off[c], s.off[c+1]
+		s.off[c] = int32(len(recs))
+		for _, r := range old[lo:hi] {
+			if x.items[r.id].state == itemFiled {
+				recs = append(recs, r)
+			}
+		}
+		for ; k < len(ch) && int(ch[k]>>32) == c; k++ {
+			if i := uint32(ch[k]); i > 0 {
+				recs = append(recs, x.record(x.late[i-1]))
+			}
+		}
+		next, shift = c+1, int32(len(recs))-hi
+	}
+	recs = append(recs, old[s.off[next]:]...)
+	shiftAll(s.off[next:], shift)
+	s.recs, x.spare = recs, old
+	x.gather()
+	return true
+}
+
+// shiftAll adds d to every offset of off.
+func shiftAll(off []int32, d int32) {
+	for i := range off {
+		off[i] += d
+	}
+}
+
+// appendCells appends key|cell<<32 to ch for each cell of span sp.
+func (x *Index) appendCells(ch []uint64, sp cellBox, key uint64) []uint64 {
+	for cv := sp.v0; cv <= sp.v1; cv++ {
+		for cu := sp.u0; cu <= sp.u1; cu++ {
+			ch = append(ch, key|uint64(cv*x.w+cu)<<32)
 		}
 	}
-	if pack {
-		x.pack(ids)
-	} else {
-		x.fileBuckets(ids)
+	return ch
+}
+
+// gather returns the live set in ascending id, every item of it now filed:
+// the last filing's ids still filed merged with the late items. It empties
+// the late list and the stale filings and restarts the lag work.
+func (x *Index) gather() []int32 {
+	kept := x.filedIDs[:0]
+	for _, id := range x.filedIDs {
+		if x.items[id].state == itemFiled {
+			kept = append(kept, id)
+		}
 	}
+	late := x.late
+	for _, id := range late {
+		x.items[id].state = itemFiled
+	}
+	slices.Sort(late)
+	// Merge from the back, so no kept id is overwritten before it moves.
+	i := len(kept) - 1
+	ids := slices.Grow(kept, len(late))[:len(kept)+len(late)]
+	for j, k := len(late)-1, len(ids)-1; j >= 0; k-- {
+		if i >= 0 && ids[i] > late[j] {
+			ids[k], i = ids[i], i-1
+		} else {
+			ids[k], j = late[j], j-1
+		}
+	}
+	x.filedIDs = ids
+	x.late, x.stale, x.lagWork = x.late[:0], x.stale[:0], 0
+	return ids
 }
 
 // measureCell is DensityCell over the boxes of the live items ids, whose
@@ -854,109 +742,49 @@ func (x *Index) measureCell(ids []int32, bb geom.Rect) float64 {
 	return densityCell(bb, len(ids), x.sample, x.spacing)
 }
 
-// countCells sets counts, one per window cell, to the number of bucket
-// entries the recorded spans of ids that are still filed (live or
-// tombstoned) occupy, and returns their total.
-func (x *Index) countCells(ids []int32, counts []int32) int {
-	clear(counts)
-	total := 0
-	for _, id := range ids {
-		sp := x.spans[id]
-		if sp.overflow || sp.state != spanLive && sp.state != spanTomb {
-			continue
-		}
-		total += sp.cellCount()
-		for cv := sp.cv0; cv <= sp.cv1; cv++ {
-			row := cv * x.w
-			for cu := sp.cu0; cu <= sp.cu1; cu++ {
-				counts[row+cu]++
-			}
-		}
-	}
-	return total
-}
-
-// pack files the live items ids, whose spans are recorded, into the
-// snapshot: a counting pass sizes each cell's run of records, then the
-// items, taken in descending id, fill each run from its end, which leaves
-// every run in ascending id.
+// pack files the live items ids, ascending, into the snapshot: a counting
+// pass sizes each cell's run of records, then the items, taken in
+// descending id, fill each run from its end, which leaves every run in
+// ascending id. An item spanning more than maxSpanCells cells files one
+// overflow record instead.
 func (x *Index) pack(ids []int32) {
 	s := &x.snap
 	cells := int(x.w) * int(x.h)
 	s.off = slices.Grow(s.off[:0], cells+1)[:cells+1]
-	total := x.countCells(ids, s.off[:cells])
-	// Inclusive prefix sums: off[c] is the end of cell c's run until the
-	// fill below has walked it back to the run's start.
-	for c := 1; c < cells; c++ {
-		s.off[c] += s.off[c-1]
-	}
-	s.off[cells] = int32(total)
-	s.recs = slices.Grow(s.recs[:0], total)[:total]
-	for k := len(ids) - 1; k >= 0; k-- {
-		id := ids[k]
-		sp := x.spans[id]
-		if sp.overflow {
-			continue
+	clear(s.off)
+	s.over = s.over[:0]
+	x.spans = slices.Grow(x.spans[:0], len(ids))[:len(ids)]
+	for k, id := range ids {
+		sp := x.cellSpan(x.boxes[id])
+		if sp.cells() > maxSpanCells {
+			s.over = append(s.over, x.record(id))
+			sp = cellBox{0, -1, 0, -1} // no cell
 		}
-		r := snapRec{box: x.boxes[id], id: id, exact: sp.exact}
-		for cv := sp.cv0; cv <= sp.cv1; cv++ {
+		x.spans[k] = sp
+		for cv := sp.v0; cv <= sp.v1; cv++ {
 			row := cv * x.w
-			for cu := sp.cu0; cu <= sp.cu1; cu++ {
-				s.off[row+cu]--
-				s.recs[s.off[row+cu]] = r
+			for cu := sp.u0; cu <= sp.u1; cu++ {
+				s.off[row+cu]++
 			}
 		}
 	}
-	s.over = s.over[:0]
-	for _, id := range x.over {
-		s.over = append(s.over, snapRec{box: x.boxes[id], id: id, exact: x.spans[id].exact})
+	// Inclusive prefix sums: off[c] is the end of cell c's run until the
+	// fill below has walked it back to the run's start.
+	var end int32
+	for c, cnt := range s.off {
+		end += cnt
+		s.off[c] = end
 	}
-}
-
-// unpack builds the buckets single queries need from the snapshot's filing,
-// in its window and cell: each bucket holds the ids filed there that are
-// still live or tombstoned, exactly as if the snapshot's rebuild had filed
-// buckets and the mutations since had been applied to them.
-func (x *Index) unpack() {
-	start := obs.Now()
-	defer func() { x.rebuildTime += obs.Since(start) }()
-	x.packed = false
-	x.fileBuckets(x.liveIDs)
-}
-
-// fileBuckets files the recorded spans of ids that are still filed into a
-// fresh bucket array, with a counting pass over one flat backing slice
-// instead of growing each bucket by appends. Filing in the order of ids
-// keeps every bucket in ascending id.
-func (x *Index) fileBuckets(ids []int32) {
-	cells := int(x.w) * int(x.h)
-	if cap(x.cells) >= cells {
-		x.cells = x.cells[:cells]
-		clear(x.cells)
-	} else {
-		x.cells = make([][]int32, cells)
-	}
-	if cap(x.countBuf) < cells {
-		x.countBuf = make([]int32, cells)
-	}
-	counts := x.countBuf[:cells]
-	total := x.countCells(ids, counts)
-	// Every bucket is re-carved below, so no bucket of the previous build
-	// still aliases the reused backing.
-	if cap(x.flat) < total {
-		x.flat = make([]int32, 0, total)
-	}
-	flat := x.flat[:0]
-	for c, cnt := range counts {
-		if cnt > 0 {
-			// Length 0, capacity cnt: x.file appends in place.
-			x.cells[c] = flat[len(flat) : len(flat) : len(flat)+int(cnt)]
-			flat = flat[:len(flat)+int(cnt)]
-		}
-	}
-	for _, id := range ids {
-		if sp := x.spans[id]; !sp.overflow && (sp.state == spanLive || sp.state == spanTomb) {
-			x.file(id, sp)
+	s.recs = slices.Grow(s.recs[:0], int(end))[:end]
+	for k := len(ids) - 1; k >= 0; k-- {
+		id, sp := ids[k], x.spans[k]
+		r := x.record(id)
+		for cv := sp.v0; cv <= sp.v1; cv++ {
+			row := cv * x.w
+			for cu := sp.u0; cu <= sp.u1; cu++ {
+				s.off[row+cu]--
+				s.recs[s.off[row+cu]] = r
+			}
 		}
 	}
 }
@@ -975,8 +803,10 @@ type keyer interface {
 	pairKey(self, cand int, d float64, exact bool) float64
 }
 
-// walk is the state of one ring walk: the query, the best candidate so far
-// and the clip box its key implies.
+// walk is the state of one query: the best candidate so far, the reach
+// its key implies (the query box inflated by the key plus the clip's
+// float-safe margin) and the clip box, the window cells the reach covers;
+// the candidates it scanned, and the stale records it skipped.
 type walk struct {
 	x         *Index
 	k         keyer
@@ -986,40 +816,45 @@ type walk struct {
 	selfExact bool
 	best      int
 	bestKey   float64
+	reach     geom.Rect
 	clip      cellBox
 	scans     int64
+	skipped   int64
 }
 
 // nearest returns the live item minimizing k.pairKey(self, ·), excluding
 // self, dead items and, when used is non-nil, every id marked in used, or
 // −1 when no candidate exists; exact key ties break toward the smallest id.
-// It also returns how many candidates it scanned, for the caller to count.
-// The query box is self's own stored box.
+// It also returns how many candidates it scanned, for the caller to count,
+// and its lag work: the late items it scanned and the stale records it
+// skipped. The query box is self's own stored box.
 //
-// The index must be settled, with nothing mutating it during the call; then
-// nearest only reads it, so concurrent calls are safe. It walks the snapshot
-// when the index is packed and the buckets otherwise: the ring, clip and
-// tie-break are the same, only the enumeration of a cell's candidates
-// differs. Items spanning several cells may be evaluated more than once
-// (the ring walk does not deduplicate), so pairKey must be pure.
-func (x *Index) nearest(self int, k keyer, used []bool) (best int, bestKey float64, scans int64) {
+// The snapshot must be up to date, with nothing mutating the index during
+// the call; then nearest only reads it, so concurrent calls are safe. Items
+// spanning several cells may be evaluated more than once (the ring walk
+// does not deduplicate), so pairKey must be pure.
+func (x *Index) nearest(self int, k keyer, used []bool) (best int, bestKey float64, scans, lag int64) {
 	// Set field by field: a composite literal is built aside and copied in.
 	var w walk
 	w.x, w.k, w.used = x, k, used
-	w.q, w.self, w.selfExact = x.boxes[self], self, x.spans[self].exact
-	w.best, w.bestKey = -1, math.Inf(1)
+	w.q, w.self, w.selfExact = x.boxes[self], self, x.items[self].exact
+	w.best = -1
+	w.setBest(math.Inf(1))
+	stale := len(x.stale) > 0
+	w.records(x.snap.over, stale)
+	if x.w > 0 {
+		w.rings(stale)
+	}
+	w.lateItems(x.late)
+	return w.best, w.bestKey, w.scans, w.skipped + int64(len(x.late))
+}
+
+// rings runs the ring walk over the snapshot's cells, which hold stale
+// records when stale is set.
+func (w *walk) rings(stale bool) {
+	x := w.x
 	off, recs := x.snap.off, x.snap.recs
-	if x.packed {
-		w.records(x.snap.over)
-	} else {
-		w.entries(x.over)
-	}
-	if x.w == 0 {
-		return w.best, w.bestKey, w.scans
-	}
-	sp, _ := x.clampSpan(w.q)
-	qc := cellBox{sp.cu0, sp.cu1, sp.cv0, sp.cv1}
-	w.clip = x.clipBox(w.q, w.bestKey)
+	qc := x.cellSpan(w.q)
 	for r := int32(0); ; r++ {
 		ring := cellBox{qc.u0 - r, qc.u1 + r, qc.v0 - r, qc.v1 + r}
 		var strips [4]cellBox
@@ -1029,47 +864,80 @@ func (x *Index) nearest(self int, k keyer, used []bool) (best int, bestKey float
 			for cv := max(st.v0, w.clip.v0); cv <= min(st.v1, w.clip.v1); cv++ {
 				row := cv * x.w
 				for cu := max(st.u0, w.clip.u0); cu <= min(st.u1, w.clip.u1); cu++ {
-					c := row + cu
-					if x.packed {
-						if lo, hi := off[c], off[c+1]; lo < hi {
-							w.records(recs[lo:hi])
-						}
-					} else if b := x.cells[c]; len(b) > 0 {
-						w.entries(b)
+					if lo, hi := off[row+cu], off[row+cu+1]; lo < hi {
+						w.records(recs[lo:hi], stale)
 					}
 				}
 			}
 		}
 		if ring.u0 <= w.clip.u0 && ring.u1 >= w.clip.u1 && ring.v0 <= w.clip.v0 && ring.v1 >= w.clip.v1 {
-			return w.best, w.bestKey, w.scans
+			return
 		}
 	}
 }
 
-// records considers a run of snapshot records, which are all live.
-func (w *walk) records(recs []snapRec) {
+// records considers a run of records, skipping, when stale is set, the
+// snapshot records of items no longer filed.
+func (w *walk) records(recs []snapRec, stale bool) {
+	scans := int64(0)
 	for i := range recs {
 		r := &recs[i]
-		if id := int(r.id); id != w.self && (w.used == nil || !w.used[id]) {
-			w.scans++
-			if d := geom.DistRR(w.q, r.box); w.admits(id, d) {
-				w.score(id, d, r.exact && w.selfExact)
+		id := int(r.id)
+		if id == w.self || w.used != nil && w.used[id] {
+			continue
+		}
+		if stale && w.x.items[id].state != itemFiled {
+			w.skipped++
+			continue
+		}
+		scans++
+		if outOfReach(&w.reach, &r.box) {
+			continue
+		}
+		if d := geom.DistRR(w.q, r.box); w.admits(id, d) {
+			w.score(id, d, r.exact && w.selfExact)
+		}
+	}
+	w.scans += scans
+}
+
+// lateItems considers the late items. It runs after the ring walk, when
+// the reach is tight and most late items lie out of it, so it tests that
+// before self, and counts every late item as a scan but self and the used
+// ones.
+func (w *walk) lateItems(ids []int32) {
+	w.scans += int64(len(ids))
+	for _, id32 := range ids {
+		switch id := int(id32); {
+		case w.used != nil && w.used[id]:
+			w.scans--
+		case outOfReach(&w.reach, &w.x.boxes[id]): // never self's own box
+		case id == w.self:
+			w.scans--
+		default:
+			if d := geom.DistRR(w.q, w.x.boxes[id]); w.admits(id, d) {
+				w.score(id, d, w.x.items[id].exact && w.selfExact)
 			}
 		}
 	}
 }
 
-// entries considers a bucket's entries, skipping tombstones.
-func (w *walk) entries(ids []int32) {
-	for _, id32 := range ids {
-		id := int(id32)
-		if sp := &w.x.spans[id]; id != w.self && sp.state == spanLive && (w.used == nil || !w.used[id]) {
-			w.scans++
-			if d := geom.DistRR(w.q, w.x.boxes[id]); w.admits(id, d) {
-				w.score(id, d, sp.exact && w.selfExact)
-			}
-		}
+// outOfReach reports that box b lies wholly beyond the reach on some side,
+// so that, by the clip's float-safe bound (see the package documentation),
+// its DistRR from the query box exceeds the best key and the pre-filter
+// would reject it. It ORs one bit per side and branches once, on the
+// result: which side a far candidate lies on is unpredictable.
+func outOfReach(reach, b *geom.Rect) bool {
+	return bit(b.ULo > reach.UHi)|bit(b.UHi < reach.ULo)|bit(b.VLo > reach.VHi)|bit(b.VHi < reach.VLo) != 0
+}
+
+// bit is 1 for true and 0 for false, which the compiler computes without a
+// branch.
+func bit(c bool) uint8 {
+	if c {
+		return 1
 	}
+	return 0
 }
 
 // admits is the box pre-filter: it reports that candidate id, whose stored
@@ -1083,25 +951,27 @@ func (w *walk) admits(id int, d float64) bool {
 }
 
 // score keys a candidate the pre-filter admitted, whose box distance is d,
-// and makes it the best so far if it wins, shrinking the clip.
+// and makes it the best so far if it wins, shrinking the reach and clip.
 func (w *walk) score(id int, d float64, exact bool) {
 	if key := w.k.pairKey(w.self, id, d, exact); key < w.bestKey || (key == w.bestKey && id < w.best) {
-		w.best, w.bestKey = id, key
-		w.clip = w.x.clipBox(w.q, key)
+		w.best = id
+		w.setBest(key)
 	}
 }
 
-// clipBox returns the window cells that can hold a candidate whose key is
-// at most key against query box q: q inflated on every side by key plus
-// the float-safe margin, mapped to cells like the items' own filing and
-// clamped to the window. An infinite key gives the whole window. The
-// margin's product is rounded on its own (float64), so no platform fuses
-// it into the addition and moves a clip edge across a cell.
-func (x *Index) clipBox(q geom.Rect, key float64) cellBox {
+// setBest makes key the best key and derives the reach, the query box
+// inflated on every side by key plus the float-safe margin, and the clip,
+// the window cells the reach covers, mapped like the items' own filing and
+// clamped to the window. An infinite key reaches everything. The margin's
+// product is rounded on its own (float64), so no platform fuses it into
+// the addition and moves a clip edge across a cell.
+func (w *walk) setBest(key float64) {
+	q := &w.q
 	k := key + float64((key+math.Abs(q.ULo)+math.Abs(q.UHi)+math.Abs(q.VLo)+math.Abs(q.VHi))*clipMargin)
-	return cellBox{
-		x.windowCell(q.ULo-k, x.ou, x.w), x.windowCell(q.UHi+k, x.ou, x.w),
-		x.windowCell(q.VLo-k, x.ov, x.h), x.windowCell(q.VHi+k, x.ov, x.h),
+	w.bestKey = key
+	w.reach = geom.Rect{ULo: q.ULo - k, UHi: q.UHi + k, VLo: q.VLo - k, VHi: q.VHi + k}
+	if w.x.w > 0 {
+		w.clip = w.x.cellSpan(w.reach)
 	}
 }
 
@@ -1124,12 +994,10 @@ func ringStrips(strips *[4]cellBox, ring cellBox, r int32) int {
 
 // NearestBox returns the live item whose stored box lies nearest self's by
 // DistRR, excluding self; exact ties break toward the smallest id, and ok
-// is false when no other live item exists. It settles the index under the
-// single-query cadence first.
+// is false when no other live item exists. It brings the snapshot up to
+// date under the single-query rule first.
 func (x *Index) NearestBox(self int) (best int, dist float64, ok bool) {
-	x.settle()
-	best, dist, scans := x.nearest(self, boxKeyer{}, nil)
-	x.scans.Add(scans)
+	best, dist = x.single(self, boxKeyer{}, nil)
 	if best < 0 {
 		return -1, 0, false
 	}
@@ -1143,13 +1011,3 @@ func (x *Index) NearestBox(self int) (best int, dist float64, ok bool) {
 type boxKeyer struct{}
 
 func (boxKeyer) pairKey(_, _ int, d float64, _ bool) float64 { return d }
-
-func clamp32(x, lo, hi int32) int32 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

@@ -160,9 +160,9 @@ func TestInsertDeleteBookkeeping(t *testing.T) {
 	}
 }
 
-// TestTombstoneChurn hammers the lazy-deletion machinery: mass deletes
-// (forcing tombstone purges and live-drop re-cell rebuilds) interleaved with
-// inserts and re-inserts of previously tombstoned ids, checking NearestBox
+// TestTombstoneChurn hammers the lazy deletion: mass deletes (stale
+// filings a walk skips, then single-query filings) interleaved with
+// inserts and re-inserts of previously deleted ids, checking NearestBox
 // against brute force throughout.
 func TestTombstoneChurn(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
@@ -205,8 +205,8 @@ func TestTombstoneChurn(t *testing.T) {
 		}
 	}
 	check("initial")
-	// Delete 80% — drives the live count through several halvings, so both
-	// the purge sweep and the re-cell rebuild must fire.
+	// Delete 80%: the stale records the queries skip trip a filing, a
+	// re-pack since the live count has halved.
 	for i := 0; i < n; i++ {
 		if r.Float64() < 0.8 && live[i] {
 			x.Delete(i)
@@ -214,6 +214,9 @@ func TestTombstoneChurn(t *testing.T) {
 		}
 	}
 	check("after mass delete")
+	if x.Rebuilds().LiveDrop == 0 {
+		t.Fatal("the mass delete never made a query re-pack")
+	}
 	// Resurrect some tombstoned ids under new boxes.
 	for i := 0; i < n/4; i++ {
 		id := r.Intn(n)
@@ -234,40 +237,65 @@ func TestTombstoneChurn(t *testing.T) {
 	check("after drain")
 }
 
-// TestInsertAllMatchesIncremental: items filed one by one into a fitted
-// window (the single-query settle's incremental path) must be
-// observationally identical to the counting pass of a first filing, at a
-// fine cell and at a coarse one whose buckets grow several times.
+// TestInsertAllMatchesIncremental: items inserted after a first filing are
+// answered from the late list until the single queries' lag work trips a
+// filing, then from the filed snapshot: a refresh under the first filing's
+// cell and window while the late items lie inside it, a re-pack once one
+// lies beyond it. Every answer must be observationally identical to the
+// counting pass of a first filing over the same items, at a fine cell and
+// at a coarse one.
 func TestInsertAllMatchesIncremental(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	const n = 400
 	boxes := make([]geom.Rect, n)
 	for i := range boxes {
-		boxes[i] = randRect(r, 2000, 15)
+		switch {
+		case i < n/4:
+			boxes[i] = randRect(r, 2000, 15)
+		case i < n/4+10: // well inside the first filing's window
+			b := randRect(r, 1000, 15)
+			boxes[i] = geom.Rect{ULo: b.ULo + 500, UHi: b.UHi + 500, VLo: b.VLo + 500, VHi: b.VHi + 500}
+		case i == n-1: // far beyond it
+			boxes[i] = geom.Rect{ULo: 9000, UHi: 9010, VLo: 9000, VHi: 9010}
+		default:
+			boxes[i] = randRect(r, 2000, 15)
+		}
 	}
 	for _, cell := range []float64{30, 200} {
-		bulk := New(cell)
-		bulk.InsertAll(boxes)
 		inc := New(cell)
 		inc.InsertAll(boxes[:n/4])
 		inc.NearestBox(0) // the first filing fits inc's window to these boxes
-		// The rest go in one by one: the next query files them into the
-		// fitted window, growing buckets the first filing left full.
-		for i := n / 4; i < n; i++ {
-			inc.Insert(i, boxes[i])
-		}
-		if bulk.Len() != inc.Len() {
-			t.Fatalf("cell %v: Len %d != %d", cell, bulk.Len(), inc.Len())
-		}
-		for i := range boxes {
-			bj, bd, bok := bulk.NearestBox(i)
-			ij, id, iok := inc.NearestBox(i)
-			if bj != ij || bd != id || bok != iok {
-				t.Fatalf("cell %v, item %d: bulk (%d,%v,%v) != incremental (%d,%v,%v)", cell, i, bj, bd, bok, ij, id, iok)
+		for _, stage := range []struct {
+			filed  int
+			refile bool // the filing keeps the first filing's window
+		}{{n/4 + 10, true}, {n, false}} {
+			window := [4]int32{inc.ou, inc.ov, inc.w, inc.h}
+			for i := inc.Len(); i < stage.filed; i++ {
+				inc.Insert(i, boxes[i])
 			}
-		}
-		if rb := inc.Rebuilds(); rb.Total() != 0 {
-			t.Fatalf("cell %v: the later items were filed by a rebuild (%+v), not one by one", cell, rb)
+			bulk := New(cell)
+			bulk.InsertAll(boxes[:stage.filed])
+			if bulk.Len() != inc.Len() {
+				t.Fatalf("cell %v: Len %d != %d", cell, bulk.Len(), inc.Len())
+			}
+			drops := inc.Rebuilds().LiveDrop
+			for i := range boxes[:stage.filed] {
+				if i == 0 && inc.lagWork != 0 {
+					t.Fatalf("cell %v, %d items: lag work %d before the first query", cell, stage.filed, inc.lagWork)
+				}
+				bj, bd, bok := bulk.NearestBox(i)
+				ij, id, iok := inc.NearestBox(i)
+				if bj != ij || bd != id || bok != iok {
+					t.Fatalf("cell %v, item %d of %d: bulk (%d,%v,%v) != incremental (%d,%v,%v)",
+						cell, i, stage.filed, bj, bd, bok, ij, id, iok)
+				}
+			}
+			if got := inc.Rebuilds().LiveDrop - drops; got != 1 || inc.dirty() != 0 {
+				t.Fatalf("cell %v, %d items: %d filings, lag %d; want one filing, no lag", cell, stage.filed, got, inc.dirty())
+			}
+			if kept := window == [4]int32{inc.ou, inc.ov, inc.w, inc.h}; kept != stage.refile {
+				t.Fatalf("cell %v, %d items: window kept %v, want %v", cell, stage.filed, kept, stage.refile)
+			}
 		}
 	}
 }
@@ -312,32 +340,29 @@ func TestDensityCell(t *testing.T) {
 	}
 }
 
-// TestRebuildStatsCountLiveDrop pins the classification of both rebuild
-// triggers of the single-query cadence, and exact answers after them: the
-// population schedule (half the live set deleted) and the edge clamp (more
-// than clampSlack items filed beyond the window the first query fitted to
-// item 0). Rebuilds run when a query settles the index, so the test queries
-// after the first insert and after the rest, before it reads the counts.
+// TestRebuildStatsCountLiveDrop pins the two re-packs a single query makes
+// in place of a refresh, and exact answers after them: once the live count
+// has halved since the cell was set (half the live set deleted after the
+// first filing packed it), and once a late item reaches the window's edge
+// cells (every item after item 0 inserted far beyond the window the first
+// filing fitted to item 0). The lag work of the queries that follow trips
+// each, the stale records they skip or the late items they scan, and each
+// re-measures the cell for the live set and re-fits the window over it.
 func TestRebuildStatsCountLiveDrop(t *testing.T) {
 	const n = 100
 	for _, tc := range []struct {
-		name    string
-		box     func(r *rand.Rand, i int) geom.Rect
-		deletes int
-		fired   func(RebuildStats) int
+		name           string
+		box            func(r *rand.Rand, i int) geom.Rect
+		filed, deletes int
 	}{
-		{"live-drop", func(r *rand.Rand, _ int) geom.Rect { return randRect(r, 1000, 10) }, n / 2,
-			func(rb RebuildStats) int { return rb.LiveDrop }},
-		// Item 0 at the origin sets a window a few cells wide; every later
-		// item lands far beyond it, and no delete runs the population
-		// schedule.
-		{"edge-clamp", func(r *rand.Rand, i int) geom.Rect {
+		{"live-drop", func(r *rand.Rand, _ int) geom.Rect { return randRect(r, 1000, 10) }, n, n / 2},
+		{"beyond-window", func(r *rand.Rand, i int) geom.Rect {
 			if i == 0 {
 				return geom.Rect{}
 			}
 			b := randRect(r, 1000, 10)
 			return geom.Rect{ULo: b.ULo + 5000, UHi: b.UHi + 5000, VLo: b.VLo + 5000, VHi: b.VHi + 5000}
-		}, 0, func(rb RebuildStats) int { return rb.EdgeClamp }},
+		}, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(5))
@@ -348,8 +373,8 @@ func TestRebuildStatsCountLiveDrop(t *testing.T) {
 				boxes[i] = tc.box(r, i)
 				live[i] = true
 				x.Insert(i, boxes[i])
-				if i == 0 || i == n-1 {
-					x.NearestBox(i)
+				if i == tc.filed-1 {
+					x.NearestBox(i) // the first filing
 				}
 			}
 			for i := 0; i < tc.deletes; i++ {
@@ -365,12 +390,15 @@ func TestRebuildStatsCountLiveDrop(t *testing.T) {
 					t.Fatalf("item %d: got (%d, %v), want (%d, %v)", i, gotJ, gotD, wantJ, wantD)
 				}
 			}
-			rb := x.Rebuilds()
-			if tc.fired(rb) < 1 {
-				t.Fatalf("%s rebuilds = %d (stats %+v), want >= 1", tc.name, tc.fired(rb), rb)
+			if rb := x.Rebuilds(); rb.LiveDrop < 1 || rb.Total() != rb.LiveDrop || x.cellLive != x.Len() {
+				t.Fatalf("rebuilds %+v (total %d), cell set for %d live of %d; want a re-pack for them",
+					rb, rb.Total(), x.cellLive, x.Len())
 			}
-			if rb.Total() != rb.LiveDrop+rb.EdgeClamp {
-				t.Fatalf("Total inconsistent: %+v", rb)
+			for i, b := range boxes {
+				if live[i] && (x.cellIdx(b.ULo) < x.ou || x.cellIdx(b.UHi) >= x.ou+x.w ||
+					x.cellIdx(b.VLo) < x.ov || x.cellIdx(b.VHi) >= x.ov+x.h) {
+					t.Fatalf("item %d (%v) lies outside the re-packed window", i, b)
+				}
 			}
 		})
 	}

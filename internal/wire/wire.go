@@ -16,7 +16,7 @@
 // or malicious payload yields an error, never a crash — the dispatch layer
 // classifies such errors as transient and re-dispatches.
 //
-// The format is at Version 9. A work unit carries the sinks it routes, in
+// The format is at Version 10. A work unit carries the sinks it routes, in
 // routing order, each as its instance id, location, load and group, plus
 // the instance's group count and clock source: nothing else of the
 // instance. A worker allocates for the sinks it was sent and no more, and
@@ -76,7 +76,7 @@ import (
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 9
+const Version uint16 = 10
 
 // ErrVersion marks a message written by a build that speaks another
 // Version; errors.Is recognizes it through the decoders' wrapping.

@@ -283,12 +283,11 @@ var wireLayout = struct {
 	version uint16
 	stats   []string
 	options []string
-}{9, []string{
+}{10, []string{
 	"Merges varint", "SameGroup varint", "CrossGroup varint", "Shared varint",
 	"Deferred varint", "GroupUnions varint", "MergeSnakes varint",
 	"SneakEvents varint", "SneakWire f64", "SneakIters varint",
-	"PairScans varint", "GridRebuilds.LiveDrop varint",
-	"GridRebuilds.EdgeClamp varint", "SneakUnresolved varint",
+	"PairScans varint", "GridRebuilds.LiveDrop varint", "SneakUnresolved varint",
 }, []string{
 	"Model encoded", "IntraSkewBound encoded", "InterSkewBound encoded",
 	"SingleGroup encoded", "Strategy encoded", "Pairer encoded",
