@@ -6,7 +6,7 @@
 //	BenchmarkEXTBST    — the EXT-BST baseline rows of both tables
 //	BenchmarkFig1      — zero-skew vs bounded-skew trade-off (Fig. 1)
 //	BenchmarkFig2      — stitch vs simultaneous merging (Fig. 2)
-//	BenchmarkAblation  — design-choice ablations (order, deferral, offsets)
+//	BenchmarkAblation  — design-choice ablations (deferral, offsets)
 //	BenchmarkSpiceLite — transient validation of the delay model (Ch. III)
 //	BenchmarkSubstrate — micro-benchmarks of the geometry/delay kernels
 //
@@ -147,8 +147,8 @@ func BenchmarkFig2(b *testing.B) {
 }
 
 // BenchmarkAblation measures the design-choice ablations of
-// experiments.Ablations (merging order, region deferral, offset float) on
-// one intermingled circuit.
+// experiments.Ablations (region deferral, offset float) on one
+// intermingled circuit.
 func BenchmarkAblation(b *testing.B) {
 	in := bench.Intermingled(bench.Small(300, 3), 6, 77)
 	for _, ab := range experiments.Ablations() {
@@ -194,7 +194,7 @@ func BenchmarkSpiceLite(b *testing.B) {
 // grid route, so allocation regressions on the large-instance hot path fail
 // CI instead of surfacing as silent slowdowns. The flat sorted-slice delay
 // representation routes 10k sinks in 169–170 allocations (arena, slab
-// chunks, queue and grid bootstrap). A Multi build keeps no grid buckets:
+// chunks, queue and grid bootstrap). A build keeps no grid buckets:
 // each round files the live set into the packed snapshot, whose arrays are
 // reused across rounds, as is the sample DensityCell measures the round's
 // cell from; with a fresh sample per round the count was 192–193. The budgets

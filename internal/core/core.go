@@ -70,7 +70,6 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/geom"
 	"repro/internal/obs"
-	"repro/internal/order"
 	"repro/internal/rctree"
 	"repro/internal/spatial"
 )
@@ -124,8 +123,6 @@ type Options struct {
 	// IntraSkewBound. SingleGroup at bound 0 is greedy-DME (ZST); at 10 ps
 	// it is the thesis's EXT-BST baseline.
 	SingleGroup bool
-	// Strategy is the merging order's pairing strategy (see package order).
-	Strategy order.Strategy
 	// Pairer selects the nearest-neighbor engine of the merging order:
 	// PairerAuto (the grid from GridPairerThreshold items up) or PairerScan
 	// (the all-pairs oracle). The merge key never drops below the pair
@@ -225,19 +222,14 @@ type Stats struct {
 	SneakIters int
 	// PairScans is the number of candidate pair evaluations the merging
 	// order performed — the work metric the spatial pairer drives
-	// sub-quadratic (all-pairs pairing scans Θ(n²) of them per round): a
-	// batch query scans the cells near each item, and the single queries of
-	// a Greedy build also scan the items inserted since the last filing,
-	// about n^1.5 of them over the build.
+	// sub-quadratic (all-pairs pairing scans Θ(n²) of them per round): each
+	// round's batch query scans the cells near each item.
 	PairScans int64
 	// GridRebuilds counts the spatial pairer's index filings after the
-	// first (all zero under the all-pairs oracle): under Multi, LiveDrop is
-	// about one per round, the batch query's re-pack; under Greedy it
-	// counts the single queries' refreshes and re-packs, each once their
-	// scans of late items and skips of stale records since the last
-	// outnumber twice the live set (see spatial.RebuildStats). Like
-	// PairScans it is recorded once per run from the pairing engine, not
-	// accumulated by merge bodies.
+	// first (all zero under the all-pairs oracle): LiveDrop is about one per
+	// merge round, the batch query's re-pack (see spatial.RebuildStats).
+	// Like PairScans it is recorded once per run from the pairing engine,
+	// not accumulated by merge bodies.
 	GridRebuilds spatial.RebuildStats
 	// SneakUnresolved counts merges where sneaking could not (affordably)
 	// reconcile conflicting windows; the residual intra-group skew is then

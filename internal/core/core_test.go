@@ -9,7 +9,6 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/eval"
 	"repro/internal/geom"
-	"repro/internal/order"
 	"repro/internal/rctree"
 )
 
@@ -46,14 +45,6 @@ func TestZSTExactZeroSkew(t *testing.T) {
 				t.Errorf("n=%d seed=%d: ZST skew = %v ps (max delay %v)", n, seed, rep.GlobalSkew, rep.MaxDelay)
 			}
 		}
-	}
-}
-
-func TestZSTGreedyOrderAlsoZeroSkew(t *testing.T) {
-	in := bench.Small(40, 7)
-	_, rep := route(t, in, Options{SingleGroup: true, Strategy: order.Greedy})
-	if rep.GlobalSkew > 1e-6*(1+rep.MaxDelay) {
-		t.Errorf("greedy ZST skew = %v", rep.GlobalSkew)
 	}
 }
 

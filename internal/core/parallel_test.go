@@ -9,7 +9,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/ctree"
 	"repro/internal/obs"
-	"repro/internal/order"
 )
 
 // sameTree recursively compares topology and every committed quantity of
@@ -67,8 +66,8 @@ func buildAt(t *testing.T, procs int, in *ctree.Instance, opt Options) *Result {
 
 // TestParallelMergeDifferential: executing the merge bodies across workers
 // must reproduce the serial build exactly — bitwise wirelength, identical
-// topology and stats — for both pairing engines, both merging strategies,
-// and ZST as well as grouped AST-DME runs.
+// topology and stats — for both pairing engines, and ZST as well as
+// grouped AST-DME runs.
 func TestParallelMergeDifferential(t *testing.T) {
 	zst := bench.Small(600, 21)
 	grouped := bench.Intermingled(bench.Small(400, 33), 4, 99)
@@ -83,23 +82,18 @@ func TestParallelMergeDifferential(t *testing.T) {
 		{"ast-intermingled", grouped, Options{IntraSkewBound: 0}},
 		{"ast-clustered", clustered, Options{IntraSkewBound: 0}},
 	}
-	strategies := []order.Strategy{order.Multi, order.Greedy}
 	for _, tc := range cases {
-		for _, st := range strategies {
-			opt := tc.opt
-			opt.Strategy = st
-			serial := buildAt(t, 1, tc.in, opt)
-			for _, procs := range []int{2, 4, runtime.NumCPU() + 1} {
-				label := fmt.Sprintf("%s/strategy=%v/GOMAXPROCS=%d", tc.name, st, procs)
-				par := buildAt(t, procs, tc.in, opt)
-				if par.Wirelength != serial.Wirelength {
-					t.Errorf("%s: wirelength %v != serial %v", label, par.Wirelength, serial.Wirelength)
-				}
-				if par.Stats != serial.Stats {
-					t.Errorf("%s: stats differ:\n par:    %v\n serial: %v", label, par.Stats, serial.Stats)
-				}
-				sameTree(t, label+"@", serial.Root, par.Root)
+		serial := buildAt(t, 1, tc.in, tc.opt)
+		for _, procs := range []int{2, 4, runtime.NumCPU() + 1} {
+			label := fmt.Sprintf("%s/GOMAXPROCS=%d", tc.name, procs)
+			par := buildAt(t, procs, tc.in, tc.opt)
+			if par.Wirelength != serial.Wirelength {
+				t.Errorf("%s: wirelength %v != serial %v", label, par.Wirelength, serial.Wirelength)
 			}
+			if par.Stats != serial.Stats {
+				t.Errorf("%s: stats differ:\n par:    %v\n serial: %v", label, par.Stats, serial.Stats)
+			}
+			sameTree(t, label+"@", serial.Root, par.Root)
 		}
 	}
 }

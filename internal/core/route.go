@@ -232,7 +232,7 @@ func (b *builder) route() {
 		}
 		return geom.DistOO(na.ActiveRegion(), nb.ActiveRegion())
 	}
-	ocfg := order.Config{Strategy: b.opt.Strategy, Key: b.mergeKey}
+	ocfg := order.Config{Key: b.mergeKey}
 	if b.useGridPairer(n) {
 		// Index nodes by the u/v bounds of their active regions: the bound
 		// distance under-estimates the true octagon distance, keeping the

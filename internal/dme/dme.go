@@ -12,10 +12,11 @@
 // against regressions in its degenerate case.
 //
 // Above gridThreshold sinks the nearest-neighbor queries go through the
-// uniform bucket grid of internal/spatial (segments are exact rectangles, so
-// the grid ranking is exact and results are identical to the linear scan —
-// a differential test pins this). Small instances keep the pure scan, so the
-// oracle role for core's tests is untouched by the index.
+// spatial index of internal/spatial, one single query per heap refill
+// (segments are exact rectangles, so the index's ranking is exact and
+// results are identical to the linear scan — a differential test pins
+// this). Small instances keep the pure scan, so the oracle role for core's
+// tests is untouched by the index.
 package dme
 
 import (
@@ -152,7 +153,7 @@ func (p *pq) pop() pqItem {
 }
 
 // mergeAll drains the items into one tree. useGrid answers the
-// nearest-segment queries from the bucket grid instead of a linear scan;
+// nearest-segment queries from the spatial index instead of a linear scan;
 // both paths produce identical trees (segments are exact rectangles, and a
 // differential test pins the equality).
 func mergeAll(items []*Node, m rctree.Model, useGrid bool) *Node {

@@ -2,10 +2,12 @@ package dme
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/ctree"
 	"repro/internal/geom"
 	"repro/internal/rctree"
 )
@@ -169,4 +171,31 @@ func TestGridMatchesScanNN(t *testing.T) {
 		walk(a.Right, b.Right)
 	}
 	walk(scanRoot, gridRoot)
+}
+
+// flatZSTInput is the flat-zst benchmark's input as internal/core's tests
+// draw it: 10,000 power-law sinks with loads drawn from seed 1.
+func flatZSTInput() *ctree.Instance {
+	in := bench.PowerLaw(10000, bench.PowerLawClusters, bench.PowerLawAlpha, 1100)
+	r := rand.New(rand.NewSource(1))
+	for i := range in.Sinks {
+		in.Sinks[i].CapFF = 5 + r.Float64()*45
+	}
+	return in
+}
+
+// TestFlatZSTReferenceWire pins the wirelength of this package's tree over
+// the flat-zst benchmark's input, bit for bit: it is the denominator of that
+// benchmark's wire_ratio, and the only at-scale build whose single queries
+// file the spatial index anew, so a change to the index's upkeep that moved
+// an answer would move it.
+func TestFlatZSTReferenceWire(t *testing.T) {
+	res, err := Build(flatZSTInput(), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 0x417bc14a9fc1be23
+	if got := math.Float64bits(res.Wirelength); got != want {
+		t.Errorf("wirelength %v (%#x), want %v (%#x)", res.Wirelength, got, math.Float64frombits(want), uint64(want))
+	}
 }

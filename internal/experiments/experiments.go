@@ -14,7 +14,6 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/eval"
 	"repro/internal/geom"
-	"repro/internal/order"
 	"repro/internal/rctree"
 	"repro/internal/stitch"
 )
@@ -235,12 +234,11 @@ type Ablation struct {
 }
 
 // Ablations returns the configurations exercising the router's design
-// choices: merging order, region deferral and the inter-group offset float.
+// choices: region deferral and the inter-group offset float, beside the
+// default.
 func Ablations() []Ablation {
-	greedy := core.Options{IntraSkewBound: ASTIntraBoundPs, Strategy: order.Greedy}
 	return []Ablation{
 		{Name: "default-multi", Opt: core.Options{IntraSkewBound: ASTIntraBoundPs}},
-		{Name: "greedy-order", Opt: greedy},
 		{Name: "endpoint-split", Opt: core.Options{IntraSkewBound: ASTIntraBoundPs, EndpointSplit: true}},
 		{Name: "offset-float-60", Opt: core.Options{IntraSkewBound: ASTIntraBoundPs, InterSkewBound: 60}},
 	}

@@ -1,28 +1,28 @@
 // Package order implements the bottom-up merging order for DME-family clock
 // routers: the minimum merging-cost scheme of greedy-DME (Edahiro 1993),
 // with the first of the two enhancements named in the thesis (Ch. V.F),
-// simultaneous multiple mergings per round, as the Multi strategy: it cuts
-// the number of nearest-neighbor recomputations and hence runtime. The
-// second, a delay-target priority that merges subtrees with large delays
-// first, is not implemented: subtracting delays from the merge cost broke
-// the intra-group skew bound by hundreds of nanoseconds on r5, and a key
-// below the pair distance defeats the grid pairer's pruning.
+// simultaneous multiple mergings per round: each round computes the
+// nearest-neighbor pairing of all live items and merges the shortest
+// disjoint set of those pairs before re-pairing, which cuts the number of
+// nearest-neighbor recomputations and hence runtime. The second, a
+// delay-target priority that merges subtrees with large delays first, is
+// not implemented: subtracting delays from the merge cost broke the
+// intra-group skew bound by hundreds of nanoseconds on r5, and a key below
+// the pair distance defeats the grid pairer's pruning.
 //
 // The queue works on abstract item indices: the router supplies a distance
 // function (typically geom.DistRR over node regions) and, after each merge,
-// registers the replacement item. Distances between two live items never
-// change during a run (regions are committed at creation), which the greedy
-// strategy exploits for a simple lazy-deletion pairing heap.
+// registers the replacement item.
 //
 // # Pairers
 //
 // All nearest-partner queries go through the pluggable Pairer interface:
-// the per-item partners of every round (Nearest, NearestAll) and the
+// the per-item partners of every round (NearestAll) and the
 // anti-starvation rule's partner by raw distance (NearestFree). The
 // built-in implementation (Config.Pairer == nil) is the all-pairs scan:
-// exact for any key function and O(n) per query, which makes every round of
-// the Multi strategy O(n²) — the oracle that caps practical instances at a
-// few thousand sinks. Sub-quadratic engines (see internal/spatial for the
+// exact for any key function and O(n) per query, which makes every round
+// O(n²) — the oracle that caps practical instances at a few thousand
+// sinks. Sub-quadratic engines (see internal/spatial for the
 // uniform-grid pairer after Edahiro's bucket decomposition) plug in through
 // Config.Pairer and must reproduce the oracle's results exactly on tie-free
 // inputs; differential tests in internal/spatial enforce this.
@@ -37,18 +37,18 @@
 // NextBatch is the only way to consume a Queue. It exposes each round's
 // disjoint merge set at once, which lets the router execute the merge bodies
 // concurrently (the pairs of one batch never share a subtree) and commit
-// results in batch order. Under Greedy every batch holds a single pair.
+// results in batch order.
 //
 // # Ranking a round
 //
-// A Multi round ranks its candidates, each live item's best pair, in the
-// (Key, I, J) order of pairLess and sweeps them into the batch. The
-// candidates come one per item, ascending in I, so a stable sort by key
-// alone gives that order: an LSD radix sort over the keys' bits, a byte
-// per pass, with −0 read as +0 and the bytes on which every key agrees
-// skipped (rankPairs). It makes the permutation a comparison sort under
-// pairLess makes, in a few linear passes. Keys must not be NaN, which
-// pairLess cannot order either. Greedy's heap keeps pairLess itself.
+// A round ranks its candidates, each live item's best pair, in (Key, I, J)
+// order, the index tie-breaks keeping the selection deterministic under
+// exact key ties, and sweeps them into the batch. The candidates come one
+// per item, ascending in I, so a stable sort by key alone gives that
+// order: an LSD radix sort over the keys' bits, a byte per pass, with −0
+// read as +0 and the bytes on which every key agrees skipped (rankPairs).
+// It makes the permutation a comparison sort by (Key, I, J) would, in a
+// few linear passes. Keys must not be NaN, which no comparison ranks.
 package order
 
 import (
@@ -64,20 +64,6 @@ import (
 	"repro/internal/obs"
 )
 
-// Strategy selects how aggressively merges are batched.
-type Strategy int
-
-const (
-	// Multi (the default) performs simultaneous multiple mergings — the
-	// thesis's enhancement 1, after Edahiro: each round it computes the
-	// nearest-neighbor pairing of all live items and merges the shortest
-	// disjoint fraction of those pairs before re-pairing.
-	Multi Strategy = iota
-	// Greedy merges exactly one globally minimum-cost pair at a time
-	// (classic greedy-DME order).
-	Greedy
-)
-
 // Pair is a candidate merge: item I paired with its best partner J at
 // priority Key. J is -1 when no partner exists.
 type Pair struct {
@@ -91,14 +77,12 @@ type Pair struct {
 //     only grow. Every method is called from a single goroutine, so an
 //     engine may defer its upkeep from the mutations to the queries (the
 //     grid pairer of internal/spatial does).
-//   - Nearest returns the live partner j ≠ id minimizing the pair key. Exact
+//   - NearestAll returns, at each position t, the live partner j ≠ ids[t]
+//     minimizing the pair key, with J = -1 when no partner exists. Exact
 //     key ties break toward the smallest j, so results are deterministic.
-//     ok is false when no candidate remains.
-//   - NearestAll is the batch form over a slice of live ids. It may shard the
-//     queries across goroutines but must return, at each position, exactly
-//     what Nearest(ids[t]) would (J = -1 when no partner exists). The
-//     returned slice may alias an internal buffer: it is valid only until
-//     the next NearestAll call.
+//     It may shard the queries across goroutines. The returned slice may
+//     alias an internal buffer: it is valid only until the next NearestAll
+//     call.
 //   - NearestFree returns the live partner j ≠ id not marked in used that
 //     minimizes the raw pair distance — not the key — with Key set to that
 //     distance. Exact ties break toward the smallest j; ok is false when no
@@ -111,7 +95,6 @@ type Pair struct {
 type Pairer interface {
 	Insert(id int)
 	Delete(id int)
-	Nearest(id int) (Pair, bool)
 	NearestAll(ids []int) []Pair
 	NearestFree(id int, used []bool) (Pair, bool)
 	Scans() int64
@@ -119,8 +102,6 @@ type Pairer interface {
 
 // Config parameterizes a Queue.
 type Config struct {
-	// Strategy selects Multi (the default) or Greedy.
-	Strategy Strategy
 	// Key optionally overrides the pair priority. It receives the two item
 	// indices and their distance and returns the priority (lower merges
 	// first). Nil means priority = distance. The router supplies its
@@ -145,11 +126,8 @@ type Queue struct {
 	alive  []bool
 	live   int
 
-	// Greedy state.
-	h pairHeap
-
 	batch []Pair // what NextBatch returns
-	age   []int  // Multi rounds an item has survived unmerged (anti-starvation)
+	age   []int  // rounds an item has survived unmerged (anti-starvation)
 
 	// Reused per-round scratch (buildBatch).
 	ids  []int
@@ -163,70 +141,12 @@ type Queue struct {
 	batchTime time.Duration
 }
 
-// starveRounds is the number of Multi rounds an item may go unmerged before
+// starveRounds is the number of rounds an item may go unmerged before
 // it is force-paired regardless of cost. Without this, items whose pairings
 // all look expensive (e.g. delay-imbalanced leftovers) lose their preferred
 // partners every round and end up absorbing the mismatch at the tree root,
 // where it is most expensive.
 const starveRounds = 3
-
-// pairLess is the (Key, I, J) strict total order used everywhere a set of
-// candidate pairs is ranked: the index tie-breaks keep Greedy's heap pops
-// and Multi's batch selection deterministic under exact key ties.
-func pairLess(a, b Pair) bool {
-	if a.Key != b.Key {
-		return a.Key < b.Key
-	}
-	if a.I != b.I {
-		return a.I < b.I
-	}
-	return a.J < b.J
-}
-
-// pairHeap is a slice-backed binary min-heap ordered by pairLess. It avoids
-// the interface{} boxing of container/heap (one allocation per Push/Pop) and
-// is preallocated to the initial item count: the steady-state heap holds one
-// candidate per live item plus transient stale entries.
-type pairHeap struct{ s []Pair }
-
-func (h *pairHeap) len() int { return len(h.s) }
-
-func (h *pairHeap) push(p Pair) {
-	h.s = append(h.s, p)
-	i := len(h.s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !pairLess(h.s[i], h.s[parent]) {
-			break
-		}
-		h.s[i], h.s[parent] = h.s[parent], h.s[i]
-		i = parent
-	}
-}
-
-func (h *pairHeap) pop() Pair {
-	top := h.s[0]
-	last := len(h.s) - 1
-	h.s[0] = h.s[last]
-	h.s = h.s[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		least := i
-		if l < last && pairLess(h.s[l], h.s[least]) {
-			least = l
-		}
-		if r < last && pairLess(h.s[r], h.s[least]) {
-			least = r
-		}
-		if least == i {
-			break
-		}
-		h.s[i], h.s[least] = h.s[least], h.s[i]
-		i = least
-	}
-	return top
-}
 
 // New builds a queue over n initial items with the given distance function.
 func New(cfg Config, n int, dist func(i, j int) float64) *Queue {
@@ -240,18 +160,6 @@ func New(cfg Config, n int, dist func(i, j int) float64) *Queue {
 		q.age = append(q.age, 0)
 		q.pairer.Insert(i)
 	}
-	if cfg.Strategy == Greedy {
-		q.h.s = make([]Pair, 0, 2*n)
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		for _, p := range q.pairer.NearestAll(ids) {
-			if p.J >= 0 {
-				q.h.push(p)
-			}
-		}
-	}
 	return q
 }
 
@@ -263,17 +171,9 @@ func (q *Queue) key(i, j int, d float64) float64 {
 	return d
 }
 
-// pushNN finds item i's best partner among live items and pushes the pair.
-func (q *Queue) pushNN(i int) {
-	if p, ok := q.pairer.Nearest(i); ok {
-		q.h.push(p)
-	}
-}
-
 // NextBatch returns the next round's batch of disjoint merges, retiring all
-// its items, or nil when fewer than two items remain. Under Greedy the batch
-// always holds a single pair; under Multi it holds the whole round. The
-// pairs of one batch never share an item, so the caller may execute the
+// its items, or nil when fewer than two items remain. The pairs of one
+// batch never share an item, so the caller may execute the
 // merge bodies concurrently; results must be registered with Merged in batch
 // order before the next call. The returned slice is valid until the next
 // NextBatch call.
@@ -285,21 +185,12 @@ func (q *Queue) NextBatch() []Pair {
 }
 
 // BatchTime reports the accumulated wall time of all NextBatch calls: the
-// run's pairing/selection cost. Greedy's incremental heap refreshes inside
-// Merged are not included (Greedy is not the batched strategy's path).
+// run's pairing and selection cost.
 func (q *Queue) BatchTime() time.Duration { return q.batchTime }
 
 func (q *Queue) nextBatch() []Pair {
 	if q.live < 2 {
 		return nil
-	}
-	if q.cfg.Strategy == Greedy {
-		p, ok := q.nextGreedy()
-		if !ok {
-			return nil
-		}
-		q.batch = append(q.batch[:0], p)
-		return q.batch
 	}
 	q.buildBatch()
 	if len(q.batch) == 0 {
@@ -317,24 +208,6 @@ func (q *Queue) retire(i, j int) {
 	q.pairer.Delete(i)
 	q.pairer.Delete(j)
 	q.live -= 2
-}
-
-// nextGreedy pops the heap's minimum pair of live items and retires them.
-func (q *Queue) nextGreedy() (Pair, bool) {
-	for q.h.len() > 0 {
-		p := q.h.pop()
-		ai, aj := q.alive[p.I], q.alive[p.J]
-		switch {
-		case ai && aj:
-			q.retire(p.I, p.J)
-			return p, true
-		case ai:
-			q.pushNN(p.I) // partner died: refresh
-		case aj:
-			q.pushNN(p.J)
-		}
-	}
-	return Pair{}, false
 }
 
 // buildBatch computes the nearest-neighbor pairing of all live items and
@@ -364,7 +237,7 @@ func (q *Queue) buildBatch() {
 		}
 	}
 	// The candidates hold one pair per item, ascending in I, so a stable
-	// sort by key alone ranks them in pairLess order (see rankPairs).
+	// sort by key alone ranks them in (Key, I, J) order (see rankPairs).
 	ranks := rankPairs(cand, &q.rank)
 	for len(q.used) < len(q.alive) {
 		q.used = append(q.used, false)
@@ -414,7 +287,7 @@ type ranked struct {
 	at   int32
 }
 
-// rankPairs returns the positions of cand in ascending pairLess order, in
+// rankPairs returns the positions of cand in ascending (Key, I, J) order, in
 // storage carved from *scratch, which it grows as needed. cand must hold at
 // most one pair per item, in ascending I, and no NaN key; then a stable
 // sort by key alone is the (Key, I, J) order, and rankPairs makes one: an
@@ -457,7 +330,7 @@ func rankPairs(cand []Pair, scratch *[]ranked) []ranked {
 }
 
 // keyBits maps a pair key to a uint64 whose unsigned order is the key's
-// numeric order: −0 as +0 (pairLess sees them equal), a non-negative key
+// numeric order: −0 as +0 (the pair order sees them equal), a non-negative key
 // with its sign bit set, a negative one with every bit flipped.
 func keyBits(k float64) uint64 {
 	b := math.Float64bits(k)
@@ -480,9 +353,6 @@ func (q *Queue) Merged(newID int) {
 	q.age = append(q.age, 0)
 	q.live++
 	q.pairer.Insert(newID)
-	if q.cfg.Strategy == Greedy {
-		q.pushNN(newID)
-	}
 }
 
 // Scans reports the cumulative number of candidate evaluations performed by
@@ -513,14 +383,9 @@ func (p *scanPairer) Delete(id int) {
 	}
 }
 
-func (p *scanPairer) Nearest(i int) (Pair, bool) {
-	pr, ok, n := p.nearest(i)
-	p.scans.Add(n)
-	return pr, ok
-}
-
-// nearest is Nearest without the scan count, which it returns instead.
-func (p *scanPairer) nearest(i int) (pr Pair, ok bool, n int64) {
+// nearest returns item i's best live partner by key, smallest index on
+// ties (J = -1 when none exists), and the number of candidates it scanned.
+func (p *scanPairer) nearest(i int) (pr Pair, n int64) {
 	best, bestKey := -1, math.Inf(1)
 	for j := range p.alive {
 		if j == i || !p.alive[j] {
@@ -533,9 +398,9 @@ func (p *scanPairer) nearest(i int) (pr Pair, ok bool, n int64) {
 		}
 	}
 	if best < 0 {
-		return Pair{I: i, J: -1}, false, n
+		return Pair{I: i, J: -1}, n
 	}
-	return Pair{Key: bestKey, I: i, J: best}, true, n
+	return Pair{Key: bestKey, I: i, J: best}, n
 }
 
 func (p *scanPairer) NearestFree(i int, used []bool) (Pair, bool) {
@@ -566,7 +431,7 @@ func (p *scanPairer) NearestAll(ids []int) []Pair {
 		var scans int64
 		for t := lo; t < hi; t++ {
 			var n int64
-			out[t], _, n = p.nearest(ids[t])
+			out[t], n = p.nearest(ids[t])
 			scans += n
 		}
 		p.scans.Add(scans)

@@ -44,7 +44,7 @@ func starvationRun(t *testing.T, grid bool) [][2]int {
 		}
 		return d
 	}
-	cfg := order.Config{Strategy: order.Multi, Key: key}
+	cfg := order.Config{Key: key}
 	if grid {
 		box := func(id int) geom.Rect { return geom.RectFromUV(geom.UV{U: coords[id]}) }
 		boxes := make([]geom.Rect, n)

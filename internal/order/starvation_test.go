@@ -9,7 +9,7 @@ import (
 func TestAgesResetOnMerge(t *testing.T) {
 	coords := []float64{0, 1, 100, 101}
 	dist := func(i, j int) float64 { return math.Abs(coords[i] - coords[j]) }
-	q := New(Config{Strategy: Multi}, 4, dist)
+	q := New(Config{}, 4, dist)
 	batch := q.NextBatch()
 	if len(batch) == 0 {
 		t.Fatal("no merge")

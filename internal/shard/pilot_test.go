@@ -231,7 +231,7 @@ func TestPilotedShardGolden(t *testing.T) {
 // TestShardPairerThresholdKeepsGrid is the regression test for the per-shard
 // PairerAuto fallback: a 10k-sink run at 8 shards puts ~1250 sinks in each
 // shard, and each shard must select the grid. The scan oracle's very first
-// Multi round alone evaluates n(n−1)/2 candidate pairs, so a per-shard scan
+// round alone evaluates n(n−1)/2 candidate pairs, so a per-shard scan
 // count below an eighth of that is only reachable by the grid engine.
 func TestShardPairerThresholdKeepsGrid(t *testing.T) {
 	in := bench.Small(10_000, 9)

@@ -12,7 +12,6 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/dispatch"
 	"repro/internal/eval"
-	"repro/internal/order"
 )
 
 // hashDelays folds the bit patterns of every per-sink delay into one FNV-64a
@@ -73,45 +72,42 @@ func TestShardedMaxGroupSkewMatchesEval(t *testing.T) {
 
 // TestShardsOneBitwiseIdentical pins the Shards=1 pipeline — partition,
 // BuildSubtree over the full sink set, trivial stitch — bitwise to the
-// unsharded core.Build under both merging strategies, ZST and
-// grouped AST-DME: same wirelength bits, same per-sink delay digest.
+// unsharded core.Build, ZST and grouped AST-DME: same wirelength bits,
+// same per-sink delay digest.
 func TestShardsOneBitwiseIdentical(t *testing.T) {
 	zst := bench.Small(600, 21)
 	grouped := bench.Intermingled(bench.Small(400, 33), 4, 99)
-	for _, strategy := range []order.Strategy{order.Multi, order.Greedy} {
-		for _, inst := range []struct {
-			name string
-			in   *ctree.Instance
-			opt  core.Options
-		}{
-			{"zst", zst, core.Options{SingleGroup: true, Strategy: strategy}},
-			{"grouped", grouped, core.Options{Strategy: strategy}},
-		} {
-			label := fmt.Sprintf("%s/strategy=%v", inst.name, strategy)
-			ref, err := core.Build(inst.in, inst.opt)
-			if err != nil {
-				t.Fatalf("%s: unsharded: %v", label, err)
-			}
-			opt := inst.opt
-			opt.Shards = 1
-			got, err := Build(inst.in, opt)
-			if err != nil {
-				t.Fatalf("%s: sharded: %v", label, err)
-			}
-			if len(got.Shards) != 1 || got.Shards[0].Sinks != len(inst.in.Sinks) {
-				t.Errorf("%s: shard layout %+v, want one full shard", label, got.Shards)
-			}
-			wb, rb := math.Float64bits(got.Wirelength), math.Float64bits(ref.Wirelength)
-			if wb != rb {
-				t.Errorf("%s: wirelength bits 0x%016x (%v), want 0x%016x (%v)",
-					label, wb, got.Wirelength, rb, ref.Wirelength)
-			}
-			if gh, rh := delayDigest(t, got.Root, inst.in), delayDigest(t, ref.Root, inst.in); gh != rh {
-				t.Errorf("%s: per-sink delay digest 0x%016x, want 0x%016x", label, gh, rh)
-			}
-			if got.Stats != ref.Stats {
-				t.Errorf("%s: aggregate stats %+v, want unsharded %+v", label, got.Stats, ref.Stats)
-			}
+	for _, inst := range []struct {
+		name string
+		in   *ctree.Instance
+		opt  core.Options
+	}{
+		{"zst", zst, core.Options{SingleGroup: true}},
+		{"grouped", grouped, core.Options{}},
+	} {
+		ref, err := core.Build(inst.in, inst.opt)
+		if err != nil {
+			t.Fatalf("%s: unsharded: %v", inst.name, err)
+		}
+		opt := inst.opt
+		opt.Shards = 1
+		got, err := Build(inst.in, opt)
+		if err != nil {
+			t.Fatalf("%s: sharded: %v", inst.name, err)
+		}
+		if len(got.Shards) != 1 || got.Shards[0].Sinks != len(inst.in.Sinks) {
+			t.Errorf("%s: shard layout %+v, want one full shard", inst.name, got.Shards)
+		}
+		wb, rb := math.Float64bits(got.Wirelength), math.Float64bits(ref.Wirelength)
+		if wb != rb {
+			t.Errorf("%s: wirelength bits 0x%016x (%v), want 0x%016x (%v)",
+				inst.name, wb, got.Wirelength, rb, ref.Wirelength)
+		}
+		if gh, rh := delayDigest(t, got.Root, inst.in), delayDigest(t, ref.Root, inst.in); gh != rh {
+			t.Errorf("%s: per-sink delay digest 0x%016x, want 0x%016x", inst.name, gh, rh)
+		}
+		if got.Stats != ref.Stats {
+			t.Errorf("%s: aggregate stats %+v, want unsharded %+v", inst.name, got.Stats, ref.Stats)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // clustered batch of moves (delete + re-insert of the SAME id at a shifted
 // placement), removals (stale filings) and additions (fresh ids extending
 // the id space, late until a filing), with the live count moving in both
-// directions so single queries refresh and re-pack (LiveDrop) mid-sequence.
+// directions so single queries re-pack (LiveDrop) mid-sequence.
 // After every round the churned index must answer NearestBox identically
 // to an index freshly built from the surviving boxes — cell geometry, late
 // items, stale records and filing history are never allowed to leak into
@@ -30,7 +30,9 @@ func TestEcoChurnMatchesFreshIndex(t *testing.T) {
 		x.Insert(i, boxes[i])
 	}
 
-	check := func(tag string) {
+	// repackedWith is the probe box of the last query of x that filed anew.
+	var repackedWith geom.Rect
+	check := func(tag string, probes int) {
 		t.Helper()
 		// A fresh index over the identical surviving boxes is the oracle:
 		// same ids, same boxes, no churn history. Its cell size differs from
@@ -52,7 +54,7 @@ func TestEcoChurnMatchesFreshIndex(t *testing.T) {
 		if x.Len() != fresh.Len() {
 			t.Fatalf("%s: Len = %d, fresh %d", tag, x.Len(), fresh.Len())
 		}
-		for probe := 0; probe < 40; probe++ {
+		for probe := 0; probe < probes; probe++ {
 			// Each probe box is filed under an id no item uses, queried,
 			// then deleted again.
 			q := randRect(r, 1000, 4)
@@ -60,6 +62,12 @@ func TestEcoChurnMatchesFreshIndex(t *testing.T) {
 				pid := len(boxes)
 				ix.Insert(pid, q)
 				defer ix.Delete(pid)
+				drops := ix.Rebuilds().LiveDrop
+				defer func() {
+					if ix == x && ix.Rebuilds().LiveDrop != drops {
+						repackedWith = q
+					}
+				}()
 				return ix.NearestBox(pid)
 			}
 			gj, gd, gok := nearest(x)
@@ -70,7 +78,7 @@ func TestEcoChurnMatchesFreshIndex(t *testing.T) {
 			}
 		}
 	}
-	check("initial")
+	check("initial", 40)
 
 	for round := 0; round < 6; round++ {
 		// A clustered ECO: edits target the neighborhood of one focal box,
@@ -118,12 +126,14 @@ func TestEcoChurnMatchesFreshIndex(t *testing.T) {
 				}
 			}
 		}
-		check("round")
+		check("round", 40)
 	}
 
 	// Now drain far enough that the live count halves: the stale records
-	// the queries skip trip a filing, a re-pack that re-measures the cell
-	// for the survivors.
+	// the probes skip trip a filing, a re-pack that re-measures the cell
+	// for the survivors. The probes skip a few stale records each, so the
+	// check runs as many as it takes their lag work to pass repackWork per
+	// live item.
 	drops := x.Rebuilds().LiveDrop
 	dropped, target := 0, 4*x.Len()/5
 	for id := 0; id < len(live) && dropped < target; id++ {
@@ -133,11 +143,20 @@ func TestEcoChurnMatchesFreshIndex(t *testing.T) {
 			dropped++
 		}
 	}
-	check("after drain")
+	survivors := []geom.Rect{}
+	for id, a := range live {
+		if a {
+			survivors = append(survivors, boxes[id])
+		}
+	}
+	check("after drain", 40*repackWork)
 	// The re-pack measured the cell for the survivors and the probe box
-	// the tripping query was filed for.
-	if x.Rebuilds().LiveDrop == drops || x.cellLive != x.Len()+1 {
-		t.Errorf("drain never made a single query re-pack the survivors; the test lost its point")
+	// the tripping query was filed for, whose id follows theirs.
+	if x.Rebuilds().LiveDrop == drops {
+		t.Fatalf("drain never made a single query re-pack the survivors; the test lost its point")
+	}
+	if want := DensityCell(append(survivors, repackedWith)); x.cell != want {
+		t.Errorf("cell %v after the drain's re-pack, want %v, measured for the survivors", x.cell, want)
 	}
 
 	// And from below: mass re-insertion over the drained grid, late until
@@ -149,7 +168,7 @@ func TestEcoChurnMatchesFreshIndex(t *testing.T) {
 			live[id] = true
 		}
 	}
-	check("after refill")
+	check("after refill", 40)
 	t.Logf("rebuilds: %+v", x.Rebuilds())
 }
 

@@ -32,18 +32,22 @@ func nudge(v float64, ulps int) float64 {
 }
 
 // latticeScript returns a fuzz input: head (the cell and base bytes), n
-// inserts of point boxes on a lattice of cell multiples, exact when op is 0
-// and inexact when it is 8, then tail.
+// lattice inserts (appendLattice), then tail.
 func latticeScript(head []byte, n int, op byte, tail ...byte) []byte {
-	b := append([]byte(nil), head...)
+	return append(appendLattice(append([]byte(nil), head...), n, op), tail...)
+}
+
+// appendLattice appends n inserts of point boxes on a lattice of cell
+// multiples to a fuzz input, exact when op is 0 and inexact when it is 8.
+func appendLattice(b []byte, n int, op byte) []byte {
 	for i := 0; i < n; i++ {
 		b = append(b, op, byte(i%16), 3, byte(i/16*5), 3, 0)
 	}
-	return append(b, tail...)
+	return b
 }
 
-// appendQueries appends n single-query steps (Nearest and NearestBox) to a
-// fuzz input, over varied items.
+// appendQueries appends n single-query steps (NearestBox) to a fuzz input,
+// over varied items.
 func appendQueries(b []byte, n int) []byte {
 	for k := 0; k < n; k++ {
 		b = append(b, 5, byte(3*k))
@@ -72,12 +76,11 @@ func appendQueries(b []byte, n int) []byte {
 //   - batch queries (NearestAll), which re-pack the live set whenever the
 //     snapshot lags it and answer from the fresh snapshot, each optionally
 //     followed by a NearestFree that reads the same snapshot;
-//   - single queries: Nearest together with (through the pairer's index)
-//     NearestBox, and NearestFree. They answer from the snapshot, skipping
-//     its stale records, plus the late list, until their lag work exceeds
-//     repackWork per live item, which makes the next one file anew first:
-//     by a refresh, or by a re-pack once the live count has halved or a
-//     late item lies beyond the window.
+//   - single queries: NearestBox, through the pairer's index, and
+//     NearestFree. They answer from the snapshot, skipping its stale
+//     records, plus the late list, until their lag work exceeds repackWork
+//     per live item, which makes the next one re-pack first, as a batch
+//     query does.
 //
 // Every answer must equal a scan of the live items under the same key,
 // smallest id on ties, and every query must leave the form its rule
@@ -93,12 +96,10 @@ func FuzzNearestMatchesScan(f *testing.F) {
 	// late scan; a filed item moved, which lists it late over its stale
 	// records; that late item moved again in place; the last insert deleted
 	// while late, then re-inserted; a filed item deleted, then re-inserted;
-	// single queries until their lag work trips a filing, a re-pack, since
-	// filed boxes were replaced; a late
-	// insert and a filed item deleted, and queries until a refresh; a late
-	// item beyond the window, and queries until their scans of it trip a
-	// re-pack; deletes past half the live set, and queries until their
-	// skips of its stale records trip a re-pack.
+	// late inserts on the lattice, and single queries until their lag work
+	// trips a re-pack; a late insert, a filed item deleted, a late item
+	// beyond the window and more late inserts, and queries until their lag
+	// work trips a re-pack that re-fits the window over it.
 	for _, op := range []byte{0, 8} {
 		tail := []byte{
 			op, 5, 3, 9, 3, 0, 5, 7, // a late insert, then a single query
@@ -108,38 +109,44 @@ func FuzzNearestMatchesScan(f *testing.F) {
 			op + 132, 41, 8, 3, 8, 3, 0, 5, 21, // re-insert item 41; query
 			3, 10, op + 132, 10, 9, 3, 9, 3, 0, // delete filed item 10, re-insert it
 		}
-		tail = appendQueries(tail, 16)               // a re-pack
+		tail = appendLattice(tail, 16, op)
+		tail = appendQueries(tail, 32)               // a re-pack
 		tail = append(tail, op, 7, 3, 6, 3, 0, 3, 9) // a late insert; a filed item deleted
-		tail = appendQueries(tail, 44)               // a refresh
 		tail = append(tail, op, 15, 6, 15, 6, 0)     // an insert beyond the window
-		tail = appendQueries(tail, 44)               // a re-pack
-		for k := byte(0); k < 24; k++ {
-			tail = append(tail, 3, k) // deletes past half the live set
-		}
-		tail = appendQueries(tail, 8) // a re-pack
+		tail = appendLattice(tail, 16, op)
+		tail = appendQueries(tail, 40) // a re-pack
 		f.Add(latticeScript([]byte{0, 0}, 40, op, append([]byte{7}, append(tail, 7, 15, 0, 6, 9, 9)...)...))
 	}
 	// The same over a coarse cell and a far base, with overflow items
-	// (spread 128): one filed late and moved in place, then filed by a
-	// batch query; a late insert, and queries until a refresh, which keeps
-	// the overflow record; the overflow item deleted, and queries until
-	// the refresh declines for its stale overflow record and a re-pack
-	// files; another overflow item filed late, and queries until the
-	// refresh declines for it; then a filed item moved, deletes and a batch
-	// query.
+	// (spread 128): one inserted late, and the first single query, which
+	// files it with the rest; it moves, which leaves a stale overflow record
+	// and a late overflow item, and a batch query files it; late inserts
+	// and the overflow item deleted, and queries until their scans of the
+	// late items and skips of its stale record trip a re-pack; another
+	// overflow item late, a filed item moved and late inserts, and queries
+	// until a re-pack files them; then deletes and a batch query.
 	tail := []byte{
-		0, 2, 3, 2, 3, 128, 5, 0, // overflow item 24, late; query
-		140, 24, 4, 3, 4, 3, 128, 6, 1, 85, // move it in place; NearestFree
-		7,                // a batch query files it
-		8, 5, 3, 5, 3, 0, // item 25, late
+		0, 2, 3, 2, 3, 128, 5, 0, // overflow item 24, late; the first filing
+		140, 24, 4, 3, 4, 3, 128, 6, 1, 85, // move it; NearestFree
+		7, // a batch query files it
 	}
-	tail = appendQueries(tail, 30)                   // a refresh
-	tail = append(tail, 3, 24)                       // delete overflow item 24
-	tail = appendQueries(tail, 30)                   // a re-pack
-	tail = append(tail, 0, 3, 3, 3, 3, 128)          // overflow item 26, late
-	tail = appendQueries(tail, 30)                   // a re-pack
-	tail = append(tail, 132, 5, 9, 3, 9, 3, 0, 5, 5) // move filed item 5; query
+	tail = appendLattice(tail, 12, 8)
+	tail = append(tail, 3, 24)                 // delete overflow item 24
+	tail = appendQueries(tail, 30)             // a re-pack
+	tail = append(tail, 0, 3, 3, 3, 3, 128)    // overflow item 37, late
+	tail = append(tail, 132, 5, 9, 3, 9, 3, 0) // move filed item 5
+	tail = appendLattice(tail, 12, 8)
+	tail = appendQueries(tail, 30) // a re-pack
 	f.Add(latticeScript([]byte{4, 2}, 24, 8, append(tail, 3, 0, 3, 0, 3, 0, 5, 4, 15, 0, 7)...))
+	// Over 24 lattice points a batch query filed, deletes past half the
+	// live set, and single queries until their skips of its stale records
+	// trip a re-pack.
+	tail = []byte{7}
+	for k := byte(0); k < 16; k++ {
+		tail = append(tail, 3, k) // deletes past half the live set
+	}
+	tail = appendQueries(tail, 40) // a re-pack
+	f.Add(latticeScript([]byte{0, 0}, 24, 0, append(tail, 7)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		cell := []float64{1, 0.1, 3, 0.7, 10, 1e-3, 1e6, 0.3}[in.next()%8]
@@ -278,13 +285,9 @@ func FuzzNearestMatchesScan(f *testing.F) {
 				if i < 0 {
 					continue
 				}
-				var got order.Pair
-				var ok bool
-				query("Nearest", false, func() { got, ok = p.Nearest(i) })
-				want, wantKey := scan(i, nil, func(j int) float64 { return key(i, j, dist(i, j)) })
-				check("Nearest", i, got, ok, want, wantKey)
 				var j int
 				var d float64
+				var ok bool
 				query("NearestBox", false, func() { j, d, ok = p.Index().NearestBox(i) })
 				want, wantD := scan(i, nil, func(j int) float64 { return geom.DistRR(boxes[i], boxes[j]) })
 				check("NearestBox", i, order.Pair{Key: d, I: i, J: j}, ok, want, wantD)

@@ -66,13 +66,6 @@ func (p *GridPairer) pairKey(self, cand int, d float64, exact bool) float64 {
 	return p.key(self, cand, d)
 }
 
-// Nearest returns id's best live partner by key, smallest index on ties,
-// bringing the snapshot up to date under the single-query rule first.
-func (p *GridPairer) Nearest(id int) (order.Pair, bool) {
-	j, key := p.idx.single(id, p, nil)
-	return pairOf(id, j, key)
-}
-
 // distKeyer is GridPairer's keyer view that scores by the exact pair
 // distance alone. The distance dominates the stored boxes' DistRR (dist
 // must, for the pair key to), so the ring walk stays exact under it.
@@ -87,10 +80,10 @@ func (p *distKeyer) pairKey(self, cand int, d float64, exact bool) float64 {
 
 // NearestFree returns id's nearest live partner by raw distance among the
 // ids not marked in used, smallest index on ties: the anti-starvation
-// partner of order's batch selection, answered under the single-query
-// rule. Within a Multi round it follows the round's NearestAll with no
-// mutation between, so it files nothing and walks the round's fresh
-// snapshot, with no late item or stale record, as NearestAll's queries do.
+// partner of order's batch selection, answered as a single query. Within
+// a round it follows the round's NearestAll with no mutation between, so it
+// files nothing and walks the round's fresh snapshot, with no late item or
+// stale record, as NearestAll's queries do.
 func (p *GridPairer) NearestFree(id int, used []bool) (order.Pair, bool) {
 	j, key := p.idx.single(id, (*distKeyer)(p), used)
 	return pairOf(id, j, key)

@@ -71,22 +71,18 @@ func latticePts(side int) []geom.UV {
 
 // TestGridPairerMatchesScan is the pairer-equivalence differential test: the
 // grid pairer must produce exactly the oracle's merge sequence and total
-// wirelength, for both Greedy and Multi strategies, on tie-free instances.
+// wirelength on tie-free instances.
 func TestGridPairerMatchesScan(t *testing.T) {
-	for _, st := range []order.Strategy{order.Greedy, order.Multi} {
-		for _, n := range []int{2, 3, 50, 400} {
-			pts := uniformPts(n, int64(100+n))
-			cfg := order.Config{Strategy: st}
-			seqScan, wireScan := sim(t, cfg, pts, false)
-			seqGrid, wireGrid := sim(t, cfg, pts, true)
-			if wireScan != wireGrid {
-				t.Fatalf("strategy %v n=%d: wire %v (scan) != %v (grid)", st, n, wireScan, wireGrid)
-			}
-			for k := range seqScan {
-				if seqScan[k] != seqGrid[k] {
-					t.Fatalf("strategy %v n=%d: merge %d = %v (scan) != %v (grid)",
-						st, n, k, seqScan[k], seqGrid[k])
-				}
+	for _, n := range []int{2, 3, 50, 400} {
+		pts := uniformPts(n, int64(100+n))
+		seqScan, wireScan := sim(t, order.Config{}, pts, false)
+		seqGrid, wireGrid := sim(t, order.Config{}, pts, true)
+		if wireScan != wireGrid {
+			t.Fatalf("n=%d: wire %v (scan) != %v (grid)", n, wireScan, wireGrid)
+		}
+		for k := range seqScan {
+			if seqScan[k] != seqGrid[k] {
+				t.Fatalf("n=%d: merge %d = %v (scan) != %v (grid)", n, k, seqScan[k], seqGrid[k])
 			}
 		}
 	}
@@ -96,18 +92,15 @@ func TestGridPairerMatchesScan(t *testing.T) {
 // tie-saturated lattice: both pairers break exact key ties toward the
 // smallest index, so even degenerate instances must agree.
 func TestGridPairerMatchesScanUnderTies(t *testing.T) {
-	for _, st := range []order.Strategy{order.Greedy, order.Multi} {
-		pts := latticePts(12)
-		cfg := order.Config{Strategy: st}
-		seqScan, wireScan := sim(t, cfg, pts, false)
-		seqGrid, wireGrid := sim(t, cfg, pts, true)
-		if wireScan != wireGrid {
-			t.Fatalf("strategy %v: wire %v (scan) != %v (grid)", st, wireScan, wireGrid)
-		}
-		for k := range seqScan {
-			if seqScan[k] != seqGrid[k] {
-				t.Fatalf("strategy %v: merge %d = %v (scan) != %v (grid)", st, k, seqScan[k], seqGrid[k])
-			}
+	pts := latticePts(12)
+	seqScan, wireScan := sim(t, order.Config{}, pts, false)
+	seqGrid, wireGrid := sim(t, order.Config{}, pts, true)
+	if wireScan != wireGrid {
+		t.Fatalf("wire %v (scan) != %v (grid)", wireScan, wireGrid)
+	}
+	for k := range seqScan {
+		if seqScan[k] != seqGrid[k] {
+			t.Fatalf("merge %d = %v (scan) != %v (grid)", k, seqScan[k], seqGrid[k])
 		}
 	}
 }
@@ -119,9 +112,9 @@ func TestDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	pts := latticePts(16) // 256 ≥ the parallel fan-out threshold
 	for _, useGrid := range []bool{false, true} {
 		prev := runtime.GOMAXPROCS(1)
-		seq1, _ := sim(t, order.Config{Strategy: order.Multi}, pts, useGrid)
+		seq1, _ := sim(t, order.Config{}, pts, useGrid)
 		runtime.GOMAXPROCS(8)
-		seq8, _ := sim(t, order.Config{Strategy: order.Multi}, pts, useGrid)
+		seq8, _ := sim(t, order.Config{}, pts, useGrid)
 		runtime.GOMAXPROCS(prev)
 		if len(seq1) != len(seq8) {
 			t.Fatalf("grid=%v: sequence lengths differ: %d vs %d", useGrid, len(seq1), len(seq8))
@@ -142,7 +135,7 @@ func TestGridPairerScans(t *testing.T) {
 	boxAt := func(id int) geom.Rect { return geom.RectFromUV(p[id]) }
 	dist := func(i, j int) float64 { return geom.DistUV(p[i], p[j]) }
 	run := func(pairer order.Pairer) int64 {
-		q := order.New(order.Config{Strategy: order.Multi, Pairer: pairer}, len(pts), dist)
+		q := order.New(order.Config{Pairer: pairer}, len(pts), dist)
 		for batch := q.NextBatch(); len(batch) > 0; batch = q.NextBatch() {
 			for _, pr := range batch {
 				i, j := pr.I, pr.J

@@ -15,9 +15,8 @@
 //
 // The index is a uniform bucket grid, after Edahiro's bucket decomposition
 // for greedy-DME: square cells of edge `cell` over a dense array window,
-// each holding the items whose boxes overlap it. A re-pack fits the window
-// to the live items' bounding box, and a refresh files no item that reaches
-// the window's edge cells, so no filed item lies outside it.
+// each holding the items whose boxes overlap it. A filing fits the window to
+// the live items' bounding box, so no filed item lies outside it.
 // Items spanning more than maxSpanCells cells go to a small overflow list
 // that every query scans linearly — oversized regions appear near the top of
 // the merge tree, when few items are live, so the list stays short.
@@ -31,44 +30,40 @@
 // snapshot: every query scans the late list linearly, as it scans the
 // overflow list, and Delete drops a late item from it. Delete, and an
 // Insert that moves a filed item, leave a filed item's records stale: the
-// index lists the item, and a walk over a snapshot with stale records
-// skips each record whose item is no longer filed, a check that a walk
-// over an up-to-date snapshot does not make.
-// Queries bring the snapshot up to date, on the single goroutine that owns
-// the index, by one of two rules:
+// index counts a stale filing, and a walk over a snapshot with stale
+// records skips each record whose item is no longer filed, a check that a
+// walk over an up-to-date snapshot does not make.
 //
-//   - The batch query (GridPairer.NearestAll, once per Multi round) re-packs
-//     whenever the snapshot lags the live set, by a late item or a stale
-//     filing, into a window fitted to the live bounding box under a cell
-//     DensityCell measures for that round's population. Merge
-//     rounds retire most of the live set and replace it with fatter merged
-//     regions, so a grid fitted to the previous round mis-sizes every cell.
-//     The round's queries, NearestAll's and the NearestFree calls that
-//     follow it with no mutation between, walk a snapshot with no late item
-//     and no stale record.
-//   - Single queries (GridPairer.Nearest and NearestFree, and NearestBox,
-//     which Greedy, internal/dme and the ECO dirty set query) tally their
-//     lag work: the late items they scan and the stale records they skip.
-//     Once the tally since the last filing exceeds repackWork per live
-//     item, the next single query files anew, by a refresh, or by a re-pack
-//     as the batch query's once the live count has halved since the cell
-//     was set, a late item reaches the window's edge cells, or a move or a
-//     re-insert has replaced the box a stale item was filed under. A
-//     refresh keeps the cell and the window and rewrites only the cells that
-//     held a stale filing or gain a late item, moving the runs between them
-//     in one copy each. Each O(live) filing is paid for by the lag work that
-//     tripped it, so the single queries never spend much more on the lag
-//     than their filings cost: a Greedy build over n items files about √n
-//     times and scans about n^1.5 late items in all.
+// A query over a snapshot that lags the live set, by a late item or a
+// stale filing, files the live set anew, on the single goroutine that owns
+// the index, when the index has no window yet, when it is a batch query,
+// or when the single queries' lag work since the last filing exceeds
+// repackWork per live item. Every filing packs the live set into a window
+// fitted to its bounding box. A filing into an index with a window, and a
+// batch query's, re-measure the cell with DensityCell for the live
+// population once recellMinLive items are live; an index without a cell
+// measures one at its first filing.
 //
-// A refresh appends a cell's late records to its run, so the records of a
-// cell lie in no particular order; a walk's answer breaks ties by id and
-// its scans count every record it reaches, so neither depends on that
-// order. Both rules read counters kept by the single owning goroutine, and
-// cell size never affects query results, so merge sequences and scan
-// counts are exactly reproducible. RebuildStats counts the re-packs and
-// refreshes (LiveDrop). The first filing of an index, which packs the
-// items inserted so far, counts as none.
+//   - The batch query (GridPairer.NearestAll, once per merge round) files
+//     whenever the snapshot lags. Merge rounds retire most of the live set
+//     and replace it with fatter merged regions, so a grid fitted to the
+//     previous round mis-sizes every cell. The round's queries,
+//     NearestAll's and the NearestFree calls that follow it with no
+//     mutation between, walk a snapshot with no late item and no stale
+//     record.
+//   - Single queries (NearestBox, which internal/dme and the ECO dirty set
+//     query, and GridPairer.NearestFree) tally their lag work: the late
+//     items they scan and the stale records they skip. Each O(live) filing
+//     is paid for by the lag work that tripped it, so the single queries
+//     never spend much more on the lag than their filings cost.
+//
+// A walk's answer breaks ties by id and its scans count every record it
+// reaches, so neither depends on the order of a cell's records. The rule
+// reads counters kept by the single owning goroutine, and cell size never
+// affects query results, so merge sequences and scan counts are exactly
+// reproducible. RebuildStats counts the filings (LiveDrop). The first
+// filing of an index, which packs the items inserted so far, counts as
+// none.
 //
 // # Ring walk and clip
 //
@@ -156,9 +151,10 @@ const (
 	// windowPad inflates a filing's window by this many cells per side.
 	windowPad = 2
 	// repackWork sets the single queries' filing threshold: their lag work
-	// since the last filing exceeds repackWork per live item. Of 1, 2 and
-	// 4, 2 built Greedy's flat-zst tree fastest.
-	repackWork = 2
+	// since the last filing exceeds repackWork per live item. Of 1, 2, 4
+	// and 8, 8 built internal/dme's tree over the flat-zst benchmark's
+	// input fastest.
+	repackWork = 8
 	// recellMinLive disables re-measuring the cell for tiny live sets,
 	// where any cell size is fine and the measurement would dominate.
 	recellMinLive = 32
@@ -172,10 +168,9 @@ const (
 )
 
 // RebuildStats counts the index's filings of a changed live set: a batch
-// query re-packs whenever the snapshot lags the live set, and a single
-// query refreshes or re-packs once the single queries' lag work exceeds
-// repackWork per live item (see the package documentation). An index's
-// first filing counts as none.
+// query files anew whenever the snapshot lags the live set, and a single
+// query once the single queries' lag work exceeds repackWork per live item
+// (see the package documentation). An index's first filing counts as none.
 type RebuildStats struct {
 	LiveDrop int
 }
@@ -194,7 +189,6 @@ const (
 	itemEmpty itemState = iota // not live; any record of it is stale
 	itemFiled                  // live, with current records in the snapshot
 	itemLate                   // live, listed at late[at]
-	itemGone                   // deleted while filed: any record of it lies under its box
 )
 
 // item is what the index keeps per id besides its box: its state, its
@@ -247,11 +241,11 @@ type Index struct {
 	ou, ov int32
 	w, h   int32
 	// snap is the last filing. late lists the items inserted since, in no
-	// order; stale the filed items deleted or moved since. lagWork tallies
-	// the single queries' lag work since.
+	// order; stale counts the filed items deleted or moved since. lagWork
+	// tallies the single queries' lag work since.
 	snap    snapshot
 	late    []int32
-	stale   []int32
+	stale   int
 	lagWork int64
 	items   []item
 	boxes   []geom.Rect
@@ -263,16 +257,11 @@ type Index struct {
 	// traced callers can attribute pairing time to index maintenance.
 	rebuildTime time.Duration
 
-	// cellLive is the live count the cell was set for: the live count it
-	// was measured for, or the first filing's (0 before it). Filing scratch, reused by
-	// every filing: the ids the last filing filed, ascending; the cells of
-	// each item being filed; a refresh's changed cells and its spare record
-	// array; and DensityCell's sample and its spacings.
-	cellLive int
+	// Filing scratch, reused by every filing: the ids the last filing
+	// filed, ascending; the cells of each item being filed; and
+	// DensityCell's sample and its spacings.
 	filedIDs []int32
 	spans    []cellBox
-	changes  []uint64
-	spare    []snapRec
 	sample   []sampleBox
 	spacing  []float64
 
@@ -281,8 +270,8 @@ type Index struct {
 
 // New returns an empty index with the given cell edge; a cell ≤ 0 leaves
 // the edge to the first filing, which measures it with DensityCell. Every
-// re-pack fits the window to the items live then, and each after the first
-// filing re-measures the cell; a refresh keeps both.
+// filing fits the window to the items live then, and each after the first
+// re-measures the cell (see the package documentation).
 func New(cell float64) *Index {
 	if !(cell > 0) {
 		cell = 0
@@ -510,7 +499,7 @@ func (x *Index) insert(id int, r geom.Rect, exact bool) {
 		x.boxes[id], it.exact = r, exact
 		return
 	case itemFiled: // a move: its records hold the box r replaces
-		x.stale = append(x.stale, int32(id))
+		x.stale++
 	default:
 		x.n++
 	}
@@ -543,9 +532,9 @@ func (x *Index) Delete(id int) {
 		return
 	}
 	switch it := &x.items[id]; it.state {
-	case itemFiled: // its records go stale, filed under its box
-		x.stale = append(x.stale, int32(id))
-		it.state = itemGone
+	case itemFiled: // its records go stale
+		x.stale++
+		it.state = itemEmpty
 	case itemLate: // it leaves the list, the last item taking its place
 		last := x.late[len(x.late)-1]
 		x.late[it.at], x.items[last].at = last, it.at
@@ -559,11 +548,10 @@ func (x *Index) Delete(id int) {
 
 // dirty returns how many late items and stale filings the snapshot lags
 // the live set by; at 0 it holds the live set as its filing left it.
-func (x *Index) dirty() int { return len(x.late) + len(x.stale) }
+func (x *Index) dirty() int { return len(x.late) + x.stale }
 
-// single answers one query under the single-query rule: it brings the
-// snapshot up to date (settle), walks it, and counts the walk's scans and
-// its lag work.
+// single answers a single query: it brings the snapshot up to date
+// (settle), walks it, and counts the walk's scans and its lag work.
 func (x *Index) single(self int, k keyer, used []bool) (int, float64) {
 	x.settle(false)
 	best, key, scans, lag := x.nearest(self, k, used)
@@ -572,26 +560,19 @@ func (x *Index) single(self int, k keyer, used []bool) (int, float64) {
 	return best, key
 }
 
-// settle brings the snapshot up to date for a query, by its rule (see the
-// package documentation): the first filing; for a batch query, a re-pack
-// whenever the snapshot lags the live set; for a single query, once the
-// single queries' lag work since the last filing exceeds repackWork per
-// live item, a refresh, or a re-pack where the live count has halved since
-// the cell was set or the refresh declines. Each filing but the first
-// counts a LiveDrop.
+// settle brings a lagging snapshot up to date for a query, by the filing
+// rule (see the package documentation): when the index has no window,
+// when the query is a batch query, or when the single queries' lag work
+// since the last filing exceeds repackWork per live item. Each filing into
+// an index with a window counts a LiveDrop.
 func (x *Index) settle(batch bool) {
 	switch {
 	case x.dirty() == 0:
 	case x.w == 0:
 		x.rebuild(batch)
-	case batch:
+	case batch || x.lagWork > repackWork*int64(x.n):
 		x.rebuilds.LiveDrop++
 		x.rebuild(true)
-	case x.lagWork > repackWork*int64(x.n):
-		x.rebuilds.LiveDrop++
-		if 2*x.n <= x.cellLive || !x.refresh() {
-			x.rebuild(true)
-		}
 	}
 }
 
@@ -612,91 +593,12 @@ func (x *Index) rebuild(recell bool) {
 		bb = geom.Union(bb, x.boxes[id])
 	}
 	if recell && len(ids) >= recellMinLive || x.cell == 0 {
-		x.cell, x.cellLive = x.measureCell(ids, bb), len(ids)
-	} else if x.cellLive == 0 {
-		x.cellLive = len(ids)
+		x.cell = x.measureCell(ids, bb)
 	}
 	x.ou, x.ov = x.cellIdx(bb.ULo)-windowPad, x.cellIdx(bb.VLo)-windowPad
 	x.w = x.cellIdx(bb.UHi) + windowPad - x.ou + 1
 	x.h = x.cellIdx(bb.VHi) + windowPad - x.ov + 1
 	x.pack(ids)
-}
-
-// refresh brings the snapshot up to date under its cell and window, at a
-// fraction of a re-pack's cost. It declines, reporting false and changing
-// nothing, when a move or a re-insert has replaced the box a stale item
-// was filed under (the item is no longer itemGone), or a late or stale
-// item spans more than maxSpanCells cells (an overflow record) or, for a
-// late one, reaches the window's edge cells, where it may lie outside the
-// window. It rewrites only the cells that held a stale filing or gain a
-// late item, each keeping its records of items still filed and appending
-// those of its late items, and moves the runs between them in one copy
-// each.
-func (x *Index) refresh() bool {
-	start := obs.Now()
-	defer func() { x.rebuildTime += obs.Since(start) }()
-	// The changed cells, ascending, as cell<<32 | i+1 for a cell late item
-	// i files a record in and cell<<32 for one a stale filing held.
-	ch := x.changes[:0]
-	for i, id := range x.late {
-		sp := x.cellSpan(x.boxes[id])
-		if sp.u0 == 0 || sp.v0 == 0 || sp.u1 == x.w-1 || sp.v1 == x.h-1 || sp.cells() > maxSpanCells {
-			return false
-		}
-		ch = x.appendCells(ch, sp, uint64(i)+1)
-	}
-	for _, id := range x.stale {
-		sp := x.cellSpan(x.boxes[id])
-		if x.items[id].state != itemGone || sp.cells() > maxSpanCells {
-			return false
-		}
-		ch = x.appendCells(ch, sp, 0)
-	}
-	slices.Sort(ch)
-	x.changes = ch
-	s := &x.snap
-	old, recs := s.recs, x.spare[:0]
-	next, shift := 0, int32(0) // the first cell not yet rewritten, and its offset's shift
-	for k := 0; k < len(ch); {
-		c := int(ch[k] >> 32)
-		recs = append(recs, old[s.off[next]:s.off[c]]...)
-		shiftAll(s.off[next:c], shift)
-		lo, hi := s.off[c], s.off[c+1]
-		s.off[c] = int32(len(recs))
-		for _, r := range old[lo:hi] {
-			if x.items[r.id].state == itemFiled {
-				recs = append(recs, r)
-			}
-		}
-		for ; k < len(ch) && int(ch[k]>>32) == c; k++ {
-			if i := uint32(ch[k]); i > 0 {
-				recs = append(recs, x.record(x.late[i-1]))
-			}
-		}
-		next, shift = c+1, int32(len(recs))-hi
-	}
-	recs = append(recs, old[s.off[next]:]...)
-	shiftAll(s.off[next:], shift)
-	s.recs, x.spare = recs, old
-	x.gather()
-	return true
-}
-
-// shiftAll adds d to every offset of off.
-func shiftAll(off []int32, d int32) {
-	for i := range off {
-		off[i] += d
-	}
-}
-
-// appendCells appends key|cell<<32 to ch for each cell of span sp.
-func (x *Index) appendCells(ch []uint64, sp cellBox, key uint64) []uint64 {
-	for cv := sp.v0; cv <= sp.v1; cv++ {
-		for cu := sp.u0; cu <= sp.u1; cu++ {
-			ch = append(ch, key|uint64(cv*x.w+cu)<<32)
-		}
-	}
-	return ch
 }
 
 // gather returns the live set in ascending id, every item of it now filed:
@@ -725,7 +627,7 @@ func (x *Index) gather() []int32 {
 		}
 	}
 	x.filedIDs = ids
-	x.late, x.stale, x.lagWork = x.late[:0], x.stale[:0], 0
+	x.late, x.stale, x.lagWork = x.late[:0], 0, 0
 	return ids
 }
 
@@ -840,7 +742,7 @@ func (x *Index) nearest(self int, k keyer, used []bool) (best int, bestKey float
 	w.q, w.self, w.selfExact = x.boxes[self], self, x.items[self].exact
 	w.best = -1
 	w.setBest(math.Inf(1))
-	stale := len(x.stale) > 0
+	stale := x.stale > 0
 	w.records(x.snap.over, stale)
 	if x.w > 0 {
 		w.rings(stale)
@@ -995,7 +897,7 @@ func ringStrips(strips *[4]cellBox, ring cellBox, r int32) int {
 // NearestBox returns the live item whose stored box lies nearest self's by
 // DistRR, excluding self; exact ties break toward the smallest id, and ok
 // is false when no other live item exists. It brings the snapshot up to
-// date under the single-query rule first.
+// date first, as a single query (see the package documentation).
 func (x *Index) NearestBox(self int) (best int, dist float64, ok bool) {
 	best, dist = x.single(self, boxKeyer{}, nil)
 	if best < 0 {

@@ -205,8 +205,7 @@ func TestTombstoneChurn(t *testing.T) {
 		}
 	}
 	check("initial")
-	// Delete 80%: the stale records the queries skip trip a filing, a
-	// re-pack since the live count has halved.
+	// Delete 80%: the stale records the queries skip trip a re-pack.
 	for i := 0; i < n; i++ {
 		if r.Float64() < 0.8 && live[i] {
 			x.Delete(i)
@@ -239,11 +238,11 @@ func TestTombstoneChurn(t *testing.T) {
 
 // TestInsertAllMatchesIncremental: items inserted after a first filing are
 // answered from the late list until the single queries' lag work trips a
-// filing, then from the filed snapshot: a refresh under the first filing's
-// cell and window while the late items lie inside it, a re-pack once one
-// lies beyond it. Every answer must be observationally identical to the
-// counting pass of a first filing over the same items, at a fine cell and
-// at a coarse one.
+// filing, then from the re-packed snapshot, under a cell re-measured for
+// the live set and a window that covers it: once with the late items
+// inside the first filing's window, once with one far beyond it. Every
+// answer must be observationally identical to the counting pass of a first
+// filing over the same items, at a fine first cell and at a coarse one.
 func TestInsertAllMatchesIncremental(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	const n = 400
@@ -265,36 +264,35 @@ func TestInsertAllMatchesIncremental(t *testing.T) {
 		inc := New(cell)
 		inc.InsertAll(boxes[:n/4])
 		inc.NearestBox(0) // the first filing fits inc's window to these boxes
-		for _, stage := range []struct {
-			filed  int
-			refile bool // the filing keeps the first filing's window
-		}{{n/4 + 10, true}, {n, false}} {
-			window := [4]int32{inc.ou, inc.ov, inc.w, inc.h}
-			for i := inc.Len(); i < stage.filed; i++ {
+		for _, filed := range []int{n/4 + 10, n} {
+			for i := inc.Len(); i < filed; i++ {
 				inc.Insert(i, boxes[i])
 			}
 			bulk := New(cell)
-			bulk.InsertAll(boxes[:stage.filed])
+			bulk.InsertAll(boxes[:filed])
 			if bulk.Len() != inc.Len() {
 				t.Fatalf("cell %v: Len %d != %d", cell, bulk.Len(), inc.Len())
 			}
 			drops := inc.Rebuilds().LiveDrop
-			for i := range boxes[:stage.filed] {
+			for i := range boxes[:filed] {
 				if i == 0 && inc.lagWork != 0 {
-					t.Fatalf("cell %v, %d items: lag work %d before the first query", cell, stage.filed, inc.lagWork)
+					t.Fatalf("cell %v, %d items: lag work %d before the first query", cell, filed, inc.lagWork)
 				}
 				bj, bd, bok := bulk.NearestBox(i)
 				ij, id, iok := inc.NearestBox(i)
 				if bj != ij || bd != id || bok != iok {
 					t.Fatalf("cell %v, item %d of %d: bulk (%d,%v,%v) != incremental (%d,%v,%v)",
-						cell, i, stage.filed, bj, bd, bok, ij, id, iok)
+						cell, i, filed, bj, bd, bok, ij, id, iok)
 				}
 			}
 			if got := inc.Rebuilds().LiveDrop - drops; got != 1 || inc.dirty() != 0 {
-				t.Fatalf("cell %v, %d items: %d filings, lag %d; want one filing, no lag", cell, stage.filed, got, inc.dirty())
+				t.Fatalf("cell %v, %d items: %d filings, lag %d; want one filing, no lag", cell, filed, got, inc.dirty())
 			}
-			if kept := window == [4]int32{inc.ou, inc.ov, inc.w, inc.h}; kept != stage.refile {
-				t.Fatalf("cell %v, %d items: window kept %v, want %v", cell, stage.filed, kept, stage.refile)
+			if want := DensityCell(boxes[:filed]); inc.cell != want {
+				t.Fatalf("cell %v, %d items: re-packed under cell %v, want %v, measured for them", cell, filed, inc.cell, want)
+			}
+			if i := outsideWindow(inc, boxes[:filed], nil); i >= 0 {
+				t.Fatalf("cell %v, %d items: item %d (%v) lies outside the re-packed window", cell, filed, i, boxes[i])
 			}
 		}
 	}
@@ -340,14 +338,15 @@ func TestDensityCell(t *testing.T) {
 	}
 }
 
-// TestRebuildStatsCountLiveDrop pins the two re-packs a single query makes
-// in place of a refresh, and exact answers after them: once the live count
-// has halved since the cell was set (half the live set deleted after the
-// first filing packed it), and once a late item reaches the window's edge
-// cells (every item after item 0 inserted far beyond the window the first
-// filing fitted to item 0). The lag work of the queries that follow trips
-// each, the stale records they skip or the late items they scan, and each
-// re-measures the cell for the live set and re-fits the window over it.
+// TestRebuildStatsCountLiveDrop pins the re-pack a single query makes once
+// the single queries' lag work trips it, and exact answers after it: over
+// the stale records of half the live set, deleted after the first filing
+// packed it, and over late items far beyond the window the first filing
+// fitted to item 0 (every item after it). The lag work of the queries that
+// follow, the stale records they skip or the late items they scan, trips
+// the re-pack, which re-measures the cell for the live set and re-fits the
+// window over it. Each live item queries repackWork times over: a query
+// skips only the stale records near it, a few per query.
 func TestRebuildStatsCountLiveDrop(t *testing.T) {
 	const n = 100
 	for _, tc := range []struct {
@@ -381,25 +380,42 @@ func TestRebuildStatsCountLiveDrop(t *testing.T) {
 				x.Delete(i)
 				live[i] = false
 			}
-			for i := range boxes {
-				if !live[i] {
-					continue
-				}
-				wantJ, wantD := bruteNearest(boxes, live, boxes[i], func(j int) bool { return j == i })
-				if gotJ, gotD, ok := x.NearestBox(i); !ok || gotJ != wantJ || gotD != wantD {
-					t.Fatalf("item %d: got (%d, %v), want (%d, %v)", i, gotJ, gotD, wantJ, wantD)
+			for pass := 0; pass < repackWork; pass++ {
+				for i := range boxes {
+					if !live[i] {
+						continue
+					}
+					wantJ, wantD := bruteNearest(boxes, live, boxes[i], func(j int) bool { return j == i })
+					if gotJ, gotD, ok := x.NearestBox(i); !ok || gotJ != wantJ || gotD != wantD {
+						t.Fatalf("pass %d, item %d: got (%d, %v), want (%d, %v)", pass, i, gotJ, gotD, wantJ, wantD)
+					}
 				}
 			}
-			if rb := x.Rebuilds(); rb.LiveDrop < 1 || rb.Total() != rb.LiveDrop || x.cellLive != x.Len() {
-				t.Fatalf("rebuilds %+v (total %d), cell set for %d live of %d; want a re-pack for them",
-					rb, rb.Total(), x.cellLive, x.Len())
-			}
+			var liveBoxes []geom.Rect
 			for i, b := range boxes {
-				if live[i] && (x.cellIdx(b.ULo) < x.ou || x.cellIdx(b.UHi) >= x.ou+x.w ||
-					x.cellIdx(b.VLo) < x.ov || x.cellIdx(b.VHi) >= x.ov+x.h) {
-					t.Fatalf("item %d (%v) lies outside the re-packed window", i, b)
+				if live[i] {
+					liveBoxes = append(liveBoxes, b)
 				}
+			}
+			if rb, want := x.Rebuilds(), DensityCell(liveBoxes); rb.LiveDrop < 1 || rb.Total() != rb.LiveDrop || x.cell != want {
+				t.Fatalf("rebuilds %+v (total %d), cell %v; want a re-pack under %v, measured for the %d live items",
+					rb, rb.Total(), x.cell, want, len(liveBoxes))
+			}
+			if i := outsideWindow(x, boxes, live); i >= 0 {
+				t.Fatalf("item %d (%v) lies outside the re-packed window", i, boxes[i])
 			}
 		})
 	}
+}
+
+// outsideWindow returns the first item of boxes, live where live is nil or
+// set, whose box lies outside x's window, or −1 when none does.
+func outsideWindow(x *Index, boxes []geom.Rect, live []bool) int {
+	for i, b := range boxes {
+		if (live == nil || live[i]) && (x.cellIdx(b.ULo) < x.ou || x.cellIdx(b.UHi) >= x.ou+x.w ||
+			x.cellIdx(b.VLo) < x.ov || x.cellIdx(b.VHi) >= x.ov+x.h) {
+			return i
+		}
+	}
+	return -1
 }

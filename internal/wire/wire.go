@@ -16,7 +16,7 @@
 // or malicious payload yields an error, never a crash — the dispatch layer
 // classifies such errors as transient and re-dispatches.
 //
-// The format is at Version 10. A work unit carries the sinks it routes, in
+// The format is at Version 11. A work unit carries the sinks it routes, in
 // routing order, each as its instance id, location, load and group, plus
 // the instance's group count and clock source: nothing else of the
 // instance. A worker allocates for the sinks it was sent and no more, and
@@ -48,7 +48,7 @@
 // Run stats travel field by field, so any change to core.Stats' fields
 // changes the layout, and so does any change to the core.Options fields
 // encodeOptions writes: Model, IntraSkewBound, InterSkewBound, SingleGroup,
-// Strategy, Pairer, EndpointSplit and GroupOffsets. A result carries the
+// Pairer, EndpointSplit and GroupOffsets. A result carries the
 // subtree, its stats and the worker's registry; the coordinator measures
 // wire from the subtree itself. Work units, results and ECO cache files of
 // any other version fail the check with ErrVersion. A decoded tree lives in
@@ -70,13 +70,12 @@ import (
 	"repro/internal/core"
 	"repro/internal/ctree"
 	"repro/internal/geom"
-	"repro/internal/order"
 	"repro/internal/rctree"
 )
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 10
+const Version uint16 = 11
 
 // ErrVersion marks a message written by a build that speaks another
 // Version; errors.Is recognizes it through the decoders' wrapping.
@@ -325,7 +324,6 @@ func encodeOptions(w *writer, o core.Options) error {
 	w.f64(o.IntraSkewBound)
 	w.f64(o.InterSkewBound)
 	w.bool(o.SingleGroup)
-	w.iv(int64(o.Strategy))
 	w.iv(int64(o.Pairer))
 	w.bool(o.EndpointSplit)
 	w.bool(o.GroupOffsets != nil)
@@ -339,10 +337,10 @@ func encodeOptions(w *writer, o core.Options) error {
 }
 
 // optionsLen bounds encodeOptions' output: the model tag and its two floats,
-// two bounds, three booleans (the offsets flag among them), two varints and
+// two bounds, three booleans (the offsets flag among them), a varint and
 // the offsets with their count.
 func optionsLen(o core.Options) int {
-	return 1 + 16 + 16 + 3 + 2*binary.MaxVarintLen64 + uvLen(uint64(len(o.GroupOffsets))) + 8*len(o.GroupOffsets)
+	return 1 + 16 + 16 + 3 + binary.MaxVarintLen64 + uvLen(uint64(len(o.GroupOffsets))) + 8*len(o.GroupOffsets)
 }
 
 func decodeOptions(r *reader) (core.Options, error) {
@@ -364,7 +362,6 @@ func decodeOptions(r *reader) (core.Options, error) {
 	o.IntraSkewBound = r.f64()
 	o.InterSkewBound = r.f64()
 	o.SingleGroup = r.bool()
-	o.Strategy = order.Strategy(r.iv())
 	o.Pairer = core.PairerMode(r.iv())
 	o.EndpointSplit = r.bool()
 	if r.bool() {
@@ -382,9 +379,6 @@ func decodeOptions(r *reader) (core.Options, error) {
 	}
 	if r.err != nil {
 		return o, r.err
-	}
-	if o.Strategy != order.Multi && o.Strategy != order.Greedy {
-		return o, fmt.Errorf("wire: unknown order strategy %d", o.Strategy)
 	}
 	if o.Pairer != core.PairerAuto && o.Pairer != core.PairerScan {
 		return o, fmt.Errorf("wire: unknown pairer mode %d", o.Pairer)

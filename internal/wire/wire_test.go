@@ -16,7 +16,6 @@ import (
 	"repro/internal/ctree"
 	"repro/internal/eval"
 	"repro/internal/geom"
-	"repro/internal/order"
 	"repro/internal/rctree"
 )
 
@@ -75,7 +74,6 @@ func TestWorkUnitRoundTrip(t *testing.T) {
 		IntraSkewBound: 2,
 		InterSkewBound: 7.5,
 		SingleGroup:    true,
-		Strategy:       order.Greedy,
 		Pairer:         core.PairerScan,
 		EndpointSplit:  true,
 		GroupOffsets:   []float64{0, 1.5, -2, 4},
@@ -283,14 +281,14 @@ var wireLayout = struct {
 	version uint16
 	stats   []string
 	options []string
-}{10, []string{
+}{11, []string{
 	"Merges varint", "SameGroup varint", "CrossGroup varint", "Shared varint",
 	"Deferred varint", "GroupUnions varint", "MergeSnakes varint",
 	"SneakEvents varint", "SneakWire f64", "SneakIters varint",
 	"PairScans varint", "GridRebuilds.LiveDrop varint", "SneakUnresolved varint",
 }, []string{
 	"Model encoded", "IntraSkewBound encoded", "InterSkewBound encoded",
-	"SingleGroup encoded", "Strategy encoded", "Pairer encoded",
+	"SingleGroup encoded", "Pairer encoded",
 	"EndpointSplit encoded", "GroupOffsets encoded", "Shards local",
 	"Pilot local", "Trace local", "Ctx local",
 }}
