@@ -6,7 +6,7 @@
 //	BenchmarkEXTBST    — the EXT-BST baseline rows of both tables
 //	BenchmarkFig1      — zero-skew vs bounded-skew trade-off (Fig. 1)
 //	BenchmarkFig2      — stitch vs simultaneous merging (Fig. 2)
-//	BenchmarkAblation  — design-choice ablations (deferral, offsets)
+//	BenchmarkAblation  — design-choice ablations (deferral)
 //	BenchmarkSpiceLite — transient validation of the delay model (Ch. III)
 //	BenchmarkSubstrate — micro-benchmarks of the geometry/delay kernels
 //
@@ -147,7 +147,7 @@ func BenchmarkFig2(b *testing.B) {
 }
 
 // BenchmarkAblation measures the design-choice ablations of
-// experiments.Ablations (region deferral, offset float) on one
+// experiments.Ablations (region deferral) on one
 // intermingled circuit.
 func BenchmarkAblation(b *testing.B) {
 	in := bench.Intermingled(bench.Small(300, 3), 6, 77)

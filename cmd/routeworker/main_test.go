@@ -90,7 +90,6 @@ func TestWorkerServesAndDrainsOnSIGTERM(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := &wire.WorkUnit{
-		Kind:      wire.KindBuild,
 		Sinks:     in.SinkList(nil),
 		NumGroups: in.NumGroups,
 		Source:    in.Source,

@@ -3,7 +3,6 @@
 //	sweep -mode bound      # bounded-skew wirelength vs skew bound (Fig. 1 curve)
 //	sweep -mode groups     # AST-DME vs EXT-BST vs #groups, both groupings
 //	sweep -mode difficulty # AST-DME gain vs degree of intermingling (Blend)
-//	sweep -mode offsetfloat# wire/skew trade-off of the InterSkewBound knob
 //
 // Every mode routes one suite circuit (-circuit r1..r5, default r1) and
 // writes CSV to stdout. All modes accept -cpuprofile/-memprofile for pprof
@@ -25,7 +24,7 @@ import (
 
 func main() {
 	var (
-		mode       = flag.String("mode", "groups", "bound | groups | difficulty | offsetfloat")
+		mode       = flag.String("mode", "groups", "bound | groups | difficulty")
 		circuit    = flag.String("circuit", "r1", "suite circuit (r1..r5)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
@@ -95,19 +94,6 @@ func main() {
 			fmt.Printf("%.2f,%.0f,%.2f,%.1f,%.1f\n", mix, res.Wirelength,
 				100*(ext.Wirelength-res.Wirelength)/ext.Wirelength,
 				rep.GlobalSkew, rep.MaxGroupSkew)
-		}
-	case "offsetfloat":
-		in := bench.Intermingled(base, 6, sp.Seed*1000+6)
-		fmt.Println("inter_window_ps,wirelen,maxskew_ps,groupskew_ps")
-		for _, w := range []float64{0, 10, 20, 40, 80, 120} {
-			res, err := core.Build(in, core.Options{
-				IntraSkewBound: experiments.ASTIntraBoundPs, InterSkewBound: w,
-			})
-			if err != nil {
-				fatal(err)
-			}
-			rep := analyze(res, in)
-			fmt.Printf("%g,%.0f,%.1f,%.1f\n", w, res.Wirelength, rep.GlobalSkew, rep.MaxGroupSkew)
 		}
 	default:
 		fatal(fmt.Errorf("unknown mode %q", *mode))

@@ -44,14 +44,16 @@
 // it; per thesis Ch. V.E.1 the groups involved "can be treated to form a new
 // group G1∪G2∪G3". A weighted union-find registers the first-committed
 // offset of every group pair, and merges of subtrees with *related* groups
-// are leashed to the registered offsets within
-// IntraSkewBound+InterSkewBound — without the leash, independently built
-// subtrees commit contradictory offsets that later merges must reconcile by
-// sneaking: on r1–r5 intermingled in 4 and 8 groups at B = 0 and 10 ps,
-// removing it (InterSkewBound < 0) multiplies sneak wire 5–300× and lifts
-// the worst intra-group skew from 2–61 ps to 55–190 ps. Merges of subtrees
-// with disjoint raw group sets remain completely free: the bottom-level
-// freedom on intermingled instances.
+// are leashed to the registered offsets within the intra-group bound B. The
+// leash is not relaxed: without it, independently built subtrees commit
+// contradictory offsets that later merges must reconcile by sneaking (on
+// r1–r5 intermingled in 4 and 8 groups at B = 0 and 10 ps, removing it
+// multiplied sneak wire 5–300× and lifted the worst intra-group skew from
+// 2–61 ps to 55–190 ps), and on the 40 Table I and II rows at B = 10 no
+// build with the leash widened by 2.5 to 60 ps, or removed, kept every group
+// within B (480 builds, under both split rules). Merges of subtrees with
+// disjoint raw group sets remain completely free: the bottom-level freedom
+// on intermingled instances.
 //
 // *Wire sneaking.* When the hard windows of a merge still conflict (two
 // subtrees committed contradictory offsets), the generalized form of thesis
@@ -107,18 +109,6 @@ type Options struct {
 	// over all sinks in SingleGroup mode. The thesis's formulation uses 0
 	// (exact zero intra-group skew).
 	IntraSkewBound float64
-	// InterSkewBound is the extra window (ps) within which committed
-	// inter-group offsets (the thesis's by-product skews S_{i,j}) may float
-	// around their first-registered values: related groups are leashed to
-	// within IntraSkewBound+InterSkewBound of the registered offsets. The
-	// thesis's merging regions imply such a data-dependent bounded range
-	// (Ch. V.D). The default 0 freezes offsets once committed, which keeps
-	// intra-group skew at the bound; positive values trade bounded
-	// intra-group degradation for extra placement freedom (ablation knob).
-	// Values < 0 remove the leash entirely, which destabilizes the offset
-	// system (see the package comment's offset registry). Ignored in
-	// SingleGroup mode.
-	InterSkewBound float64
 	// SingleGroup ignores sink groups: all sinks form one group bounded by
 	// IntraSkewBound. SingleGroup at bound 0 is greedy-DME (ZST); at 10 ps
 	// it is the thesis's EXT-BST baseline.
@@ -139,12 +129,12 @@ type Options struct {
 	// inter-group skew S_{i,j} for all groups either implicitly or
 	// explicitly"): entry g is the desired delay of group g's sinks minus
 	// group 0's, in ps. Must have length NumGroups with entry 0 == 0. The
-	// offsets are enforced within IntraSkewBound+InterSkewBound: every sink
-	// pair of groups i and j differs by GroupOffsets[j] − GroupOffsets[i]
-	// within that window, so a range [lo, hi] asked of delay(j) − delay(i)
-	// is met by prescribing its midpoint when it is at least twice the
-	// window wide. Nil lets the router commit offsets implicitly as merging
-	// proceeds (the thesis's default).
+	// offsets are enforced within IntraSkewBound: every sink pair of groups
+	// i and j differs by GroupOffsets[j] − GroupOffsets[i] within that
+	// bound, so a range [lo, hi] asked of delay(j) − delay(i) is met by
+	// prescribing its midpoint when it is at least twice the bound wide.
+	// Nil lets the router commit offsets implicitly as merging proceeds (the
+	// thesis's default).
 	GroupOffsets []float64
 	// Shards, when ≥ 1, requests the spatially sharded build: the instance
 	// is cut into Shards sub-instances routed concurrently and stitched
@@ -303,20 +293,11 @@ func normalizeOptions(numGroups int, opt *Options) error {
 	if opt.Model == nil {
 		opt.Model = DefaultModel()
 	}
-	for _, f := range []struct {
-		name   string
-		v      float64
-		nonNeg bool
-	}{
-		{"IntraSkewBound", opt.IntraSkewBound, true},
-		{"InterSkewBound", opt.InterSkewBound, false}, // < 0 removes the leash
-	} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("core: %s = %v is not finite", f.name, f.v)
-		}
-		if f.nonNeg && f.v < 0 {
-			return fmt.Errorf("core: %s = %v is negative", f.name, f.v)
-		}
+	if v := opt.IntraSkewBound; math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("core: IntraSkewBound = %v is not finite", v)
+	}
+	if opt.IntraSkewBound < 0 {
+		return fmt.Errorf("core: IntraSkewBound = %v is negative", opt.IntraSkewBound)
 	}
 	if opt.Shards < 0 {
 		return fmt.Errorf("core: Shards = %d is negative", opt.Shards)

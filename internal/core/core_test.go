@@ -273,6 +273,13 @@ func TestSharedInstance2WireSneaking(t *testing.T) {
 	}
 }
 
+// TestEndpointSplitAblationValid routes with EndpointSplit: a small
+// instance at B = 0 keeps its groups near zero skew, and every Table I and
+// II row (r1–r5 in 4, 6, 8 and 10 groups, clustered and intermingled, the
+// latter under the grouping seed experiments.Tables draws first) meets the
+// paper's 10 ps bound, by the router's own reading and by eval's. These 40
+// rows are what the offset leash is kept at B for: no wider window and no
+// removal of the leash met B on all of them, by either split rule.
 func TestEndpointSplitAblationValid(t *testing.T) {
 	in := bench.Intermingled(bench.Small(60, 6), 3, 4)
 	res, err := Build(in, Options{EndpointSplit: true})
@@ -282,6 +289,23 @@ func TestEndpointSplitAblationValid(t *testing.T) {
 	rep := eval.Analyze(res.Root, in, DefaultModel(), in.Source)
 	if rep.MaxGroupSkew > 0.05*(1+rep.MaxDelay) {
 		t.Errorf("intra-group skew %v with endpoint split", rep.MaxGroupSkew)
+	}
+
+	const bound = 10
+	for _, sp := range bench.Suite() {
+		base := bench.Generate(sp)
+		for _, k := range []int{4, 6, 8, 10} {
+			for _, in := range []*ctree.Instance{
+				bench.Clustered(base, k),
+				bench.Intermingled(base, k, sp.Seed*1000+int64(k)),
+			} {
+				res, rep := route(t, in, Options{IntraSkewBound: bound, EndpointSplit: true})
+				if res.OverBound() || rep.MaxGroupSkew > bound+skewNoisePs {
+					t.Errorf("%s: group skew %v ps (router %v ps) over the %v ps bound",
+						in.Name, rep.MaxGroupSkew, res.MaxGroupSkew, bound)
+				}
+			}
+		}
 	}
 }
 
@@ -455,8 +479,7 @@ func TestPilotOptionRejections(t *testing.T) {
 // TestOptionValueValidation pins normalizeOptions' value checks on every
 // entry point that runs it (Build, BuildSubtree, MergeRoots): a non-finite
 // bound or prescribed offset and a negative skew bound are rejected, in
-// SingleGroup mode too, while InterSkewBound < 0 (the leash off) still
-// routes.
+// SingleGroup mode too, and a finite bound routes.
 func TestOptionValueValidation(t *testing.T) {
 	in := bench.Intermingled(bench.Small(30, 2), 3, 2)
 	nan, inf := math.NaN(), math.Inf(1)
@@ -497,13 +520,11 @@ func TestOptionValueValidation(t *testing.T) {
 		{"NaN IntraSkewBound", Options{IntraSkewBound: nan}, false},
 		{"+Inf IntraSkewBound", Options{IntraSkewBound: inf}, false},
 		{"negative IntraSkewBound", Options{IntraSkewBound: -5}, false},
-		{"NaN InterSkewBound", Options{InterSkewBound: nan}, false},
-		{"-Inf InterSkewBound", Options{InterSkewBound: -inf}, false},
 		{"NaN SingleGroup IntraSkewBound", Options{SingleGroup: true, IntraSkewBound: nan}, false},
 		{"negative SingleGroup IntraSkewBound", Options{SingleGroup: true, IntraSkewBound: -1}, false},
 		{"+Inf group offset", Options{GroupOffsets: []float64{0, inf, 5}}, false},
 		{"NaN group offset", Options{GroupOffsets: []float64{0, 1, nan}}, false},
-		{"leash off", Options{InterSkewBound: -1}, true},
+		{"finite bound", Options{IntraSkewBound: 10}, true},
 	} {
 		for _, e := range entries {
 			err := e.run(tc.opt)

@@ -8,18 +8,6 @@ import (
 	"repro/internal/rctree"
 )
 
-// interBound returns the inter-group spread window, +Inf when disabled.
-// In SingleGroup mode the single group's bound already covers everything.
-func (b *builder) interBound() float64 {
-	if b.opt.SingleGroup {
-		return math.Inf(1)
-	}
-	if b.opt.InterSkewBound < 0 {
-		return math.Inf(1)
-	}
-	return b.opt.InterSkewBound
-}
-
 // constraint identifies one hard window of a merge.
 type constraint struct {
 	// raw is true for an intra-group constraint on a shared raw group;
@@ -34,12 +22,11 @@ type constraint struct {
 //
 //   - one window per shared raw group, at the intra-group bound B — the
 //     thesis's skew constraints proper; and
-//   - one window per shared union root on the registry-normalized scale, at
-//     the leash bound B + W: the committed inter-group offsets of related
-//     groups may float within the inter-group window W of their registered
-//     values (the thesis's "bounded range" implied by its merging regions),
-//     which keeps independently built subtrees consistent without freezing
-//     the offsets outright.
+//   - one window per shared union root on the registry-normalized scale,
+//     also at B (the registry leash): the committed inter-group offsets of
+//     related groups stay within B of their registered values, which keeps
+//     independently built subtrees consistent. SingleGroup builds have one
+//     group and skip the leash.
 //
 // It returns the intersected X window [xLo, xHi] and the constraints that
 // set its two bounds (the zero constraint for a bound no window sets). va
@@ -60,8 +47,7 @@ func (b *builder) windows(da, db, va, vb []rctree.Interval) (xLo, xHi float64, c
 			xHi, cHi = hi, constraint{raw: true, id: s.id}
 		}
 	}
-	w := b.interBound()
-	if math.IsInf(w, 1) {
+	if b.opt.SingleGroup {
 		return xLo, xHi, cLo, cHi
 	}
 	if va == nil {
@@ -69,7 +55,6 @@ func (b *builder) windows(da, db, va, vb []rctree.Interval) (xLo, xHi float64, c
 		p.a.normalize(va, da)
 		p.b.normalize(vb, db)
 	}
-	bd += w
 	for _, r := range p.roots {
 		ia, ib := va[r.a], vb[r.b]
 		if lo := ib.Hi - ia.Lo - bd; lo > xLo {
@@ -108,18 +93,10 @@ func (b *builder) mergeKey(i, j int, d float64) float64 {
 		return d
 	}
 	na, nb := b.nodes[i], b.nodes[j]
-	var bound float64
-	switch {
-	case ctree.SharesGroup(na.Groups(), nb.Groups()):
-		bound = b.opt.IntraSkewBound
-	case b.relatedRoots(na, nb):
-		bound = b.opt.IntraSkewBound + b.interBound()
-	default:
+	if !ctree.SharesGroup(na.Groups(), nb.Groups()) && (b.opt.SingleGroup || !b.relatedRoots(na, nb)) {
 		return d
 	}
-	if math.IsInf(bound, 1) {
-		return d
-	}
+	bound := b.opt.IntraSkewBound
 	m := b.opt.Model
 	ia := b.overallOf(na)
 	ib := b.overallOf(nb)
@@ -157,7 +134,7 @@ func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 	// are chosen jointly so the windows intersect at the least committed
 	// cost; otherwise the closest approach decides.
 	if na.Def != nil || nb.Def != nil {
-		if shared || (!math.IsInf(b.interBound(), 1) && b.relatedRoots(na, nb)) {
+		if shared || (!b.opt.SingleGroup && b.relatedRoots(na, nb)) {
 			b.jointResolve(na, nb)
 		} else {
 			qa, qb := geom.ClosestPoints(na.ActiveRegion(), nb.ActiveRegion())
@@ -170,7 +147,7 @@ func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 		}
 	}
 
-	// Intersect the hard windows (shared raw groups + inter-group window),
+	// Intersect the hard windows (shared raw groups + the registry leash),
 	// wire-sneaking when they conflict (thesis Fig. 5 / Eqs. 5.1–5.3).
 	xLo, xHi, compromised := b.intersectWindows(na, nb)
 
@@ -207,7 +184,9 @@ func (b *builder) merge(na, nb *ctree.Node, c *ctree.Node) {
 	}
 }
 
-func mid(lo, hi float64) float64 { return (lo + hi) / 2 }
+// mid returns the midpoint of [lo, hi], rounded: its caller may subtract it
+// from a value, and the halving, a product, must not fuse into that.
+func mid(lo, hi float64) float64 { return float64((lo + hi) / 2) }
 
 // splitCost scores the candidate splits sa of an operand with downstream
 // capacitance capA and sb of one with capB, d apart, against the upcoming

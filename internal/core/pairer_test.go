@@ -55,11 +55,10 @@ func TestGridPairerDifferentialZST(t *testing.T) {
 // TestGridPairerDifferentialAST extends the differential to full AST-DME
 // with sink groups: the snaking-aware merge key still dominates the
 // distance, so PairerAuto's grid must remain exact — at B = 0, and on a
-// Table II input at the paper's 10 ps bound with the offset leash at W = 0
-// and 20 — while scanning fewer pairs than the oracle.
+// Table II input at the paper's 10 ps bound — while scanning fewer pairs
+// than the oracle.
 func TestGridPairerDifferentialAST(t *testing.T) {
 	base := bench.Small(400, 33)
-	paper := paperR2K8()
 	for _, tc := range []struct {
 		name string
 		in   *ctree.Instance
@@ -67,8 +66,7 @@ func TestGridPairerDifferentialAST(t *testing.T) {
 	}{
 		{"clustered", bench.Clustered(base, 4), Options{}},
 		{"intermingled", bench.Intermingled(base, 4, 99), Options{}},
-		{"paper-r2k8/B=10/W=0", paper, Options{IntraSkewBound: 10}},
-		{"paper-r2k8/B=10/W=20", paper, Options{IntraSkewBound: 10, InterSkewBound: 20}},
+		{"paper-r2k8/B=10", paperR2K8(), Options{IntraSkewBound: 10}},
 	} {
 		opts := func(pm PairerMode) Options {
 			o := tc.opt

@@ -53,8 +53,8 @@ func (r *Registry) Groups() int { return len(r.uf.parent) }
 // (NewRegistry(in, Options{GroupOffsets: r.Offsets()}) round-trips). It
 // errors when some group is not (transitively) related to group 0: the
 // source build never committed that pair's offset, so no complete global
-// contract exists yet and the caller must relate more groups first (the
-// sharded pipeline's pilot pass falls back to routing a larger sample).
+// contract exists yet (the sharded pipeline's pilot routes samples that
+// hold every group, so it treats that as an error).
 func (r *Registry) Offsets() ([]float64, error) {
 	if len(r.uf.parent) == 0 {
 		return nil, fmt.Errorf("core: Offsets over an empty registry")
@@ -152,7 +152,7 @@ func (b *builder) registerOffsets(n *ctree.Node) {
 	for i := 0; i < n.Delay.Len(); i++ { // ascending group: keeps runs deterministic
 		g, iv := n.Delay.At(i)
 		r, off := b.uf.find(g)
-		norm := (iv.Lo+iv.Hi)/2 - off
+		norm := mid(iv.Lo, iv.Hi) - off
 		if !haveFirst {
 			haveFirst, firstRoot, firstNorm = true, r, norm
 			continue

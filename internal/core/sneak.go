@@ -70,7 +70,7 @@ func appendCoverHandles(dst []handle, m rctree.Model, n *ctree.Node, g int) []ha
 // compromise rather than a satisfiable constraint. It lays b.plan out for
 // the pair first: sneaks change delays, never the layout.
 func (b *builder) intersectWindows(na, nb *ctree.Node) (xLo, xHi float64, compromised bool) {
-	b.layout(na, nb, !math.IsInf(b.interBound(), 1))
+	b.layout(na, nb, !b.opt.SingleGroup)
 	m := b.opt.Model
 	budget := sneakCostCap * (geom.DistRR(na.Region, nb.Region) + 1)
 	for iter := 0; ; iter++ {

@@ -95,7 +95,7 @@ func (s *planSide) initScratch(n int) {
 // sides are laid out only when normalized is set: the split search always
 // needs them (it evaluates deferred operands from them, and its
 // misalignment term pairs union roots), intersectWindows only under the
-// offset leash.
+// registry leash, which every build but a SingleGroup one applies.
 func (b *builder) layout(na, nb *ctree.Node, normalized bool) {
 	p := &b.plan
 	p.raw = appendShared(p.raw[:0], na.Groups(), nb.Groups())

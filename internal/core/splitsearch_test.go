@@ -17,7 +17,7 @@ func (b *builder) searches(na, nb *ctree.Node) bool {
 		return false
 	}
 	return ctree.SharesGroup(na.Groups(), nb.Groups()) ||
-		(!math.IsInf(b.interBound(), 1) && b.relatedRoots(na, nb))
+		(!b.opt.SingleGroup && b.relatedRoots(na, nb))
 }
 
 // sameIntervals reports whether a and b hold the same intervals, bit for bit.
@@ -110,20 +110,22 @@ func TestSplitEvalMatchesResolve(t *testing.T) {
 // TestSplitCostAtLeastDistance pins the bound jointResolve's skip rule
 // rests on: every cost splitCost returns is at least 0.98·d, for the
 // candidate distance d. It draws random pairs of the deferred subtree roots
-// live at points of Table II replays (r2 intermingled in 8 groups, B = 10,
-// with the offset leash at W = 0, at W = 20 and off) and scores them at
-// random splits.
+// live at points of two replays of r2 at B = 10: Table II's grouping in 8
+// intermingled groups, under the registry leash, and the EXT-BST build,
+// whose SingleGroup windows are raw ones only; it scores them at random
+// splits.
 func TestSplitCostAtLeastDistance(t *testing.T) {
 	in := paperR2K8()
-	ref, err := Build(in, Options{IntraSkewBound: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := mergeSequence(in, ref.Root)
 	rng := rand.New(rand.NewSource(26))
 	pairs, minRatio := 0, math.Inf(1)
-	for _, w := range []float64{0, 20, -1} {
-		b := instanceBuilder(in, Options{IntraSkewBound: 10, InterSkewBound: w, Model: DefaultModel()})
+	for _, single := range []bool{false, true} {
+		opt := Options{IntraSkewBound: 10, SingleGroup: single, Model: DefaultModel()}
+		ref, err := Build(in, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := mergeSequence(in, ref.Root)
+		b := instanceBuilder(in, opt)
 		b.initSplits()
 		base := len(b.nodes)
 		for k, p := range seq {
@@ -157,7 +159,7 @@ func TestSplitCostAtLeastDistance(t *testing.T) {
 				d := geom.DistRR(sa.rect, sb.rect)
 				_, cost, _ := b.splitCost(na.Cap, nb.Cap, d, sa, sb)
 				if !(cost >= 0.98*d) {
-					t.Fatalf("W=%v merge %d: cost %v below 0.98·d for d = %v", w, k, cost, d)
+					t.Fatalf("SingleGroup=%v merge %d: cost %v below 0.98·d for d = %v", single, k, cost, d)
 				}
 				if d > 0 {
 					minRatio = min(minRatio, cost/d)

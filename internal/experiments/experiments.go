@@ -234,13 +234,11 @@ type Ablation struct {
 }
 
 // Ablations returns the configurations exercising the router's design
-// choices: region deferral and the inter-group offset float, beside the
-// default.
+// choices: region deferral (EndpointSplit) beside the default.
 func Ablations() []Ablation {
 	return []Ablation{
 		{Name: "default-multi", Opt: core.Options{IntraSkewBound: ASTIntraBoundPs}},
 		{Name: "endpoint-split", Opt: core.Options{IntraSkewBound: ASTIntraBoundPs, EndpointSplit: true}},
-		{Name: "offset-float-60", Opt: core.Options{IntraSkewBound: ASTIntraBoundPs, InterSkewBound: 60}},
 	}
 }
 

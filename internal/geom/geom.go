@@ -184,7 +184,7 @@ func MergeLocus(a, b Rect, ea, eb float64) Rect {
 		// ea+eb ≥ dist should guarantee non-emptiness; re-inflate by the
 		// tiny deficit caused by rounding so downstream code always has a
 		// valid locus.
-		eps := max(DistRR(a, b)-(ea+eb), 0) + 1e-9*(1+math.Abs(ea)+math.Abs(eb))
+		eps := max(DistRR(a, b)-(ea+eb), 0) + float64(1e-9*(1+math.Abs(ea)+math.Abs(eb)))
 		out, _ = Intersect(a.Inflate(ea+eps), b.Inflate(eb+eps))
 	}
 	return out

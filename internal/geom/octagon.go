@@ -167,13 +167,13 @@ func ClosestPoints(a, b Octagon) (UV, UV) {
 	bc := UV{U: (b.ULo + b.UHi) / 2, V: (b.VLo + b.VHi) / 2}
 	ia, ok := IntersectOct(a, b.Inflate(r))
 	if !ok { // rounding: widen minimally
-		ia, _ = IntersectOct(a, b.Inflate(r*(1+1e-12)+1e-9))
+		ia, _ = IntersectOct(a, b.Inflate(float64(r*(1+1e-12))+1e-9))
 	}
 	qa := ia.AnyPoint(bc)
 	r2 := DistOP(b, qa)
 	ib, ok := IntersectOct(b, OctFromUV(qa).Inflate(r2))
 	if !ok {
-		ib, _ = IntersectOct(b, OctFromUV(qa).Inflate(r2*(1+1e-12)+1e-9))
+		ib, _ = IntersectOct(b, OctFromUV(qa).Inflate(float64(r2*(1+1e-12))+1e-9))
 	}
 	qb := ib.AnyPoint(qa)
 	return qa, qb

@@ -22,6 +22,13 @@
 //
 // Units: lengths are abstract "units" (think µm); capacitance is fF;
 // resistance is Ω/unit; all delays are picoseconds.
+//
+// The Elmore methods write float64(x*y) wherever a product feeds an add, and
+// WireDelay, WireCap, WireRes and rps round their results, so a caller that
+// inlines one and adds to it cannot fuse either: a compiler for an
+// architecture with fused multiply-add (arm64, ppc64le, riscv64, s390x)
+// rounds each product as amd64 does, so the delays, lengths and caps the
+// methods return are the same bits on every architecture.
 package rctree
 
 import (
@@ -91,16 +98,18 @@ func NewElmore(rOhmPerUnit, cFFPerUnit float64) Elmore {
 // Name implements Model.
 func (Elmore) Name() string { return "elmore" }
 
-// rps returns the resistance scaled so Ω·fF products come out in ps.
-func (m Elmore) rps() float64 { return m.ROhmPerUnit * ohmFemtofaradToPs }
+// rps returns the resistance scaled so Ω·fF products come out in ps,
+// rounded: the compiler may write 2·rps as rps + rps and fuse the scaling
+// into that add.
+func (m Elmore) rps() float64 { return float64(m.ROhmPerUnit * ohmFemtofaradToPs) }
 
 // WireDelay implements Model: r·l·(c·l/2 + CL) in ps.
 func (m Elmore) WireDelay(length, cLoad float64) float64 {
-	return m.rps() * length * (m.CFFPerUnit*length/2 + cLoad)
+	return float64(m.rps() * length * (float64(m.CFFPerUnit*length/2) + cLoad))
 }
 
 // WireCap implements Model.
-func (m Elmore) WireCap(length float64) float64 { return m.CFFPerUnit * length }
+func (m Elmore) WireCap(length float64) float64 { return float64(m.CFFPerUnit * length) }
 
 // SplitForDiff implements Model. Writing wa(e) = r·e(c·e/2+ca) and
 // wb(e) = r(d−e)(c(d−e)/2+cb), the quadratic terms of wa−wb cancel and
@@ -109,7 +118,7 @@ func (m Elmore) WireCap(length float64) float64 { return m.CFFPerUnit * length }
 //
 // so e = (diff − X(0)) / (r(c·d + ca + cb)).
 func (m Elmore) SplitForDiff(d, ca, cb, diff float64) float64 {
-	slope := m.rps() * (m.CFFPerUnit*d + ca + cb)
+	slope := m.rps() * (float64(m.CFFPerUnit*d) + ca + cb)
 	return (diff + m.WireDelay(d, cb)) / slope
 }
 
@@ -120,12 +129,12 @@ func (m Elmore) ExtendForDelay(cLoad, delay float64) float64 {
 	}
 	r, c := m.rps(), m.CFFPerUnit
 	// l = (−r·C + sqrt(r²C² + 2rc·delay)) / (rc)
-	disc := r*r*cLoad*cLoad + 2*r*c*delay
-	return (math.Sqrt(disc) - r*cLoad) / (r * c)
+	disc := float64(r*r*cLoad*cLoad) + float64(2*r*c*delay)
+	return (math.Sqrt(disc) - float64(r*cLoad)) / (r * c)
 }
 
 // WireRes implements Model.
-func (m Elmore) WireRes(length float64) float64 { return m.rps() * length }
+func (m Elmore) WireRes(length float64) float64 { return float64(m.rps() * length) }
 
 // ElongationFor implements Model: solves
 // (rc/2)γ² + (r(cDown + c·edgeLen) + rUp·c)γ = delay.
@@ -134,8 +143,8 @@ func (m Elmore) ElongationFor(delay, edgeLen, cDown, rUp float64) float64 {
 		return 0
 	}
 	r, c := m.rps(), m.CFFPerUnit
-	lin := r*(cDown+c*edgeLen) + rUp*c
-	disc := lin*lin + 2*r*c*delay
+	lin := float64(r*(cDown+float64(c*edgeLen))) + float64(rUp*c)
+	disc := float64(lin*lin) + float64(2*r*c*delay)
 	return (math.Sqrt(disc) - lin) / (r * c)
 }
 

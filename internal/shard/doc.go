@@ -45,9 +45,11 @@
 // intra-group skew at shard seams (measured up to ~51 ps on intermingled
 // uniform 10k at 8 shards, and into the thousands of ps on clustered
 // power-law placements). With core.Options.Pilot, Build decides the
-// contract once, up front: it routes a handful of deterministic sink
-// samples with the unsharded engine, reads the offsets each commits back
-// out of its registry (core.Registry.Offsets), and prescribes the per-group
+// contract once, up front, in one dispatched round: it routes a handful of
+// deterministic sink samples, each holding every group, as sub-builds like
+// the shards', commits each sample's root on the coordinator with a
+// one-root core.MergeRoots, reads the offsets each commit relates back out
+// of its registry (core.Registry.Offsets), and prescribes the per-group
 // median to every shard and to the stitch through the existing GroupOffsets
 // machinery. Shards then agree by construction and the measured seam
 // residual drops to float noise.

@@ -1,9 +1,9 @@
 package shard
 
 // Incremental (ECO) rerouting. A retained sharded build (BuildEco) leaves
-// behind an EcoCache: the partition, the frozen base registry with the pilot
-// offset contract baked in, and every shard's pre-stitch subtree frozen in
-// memory (ctree.Frozen). Rebuild applies an instio edit script
+// behind an EcoCache: the partition, the build's options, the pilot offset
+// contract, and every shard's pre-stitch subtree frozen in memory
+// (ctree.Frozen). Rebuild applies an instio edit script
 // (move/reload/add/remove sinks) to the cached instance, derives the dirty
 // shard set from the cached partition — an edited sink dirties the shard
 // that owns it; an added sink dirties the shard of its nearest surviving
@@ -15,22 +15,25 @@ package shard
 // remote workers unchanged. While the dirty shards route, the clean ones
 // are adopted from the cache on one goroutine by thawing a fresh copy of
 // their frozen subtrees, one slab copy each, with each leaf carried onto
-// its sink id in the edited instance; no hop touches the wire codec. All
-// roots are then re-stitched with MergeRoots against a fresh reconstruction
-// of the frozen base, i.e. under the cached pilot contract, so the rebuilt
-// tree keeps the from-scratch build's inter-group alignment (seam skew at
-// float noise) without re-running the pilot.
+// its sink id in the edited instance; no hop touches the wire codec. The
+// base registry is not stored: core.NewRegistry of the cached options and
+// offsets rebuilds it, bitwise the one the from-scratch build handed its
+// shards, and all roots are re-stitched with MergeRoots against it, i.e.
+// under the cached pilot contract, so the rebuilt tree keeps the
+// from-scratch build's inter-group alignment (seam skew at float noise)
+// without re-running the pilot.
 //
 // The contract is sound because a sub-build is a pure function of
 // (instance, sink subset, options, frozen registry): a clean shard's sinks
 // are untouched by the edit script, its options and registry are cached, so
 // the thawed subtree is bitwise the subtree a from-scratch build of the
-// edited instance would produce for that shard. What the contract cannot
-// absorb — edits that empty a shard or leave no sink to anchor an addition —
-// surfaces as ErrFullBuild; edits that empty a group are rejected by
-// EditScript.Apply outright. Every Rebuild result chains: it carries a new
-// EcoCache for the edited instance, so ECO sequences compound without ever
-// paying a full build.
+// edited instance would produce for that shard. Edits keep the group count,
+// so the registry those options and offsets make is the cached build's.
+// What the contract cannot absorb — edits that empty a shard or leave no
+// sink to anchor an addition — surfaces as ErrFullBuild; edits that empty a
+// group are rejected by EditScript.Apply outright. Every Rebuild result
+// chains: it carries a new EcoCache for the edited instance, so ECO
+// sequences compound without ever paying a full build.
 
 import (
 	"context"
@@ -68,10 +71,9 @@ type EcoCache struct {
 	Opt core.Options
 	// Parts is the cached partition: Parts[i] lists shard i's sink IDs.
 	Parts [][]int
-	// Base is the frozen base registry every shard cloned, with the pilot
-	// offsets pre-registered; PilotOffsets is the offset contract itself
-	// (nil when the pilot was off) and PilotSinks its routed sample size.
-	Base         core.RegistrySnapshot
+	// PilotOffsets is the offset contract (nil when the pilot was off),
+	// which the base registry every shard cloned pre-registers (see
+	// subOptions), and PilotSinks its routed sample size.
 	PilotOffsets []float64
 	PilotSinks   int
 	// shards[i] is shard i's retained pre-stitch build (see ecoShard).
@@ -182,17 +184,9 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 	tr.Metric("eco_dirty_shards", float64(len(dirtyIdx)))
 	tr.Metric("eco_reused_shards", float64(k-len(dirtyIdx)))
 
-	// Re-derive the sub-build options exactly as the from-scratch pipeline
-	// does for the edited instance, under the cached pilot contract.
-	subOpt := c.Opt
-	subOpt.Shards = 0
-	subOpt.Pilot = false
-	subOpt.Trace = nil
+	subOpt := c.subOptions()
 	subOpt.Ctx = ropt.Ctx
-	if c.PilotOffsets != nil {
-		subOpt.GroupOffsets = c.PilotOffsets
-	}
-	base, err := core.NewRegistryFromSnapshot(c.Base)
+	base, err := core.NewRegistry(edited, subOpt)
 	if err != nil {
 		return nil, err
 	}
@@ -214,6 +208,19 @@ func (c *EcoCache) RebuildDispatch(script *instio.EditScript, ropt RebuildOption
 	}
 	c.handOff(res.Eco, rm)
 	return res, nil
+}
+
+// subOptions re-derives the sub-build options exactly as the from-scratch
+// pipeline does, under the cached pilot contract: core.NewRegistry of them
+// is the base registry the cached build handed its shards.
+func (c *EcoCache) subOptions() core.Options {
+	opt := stripLocalOnly(c.Opt)
+	opt.Shards = 0
+	opt.Pilot = false
+	if c.PilotOffsets != nil {
+		opt.GroupOffsets = c.PilotOffsets
+	}
+	return opt
 }
 
 // handOff gives the dirty-set index this rebuild's edit walk patched to the
@@ -359,7 +366,6 @@ func (c *EcoCache) Marshal() ([]byte, error) {
 		Opt:        stripLocalOnly(opt),
 		Instance:   c.Instance,
 		Parts:      c.Parts,
-		Base:       c.Base,
 		Offsets:    c.PilotOffsets,
 		PilotSinks: c.PilotSinks,
 		Blobs:      blobs,
@@ -368,8 +374,11 @@ func (c *EcoCache) Marshal() ([]byte, error) {
 }
 
 // UnmarshalEcoCache reconstructs a cache serialized by Marshal, through the
-// wire layer's defensive validation (partition cover, registry forest,
-// option ranges). Every shard blob is decoded through the full result
+// wire layer's defensive validation (partition cover, option ranges). The
+// cached options and pilot offsets must make the base registry a rebuild
+// routes against (core.NewRegistry validates them: finite offsets, entry 0
+// zero), so a cache that breaks the offset contract fails here, not at its
+// first rebuild. Every shard blob is decoded through the full result
 // validation and frozen here. The blobs crossed a process boundary, so each
 // shard's leaves must also be exactly its cached part, each sink once: a
 // mismatch would otherwise surface as a corrupt tree three layers down. A
@@ -386,7 +395,17 @@ func UnmarshalEcoCache(data []byte) (*EcoCache, error) {
 	opt := wc.Opt
 	opt.Shards = wc.Shards
 	opt.Pilot = wc.Pilot
-	shards := make([]ecoShard, len(wc.Blobs))
+	c := &EcoCache{
+		Instance:     wc.Instance,
+		Opt:          opt,
+		Parts:        wc.Parts,
+		PilotOffsets: wc.Offsets,
+		PilotSinks:   wc.PilotSinks,
+		shards:       make([]ecoShard, len(wc.Blobs)),
+	}
+	if _, err := core.NewRegistry(c.Instance, c.subOptions()); err != nil {
+		return nil, fmt.Errorf("shard: eco cache offset contract: %w", err)
+	}
 	// want marks the current part's sinks; a shard whose leaves match its
 	// part clears every mark it set, so one slice serves all shards.
 	want := make([]bool, len(wc.Instance.Sinks))
@@ -409,15 +428,7 @@ func UnmarshalEcoCache(data []byte) (*EcoCache, error) {
 		if stray || leaves != len(wc.Parts[i]) {
 			return nil, fmt.Errorf("shard: cached shard %d: subtree leaves do not match the partition", i)
 		}
-		shards[i] = ecoShard{frozen: ctree.Freeze(br.Root), reg: br.Registry, stats: br.Stats}
+		c.shards[i] = ecoShard{frozen: ctree.Freeze(br.Root), reg: br.Registry, stats: br.Stats}
 	}
-	return &EcoCache{
-		Instance:     wc.Instance,
-		Opt:          opt,
-		Parts:        wc.Parts,
-		Base:         wc.Base,
-		PilotOffsets: wc.Offsets,
-		PilotSinks:   wc.PilotSinks,
-		shards:       shards,
-	}, nil
+	return c, nil
 }

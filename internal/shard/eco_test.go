@@ -403,6 +403,33 @@ func TestEcoCacheRoundTrip(t *testing.T) {
 	if _, err := UnmarshalEcoCache(tradedBlob); err == nil {
 		t.Error("cache whose shard subtrees disagree with its partition accepted")
 	}
+
+	// A container whose pilot offsets break the contract, resealed, passes
+	// the wire layer, which checks only their count; the open must reject
+	// it before a rebuild routes against the registry they make.
+	for _, tc := range []struct {
+		name string
+		edit func(offs []float64)
+	}{
+		{"a NaN offset", func(offs []float64) { offs[1] = math.NaN() }},
+		{"a nonzero entry 0", func(offs []float64) { offs[0] = 1 }},
+	} {
+		wc, err := wire.DecodeCache(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(wc.Offsets)
+		resealed, err := wc.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wire.DecodeCache(resealed); err != nil {
+			t.Fatalf("%s: the wire layer rejects the resealed cache: %v", tc.name, err)
+		}
+		if _, err := UnmarshalEcoCache(resealed); err == nil || !strings.Contains(err.Error(), "offset contract") {
+			t.Errorf("%s: err = %v, want the offset-contract error", tc.name, err)
+		}
+	}
 }
 
 // TestEcoFrozenChainMatchesRoundTrip pins the in-memory frozen path against

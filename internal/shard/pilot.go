@@ -116,8 +116,8 @@ func centroidUV(in *ctree.Instance, ids []int) geom.UV {
 // nearestPatch returns the q candidate sink IDs nearest the uv anchor (ties
 // toward the smaller ID): a spatially compact patch at the candidates' own
 // placement density. Distances are precomputed once per candidate so the
-// comparator never re-derives uv transforms (the retry path sorts whole
-// shards). candidates is not mutated.
+// comparator never re-derives uv transforms (a core patch sorts a whole
+// pilot part, a coverage patch a whole group). candidates is not mutated.
 func nearestPatch(in *ctree.Instance, candidates []int, anchor geom.UV, q int) []int {
 	if q > len(candidates) {
 		q = len(candidates)
@@ -129,7 +129,8 @@ func nearestPatch(in *ctree.Instance, candidates []int, anchor geom.UV, q int) [
 	entries := make([]keyed, len(candidates))
 	for i, id := range candidates {
 		p := geom.ToUV(in.Sinks[id].Loc)
-		entries[i] = keyed{d2: (p.U-anchor.U)*(p.U-anchor.U) + (p.V-anchor.V)*(p.V-anchor.V), id: id}
+		du, dv := p.U-anchor.U, p.V-anchor.V
+		entries[i] = keyed{d2: float64(du*du) + float64(dv*dv), id: id}
 	}
 	// A strict (d², id) order over finite distances: one permutation,
 	// whichever sort computes it.
@@ -147,26 +148,27 @@ func nearestPatch(in *ctree.Instance, candidates []int, anchor geom.UV, q int) [
 }
 
 // runPilot is the pilot offset pass: route pilotPatches deterministic patch
-// samples with the unsharded engine (wire.KindPatch units: a sample build
-// and the single-root stitch that commits its root, on a fresh registry
-// each — the exact decomposition of core.Build), read each route's
-// committed inter-group offsets back out of its registry, and return the
-// per-group median across the estimates in the Options.GroupOffsets form
-// for the shard builds and the stitch to enforce. The routed pilot trees
-// are discarded; only the offset contract and the pass's cost (stats,
-// sinks routed) survive. A patch route whose registry leaves some group
-// unrelated contributes no estimate; if no patch yields a complete
-// contract, the pass retries with 4× the patch size, ending at the full
-// sink set — whose final root spans every group and therefore always
-// commits one. opt must be the normalized sub-build options (Shards and
-// Pilot cleared, no GroupOffsets).
+// samples with the unsharded engine, each a sub-build on a fresh registry,
+// commit each patch root on the coordinator with the one-root
+// core.MergeRoots against the registry its result carries (the exact
+// decomposition of core.Build, so the root's offsets are registered), read
+// each patch's committed inter-group offsets back out of that registry,
+// and return the per-group median across the estimates in the
+// Options.GroupOffsets form for the shard builds and the stitch to enforce.
+// The routed pilot trees are discarded; only the offset contract and the
+// pass's cost (stats, sinks routed) survive. Every sample holds every group
+// (pilotPatchSample's coverage patches), so every committed root relates
+// them all, and a patch that leaves a group unrelated is an error. opt
+// must be the normalized sub-build options (Shards and Pilot cleared, no
+// GroupOffsets).
 //
-// The patch routes of one escalation round execute through the dispatch
-// coordinator (phase "pilot"): concurrently, with panic containment, retry
-// and hedging, and every execution on a fresh registry — a patch route is a
-// pure function of (instance, sample, options), so the pass's estimates are
-// identical whichever attempt delivers them. Estimates are aggregated in
-// patch-index order, keeping the median's inputs deterministic.
+// The patch builds execute in one round through the dispatch coordinator
+// (phase "pilot"): concurrently, with panic containment, retry and hedging,
+// and every execution on a fresh registry — a patch build is a pure
+// function of (instance, sample, options), so the pass's estimates are
+// identical whichever attempt delivers them. Patches are committed and
+// their estimates aggregated in patch-index order, keeping the median's
+// inputs deterministic.
 func runPilot(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (offs []float64, stats core.Stats, sinks int, rep dispatch.Report, err error) {
 	p := pilotPatches
 	if p > len(in.Sinks) {
@@ -177,79 +179,80 @@ func runPilot(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (offs
 	if err != nil {
 		return nil, stats, sinks, rep, err
 	}
-	unit := wire.WorkUnit{Kind: wire.KindPatch, NumGroups: in.NumGroups, Source: in.Source, Opt: opt, Registry: fresh.Snapshot()}
-	for q := pilotPatchSinks; ; q *= 4 {
-		// Samples are computed serially up front: they are cheap relative to
-		// their routes, and the first sample that degenerates to the full
-		// sink set bounds the dispatch — the parts after it would repeat the
-		// identical full route bitwise, so they are never dispatched.
-		samples := make([][]int, 0, len(parts))
-		for _, part := range parts {
-			ids := pilotPatchSample(in, part, q)
-			samples = append(samples, ids)
-			if len(ids) == len(in.Sinks) {
-				break
-			}
+	// Samples are computed serially up front: they are cheap relative to
+	// their routes, and the first sample that degenerates to the full sink
+	// set bounds the dispatch — the parts after it would repeat the
+	// identical full route bitwise, so they are never dispatched.
+	samples := make([][]int, 0, len(parts))
+	for _, part := range parts {
+		ids := pilotPatchSample(in, part, pilotPatchSinks)
+		samples = append(samples, ids)
+		if len(ids) == len(in.Sinks) {
+			break
 		}
+	}
 
-		// One child trace per patch route (spans and metrics of the patch's
-		// own build nest under it; the pilot trace aggregates over children
-		// via MetricValue).
-		sb := &subBuilds{phase: "pilot", in: in, unit: unit, sinks: make([][]*ctree.Sink, len(samples)), traces: make([]*obs.Trace, len(samples))}
-		for pi, ids := range samples {
-			sb.sinks[pi] = in.SinkList(ids)
+	// One child trace per patch route (spans and metrics of the patch's own
+	// build nest under it; the pilot trace aggregates over children via
+	// MetricValue).
+	sb := &subBuilds{
+		phase:  "pilot",
+		in:     in,
+		unit:   wire.WorkUnit{NumGroups: in.NumGroups, Source: in.Source, Opt: opt, Registry: fresh.Snapshot()},
+		sinks:  make([][]*ctree.Sink, len(samples)),
+		traces: make([]*obs.Trace, len(samples)),
+	}
+	for pi, ids := range samples {
+		sb.sinks[pi] = in.SinkList(ids)
+	}
+	if opt.Trace != nil {
+		for pi := range sb.traces {
+			sb.traces[pi] = opt.Trace.Child("patch" + strconv.Itoa(pi))
 		}
-		if opt.Trace != nil {
-			for pi := range sb.traces {
-				sb.traces[pi] = opt.Trace.Child("patch" + strconv.Itoa(pi))
-			}
-		}
-		outs, prep, err := sb.run(opt.Ctx, dopt, opt.Trace)
-		rep.Add(prep)
+	}
+	outs, rep, err := sb.run(opt.Ctx, dopt, opt.Trace)
+	if err != nil {
+		return nil, stats, sinks, rep, err
+	}
+
+	ests := make([][]float64, 0, len(outs))
+	for pi, br := range outs {
+		sinks += len(samples[pi])
+		reg, err := core.NewRegistryFromSnapshot(br.Registry)
 		if err != nil {
 			return nil, stats, sinks, rep, err
 		}
-
-		var ests [][]float64
-		for pi, br := range outs {
-			sinks += len(samples[pi])
-			stats.AddRun(br.Stats)
-			reg, err := core.NewRegistryFromSnapshot(br.Registry)
-			if err != nil {
-				return nil, stats, sinks, rep, err
-			}
-			// A patch that left a group unrelated is a valid outcome, not an
-			// execution failure: the pass votes without it or escalates.
-			est, offsErr := reg.Offsets()
-			if offsErr != nil {
-				if len(samples[pi]) == len(in.Sinks) {
-					// The full instance could not relate every group; no
-					// larger sample exists, so no contract can be committed.
-					return nil, stats, sinks, rep, fmt.Errorf("shard: pilot could not commit a complete offset contract: %w", offsErr)
-				}
-				continue
-			}
-			if len(samples[pi]) == len(in.Sinks) {
-				// A sample that degenerated to the full sink set routed the
-				// exact contract — it outvotes every patch estimate (and the
-				// remaining parts were never dispatched).
-				ests = [][]float64{est}
-				break
-			}
-			ests = append(ests, est)
+		top, err := core.MergeRoots([]*ctree.Node{br.Root}, in.NumGroups, in.Source, opt, reg)
+		if err != nil {
+			return nil, stats, sinks, rep, fmt.Errorf("shard: pilot patch %d: %w", pi, err)
 		}
-		if len(ests) > 0 {
-			offs = make([]float64, in.NumGroups)
-			vals := make([]float64, 0, len(ests))
-			for g := 1; g < in.NumGroups; g++ {
-				vals = vals[:0]
-				for _, e := range ests {
-					vals = append(vals, e[g])
-				}
-				sort.Float64s(vals)
-				offs[g] = vals[(len(vals)-1)/2]
-			}
-			return offs, stats, sinks, rep, nil
+		// The build and its commit are summed as one patch run first:
+		// SneakWire is a float sum, so the grouping fixes its bits.
+		var st core.Stats
+		st.AddRun(br.Stats)
+		st.AddRun(top.Stats)
+		stats.AddRun(st)
+		est, err := reg.Offsets()
+		if err != nil {
+			return nil, stats, sinks, rep, fmt.Errorf("shard: pilot patch %d committed no complete offset contract: %w", pi, err)
 		}
+		ests = append(ests, est)
 	}
+	if n := len(samples); len(samples[n-1]) == len(in.Sinks) {
+		// A sample that degenerated to the full sink set routed the exact
+		// contract — it outvotes every patch estimate (and the parts after
+		// it were never dispatched).
+		ests = ests[n-1:]
+	}
+	offs = make([]float64, in.NumGroups)
+	vals := make([]float64, 0, len(ests))
+	for g := 1; g < in.NumGroups; g++ {
+		vals = vals[:0]
+		for _, e := range ests {
+			vals = append(vals, e[g])
+		}
+		sort.Float64s(vals)
+		offs[g] = vals[(len(vals)-1)/2]
+	}
+	return offs, stats, sinks, rep, nil
 }

@@ -104,7 +104,7 @@ func TestRemoteUnitsShipOnlyTheirSinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	whole, err := (&wire.WorkUnit{Kind: wire.KindBuild, Sinks: in.SinkList(nil), NumGroups: in.NumGroups,
+	whole, err := (&wire.WorkUnit{Sinks: in.SinkList(nil), NumGroups: in.NumGroups,
 		Source: in.Source, Registry: reg.Snapshot()}).Encode()
 	if err != nil {
 		t.Fatal(err)

@@ -76,11 +76,10 @@ type Result struct {
 	// as dispatch_* metrics on Trace.
 	Dispatch dispatch.Report
 	// Eco is the retained incremental-rebuild contract: the partition, the
-	// frozen base registry, the pilot offset contract and every shard's
-	// pre-stitch subtree, from which EcoCache.Rebuild re-routes an edited
-	// instance by rebuilding only the dirty shards. Nil unless the build
-	// retained it (BuildEco) or the result itself came from a rebuild
-	// (Rebuild results always chain).
+	// pilot offset contract and every shard's pre-stitch subtree, from which
+	// EcoCache.Rebuild re-routes an edited instance by rebuilding only the
+	// dirty shards. Nil unless the build retained it (BuildEco) or the
+	// result itself came from a rebuild (Rebuild results always chain).
 	Eco *EcoCache
 	// EcoRebuilt lists the shard indices an incremental rebuild re-routed,
 	// ascending (nil on a from-scratch build); EcoReused counts the cached
@@ -128,12 +127,12 @@ func BuildDispatch(in *ctree.Instance, opt core.Options, dopt dispatch.Options) 
 }
 
 // BuildEco is BuildDispatch with contract retention: the result additionally
-// carries an EcoCache (partition, frozen base registry, pilot offsets,
-// per-shard pre-stitch subtrees frozen in memory) from which an edited
-// instance can be re-routed incrementally (EcoCache.Rebuild). Retention costs
-// one copy of the shard subtrees, so it is opt-in rather than the Build
-// default. Requires opt.Shards ≥ 1 — the contract is the sharded
-// pipeline's, an unsharded build has no partition to reuse.
+// carries an EcoCache (partition, pilot offsets, per-shard pre-stitch
+// subtrees frozen in memory) from which an edited instance can be re-routed
+// incrementally (EcoCache.Rebuild). Retention costs one copy of the shard
+// subtrees, so it is opt-in rather than the Build default. Requires
+// opt.Shards ≥ 1 — the contract is the sharded pipeline's, an unsharded
+// build has no partition to reuse.
 func BuildEco(in *ctree.Instance, opt core.Options, dopt dispatch.Options) (*Result, error) {
 	if opt.Shards <= 0 {
 		return nil, fmt.Errorf("shard: eco retention requires Shards ≥ 1 (got %d)", opt.Shards)
@@ -250,7 +249,7 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 	sb := &subBuilds{
 		phase:  "shard",
 		in:     in,
-		unit:   wire.WorkUnit{Kind: wire.KindBuild, NumGroups: in.NumGroups, Source: in.Source, Opt: subOpt, Registry: base.Snapshot()},
+		unit:   wire.WorkUnit{NumGroups: in.NumGroups, Source: in.Source, Opt: subOpt, Registry: base.Snapshot()},
 		sinks:  make([][]*ctree.Sink, len(todo)),
 		traces: make([]*obs.Trace, len(todo)),
 		shards: todo,
@@ -400,11 +399,7 @@ func routeShards(res *Result, subOpt core.Options, base *core.Registry, todo []i
 			Parts:        parts,
 			PilotOffsets: res.PilotOffsets,
 			PilotSinks:   res.PilotSinks,
-			// The snapshot the shards cloned before the fan-out, not base
-			// as it is now: without the pilot, the stitch has committed
-			// offsets into base since. A rebuild's equals its cache's.
-			Base:   sb.unit.Registry,
-			shards: chain,
+			shards:       chain,
 		}
 	}
 	return nil

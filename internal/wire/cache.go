@@ -10,8 +10,9 @@ import (
 // magicCache tags a persisted eco contract (shard.EcoCache's serialized
 // form): everything a later process needs to rebuild an edited instance
 // incrementally — the routed instance, the sub-build options, the partition,
-// the frozen base registry, the pilot offset contract and the per-shard
-// pre-stitch subtree encodings (each itself a sealed result message).
+// the pilot offset contract and the per-shard pre-stitch subtree encodings
+// (each itself a sealed result message). The base registry the shards
+// cloned is not stored: it is core.NewRegistry of the options and offsets.
 var magicCache = [4]byte{'A', 'S', 'T', 'C'}
 
 // Cache is the serialization container for an incremental-rebuild contract.
@@ -29,10 +30,8 @@ type Cache struct {
 	Opt      core.Options
 	Instance *ctree.Instance
 	Parts    [][]int
-	// Base is the frozen base registry every shard cloned (pilot offsets
-	// pre-registered); Offsets is the pilot contract itself (nil when the
-	// pilot was off); PilotSinks its routed sample size.
-	Base       core.RegistrySnapshot
+	// Offsets is the pilot contract (nil when the pilot was off);
+	// PilotSinks its routed sample size.
 	Offsets    []float64
 	PilotSinks int
 	// Blobs[i] is shard i's pre-stitch subtree as a sealed result message
@@ -51,7 +50,7 @@ func (c *Cache) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("wire: cache with %d shards, %d parts, %d blobs",
 			c.Shards, len(c.Parts), len(c.Blobs))
 	}
-	size := headerLen + uvLen(uint64(c.Shards)) + 1 + optionsLen(c.Opt) + snapshotLen(c.Base) +
+	size := headerLen + uvLen(uint64(c.Shards)) + 1 + optionsLen(c.Opt) +
 		instanceLen(c.Instance) + 1 + uvLen(uint64(len(c.Offsets))) + 8*len(c.Offsets) +
 		ivLen(int64(c.PilotSinks)) + sealLen
 	for _, p := range c.Parts {
@@ -69,7 +68,6 @@ func (c *Cache) Encode() ([]byte, error) {
 	if err := encodeOptions(w, c.Opt); err != nil {
 		return nil, err
 	}
-	encodeSnapshot(w, c.Base)
 	encodeInstance(w, c.Instance)
 	for _, p := range c.Parts {
 		w.uv(uint64(len(p)))
@@ -97,11 +95,11 @@ func (c *Cache) Encode() ([]byte, error) {
 
 // DecodeCache parses and validates a cache: counts against the payload, the
 // partition as an exact cover of the instance's sinks (every id in exactly
-// one non-empty part), the pilot offsets against the group count, and the
-// registry snapshot through the executor's forest validation. The shard
-// blobs are checked for framing only; each is a result message of its own,
-// which the caller decodes with DecodeResult (shard.UnmarshalEcoCache
-// decodes them all at open).
+// one non-empty part) and the pilot offsets' count against the group count.
+// Their values are the options' to validate, through core.NewRegistry, and
+// the shard blobs are checked for framing only; each is a result message
+// of its own, which the caller decodes with DecodeResult
+// (shard.UnmarshalEcoCache does both at open).
 func DecodeCache(data []byte) (*Cache, error) {
 	r, err := open(data, magicCache)
 	if err != nil {
@@ -119,7 +117,6 @@ func DecodeCache(data []byte) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.Base = decodeSnapshot(r)
 	c.Instance, err = decodeInstance(r)
 	if err != nil {
 		return nil, err
@@ -190,13 +187,6 @@ func DecodeCache(data []byte) (*Cache, error) {
 	}
 	if err := r.done(); err != nil {
 		return nil, err
-	}
-	if _, err := core.NewRegistryFromSnapshot(c.Base); err != nil {
-		return nil, fmt.Errorf("wire: %w", err)
-	}
-	if len(c.Base.Parent) != c.Instance.NumGroups {
-		return nil, fmt.Errorf("wire: cache registry over %d groups for instance with %d",
-			len(c.Base.Parent), c.Instance.NumGroups)
 	}
 	return c, nil
 }

@@ -11,41 +11,50 @@ import (
 )
 
 // buildCache constructs a realistic cache container: a grouped instance
-// split into two parts, a registry with pilot offsets pre-registered, and
-// per-part subtree blobs produced by the worker-side executor.
+// split into two parts, pilot offsets, and per-part subtree blobs produced
+// by the worker-side executor against the registry those offsets
+// pre-register (cacheRegistry).
 func buildCache(t testing.TB) *Cache {
 	t.Helper()
-	in := bench.Intermingled(bench.Small(120, 7), 3, 11)
-	opt := core.Options{IntraSkewBound: 2, GroupOffsets: []float64{0, 1.5, -0.25}}
-	reg, err := core.NewRegistry(in, opt)
-	if err != nil {
-		t.Fatal(err)
+	c := &Cache{
+		Shards:     2,
+		Pilot:      true,
+		Opt:        core.Options{IntraSkewBound: 2},
+		Instance:   bench.Intermingled(bench.Small(120, 7), 3, 11),
+		Parts:      [][]int{{}, {}},
+		Offsets:    []float64{0, 1.5, -0.25},
+		PilotSinks: 40,
 	}
-	parts := [][]int{{}, {}}
+	in := c.Instance
+	opt, reg := cacheRegistry(t, c)
 	for i := range in.Sinks {
-		parts[i%2] = append(parts[i%2], i)
+		c.Parts[i%2] = append(c.Parts[i%2], i)
 	}
-	blobs := make([][]byte, 2)
-	for i, p := range parts {
-		br, err := Execute(unitOf(in, KindBuild, p, opt, reg))
+	c.Blobs = make([][]byte, 2)
+	for i, p := range c.Parts {
+		br, err := Execute(unitOf(in, p, opt, reg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if blobs[i], err = br.Encode(); err != nil {
+		if c.Blobs[i], err = br.Encode(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return &Cache{
-		Shards:     2,
-		Pilot:      true,
-		Opt:        opt,
-		Instance:   in,
-		Parts:      parts,
-		Base:       reg.Snapshot(),
-		Offsets:    []float64{0, 1.5, -0.25},
-		PilotSinks: 40,
-		Blobs:      blobs,
+	return c
+}
+
+// cacheRegistry returns the sub-build options of c (its options under its
+// pilot offsets) and the base registry they make, which the shard blobs
+// are routed against.
+func cacheRegistry(t testing.TB, c *Cache) (core.Options, *core.Registry) {
+	t.Helper()
+	opt := c.Opt
+	opt.GroupOffsets = c.Offsets
+	reg, err := core.NewRegistry(c.Instance, opt)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return opt, reg
 }
 
 // TestCacheRoundTrip pins decode(encode(c)) == c field for field, including
@@ -69,9 +78,6 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Parts, c.Parts) {
 		t.Error("partition did not round-trip")
-	}
-	if !reflect.DeepEqual(got.Base, c.Base) {
-		t.Error("registry snapshot did not round-trip")
 	}
 	if !reflect.DeepEqual(got.Offsets, c.Offsets) {
 		t.Errorf("offsets %v, want %v", got.Offsets, c.Offsets)
@@ -162,14 +168,11 @@ func FuzzDecodeCache(f *testing.F) {
 	}
 	decode := func(b []byte) (interface{ Encode() ([]byte, error) }, error) { return DecodeCache(b) }
 	seedRoundTrip(f, seed, decode)
-	reg, err := core.NewRegistryFromSnapshot(c.Base)
-	if err != nil {
-		f.Fatal(err)
-	}
+	opt, reg := cacheRegistry(f, c)
 	patched, misplaced := *c, *c
 	patched.Blobs = make([][]byte, len(c.Parts))
 	for i, p := range c.Parts {
-		br, err := Execute(unitOf(c.Instance, KindPatch, p, c.Opt, reg))
+		br, err := executeCommitted(unitOf(c.Instance, p, opt, reg))
 		if err != nil {
 			f.Fatal(err)
 		}

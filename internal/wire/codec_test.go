@@ -41,7 +41,7 @@ func shardUnit(tb testing.TB) (*WorkUnit, *ctree.Instance) {
 		return a - b
 	})
 	ids = ids[:len(ids)/4]
-	return unitOf(in, KindBuild, ids, core.Options{}, reg), in
+	return unitOf(in, ids, core.Options{}, reg), in
 }
 
 // shardResult executes shardUnit and returns the unit, its instance and the
@@ -154,7 +154,6 @@ func TestEncodeSizesOnce(t *testing.T) {
 func TestDecodeSnapshotBoundsGroupCount(t *testing.T) {
 	const groups = 8 << 20
 	w := newWriter(magicWork, 0)
-	w.u8(KindBuild)
 	if err := encodeOptions(w, core.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +161,12 @@ func TestDecodeSnapshotBoundsGroupCount(t *testing.T) {
 	w.raw(make([]byte, groups))
 	data := w.seal()
 
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := DecodeWork(data)
-	runtime.ReadMemStats(&after)
+	var err error
+	alloc := allocsOf(func() { _, err = DecodeWork(data) })
 	if err == nil || !strings.Contains(err.Error(), "registry group count") {
 		t.Fatalf("err = %v, want the registry group-count error", err)
 	}
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 2*uint64(len(data)) {
+	if alloc >= 2*uint64(len(data)) {
 		t.Errorf("decoding a %d-byte unit allocated %d bytes, want under twice its size", len(data), alloc)
 	}
 }
@@ -260,21 +257,21 @@ func nodeBits(n *ctree.Node) []uint64 {
 // encoded and decoded, executed on the decoded unit, its result encoded and
 // decoded against the coordinator's instance — is the in-process Execute's
 // tree node for node: every field bitwise, a deferred node's record
-// included, and every leaf's Sink pointing into the coordinator's instance. It holds for a shard build (deferred
-// root), a pilot patch (resolved root) and a SingleGroup build, whose leaves
-// take group 0 whatever their sinks' groups, and every leaf of each travels
-// as a compact record.
+// included, and every leaf's Sink pointing into the coordinator's instance.
+// It holds for a shard build (deferred root), a pilot patch (its root
+// committed with executeCommitted, so resolved) and a SingleGroup build,
+// whose leaves take group 0 whatever their sinks' groups, and every leaf of
+// each travels as a compact record.
 func TestDecodedResultMatchesExecute(t *testing.T) {
 	u, in := shardUnit(t)
-	patch := *u
-	patch.Kind = KindPatch
 	single := *u
 	single.Opt.SingleGroup = true
 	for _, tc := range []struct {
 		name string
 		u    *WorkUnit
-	}{{"shard", u}, {"patch", &patch}, {"single group", &single}} {
-		ref, err := Execute(tc.u)
+		run  func(*WorkUnit) (*BuildResult, error)
+	}{{"shard", u, Execute}, {"patch", u, executeCommitted}, {"single group", &single, Execute}} {
+		ref, err := tc.run(tc.u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +283,7 @@ func TestDecodedResultMatchesExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		br, err := Execute(wu)
+		br, err := tc.run(wu)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,13 +332,21 @@ func TestDecodedResultMatchesExecute(t *testing.T) {
 	}
 }
 
-// allocsOf reports the bytes f allocates.
+// allocsOf reports the bytes f allocates: the least of five readings of
+// runtime.MemStats.TotalAlloc around a call of f. TotalAlloc counts the
+// allocations of every goroutine in the test process, so one reading can
+// include another test's; an allocation f makes on every call shows in
+// every reading, so the least still holds it.
 func allocsOf(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // TestDecodeWorkBoundsSinks: a sealed unit of a few hundred bytes that
@@ -369,7 +374,6 @@ func TestDecodeWorkBoundsSinks(t *testing.T) {
 	}
 	unit := func(count uint64, sinks []ctree.Sink) []byte {
 		w := newWriter(magicWork, 0)
-		w.u8(KindBuild)
 		if err := encodeOptions(w, core.Options{}); err != nil {
 			t.Fatal(err)
 		}

@@ -16,12 +16,13 @@
 // or malicious payload yields an error, never a crash — the dispatch layer
 // classifies such errors as transient and re-dispatches.
 //
-// The format is at Version 11. A work unit carries the sinks it routes, in
-// routing order, each as its instance id, location, load and group, plus
-// the instance's group count and clock source: nothing else of the
-// instance. A worker allocates for the sinks it was sent and no more, and
-// checks their ids in range (an int32, as a frozen subtree stores them) and
-// unique with no instance-sized table.
+// The format is at Version 12. A work unit is of one kind, a
+// core.BuildSubtree over the sinks it carries: it holds them in routing
+// order, each as its instance id, location, load and group, plus the
+// instance's group count and clock source: nothing else of the instance. A
+// worker allocates for the sinks it was sent and no more, and checks their
+// ids in range (an int32, as a frozen subtree stores them) and unique with
+// no instance-sized table.
 //
 // A tree travels as pre-order node records with no snaking-handle records:
 // routers recompute handles from the subtree when they need them. A
@@ -47,13 +48,13 @@
 //
 // Run stats travel field by field, so any change to core.Stats' fields
 // changes the layout, and so does any change to the core.Options fields
-// encodeOptions writes: Model, IntraSkewBound, InterSkewBound, SingleGroup,
-// Pairer, EndpointSplit and GroupOffsets. A result carries the
-// subtree, its stats and the worker's registry; the coordinator measures
-// wire from the subtree itself. Work units, results and ECO cache files of
-// any other version fail the check with ErrVersion. A decoded tree lives in
-// one node slab, its nodes' delay-set slices cut, capacity-capped, from
-// shared chunks: appending to one node's slice never writes into another's.
+// encodeOptions writes: Model, IntraSkewBound, SingleGroup, Pairer,
+// EndpointSplit and GroupOffsets. A result carries the subtree, its stats
+// and the worker's registry; the coordinator measures wire from the subtree
+// itself. Work units, results and ECO cache files of any other version fail
+// the check with ErrVersion. A decoded tree lives in one node slab, its
+// nodes' delay-set slices cut, capacity-capped, from shared chunks:
+// appending to one node's slice never writes into another's.
 //
 // Observation does not travel: Options.Trace and Options.Ctx are
 // deliberately not encoded (a worker build runs untraced; the coordinator
@@ -75,7 +76,7 @@ import (
 
 // Version tags the wire format. Bump on any layout change; decoders reject
 // other versions outright rather than guessing.
-const Version uint16 = 11
+const Version uint16 = 12
 
 // ErrVersion marks a message written by a build that speaks another
 // Version; errors.Is recognizes it through the decoders' wrapping.
@@ -86,15 +87,6 @@ var ErrVersion = errors.New("wire: format version mismatch")
 var (
 	magicWork   = [4]byte{'A', 'S', 'T', 'W'}
 	magicResult = [4]byte{'A', 'S', 'T', 'R'}
-)
-
-// Work-unit kinds.
-const (
-	// KindBuild is a shard sub-build: BuildSubtree over the unit's sinks.
-	KindBuild = 1
-	// KindPatch is a pilot patch: BuildSubtree over the sample followed by
-	// a single-root MergeRoots, which commits the patch root's offsets.
-	KindPatch = 2
 )
 
 // Defensive decode limits. These bound allocations against adversarial
@@ -126,7 +118,6 @@ const (
 // NumGroups groups and its clock source at Source, under Opt against a
 // private registry reconstructed from Registry.
 type WorkUnit struct {
-	Kind int
 	// Sinks are the sinks the unit routes, in routing order, each with its
 	// instance id as ID. In process they point into the instance, so the
 	// routed leaves do too; a decoded unit's point into one slice of its
@@ -152,16 +143,13 @@ type BuildResult struct {
 // nested sharding) and on sinks a decoder would refuse, rather than
 // silently dropping them.
 func (u *WorkUnit) Encode() ([]byte, error) {
-	if u.Kind != KindBuild && u.Kind != KindPatch {
-		return nil, fmt.Errorf("wire: unknown work kind %d", u.Kind)
-	}
 	if len(u.Sinks) == 0 {
 		return nil, fmt.Errorf("wire: work unit without sinks")
 	}
 	if u.NumGroups <= 0 {
 		return nil, fmt.Errorf("wire: work unit over %d groups", u.NumGroups)
 	}
-	size := headerLen + 1 + optionsLen(u.Opt) + snapshotLen(u.Registry) +
+	size := headerLen + optionsLen(u.Opt) + snapshotLen(u.Registry) +
 		uvLen(uint64(u.NumGroups)) + 16 + uvLen(uint64(len(u.Sinks))) + sealLen
 	for _, s := range u.Sinks {
 		if s == nil {
@@ -176,7 +164,6 @@ func (u *WorkUnit) Encode() ([]byte, error) {
 		size += uvLen(uint64(s.ID)) + 24 + uvLen(uint64(s.Group))
 	}
 	w := newWriter(magicWork, size)
-	w.u8(byte(u.Kind))
 	if err := encodeOptions(w, u.Opt); err != nil {
 		return nil, err
 	}
@@ -204,10 +191,7 @@ func DecodeWork(data []byte) (*WorkUnit, error) {
 	if err != nil {
 		return nil, err
 	}
-	u := &WorkUnit{Kind: int(r.u8())}
-	if r.err == nil && u.Kind != KindBuild && u.Kind != KindPatch {
-		return nil, fmt.Errorf("wire: unknown work kind %d", u.Kind)
-	}
+	u := &WorkUnit{}
 	u.Opt, err = decodeOptions(r)
 	if err != nil {
 		return nil, err
@@ -322,7 +306,6 @@ func encodeOptions(w *writer, o core.Options) error {
 		return fmt.Errorf("wire: nested sharding options do not travel (Shards=%d Pilot=%v)", o.Shards, o.Pilot)
 	}
 	w.f64(o.IntraSkewBound)
-	w.f64(o.InterSkewBound)
 	w.bool(o.SingleGroup)
 	w.iv(int64(o.Pairer))
 	w.bool(o.EndpointSplit)
@@ -337,10 +320,10 @@ func encodeOptions(w *writer, o core.Options) error {
 }
 
 // optionsLen bounds encodeOptions' output: the model tag and its two floats,
-// two bounds, three booleans (the offsets flag among them), a varint and
-// the offsets with their count.
+// one bound, three booleans (the offsets flag among them), a varint and the
+// offsets with their count.
 func optionsLen(o core.Options) int {
-	return 1 + 16 + 16 + 3 + binary.MaxVarintLen64 + uvLen(uint64(len(o.GroupOffsets))) + 8*len(o.GroupOffsets)
+	return 1 + 16 + 8 + 3 + binary.MaxVarintLen64 + uvLen(uint64(len(o.GroupOffsets))) + 8*len(o.GroupOffsets)
 }
 
 func decodeOptions(r *reader) (core.Options, error) {
@@ -360,7 +343,6 @@ func decodeOptions(r *reader) (core.Options, error) {
 		return o, fmt.Errorf("wire: unknown model tag %d", k)
 	}
 	o.IntraSkewBound = r.f64()
-	o.InterSkewBound = r.f64()
 	o.SingleGroup = r.bool()
 	o.Pairer = core.PairerMode(r.iv())
 	o.EndpointSplit = r.bool()
@@ -383,10 +365,8 @@ func decodeOptions(r *reader) (core.Options, error) {
 	if o.Pairer != core.PairerAuto && o.Pairer != core.PairerScan {
 		return o, fmt.Errorf("wire: unknown pairer mode %d", o.Pairer)
 	}
-	for _, f := range []float64{o.IntraSkewBound, o.InterSkewBound} {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return o, fmt.Errorf("wire: non-finite option value %v", f)
-		}
+	if !finite(o.IntraSkewBound) {
+		return o, fmt.Errorf("wire: non-finite option value %v", o.IntraSkewBound)
 	}
 	return o, nil
 }

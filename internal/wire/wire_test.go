@@ -19,18 +19,40 @@ import (
 	"repro/internal/rctree"
 )
 
-// unitOf is the unit the sharded pipeline cuts from in: a sub-build of
-// kind over the sinks ids names (every sink when nil) under opt, against
-// reg's state.
-func unitOf(in *ctree.Instance, kind int, ids []int, opt core.Options, reg *core.Registry) *WorkUnit {
-	return &WorkUnit{Kind: kind, Sinks: in.SinkList(ids), NumGroups: in.NumGroups, Source: in.Source,
+// unitOf is the unit the sharded pipeline cuts from in: a sub-build over
+// the sinks ids names (every sink when nil) under opt, against reg's state.
+func unitOf(in *ctree.Instance, ids []int, opt core.Options, reg *core.Registry) *WorkUnit {
+	return &WorkUnit{Sinks: in.SinkList(ids), NumGroups: in.NumGroups, Source: in.Source,
 		Opt: opt, Registry: reg.Snapshot()}
+}
+
+// executeCommitted executes u and commits the root it returns as the pilot
+// does on the coordinator: a one-root core.MergeRoots against the registry
+// the result carries, which resolves a deferred root and registers its
+// offsets. It makes the resolved-root results the fixtures send.
+func executeCommitted(u *WorkUnit) (*BuildResult, error) {
+	br, err := Execute(u)
+	if err != nil {
+		return nil, err
+	}
+	reg, err := core.NewRegistryFromSnapshot(br.Registry)
+	if err != nil {
+		return nil, err
+	}
+	top, err := core.MergeRoots([]*ctree.Node{br.Root}, u.NumGroups, u.Source, u.Opt, reg)
+	if err != nil {
+		return nil, err
+	}
+	var st core.Stats
+	st.AddRun(br.Stats)
+	st.AddRun(top.Stats)
+	return &BuildResult{Root: top.Root, Stats: st, Registry: reg.Snapshot()}, nil
 }
 
 // buildWork constructs a realistic grouped work unit and the instance it
 // was cut from: an intermingled 4-group instance, a sink subset, a registry
 // with some committed state.
-func buildWork(t *testing.T, kind int) (*WorkUnit, *ctree.Instance) {
+func buildWork(t *testing.T) (*WorkUnit, *ctree.Instance) {
 	t.Helper()
 	in := bench.Intermingled(bench.Small(300, 7), 4, 11)
 	opt := core.Options{IntraSkewBound: 2}
@@ -42,10 +64,7 @@ func buildWork(t *testing.T, kind int) (*WorkUnit, *ctree.Instance) {
 	for i := 0; i < len(in.Sinks); i += 2 {
 		ids = append(ids, i)
 	}
-	if kind == KindPatch {
-		ids = nil // a patch routes its full sample; nil = all sinks
-	}
-	return unitOf(in, kind, ids, opt, reg), in
+	return unitOf(in, ids, opt, reg), in
 }
 
 func digestTree(t *testing.T, root *ctree.Node, in *ctree.Instance) uint64 {
@@ -68,11 +87,10 @@ func digestTree(t *testing.T, root *ctree.Node, in *ctree.Instance) uint64 {
 // marks encoded is set to a non-default value, so a field dropped from the
 // codec fails the comparison.
 func TestWorkUnitRoundTrip(t *testing.T) {
-	u, _ := buildWork(t, KindBuild)
+	u, _ := buildWork(t)
 	u.Opt = core.Options{
 		Model:          rctree.NewElmore(0.3, 0.05),
 		IntraSkewBound: 2,
-		InterSkewBound: 7.5,
 		SingleGroup:    true,
 		Pairer:         core.PairerScan,
 		EndpointSplit:  true,
@@ -97,9 +115,6 @@ func TestWorkUnitRoundTrip(t *testing.T) {
 	got, err := DecodeWork(data)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got.Kind != u.Kind {
-		t.Errorf("kind = %d, want %d", got.Kind, u.Kind)
 	}
 	if got.NumGroups != u.NumGroups || got.Source != u.Source || !reflect.DeepEqual(got.Sinks, u.Sinks) {
 		t.Error("sinks, group count or source did not round-trip")
@@ -127,7 +142,7 @@ func TestWorkUnitRoundTrip(t *testing.T) {
 // original, and the two trees agree on wirelength bits, per-sink delay
 // digest, and stats.
 func TestResultRoundTripThroughFullBuild(t *testing.T) {
-	u, in := buildWork(t, KindBuild)
+	u, in := buildWork(t)
 	ref, err := Execute(u) // the worker-side path over the original structs
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +193,7 @@ func TestResultRoundTripThroughFullBuild(t *testing.T) {
 }
 
 func TestDecodeRejectsVersionFlip(t *testing.T) {
-	u, _ := buildWork(t, KindBuild)
+	u, _ := buildWork(t)
 	data, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +236,7 @@ func asVersion6(data []byte) []byte {
 // That holds for the messages a Version 6 build wrote too, whose trailer
 // this build does not check.
 func TestOtherVersionFailsWithErrVersion(t *testing.T) {
-	u, in := buildWork(t, KindBuild)
+	u, in := buildWork(t)
 	work, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -281,14 +296,14 @@ var wireLayout = struct {
 	version uint16
 	stats   []string
 	options []string
-}{11, []string{
+}{12, []string{
 	"Merges varint", "SameGroup varint", "CrossGroup varint", "Shared varint",
 	"Deferred varint", "GroupUnions varint", "MergeSnakes varint",
 	"SneakEvents varint", "SneakWire f64", "SneakIters varint",
 	"PairScans varint", "GridRebuilds.LiveDrop varint", "SneakUnresolved varint",
 }, []string{
-	"Model encoded", "IntraSkewBound encoded", "InterSkewBound encoded",
-	"SingleGroup encoded", "Pairer encoded",
+	"Model encoded", "IntraSkewBound encoded", "SingleGroup encoded",
+	"Pairer encoded",
 	"EndpointSplit encoded", "GroupOffsets encoded", "Shards local",
 	"Pilot local", "Trace local", "Ctx local",
 }}
@@ -341,7 +356,7 @@ func TestStatsLayoutPinnedToVersion(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	u, _ := buildWork(t, KindBuild)
+	u, _ := buildWork(t)
 	data, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -373,7 +388,7 @@ func TestDecodeWorkRejectsNonFinite(t *testing.T) {
 		{"+Inf registry offset", func(u *WorkUnit) { u.Registry.Off[2] = math.Inf(1) }},
 		{"NaN IntraSkewBound", func(u *WorkUnit) { u.Opt.IntraSkewBound = math.NaN() }},
 	} {
-		u, _ := buildWork(t, KindBuild)
+		u, _ := buildWork(t)
 		tc.edit(u)
 		data, err := u.Encode()
 		if err != nil {
@@ -386,7 +401,7 @@ func TestDecodeWorkRejectsNonFinite(t *testing.T) {
 }
 
 func TestWorkCannotDecodeAsResult(t *testing.T) {
-	u, in := buildWork(t, KindBuild)
+	u, in := buildWork(t)
 	data, err := u.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -397,12 +412,12 @@ func TestWorkCannotDecodeAsResult(t *testing.T) {
 }
 
 func TestEncodeRejectsUnserializableOptions(t *testing.T) {
-	u, _ := buildWork(t, KindBuild)
+	u, _ := buildWork(t)
 	u.Opt.Shards = 4
 	if _, err := u.Encode(); err == nil {
 		t.Error("nested Shards encoded")
 	}
-	u, _ = buildWork(t, KindBuild)
+	u, _ = buildWork(t)
 	u.Opt.Pilot = true
 	if _, err := u.Encode(); err == nil {
 		t.Error("nested Pilot encoded")
@@ -446,7 +461,7 @@ func FuzzDecodeWork(f *testing.F) {
 	}
 	decode := func(b []byte) (interface{ Encode() ([]byte, error) }, error) { return DecodeWork(b) }
 	for _, ids := range [][]int{{9, 0, 3}, nil} {
-		seed, err := unitOf(in, KindBuild, ids, core.Options{}, reg).Encode()
+		seed, err := unitOf(in, ids, core.Options{}, reg).Encode()
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -547,17 +562,17 @@ func TestDecodeResultRejectsMisplacedDeferral(t *testing.T) {
 // whatever decodes re-encodes to bytes that decode and encode back to
 // themselves. Its seeds are a sub-build with compact leaves and a deferred
 // root, the same with one leaf whose delay set starts at −0 (so it takes a
-// full record), an embedded pilot patch, whose placed nodes carry Loc and
-// whose root is resolved, and the misplaced deferred records the decoder
-// rejects.
+// full record), an embedded pilot patch (its root committed as the pilot
+// commits it), whose placed nodes carry Loc and whose root is resolved, and
+// the misplaced deferred records the decoder rejects.
 func FuzzDecodeResult(f *testing.F) {
 	in := bench.Intermingled(bench.Small(40, 3), 3, 5)
 	reg, err := core.NewRegistry(in, core.Options{})
 	if err != nil {
 		f.Fatal(err)
 	}
-	encode := func(kind int, edit func(*ctree.Node)) []byte {
-		br, err := Execute(unitOf(in, kind, nil, core.Options{IntraSkewBound: 2}, reg))
+	encode := func(run func(*WorkUnit) (*BuildResult, error), edit func(*ctree.Node)) []byte {
+		br, err := run(unitOf(in, nil, core.Options{IntraSkewBound: 2}, reg))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -568,12 +583,12 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 		return data
 	}
-	compact := encode(KindBuild, func(root *ctree.Node) {
+	compact := encode(Execute, func(root *ctree.Node) {
 		if root.Def == nil {
 			f.Fatal("seed sub-build root is not deferred")
 		}
 	})
-	negZero := encode(KindBuild, func(root *ctree.Node) {
+	negZero := encode(Execute, func(root *ctree.Node) {
 		leaf := root
 		for !leaf.IsLeaf() {
 			leaf = leaf.Left
@@ -583,7 +598,7 @@ func FuzzDecodeResult(f *testing.F) {
 	if len(negZero) <= len(compact) {
 		f.Fatal("the −0 leaf still travels as a compact record")
 	}
-	placed := encode(KindPatch, func(root *ctree.Node) { root.Embed(geom.ToUV(in.Source)) })
+	placed := encode(executeCommitted, func(root *ctree.Node) { root.Embed(geom.ToUV(in.Source)) })
 	decode := func(b []byte) (interface{ Encode() ([]byte, error) }, error) { return DecodeResult(b, in) }
 	for _, seed := range [][]byte{compact, negZero, placed} {
 		seedRoundTrip(f, seed, decode)
